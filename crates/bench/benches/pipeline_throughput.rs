@@ -1,9 +1,11 @@
-//! Pipeline throughput gate: the scratch-arena world path
-//! (`WorldRunMode::SummaryOnly`, the default) against the per-block-fresh
-//! baseline (`WorldRunMode::FullDetail`).
+//! Pipeline throughput gate: the scratch-arena block pipeline
+//! (`analyze_block_with_scratch`, the stages every world-run worker
+//! executes) against the allocating per-block reference
+//! (`analyze_block(..).summary()`), each as one single-thread loop
+//! producing the same `BlockSummary`s over the same world.
 //!
 //! Not a Criterion bench: a pass/fail harness in the `BENCH_obs.json`
-//! mould. It interleaves the two modes (A/B/A/B…) so drift lands on both
+//! mould. It interleaves the two loops (A/B/A/B…) so drift lands on both
 //! sides equally, takes medians, writes blocks/sec plus steady-state
 //! allocations/block to `BENCH_pipeline.json` at the workspace root, and
 //! fails if the scratch path allocates in steady state or loses
@@ -12,14 +14,12 @@
 //! Run with `cargo bench -p sleepwatch-bench --bench pipeline_throughput`.
 //! `PIPELINE_BENCH_ITERS` overrides the sample count for noisy machines.
 
-use sleepwatch_core::{
-    analyze_block, analyze_block_with_scratch, analyze_world_with_mode, AnalysisConfig,
-    BlockScratch, WorldRunMode,
-};
+use sleepwatch_core::{analyze_block, analyze_block_with_scratch, AnalysisConfig, BlockScratch};
 use sleepwatch_probing::TrinocularConfig;
 use sleepwatch_simnet::{World, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Regression budget: the scratch path may be at most 2 % slower than the
@@ -65,35 +65,36 @@ fn median(xs: &mut [f64]) -> f64 {
     xs[xs.len() / 2]
 }
 
-fn run_once(world: &World, cfg: &AnalysisConfig, mode: WorldRunMode) -> f64 {
-    let start = Instant::now();
-    let analysis = analyze_world_with_mode(world, cfg, 2, None, mode);
-    let secs = start.elapsed().as_secs_f64();
-    assert_eq!(analysis.len(), world.blocks.len());
-    secs
+/// One single-thread pass summarizing every block: through the grow-only
+/// `arena` when given, through the allocating `analyze_block` otherwise.
+fn pass(world: &World, cfg: &AnalysisConfig, arena: Option<&mut BlockScratch>) {
+    match arena {
+        Some(arena) => {
+            for block in &world.blocks {
+                black_box(analyze_block_with_scratch(block, cfg, arena));
+            }
+        }
+        None => {
+            for block in &world.blocks {
+                black_box(analyze_block(block, cfg).summary());
+            }
+        }
+    }
 }
 
-/// Steady-state allocations per block on one thread: one warm pass over
-/// every block sizes the arena to the world's full diversity (grow-only
-/// contract — the largest walk, outage list and series win), then a
-/// second full pass is counted.
-fn allocs_per_block(world: &World, cfg: &AnalysisConfig, scratch: bool) -> f64 {
-    let mut arena = BlockScratch::new();
-    for block in &world.blocks {
-        if scratch {
-            analyze_block_with_scratch(block, cfg, &mut arena);
-        } else {
-            analyze_block(block, cfg);
-        }
-    }
+fn timed_pass(world: &World, cfg: &AnalysisConfig, arena: Option<&mut BlockScratch>) -> f64 {
+    let start = Instant::now();
+    pass(world, cfg, arena);
+    start.elapsed().as_secs_f64()
+}
+
+/// Steady-state allocations per block of one pass. The caller has already
+/// run a warm pass over every block, which sizes the arena to the world's
+/// full diversity (grow-only contract — the largest walk, outage list and
+/// series win).
+fn allocs_per_block(world: &World, cfg: &AnalysisConfig, arena: Option<&mut BlockScratch>) -> f64 {
     let before = allocations();
-    for block in &world.blocks {
-        if scratch {
-            analyze_block_with_scratch(block, cfg, &mut arena);
-        } else {
-            analyze_block(block, cfg);
-        }
-    }
+    pass(world, cfg, arena);
     (allocations() - before) as f64 / world.blocks.len() as f64
 }
 
@@ -110,39 +111,40 @@ fn main() {
     let mut cfg = AnalysisConfig::over_days(world.cfg.start_time, 3.0);
     cfg.trinocular = TrinocularConfig::a12w();
 
-    // Warm both paths: plan cache, allocator, page cache.
-    run_once(&world, &cfg, WorldRunMode::SummaryOnly);
-    run_once(&world, &cfg, WorldRunMode::FullDetail);
+    // Warm both paths: arena, plan cache, allocator, page cache.
+    let mut arena = BlockScratch::new();
+    pass(&world, &cfg, Some(&mut arena));
+    pass(&world, &cfg, None);
 
-    let scratch_allocs = allocs_per_block(&world, &cfg, true);
-    let fresh_allocs = allocs_per_block(&world, &cfg, false);
+    let scratch_allocs = allocs_per_block(&world, &cfg, Some(&mut arena));
+    let fresh_allocs = allocs_per_block(&world, &cfg, None);
 
-    let mut summary = Vec::with_capacity(iters);
-    let mut full = Vec::with_capacity(iters);
+    let mut scratch = Vec::with_capacity(iters);
+    let mut fresh = Vec::with_capacity(iters);
     for _ in 0..iters {
-        summary.push(run_once(&world, &cfg, WorldRunMode::SummaryOnly));
-        full.push(run_once(&world, &cfg, WorldRunMode::FullDetail));
+        scratch.push(timed_pass(&world, &cfg, Some(&mut arena)));
+        fresh.push(timed_pass(&world, &cfg, None));
     }
 
-    let med_summary = median(&mut summary);
-    let med_full = median(&mut full);
+    let med_scratch = median(&mut scratch);
+    let med_fresh = median(&mut fresh);
     let n = world.blocks.len() as f64;
-    let bps_summary = n / med_summary;
-    let bps_full = n / med_full;
-    let speedup = med_full / med_summary;
+    let bps_scratch = n / med_scratch;
+    let bps_fresh = n / med_fresh;
+    let speedup = med_fresh / med_scratch;
 
     let json = format!(
         "{{\n  \"bench\": \"pipeline_throughput\",\n  \"blocks\": {},\n  \"iters\": {},\n  \
-         \"summary_only_median_s\": {:.6},\n  \"full_detail_median_s\": {:.6},\n  \
-         \"summary_only_blocks_per_s\": {:.2},\n  \"full_detail_blocks_per_s\": {:.2},\n  \
+         \"scratch_median_s\": {:.6},\n  \"fresh_median_s\": {:.6},\n  \
+         \"scratch_blocks_per_s\": {:.2},\n  \"fresh_blocks_per_s\": {:.2},\n  \
          \"speedup_ratio\": {:.4},\n  \"scratch_allocs_per_block\": {:.2},\n  \
          \"fresh_allocs_per_block\": {:.2},\n  \"max_slowdown_ratio\": {:.2}\n}}\n",
         world.blocks.len(),
         iters,
-        med_summary,
-        med_full,
-        bps_summary,
-        bps_full,
+        med_scratch,
+        med_fresh,
+        bps_scratch,
+        bps_fresh,
         speedup,
         scratch_allocs,
         fresh_allocs,
@@ -151,7 +153,7 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     std::fs::write(out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!(
-        "pipeline_throughput: scratch {bps_summary:.1} blocks/s vs fresh {bps_full:.1} \
+        "pipeline_throughput: scratch {bps_scratch:.1} blocks/s vs fresh {bps_fresh:.1} \
          blocks/s (speedup {speedup:.3}×), {scratch_allocs:.2} vs {fresh_allocs:.2} \
          allocs/block"
     );
@@ -162,10 +164,10 @@ fn main() {
     );
     assert!(fresh_allocs > 0.0, "fresh path reported zero allocations — the counter is broken");
     assert!(
-        med_summary <= med_full * MAX_SLOWDOWN,
-        "scratch path lost throughput: {med_summary:.4}s vs fresh {med_full:.4}s \
+        med_scratch <= med_fresh * MAX_SLOWDOWN,
+        "scratch path lost throughput: {med_scratch:.4}s vs fresh {med_fresh:.4}s \
          ({:.2}% over the {:.0}% budget, {iters} interleaved runs)",
-        (med_summary / med_full - 1.0) * 100.0,
+        (med_scratch / med_fresh - 1.0) * 100.0,
         (MAX_SLOWDOWN - 1.0) * 100.0
     );
 }

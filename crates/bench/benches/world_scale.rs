@@ -238,6 +238,6 @@ fn main() {
         "per-worker arena {peak_arena} bytes exceeds the {MAX_ARENA_BYTES} ceiling — \
          lazy sharding is no longer bounding memory"
     );
-    assert!(batched_ffts > 0, "SummaryOnly world runs must use the batched FFT path");
+    assert!(batched_ffts > 0, "world runs must use the batched FFT path");
     assert_eq!(batched_series, blocks as u64, "every block's FFT should ride a batch");
 }

@@ -48,7 +48,7 @@ use crate::analyze::{
 use crate::journal::{JournalError, JournalWriter, SYNC_EVERY};
 use crate::streaming::{OnlineConfig, OnlineDetector};
 use crate::worldrun::{
-    hooks, join_block, open_journal, panic_message, Quarantine, WorldBlockReport,
+    fire_poison, join_block, open_journal, panic_message, Quarantine, WorldBlockReport,
 };
 
 /// Blocks probed per feeder chunk: bounds how many lanes are in flight
@@ -362,7 +362,7 @@ impl<'a> ShardState<'a> {
                 let cfg = self.cfg;
                 let scratch = &mut self.scratch;
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    hooks::fire(block_id);
+                    fire_poison(cfg, block_id);
                     let block = source.generate_block(block_id);
                     let fill = clean_fft_observations(&lane.obs, cfg, scratch);
                     let probed = ProbedBlock { outages, total_probes, fill_fraction: fill };
@@ -543,7 +543,7 @@ fn feed_world_into(
         let mut streams: Vec<Vec<RoundEvent>> = Vec::with_capacity(specs.len());
         for block in &specs {
             let events = catch_unwind(AssertUnwindSafe(|| {
-                hooks::fire(block.id);
+                fire_poison(cfg, block.id);
                 let mut prober = TrinocularProber::new(block, cfg.trinocular);
                 let run = prober.run_with_faults(block, cfg.start_time, cfg.rounds, &cfg.faults);
                 record_events(block.id, &run.records, run.outages.len() as u32, run.total_probes)
@@ -804,7 +804,7 @@ fn merge_feed_quarantines(out: &mut IngestOutcome, fed: Vec<Quarantine>) {
 mod tests {
     use super::*;
     use crate::analyze::analyze_block;
-    use crate::worldrun::{analyze_world, hooks};
+    use crate::worldrun::analyze_world;
     use sleepwatch_probing::stream::replay_run;
     use sleepwatch_probing::FaultPlan;
     use sleepwatch_simnet::WorldConfig;
@@ -886,10 +886,8 @@ mod tests {
     #[test]
     fn planted_panic_quarantines_only_its_block() {
         let source = tiny_source(12);
-        let cfg = cfg_for(&source, 2.0, FaultPlan::none());
-        hooks::plant_block_panic(7);
+        let cfg = cfg_for(&source, 2.0, FaultPlan { poison_blocks: &[7], ..FaultPlan::none() });
         let out = ingest_world(&source, &cfg, &IngestConfig { shards: 2, ..Default::default() });
-        hooks::clear_block_panics();
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].block_id, 7);
         assert_eq!(out.reports.len(), 11);

@@ -7,31 +7,17 @@
 //! journal file and, on restart, replays it to skip work already done —
 //! the resumed run's output is byte-identical to an uninterrupted one.
 //!
-//! # Formats
+//! # Format
 //!
-//! Two record codecs share one file family (all little-endian, every
-//! frame closed by a CRC32 over its body):
-//!
-//! * **v1** (`SLPWJNL1`): a 48-byte header followed by fixed-width
-//!   84-byte records. Kept fully readable and appendable — an existing v1
-//!   journal keeps being continued as v1 on resume.
-//! * **v2** (`SLPWJNL2`): the shared 64-byte [`crate::framing::Prelude`]
-//!   plus an embedded dictionary section (country codes and link-class
-//!   keywords, the same tables [`crate::binfmt`] uses), followed by
-//!   variable-width records that drop absent fields (phase, location)
-//!   instead of zero-filling them — ~30% smaller in practice. New
-//!   journals are written as v2.
+//! One codec, `SLPWJNL2` (all little-endian, every frame closed by a CRC32
+//! over its body): the shared 64-byte [`crate::framing::Prelude`] plus an
+//! embedded dictionary section (country codes and link-class keywords, the
+//! same tables [`crate::binfmt`] uses), followed by variable-width records
+//! that drop absent fields (phase, location) instead of zero-filling them.
 //!
 //! ```text
-//! v1 header  (48 B): magic u64 | world_seed u64 | num_blocks u64 |
-//!                    rounds u64 | start_time u64 | crc32 u32 | pad [0u8; 4]
-//! v1 record  (84 B): magic u32 | flags u16 | class u8 | region u8 |
-//!                    block_id u64 | phase f64 | strongest_cpd f64 |
-//!                    mean_a f64 | outages u32 | asn u32 | total_probes u64 |
-//!                    lon f64 | lat f64 | country [u8; 2] | alloc_year u16 |
-//!                    alloc_month u8 | pad u8 | link_mask u16 | crc32 u32
-//! v2 header:         prelude (64 B) | dict_len u32 | dict payload | crc32 u32
-//! v2 record (41–67B): flags u8 | class+region u8 | block_id u32 |
+//! header:            prelude (64 B) | dict_len u32 | dict payload | crc32 u32
+//! record (41–67 B):  flags u8 | class+region u8 | block_id u32 |
 //!                    strongest_cpd f64 | mean_a f64 | probes u32 |
 //!                    outages u16 | asn u32 | alloc_year u16 | alloc_month u8 |
 //!                    link_mask u16 | [phase f64] |
@@ -43,15 +29,18 @@
 //! garbage — yields `None` rather than a panic, and replay keeps only the
 //! longest valid prefix, discarding the damaged suffix. Header validation
 //! is shared with [`crate::binfmt`] through [`crate::framing`]: foreign
-//! identities, byte-swapped files and future versions each surface as one
-//! consistent [`DecodeError`] kind. Appends are batched to the OS and
-//! `fsync`'d every [`SYNC_EVERY`] records and on [`JournalWriter::sync`],
-//! bounding how much work a crash can lose.
+//! identities, byte-swapped files and other versions each surface as one
+//! consistent [`DecodeError`] kind. Any other member of the `SLPWJNL`
+//! magic family (an `SLPWJNL1` or `SLPWJNL3` file, say) is refused with
+//! [`DecodeError::UnsupportedVersion`] and left untouched on disk
+//! ([`sniff_journal`]). Appends are batched to the OS and `fsync`'d every
+//! [`SYNC_EVERY`] records and on [`JournalWriter::sync`], bounding how
+//! much work a crash can lose.
 
 use crate::framing::{check_identity, sniff_magic, DecodeError, Prelude, RunIdentity};
 use crate::worldrun::WorldBlockReport;
 use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::{by_code, COUNTRIES};
+use sleepwatch_geoecon::country::COUNTRIES;
 use sleepwatch_geoecon::geolocate::Location;
 use sleepwatch_geoecon::region::Region;
 use sleepwatch_linktype::LinkFeature;
@@ -62,24 +51,17 @@ use std::path::Path;
 
 pub use crate::framing::crc32;
 
-/// Byte length of the v1 journal header.
-pub const HEADER_LEN: usize = 48;
-/// Byte length of one v1 block record.
-pub const RECORD_LEN: usize = 84;
 /// Records between `fsync` calls (a crash loses at most this many
 /// appended-but-unsynced records; replay re-analyzes them).
 pub const SYNC_EVERY: u32 = 64;
-/// Format version newly created journals are written as.
+/// The one journal format version this build reads and writes.
 pub const JOURNAL_VERSION: u16 = 2;
 
-const FILE_MAGIC: u64 = 0x534C_5057_4A4E_4C31; // "SLPWJNL1"
-const FILE_MAGIC_V2: u64 = 0x534C_5057_4A4E_4C32; // "SLPWJNL2"
+const FILE_MAGIC: u64 = 0x534C_5057_4A4E_4C32; // "SLPWJNL2"
 /// The journal magic family: everything but the trailing version digit.
-const MAGIC_FAMILY: u64 = FILE_MAGIC & MAGIC_FAMILY_MASK;
 const MAGIC_FAMILY_MASK: u64 = !0xFF;
 /// `kind` byte journals carry in the shared prelude.
 const KIND_JOURNAL: u8 = 1;
-const REC_MAGIC: u32 = 0x424C_4B52; // "BLKR"
 
 const FLAG_PHASE: u16 = 0x01;
 const FLAG_STATIONARY: u16 = 0x02;
@@ -89,9 +71,9 @@ const FLAG_PLANTED: u16 = 0x10;
 const FLAG_REGION: u16 = 0x20;
 const FLAG_ALL: u16 = 0x3F;
 
-/// Fixed leading portion of a v2 record, before the optional fields.
+/// Fixed leading portion of a record, before the optional fields.
 const RECORD_V2_FIXED: usize = 37;
-/// Smallest possible v2 record (fixed part + CRC).
+/// Smallest possible record (fixed part + CRC).
 const RECORD_V2_MIN: usize = RECORD_V2_FIXED + 4;
 
 /// Identity of the run a journal belongs to. Replay refuses to resume
@@ -131,15 +113,6 @@ impl JournalHeader {
     }
 }
 
-/// Record codec a journal file uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalVersion {
-    /// Fixed-width 84-byte records behind the 48-byte v1 header.
-    V1,
-    /// Variable-width records behind the shared prelude + dictionary.
-    V2,
-}
-
 /// Errors from opening or resuming a journal.
 #[derive(Debug)]
 pub enum JournalError {
@@ -155,7 +128,7 @@ pub enum JournalError {
         mismatch: DecodeError,
     },
     /// The file is a journal this build cannot continue: byte-swapped,
-    /// a future version, or carrying an incompatible dictionary.
+    /// another format version, or carrying an incompatible dictionary.
     Incompatible(DecodeError),
 }
 
@@ -180,19 +153,6 @@ impl From<io::Error> for JournalError {
     }
 }
 
-/// Encodes the v1 header frame.
-pub fn encode_header(h: &JournalHeader) -> [u8; HEADER_LEN] {
-    let mut buf = [0u8; HEADER_LEN];
-    buf[0..8].copy_from_slice(&FILE_MAGIC.to_le_bytes());
-    buf[8..16].copy_from_slice(&h.world_seed.to_le_bytes());
-    buf[16..24].copy_from_slice(&h.num_blocks.to_le_bytes());
-    buf[24..32].copy_from_slice(&h.rounds.to_le_bytes());
-    buf[32..40].copy_from_slice(&h.start_time.to_le_bytes());
-    let crc = crc32(&buf[0..40]);
-    buf[40..44].copy_from_slice(&crc.to_le_bytes());
-    buf
-}
-
 fn le_u16(b: &[u8]) -> u16 {
     u16::from_le_bytes([b[0], b[1]])
 }
@@ -203,189 +163,7 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-/// Decodes a v1 header frame; `None` on any damage.
-pub fn decode_header(bytes: &[u8]) -> Option<JournalHeader> {
-    if bytes.len() < HEADER_LEN {
-        return None;
-    }
-    if crc32(&bytes[0..40]) != le_u32(&bytes[40..44]) {
-        return None;
-    }
-    if le_u64(&bytes[0..8]) != FILE_MAGIC || bytes[44..48] != [0, 0, 0, 0] {
-        return None;
-    }
-    Some(JournalHeader {
-        world_seed: le_u64(&bytes[8..16]),
-        num_blocks: le_u64(&bytes[16..24]),
-        rounds: le_u64(&bytes[24..32]),
-        start_time: le_u64(&bytes[32..40]),
-    })
-}
-
-/// Encodes one completed block as a v1 record. Returns `None` for the
-/// (defensively handled, practically unreachable) case of a report the
-/// fixed-width frame cannot represent faithfully — e.g. a located country
-/// code absent from the country table. Such blocks are simply not
-/// journaled and are re-analyzed on resume.
-pub fn encode_record(r: &WorldBlockReport) -> Option<[u8; RECORD_LEN]> {
-    let mut flags = 0u16;
-    let mut buf = [0u8; RECORD_LEN];
-    buf[0..4].copy_from_slice(&REC_MAGIC.to_le_bytes());
-    let class = match r.summary.class {
-        DiurnalClass::Strict => 0u8,
-        DiurnalClass::Relaxed => 1,
-        DiurnalClass::NonDiurnal => 2,
-    };
-    buf[6] = class;
-    buf[7] = match r.region {
-        Some(region) => {
-            flags |= FLAG_REGION;
-            Region::ALL.iter().position(|&x| x == region)? as u8
-        }
-        None => 0xFF,
-    };
-    buf[8..16].copy_from_slice(&r.summary.block_id.to_le_bytes());
-    if let Some(phase) = r.summary.phase {
-        flags |= FLAG_PHASE;
-        buf[16..24].copy_from_slice(&phase.to_bits().to_le_bytes());
-    }
-    buf[24..32].copy_from_slice(&r.summary.strongest_cpd.to_bits().to_le_bytes());
-    buf[32..40].copy_from_slice(&r.summary.mean_a.to_bits().to_le_bytes());
-    buf[40..44].copy_from_slice(&r.summary.outages.to_le_bytes());
-    buf[44..48].copy_from_slice(&r.asn.to_le_bytes());
-    buf[48..56].copy_from_slice(&r.summary.total_probes.to_le_bytes());
-    if let Some(loc) = r.location {
-        flags |= FLAG_LOCATED;
-        if loc.centroid_fallback {
-            flags |= FLAG_CENTROID;
-        }
-        // The country must round-trip through the table so decode can
-        // restore the same `&'static str`.
-        let code = by_code(loc.country)?.code.as_bytes();
-        if code.len() != 2 {
-            return None;
-        }
-        buf[56..64].copy_from_slice(&loc.lon.to_bits().to_le_bytes());
-        buf[64..72].copy_from_slice(&loc.lat.to_bits().to_le_bytes());
-        buf[72..74].copy_from_slice(code);
-    }
-    buf[74..76].copy_from_slice(&r.alloc_date.year.to_le_bytes());
-    buf[76] = r.alloc_date.month;
-    if r.summary.stationary {
-        flags |= FLAG_STATIONARY;
-    }
-    if r.planted_diurnal {
-        flags |= FLAG_PLANTED;
-    }
-    let mut mask = 0u16;
-    for f in &r.link_features {
-        mask |= 1 << f.index();
-    }
-    buf[78..80].copy_from_slice(&mask.to_le_bytes());
-    buf[4..6].copy_from_slice(&flags.to_le_bytes());
-    let crc = crc32(&buf[0..80]);
-    buf[80..84].copy_from_slice(&crc.to_le_bytes());
-    Some(buf)
-}
-
-/// Decodes one v1 record frame. Total: `None` on any damage or internal
-/// inconsistency, never a panic. Validation order: CRC first (rejects
-/// random corruption), then magic, then every field and cross-field
-/// consistency rule the encoder guarantees.
-pub fn decode_record(bytes: &[u8]) -> Option<WorldBlockReport> {
-    if bytes.len() < RECORD_LEN {
-        return None;
-    }
-    let b = &bytes[0..RECORD_LEN];
-    if crc32(&b[0..80]) != le_u32(&b[80..84]) {
-        return None;
-    }
-    if le_u32(&b[0..4]) != REC_MAGIC {
-        return None;
-    }
-    let flags = le_u16(&b[4..6]);
-    if flags & !FLAG_ALL != 0 || b[77] != 0 {
-        return None;
-    }
-    let class = match b[6] {
-        0 => DiurnalClass::Strict,
-        1 => DiurnalClass::Relaxed,
-        2 => DiurnalClass::NonDiurnal,
-        _ => return None,
-    };
-    let region = if flags & FLAG_REGION != 0 {
-        Some(*Region::ALL.get(b[7] as usize)?)
-    } else {
-        if b[7] != 0xFF {
-            return None;
-        }
-        None
-    };
-    let phase = if flags & FLAG_PHASE != 0 {
-        Some(f64::from_bits(le_u64(&b[16..24])))
-    } else {
-        if le_u64(&b[16..24]) != 0 {
-            return None;
-        }
-        None
-    };
-    let location = if flags & FLAG_LOCATED != 0 {
-        let code = std::str::from_utf8(&b[72..74]).ok()?;
-        let country = by_code(code)?.code;
-        Some(Location {
-            lon: f64::from_bits(le_u64(&b[56..64])),
-            lat: f64::from_bits(le_u64(&b[64..72])),
-            country,
-            centroid_fallback: flags & FLAG_CENTROID != 0,
-        })
-    } else {
-        // An unlocated block must have the location fields zeroed (and no
-        // centroid flag): anything else is corruption.
-        if flags & FLAG_CENTROID != 0
-            || le_u64(&b[56..64]) != 0
-            || le_u64(&b[64..72]) != 0
-            || b[72..74] != [0, 0]
-        {
-            return None;
-        }
-        None
-    };
-    let month = b[76];
-    if !(1..=12).contains(&month) {
-        return None;
-    }
-    let mask = le_u16(&b[78..80]);
-    let mut link_features = Vec::new();
-    for (i, &f) in LinkFeature::ALL.iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            link_features.push(f);
-        }
-    }
-    Some(WorldBlockReport {
-        summary: crate::analyze::BlockSummary {
-            block_id: le_u64(&b[8..16]),
-            class,
-            phase,
-            strongest_cpd: f64::from_bits(le_u64(&b[24..32])),
-            mean_a: f64::from_bits(le_u64(&b[32..40])),
-            stationary: flags & FLAG_STATIONARY != 0,
-            outages: le_u32(&b[40..44]),
-            total_probes: le_u64(&b[48..56]),
-        },
-        location,
-        region,
-        alloc_date: YearMonth::new(le_u16(&b[74..76]), month),
-        link_features,
-        asn: le_u32(&b[44..48]),
-        planted_diurnal: flags & FLAG_PLANTED != 0,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// v2 codec
-// ---------------------------------------------------------------------------
-
-/// The dictionary payload every v2 journal embeds: the country-code table
+/// The dictionary payload every journal embeds: the country-code table
 /// and the link-class keyword table, in their compiled order. Shared with
 /// the compact dataset container so both formats resolve indices through
 /// the same tables.
@@ -396,11 +174,11 @@ fn static_dict_payload() -> Vec<u8> {
     payload
 }
 
-/// Encodes the v2 header: the shared prelude plus the embedded dictionary
+/// Encodes the header: the shared prelude plus the embedded dictionary
 /// section.
 pub fn encode_header_v2(h: &JournalHeader) -> Vec<u8> {
     let prelude = Prelude {
-        magic: FILE_MAGIC_V2,
+        magic: FILE_MAGIC,
         version: JOURNAL_VERSION,
         kind: KIND_JOURNAL,
         mode: 0,
@@ -417,11 +195,11 @@ pub fn encode_header_v2(h: &JournalHeader) -> Vec<u8> {
     out
 }
 
-/// Parses and fully validates a v2 header, returning the run identity and
+/// Parses and fully validates a header, returning the run identity and
 /// the header's byte length.
 pub fn decode_header_v2(bytes: &[u8]) -> Result<(JournalHeader, usize), DecodeError> {
     let prelude = Prelude::decode(bytes)?;
-    prelude.require(FILE_MAGIC_V2, JOURNAL_VERSION, KIND_JOURNAL)?;
+    prelude.require(FILE_MAGIC, JOURNAL_VERSION, KIND_JOURNAL)?;
     if prelude.mode != 0 {
         return Err(DecodeError::BadMode { found: prelude.mode });
     }
@@ -446,16 +224,16 @@ pub fn decode_header_v2(bytes: &[u8]) -> Result<(JournalHeader, usize), DecodeEr
     Ok((JournalHeader::from_identity(&prelude.identity), header_len))
 }
 
-/// Byte length of the v2 record a report with these optional fields
+/// Byte length of the record a report with these optional fields
 /// occupies.
 fn record_v2_len(has_phase: bool, located: bool) -> usize {
     RECORD_V2_MIN + if has_phase { 8 } else { 0 } + if located { 18 } else { 0 }
 }
 
-/// Encodes one completed block as a v2 record. `None` when the report
+/// Encodes one completed block as a record. `None` when the report
 /// does not fit the frame (block id or probe count beyond 32 bits,
 /// outages beyond 16, or a country absent from the table) — such blocks
-/// are skipped and re-analyzed on resume, exactly like v1.
+/// are simply not journaled and are re-analyzed on resume.
 pub fn encode_record_v2(r: &WorldBlockReport) -> Option<Vec<u8>> {
     let id = u32::try_from(r.summary.block_id).ok()?;
     let probes = u32::try_from(r.summary.total_probes).ok()?;
@@ -520,7 +298,7 @@ pub fn encode_record_v2(r: &WorldBlockReport) -> Option<Vec<u8>> {
     Some(buf)
 }
 
-/// Decodes one v2 record from the front of `bytes`, returning the report
+/// Decodes one record from the front of `bytes`, returning the report
 /// and the frame's byte length. Total: `None` on any damage, truncation
 /// or cross-field inconsistency.
 pub fn decode_record_v2(bytes: &[u8]) -> Option<(WorldBlockReport, usize)> {
@@ -621,7 +399,7 @@ pub enum ReplayOutcome {
     /// the journal must be rewritten from scratch.
     Fresh {
         /// Whole-or-partial record frames dropped with the damage
-        /// (counted in minimum-record units for v2, so an upper bound).
+        /// (counted in minimum-record units, so an upper bound).
         discarded: u64,
     },
     /// A valid prefix was recovered.
@@ -641,39 +419,6 @@ pub enum ReplayOutcome {
     },
 }
 
-/// Replays v1 journal `bytes` against the run identity `expect`. Total —
-/// never panics, whatever the input. Replay stops at the first damaged
-/// frame and reports everything before it; the damaged suffix (counted in
-/// whole-record units, rounded up) is discarded.
-pub fn replay_bytes(bytes: &[u8], expect: &JournalHeader) -> ReplayOutcome {
-    let frames = |len: usize| len.div_ceil(RECORD_LEN) as u64;
-    if bytes.is_empty() {
-        return ReplayOutcome::Fresh { discarded: 0 };
-    }
-    let header = match decode_header(bytes) {
-        Some(h) => h,
-        // Damage inside the header poisons everything after it.
-        None => return ReplayOutcome::Fresh { discarded: frames(bytes.len()) },
-    };
-    if header != *expect {
-        return ReplayOutcome::HeaderMismatch { found: header };
-    }
-    let mut reports = Vec::new();
-    let mut offset = HEADER_LEN;
-    while offset + RECORD_LEN <= bytes.len() {
-        match decode_record(&bytes[offset..offset + RECORD_LEN]) {
-            Some(r) => reports.push(r),
-            None => break,
-        }
-        offset += RECORD_LEN;
-    }
-    ReplayOutcome::Resumed {
-        reports,
-        valid_len: offset as u64,
-        discarded: frames(bytes.len() - offset),
-    }
-}
-
 /// Whether a [`DecodeError`] means "a real file from an incompatible
 /// writer" (refuse) rather than "corruption" (heal by rewriting).
 fn is_incompatible(e: &DecodeError) -> bool {
@@ -688,10 +433,12 @@ fn is_incompatible(e: &DecodeError) -> bool {
     )
 }
 
-/// Replays v2 journal `bytes` against the run identity `expect`. Returns
-/// `Err` only for files this build must refuse (byte-swapped, future
-/// version, foreign dictionary); corruption — a damaged prelude or
-/// dictionary — degrades to [`ReplayOutcome::Fresh`] exactly like v1.
+/// Replays journal `bytes` against the run identity `expect`. Total —
+/// never panics, whatever the input. Returns `Err` only for files this
+/// build must refuse (byte-swapped, another version, foreign dictionary);
+/// corruption — a damaged prelude or dictionary — degrades to
+/// [`ReplayOutcome::Fresh`]. Replay stops at the first damaged frame and
+/// reports everything before it.
 pub fn replay_bytes_v2(bytes: &[u8], expect: &JournalHeader) -> Result<ReplayOutcome, DecodeError> {
     let frames = |len: usize| len.div_ceil(RECORD_V2_MIN) as u64;
     if bytes.is_empty() {
@@ -718,42 +465,43 @@ pub fn replay_bytes_v2(bytes: &[u8], expect: &JournalHeader) -> Result<ReplayOut
     })
 }
 
+/// Classifies `bytes` by their leading magic — the one place the "is this
+/// a journal this build reads" decision lives. `Ok(true)`: an `SLPWJNL2`
+/// journal, replay it. `Ok(false)`: no journal at all (garbage, short or
+/// empty). `Err`: a member of the journal magic family that must be
+/// refused untouched — byte-swapped ([`DecodeError::EndianMismatch`]) or
+/// carrying any other version digit ([`DecodeError::UnsupportedVersion`]).
+pub fn sniff_journal(bytes: &[u8]) -> Result<bool, DecodeError> {
+    const FAMILY: u64 = FILE_MAGIC & MAGIC_FAMILY_MASK;
+    match sniff_magic(bytes) {
+        Some(FILE_MAGIC) => Ok(true),
+        Some(m) if m.swap_bytes() & MAGIC_FAMILY_MASK == FAMILY => Err(DecodeError::EndianMismatch),
+        Some(m) if m & MAGIC_FAMILY_MASK == FAMILY => {
+            let digit = (m & 0xFF) as u8;
+            let found = if digit.is_ascii_digit() { (digit - b'0') as u16 } else { digit as u16 };
+            Err(DecodeError::UnsupportedVersion { found, supported: JOURNAL_VERSION })
+        }
+        _ => Ok(false),
+    }
+}
+
 /// Byte offsets of the record boundaries in a journal's valid prefix:
 /// element 0 is the end of the header (start of the first record),
 /// element `i + 1` the end of record `i`. Empty when the header is
-/// unusable. Works for both versions — meant for tools and tests that
-/// need to sever or patch a journal at precise frame boundaries without
-/// hard-coding a record width.
+/// unusable. Meant for tools and tests that need to sever or patch a
+/// journal at precise frame boundaries without hard-coding a record
+/// width.
 pub fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
-    match sniff_magic(bytes) {
-        Some(FILE_MAGIC) => {
-            if decode_header(bytes).is_none() {
-                return Vec::new();
-            }
-            let mut out = vec![HEADER_LEN];
-            let mut offset = HEADER_LEN;
-            while offset + RECORD_LEN <= bytes.len()
-                && decode_record(&bytes[offset..offset + RECORD_LEN]).is_some()
-            {
-                offset += RECORD_LEN;
-                out.push(offset);
-            }
-            out
-        }
-        Some(FILE_MAGIC_V2) => {
-            let Ok((_, header_len)) = decode_header_v2(bytes) else {
-                return Vec::new();
-            };
-            let mut out = vec![header_len];
-            let mut offset = header_len;
-            while let Some((_, len)) = decode_record_v2(&bytes[offset..]) {
-                offset += len;
-                out.push(offset);
-            }
-            out
-        }
-        _ => Vec::new(),
+    let Ok((_, header_len)) = decode_header_v2(bytes) else {
+        return Vec::new();
+    };
+    let mut out = vec![header_len];
+    let mut offset = header_len;
+    while let Some((_, len)) = decode_record_v2(&bytes[offset..]) {
+        offset += len;
+        out.push(offset);
     }
+    out
 }
 
 /// Append handle for a journal file positioned at the end of its valid
@@ -763,34 +511,17 @@ pub fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
 pub struct JournalWriter {
     file: File,
     unsynced: u32,
-    version: JournalVersion,
 }
 
 impl JournalWriter {
-    /// The record codec this writer appends with (the version of the
-    /// file it continues).
-    pub fn version(&self) -> JournalVersion {
-        self.version
-    }
-
     /// Appends one completed block. Returns `Ok(false)` when the report
     /// cannot be represented in the frame (the block is skipped, not
-    /// corrupted — see [`encode_record`] / [`encode_record_v2`]).
+    /// corrupted — see [`encode_record_v2`]).
     pub fn append(&mut self, report: &WorldBlockReport) -> io::Result<bool> {
-        match self.version {
-            JournalVersion::V1 => {
-                let Some(frame) = encode_record(report) else {
-                    return Ok(false);
-                };
-                self.file.write_all(&frame)?;
-            }
-            JournalVersion::V2 => {
-                let Some(frame) = encode_record_v2(report) else {
-                    return Ok(false);
-                };
-                self.file.write_all(&frame)?;
-            }
-        }
+        let Some(frame) = encode_record_v2(report) else {
+            return Ok(false);
+        };
+        self.file.write_all(&frame)?;
         self.unsynced += 1;
         if self.unsynced >= SYNC_EVERY {
             self.file.sync_data()?;
@@ -821,11 +552,10 @@ pub struct ReplayStats {
 /// tail, and returns a writer positioned for appending plus the recovered
 /// reports.
 ///
-/// Both format versions are continued in place (a v1 journal keeps
-/// growing as v1); fresh or rewritten journals are created as v2. Errors
-/// only on IO failure, a well-formed header from a different run, or a
-/// file this build must refuse outright (byte-swapped, future version,
-/// foreign dictionary) — corruption never errors, it only shrinks the
+/// Errors only on IO failure, a well-formed header from a different run,
+/// or a file this build must refuse outright (byte-swapped, another
+/// format version, foreign dictionary) — a refused file is left
+/// byte-for-byte as it was. Corruption never errors, it only shrinks the
 /// prefix.
 pub fn open_resume(
     path: &Path,
@@ -836,61 +566,28 @@ pub fn open_resume(
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e.into()),
     };
-    let mismatch_err = |found: JournalHeader| {
-        let mismatch = check_identity(&header.identity(), &found.identity())
-            .expect_err("mismatching headers must differ in an identity field");
-        JournalError::HeaderMismatch { expected: *header, found, mismatch }
-    };
-    let outcome = match sniff_magic(&bytes) {
-        Some(FILE_MAGIC) => match replay_bytes(&bytes, header) {
-            ReplayOutcome::HeaderMismatch { found } => return Err(mismatch_err(found)),
-            ReplayOutcome::Fresh { discarded } => {
-                (Vec::new(), 0u64, ReplayStats { replayed: 0, discarded }, JournalVersion::V2)
-            }
-            ReplayOutcome::Resumed { reports, valid_len, discarded } => {
-                let stats = ReplayStats { replayed: reports.len() as u64, discarded };
-                (reports, valid_len, stats, JournalVersion::V1)
-            }
-        },
-        Some(FILE_MAGIC_V2) => {
-            match replay_bytes_v2(&bytes, header).map_err(JournalError::Incompatible)? {
-                ReplayOutcome::HeaderMismatch { found } => return Err(mismatch_err(found)),
-                ReplayOutcome::Fresh { discarded } => {
-                    (Vec::new(), 0u64, ReplayStats { replayed: 0, discarded }, JournalVersion::V2)
-                }
-                ReplayOutcome::Resumed { reports, valid_len, discarded } => {
-                    let stats = ReplayStats { replayed: reports.len() as u64, discarded };
-                    (reports, valid_len, stats, JournalVersion::V2)
-                }
-            }
-        }
-        Some(m) if m == FILE_MAGIC.swap_bytes() || m == FILE_MAGIC_V2.swap_bytes() => {
-            return Err(JournalError::Incompatible(DecodeError::EndianMismatch));
-        }
-        Some(m) if m & MAGIC_FAMILY_MASK == MAGIC_FAMILY => {
-            let digit = (m & 0xFF) as u8;
-            let found = if digit.is_ascii_digit() { (digit - b'0') as u16 } else { digit as u16 };
-            return Err(JournalError::Incompatible(DecodeError::UnsupportedVersion {
-                found,
-                supported: JOURNAL_VERSION,
-            }));
-        }
+    let outcome = if sniff_journal(&bytes).map_err(JournalError::Incompatible)? {
+        replay_bytes_v2(&bytes, header).map_err(JournalError::Incompatible)?
+    } else {
         // Garbage (or a short/empty file): rewrite from scratch.
-        _ => {
-            let discarded = bytes.len().div_ceil(RECORD_V2_MIN) as u64;
-            (Vec::new(), 0u64, ReplayStats { replayed: 0, discarded }, JournalVersion::V2)
-        }
+        ReplayOutcome::Fresh { discarded: bytes.len().div_ceil(RECORD_V2_MIN) as u64 }
     };
-    let (reports, valid_len, stats, version) = outcome;
+    let (reports, valid_len, discarded) = match outcome {
+        ReplayOutcome::HeaderMismatch { found } => {
+            let mismatch = check_identity(&header.identity(), &found.identity())
+                .expect_err("mismatching headers must differ in an identity field");
+            return Err(JournalError::HeaderMismatch { expected: *header, found, mismatch });
+        }
+        ReplayOutcome::Fresh { discarded } => (Vec::new(), 0u64, discarded),
+        ReplayOutcome::Resumed { reports, valid_len, discarded } => (reports, valid_len, discarded),
+    };
+    let stats = ReplayStats { replayed: reports.len() as u64, discarded };
     let mut file =
         OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
     if valid_len == 0 {
         file.set_len(0)?;
         file.seek(SeekFrom::Start(0))?;
-        match version {
-            JournalVersion::V1 => file.write_all(&encode_header(header))?,
-            JournalVersion::V2 => file.write_all(&encode_header_v2(header))?,
-        }
+        file.write_all(&encode_header_v2(header))?;
     } else {
         file.set_len(valid_len)?;
         file.seek(SeekFrom::Start(valid_len))?;
@@ -899,13 +596,14 @@ pub fn open_resume(
     let obs = sleepwatch_obs::global();
     obs.resilience.journal_records_replayed.add(stats.replayed);
     obs.resilience.journal_records_discarded.add(stats.discarded);
-    Ok((JournalWriter { file, unsynced: 0, version }, reports, stats))
+    Ok((JournalWriter { file, unsynced: 0 }, reports, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze::BlockSummary;
+    use sleepwatch_geoecon::country::by_code;
 
     fn sample_report(id: u64) -> WorldBlockReport {
         WorldBlockReport {
@@ -938,12 +636,8 @@ mod tests {
     }
 
     fn assert_roundtrip(r: &WorldBlockReport) {
-        let frame = encode_record(r).expect("encodable");
-        let back = decode_record(&frame).expect("decodable");
-        assert_eq!(format!("{r:?}"), format!("{back:?}"));
-        // And through the v2 codec.
-        let frame = encode_record_v2(r).expect("v2 encodable");
-        let (back, len) = decode_record_v2(&frame).expect("v2 decodable");
+        let frame = encode_record_v2(r).expect("encodable");
+        let (back, len) = decode_record_v2(&frame).expect("decodable");
         assert_eq!(len, frame.len());
         assert_eq!(format!("{r:?}"), format!("{back:?}"));
     }
@@ -963,19 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn header_roundtrips_and_rejects_damage() {
-        let h = header();
-        let buf = encode_header(&h);
-        assert_eq!(decode_header(&buf), Some(h));
-        for i in 0..HEADER_LEN {
-            let mut bad = buf;
-            bad[i] ^= 0x40;
-            assert_eq!(decode_header(&bad), None, "flip at byte {i} undetected");
-        }
-        assert_eq!(decode_header(&buf[..HEADER_LEN - 1]), None);
-    }
-
-    #[test]
     fn header_v2_roundtrips_and_rejects_damage() {
         let h = header();
         let buf = encode_header_v2(&h);
@@ -986,16 +667,6 @@ mod tests {
             let mut bad = buf.clone();
             bad[i] ^= 0x40;
             assert!(decode_header_v2(&bad).is_err(), "flip at byte {i} undetected");
-        }
-    }
-
-    #[test]
-    fn every_single_bit_flip_in_a_record_is_caught() {
-        let frame = encode_record(&sample_report(3)).unwrap();
-        for bit in 0..RECORD_LEN * 8 {
-            let mut bad = frame;
-            bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(decode_record(&bad).is_none(), "bit flip {bit} undetected");
         }
     }
 
@@ -1015,34 +686,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_records_are_smaller_than_v1() {
+    fn record_width_follows_the_optional_fields() {
         let full = encode_record_v2(&sample_report(1)).unwrap();
-        assert!(full.len() < RECORD_LEN, "full v2 record {} >= v1 {RECORD_LEN}", full.len());
+        assert_eq!(full.len(), RECORD_V2_MIN + 8 + 18, "phase and location present");
         let mut bare = sample_report(2);
         bare.summary.phase = None;
         bare.location = None;
         assert_eq!(encode_record_v2(&bare).unwrap().len(), RECORD_V2_MIN);
-    }
-
-    #[test]
-    fn replay_keeps_valid_prefix_and_discards_damaged_tail() {
-        let h = header();
-        let mut bytes = encode_header(&h).to_vec();
-        for id in 0..5 {
-            bytes.extend_from_slice(&encode_record(&sample_report(id)).unwrap());
-        }
-        // Corrupt record 3 and truncate record 4 in half.
-        let r3 = HEADER_LEN + 3 * RECORD_LEN;
-        bytes[r3 + 10] ^= 0xFF;
-        bytes.truncate(HEADER_LEN + 4 * RECORD_LEN + RECORD_LEN / 2);
-        match replay_bytes(&bytes, &h) {
-            ReplayOutcome::Resumed { reports, valid_len, discarded } => {
-                assert_eq!(reports.len(), 3);
-                assert_eq!(valid_len as usize, HEADER_LEN + 3 * RECORD_LEN);
-                assert_eq!(discarded, 2);
-            }
-            other => panic!("expected resume, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1074,26 +724,26 @@ mod tests {
     #[test]
     fn replay_flags_foreign_headers() {
         let other = JournalHeader { world_seed: 99, ..header() };
-        let bytes = encode_header(&other);
+        let bytes = encode_header_v2(&other);
         assert!(matches!(
-            replay_bytes(&bytes, &header()),
-            ReplayOutcome::HeaderMismatch { found } if found == other
-        ));
-        let v2 = encode_header_v2(&other);
-        assert!(matches!(
-            replay_bytes_v2(&v2, &header()).expect("compatible"),
+            replay_bytes_v2(&bytes, &header()).expect("compatible"),
             ReplayOutcome::HeaderMismatch { found } if found == other
         ));
     }
 
     #[test]
-    fn replay_of_garbage_is_fresh() {
-        assert!(matches!(replay_bytes(&[], &header()), ReplayOutcome::Fresh { discarded: 0 }));
-        let junk = vec![0xA5u8; 200];
-        assert!(matches!(replay_bytes(&junk, &header()), ReplayOutcome::Fresh { .. }));
+    fn replay_of_empty_or_damaged_headers_is_fresh() {
         assert!(matches!(
             replay_bytes_v2(&[], &header()),
             Ok(ReplayOutcome::Fresh { discarded: 0 })
+        ));
+        // A flipped identity byte fails the prelude CRC: corruption, not a
+        // refusal, so the journal is rewritten.
+        let mut damaged = encode_header_v2(&header());
+        damaged[20] ^= 0x01;
+        assert!(matches!(
+            replay_bytes_v2(&damaged, &header()),
+            Ok(ReplayOutcome::Fresh { discarded }) if discarded > 0
         ));
     }
 
@@ -1108,7 +758,6 @@ mod tests {
             let (mut w, reports, stats) = open_resume(&path, &h).unwrap();
             assert!(reports.is_empty());
             assert_eq!(stats, ReplayStats::default());
-            assert_eq!(w.version(), JournalVersion::V2, "fresh journals are v2");
             for id in 0..4 {
                 assert!(w.append(&sample_report(id)).unwrap());
             }
@@ -1133,25 +782,23 @@ mod tests {
     }
 
     #[test]
-    fn open_resume_continues_v1_files_as_v1() {
+    fn open_resume_refuses_v1_files() {
         let dir = std::env::temp_dir().join(format!("swjournal-v1-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v1.journal");
-        let h = header();
-        let mut bytes = encode_header(&h).to_vec();
-        bytes.extend_from_slice(&encode_record(&sample_report(0)).unwrap());
+        // A version-1 magic ahead of arbitrary bytes.
+        let mut bytes = ((FILE_MAGIC & MAGIC_FAMILY_MASK) | b'1' as u64).to_le_bytes().to_vec();
+        bytes.extend((0..124u8).map(|i| i.wrapping_mul(37)));
         std::fs::write(&path, &bytes).unwrap();
-        let (mut w, reports, _stats) = open_resume(&path, &h).unwrap();
-        assert_eq!(w.version(), JournalVersion::V1, "existing v1 journals stay v1");
-        assert_eq!(reports.len(), 1);
-        assert!(w.append(&sample_report(1)).unwrap());
-        w.sync().unwrap();
-        drop(w);
-        let grown = std::fs::read(&path).unwrap();
-        assert_eq!(grown.len(), HEADER_LEN + 2 * RECORD_LEN, "appended record is v1-framed");
-        let (_w2, reports, _stats) = open_resume(&path, &h).unwrap();
-        assert_eq!(reports.len(), 2);
-        let _ = std::fs::remove_file(&path);
+        assert!(matches!(
+            open_resume(&path, &header()),
+            Err(JournalError::Incompatible(DecodeError::UnsupportedVersion {
+                found: 1,
+                supported: JOURNAL_VERSION
+            }))
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a refused journal is never rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1161,7 +808,7 @@ mod tests {
         let h = header();
         // Byte-swapped magic: a big-endian writer.
         let swapped = dir.join("swapped.journal");
-        let mut bytes = encode_header(&h).to_vec();
+        let mut bytes = encode_header_v2(&h);
         bytes[0..8].reverse();
         std::fs::write(&swapped, &bytes).unwrap();
         assert!(matches!(

@@ -72,7 +72,7 @@ pub use ingest::{
     ingest_world, ingest_world_resumable, world_feed, IngestConfig, IngestOutcome, IngestStats,
     TransportOutcome,
 };
-pub use journal::{JournalError, JournalHeader, JournalVersion, ReplayStats};
+pub use journal::{JournalError, JournalHeader, ReplayStats};
 pub use serve::{
     load_rows, rows_from_dataset_bytes, rows_from_journal_bytes, ConnStats, LoadError, QueryServer,
     ServeConfig, ServeState,
@@ -80,9 +80,7 @@ pub use serve::{
 pub use streaming::{DetectorSnapshot, OnlineConfig, OnlineDetector};
 pub use timeofday::{activity_pattern, peak_local_hour, peak_utc_hour, ActivityPattern};
 pub use worldrun::{
-    analyze_world, analyze_world_resumable, analyze_world_resumable_with_mode,
-    analyze_world_resumable_with_report, analyze_world_source, analyze_world_source_resumable,
-    analyze_world_stats, analyze_world_stats_resumable, analyze_world_with_mode,
-    analyze_world_with_report, run_identity, BlockOutcome, Quarantine, WorldAnalysis,
-    WorldBlockReport, WorldRunMode, WorldRunStats,
+    analyze_world, analyze_world_resumable, analyze_world_source, analyze_world_stats,
+    analyze_world_stats_resumable, run_identity, BlockOutcome, Quarantine, WorldAnalysis,
+    WorldBlockReport, WorldRunStats,
 };

@@ -12,6 +12,7 @@
 //! [`MAX_REQUEST_LINE`] bytes of request line, [`MAX_HEADER_BYTES`] of
 //! header block across at most [`MAX_HEADERS`] headers, zero body bytes.
 
+use sleepwatch_obs::json_str;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -243,26 +244,9 @@ pub fn write_response<W: Write>(
     Ok((head.len() + body.len()) as u64)
 }
 
-/// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The standard error body: `{"error":"..."}`.
 pub fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", json_escape(message))
+    format!("{{\"error\":{}}}", json_str(message))
 }
 
 #[cfg(test)]
@@ -333,11 +317,5 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
         assert!(text.contains("Content-Length: 2\r\n"));
-    }
-
-    #[test]
-    fn json_escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -17,9 +17,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use super::http::json_escape;
 use super::lru::{LruOutcome, ShardedLru};
 use crate::export::DatasetRow;
+use sleepwatch_obs::json_str;
 use sleepwatch_spectral::DiurnalClass;
 
 /// Counts behind one aggregation key (a country, an AS, a link type, or
@@ -73,7 +73,7 @@ fn group_fields(c: &GroupCounts) -> String {
 
 /// The `/v1/country/{code}` body.
 pub fn country_body(code: &str, c: &GroupCounts) -> String {
-    format!("{{\"country\":\"{}\",{}}}", json_escape(code), group_fields(c))
+    format!("{{\"country\":{},{}}}", json_str(code), group_fields(c))
 }
 
 /// The `/v1/as/{asn}` body.
@@ -83,7 +83,7 @@ pub fn as_body(asn: u32, c: &GroupCounts) -> String {
 
 /// The `/v1/link/{keyword}` body.
 pub fn link_body(keyword: &str, c: &GroupCounts) -> String {
-    format!("{{\"link\":\"{}\",{}}}", json_escape(keyword), group_fields(c))
+    format!("{{\"link\":{},{}}}", json_str(keyword), group_fields(c))
 }
 
 /// The `/v1/block/{id}` body for one row.
@@ -94,12 +94,8 @@ pub fn block_body(r: &DatasetRow) -> String {
         DiurnalClass::NonDiurnal => "n",
     };
     let phase = r.phase.map(|p| format!("{p:.6}")).unwrap_or_else(|| "null".into());
-    let country = r
-        .country
-        .as_deref()
-        .map(|c| format!("\"{}\"", json_escape(c)))
-        .unwrap_or_else(|| "null".into());
-    let links: Vec<String> = r.links.iter().map(|l| format!("\"{}\"", json_escape(l))).collect();
+    let country = r.country.as_deref().map(json_str).unwrap_or_else(|| "null".into());
+    let links: Vec<String> = r.links.iter().map(|l| json_str(l)).collect();
     format!(
         "{{\"block\":{},\"class\":\"{class}\",\"phase\":{phase},\"mean_a\":{:.6},\
          \"strongest_cpd\":{:.4},\"stationary\":{},\"outages\":{},\"probes\":{},\
@@ -223,13 +219,13 @@ impl Filter {
     fn echo(&self) -> String {
         let mut parts = Vec::new();
         if let Some(c) = &self.country {
-            parts.push(format!("\"country\":\"{}\"", json_escape(c)));
+            parts.push(format!("\"country\":{}", json_str(c)));
         }
         if let Some(a) = self.asn {
             parts.push(format!("\"asn\":{a}"));
         }
         if let Some(l) = &self.link {
-            parts.push(format!("\"link\":\"{}\"", json_escape(l)));
+            parts.push(format!("\"link\":{}", json_str(l)));
         }
         if let Some(s) = self.stationary {
             parts.push(format!("\"stationary\":{s}"));

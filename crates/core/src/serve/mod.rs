@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use crate::export::{dataset_rows, DatasetRow};
 use crate::framing::DecodeError;
-use crate::journal::{replay_bytes, replay_bytes_v2, JournalHeader, ReplayOutcome};
+use crate::journal::{replay_bytes_v2, sniff_journal, JournalHeader, ReplayOutcome};
 use crate::worldrun::WorldAnalysis;
 use http::{error_body, is_timeout, RequestError};
 use index::Filter;
@@ -46,18 +46,14 @@ use sleepwatch_simnet::WorldConfig;
 pub use index::ServeState;
 pub use lru::{LruOutcome, LruShard, ShardedLru};
 
-// The journal file magics, as `crate::journal` writes them (private
-// there; the on-disk encoding is pinned by `header_compat` tests).
-const JOURNAL_MAGIC_V1: u64 = u64::from_be_bytes(*b"SLPWJNL1");
-const JOURNAL_MAGIC_V2: u64 = u64::from_be_bytes(*b"SLPWJNL2");
-
 /// Everything that can stop a world from being loaded for serving.
 #[derive(Debug)]
 pub enum LoadError {
     /// The file could not be read.
     Io(io::Error),
-    /// Dataset bytes refused by the binary decoder (corruption, missing
-    /// world for a seed-joined file, or a foreign run's identity).
+    /// Bytes refused by a decoder: dataset corruption, a missing world
+    /// for a seed-joined file, a foreign run's identity, or a journal of
+    /// a format version this build does not read.
     Decode(DecodeError),
     /// The journal's header is intact but names a different run.
     ForeignJournal {
@@ -74,7 +70,7 @@ impl fmt::Display for LoadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LoadError::Io(e) => write!(f, "could not read source: {e}"),
-            LoadError::Decode(e) => write!(f, "could not decode dataset: {e}"),
+            LoadError::Decode(e) => write!(f, "could not decode source: {e}"),
             LoadError::ForeignJournal { found } => write!(
                 f,
                 "journal belongs to a different run (seed {}, {} blocks)",
@@ -116,23 +112,21 @@ pub fn rows_from_dataset_bytes(
     Ok(rows)
 }
 
-/// Replays journal bytes (either version) into servable rows, refusing
-/// a journal from any run but `expect`'s. Replay tolerates a damaged
-/// tail like crash recovery does; duplicate block records keep the
-/// first occurrence (the crash-resume rule), and rows come out exactly
-/// as [`dataset_rows`] renders them — so a journal-loaded server is
-/// byte-identical to a dataset-loaded one.
+/// Replays journal bytes into servable rows, refusing a journal from
+/// any run but `expect`'s and — with [`sniff_journal`]'s typed version
+/// or endianness error — any journal-family file this build does not
+/// read. Replay tolerates a damaged tail like crash recovery does;
+/// duplicate block records keep the first occurrence (the crash-resume
+/// rule), and rows come out exactly as [`dataset_rows`] renders them —
+/// so a journal-loaded server is byte-identical to a dataset-loaded one.
 pub fn rows_from_journal_bytes(
     bytes: &[u8],
     expect: &JournalHeader,
 ) -> Result<Vec<DatasetRow>, LoadError> {
-    let magic = bytes.get(0..8).map(|b| u64::from_le_bytes(b.try_into().expect("eight bytes")));
-    let outcome = match magic {
-        Some(JOURNAL_MAGIC_V1) => replay_bytes(bytes, expect),
-        Some(JOURNAL_MAGIC_V2) => replay_bytes_v2(bytes, expect)?,
-        _ => return Err(LoadError::UnknownFormat),
-    };
-    let mut reports = match outcome {
+    if !sniff_journal(bytes)? {
+        return Err(LoadError::UnknownFormat);
+    }
+    let mut reports = match replay_bytes_v2(bytes, expect)? {
         ReplayOutcome::Resumed { reports, .. } => reports,
         ReplayOutcome::Fresh { .. } => return Err(LoadError::Empty),
         ReplayOutcome::HeaderMismatch { found } => return Err(LoadError::ForeignJournal { found }),
@@ -147,7 +141,7 @@ pub fn rows_from_journal_bytes(
 }
 
 /// Loads servable rows from `path`, sniffing the format by magic: an
-/// `SLPWBIN1` dataset (seed-joined files need `world`) or a v1/v2
+/// `SLPWBIN1` dataset (seed-joined files need `world`) or an `SLPWJNL2`
 /// journal (checked against `expect`).
 pub fn load_rows(
     path: &Path,

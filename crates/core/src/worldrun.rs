@@ -5,9 +5,9 @@
 //! Paper scale: blocks are claimed in fixed id-range chunks, and a chunk
 //! can be fed either from a materialized [`World`] or pulled lazily from a
 //! [`WorldSource`] — the 3.7M-block survey never holds more than
-//! O(workers × chunk) specs in memory. Within a chunk, `SummaryOnly`
-//! workers probe and clean up to [`MAX_BATCH_LANES`] blocks, then push the
-//! same-length cleaned series through one batched real FFT
+//! O(workers × chunk) specs in memory. Within a chunk, workers probe and
+//! clean up to [`MAX_BATCH_LANES`] blocks into grow-only arenas, then push
+//! the same-length cleaned series through one batched real FFT
 //! ([`sleepwatch_spectral::FftPlan::real_batch_with_scratch`]) — bit-identical to
 //! the per-series kernel, so every golden and differential suite holds
 //! byte-for-byte. Aggregation can likewise stream into a compact
@@ -22,8 +22,7 @@
 //! regenerating already-journaled blocks.
 
 use crate::analyze::{
-    analyze_block, analyze_block_with_scratch, classify_probed, probe_clean_into, AnalysisConfig,
-    BlockScratch, BlockSummary, ProbedBlock,
+    classify_probed, probe_clean_into, AnalysisConfig, BlockScratch, BlockSummary, ProbedBlock,
 };
 use crate::journal::{self, JournalError, JournalHeader, JournalWriter};
 use sleepwatch_geoecon::allocation::YearMonth;
@@ -31,7 +30,7 @@ use sleepwatch_geoecon::country::{by_code, COUNTRIES};
 use sleepwatch_geoecon::geolocate::{GeoDatabase, Location};
 use sleepwatch_geoecon::region::Region;
 use sleepwatch_linktype::{classify_block, LinkFeature};
-use sleepwatch_obs::{RunReport, Snapshot, Stage, StageTimer};
+use sleepwatch_obs::{Stage, StageTimer};
 use sleepwatch_simnet::{ptr_names, BlockSpec, World, WorldSource};
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, MAX_BATCH_LANES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -90,21 +89,6 @@ pub enum BlockOutcome {
         /// The panic message.
         diagnostic: String,
     },
-}
-
-/// How much per-block detail a world run materializes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorldRunMode {
-    /// Allocate a full `BlockAnalysis` (raw run, cleaned series) per
-    /// block and collapse it to a summary — the pre-scratch behaviour.
-    FullDetail,
-    /// Analyze through worker-local [`BlockScratch`] arenas and keep
-    /// only the [`WorldBlockReport`]: zero steady-state allocations per
-    /// block and far lower peak RSS, with same-length series batched
-    /// through one FFT pass. Output is byte-identical to
-    /// [`FullDetail`](Self::FullDetail); this is the default.
-    #[default]
-    SummaryOnly,
 }
 
 /// The analyzed world.
@@ -209,38 +193,13 @@ impl WorldRunStats {
     }
 }
 
-/// Test-only failure injection. Hidden from docs and never armed outside
-/// tests: the fast path is a single relaxed atomic load.
-#[doc(hidden)]
-pub mod hooks {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static PLANTED: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-
-    /// Makes the analysis of block `block_id` panic (until cleared).
-    pub fn plant_block_panic(block_id: u64) {
-        PLANTED.lock().unwrap().push(block_id);
-        ARMED.store(true, Ordering::SeqCst);
-    }
-
-    /// Removes every planted panic.
-    pub fn clear_block_panics() {
-        PLANTED.lock().unwrap().clear();
-        ARMED.store(false, Ordering::SeqCst);
-    }
-
-    pub(crate) fn fire(block_id: u64) {
-        if !ARMED.load(Ordering::Relaxed) {
-            return;
-        }
-        // Decide before panicking: the guard must be dropped first, or the
-        // poisoned mutex would cascade panics into innocent workers.
-        let planted = PLANTED.lock().unwrap().contains(&block_id);
-        if planted {
-            panic!("planted panic for block {block_id}");
-        }
+/// Test-only failure injection: panics when `block_id` is one of the
+/// run's planted `poison_blocks`. The list travels inside the run's own
+/// [`AnalysisConfig`], so concurrent runs never see each other's plants;
+/// outside tests it is empty and this is one length check.
+pub(crate) fn fire_poison(cfg: &AnalysisConfig, block_id: u64) {
+    if cfg.faults.poison_blocks.contains(&block_id) {
+        panic!("planted panic for block {block_id}");
     }
 }
 
@@ -327,24 +286,6 @@ pub(crate) fn join_block(
         asn: block.asn,
         planted_diurnal: block.planted_diurnal,
     }
-}
-
-/// The full pipeline for one block: analysis plus every external join.
-/// The scalar path — `FullDetail` always comes through here; the batched
-/// `SummaryOnly` path splits the same stages across micro-batch phases.
-fn analyze_one(
-    block: &BlockSpec,
-    geodb: &GeoDatabase,
-    cfg: &AnalysisConfig,
-    mode: WorldRunMode,
-    scratch: &mut BlockScratch,
-) -> WorldBlockReport {
-    hooks::fire(block.id);
-    let summary = match mode {
-        WorldRunMode::FullDetail => analyze_block(block, cfg).summary(),
-        WorldRunMode::SummaryOnly => analyze_block_with_scratch(block, cfg, scratch),
-    };
-    join_block(geodb, block, summary)
 }
 
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -457,7 +398,6 @@ fn run_world(
     journal: Option<&parking_lot::Mutex<Option<JournalWriter>>>,
     skip: Vec<bool>,
     sink: Sink,
-    mode: WorldRunMode,
 ) -> RunOutput {
     let obs = sleepwatch_obs::global();
     let _total_timer = StageTimer::start(obs.pipeline.stage(Stage::Total));
@@ -531,58 +471,26 @@ fn run_world(
                                 ChunkView::Generated(&gen_buf)
                             }
                         };
-                        match mode {
-                            WorldRunMode::FullDetail => {
-                                for (j, &i) in work.iter().enumerate() {
-                                    let block = view.get(j);
-                                    let scr = &mut scratches[0];
-                                    let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                                        analyze_one(block, feed.geodb(), cfg, mode, scr)
-                                    })) {
-                                        Ok(rep) => BlockOutcome::Analyzed(rep),
-                                        Err(payload) => {
-                                            obs.resilience.blocks_quarantined.incr();
-                                            BlockOutcome::Quarantined {
-                                                block_id: block.id,
-                                                diagnostic: panic_message(payload),
-                                            }
-                                        }
-                                    };
-                                    emit(
-                                        i,
-                                        outcome,
-                                        n,
-                                        base,
-                                        &mut local,
-                                        &mut blocks_done,
-                                        done,
-                                        progress,
-                                    );
-                                }
-                            }
-                            WorldRunMode::SummaryOnly => {
-                                run_chunk_batched(
-                                    &view,
-                                    &work,
-                                    feed.geodb(),
-                                    cfg,
-                                    &mut scratches,
-                                    &mut batch_scratch,
-                                    &mut |i, outcome| {
-                                        emit(
-                                            i,
-                                            outcome,
-                                            n,
-                                            base,
-                                            &mut local,
-                                            &mut blocks_done,
-                                            done,
-                                            progress,
-                                        )
-                                    },
-                                );
-                            }
-                        }
+                        run_chunk_batched(
+                            &view,
+                            &work,
+                            feed.geodb(),
+                            cfg,
+                            &mut scratches,
+                            &mut batch_scratch,
+                            &mut |i, outcome| {
+                                emit(
+                                    i,
+                                    outcome,
+                                    n,
+                                    base,
+                                    &mut local,
+                                    &mut blocks_done,
+                                    done,
+                                    progress,
+                                )
+                            },
+                        );
                         flush_batch(&mut local, sink_mutex, journal);
                     }
                     obs.world.worker_blocks.add(worker, blocks_done);
@@ -638,7 +546,7 @@ fn run_world(
     out
 }
 
-/// `SummaryOnly` chunk execution: probe/clean up to [`MAX_BATCH_LANES`]
+/// Chunk execution: probe/clean up to [`MAX_BATCH_LANES`]
 /// blocks into per-lane arenas, FFT same-length series together through
 /// the lane-interleaved kernel, then classify and join each lane. Every
 /// phase keeps its own `catch_unwind` boundary so one poisoned block
@@ -669,7 +577,7 @@ fn run_chunk_batched(
             }
             let scr = &mut scratches[l];
             match catch_unwind(AssertUnwindSafe(|| {
-                hooks::fire(block.id);
+                fire_poison(cfg, block.id);
                 probe_clean_into(block, cfg, scr)
             })) {
                 Ok(p) => probed[l] = Some(p),
@@ -775,7 +683,7 @@ fn run_chunk_batched(
             let outcome = match catch_unwind(AssertUnwindSafe(|| {
                 let (summary, _diurnal, _trend) = classify_probed(block, cfg, &scratches[l], p);
                 if track {
-                    // Same classification point as the scalar path: the
+                    // Same classification point as `analyze_block`: the
                     // whole block (probe buffers, series, spectrum) either
                     // fit the warm arena or grew it.
                     if scratches[l].footprint_bytes() > fp_before[l] {
@@ -838,20 +746,6 @@ pub fn analyze_world(
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> WorldAnalysis {
-    analyze_world_with_mode(world, cfg, threads, progress, WorldRunMode::default())
-}
-
-/// [`analyze_world`] with an explicit [`WorldRunMode`]. Both modes produce
-/// byte-identical [`WorldBlockReport`]s (asserted by the `scratch_equiv`
-/// differential suite); [`WorldRunMode::SummaryOnly`] — the default — does
-/// it without per-block heap allocation, batching same-length FFTs.
-pub fn analyze_world_with_mode(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    mode: WorldRunMode,
-) -> WorldAnalysis {
     let n = world.blocks.len();
     expect_analysis(run_world(
         Feed::World(world),
@@ -861,7 +755,6 @@ pub fn analyze_world_with_mode(
         None,
         vec![false; n],
         Sink::Collect(empty_slots(n)),
-        mode,
     ))
 }
 
@@ -885,7 +778,6 @@ pub fn analyze_world_source(
         None,
         vec![false; n],
         Sink::Collect(empty_slots(n)),
-        WorldRunMode::SummaryOnly,
     ))
 }
 
@@ -908,7 +800,6 @@ pub fn analyze_world_stats(
         None,
         vec![false; n],
         Sink::Stats(WorldRunStats::default()),
-        WorldRunMode::SummaryOnly,
     ))
 }
 
@@ -973,26 +864,6 @@ pub fn analyze_world_resumable(
     journal_path: &Path,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> Result<WorldAnalysis, JournalError> {
-    analyze_world_resumable_with_mode(
-        world,
-        cfg,
-        threads,
-        journal_path,
-        progress,
-        WorldRunMode::default(),
-    )
-}
-
-/// [`analyze_world_resumable`] with an explicit [`WorldRunMode`]; the
-/// journal format and resume semantics are mode-independent.
-pub fn analyze_world_resumable_with_mode(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    journal_path: &Path,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    mode: WorldRunMode,
-) -> Result<WorldAnalysis, JournalError> {
     let n = world.blocks.len();
     let (writer, skip, replayed) = open_journal(journal_path, world.cfg.seed, n, cfg)?;
     let mut slots = empty_slots(n);
@@ -1009,44 +880,13 @@ pub fn analyze_world_resumable_with_mode(
         Some(&jmutex),
         skip,
         Sink::Collect(slots),
-        mode,
-    )))
-}
-
-/// [`analyze_world_source`] with the checkpoint journal of
-/// [`analyze_world_resumable`]. Chunks whose blocks were all replayed are
-/// never regenerated — resuming a mostly finished paper-scale run costs
-/// only the missing tail.
-pub fn analyze_world_source_resumable(
-    source: &WorldSource,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    journal_path: &Path,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Result<WorldAnalysis, JournalError> {
-    let n = source.len();
-    let (writer, skip, replayed) = open_journal(journal_path, source.cfg().seed, n, cfg)?;
-    let mut slots = empty_slots(n);
-    for rep in replayed {
-        let idx = rep.summary.block_id as usize;
-        slots[idx] = Some(BlockOutcome::Analyzed(rep));
-    }
-    let jmutex = parking_lot::Mutex::new(Some(writer));
-    Ok(expect_analysis(run_world(
-        Feed::Source(source),
-        cfg,
-        threads,
-        progress,
-        Some(&jmutex),
-        skip,
-        Sink::Collect(slots),
-        WorldRunMode::SummaryOnly,
     )))
 }
 
 /// [`analyze_world_stats`] with the checkpoint journal: replayed blocks
-/// fold straight into the aggregate, unreplayed chunks are generated and
-/// analyzed, and the result equals an uninterrupted stats run exactly.
+/// fold straight into the aggregate, chunks whose blocks were all
+/// replayed are never regenerated, and the result equals an
+/// uninterrupted stats run exactly.
 pub fn analyze_world_stats_resumable(
     source: &WorldSource,
     cfg: &AnalysisConfig,
@@ -1069,51 +909,7 @@ pub fn analyze_world_stats_resumable(
         Some(&jmutex),
         skip,
         Sink::Stats(stats),
-        WorldRunMode::SummaryOnly,
     )))
-}
-
-/// [`analyze_world`], additionally returning a [`RunReport`] isolating the
-/// run's metric activity (snapshot delta around the call) with wall-clock
-/// and thread context. With metrics disabled the report is present but
-/// all-zero, and the analysis itself is byte-identical.
-pub fn analyze_world_with_report(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    label: &str,
-) -> (WorldAnalysis, RunReport) {
-    let obs = sleepwatch_obs::global();
-    let before = Snapshot::capture(obs);
-    let start = std::time::Instant::now();
-    let analysis = analyze_world(world, cfg, threads, progress);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let snapshot = Snapshot::capture(obs).delta(&before);
-    let report =
-        RunReport { label: label.to_string(), threads: threads.max(1), wall_seconds, snapshot };
-    (analysis, report)
-}
-
-/// [`analyze_world_resumable`] with the same [`RunReport`] wrapper as
-/// [`analyze_world_with_report`].
-pub fn analyze_world_resumable_with_report(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    journal_path: &Path,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    label: &str,
-) -> Result<(WorldAnalysis, RunReport), JournalError> {
-    let obs = sleepwatch_obs::global();
-    let before = Snapshot::capture(obs);
-    let start = std::time::Instant::now();
-    let analysis = analyze_world_resumable(world, cfg, threads, journal_path, progress)?;
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let snapshot = Snapshot::capture(obs).delta(&before);
-    let report =
-        RunReport { label: label.to_string(), threads: threads.max(1), wall_seconds, snapshot };
-    Ok((analysis, report))
 }
 
 impl WorldAnalysis {
@@ -1353,9 +1149,9 @@ mod tests {
         let path = dir.join("partial.journal");
         let _ = std::fs::remove_file(&path);
         // First pass: block 7 panics, so the journal holds 19 of 20.
-        hooks::plant_block_panic(7);
-        let first = analyze_world_resumable(&world, &cfg, 2, &path, None).unwrap();
-        hooks::clear_block_panics();
+        let mut poisoned = cfg;
+        poisoned.faults.poison_blocks = &[7];
+        let first = analyze_world_resumable(&world, &poisoned, 2, &path, None).unwrap();
         assert_eq!(first.quarantined.len(), 1);
         // Resume: 19 replayed, 1 recomputed.
         let calls = parking_lot::Mutex::new(Vec::new());
@@ -1368,33 +1164,6 @@ mod tests {
         assert_eq!(calls.last(), Some(&(20, 20)));
         assert_eq!(calls.iter().filter(|&&c| c == (20, 20)).count(), 1);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn with_report_returns_identical_analysis_and_labelled_report() {
-        let world = World::generate(WorldConfig {
-            num_blocks: 12,
-            seed: 7,
-            span_days: 3.0,
-            ..Default::default()
-        });
-        let cfg = AnalysisConfig::over_days(world.cfg.start_time, 3.0);
-        let plain = analyze_world(&world, &cfg, 2, None);
-        let (reported, report) = analyze_world_with_report(&world, &cfg, 2, None, "unit");
-        assert_eq!(plain.len(), reported.len());
-        for (a, b) in plain.reports.iter().zip(&reported.reports) {
-            assert_eq!(a.summary.class, b.summary.class);
-            assert_eq!(a.summary.total_probes, b.summary.total_probes);
-        }
-        assert_eq!(report.label, "unit");
-        assert_eq!(report.threads, 2);
-        assert!(report.wall_seconds >= 0.0);
-        if sleepwatch_obs::global_enabled() {
-            // The delta covers at least this run (other tests in the
-            // binary may add to it concurrently, never subtract).
-            assert!(report.snapshot.counter("pipeline.blocks_analyzed") >= 12);
-            assert!(report.snapshot.counter("probing.probes_sent") > 0);
-        }
     }
 
     #[test]

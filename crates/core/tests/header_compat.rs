@@ -1,5 +1,5 @@
-//! Cross-format header-compatibility regressions: the journal (v1 and
-//! v2) and the compact dataset container share one prelude validator,
+//! Cross-format header-compatibility regressions: the journal and the
+//! compact dataset container share one prelude validator,
 //! so every mismatch kind — wrong magic, byte-swapped file, future
 //! version, wrong payload kind or mode, foreign run identity — must
 //! surface as the *same* typed [`DecodeError`] from every format, with
@@ -9,8 +9,8 @@ use sleepwatch_core::binfmt::{dataset_identity, DATASET_MAGIC, DATASET_VERSION, 
 use sleepwatch_core::framing::{crc32, Prelude, PRELUDE_LEN};
 use sleepwatch_core::journal::{decode_header_v2, encode_header_v2, open_resume, JOURNAL_VERSION};
 use sleepwatch_core::{
-    analyze_world, dataset_rows, decode_dataset, encode_dataset, AnalysisConfig, BinDataset,
-    DatasetMode, DecodeError, IdentityField, JournalError, JournalHeader,
+    analyze_world, dataset_rows, decode_dataset, encode_dataset, load_rows, AnalysisConfig,
+    BinDataset, DatasetMode, DecodeError, IdentityField, JournalError, JournalHeader, LoadError,
 };
 use sleepwatch_simnet::{World, WorldConfig};
 
@@ -152,10 +152,10 @@ fn formats_reject_each_others_files_by_magic() {
 }
 
 // ---------------------------------------------------------------------------
-// The same mismatch kinds against the v2 journal header
+// The same mismatch kinds against the journal header
 // ---------------------------------------------------------------------------
 
-/// Patches one prelude field of an encoded v2 journal header in place,
+/// Patches one prelude field of an encoded journal header in place,
 /// re-fixing the header CRC so only the interpreted field differs.
 fn patch_journal_prelude(header: &[u8], patch: impl FnOnce(&mut [u8])) -> Vec<u8> {
     let mut out = header.to_vec();
@@ -240,7 +240,7 @@ fn open_resume_refuses_foreign_and_future_journals_with_typed_errors() {
     assert_eq!(inner, DecodeError::UnsupportedVersion { found: 3, supported: JOURNAL_VERSION });
     let _ = std::fs::remove_file(&path);
 
-    // Byte-swapped magic (either version) is an endianness refusal. A
+    // Byte-swapped magic (any version digit) is an endianness refusal. A
     // big-endian writer would emit the magic's ASCII in natural order.
     for magic in ["SLPWJNL1", "SLPWJNL2"] {
         let path = scratch(&format!("swapped-{}", &magic[7..]));
@@ -264,5 +264,34 @@ fn open_resume_refuses_foreign_and_future_journals_with_typed_errors() {
     drop(writer);
     let bytes = std::fs::read(&path).expect("rewritten journal");
     assert_eq!(bytes[..8], JOURNAL_MAGIC_V2.to_le_bytes(), "fresh journals are written as v2");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A version-1 journal is a real file from a format this build no
+/// longer reads: both consumers refuse it with the typed version error,
+/// and neither rewrites, truncates or touches it.
+#[test]
+fn v1_journals_are_refused_untouched_by_resume_and_serve() {
+    let header = JournalHeader { world_seed: 1, num_blocks: 8, rounds: 96, start_time: 0 };
+    let path = scratch("v1");
+    let mut v1 = (JOURNAL_MAGIC_V2 - 1).to_le_bytes().to_vec(); // "SLPWJNL1"
+    assert_eq!(v1, *b"1LNJWPLS");
+    v1.extend((0..124u8).map(|i| i.wrapping_mul(37)));
+    std::fs::write(&path, &v1).expect("write");
+    let unsupported = DecodeError::UnsupportedVersion { found: 1, supported: JOURNAL_VERSION };
+
+    let err = open_resume(&path, &header).expect_err("v1 journal must not resume");
+    let JournalError::Incompatible(inner) = err else {
+        panic!("expected Incompatible, got {err:?}");
+    };
+    assert_eq!(inner, unsupported);
+    assert_eq!(std::fs::read(&path).expect("still there"), v1, "open_resume touched the file");
+
+    let err = load_rows(&path, None, &header).expect_err("v1 journal must not serve");
+    let LoadError::Decode(inner) = err else {
+        panic!("expected Decode, got {err:?}");
+    };
+    assert_eq!(inner, unsupported);
+    assert_eq!(std::fs::read(&path).expect("still there"), v1, "load_rows touched the file");
     let _ = std::fs::remove_file(&path);
 }

@@ -9,8 +9,7 @@
 
 use proptest::prelude::*;
 use sleepwatch_core::serve::http::{
-    error_body, json_escape, read_request, write_response, RequestError, MAX_HEADERS,
-    MAX_REQUEST_LINE,
+    error_body, read_request, write_response, RequestError, MAX_HEADERS, MAX_REQUEST_LINE,
 };
 use sleepwatch_core::serve::index::Filter;
 use sleepwatch_core::serve::{metrics_body, route, LruOutcome, LruShard, ShardedLru};
@@ -384,10 +383,10 @@ proptest! {
         prop_assert_eq!(&got_body, body);
     }
 
-    /// `json_escape` output always embeds into a well-formed JSON string.
+    /// `json_str` output always embeds as a well-formed JSON string.
     #[test]
     fn escaped_strings_are_json(s in "[ -~]{0,64}") {
-        assert_json(&format!("{{\"k\":\"{}\"}}", json_escape(&s)));
+        assert_json(&format!("{{\"k\":{}}}", sleepwatch_obs::json_str(&s)));
     }
 
     /// Sharded LRU invariants under arbitrary workloads: the configured

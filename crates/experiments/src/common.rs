@@ -1,10 +1,8 @@
 //! Shared infrastructure for the experiment harness: options, the cached
 //! world run, table rendering and CSV output.
 
-use sleepwatch_core::{
-    analyze_world_resumable_with_report, analyze_world_with_report, AnalysisConfig, WorldAnalysis,
-};
-use sleepwatch_obs::{Reporter, RunReport};
+use sleepwatch_core::{analyze_world, analyze_world_resumable, AnalysisConfig, WorldAnalysis};
+use sleepwatch_obs::{Reporter, RunReport, Snapshot};
 use sleepwatch_probing::TrinocularConfig;
 use sleepwatch_simnet::{World, WorldConfig};
 use std::path::PathBuf;
@@ -133,7 +131,13 @@ impl Context {
                 Self::WORLD_DAYS
             ));
             let progress = |done: usize, total: usize| reporter.report(done, total);
-            let (analysis, report) = match &self.opts.journal {
+            // The report isolates the run's metric activity: one snapshot
+            // delta around whichever path below ends up analyzing.
+            let obs = sleepwatch_obs::global();
+            let before = Snapshot::capture(obs);
+            let start = std::time::Instant::now();
+            let plain = || analyze_world(&world, &cfg, self.opts.threads, Some(&progress));
+            let analysis = match &self.opts.journal {
                 Some(dir) => {
                     // One journal per (seed, size) pair: a different run
                     // must never resume from this file.
@@ -142,51 +146,30 @@ impl Context {
                         world.cfg.seed,
                         world.blocks.len()
                     ));
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        reporter.note(&format!(
-                            "journal dir {} unusable ({e}); running without checkpoints",
-                            dir.display()
-                        ));
-                        analyze_world_with_report(
-                            &world,
-                            &cfg,
-                            self.opts.threads,
-                            Some(&progress),
-                            "world",
-                        )
-                    } else {
-                        match analyze_world_resumable_with_report(
-                            &world,
-                            &cfg,
-                            self.opts.threads,
-                            &path,
-                            Some(&progress),
-                            "world",
-                        ) {
-                            Ok(pair) => pair,
-                            Err(e) => {
-                                reporter.note(&format!(
-                                    "journal {} unusable ({e}); running without checkpoints",
-                                    path.display()
-                                ));
-                                analyze_world_with_report(
-                                    &world,
-                                    &cfg,
-                                    self.opts.threads,
-                                    Some(&progress),
-                                    "world",
-                                )
-                            }
-                        }
-                    }
+                    let journaled = std::fs::create_dir_all(dir)
+                        .map_err(|e| format!("journal dir {} unusable ({e})", dir.display()))
+                        .and_then(|()| {
+                            analyze_world_resumable(
+                                &world,
+                                &cfg,
+                                self.opts.threads,
+                                &path,
+                                Some(&progress),
+                            )
+                            .map_err(|e| format!("journal {} unusable ({e})", path.display()))
+                        });
+                    journaled.unwrap_or_else(|why| {
+                        reporter.note(&format!("{why}; running without checkpoints"));
+                        plain()
+                    })
                 }
-                None => analyze_world_with_report(
-                    &world,
-                    &cfg,
-                    self.opts.threads,
-                    Some(&progress),
-                    "world",
-                ),
+                None => plain(),
+            };
+            let report = RunReport {
+                label: "world".to_string(),
+                threads: self.opts.threads.max(1),
+                wall_seconds: start.elapsed().as_secs_f64(),
+                snapshot: Snapshot::capture(obs).delta(&before),
             };
             // Memory telemetry (stderr only — never part of any golden
             // artifact): the largest per-worker scratch arena of the run.

@@ -120,9 +120,8 @@ impl IdentityField {
 }
 
 /// One error type for every way a binary header, dictionary or frame can
-/// be unusable — shared by the journal (v1 and v2) and the compact
-/// dataset container so each mismatch kind surfaces identically
-/// everywhere.
+/// be unusable — shared by the journal and the compact dataset
+/// container so each mismatch kind surfaces identically everywhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The input ends before the structure it claims to hold.
@@ -250,9 +249,9 @@ impl std::error::Error for DecodeError {}
 // Run identity and the shared prelude
 // ---------------------------------------------------------------------------
 
-/// The run a file belongs to: the same four fields the journal has
-/// pinned since v1. Two files with equal identities were produced by the
-/// same world and analysis configuration.
+/// The run a file belongs to: the four fields the journal pins. Two
+/// files with equal identities were produced by the same world and
+/// analysis configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunIdentity {
     /// Seed of the generated world.

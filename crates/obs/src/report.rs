@@ -124,8 +124,10 @@ impl RunReport {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
+/// Renders a string as a JSON string literal, quotes included — the
+/// workspace's one JSON escaper (run reports here, every served body in
+/// `sleepwatch_core::serve`).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -332,8 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_label() {
+    fn json_str_escapes_quotes_and_controls() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

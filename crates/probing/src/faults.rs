@@ -108,6 +108,12 @@ pub struct FaultPlan {
     pub reorder_rate: f64,
     /// Mid-run churn of the probed address set.
     pub churn: Option<EChurn>,
+    /// Test-only failure injection: analyzing any of these block ids
+    /// panics, exercising per-block quarantine. Not a measurement fault —
+    /// [`is_none`](Self::is_none) ignores it, no preset sets it, and it
+    /// is no part of a run's identity.
+    #[doc(hidden)]
+    pub poison_blocks: &'static [u64],
 }
 
 impl FaultPlan {
@@ -122,6 +128,7 @@ impl FaultPlan {
             duplicate_rate: 0.0,
             reorder_rate: 0.0,
             churn: None,
+            poison_blocks: &[],
         }
     }
 

@@ -3,7 +3,7 @@
 //! Everything here is keyed by fixed seeds, so every caller — any thread
 //! count, any test ordering — reconstructs bit-identical inputs.
 
-use sleepwatch_core::{analyze_world, analyze_world_with_mode, AnalysisConfig, WorldRunMode};
+use sleepwatch_core::{analyze_world, AnalysisConfig};
 use sleepwatch_probing::{Blackout, EChurn, FaultPlan, LossBurst, TrinocularConfig};
 use sleepwatch_simnet::{BlockProfile, BlockSpec, World, WorldConfig};
 
@@ -26,26 +26,6 @@ pub fn world_dataset_tsv(threads: usize) -> String {
     let world = small_world();
     let cfg = small_world_cfg(&world);
     let analysis = analyze_world(&world, &cfg, threads, None);
-    let mut buf = Vec::new();
-    sleepwatch_core::write_dataset(&mut buf, &analysis).expect("in-memory write cannot fail");
-    String::from_utf8(buf).expect("dataset is ASCII")
-}
-
-/// [`world_dataset_tsv`] generalized over the run mode and fault plan —
-/// the differential hook for the scratch-vs-fresh equivalence suite:
-/// `SummaryOnly` (worker-local scratch arenas) and `FullDetail`
-/// (per-block fresh allocation) must serialize byte-identically.
-pub fn world_dataset_tsv_mode(
-    threads: usize,
-    mode: WorldRunMode,
-    faults: Option<FaultPlan>,
-) -> String {
-    let world = small_world();
-    let mut cfg = small_world_cfg(&world);
-    if let Some(plan) = faults {
-        cfg.faults = plan;
-    }
-    let analysis = analyze_world_with_mode(&world, &cfg, threads, None, mode);
     let mut buf = Vec::new();
     sleepwatch_core::write_dataset(&mut buf, &analysis).expect("in-memory write cannot fail");
     String::from_utf8(buf).expect("dataset is ASCII")

@@ -7,7 +7,7 @@
 //! process-wide; activity is isolated with snapshot deltas around the
 //! measured call.
 
-use sleepwatch_core::{analyze_world, analyze_world_with_mode, AnalysisConfig, WorldRunMode};
+use sleepwatch_core::{analyze_block, analyze_world, AnalysisConfig};
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::{FaultPlan, TrinocularProber};
 use sleepwatch_simnet::World;
@@ -289,8 +289,8 @@ fn scratch_counters_match_run_shape() {
         let cfg = fixtures::small_world_cfg(&world);
         let n = world.blocks.len() as u64;
 
-        // SummaryOnly (the default): worker-local arenas warm up once,
-        // then every block is a reuse.
+        // World run: worker-local arenas warm up once, then every block
+        // is a reuse.
         let (_, d) = measure(|| analyze_world(&world, &cfg, 2, None));
         assert_eq!(
             d.counter("pipeline.scratch_reuses") + d.counter("pipeline.scratch_grows"),
@@ -302,13 +302,34 @@ fn scratch_counters_match_run_shape() {
         assert_eq!(d.counter("world.batch_grows"), 0, "worker batches must never reallocate");
         assert!(d.counter("world.peak_block_bytes") > 0, "peak arena gauge must be populated");
 
-        // FullDetail allocates a fresh arena per block: all grows, and
-        // the batch-reuse fix holds there too.
-        let (_, d) =
-            measure(|| analyze_world_with_mode(&world, &cfg, 2, None, WorldRunMode::FullDetail));
+        // `analyze_block` allocates a fresh arena per block: all grows.
+        let (_, d) = measure(|| {
+            for block in &world.blocks {
+                analyze_block(block, &cfg);
+            }
+        });
         assert_eq!(d.counter("pipeline.scratch_grows"), n);
         assert_eq!(d.counter("pipeline.scratch_reuses"), 0);
-        assert_eq!(d.counter("world.batch_grows"), 0);
+    });
+}
+
+/// Quarantine accounting: every panicking block bumps
+/// `resilience.blocks_quarantined` exactly once per run, and the
+/// survivors are still all counted as analyzed.
+#[test]
+fn quarantine_counter_matches_quarantined_blocks() {
+    let _g = lock();
+    with_metrics(|| {
+        let world = fixtures::small_world();
+        let mut cfg = fixtures::small_world_cfg(&world);
+        cfg.faults.poison_blocks = &[3, 17, 41];
+        let n = world.blocks.len() as u64;
+        for threads in [1, 4, 8] {
+            let (analysis, d) = measure(|| analyze_world(&world, &cfg, threads, None));
+            assert_eq!(analysis.quarantined.len(), 3);
+            assert_eq!(d.counter("resilience.blocks_quarantined"), 3, "{threads} threads");
+            assert_eq!(d.counter("pipeline.blocks_analyzed"), n - 3, "{threads} threads");
+        }
     });
 }
 

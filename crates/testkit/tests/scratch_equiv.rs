@@ -1,18 +1,19 @@
-//! Differential equivalence: the scratch-reuse world pipeline
-//! (`WorldRunMode::SummaryOnly`, the default) against the per-block-fresh
-//! path (`WorldRunMode::FullDetail`).
+//! Differential equivalence: the batched scratch-arena world pipeline
+//! against the allocating per-block reference, `analyze_block`.
 //!
-//! The scratch path must be a pure performance change: for every fault
-//! preset, at every thread count, the serialized dataset TSV must be
-//! byte-identical between the two modes — and the resumable-journal path
-//! must agree with both, whether the journal starts empty or replays a
+//! The world run splits the per-block pipeline across micro-batch phases
+//! (probe/clean into worker-local arenas, lane-batched FFT, classify and
+//! join). That must be a pure performance structure: for every fault
+//! preset, at every thread count, each report's summary must equal what a
+//! plain loop over `analyze_block` computes — and the resumable-journal
+//! path must agree too, whether the journal starts empty or replays a
 //! completed run.
 
-use sleepwatch_core::{analyze_world_resumable_with_mode, analyze_world_with_mode, WorldRunMode};
+use sleepwatch_core::{analyze_block, analyze_world, analyze_world_resumable, AnalysisConfig};
 use sleepwatch_probing::FaultPlan;
-use sleepwatch_testkit::fixtures::{
-    conformance_faults, small_world, small_world_cfg, world_dataset_tsv_mode,
-};
+use sleepwatch_simnet::World;
+use sleepwatch_testkit::fixtures::{conformance_faults, small_world, small_world_cfg};
+use sleepwatch_testkit::resilience::dataset_tsv;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 
@@ -25,78 +26,74 @@ fn fault_regimes() -> Vec<(String, FaultPlan)> {
     regimes
 }
 
+/// The reference: one fresh-arena `analyze_block` per block, in a plain
+/// loop. Rendered through `Debug` so the comparison is bit-exact
+/// (`-0.0` vs `0.0`, NaN payloads) rather than `f64` equality.
+fn reference_summaries(world: &World, cfg: &AnalysisConfig) -> Vec<String> {
+    world.blocks.iter().map(|b| format!("{:?}", analyze_block(b, cfg).summary())).collect()
+}
+
+fn assert_matches_reference(
+    analysis: &sleepwatch_core::WorldAnalysis,
+    reference: &[String],
+    context: &str,
+) {
+    assert!(analysis.quarantined.is_empty(), "{context}: unexpected quarantine");
+    assert_eq!(analysis.reports.len(), reference.len(), "{context}: block count");
+    for (report, want) in analysis.reports.iter().zip(reference) {
+        assert_eq!(
+            &format!("{:?}", report.summary),
+            want,
+            "{context}: block {} diverged from analyze_block",
+            report.summary.block_id
+        );
+    }
+}
+
 #[test]
-fn summary_only_matches_full_detail_under_every_fault_regime() {
+fn world_run_matches_analyze_block_under_every_fault_regime() {
+    let world = small_world();
     for (name, plan) in fault_regimes() {
-        // The FullDetail baseline is schedule-independent (pinned by the
-        // goldens suite), so one thread count suffices for the reference.
-        let fresh = world_dataset_tsv_mode(1, WorldRunMode::FullDetail, Some(plan));
+        let mut cfg = small_world_cfg(&world);
+        cfg.faults = plan;
+        let reference = reference_summaries(&world, &cfg);
         for threads in THREAD_COUNTS {
-            let scratch = world_dataset_tsv_mode(threads, WorldRunMode::SummaryOnly, Some(plan));
-            assert_eq!(
-                scratch, fresh,
-                "scratch path diverged from fresh path (regime {name}, {threads} threads)"
+            let analysis = analyze_world(&world, &cfg, threads, None);
+            assert_matches_reference(
+                &analysis,
+                &reference,
+                &format!("regime {name}, {threads} threads"),
             );
         }
     }
 }
 
 #[test]
-fn full_detail_is_thread_count_invariant() {
-    // Belt and braces for the baseline itself: FullDetail at 1/4/8
-    // threads serializes identically, so the cross-mode comparison above
-    // can anchor on a single reference run.
-    let reference = world_dataset_tsv_mode(1, WorldRunMode::FullDetail, None);
-    for threads in &THREAD_COUNTS[1..] {
-        assert_eq!(
-            world_dataset_tsv_mode(*threads, WorldRunMode::FullDetail, None),
-            reference,
-            "FullDetail diverged at {threads} threads"
-        );
-    }
-}
-
-/// Serializes a world analysis for comparison.
-fn tsv(analysis: &sleepwatch_core::WorldAnalysis) -> String {
-    let mut buf = Vec::new();
-    sleepwatch_core::write_dataset(&mut buf, analysis).expect("in-memory write cannot fail");
-    String::from_utf8(buf).expect("dataset is ASCII")
-}
-
-#[test]
-fn resumable_journal_path_agrees_across_modes() {
+fn resumable_journal_path_matches_analyze_block() {
     let world = small_world();
     let dir = std::env::temp_dir().join(format!("sw-scratch-equiv-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (name, plan) in [("none", FaultPlan::none()), ("conformance", conformance_faults())] {
+    for (name, plan) in fault_regimes() {
         let mut cfg = small_world_cfg(&world);
         cfg.faults = plan;
-        let fresh = tsv(&analyze_world_with_mode(&world, &cfg, 2, None, WorldRunMode::FullDetail));
+        let reference = reference_summaries(&world, &cfg);
+        // The join columns (location, registry, link classes) have no
+        // per-block reference; the journal round trip must at least
+        // reproduce the unjournaled run's dataset byte for byte.
+        let plain = dataset_tsv(&analyze_world(&world, &cfg, 2, None));
         for threads in THREAD_COUNTS {
             let path = dir.join(format!("{name}-{threads}.journal"));
             let _ = std::fs::remove_file(&path);
             // First pass writes the journal from scratch…
-            let first = analyze_world_resumable_with_mode(
-                &world,
-                &cfg,
-                threads,
-                &path,
-                None,
-                WorldRunMode::SummaryOnly,
-            )
-            .unwrap();
-            assert_eq!(tsv(&first), fresh, "journaled scratch run (regime {name}, {threads}t)");
+            let first = analyze_world_resumable(&world, &cfg, threads, &path, None).unwrap();
+            let context = format!("journaled run (regime {name}, {threads}t)");
+            assert_matches_reference(&first, &reference, &context);
+            assert_eq!(dataset_tsv(&first), plain, "{context}");
             // …and a second pass replays every block from it.
-            let replayed = analyze_world_resumable_with_mode(
-                &world,
-                &cfg,
-                threads,
-                &path,
-                None,
-                WorldRunMode::SummaryOnly,
-            )
-            .unwrap();
-            assert_eq!(tsv(&replayed), fresh, "journal replay (regime {name}, {threads}t)");
+            let replayed = analyze_world_resumable(&world, &cfg, threads, &path, None).unwrap();
+            let context = format!("journal replay (regime {name}, {threads}t)");
+            assert_matches_reference(&replayed, &reference, &context);
+            assert_eq!(dataset_tsv(&replayed), plain, "{context}");
             let _ = std::fs::remove_file(&path);
         }
     }

@@ -357,6 +357,35 @@ fn sleepwatch_serve_refuses_foreign_datasets() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A version-1 journal is refused with exit 1 and a message naming the
+/// version — and the file is left exactly as it was.
+#[test]
+fn sleepwatch_serve_refuses_v1_journals() {
+    let dir = std::env::temp_dir().join(format!("swtest-cli-serve-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let journal = dir.join("old.journal");
+    // On disk the magic's ASCII reads backwards (little-endian u64).
+    let mut bytes = b"1LNJWPLS".to_vec();
+    bytes.extend((0..124u8).map(|i| i.wrapping_mul(37)));
+    std::fs::write(&journal, &bytes).expect("write v1 journal");
+
+    let Some(mut cmd) = bin("sleepwatch") else { return };
+    let out = cmd
+        .args(["serve", "--listen", "127.0.0.1:0", "--journal"])
+        .arg(&journal)
+        .args(["--blocks", "24", "--days", "1", "--seed", "9"])
+        .output()
+        .expect("spawn v1 serve");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("could not load"), "{err}");
+    assert!(err.contains("unsupported format version 1"), "{err}");
+    assert!(!err.contains("panic"), "{err}");
+    assert_eq!(std::fs::read(&journal).expect("still there"), bytes, "serve touched the file");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sleepwatch_rejects_unknown_commands() {
     let Some(mut cmd) = bin("sleepwatch") else { return };
