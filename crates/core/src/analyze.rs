@@ -350,7 +350,7 @@ pub fn analyze_block_with_scratch(
 /// Each stage reports wall time into the [`sleepwatch_obs`] stage
 /// histograms; on the disabled registry the timers never read the clock.
 /// Thin wrapper over the scratch path: a fresh [`BlockScratch`] feeds
-/// [`analyze_block_into`] and is then dismantled into the owned
+/// `analyze_block_into` and is then dismantled into the owned
 /// [`BlockAnalysis`] — same per-call allocations as ever, byte-identical
 /// output.
 pub fn analyze_block(block: &BlockSpec, cfg: &AnalysisConfig) -> BlockAnalysis {

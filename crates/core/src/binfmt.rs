@@ -1177,11 +1177,6 @@ impl<'a> BinDataset<'a> {
         self.prelude.mode
     }
 
-    /// Checks the file against a caller-expected run identity.
-    pub fn expect_identity(&self, expected: &RunIdentity) -> Result<(), DecodeError> {
-        check_identity(expected, &self.prelude.identity)
-    }
-
     /// Streams every row to `f` in block-id order, reusing one frame of
     /// scratch for the whole pass — no per-row allocation, strings
     /// borrowed from the file. Structural errors cannot occur after

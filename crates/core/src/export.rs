@@ -11,7 +11,7 @@
 //! Format: a `#`-prefixed header line naming the columns, then
 //! tab-separated rows. Missing values are the literal `-`.
 
-use crate::worldrun::{WorldAnalysis, WorldBlockReport};
+use crate::worldrun::WorldAnalysis;
 use sleepwatch_spectral::DiurnalClass;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -19,8 +19,9 @@ use std::path::{Path, PathBuf};
 /// Column header written (and required on import).
 const HEADER: &str = "#block_id\tclass\tphase\tmean_a\tstrongest_cpd\tstationary\toutages\tprobes\tlon\tlat\tcountry\tcentroid\talloc\tasn\tlinks";
 
-/// One parsed dataset row (a deserialized [`WorldBlockReport`] without the
-/// planted ground-truth label, which is deliberately not exported).
+/// One parsed dataset row (a deserialized [`crate::worldrun::WorldBlockReport`]
+/// without the planted ground-truth label, which is deliberately not
+/// exported).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetRow {
     /// Block id.
@@ -72,46 +73,16 @@ fn class_from(s: &str) -> Result<DiurnalClass, ParseError> {
     }
 }
 
-/// Writes one report row.
-fn write_row<W: Write>(w: &mut W, r: &WorldBlockReport) -> io::Result<()> {
-    let opt = |v: Option<f64>| v.map(|x| format!("{x:.6}")).unwrap_or_else(|| "-".into());
-    let links: Vec<&str> = r.link_features.iter().map(|f| f.keyword()).collect();
-    writeln!(
-        w,
-        "{}\t{}\t{}\t{:.6}\t{:.4}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        r.summary.block_id,
-        class_str(r.summary.class),
-        opt(r.summary.phase),
-        r.summary.mean_a,
-        r.summary.strongest_cpd,
-        if r.summary.stationary { 1 } else { 0 },
-        r.summary.outages,
-        r.summary.total_probes,
-        opt(r.location.map(|l| l.lon)),
-        opt(r.location.map(|l| l.lat)),
-        r.location.map(|l| l.country).unwrap_or("-"),
-        r.location.map(|l| l.centroid_fallback as u8).unwrap_or(0),
-        r.alloc_date,
-        r.asn,
-        if links.is_empty() { "-".to_string() } else { links.join(",") },
-    )
-}
-
 /// Writes the full analysis as a TSV dataset.
 pub fn write_dataset<W: Write>(w: &mut W, analysis: &WorldAnalysis) -> io::Result<()> {
-    writeln!(w, "{HEADER}")?;
-    for r in &analysis.reports {
-        write_row(w, r)?;
-    }
-    Ok(())
+    write_dataset_rows(w, &dataset_rows(analysis))
 }
 
 /// The analysis as owned [`DatasetRow`]s with every float canonicalized
 /// to the TSV print precision — exactly the rows [`read_dataset`] would
 /// return after a [`write_dataset`] roundtrip, without going through
-/// text. This is the canonical input to [`crate::binfmt::encode_dataset`]:
-/// serializing these rows with [`write_dataset_rows`] is byte-identical
-/// to [`write_dataset`] on the same analysis.
+/// text. This is the canonical input to [`crate::binfmt::encode_dataset`]
+/// and to [`write_dataset_rows`], the one TSV row formatter.
 pub fn dataset_rows(analysis: &WorldAnalysis) -> Vec<DatasetRow> {
     use crate::binfmt::canon;
     analysis
@@ -137,8 +108,9 @@ pub fn dataset_rows(analysis: &WorldAnalysis) -> Vec<DatasetRow> {
         .collect()
 }
 
-/// Writes owned rows as a TSV dataset with the exact [`write_dataset`]
-/// formatting, so a binary decode re-serializes byte-identically.
+/// Writes owned rows as a TSV dataset — the only place a row is
+/// formatted, so a binary decode re-serializes byte-identically to
+/// [`write_dataset`].
 pub fn write_dataset_rows<W: Write>(w: &mut W, rows: &[DatasetRow]) -> io::Result<()> {
     writeln!(w, "{HEADER}")?;
     let opt = |v: Option<f64>| v.map(|x| format!("{x:.6}")).unwrap_or_else(|| "-".into());
@@ -178,13 +150,6 @@ pub enum ExportError {
         /// Underlying error.
         source: io::Error,
     },
-    /// `path` held a malformed dataset.
-    Parse {
-        /// File involved.
-        path: PathBuf,
-        /// What was malformed.
-        source: ParseError,
-    },
     /// The rows could not be encoded into the binary container bound
     /// for `path`.
     Encode {
@@ -193,30 +158,13 @@ pub enum ExportError {
         /// Why encoding failed.
         source: crate::binfmt::EncodeError,
     },
-    /// `path` held a malformed binary container.
-    Decode {
-        /// File involved.
-        path: PathBuf,
-        /// What was malformed.
-        source: crate::framing::DecodeError,
-    },
 }
 
 impl std::fmt::Display for ExportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExportError::Io { path, source } => {
-                write!(f, "{}: {source}", path.display())
-            }
-            ExportError::Parse { path, source } => {
-                write!(f, "{}: {source}", path.display())
-            }
-            ExportError::Encode { path, source } => {
-                write!(f, "{}: {source}", path.display())
-            }
-            ExportError::Decode { path, source } => {
-                write!(f, "{}: {source}", path.display())
-            }
+            ExportError::Io { path, source } => write!(f, "{}: {source}", path.display()),
+            ExportError::Encode { path, source } => write!(f, "{}: {source}", path.display()),
         }
     }
 }
@@ -225,9 +173,7 @@ impl std::error::Error for ExportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ExportError::Io { source, .. } => Some(source),
-            ExportError::Parse { source, .. } => Some(source),
             ExportError::Encode { source, .. } => Some(source),
-            ExportError::Decode { source, .. } => Some(source),
         }
     }
 }
@@ -240,15 +186,6 @@ pub fn write_dataset_file(path: &Path, analysis: &WorldAnalysis) -> Result<(), E
     let mut w = io::BufWriter::new(file);
     write_dataset(&mut w, analysis).map_err(err)?;
     w.flush().map_err(err)
-}
-
-/// Reads a dataset file written by [`write_dataset_file`], with the
-/// failing path carried in the error.
-pub fn read_dataset_file(path: &Path) -> Result<Vec<DatasetRow>, ExportError> {
-    let file = std::fs::File::open(path)
-        .map_err(|source| ExportError::Io { path: path.to_path_buf(), source })?;
-    read_dataset(io::BufReader::new(file))
-        .map_err(|source| ExportError::Parse { path: path.to_path_buf(), source })
 }
 
 /// Writes the analysis as a compact binary dataset
@@ -278,18 +215,6 @@ pub fn write_dataset_rows_bin_file(
         .map_err(|source| ExportError::Encode { path: path.to_path_buf(), source })?;
     std::fs::write(path, bytes)
         .map_err(|source| ExportError::Io { path: path.to_path_buf(), source })
-}
-
-/// Reads a compact binary dataset file. Seed-joined files need the
-/// matching `world` configuration; self-contained files ignore it.
-pub fn read_dataset_bin_file(
-    path: &Path,
-    world: Option<&sleepwatch_simnet::WorldConfig>,
-) -> Result<Vec<DatasetRow>, ExportError> {
-    let bytes = std::fs::read(path)
-        .map_err(|source| ExportError::Io { path: path.to_path_buf(), source })?;
-    crate::binfmt::decode_dataset(&bytes, world)
-        .map_err(|source| ExportError::Decode { path: path.to_path_buf(), source })
 }
 
 /// Errors from [`read_dataset`].
@@ -474,19 +399,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ds.tsv");
         write_dataset_file(&path, &a).unwrap();
-        let rows = read_dataset_file(&path).unwrap();
-        assert_eq!(rows.len(), a.reports.len());
-        // A missing file names itself in the error.
-        let missing = dir.join("nope.tsv");
-        let err = read_dataset_file(&missing).unwrap_err();
+        let file = std::fs::File::open(&path).unwrap();
+        assert_eq!(read_dataset(io::BufReader::new(file)).unwrap(), dataset_rows(&a));
+        let _ = std::fs::remove_file(&path);
+        // An unwritable path names itself in the error.
+        let err = write_dataset_file(&dir.join("no-such-dir/nope.tsv"), &a).unwrap_err();
         assert!(matches!(err, ExportError::Io { .. }));
         assert!(err.to_string().contains("nope.tsv"));
-        // A malformed file surfaces as a parse error with the path.
-        std::fs::write(&path, "wrong header\n").unwrap();
-        let err = read_dataset_file(&path).unwrap_err();
-        assert!(matches!(err, ExportError::Parse { .. }));
-        assert!(err.to_string().contains("ds.tsv"));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -494,10 +413,7 @@ mod tests {
         let a = analysis();
         let mut direct = Vec::new();
         write_dataset(&mut direct, &a).unwrap();
-        let mut via_rows = Vec::new();
-        write_dataset_rows(&mut via_rows, &dataset_rows(&a)).unwrap();
-        assert_eq!(via_rows, direct);
-        // And the canonicalized rows are exactly what a text roundtrip
+        // The canonicalized rows are exactly what a text roundtrip
         // would have produced.
         assert_eq!(dataset_rows(&a), read_dataset(direct.as_slice()).unwrap());
     }
@@ -513,19 +429,14 @@ mod tests {
         for world in [None, Some(&world_cfg)] {
             let path = dir.join(if world.is_some() { "ds-seed.bin" } else { "ds-self.bin" });
             write_dataset_bin_file(&path, &a, world).unwrap();
-            assert_eq!(read_dataset_bin_file(&path, world).unwrap(), rows);
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(crate::binfmt::decode_dataset(&bytes, world).unwrap(), rows);
             let _ = std::fs::remove_file(&path);
         }
-        // Error paths carry the file name.
-        let missing = dir.join("nope.bin");
-        let err = read_dataset_bin_file(&missing, None).unwrap_err();
+        // An unwritable path names itself in the error.
+        let err = write_dataset_bin_file(&dir.join("no-such-dir/nope.bin"), &a, None).unwrap_err();
         assert!(matches!(err, ExportError::Io { .. }));
-        let garbled = dir.join("garbled.bin");
-        std::fs::write(&garbled, b"not a dataset").unwrap();
-        let err = read_dataset_bin_file(&garbled, None).unwrap_err();
-        assert!(matches!(err, ExportError::Decode { .. }));
-        assert!(err.to_string().contains("garbled.bin"));
-        let _ = std::fs::remove_file(&garbled);
+        assert!(err.to_string().contains("nope.bin"));
     }
 
     #[test]

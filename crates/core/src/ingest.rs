@@ -18,8 +18,7 @@
 //!   through a pool so the feeder rewrites the same cache-hot lines.
 //! * **Live detection.** Each in-flight block ("lane") feeds an
 //!   [`OnlineDetector`] round by round — the bounded-window monitoring
-//!   verdict, available mid-stream and checkpointable via
-//!   [`crate::streaming::DetectorSnapshot`].
+//!   verdict, available mid-stream.
 //! * **Exact finalization.** When a block's stream ends, the shard runs
 //!   the *identical* code the batch pipeline runs — clean, FFT, classify,
 //!   geo join — over the observations it accumulated, so the final
@@ -713,10 +712,9 @@ pub struct TransportOutcome {
     /// backoff).
     pub transport: sleepwatch_probing::transport::TransportStats,
     /// The terminal transport error, when the feed ended on one instead
-    /// of a clean end-of-stream. Completed work is kept either way —
-    /// mirroring `VantageRetryConfig`'s explicit-degradation semantics,
-    /// the caller gets everything that finished plus a typed cause for
-    /// what did not.
+    /// of a clean end-of-stream. Completed work is kept either way: the
+    /// caller gets everything that finished plus a typed cause for what
+    /// did not.
     pub error: Option<sleepwatch_probing::transport::TransportError>,
 }
 
@@ -727,8 +725,9 @@ impl TransportOutcome {
     }
 }
 
-/// Ingests a feed arriving through any [`EventSource`] — the wire-fed
-/// sibling of [`ingest_events`].
+/// Ingests a feed arriving through any
+/// [`EventSource`](sleepwatch_probing::transport::EventSource) — the
+/// wire-fed sibling of [`ingest_events`].
 ///
 /// A terminal transport error (budget exhaustion, strict-mode corruption)
 /// does not discard completed work: every block whose stream finished is

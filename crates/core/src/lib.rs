@@ -62,9 +62,8 @@ pub use binfmt::{
     EncodeError,
 };
 pub use export::{
-    dataset_rows, read_dataset, read_dataset_bin_file, read_dataset_file, write_dataset,
-    write_dataset_bin_file, write_dataset_file, write_dataset_rows, DatasetRow, ExportError,
-    ParseError,
+    dataset_rows, read_dataset, write_dataset, write_dataset_bin_file, write_dataset_file,
+    write_dataset_rows, DatasetRow, ExportError, ParseError,
 };
 pub use framing::{DecodeError, IdentityField, RunIdentity};
 pub use ingest::{
@@ -77,7 +76,7 @@ pub use serve::{
     load_rows, rows_from_dataset_bytes, rows_from_journal_bytes, ConnStats, LoadError, QueryServer,
     ServeConfig, ServeState,
 };
-pub use streaming::{DetectorSnapshot, OnlineConfig, OnlineDetector};
+pub use streaming::{OnlineConfig, OnlineDetector};
 pub use timeofday::{activity_pattern, peak_local_hour, peak_utc_hour, ActivityPattern};
 pub use worldrun::{
     analyze_world, analyze_world_resumable, analyze_world_source, analyze_world_stats,

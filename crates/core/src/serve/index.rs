@@ -6,7 +6,7 @@
 //! strings, and a per-block lookup answers `/v1/block/{id}` by binary
 //! search over the id-sorted rows. Worker threads share the state behind
 //! an `Arc` and never take a lock on these paths — the only mutable
-//! structure is the [`ShardedLru`](super::lru::ShardedLru) in front of
+//! structure is the [`ShardedLru`] in front of
 //! ad-hoc `/v1/query` folds.
 //!
 //! Number formatting mirrors the canonical TSV dataset (6 decimals, 4

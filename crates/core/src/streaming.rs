@@ -46,199 +46,6 @@ impl Default for OnlineConfig {
     }
 }
 
-/// A plain-data copy of an [`OnlineDetector`]'s full state.
-///
-/// Snapshots exist so a live ingest shard can checkpoint warm-up state
-/// and a resumed process can continue *exactly* where the killed one
-/// stopped: a detector restored from a snapshot is behaviorally
-/// indistinguishable from one that ran uninterrupted (see the round-trip
-/// equivalence tests). The window is stored in chronological order, so
-/// the snapshot is independent of the ring buffer's internal rotation.
-#[derive(Debug, Clone)]
-pub struct DetectorSnapshot {
-    /// Detector configuration, restored verbatim.
-    pub cfg: OnlineConfig,
-    /// Window contents in chronological order (oldest first). Shorter
-    /// than `cfg.window_rounds` while the detector is still warming up.
-    pub window: Vec<f64>,
-    /// Rounds ingested so far.
-    pub rounds_seen: u64,
-    /// Rounds since the last reclassification pass.
-    pub since_classify: usize,
-    /// Public classification.
-    pub class: DiurnalClass,
-    /// Phase of the daily component, when known.
-    pub phase: Option<f64>,
-    /// In-flight hysteresis state: candidate class and streak length.
-    pub pending: Option<(DiurnalClass, u32)>,
-    /// Full FFT classifications performed.
-    pub classifications: u64,
-    /// Reclassifications skipped by the Goertzel screen.
-    pub screens_skipped: u64,
-}
-
-const SNAPSHOT_MAGIC: u32 = 0x5357_4454; // "SWDT"
-const SNAPSHOT_VERSION: u16 = 1;
-
-fn class_tag(class: DiurnalClass) -> u8 {
-    match class {
-        DiurnalClass::Strict => 0,
-        DiurnalClass::Relaxed => 1,
-        DiurnalClass::NonDiurnal => 2,
-    }
-}
-
-fn tag_class(tag: u8) -> Option<DiurnalClass> {
-    match tag {
-        0 => Some(DiurnalClass::Strict),
-        1 => Some(DiurnalClass::Relaxed),
-        2 => Some(DiurnalClass::NonDiurnal),
-        _ => None,
-    }
-}
-
-/// Little-endian field reader over a byte slice; every accessor returns
-/// `None` past the end, so malformed input can never panic.
-struct Fields<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Fields<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-}
-
-impl DetectorSnapshot {
-    /// Serializes the snapshot to a self-describing little-endian byte
-    /// record (magic, version, config, verdict state, window).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96 + 8 * self.window.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.cfg.window_rounds as u64).to_le_bytes());
-        out.extend_from_slice(&(self.cfg.reclassify_every as u64).to_le_bytes());
-        out.extend_from_slice(&self.cfg.screen_threshold.to_le_bytes());
-        out.extend_from_slice(&self.cfg.sample_period.to_le_bytes());
-        out.extend_from_slice(&self.cfg.diurnal.strict_ratio.to_le_bytes());
-        out.extend_from_slice(&(self.cfg.diurnal.bin_tolerance as u64).to_le_bytes());
-        out.extend_from_slice(&self.cfg.diurnal.min_days.to_le_bytes());
-        out.extend_from_slice(&self.cfg.hysteresis.to_le_bytes());
-        out.extend_from_slice(&self.rounds_seen.to_le_bytes());
-        out.extend_from_slice(&(self.since_classify as u64).to_le_bytes());
-        out.extend_from_slice(&self.classifications.to_le_bytes());
-        out.extend_from_slice(&self.screens_skipped.to_le_bytes());
-        out.push(class_tag(self.class));
-        match self.phase {
-            Some(p) => {
-                out.push(1);
-                out.extend_from_slice(&p.to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        match self.pending {
-            Some((c, n)) => {
-                out.push(1);
-                out.push(class_tag(c));
-                out.extend_from_slice(&n.to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&(self.window.len() as u64).to_le_bytes());
-        for v in &self.window {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes a record produced by [`DetectorSnapshot::encode`]. Returns
-    /// `None` for anything malformed: wrong magic or version, truncated
-    /// fields, invalid tags, a window longer than its config allows, or
-    /// trailing garbage.
-    pub fn decode(bytes: &[u8]) -> Option<DetectorSnapshot> {
-        let mut f = Fields { bytes, at: 0 };
-        if f.u32()? != SNAPSHOT_MAGIC || f.u16()? != SNAPSHOT_VERSION {
-            return None;
-        }
-        let cfg = OnlineConfig {
-            window_rounds: usize::try_from(f.u64()?).ok()?,
-            reclassify_every: usize::try_from(f.u64()?).ok()?,
-            screen_threshold: f.f64()?,
-            sample_period: f.f64()?,
-            diurnal: DiurnalConfig {
-                strict_ratio: f.f64()?,
-                bin_tolerance: usize::try_from(f.u64()?).ok()?,
-                min_days: f.f64()?,
-            },
-            hysteresis: f.u32()?,
-        };
-        if cfg.window_rounds < 4 {
-            return None;
-        }
-        let rounds_seen = f.u64()?;
-        let since_classify = usize::try_from(f.u64()?).ok()?;
-        let classifications = f.u64()?;
-        let screens_skipped = f.u64()?;
-        let class = tag_class(f.u8()?)?;
-        let phase = match f.u8()? {
-            0 => None,
-            1 => Some(f.f64()?),
-            _ => return None,
-        };
-        let pending = match f.u8()? {
-            0 => None,
-            1 => Some((tag_class(f.u8()?)?, f.u32()?)),
-            _ => return None,
-        };
-        let len = usize::try_from(f.u64()?).ok()?;
-        if len > cfg.window_rounds {
-            return None;
-        }
-        let mut window = Vec::with_capacity(len);
-        for _ in 0..len {
-            window.push(f.f64()?);
-        }
-        if f.at != bytes.len() {
-            return None;
-        }
-        Some(DetectorSnapshot {
-            cfg,
-            window,
-            rounds_seen,
-            since_classify,
-            class,
-            phase,
-            pending,
-            classifications,
-            screens_skipped,
-        })
-    }
-}
-
 /// Incremental diurnal detector over a sliding window of `Âs` estimates.
 #[derive(Debug, Clone)]
 pub struct OnlineDetector {
@@ -375,50 +182,6 @@ impl OnlineDetector {
     /// Re-classifications avoided by the Goertzel screen.
     pub fn screens_skipped(&self) -> u64 {
         self.screens_skipped
-    }
-
-    /// Captures the detector's full state for checkpointing.
-    pub fn snapshot(&self) -> DetectorSnapshot {
-        DetectorSnapshot {
-            cfg: self.cfg,
-            window: self.ordered_window(),
-            rounds_seen: self.rounds_seen,
-            since_classify: self.since_classify,
-            class: self.class,
-            phase: self.phase,
-            pending: self.pending,
-            classifications: self.classifications,
-            screens_skipped: self.screens_skipped,
-        }
-    }
-
-    /// Rebuilds a detector from a snapshot. The restored detector is
-    /// behaviorally identical to the one that produced the snapshot: fed
-    /// the same remaining stream, it yields the same verdicts, phases and
-    /// cost counters as an uninterrupted detector.
-    pub fn restore(snap: &DetectorSnapshot) -> OnlineDetector {
-        assert!(snap.cfg.window_rounds >= 4, "window too small to classify");
-        assert!(
-            snap.window.len() <= snap.cfg.window_rounds,
-            "snapshot window exceeds its configured length"
-        );
-        let mut window = Vec::with_capacity(snap.cfg.window_rounds);
-        window.extend_from_slice(&snap.window);
-        // The snapshot window is chronological, so `head = 0` points at
-        // the oldest sample and the ring resumes rotating correctly.
-        OnlineDetector {
-            cfg: snap.cfg,
-            filled: window.len() == snap.cfg.window_rounds,
-            window,
-            head: 0,
-            rounds_seen: snap.rounds_seen,
-            since_classify: snap.since_classify,
-            class: snap.class,
-            phase: snap.phase,
-            pending: snap.pending,
-            classifications: snap.classifications,
-            screens_skipped: snap.screens_skipped,
-        }
     }
 }
 
@@ -629,108 +392,6 @@ mod tests {
         // the 3rd consecutive new verdict).
         assert_eq!(classes[8 + 1], Strict, "still old class one verdict in");
         assert_eq!(classes[8 + 2], NonDiurnal, "flips on the 3rd new verdict");
-    }
-
-    /// Asserts every externally observable detector property matches.
-    fn assert_same_state(a: &OnlineDetector, b: &OnlineDetector, ctx: &str) {
-        assert_eq!(a.class(), b.class(), "{ctx}: class");
-        assert_eq!(a.phase(), b.phase(), "{ctx}: phase");
-        assert_eq!(a.warmed_up(), b.warmed_up(), "{ctx}: warmed_up");
-        assert_eq!(a.rounds_seen(), b.rounds_seen(), "{ctx}: rounds_seen");
-        assert_eq!(a.classifications(), b.classifications(), "{ctx}: classifications");
-        assert_eq!(a.screens_skipped(), b.screens_skipped(), "{ctx}: screens_skipped");
-    }
-
-    /// The round-trip equivalence pin: at *every* cut point — before
-    /// warm-up, mid-window, straddling reclassify boundaries, and right
-    /// through a behaviour change — a detector restored from a snapshot
-    /// must track an uninterrupted detector exactly, round by round, for
-    /// the whole remaining stream.
-    #[test]
-    fn snapshot_restore_equals_uninterrupted_detector() {
-        let total = (12.0 * RPD) as usize;
-        let change = (9.0 * RPD) as usize;
-        let value = |r: usize| if r < change { diurnal_value(r) } else { 0.55 };
-        let cuts = [
-            1,
-            100,                       // before warm-up
-            (7.0 * RPD) as usize - 1,  // one round short of window fill
-            (7.0 * RPD) as usize + 49, // one round before a reclassify
-            (7.0 * RPD) as usize + 50, // exactly on a reclassify
-            change + 17,               // after the behaviour change
-        ];
-        for cut in cuts {
-            let mut uninterrupted = OnlineDetector::new(small_cfg());
-            let mut first_half = OnlineDetector::new(small_cfg());
-            for r in 0..cut {
-                uninterrupted.push_value(value(r));
-                first_half.push_value(value(r));
-            }
-            let snap = first_half.snapshot();
-            let mut restored = OnlineDetector::restore(&snap);
-            assert_same_state(&uninterrupted, &restored, &format!("cut {cut}, at restore"));
-            for r in cut..total {
-                let want = uninterrupted.push_value(value(r));
-                let got = restored.push_value(value(r));
-                assert_eq!(want, got, "cut {cut}: verdict diverged at round {r}");
-            }
-            assert_same_state(&uninterrupted, &restored, &format!("cut {cut}, end of stream"));
-        }
-    }
-
-    #[test]
-    fn snapshot_survives_nested_snapshot_restore_chains() {
-        // Restoring, running, and snapshotting again must compose: three
-        // chained restore hops still match the uninterrupted detector.
-        let total = (10.0 * RPD) as usize;
-        let mut reference = OnlineDetector::new(small_cfg());
-        let mut hopped = OnlineDetector::new(small_cfg());
-        for r in 0..total {
-            reference.push_value(diurnal_value(r));
-            if r % 300 == 299 {
-                hopped = OnlineDetector::restore(&hopped.snapshot());
-            }
-            hopped.push_value(diurnal_value(r));
-        }
-        assert_same_state(&reference, &hopped, "after three restore hops");
-    }
-
-    #[test]
-    fn snapshot_bytes_round_trip() {
-        let mut det = OnlineDetector::new(OnlineConfig { hysteresis: 2, ..small_cfg() });
-        for r in 0..(8.0 * RPD) as usize {
-            det.push_value(diurnal_value(r));
-        }
-        let snap = det.snapshot();
-        let bytes = snap.encode();
-        let decoded = DetectorSnapshot::decode(&bytes).expect("decode own encoding");
-        assert_eq!(bytes, decoded.encode(), "re-encode must be byte-identical");
-        // The decoded snapshot restores to the same behaviour too.
-        let mut a = OnlineDetector::restore(&snap);
-        let mut b = OnlineDetector::restore(&decoded);
-        for r in 0..200 {
-            assert_eq!(a.push_value(diurnal_value(r)), b.push_value(diurnal_value(r)));
-        }
-        assert_same_state(&a, &b, "decoded snapshot");
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_malformed_input() {
-        let mut det = OnlineDetector::new(small_cfg());
-        for r in 0..500 {
-            det.push_value(diurnal_value(r));
-        }
-        let bytes = det.snapshot().encode();
-        assert!(DetectorSnapshot::decode(&[]).is_none(), "empty");
-        for cut in [1, 4, 6, 40, bytes.len() - 1] {
-            assert!(DetectorSnapshot::decode(&bytes[..cut]).is_none(), "truncated at {cut}");
-        }
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] ^= 0xFF;
-        assert!(DetectorSnapshot::decode(&wrong_magic).is_none(), "magic");
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(DetectorSnapshot::decode(&trailing).is_none(), "trailing garbage");
     }
 
     #[test]

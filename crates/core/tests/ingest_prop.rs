@@ -1,11 +1,9 @@
 //! Property-based tests for the streaming ingest engine: shard routing
 //! is a pure function of the block id (so verdicts cannot depend on the
-//! shard count), any arrival order that preserves per-block emission
-//! order yields byte-identical outcomes, and the online detector's
-//! snapshot/restore is equivalence-preserving at an arbitrary cut point.
+//! shard count), and any arrival order that preserves per-block emission
+//! order yields byte-identical outcomes.
 
 use proptest::prelude::*;
-use sleepwatch_core::streaming::{DetectorSnapshot, OnlineConfig, OnlineDetector};
 use sleepwatch_core::{ingest_direct, ingest_events, AnalysisConfig, IngestConfig, IngestOutcome};
 use sleepwatch_probing::{interleave, replay_run, FaultPlan, RoundEvent, TrinocularProber};
 use sleepwatch_simnet::{shard_of, WorldConfig, WorldSource};
@@ -114,48 +112,5 @@ proptest! {
             icfg.batch_events,
         );
         assert_matches_reference(&out, &format!("interleave seed {seed:#x}, capacity {capacity}"));
-    }
-
-    /// Snapshot/restore at an arbitrary cut is invisible: the restored
-    /// detector finishes the series with exactly the state an
-    /// uninterrupted one reaches, even through the encoded byte form.
-    #[test]
-    fn snapshot_restore_at_any_cut_is_equivalent(
-        values in proptest::collection::vec(0.0f64..1.0, 8..160),
-        cut_frac in 0.0f64..1.0,
-        window in 4usize..=48,
-    ) {
-        let cfg = OnlineConfig {
-            window_rounds: window,
-            reclassify_every: (window / 4).max(1),
-            screen_threshold: 0.0,
-            ..Default::default()
-        };
-        let cut = ((cut_frac * values.len() as f64) as usize).min(values.len() - 1);
-
-        let mut uninterrupted = OnlineDetector::new(cfg);
-        for &v in &values {
-            uninterrupted.push_value(v);
-        }
-
-        let mut first_half = OnlineDetector::new(cfg);
-        for &v in &values[..cut] {
-            first_half.push_value(v);
-        }
-        let bytes = first_half.snapshot().encode();
-        let snap = DetectorSnapshot::decode(&bytes).expect("own encoding decodes");
-        let mut resumed = OnlineDetector::restore(&snap);
-        for &v in &values[cut..] {
-            resumed.push_value(v);
-        }
-
-        prop_assert_eq!(resumed.class(), uninterrupted.class(), "class diverged at cut {}", cut);
-        prop_assert_eq!(resumed.phase(), uninterrupted.phase(), "phase diverged at cut {}", cut);
-        prop_assert_eq!(
-            resumed.classifications(),
-            uninterrupted.classifications(),
-            "classification count diverged at cut {}",
-            cut
-        );
     }
 }

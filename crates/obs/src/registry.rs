@@ -14,7 +14,7 @@ use crate::stage::Stage;
 /// Probing-side counters: Trinocular rounds, survey baselines and the
 /// deterministic fault layer.
 pub struct ProbingMetrics {
-    /// Individual probes sent by [`TrinocularProber`] runs (sum of
+    /// Individual probes sent by `TrinocularProber` runs (sum of
     /// per-run `total_probes`).
     pub probes_sent: Counter,
     /// Probes sent by full-census survey scans (kept separate so
@@ -27,17 +27,11 @@ pub struct ProbingMetrics {
     pub eb_refreshes: Counter,
     /// Individual E(b) slots replaced by churn events.
     pub churned_slots: Counter,
-    /// Vantage-recovery retry attempts made while a vantage was dark
-    /// (only when retry is configured; see `VantageRetryConfig`).
-    pub vantage_retries: Counter,
-    /// Rounds estimated in degraded single-vantage mode after the retry
-    /// budget was exhausted.
-    pub degraded_rounds: Counter,
     /// Fault-event counters, by kind.
     pub faults: FaultMetrics,
 }
 
-/// Counters for every fault kind a [`FaultPlan`] can inject.
+/// Counters for every fault kind a `FaultPlan` can inject.
 pub struct FaultMetrics {
     /// Correlated loss bursts that started.
     pub loss_bursts: Counter,
@@ -316,8 +310,6 @@ impl Registry {
                 runs: Counter::new(on),
                 eb_refreshes: Counter::new(on),
                 churned_slots: Counter::new(on),
-                vantage_retries: Counter::new(on),
-                degraded_rounds: Counter::new(on),
                 faults: FaultMetrics {
                     loss_bursts: Counter::new(on),
                     lost_probes: Counter::new(on),

@@ -38,8 +38,6 @@ impl Snapshot {
         c.insert("probing.runs", reg.probing.runs.get());
         c.insert("probing.eb_refreshes", reg.probing.eb_refreshes.get());
         c.insert("probing.churned_slots", reg.probing.churned_slots.get());
-        c.insert("probing.vantage_retries", reg.probing.vantage_retries.get());
-        c.insert("probing.degraded_rounds", reg.probing.degraded_rounds.get());
         let f = &reg.probing.faults;
         c.insert("faults.loss_bursts", f.loss_bursts.get());
         c.insert("faults.lost_probes", f.lost_probes.get());

@@ -47,6 +47,4 @@ pub use multisite::{agreement, merge_states, merged_outages, MergedOutage, Merge
 pub use record::{BlockRun, RoundRecord};
 pub use stream::{interleave, record_events, replay_run, RoundEvent};
 pub use survey::{survey_block, survey_block_with_faults, SurveyResult};
-pub use trinocular::{
-    BlockState, OutageEvent, ProberScratch, TrinocularConfig, TrinocularProber, VantageRetryConfig,
-};
+pub use trinocular::{BlockState, OutageEvent, ProberScratch, TrinocularConfig, TrinocularProber};

@@ -70,39 +70,6 @@ pub struct TrinocularConfig {
     /// explicit errors from upstream routers, making one unreachable far
     /// stronger down-evidence than a timeout.
     pub p_unreach_down: f64,
-    /// Vantage blackout handling. `None` (the default) keeps the legacy
-    /// behaviour — every blacked-out round is silently lost — which the
-    /// faulted golden pins byte-for-byte. `Some` enables deterministic
-    /// retry/backoff against a standby vantage and, past the retry
-    /// budget, explicit degraded single-vantage estimation.
-    pub vantage_retry: Option<VantageRetryConfig>,
-}
-
-/// Deterministic retry/backoff schedule for vantage blackouts.
-///
-/// While a vantage is dark the prober attempts to fail over to a standby
-/// vantage on an exponential-backoff cadence (dark rounds 1, 2, 4, 8, …),
-/// each attempt a seed-keyed draw — no wall clock, so replays and resumed
-/// runs reproduce the schedule exactly. A successful attempt restores
-/// observations for the remainder of that blackout. Once the vantage has
-/// stayed dark past `retry_budget_rounds`, the prober stops retrying and
-/// switches to degraded mode: it emits an explicit zero-probe round
-/// carrying the estimator's current availability values and an `Unknown`
-/// state, so the quality loss is accounted rather than silent.
-#[derive(Debug, Clone, Copy)]
-pub struct VantageRetryConfig {
-    /// Fail-over draws per scheduled retry round.
-    pub attempts_per_retry: u32,
-    /// Per-attempt probability that the standby vantage answers.
-    pub recover_chance: f64,
-    /// Dark rounds after which retrying stops and degraded mode engages.
-    pub retry_budget_rounds: u64,
-}
-
-impl Default for VantageRetryConfig {
-    fn default() -> Self {
-        VantageRetryConfig { attempts_per_retry: 3, recover_chance: 0.25, retry_budget_rounds: 16 }
-    }
 }
 
 impl Default for TrinocularConfig {
@@ -119,7 +86,6 @@ impl Default for TrinocularConfig {
             transit_loss_rate: 0.01,
             p_unreach_up: 0.005,
             p_unreach_down: 0.5,
-            vantage_retry: None,
         }
     }
 }
@@ -200,7 +166,6 @@ impl ProberScratch {
 const STREAM_WALK: u64 = 0x77_616c6b; // "walk"
 const STREAM_RESTART: u64 = 0x72_7374; // "rst"
 const STREAM_TRANSIT: u64 = 0x74_726e; // "trn"
-const STREAM_VRETRY: u64 = 0x76_7274; // "vrt"
 
 impl TrinocularProber {
     /// Creates a prober. The initial availability belief comes from the
@@ -512,8 +477,6 @@ impl TrinocularProber {
         let probes_before = self.total_probes;
         let mut fc = FaultCounts::default();
         let mut in_blackout = false;
-        let mut dark_streak = 0u64;
-        let mut failed_over = false;
         let mut in_burst = false;
         records.clear();
         records.reserve(rounds as usize);
@@ -530,46 +493,11 @@ impl TrinocularProber {
                 if !in_blackout {
                     fc.blackouts += 1;
                     in_blackout = true;
-                    dark_streak = 0;
-                    failed_over = false;
                 }
-                dark_streak += 1;
-                match self.cfg.vantage_retry {
-                    None => {
-                        fc.blackout_rounds += 1;
-                        continue; // the vantage saw nothing this round
-                    }
-                    Some(_) if failed_over => {} // standby vantage carries on
-                    Some(vr) => {
-                        if self.vantage_retry_round(block, plan, vr, r, dark_streak, &mut fc) {
-                            failed_over = true; // probe via the standby below
-                        } else if dark_streak > vr.retry_budget_rounds {
-                            // Retry budget exhausted: degraded mode. Emit an
-                            // explicit zero-probe round carrying the current
-                            // estimate so the quality loss is accounted, not
-                            // silent.
-                            fc.degraded_rounds += 1;
-                            if !self.walk.is_empty() {
-                                records.push(RoundRecord {
-                                    round: r,
-                                    probes: 0,
-                                    positives: 0,
-                                    a_short: self.estimator.a_short(),
-                                    a_long: self.estimator.a_long(),
-                                    a_operational: self.estimator.a_operational(),
-                                    state: BlockState::Unknown,
-                                });
-                            }
-                            continue;
-                        } else {
-                            fc.blackout_rounds += 1;
-                            continue; // still dark; retry again later
-                        }
-                    }
-                }
-            } else {
-                in_blackout = false;
+                fc.blackout_rounds += 1;
+                continue; // the vantage saw nothing this round
             }
+            in_blackout = false;
             // Pure, keyed fault queries, evaluated (and counted) before
             // the private restart draw below: the metrics-invariant suite
             // recomputes the expected counts through the same public
@@ -623,35 +551,6 @@ impl TrinocularProber {
         self.flush_run_metrics(self.total_probes - probes_before, &fc);
     }
 
-    /// One blacked-out round's fail-over attempt: on the exponential
-    /// backoff cadence (dark rounds 1, 2, 4, 8, … within the budget) the
-    /// prober makes up to `attempts_per_retry` seed-keyed draws against
-    /// the standby vantage. Returns true when an attempt succeeds.
-    fn vantage_retry_round(
-        &mut self,
-        block: &BlockSpec,
-        plan: &FaultPlan,
-        vr: VantageRetryConfig,
-        round: u64,
-        dark_streak: u64,
-        fc: &mut FaultCounts,
-    ) -> bool {
-        if dark_streak > vr.retry_budget_rounds || !dark_streak.is_power_of_two() {
-            return false;
-        }
-        for attempt in 0..vr.attempts_per_retry {
-            fc.vantage_retries += 1;
-            let hit = sleepwatch_geoecon::rng::chance_at(
-                vr.recover_chance,
-                &[plan.seed, STREAM_VRETRY, block.id, round, attempt as u64],
-            );
-            if hit {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Rewrites a keyed fraction of the walk with arbitrary octets,
     /// modelling mid-run `E(b)` churn (renumbering under stale census
     /// data). Replacement octets may be inactive addresses.
@@ -690,8 +589,6 @@ impl TrinocularProber {
         f.duplicates.add(fc.duplicates);
         f.reorders.add(fc.reorders);
         f.cfg_restarts.add(fc.cfg_restarts);
-        obs.probing.vantage_retries.add(fc.vantage_retries);
-        obs.probing.degraded_rounds.add(fc.degraded_rounds);
     }
 }
 
@@ -709,8 +606,6 @@ struct FaultCounts {
     duplicates: u64,
     reorders: u64,
     cfg_restarts: u64,
-    vantage_retries: u64,
-    degraded_rounds: u64,
 }
 
 #[cfg(test)]
@@ -896,82 +791,17 @@ mod tests {
         assert_eq!(p.outages().len(), 1);
     }
 
-    fn blackout_plan(start_round: u64, len_rounds: u64) -> FaultPlan {
-        FaultPlan {
-            seed: 0xB1AC,
-            blackout: Some(crate::faults::Blackout { start_round, len_rounds }),
-            ..FaultPlan::none()
-        }
-    }
-
     #[test]
-    fn degraded_rounds_engage_past_retry_budget() {
-        let b = block_with_avail(50, 100, 0.9);
-        let cfg = TrinocularConfig {
-            vantage_retry: Some(VantageRetryConfig {
-                attempts_per_retry: 2,
-                recover_chance: 0.0, // the standby never answers
-                retry_budget_rounds: 4,
-            }),
-            ..Default::default()
-        };
-        let mut p = TrinocularProber::new(&b, cfg);
-        let plan = blackout_plan(50, 30);
-        let run = p.run_with_faults(&b, 0, 120, &plan);
-        let by_round: std::collections::HashMap<u64, &RoundRecord> =
-            run.records.iter().map(|r| (r.round, r)).collect();
-        // The first 4 dark rounds are lost outright (retry budget).
-        for r in 50..54 {
-            assert!(!by_round.contains_key(&r), "round {r} should be lost, not recorded");
-        }
-        // Past the budget every dark round is an explicit degraded record.
-        for r in 54..80 {
-            let rec = by_round.get(&r).unwrap_or_else(|| panic!("round {r} missing"));
-            assert_eq!(rec.probes, 0, "degraded round {r} sends no probes");
-            assert_eq!(rec.state, BlockState::Unknown);
-        }
-        // Normal probing resumes after the blackout.
-        assert!(by_round[&80].probes > 0);
-    }
-
-    #[test]
-    fn successful_failover_restores_observations() {
-        let b = block_with_avail(51, 100, 0.9);
-        let cfg = TrinocularConfig {
-            vantage_retry: Some(VantageRetryConfig {
-                recover_chance: 1.0, // the standby answers on the first try
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let mut p = TrinocularProber::new(&b, cfg);
-        let run = p.run_with_faults(&b, 0, 120, &blackout_plan(50, 30));
-        // Fail-over succeeds on dark round 1, so every blackout round is
-        // observed through the standby vantage.
-        assert_eq!(run.records.len(), 120);
-        assert!(run.records.iter().all(|r| r.probes > 0));
-    }
-
-    #[test]
-    fn vantage_retry_is_deterministic() {
-        let b = block_with_avail(52, 100, 0.9);
-        let cfg = TrinocularConfig {
-            vantage_retry: Some(VantageRetryConfig::default()),
-            ..Default::default()
-        };
-        let plan = blackout_plan(40, 50);
-        let run_a = TrinocularProber::new(&b, cfg).run_with_faults(&b, 0, 150, &plan);
-        let run_b = TrinocularProber::new(&b, cfg).run_with_faults(&b, 0, 150, &plan);
-        assert_eq!(run_a.records, run_b.records);
-    }
-
-    #[test]
-    fn retry_disabled_keeps_legacy_blackout_semantics() {
+    fn blacked_out_rounds_are_lost() {
         let b = block_with_avail(53, 100, 0.9);
-        let plan = blackout_plan(50, 30);
+        let plan = FaultPlan {
+            seed: 0xB1AC,
+            blackout: Some(crate::faults::Blackout { start_round: 50, len_rounds: 30 }),
+            ..FaultPlan::none()
+        };
         let run = TrinocularProber::new(&b, TrinocularConfig::default())
             .run_with_faults(&b, 0, 120, &plan);
-        // Every blacked-out round is silently lost, exactly as before.
+        // The vantage saw nothing: cleaning fills the gap downstream.
         assert!(run.records.iter().all(|r| !(50..80).contains(&r.round)));
         assert_eq!(run.records.len(), 90);
     }

@@ -45,6 +45,4 @@ pub use block::{is_weekend, BlockProfile, BlockSpec, LeaseParams, LinkClass, Pro
 pub use campus::{generate_campus, CampusConfig, CampusUse};
 pub use controlled::ControlledConfig;
 pub use rdns::{ptr_name, ptr_names};
-pub use world::{
-    shard_of, ShardRounds, World, WorldConfig, WorldSource, A12W_START, ROUND_SECONDS, S51W_START,
-};
+pub use world::{shard_of, World, WorldConfig, WorldSource, A12W_START, ROUND_SECONDS, S51W_START};

@@ -88,36 +88,6 @@ pub fn shard_of(block_id: u64, shards: usize) -> usize {
     (hash_parts(&[STREAM_SHARD, block_id]) % shards as u64) as usize
 }
 
-/// Iterator behind [`WorldSource::shard_rounds`]: one shard's
-/// ground-truth availability stream, round-major.
-#[derive(Debug)]
-pub struct ShardRounds {
-    blocks: Vec<(u64, BlockSpec)>,
-    start_time: u64,
-    rounds: u64,
-    round: u64,
-    idx: usize,
-}
-
-impl Iterator for ShardRounds {
-    type Item = (u64, u64, f64);
-
-    fn next(&mut self) -> Option<(u64, u64, f64)> {
-        if self.blocks.is_empty() || self.round >= self.rounds {
-            return None;
-        }
-        let (id, spec) = &self.blocks[self.idx];
-        let t = self.start_time + self.round * ROUND_SECONDS;
-        let item = (*id, self.round, spec.true_availability(t));
-        self.idx += 1;
-        if self.idx == self.blocks.len() {
-            self.idx = 0;
-            self.round += 1;
-        }
-        Some(item)
-    }
-}
-
 /// Per-country AS inventory: `(asn, ISP display name)` pairs.
 fn synthesize_ases(countries: &[&'static Country]) -> (Vec<AsRecord>, Vec<Vec<u32>>) {
     const SUFFIXES: [&str; 6] =
@@ -300,33 +270,6 @@ impl WorldSource {
         out.clear();
         out.extend(ids.into_iter().map(|id| self.synthesize(id)));
         sleepwatch_obs::global().simnet.blocks_generated.add(out.len() as u64);
-    }
-
-    /// Ids of the blocks `shard` owns under [`shard_of`] routing, in
-    /// ascending order.
-    pub fn shard_block_ids(&self, shard: usize, shards: usize) -> impl Iterator<Item = u64> + '_ {
-        assert!(shard < shards, "shard {shard} out of range for {shards} shards");
-        (0..self.cfg.num_blocks as u64).filter(move |&id| shard_of(id, shards) == shard)
-    }
-
-    /// Ground-truth availability round generator for one ingest shard.
-    ///
-    /// Yields `(block_id, round, availability)` round-major over the
-    /// shard's blocks. The stream depends only on
-    /// `(WorldConfig, shard, shards, rounds)` — the generator synthesizes
-    /// just the blocks [`shard_of`] assigns to `shard` — so any shard's
-    /// feed can be regenerated independently of every other shard.
-    pub fn shard_rounds(&self, shard: usize, shards: usize, rounds: u64) -> ShardRounds {
-        let ids: Vec<u64> = self.shard_block_ids(shard, shards).collect();
-        let mut specs = Vec::new();
-        self.generate_into(ids.iter().copied(), &mut specs);
-        ShardRounds {
-            blocks: ids.into_iter().zip(specs).collect(),
-            start_time: self.cfg.start_time,
-            rounds,
-            round: 0,
-            idx: 0,
-        }
     }
 
     /// Materializes every block, consuming the source.
@@ -585,36 +528,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_block_ids_cover_the_world_disjointly() {
+    fn shards_cover_the_world_disjointly() {
         let src = WorldSource::new(WorldConfig { num_blocks: 500, seed: 9, ..Default::default() });
         let shards = 4;
         let mut seen = vec![false; src.len()];
         for shard in 0..shards {
-            for id in src.shard_block_ids(shard, shards) {
+            for id in (0..src.len() as u64).filter(|&id| shard_of(id, shards) == shard) {
                 assert!(!seen[id as usize], "block {id} owned by two shards");
                 seen[id as usize] = true;
             }
         }
         assert!(seen.iter().all(|&s| s), "a block belongs to no shard");
-    }
-
-    #[test]
-    fn shard_rounds_are_reproducible_and_round_major() {
-        let cfg = WorldConfig { num_blocks: 300, seed: 7, ..Default::default() };
-        let src = WorldSource::new(cfg.clone());
-        let a: Vec<_> = src.shard_rounds(2, 4, 5).collect();
-        // A second source built from the same config yields the identical
-        // stream: the feed is derivable from (cfg, shard, shards) alone.
-        let b: Vec<_> = WorldSource::new(cfg).shard_rounds(2, 4, 5).collect();
-        assert_eq!(a, b, "shard stream must be reproducible");
-
-        let ids: Vec<u64> = src.shard_block_ids(2, 4).collect();
-        assert_eq!(a.len(), ids.len() * 5, "5 rounds for every owned block");
-        for (i, &(id, round, avail)) in a.iter().enumerate() {
-            assert_eq!(id, ids[i % ids.len()], "round-major block order");
-            assert_eq!(round, (i / ids.len()) as u64);
-            assert!((0.0..=1.0).contains(&avail), "availability {avail} out of range");
-        }
     }
 
     #[test]

@@ -147,8 +147,8 @@ impl Default for SpectrumScratch {
 }
 
 impl SpectrumScratch {
-    /// An empty workspace; the first [`compute_with_plan`]
-    /// (Self::compute_with_plan) sizes it.
+    /// An empty workspace; the first
+    /// [`compute_with_plan`](Self::compute_with_plan) sizes it.
     pub fn new() -> Self {
         SpectrumScratch {
             spectrum: Spectrum { coeffs: Vec::new(), sample_period: ROUND_SECONDS },

@@ -11,15 +11,15 @@
 //!   dictionary string, every column, under every fault preset;
 //! * the container bytes themselves must be deterministic: identical
 //!   across thread counts and across repeated encodes;
-//! * the same holds through the file layer (`write_dataset_bin_file` /
-//!   `read_dataset_bin_file`) and through a kill-and-resume journal
-//!   replay — a resumed run must emit the *same container bytes* as the
-//!   uninterrupted one.
+//! * the same holds through the file layer (`write_dataset_bin_file`,
+//!   then `decode_dataset` over the file's bytes) and through a
+//!   kill-and-resume journal replay — a resumed run must emit the *same
+//!   container bytes* as the uninterrupted one.
 
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
     analyze_world, analyze_world_resumable, dataset_rows, decode_dataset, encode_dataset,
-    read_dataset_bin_file, write_dataset_rows, DatasetMode,
+    write_dataset_rows, DatasetMode,
 };
 use sleepwatch_probing::FaultPlan;
 use sleepwatch_testkit::resilience::{
@@ -122,9 +122,9 @@ fn tsv_differential_churn() {
 }
 
 /// The file layer preserves the oracle: a dataset written with
-/// `write_dataset_bin_file` reads back through `read_dataset_bin_file`
-/// into rows whose TSV matches the direct serialization, and the binary
-/// file on disk is smaller than the TSV it mirrors.
+/// `write_dataset_bin_file` decodes back from the file's bytes into rows
+/// whose TSV matches the direct serialization, and the binary file on
+/// disk is smaller than the TSV it mirrors.
 #[test]
 fn file_layer_round_trips_and_shrinks() {
     let world = resilience_world();
@@ -142,7 +142,8 @@ fn file_layer_round_trips_and_shrinks() {
     let bin_len = std::fs::metadata(&bin_path).expect("bin metadata").len();
     assert!(bin_len < tsv_len / 4, "binary file {bin_len} B vs TSV {tsv_len} B: not compact");
 
-    let rows = read_dataset_bin_file(&bin_path, Some(&world.cfg)).expect("read binary file");
+    let bytes = std::fs::read(&bin_path).expect("read binary file");
+    let rows = decode_dataset(&bytes, Some(&world.cfg)).expect("decode binary file");
     assert_eq!(want.as_bytes(), tsv_of(&rows), "file-layer round trip diverged");
 
     let _ = std::fs::remove_file(&tsv_path);

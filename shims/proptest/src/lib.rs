@@ -423,7 +423,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -34,10 +34,12 @@
 //! Paper tables/figures live in the separate `experiments` binary
 //! (`cargo run -p sleepwatch-experiments -- --list`).
 
+use sleepwatch::core::binfmt::DATASET_MAGIC;
+use sleepwatch::core::framing::sniff_magic;
 use sleepwatch::core::{
     analyze_block, analyze_world, decode_dataset, estimate_size, feed_identity, ingest_source,
     ingest_source_resumable, ingest_world, ingest_world_resumable, read_dataset, world_feed,
-    write_dataset, write_dataset_bin_file, write_dataset_rows, AnalysisConfig, IngestConfig,
+    write_dataset_bin_file, write_dataset_file, write_dataset_rows, AnalysisConfig, IngestConfig,
     TransportOutcome,
 };
 use sleepwatch::geoecon::country::COUNTRIES;
@@ -53,6 +55,18 @@ use std::process::ExitCode;
 enum Format {
     Tsv,
     Bin,
+}
+
+impl std::str::FromStr for Format {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s {
+            "tsv" => Ok(Format::Tsv),
+            "bin" => Ok(Format::Bin),
+            _ => Err(()),
+        }
+    }
 }
 
 struct Args {
@@ -103,9 +117,31 @@ impl Default for Args {
     }
 }
 
+impl Args {
+    /// The synthetic world the `--seed/--blocks/--days` flags name.
+    fn world_config(&self) -> WorldConfig {
+        WorldConfig {
+            seed: self.seed,
+            num_blocks: self.blocks,
+            span_days: self.days,
+            ..Default::default()
+        }
+    }
+
+    /// The reconnect schedule the `--backoff-ms/--reconnect-attempts`
+    /// flags name.
+    fn backoff(&self) -> BackoffConfig {
+        BackoffConfig {
+            base_ms: self.backoff_ms.max(1),
+            attempts: self.reconnect_attempts,
+            ..BackoffConfig::default()
+        }
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: sleepwatch <analyze|convert|block|ingest|countries|info> \
+        "usage: sleepwatch <analyze|convert|block|ingest|feed|serve|countries|info> \
          [--blocks N] [--days D] [--seed S] [--threads T] [--dataset FILE] \
          [--format tsv|bin] [--flat]\n       \
          sleepwatch convert IN OUT [--format tsv|bin] [--blocks N] [--seed S]\n       \
@@ -139,48 +175,37 @@ fn flag_value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
 fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
     let mut a = Args::default();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--blocks" => {
-                a.blocks = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--days" => a.days = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
-            "--seed" => a.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
-            "--threads" => {
-                a.threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--dataset" => a.dataset = Some(it.next().unwrap_or_else(|| usage())),
-            "--journal" => a.journal = Some(it.next().unwrap_or_else(|| usage())),
-            "--shards" => {
-                a.shards = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--format" => {
-                a.format = match it.next().as_deref() {
-                    Some("tsv") => Some(Format::Tsv),
-                    Some("bin") => Some(Format::Bin),
-                    _ => usage(),
-                }
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--blocks" => a.blocks = flag_value(flag, it.next()),
+            "--days" => a.days = flag_value(flag, it.next()),
+            "--seed" => a.seed = flag_value(flag, it.next()),
+            "--threads" => a.threads = flag_value(flag, it.next()),
+            "--shards" => a.shards = flag_value(flag, it.next()),
+            "--dataset" => a.dataset = Some(flag_value(flag, it.next())),
+            "--journal" => a.journal = Some(flag_value(flag, it.next())),
+            "--format" => a.format = Some(flag_value(flag, it.next())),
             "--flat" => a.diurnal = false,
             "--diurnal" => a.diurnal = true,
-            "--listen" => a.listen = Some(flag_value("--listen", it.next())),
-            "--connect" => a.connect = Some(flag_value("--connect", it.next())),
-            "--from-file" => a.from_file = Some(flag_value("--from-file", it.next())),
-            "--to-file" => a.to_file = Some(flag_value("--to-file", it.next())),
+            "--listen" => a.listen = Some(flag_value(flag, it.next())),
+            "--connect" => a.connect = Some(flag_value(flag, it.next())),
+            "--from-file" => a.from_file = Some(flag_value(flag, it.next())),
+            "--to-file" => a.to_file = Some(flag_value(flag, it.next())),
             "--strict" => a.strict = true,
-            "--lru-capacity" => a.lru_capacity = flag_value("--lru-capacity", it.next()),
+            "--lru-capacity" => a.lru_capacity = flag_value(flag, it.next()),
             "--read-timeout-ms" => {
-                a.read_timeout_ms = flag_value("--read-timeout-ms", it.next());
+                a.read_timeout_ms = flag_value(flag, it.next());
                 if a.read_timeout_ms == 0 {
-                    bad_flag("--read-timeout-ms", "must be at least 1");
+                    bad_flag(flag, "must be at least 1");
                 }
             }
             "--reconnect-attempts" => {
-                a.reconnect_attempts = flag_value("--reconnect-attempts", it.next());
+                a.reconnect_attempts = flag_value(flag, it.next());
                 if a.reconnect_attempts == 0 {
-                    bad_flag("--reconnect-attempts", "must be at least 1");
+                    bad_flag(flag, "must be at least 1");
                 }
             }
-            "--backoff-ms" => a.backoff_ms = flag_value("--backoff-ms", it.next()),
+            "--backoff-ms" => a.backoff_ms = flag_value(flag, it.next()),
             other if !other.starts_with('-') => a.positional.push(arg),
             _ => usage(),
         }
@@ -189,12 +214,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
 }
 
 fn cmd_analyze(a: &Args) -> ExitCode {
-    let world = World::generate(WorldConfig {
-        seed: a.seed,
-        num_blocks: a.blocks,
-        span_days: a.days,
-        ..Default::default()
-    });
+    let world = World::generate(a.world_config());
     let cfg = AnalysisConfig::over_days(world.cfg.start_time, a.days);
     if a.days < 14.0 {
         eprintln!(
@@ -233,30 +253,20 @@ fn cmd_analyze(a: &Args) -> ExitCode {
     );
 
     if let Some(path) = &a.dataset {
-        match a.format.unwrap_or(Format::Tsv) {
-            Format::Bin => {
-                // Seed-joined: the reader re-derives geolocation and
-                // allocation columns from the same world configuration.
-                if let Err(e) = write_dataset_bin_file(Path::new(path), &analysis, Some(&world.cfg))
-                {
-                    eprintln!("could not write dataset: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("\nbinary dataset written to {path} (seed-joined)");
-            }
-            Format::Tsv => match std::fs::File::create(path) {
-                Ok(mut f) => {
-                    if let Err(e) = write_dataset(&mut f, &analysis) {
-                        eprintln!("could not write dataset: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("\ndataset written to {path}");
-                }
-                Err(e) => {
-                    eprintln!("could not create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+        let format = a.format.unwrap_or(Format::Tsv);
+        let written = match format {
+            // Seed-joined: the reader re-derives geolocation and
+            // allocation columns from the same world configuration.
+            Format::Bin => write_dataset_bin_file(Path::new(path), &analysis, Some(&world.cfg)),
+            Format::Tsv => write_dataset_file(Path::new(path), &analysis),
+        };
+        if let Err(e) = written {
+            eprintln!("could not write dataset: {e}");
+            return ExitCode::FAILURE;
+        }
+        match format {
+            Format::Bin => println!("\nbinary dataset written to {path} (seed-joined)"),
+            Format::Tsv => println!("\ndataset written to {path}"),
         }
     }
     ExitCode::SUCCESS
@@ -278,15 +288,9 @@ fn cmd_convert(a: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let is_bin = bytes.len() >= 8 && bytes[..8] == *b"SLPWBIN1";
+    let is_bin = sniff_magic(&bytes) == Some(DATASET_MAGIC);
     let rows = if is_bin {
-        let cfg = WorldConfig {
-            seed: a.seed,
-            num_blocks: a.blocks,
-            span_days: a.days,
-            ..Default::default()
-        };
-        match decode_dataset(&bytes, Some(&cfg)) {
+        match decode_dataset(&bytes, Some(&a.world_config())) {
             Ok(rows) => rows,
             Err(e) => {
                 eprintln!("could not decode {input}: {e}");
@@ -378,11 +382,7 @@ fn wire_source(
     }
     let mut cfg = TcpConfig::new(identity);
     cfg.read_timeout = std::time::Duration::from_millis(a.read_timeout_ms);
-    cfg.backoff = BackoffConfig {
-        base_ms: a.backoff_ms.max(1),
-        attempts: a.reconnect_attempts,
-        ..BackoffConfig::default()
-    };
+    cfg.backoff = a.backoff();
     cfg.strict = a.strict;
     if let Some(addr) = &a.connect {
         return Ok(Some(Box::new(TcpEventSource::dial(addr.clone(), cfg))));
@@ -461,12 +461,7 @@ fn report_transport(a: &Args, out: TransportOutcome, secs: f64, shards: usize) -
 /// With `--listen`/`--connect`/`--from-file` the rounds arrive over the
 /// `SLPWFEED` wire instead of being probed in-process.
 fn cmd_ingest(a: &Args) -> ExitCode {
-    let source = WorldSource::new(WorldConfig {
-        seed: a.seed,
-        num_blocks: a.blocks,
-        span_days: a.days,
-        ..Default::default()
-    });
+    let source = WorldSource::new(a.world_config());
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, a.days);
     let icfg = IngestConfig { shards: a.shards.max(1), ..Default::default() };
     let wire = match wire_source(a, feed_identity(&source, &cfg)) {
@@ -543,12 +538,7 @@ fn print_ingest_summary(a: &Args, out: &sleepwatch::core::IngestOutcome, secs: f
 /// consumer (`--listen`), or by dialing a listening consumer
 /// (`--connect`).
 fn cmd_feed(a: &Args) -> ExitCode {
-    let source = WorldSource::new(WorldConfig {
-        seed: a.seed,
-        num_blocks: a.blocks,
-        span_days: a.days,
-        ..Default::default()
-    });
+    let source = WorldSource::new(a.world_config());
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, a.days);
     let icfg = IngestConfig { shards: a.shards.max(1), ..Default::default() };
     let identity = feed_identity(&source, &cfg);
@@ -580,11 +570,6 @@ fn cmd_feed(a: &Args) -> ExitCode {
             }
         };
     }
-    let backoff = BackoffConfig {
-        base_ms: a.backoff_ms.max(1),
-        attempts: a.reconnect_attempts,
-        ..BackoffConfig::default()
-    };
     let endpoint = if let Some(addr) = &a.listen {
         match std::net::TcpListener::bind(addr) {
             Ok(l) => {
@@ -600,7 +585,7 @@ fn cmd_feed(a: &Args) -> ExitCode {
         Endpoint::Dial(a.connect.clone().expect("checked above"))
     };
     let stop = std::sync::atomic::AtomicBool::new(false);
-    match serve_feed(&endpoint, &events, &fcfg, &backoff, &stop) {
+    match serve_feed(&endpoint, &events, &fcfg, &a.backoff(), &stop) {
         Ok(served) => {
             println!("feed delivered over {served} connection(s)");
             ExitCode::SUCCESS
@@ -635,8 +620,7 @@ fn cmd_serve(a: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let wcfg =
-        WorldConfig { seed: a.seed, num_blocks: a.blocks, span_days: a.days, ..Default::default() };
+    let wcfg = a.world_config();
     let cfg = AnalysisConfig::over_days(wcfg.start_time, a.days);
     let expect = JournalHeader::from_identity(&run_identity(a.seed, a.blocks, &cfg));
     let rows = match load_rows(Path::new(path), Some(&wcfg), &expect) {

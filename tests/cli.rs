@@ -163,30 +163,36 @@ fn sleepwatch_feed_file_round_trips_into_ingest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Malformed or out-of-range transport flag values exit 2 and name the
-/// offending flag on stderr — no panics across the CLI boundary.
+/// Malformed, out-of-range or missing flag values exit 2 with one line
+/// naming the offending flag — never the usage dump, never a panic.
 #[test]
 fn sleepwatch_transport_flags_reject_malformed_values() {
-    for (flag, value) in [
-        ("--read-timeout-ms", "banana"),
-        ("--read-timeout-ms", "0"),
-        ("--reconnect-attempts", "-3"),
-        ("--reconnect-attempts", "0"),
-        ("--backoff-ms", "1.5"),
+    for args in [
+        &["--read-timeout-ms", "banana"][..],
+        &["--read-timeout-ms", "0"],
+        &["--reconnect-attempts", "-3"],
+        &["--reconnect-attempts", "0"],
+        &["--backoff-ms", "1.5"],
+        &["--blocks", "many"],
+        &["--days", "a-week"],
+        &["--seed", "-1"],
+        &["--threads", "two"],
+        &["--shards", "1.5"],
+        &["--format", "xml"],
+        // Missing value at end of argv.
+        &["--dataset"],
+        &["--journal"],
+        &["--connect"],
     ] {
+        let flag = args[0];
         let Some(mut cmd) = bin("sleepwatch") else { return };
-        let out = cmd.args(["ingest", flag, value]).output().expect("spawn");
-        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let out = cmd.arg("ingest").args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(flag), "stderr does not name {flag}: {err}");
+        assert!(err.starts_with(&format!("sleepwatch: {flag}:")), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
         assert!(!err.contains("panic"), "{err}");
     }
-    // Missing value at end of argv.
-    let Some(mut cmd) = bin("sleepwatch") else { return };
-    let out = cmd.args(["ingest", "--connect"]).output().expect("spawn");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--connect"), "{err}");
 
     // Mutually exclusive sources are refused readably.
     let Some(mut cmd) = bin("sleepwatch") else { return };
@@ -384,6 +390,25 @@ fn sleepwatch_serve_refuses_v1_journals() {
     assert_eq!(std::fs::read(&journal).expect("still there"), bytes, "serve touched the file");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unwritable `--dataset` path is a typed error: exit 1, the path in
+/// the message, no panic.
+#[test]
+fn sleepwatch_analyze_reports_unwritable_dataset_path() {
+    let missing = std::env::temp_dir()
+        .join(format!("swtest-cli-no-such-dir-{}", std::process::id()))
+        .join("x.tsv");
+    let Some(mut cmd) = bin("sleepwatch") else { return };
+    let out = cmd
+        .args(["analyze", "--blocks", "8", "--days", "1", "--dataset"])
+        .arg(&missing)
+        .output()
+        .expect("spawn analyze");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(&*missing.to_string_lossy()), "{err}");
+    assert!(!err.contains("panic"), "{err}");
 }
 
 #[test]
