@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use sleepwatch_core::{analyze_block, analyze_block_with_scratch, AnalysisConfig, BlockScratch};
 use sleepwatch_probing::FaultPlan;
-use sleepwatch_simnet::{BlockProfile, BlockSpec};
+use sleepwatch_simnet::{BlockProfile, BlockSpec, A12W_START};
 
 /// A parameterized block: diurnal mix and timezone vary per case.
 fn block(id: u64, seed: u64, n_diurnal: u16, offset_h: f64) -> BlockSpec {
@@ -30,8 +30,8 @@ fn block(id: u64, seed: u64, n_diurnal: u16, offset_h: f64) -> BlockSpec {
     )
 }
 
-fn cfg(days: f64, faulted: bool) -> AnalysisConfig {
-    let mut cfg = AnalysisConfig::over_days(0, days);
+fn cfg(start_time: u64, days: f64, faulted: bool) -> AnalysisConfig {
+    let mut cfg = AnalysisConfig::over_days(start_time, days);
     if faulted {
         cfg.faults = FaultPlan::loss_heavy(0xBAD);
     }
@@ -51,9 +51,12 @@ proptest! {
         offset_h in -11i32..12,
         poison_seed in 0u64..u64::MAX,
         faulted in any::<bool>(),
+        a12w in any::<bool>(),
     ) {
         let b = block(1, seed, n_diurnal, offset_h as f64);
-        let acfg = cfg(3.0, faulted);
+        // The poisoned probe memo carries window tags for both epochs.
+        let start = if a12w { A12W_START } else { 0 };
+        let acfg = cfg(start, 3.0, faulted);
 
         let mut fresh = BlockScratch::new();
         let want = analyze_block_with_scratch(&b, &acfg, &mut fresh);
@@ -66,7 +69,7 @@ proptest! {
         // other span ⇒ other buffer lengths).
         let mut stale = BlockScratch::new();
         let other = block(2, seed.wrapping_add(17), 200 - n_diurnal, -(offset_h as f64));
-        analyze_block_with_scratch(&other, &cfg(4.0, false), &mut stale);
+        analyze_block_with_scratch(&other, &cfg(start, 4.0, false), &mut stale);
         prop_assert_eq!(analyze_block_with_scratch(&b, &acfg, &mut stale), want);
 
         // And the allocating wrapper agrees with all of the above.
@@ -83,7 +86,7 @@ proptest! {
         let blocks: Vec<BlockSpec> = (0..n_blocks as u64)
             .map(|i| block(i, seed.wrapping_add(i), (i as u16 * 57) % 201, (i as f64 * 5.0) - 10.0))
             .collect();
-        let acfg = cfg(3.0, false);
+        let acfg = cfg(0, 3.0, false);
         let mut reused = BlockScratch::new();
         for b in &blocks {
             let mut fresh = BlockScratch::new();

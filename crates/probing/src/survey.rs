@@ -7,7 +7,7 @@
 //! adaptive estimators against these measurements.
 
 use crate::faults::{burst_loses_response, FaultPlan};
-use sleepwatch_simnet::{BlockSpec, ROUND_SECONDS};
+use sleepwatch_simnet::{BlockSpec, ProbeMemo, ROUND_SECONDS};
 
 /// Result of surveying one block.
 #[derive(Debug, Clone)]
@@ -74,6 +74,8 @@ pub fn survey_block_with_faults(
     // can never respond in this world — skipping them changes no output,
     // only wall-clock. Keep the full-space accounting for the probe budget.
     let active = block.ever_active_addrs();
+    // Every address is probed 131 times a day; draw its schedule once.
+    let mut memo = ProbeMemo::new(block);
     let mut surveyed = 0u64;
     for r in 0..rounds {
         if plan.truncates_at(r) {
@@ -90,7 +92,7 @@ pub fn survey_block_with_faults(
         let loss = plan.loss_at(block.id, r);
         let mut count = 0u32;
         for &addr in &active {
-            if block.probe(addr, time)
+            if memo.probe(block, addr, time)
                 && !burst_loses_response(plan.seed, loss, block.id, addr, time)
             {
                 count += 1;

@@ -20,7 +20,7 @@ use crate::faults::FaultPlan;
 use crate::record::{BlockRun, RoundRecord};
 use sleepwatch_availability::{AvailabilityEstimator, EwmaConfig};
 use sleepwatch_geoecon::rng::KeyedRng;
-use sleepwatch_simnet::{BlockSpec, ProbeOutcome, ROUND_SECONDS};
+use sleepwatch_simnet::{BlockSpec, ProbeMemo, ProbeOutcome, ROUND_SECONDS};
 
 /// Reachability verdict for one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,6 +116,8 @@ pub struct TrinocularProber {
     walk: Vec<u8>,
     cursor: usize,
     outages: Vec<OutageEvent>,
+    /// The block's address schedules, drawn once (see [`ProbeMemo`]).
+    memo: ProbeMemo,
     total_probes: u64,
 }
 
@@ -123,7 +125,8 @@ pub struct TrinocularProber {
 /// allocation (the steady-state world-run path).
 ///
 /// [`TrinocularProber::new_reusing`] takes the buffers out of the scratch
-/// (clearing any stale contents) and [`TrinocularProber::recycle`] puts
+/// (clearing any stale contents, and rebinding the probe memo to the new
+/// block) and [`TrinocularProber::recycle`] puts
 /// them back, capacities intact — grow-only across blocks. A default
 /// (empty) scratch is always valid: the first block simply pays the
 /// allocations the scratch exists to amortize.
@@ -131,6 +134,7 @@ pub struct TrinocularProber {
 pub struct ProberScratch {
     walk: Vec<u8>,
     outages: Vec<OutageEvent>,
+    memo: ProbeMemo,
 }
 
 impl ProberScratch {
@@ -143,6 +147,7 @@ impl ProberScratch {
     pub fn footprint_bytes(&self) -> usize {
         self.walk.capacity() * std::mem::size_of::<u8>()
             + self.outages.capacity() * std::mem::size_of::<OutageEvent>()
+            + self.memo.footprint_bytes()
     }
 
     /// Outages recorded by the most recently recycled prober. Wrappers
@@ -159,6 +164,7 @@ impl ProberScratch {
         self.walk.extend((0..97u64).map(|i| (seed.wrapping_mul(31).wrapping_add(i)) as u8));
         self.outages.clear();
         self.outages.push(OutageEvent { start_round: seed, end_round: None });
+        self.memo.poison(seed);
     }
 }
 
@@ -191,7 +197,9 @@ impl TrinocularProber {
         walk.extend((0..block.ever_active_count()).map(|s| block.slot_to_addr(s as u8)));
         let mut outages = std::mem::take(&mut scratch.outages);
         outages.clear();
-        Self::with_buffers(block, walk, outages, block.hist_avail, cfg)
+        let mut memo = std::mem::take(&mut scratch.memo);
+        memo.reset(block);
+        Self::with_buffers(block, walk, outages, memo, block.hist_avail, cfg)
     }
 
     /// Returns the prober's buffers to `scratch` for the next block,
@@ -201,6 +209,7 @@ impl TrinocularProber {
     pub fn recycle(self, scratch: &mut ProberScratch) {
         scratch.walk = self.walk;
         scratch.outages = self.outages;
+        scratch.memo = self.memo;
     }
 
     /// Creates a prober bootstrapped from a census record — the real
@@ -227,13 +236,14 @@ impl TrinocularProber {
         hist_avail: f64,
         cfg: TrinocularConfig,
     ) -> Self {
-        Self::with_buffers(block, walk, Vec::new(), hist_avail, cfg)
+        Self::with_buffers(block, walk, Vec::new(), ProbeMemo::new(block), hist_avail, cfg)
     }
 
     fn with_buffers(
         block: &BlockSpec,
         mut walk: Vec<u8>,
         outages: Vec<OutageEvent>,
+        memo: ProbeMemo,
         hist_avail: f64,
         cfg: TrinocularConfig,
     ) -> Self {
@@ -254,6 +264,7 @@ impl TrinocularProber {
             walk,
             cursor: 0,
             outages,
+            memo,
             total_probes: 0,
         }
     }
@@ -341,7 +352,7 @@ impl TrinocularProber {
         while probes < self.cfg.max_probes_per_round.min(self.walk.len() as u32) {
             let addr = self.walk[self.cursor];
             self.cursor = (self.cursor + 1) % self.walk.len();
-            let mut outcome = block.probe_outcome(addr, time);
+            let mut outcome = self.memo.probe_outcome(block, addr, time);
             if outcome == ProbeOutcome::Reply && self.cfg.transit_loss_rate > 0.0 {
                 // The reply can die on the path; keyed per (block, addr,
                 // time) so replays stay exact.

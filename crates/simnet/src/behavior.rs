@@ -94,6 +94,14 @@ impl AddressBehavior {
     /// Whether the address is *up* (would answer with its `avail`
     /// probability) at `time` seconds since the epoch.
     pub fn is_up(&self, key: AddrKey, time: u64) -> bool {
+        self.is_up_given(time, |day| self.daily_window(key, day))
+    }
+
+    /// [`is_up`](Self::is_up) with the realized `(onset, duration)` of a
+    /// local day supplied by `window` — drawn on the spot by the public
+    /// entry points, read from a [`ProbeMemo`](crate::ProbeMemo) by the
+    /// memoised ones. One body, so both evaluate the same expression tree.
+    pub(crate) fn is_up_given(&self, time: u64, mut window: impl FnMut(i64) -> (f64, f64)) -> bool {
         match *self {
             AddressBehavior::Inactive => false,
             AddressBehavior::On { .. } => true,
@@ -101,14 +109,7 @@ impl AddressBehavior {
                 let cycles = time as f64 / (period_hours * 3_600.0) + phase_frac;
                 cycles.fract() < duty
             }
-            AddressBehavior::Diurnal {
-                onset_hours,
-                duration_hours,
-                sigma_start,
-                sigma_duration,
-                utc_offset_hours,
-                ..
-            } => {
+            AddressBehavior::Diurnal { utc_offset_hours, .. } => {
                 // Work in local time so onsets align with human schedules.
                 let local = time as f64 + utc_offset_hours * 3_600.0;
                 let day = (local / DAY_SECONDS as f64).floor();
@@ -117,14 +118,7 @@ impl AddressBehavior {
                 // An up-period that starts late yesterday can cover early
                 // today, so evaluate yesterday's window too.
                 for d in [day - 1.0, day] {
-                    let (start, dur) = self.daily_window(
-                        key,
-                        d as i64,
-                        onset_hours,
-                        duration_hours,
-                        sigma_start,
-                        sigma_duration,
-                    );
+                    let (start, dur) = window(d as i64);
                     let offset = (day - d) * 24.0; // 24 when looking at yesterday
                     let t = tod_h + offset;
                     if t >= start && t < start + dur {
@@ -136,28 +130,32 @@ impl AddressBehavior {
         }
     }
 
-    /// That day's realized (onset, duration) in hours, with per-day noise.
-    fn daily_window(
-        &self,
-        key: AddrKey,
-        day: i64,
-        onset: f64,
-        duration: f64,
-        sigma_start: f64,
-        sigma_duration: f64,
-    ) -> (f64, f64) {
+    /// That local day's realized (onset, duration) in hours, with per-day
+    /// noise. A function of `(key, day)` only; `(0, 0)` — never up — for
+    /// anything but a diurnal address.
+    pub(crate) fn daily_window(&self, key: AddrKey, day: i64) -> (f64, f64) {
+        let AddressBehavior::Diurnal {
+            onset_hours,
+            duration_hours,
+            sigma_start,
+            sigma_duration,
+            ..
+        } = *self
+        else {
+            return (0.0, 0.0);
+        };
         let day_u = day as u64;
         let start = if sigma_start > 0.0 {
             let mut rng = KeyedRng::from_parts(&key.parts(STREAM_ONSET, day_u));
-            onset + rng.normal() * sigma_start
+            onset_hours + rng.normal() * sigma_start
         } else {
-            onset
+            onset_hours
         };
         let dur = if sigma_duration > 0.0 {
             let mut rng = KeyedRng::from_parts(&key.parts(STREAM_DURATION, day_u));
-            (duration + rng.normal() * sigma_duration).clamp(0.0, 24.0)
+            (duration_hours + rng.normal() * sigma_duration).clamp(0.0, 24.0)
         } else {
-            duration
+            duration_hours
         };
         (start, dur)
     }
@@ -165,18 +163,21 @@ impl AddressBehavior {
     /// Probability the address answers a probe at `time` (0, or its `avail`
     /// while up). This is the ground-truth expectation the estimators chase.
     pub fn response_probability(&self, key: AddrKey, time: u64) -> f64 {
+        self.response_probability_given(time, |day| self.daily_window(key, day))
+    }
+
+    /// [`response_probability`](Self::response_probability) over a
+    /// caller-supplied window source (see [`is_up_given`](Self::is_up_given)).
+    pub(crate) fn response_probability_given(
+        &self,
+        time: u64,
+        window: impl FnMut(i64) -> (f64, f64),
+    ) -> f64 {
         match *self {
             AddressBehavior::Inactive => 0.0,
             AddressBehavior::On { avail } => avail,
-            AddressBehavior::Periodic { avail, .. } => {
-                if self.is_up(key, time) {
-                    avail
-                } else {
-                    0.0
-                }
-            }
-            AddressBehavior::Diurnal { avail, .. } => {
-                if self.is_up(key, time) {
+            AddressBehavior::Periodic { avail, .. } | AddressBehavior::Diurnal { avail, .. } => {
+                if self.is_up_given(time, window) {
                     avail
                 } else {
                     0.0

@@ -7,8 +7,18 @@
 //! address's behaviour in O(1). That keeps a multi-hundred-thousand-block
 //! world in a few tens of megabytes while remaining bit-for-bit
 //! reproducible.
+//!
+//! Deriving is cheap once and wasteful 11 000 times: a 35-day probing run
+//! asks about the same ≤ 256 addresses a few times a day, and each ask
+//! re-derives the behaviour and re-draws two days' up-windows that only
+//! depend on `(block, addr)` and `(block, addr, day)`. [`ProbeMemo`] keeps
+//! those per block — ≈26 KB owned by whoever probes — and answers
+//! [`ProbeMemo::probe`] / [`ProbeMemo::probe_outcome`] through the very
+//! bodies behind [`BlockSpec::probe`] / [`BlockSpec::probe_outcome`]: one
+//! expression tree, values either derived on the spot or read back.
 
 use crate::behavior::{AddrKey, AddressBehavior};
+use crate::world::A12W_START;
 use sleepwatch_geoecon::allocation::YearMonth;
 use sleepwatch_geoecon::rng::KeyedRng;
 
@@ -336,11 +346,17 @@ impl BlockSpec {
     /// Drift-adjusted probability that `addr` answers a probe at `time`
     /// (0 during outages).
     pub fn response_probability(&self, addr: u8, time: u64) -> f64 {
+        self.response_probability_via(&mut Derived, addr, time)
+    }
+
+    fn response_probability_via(&self, source: &mut impl Schedules, addr: u8, time: u64) -> f64 {
         if self.in_outage(time) {
             return 0.0;
         }
         let key = AddrKey { seed: self.seed, block: self.id, addr };
-        let mut p = self.behavior_of(addr).response_probability(key, time);
+        let behavior = source.behavior(self, addr);
+        let mut p =
+            behavior.response_probability_given(time, |day| source.window(&behavior, key, day));
         if p <= 0.0 {
             return 0.0;
         }
@@ -357,7 +373,11 @@ impl BlockSpec {
     /// Samples one probe of `addr` at `time`. Deterministic in
     /// `(block, addr, time)`, so full runs replay exactly.
     pub fn probe(&self, addr: u8, time: u64) -> bool {
-        let p = self.response_probability(addr, time);
+        self.probe_via(&mut Derived, addr, time)
+    }
+
+    fn probe_via(&self, source: &mut impl Schedules, addr: u8, time: u64) -> bool {
+        let p = self.response_probability_via(source, addr, time);
         if p <= 0.0 {
             false
         } else if p >= 1.0 {
@@ -381,6 +401,10 @@ impl BlockSpec {
     /// timeouts, and — during routed outages — explicit unreachable errors
     /// from upstream routers.
     pub fn probe_outcome(&self, addr: u8, time: u64) -> ProbeOutcome {
+        self.probe_outcome_via(&mut Derived, addr, time)
+    }
+
+    fn probe_outcome_via(&self, source: &mut impl Schedules, addr: u8, time: u64) -> ProbeOutcome {
         if self.in_outage(time) {
             let unreachable = sleepwatch_geoecon::rng::chance_at(
                 Self::OUTAGE_UNREACHABLE_RATE,
@@ -388,7 +412,7 @@ impl BlockSpec {
             );
             return if unreachable { ProbeOutcome::Unreachable } else { ProbeOutcome::Timeout };
         }
-        if self.probe(addr, time) {
+        if self.probe_via(source, addr, time) {
             ProbeOutcome::Reply
         } else {
             // A live block's unanswering addresses just drop the probe;
@@ -424,6 +448,158 @@ impl BlockSpec {
                 self.behavior_of(addr).is_up(key, time)
             })
             .count()
+    }
+}
+
+/// Where a probe evaluation reads an address's schedule from: its
+/// [`AddressBehavior`] (a function of `(block, addr)`) and the realized
+/// up-window of one local day (a function of `(block, addr, day)`). The
+/// `*_via` bodies on [`BlockSpec`] are written once over this trait, so
+/// the derive-on-the-spot and memoised callers evaluate one expression
+/// tree on the same values.
+trait Schedules {
+    fn behavior(&mut self, block: &BlockSpec, addr: u8) -> AddressBehavior;
+    fn window(&mut self, behavior: &AddressBehavior, key: AddrKey, day: i64) -> (f64, f64);
+}
+
+/// Derives everything afresh on every call (the public `BlockSpec` API).
+struct Derived;
+
+impl Schedules for Derived {
+    fn behavior(&mut self, block: &BlockSpec, addr: u8) -> AddressBehavior {
+        block.behavior_of(addr)
+    }
+
+    fn window(&mut self, behavior: &AddressBehavior, key: AddrKey, day: i64) -> (f64, f64) {
+        behavior.daily_window(key, day)
+    }
+}
+
+/// One local day's realized up-window, tagged by its day number.
+#[derive(Debug, Clone, Copy)]
+struct DayWindow {
+    day: i64,
+    start: f64,
+    dur: f64,
+}
+
+/// No probe time maps to this day (`u64::MAX` seconds is day ≈ 2·10¹⁴).
+const NO_DAY: i64 = i64::MIN;
+
+/// Memo state of one physical address.
+#[derive(Debug, Clone, Copy)]
+struct AddrMemo {
+    behavior: Option<AddressBehavior>,
+    /// Ring indexed by `day & 1`. A probe reads only its local `day − 1`
+    /// and `day`, which land in different entries, and probe time is
+    /// monotone within a run, so two entries hold everything a run
+    /// re-reads. The tag makes any other access order a miss, not an error.
+    windows: [DayWindow; 2],
+}
+
+impl AddrMemo {
+    const EMPTY: AddrMemo =
+        AddrMemo { behavior: None, windows: [DayWindow { day: NO_DAY, start: 0.0, dur: 0.0 }; 2] };
+}
+
+/// Per-block memo of what a probe re-derives but `time` does not change:
+/// each address's behaviour and its two most recent daily windows.
+///
+/// [`probe`](Self::probe) and [`probe_outcome`](Self::probe_outcome)
+/// return exactly what the [`BlockSpec`] methods of the same name do —
+/// they run the same bodies and only skip re-drawing values already
+/// drawn — for any address (all 256 octets have an entry: a churned walk
+/// may hold inactive ones) and any time sequence. ≈26 KB, allocated on the
+/// first [`reset`](Self::reset) and reused from then on.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeMemo {
+    seed: u64,
+    id: u64,
+    addrs: Vec<AddrMemo>,
+}
+
+impl ProbeMemo {
+    /// A memo for `block`.
+    pub fn new(block: &BlockSpec) -> Self {
+        let mut memo = ProbeMemo::default();
+        memo.reset(block);
+        memo
+    }
+
+    /// Forgets everything and binds the memo to `block`. Must precede the
+    /// first probe of a block, and follow any edit of the block's profile,
+    /// lease or permutation.
+    pub fn reset(&mut self, block: &BlockSpec) {
+        self.seed = block.seed;
+        self.id = block.id;
+        self.addrs.clear();
+        self.addrs.resize(256, AddrMemo::EMPTY);
+    }
+
+    /// Heap bytes currently reserved.
+    pub fn footprint_bytes(&self) -> usize {
+        self.addrs.capacity() * std::mem::size_of::<AddrMemo>()
+    }
+
+    /// [`BlockSpec::probe`] through the memo.
+    pub fn probe(&mut self, block: &BlockSpec, addr: u8, time: u64) -> bool {
+        self.debug_check(block);
+        block.probe_via(self, addr, time)
+    }
+
+    /// [`BlockSpec::probe_outcome`] through the memo.
+    pub fn probe_outcome(&mut self, block: &BlockSpec, addr: u8, time: u64) -> ProbeOutcome {
+        self.debug_check(block);
+        block.probe_outcome_via(self, addr, time)
+    }
+
+    fn debug_check(&self, block: &BlockSpec) {
+        debug_assert!(
+            self.addrs.len() == 256 && (self.seed, self.id) == (block.seed, block.id),
+            "memo was reset for block ({}, {}), probed as ({}, {})",
+            self.seed,
+            self.id,
+            block.seed,
+            block.id
+        );
+    }
+
+    /// Test-only: fills the memo with a *different* block's behaviours for
+    /// every octet and always-up windows tagged with the day numbers a run
+    /// starting at time 0 or at [`A12W_START`] reads first, so a prober that
+    /// skipped [`reset`](Self::reset) would consume them.
+    #[doc(hidden)]
+    pub fn poison(&mut self, seed: u64) {
+        let mut profile = BlockProfile::always_on(0, 0.5);
+        profile.n_diurnal = 256;
+        profile.diurnal_avail = 1.0;
+        let other = BlockSpec::bare(seed ^ 0x5EED, seed, profile);
+        self.reset(&other);
+        for (addr, memo) in self.addrs.iter_mut().enumerate() {
+            memo.behavior = Some(other.behavior_of(addr as u8));
+            // Local days −1..=0 around the start (the offset decides which
+            // is "today"), alternating between the two start times.
+            let start = if addr & 1 == 0 { 0 } else { A12W_START };
+            let day = (start / 86_400) as i64 - ((addr >> 1) & 1) as i64;
+            for d in [day - 1, day] {
+                memo.windows[(d & 1) as usize] = DayWindow { day: d, start: 0.0, dur: 48.0 };
+            }
+        }
+    }
+}
+
+impl Schedules for ProbeMemo {
+    fn behavior(&mut self, block: &BlockSpec, addr: u8) -> AddressBehavior {
+        *self.addrs[addr as usize].behavior.get_or_insert_with(|| block.behavior_of(addr))
+    }
+
+    fn window(&mut self, behavior: &AddressBehavior, key: AddrKey, day: i64) -> (f64, f64) {
+        let w = &mut self.addrs[key.addr as usize].windows[(day & 1) as usize];
+        if w.day != day {
+            let (start, dur) = behavior.daily_window(key, day);
+            *w = DayWindow { day, start, dur };
+        }
+        (w.start, w.dur)
     }
 }
 
@@ -610,5 +786,24 @@ mod tests {
     fn bare_block_planted_flag_follows_majority() {
         assert!(!BlockSpec::bare(1, 1, BlockProfile::always_on(100, 0.5)).planted_diurnal);
         assert!(BlockSpec::bare(1, 1, diurnal_profile()).planted_diurnal);
+    }
+
+    #[test]
+    fn memo_stays_near_26_kb_and_allocates_once() {
+        let b = BlockSpec::bare(1, 2, diurnal_profile());
+        let mut memo = ProbeMemo::new(&b);
+        let bytes = memo.footprint_bytes();
+        assert!((20 << 10..28 << 10).contains(&bytes), "{bytes} bytes");
+        memo.reset(&BlockSpec::bare(2, 2, diurnal_profile()));
+        assert_eq!(memo.footprint_bytes(), bytes);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "memo was reset for block")]
+    fn memo_refuses_a_block_it_was_not_reset_for() {
+        let a = BlockSpec::bare(1, 2, diurnal_profile());
+        let b = BlockSpec::bare(2, 2, diurnal_profile());
+        ProbeMemo::new(&a).probe(&b, 0, 0);
     }
 }

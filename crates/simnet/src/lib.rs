@@ -7,7 +7,10 @@
 //!   duration, per-day `σ_s`/`σ_d` noise, §3.2.2), inactive — as pure
 //!   functions of `(seed, block, address, time)`;
 //! * [`block`]: compact /24 specs that derive any address's behaviour in
-//!   O(1), with injected outages and ground-truth availability;
+//!   O(1), with injected outages and ground-truth availability, plus
+//!   [`ProbeMemo`], which lets a prober that revisits a block's addresses
+//!   for weeks draw each address's schedule once (same answers, byte for
+//!   byte);
 //! * [`world`]: a calibrated population of blocks across ~55 countries,
 //!   planting the paper's country fractions, phase/longitude structure,
 //!   allocation-age gradient and link-technology correlations;
@@ -41,7 +44,9 @@ pub mod rdns;
 pub mod world;
 
 pub use behavior::{AddrKey, AddressBehavior};
-pub use block::{is_weekend, BlockProfile, BlockSpec, LeaseParams, LinkClass, ProbeOutcome};
+pub use block::{
+    is_weekend, BlockProfile, BlockSpec, LeaseParams, LinkClass, ProbeMemo, ProbeOutcome,
+};
 pub use campus::{generate_campus, CampusConfig, CampusUse};
 pub use controlled::ControlledConfig;
 pub use rdns::{ptr_name, ptr_names};

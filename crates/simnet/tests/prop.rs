@@ -2,7 +2,9 @@
 //! bijectivity, and behavioural invariants over arbitrary parameters.
 
 use proptest::prelude::*;
-use sleepwatch_simnet::{AddrKey, AddressBehavior, BlockProfile, BlockSpec};
+use sleepwatch_simnet::{
+    AddrKey, AddressBehavior, BlockProfile, BlockSpec, LeaseParams, ProbeMemo, A12W_START,
+};
 
 fn arb_profile() -> impl Strategy<Value = BlockProfile> {
     (
@@ -29,6 +31,40 @@ fn arb_profile() -> impl Strategy<Value = BlockProfile> {
             sigma_duration: 0.5,
             utc_offset_hours: tz,
         })
+}
+
+/// A block exercising every input the probe functions read: per-day noise
+/// on or off, any timezone, lease sweeps, an outage, weekend scaling,
+/// drift and a non-identity address permutation.
+fn arb_block() -> impl Strategy<Value = BlockSpec> {
+    let noise = (prop::option::of(0.05f64..4.0), prop::option::of(0.05f64..4.0), -11i32..=12);
+    // One block in four is a lease sweep; the rest draw daily windows.
+    let lease = (0u8..4, 2.0f64..30.0, 0.1f64..1.0);
+    let extras = (
+        prop::option::of((0u64..(8 * 86_400), 0u64..(2 * 86_400))), // outage start, length
+        prop::option::of(0.3f64..1.0),                              // weekend scale
+        prop::option::of(-5.0f64..5.0),                             // drift
+        0u8..=255,                                                  // perm offset
+        0u8..=127,                                                  // perm step / 2
+    );
+    (arb_profile(), noise, lease, extras, 0u64..1000, any::<bool>()).prop_map(
+        |(mut profile, (ss, sd, tz), lease, (outage, weekend, drift, off, step), seed, a12w)| {
+            profile.sigma_start = ss.unwrap_or(0.0);
+            profile.sigma_duration = sd.unwrap_or(0.0);
+            profile.utc_offset_hours = tz as f64;
+            let epoch = if a12w { A12W_START } else { 0 };
+            let mut b = BlockSpec::bare(seed ^ 0xB10C, seed, profile);
+            let (pick, period_hours, duty) = lease;
+            b.lease = (pick == 0).then_some(LeaseParams { period_hours, duty });
+            b.outage = outage.map(|(s, len)| (epoch + s, epoch + s + len));
+            b.weekend_scale = weekend.unwrap_or(1.0);
+            b.drift_addr_per_day = drift.unwrap_or(0.0);
+            b.drift_ref = epoch;
+            b.perm_offset = off;
+            b.perm_step = step * 2 + 1;
+            b
+        },
+    )
 }
 
 proptest! {
@@ -131,5 +167,38 @@ proptest! {
         // Slots ≥ 100 are inactive.
         let addr = b.slot_to_addr(200);
         prop_assert!(!b.probe(addr, time));
+    }
+    /// One memo driven through an arbitrary time sequence — ascending by
+    /// rounds, repeated instants, backwards jumps, ±3-day jumps — answers
+    /// every octet exactly as the memo-less functions do at every step.
+    #[test]
+    fn memo_matches_direct_on_any_time_sequence(
+        block in arb_block(),
+        steps in prop::collection::vec((0u8..7, 1u64..=40), 30..90),
+    ) {
+        // Far enough in that backwards jumps have room.
+        let mut time = block.drift_ref + 4 * 86_400;
+        let mut memo = ProbeMemo::new(&block);
+        for (kind, n) in steps {
+            time = match kind {
+                0..=2 => time + n * 660,
+                3 => time,
+                4 => time.saturating_sub(n * 5 * 660),
+                5 => time + 3 * 86_400,
+                _ => time.saturating_sub(3 * 86_400),
+            };
+            for addr in 0..=255u8 {
+                prop_assert_eq!(
+                    memo.probe_outcome(&block, addr, time),
+                    block.probe_outcome(addr, time),
+                    "probe_outcome, addr {} at {}", addr, time
+                );
+                prop_assert_eq!(
+                    memo.probe(&block, addr, time),
+                    block.probe(addr, time),
+                    "probe, addr {} at {}", addr, time
+                );
+            }
+        }
     }
 }

@@ -57,5 +57,5 @@ pub use fft::{dft_naive, fft, fft_real, ifft};
 pub use goertzel::{diurnal_energy_ratio, goertzel, goertzel_amplitude};
 pub use lombscargle::LombScargle;
 pub use periodogram::{Spectrum, SpectrumScratch, DAY_SECONDS, ROUND_SECONDS};
-pub use plan::{plan_for, prewarm, BatchRealScratch, FftPlan, MAX_BATCH_LANES};
+pub use plan::{plan_for, prewarm, BatchRealScratch, FftPlan, MAX_BATCH_LANES, MAX_PLAN_LEN};
 pub use stationarity::{linear_fit, trend, trend_default, TrendConfig, TrendReport};

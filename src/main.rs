@@ -48,6 +48,7 @@ use sleepwatch::probing::transport::{
     TcpConfig, TcpEventSource, TransportError,
 };
 use sleepwatch::simnet::{BlockProfile, BlockSpec, World, WorldConfig, WorldSource};
+use sleepwatch::spectral::MAX_PLAN_LEN;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -178,7 +179,17 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
         let flag = arg.as_str();
         match flag {
             "--blocks" => a.blocks = flag_value(flag, it.next()),
-            "--days" => a.days = flag_value(flag, it.next()),
+            "--days" => {
+                a.days = flag_value(flag, it.next());
+                // NaN and negative spans cast to zero rounds.
+                let rounds = World::rounds_in_days(a.days);
+                if !a.days.is_finite() || rounds == 0 {
+                    bad_flag(flag, "must be a finite span of at least one probing round");
+                }
+                if rounds > MAX_PLAN_LEN {
+                    bad_flag(flag, &format!("spans more than {MAX_PLAN_LEN} probing rounds"));
+                }
+            }
             "--seed" => a.seed = flag_value(flag, it.next()),
             "--threads" => a.threads = flag_value(flag, it.next()),
             "--shards" => a.shards = flag_value(flag, it.next()),

@@ -163,6 +163,32 @@ fn sleepwatch_feed_file_round_trips_into_ingest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `sleepwatch <command> <args>` exits 2 with the single stderr line
+/// `sleepwatch: <args[0]>: …`.
+fn assert_flag_refused(command: &str, args: &[&str]) {
+    let flag = args[0];
+    let Some(mut cmd) = bin("sleepwatch") else { return };
+    let out = cmd.arg(command).args(args).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(2), "{command} {args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with(&format!("sleepwatch: {flag}:")), "{command} {args:?}: {err}");
+    assert_eq!(err.lines().count(), 1, "{command} {args:?}: {err}");
+    assert!(!err.contains("panic"), "{err}");
+}
+
+/// A `--days` that is not a finite span of at least one round, or longer
+/// than the FFT planner accepts, is refused up front by every command
+/// that builds a world from it — not a planner panic (`1e7`, `inf`) or a
+/// silent zero-round analysis (`nan`, `-3`, `0`).
+#[test]
+fn sleepwatch_days_is_validated_by_every_world_command() {
+    for command in ["analyze", "block", "ingest", "feed"] {
+        for days in ["nan", "inf", "-3", "0", "1e7"] {
+            assert_flag_refused(command, &["--days", days, "--blocks", "2"]);
+        }
+    }
+}
+
 /// Malformed, out-of-range or missing flag values exit 2 with one line
 /// naming the offending flag — never the usage dump, never a panic.
 #[test]
@@ -184,14 +210,7 @@ fn sleepwatch_transport_flags_reject_malformed_values() {
         &["--journal"],
         &["--connect"],
     ] {
-        let flag = args[0];
-        let Some(mut cmd) = bin("sleepwatch") else { return };
-        let out = cmd.arg("ingest").args(args).output().expect("spawn");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.starts_with(&format!("sleepwatch: {flag}:")), "{args:?}: {err}");
-        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
-        assert!(!err.contains("panic"), "{err}");
+        assert_flag_refused("ingest", args);
     }
 
     // Mutually exclusive sources are refused readably.
