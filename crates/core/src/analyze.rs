@@ -266,7 +266,7 @@ pub(crate) fn classify_probed(
 ) -> (BlockSummary, DiurnalReport, TrendReport) {
     let obs = sleepwatch_obs::global();
     let spectrum = scratch.spectrum.spectrum();
-    let (diurnal, trend) = {
+    let (diurnal, trend, strongest_cpd) = {
         let _t = StageTimer::start(obs.pipeline.stage(Stage::Classify));
         let mut diurnal = classify(spectrum, &cfg.diurnal);
         if probed.fill_fraction > cfg.max_fill_fraction {
@@ -275,9 +275,10 @@ pub(crate) fn classify_probed(
             diurnal.phase = None;
             obs.pipeline.blocks_rejected.incr();
         }
-        (diurnal, trend_default(&scratch.series))
+        let strongest_cpd =
+            spectrum.strongest_bin().map(|k| spectrum.cycles_per_day(k)).unwrap_or(0.0);
+        (diurnal, trend_default(&scratch.series), strongest_cpd)
     };
-    let strongest_cpd = spectrum.strongest_bin().map(|k| spectrum.cycles_per_day(k)).unwrap_or(0.0);
     let mean_a_short = if scratch.series.is_empty() {
         0.0
     } else {

@@ -7,14 +7,16 @@
 //! ```
 //!
 //! Availability timeseries have awkward lengths — 11-minute rounds give
-//! 1833 samples for a two-week survey and 4582 for a 35-day adaptive run —
-//! so a radix-2 transform alone is not enough. This module provides:
+//! 1833 samples for a two-week survey and 4582 for a 35-day adaptive run
+//! (the prime 4451 once trimmed to whole days) — so a radix-2 transform
+//! alone is not enough. This module provides:
 //!
 //! * [`fft`] / [`ifft`]: arbitrary-length transforms. Powers of two run the
 //!   iterative radix-2 Cooley–Tukey kernel directly; other lengths go through
 //!   Bluestein's chirp-z algorithm (power-of-two FFTs under the hood).
 //! * [`fft_real`]: real-valued input, taking the packed half-length path for
-//!   even lengths.
+//!   even lengths and, for odd ones, a Bluestein convolution that delivers
+//!   bins `0..=n/2` only (the rest is their mirror).
 //! * [`dft_naive`]: the O(n²) definition, kept as an oracle for tests.
 //!
 //! All three transparently use the global plan cache

@@ -115,11 +115,16 @@ impl Spectrum {
     }
 
     /// The bin in `1..=n/2` with the largest amplitude, or `None` for series
-    /// shorter than 2 samples.
+    /// shorter than 2 samples. Of equal maxima the last wins, and a NaN
+    /// amplitude displaces whatever came before it.
     pub fn strongest_bin(&self) -> Option<usize> {
-        (1..=self.nyquist_bin()).max_by(|&a, &b| {
-            self.amplitude(a).partial_cmp(&self.amplitude(b)).unwrap_or(std::cmp::Ordering::Equal)
-        })
+        let mut best: Option<(usize, f64)> = None;
+        for (k, amp) in self.half_amplitudes() {
+            if !best.is_some_and(|(_, top)| top > amp) {
+                best = Some((k, amp));
+            }
+        }
+        best.map(|(k, _)| k)
     }
 
     /// The bin whose frequency is nearest to one cycle per day. For a series
@@ -287,6 +292,42 @@ mod tests {
         let series = tone(n, 10.0, 0.01, 100.0);
         let s = Spectrum::compute(&series, 1.0);
         assert_eq!(s.strongest_bin(), Some(10));
+    }
+
+    /// The two-`hypot`-per-comparison expression `strongest_bin` replaced.
+    fn strongest_bin_by_max_by(s: &Spectrum) -> Option<usize> {
+        (1..=s.nyquist_bin()).max_by(|&a, &b| {
+            s.amplitude(a).partial_cmp(&s.amplitude(b)).unwrap_or(std::cmp::Ordering::Equal)
+        })
+    }
+
+    #[test]
+    fn strongest_bin_keeps_the_tie_and_nan_rules() {
+        let spectrum = |amps: &[f64]| {
+            // Bins 1..=n/2 of an even-length spectrum carry `amps`.
+            let mut coeffs = vec![Complex::ZERO; 2 * amps.len()];
+            for (k, &a) in amps.iter().enumerate() {
+                coeffs[k + 1] = Complex::new(a, 0.0);
+            }
+            Spectrum { coeffs, sample_period: 1.0 }
+        };
+        let nan = f64::NAN;
+        let cases: [(&[f64], usize); 6] = [
+            (&[1.0, 5.0, 2.0, 5.0, 3.0], 4), // equal peaks: the later bin
+            (&[0.0, 0.0, 0.0], 3),
+            (&[1.0, nan, 0.5], 3), // NaN displaces, and is displaced
+            (&[1.0, nan, 2.0, 0.5], 3),
+            (&[3.0, 1.0, nan], 3),
+            (&[nan, 1.0], 2),
+        ];
+        for (amps, want) in cases {
+            let s = spectrum(amps);
+            assert_eq!(s.strongest_bin(), Some(want), "{amps:?}");
+            assert_eq!(s.strongest_bin(), strongest_bin_by_max_by(&s), "{amps:?}");
+        }
+        // And on a real spectrum with noise-level ties nowhere near exact.
+        let s = Spectrum::compute_rounds(&tone(1833, 14.0, 0.3, 0.5));
+        assert_eq!(s.strongest_bin(), strongest_bin_by_max_by(&s));
     }
 
     #[test]

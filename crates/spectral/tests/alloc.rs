@@ -7,7 +7,7 @@
 //! own threads (output capture, progress printing) cannot perturb the
 //! counted window.
 
-use sleepwatch_spectral::{plan_for, Complex};
+use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, MAX_BATCH_LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -60,9 +60,10 @@ fn assert_no_allocations(label: &str, mut f: impl FnMut()) {
 
 #[test]
 fn steady_state_transforms_do_not_allocate() {
-    // Radix-2 (2048), odd Bluestein (1833), even Bluestein (4582): the
-    // paper's lengths, covering every plan kind and the packed real path.
-    for n in [2_048usize, 1_833, 4_582] {
+    // Radix-2 (2048), odd Bluestein (1833; 131 and 4451, whose real path
+    // convolves at half the complex length), even Bluestein (4582): every
+    // plan kind, the packed real path and the lengths world runs produce.
+    for n in [2_048usize, 131, 1_833, 4_451, 4_582] {
         let plan = plan_for(n);
         let series: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.5).collect();
         let mut buf: Vec<Complex> = series.iter().map(|&x| Complex::from_re(x)).collect();
@@ -78,6 +79,14 @@ fn steady_state_transforms_do_not_allocate() {
         });
         assert_no_allocations(&format!("real n={n}"), || {
             plan.real_with_scratch(&series, &mut out, &mut real_scratch);
+        });
+
+        let inputs = [series.as_slice(); MAX_BATCH_LANES];
+        let mut outs = vec![vec![Complex::ZERO; n]; MAX_BATCH_LANES];
+        let mut out_refs: Vec<&mut [Complex]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut batch_scratch = BatchRealScratch::new();
+        assert_no_allocations(&format!("batch n={n}"), || {
+            plan.real_batch_with_scratch(&inputs, &mut out_refs, &mut batch_scratch);
         });
     }
 }

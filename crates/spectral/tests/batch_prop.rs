@@ -55,8 +55,11 @@ fn assert_bit_identical(a: &[Vec<Complex>], b: &[Vec<Complex>], ctx: &str) {
 }
 
 /// Lengths covering every plan kind: tiny, pure radix-2, even lengths whose
-/// half is radix-2 or Bluestein, odd Bluestein, and both survey lengths.
-const LENGTHS: &[usize] = &[1, 2, 3, 4, 6, 9, 12, 16, 30, 33, 100, 128, 257, 1833, 4582];
+/// half is radix-2 or Bluestein, odd Bluestein with the shortened real
+/// convolution (131, 4451) and without (393, 1833), and the lengths world
+/// runs produce (131, 393 and 4451 after the midnight trim).
+const LENGTHS: &[usize] =
+    &[1, 2, 3, 4, 6, 9, 12, 16, 30, 33, 100, 128, 131, 257, 393, 1833, 4451, 4582];
 
 fn series_group(n: usize, lanes: usize, seed: u64) -> Vec<Vec<f64>> {
     // Cheap deterministic values with varied magnitudes and signs.
@@ -150,6 +153,18 @@ fn batch_scratch_is_grow_only() {
         batched(&plan, &series, &mut scratch);
         assert_eq!(scratch.footprint_bytes(), warm, "n={n} grew a warm scratch");
     }
+}
+
+/// The odd-length path works in the two convolution planes alone: eight
+/// lanes at the 35-day length are 2 × 8192 × 8 `f64` = 1 MiB.
+#[test]
+fn world_length_batch_fits_in_two_convolution_planes() {
+    let mut scratch = BatchRealScratch::new();
+    let plan = plan_for(4451);
+    batched(&plan, &series_group(4451, 8, 3), &mut scratch);
+    let bytes = scratch.footprint_bytes();
+    const MIB: usize = 1 << 20;
+    assert!((MIB..MIB + MIB / 4).contains(&bytes), "footprint {bytes} B");
 }
 
 #[test]

@@ -181,3 +181,83 @@ proptest! {
         prop_assert_eq!(a.len(), n);
     }
 }
+
+// The odd-length real transform convolves for bins 0..=n/2 only, at
+// `(n + n/2).next_power_of_two()` points, and mirrors the rest.
+
+/// Every odd length to 301, then both sides of each `2^p/1.5` boundary
+/// (at 683 and 2731 `n + n/2` is the power of two itself, so the filter's
+/// front and back tap runs touch) plus the lengths surveys produce.
+fn odd_lengths() -> impl Iterator<Item = usize> {
+    (3..=301).step_by(2).chain([393, 683, 685, 1365, 1367, 1833, 2731, 2733, 4451, 5461, 5463])
+}
+
+fn real_series(n: usize) -> Vec<f64> {
+    (0..n).map(|i| 0.6 + (i as f64 * 0.37).sin() + 0.25 * (i as f64 * 1.9).cos()).collect()
+}
+
+fn widened(xs: &[f64]) -> Vec<Complex> {
+    xs.iter().map(|&x| Complex::from_re(x)).collect()
+}
+
+#[test]
+fn odd_real_lower_half_matches_complex_transform() {
+    for n in odd_lengths() {
+        let xs = real_series(n);
+        let real = fft_real(&xs);
+        assert_eq!(real.len(), n);
+        let tol = 1e-9 * n as f64;
+        let full = fft(&widened(&xs));
+        for k in 0..=n / 2 {
+            assert!(
+                (real[k] - full[k]).abs() <= tol,
+                "n={n} bin {k}: {:?} vs {:?}",
+                real[k],
+                full[k]
+            );
+        }
+        if n <= 301 {
+            let naive = dft_naive(&widened(&xs));
+            for k in 0..=n / 2 {
+                assert!((real[k] - naive[k]).abs() <= tol, "n={n} bin {k} vs naive");
+            }
+        }
+    }
+}
+
+#[test]
+fn odd_real_upper_half_is_the_exact_mirror() {
+    for n in odd_lengths() {
+        let real = fft_real(&real_series(n));
+        for k in 1..=n / 2 {
+            let (lo, hi) = (real[k].conj(), real[n - k]);
+            assert_eq!(
+                (hi.re.to_bits(), hi.im.to_bits()),
+                (lo.re.to_bits(), lo.im.to_bits()),
+                "n={n} bin {}",
+                n - k
+            );
+        }
+    }
+}
+
+/// Where the real convolution is as long as the complex one the plan runs
+/// it on the complex path's own tables, so the lower half is the complex
+/// transform's to the bit.
+#[test]
+fn odd_real_lower_half_is_bitwise_complex_where_convolutions_coincide() {
+    for n in [393usize, 1833] {
+        let plan = plan_for(n);
+        assert_eq!(plan.real_scratch_len(), plan.scratch_len(), "n={n}");
+        let xs = real_series(n);
+        let real = plan.fft_real(&xs);
+        let full = plan.fft(&widened(&xs));
+        for k in 0..=n / 2 {
+            assert_eq!(
+                (real[k].re.to_bits(), real[k].im.to_bits()),
+                (full[k].re.to_bits(), full[k].im.to_bits()),
+                "n={n} bin {k}"
+            );
+        }
+    }
+}
