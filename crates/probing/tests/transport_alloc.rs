@@ -1,0 +1,124 @@
+//! Proves the `SLPWFEED` codec's steady state is allocation-free on both
+//! sides of the wire.
+//!
+//! A counting global allocator wraps `System`; each scenario warms up on
+//! one frame (buffer growth, lazy statics), then asserts the allocation
+//! counter does not move while 64 further 256-event frames are encoded or
+//! drained. The counter is *thread-local* so the test harness's own
+//! threads cannot perturb the counted window.
+
+use sleepwatch_framing::RunIdentity;
+use sleepwatch_probing::stream::RoundEvent;
+use sleepwatch_probing::transport::{encode_frame, write_feed, EventSource, FileSource, Frame};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+std::thread_local! {
+    // const-initialized: reading it from inside the allocator never
+    // triggers a lazy (allocating) initialization.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(|c| c.get())
+}
+
+const FRAME_EVENTS: usize = 256;
+const FRAMES: usize = 65; // one warm-up frame, 64 counted
+
+fn ident() -> RunIdentity {
+    RunIdentity { world_seed: 7, num_blocks: 16, rounds: 1_040, start_time: 1_000 }
+}
+
+/// `FRAMES` frames' worth of events, a `Finish` every 100th so both
+/// record sizes are on the wire.
+fn events() -> Vec<RoundEvent> {
+    (0..(FRAMES * FRAME_EVENTS) as u64)
+        .map(|i| match i % 100 {
+            99 => RoundEvent::Finish { block_id: i % 16, outages: 1, total_probes: i },
+            _ => RoundEvent::Round { block_id: i % 16, round: i / 16, a_short: 0.5 },
+        })
+        .collect()
+}
+
+#[test]
+fn steady_state_encoding_does_not_allocate() {
+    let frames: Vec<Frame> = events()
+        .chunks(FRAME_EVENTS)
+        .enumerate()
+        .map(|(i, chunk)| Frame::Events { seq: (i * FRAME_EVENTS) as u64, events: chunk.to_vec() })
+        .collect();
+    let mut out = Vec::new();
+    encode_frame(&mut out, &frames[0], 0xDEAD_BEEF);
+    let before = allocations();
+    for frame in &frames[1..] {
+        out.clear();
+        encode_frame(&mut out, frame, 0xDEAD_BEEF);
+    }
+    let grew = allocations() - before;
+    assert_eq!(grew, 0, "encoding {} frames allocated {grew} times", frames.len() - 1);
+}
+
+#[test]
+fn write_feed_allocates_per_feed_not_per_frame() {
+    let events = events();
+    let count = |n_frames: usize| {
+        let before = allocations();
+        write_feed(
+            &mut std::io::sink(),
+            &events[..n_frames * FRAME_EVENTS],
+            &ident(),
+            FRAME_EVENTS,
+        )
+        .expect("write into a sink");
+        allocations() - before
+    };
+    let (short, long) = (count(1), count(FRAMES));
+    assert_eq!(short, long, "a {FRAMES}-frame feed allocated more often than a 1-frame feed");
+}
+
+#[test]
+fn steady_state_draining_does_not_allocate() {
+    let events = events();
+    let mut wire = Vec::new();
+    write_feed(&mut wire, &events, &ident(), FRAME_EVENTS).expect("write into memory");
+    let mut source = FileSource::new(&wire[..], &ident(), true).expect("own hello");
+    for _ in 0..FRAME_EVENTS {
+        source.next_event().expect("a clean feed").expect("the warm-up frame");
+    }
+    let before = allocations();
+    let mut drained = FRAME_EVENTS;
+    while let Some(ev) = source.next_event().expect("a clean feed") {
+        assert_eq!(ev, events[drained]);
+        drained += 1;
+    }
+    let grew = allocations() - before;
+    assert_eq!(drained, events.len());
+    assert!(source.stats().clean_end);
+    assert_eq!(grew, 0, "draining {} frames allocated {grew} times", FRAMES - 1);
+}

@@ -173,12 +173,24 @@ fn flag_value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
     v.parse().unwrap_or_else(|_| bad_flag(flag, &format!("malformed value {v:?}")))
 }
 
+/// Longest `--days` accepted: ten years. The FFT planner takes far longer
+/// spans than memory does — a million days passes its check and then
+/// allocates until killed. Ten years is 479 k rounds per block and a
+/// 1 Mi-point convolution per FFT lane; a one-thread run at the bound
+/// peaks near 300 MiB.
+const MAX_SPAN_DAYS: f64 = 3_660.0;
+
 fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
     let mut a = Args::default();
     while let Some(arg) = it.next() {
         let flag = arg.as_str();
         match flag {
-            "--blocks" => a.blocks = flag_value(flag, it.next()),
+            "--blocks" => {
+                a.blocks = flag_value(flag, it.next());
+                if a.blocks == 0 {
+                    bad_flag(flag, "must be at least 1");
+                }
+            }
             "--days" => {
                 a.days = flag_value(flag, it.next());
                 // NaN and negative spans cast to zero rounds.
@@ -188,6 +200,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
                 }
                 if rounds > MAX_PLAN_LEN {
                     bad_flag(flag, &format!("spans more than {MAX_PLAN_LEN} probing rounds"));
+                }
+                if a.days > MAX_SPAN_DAYS {
+                    bad_flag(flag, &format!("spans more than {MAX_SPAN_DAYS} days"));
                 }
             }
             "--seed" => a.seed = flag_value(flag, it.next()),

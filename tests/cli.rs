@@ -177,15 +177,25 @@ fn assert_flag_refused(command: &str, args: &[&str]) {
 }
 
 /// A `--days` that is not a finite span of at least one round, or longer
-/// than the FFT planner accepts, is refused up front by every command
-/// that builds a world from it — not a planner panic (`1e7`, `inf`) or a
-/// silent zero-round analysis (`nan`, `-3`, `0`).
+/// than the FFT planner or memory accepts, is refused up front by every
+/// command that builds a world from it — not a planner panic (`1e7`,
+/// `inf`), a silent zero-round analysis (`nan`, `-3`, `0`) or an
+/// allocation until killed (`1000000`, `3661`: past the ten-year bound).
 #[test]
 fn sleepwatch_days_is_validated_by_every_world_command() {
     for command in ["analyze", "block", "ingest", "feed"] {
-        for days in ["nan", "inf", "-3", "0", "1e7"] {
+        for days in ["nan", "inf", "-3", "0", "1e7", "1000000", "3661"] {
             assert_flag_refused(command, &["--days", days, "--blocks", "2"]);
         }
+    }
+}
+
+/// A world of no blocks is refused up front — not an empty report with
+/// exit 0, nor an 81-byte feed that ingests at "0 rounds/s".
+#[test]
+fn sleepwatch_refuses_a_zero_block_world() {
+    for command in ["analyze", "ingest", "feed"] {
+        assert_flag_refused(command, &["--blocks", "0", "--days", "1"]);
     }
 }
 
