@@ -25,7 +25,7 @@
 //! Bluestein filter), and every later call — from any thread — reuses those
 //! tables. Steady-state, allocation-free transforms are available on
 //! [`FftPlan`][crate::plan::FftPlan] directly. The unplanned seed kernels
-//! survive as [`crate::baseline`] for benchmarking and differential tests.
+//! survive in `sleepwatch-testkit` as the differential tests' reference.
 
 use crate::complex::Complex;
 use crate::plan::plan_for;

@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod acf;
-pub mod baseline;
 pub mod complex;
 pub mod diurnal;
 pub mod fft;

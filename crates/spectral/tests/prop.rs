@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use sleepwatch_spectral::{
-    autocorrelation, baseline, classify, dft_naive, fft, fft_real, goertzel, ifft, plan_for,
-    Complex, DiurnalConfig, LombScargle, Spectrum,
+    autocorrelation, classify, dft_naive, fft, fft_real, goertzel, ifft, plan_for, Complex,
+    DiurnalConfig, LombScargle, Spectrum,
 };
 
 fn complex_vec(max_len: usize) -> impl Strategy<Value = Vec<Complex>> {
@@ -127,51 +127,11 @@ proptest! {
     }
 }
 
-// Planned-path equivalence: the plan cache and scratch machinery must be
-// observationally identical to the unplanned seed kernels at any length.
+// The cache hands every caller one shared plan per length. (Planned vs
+// unplanned kernels are compared beside the reference kernels, in
+// `sleepwatch-testkit`'s `tests/oracles.rs`.)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn planned_and_unplanned_fft_agree_any_length(
-        n in 1usize..=4096,
-        seed in 0u64..1_000,
-    ) {
-        let xs: Vec<Complex> = (0..n)
-            .map(|i| {
-                let t = (i as u64).wrapping_mul(seed.wrapping_add(1)) as f64;
-                Complex::new((t * 0.013).sin(), (t * 0.007).cos())
-            })
-            .collect();
-        let planned = fft(&xs);
-        let unplanned = baseline::fft(&xs);
-        let scale = n as f64 * 2.0;
-        for (k, (a, b)) in planned.iter().zip(&unplanned).enumerate() {
-            prop_assert!((*a - *b).abs() < 1e-8 * scale, "bin {k}: {a:?} vs {b:?}");
-        }
-
-        let planned_inv = ifft(&xs);
-        let unplanned_inv = baseline::ifft(&xs);
-        for (k, (a, b)) in planned_inv.iter().zip(&unplanned_inv).enumerate() {
-            prop_assert!((*a - *b).abs() < 1e-8 * scale, "inv bin {k}: {a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn planned_and_unplanned_fft_real_agree_any_length(
-        n in 1usize..=4096,
-        seed in 0u64..1_000,
-    ) {
-        let xs: Vec<f64> = (0..n)
-            .map(|i| ((i as u64).wrapping_mul(seed.wrapping_add(7)) as f64 * 0.011).sin())
-            .collect();
-        let planned = fft_real(&xs);
-        let unplanned = baseline::fft_real(&xs);
-        let scale = n as f64 * 2.0;
-        for (k, (a, b)) in planned.iter().zip(&unplanned).enumerate() {
-            prop_assert!((*a - *b).abs() < 1e-8 * scale, "bin {k}: {a:?} vs {b:?}");
-        }
-    }
 
     #[test]
     fn plan_cache_returns_one_arc_per_length(n in 1usize..=4096) {

@@ -1,15 +1,15 @@
 //! The unplanned reference FFT kernels (the pre-plan implementation).
 //!
-//! These are the seed's transforms, kept verbatim as the *baseline* the
-//! planned path in [`crate::plan`] is benchmarked and property-tested
+//! These are the seed's transforms, kept verbatim as the reference oracle
+//! the planned path in [`sleepwatch_spectral::plan`] is property-tested
 //! against. Every call pays full setup: [`fft_bluestein`] rebuilds its chirp
 //! table and re-FFTs the convolution filter, and [`fft_radix2_in_place`]
 //! regenerates twiddles with the error-accumulating `w *= wlen` recurrence.
-//! Do not use these on a hot path — call [`crate::fft::fft`] and friends,
+//! Production code calls [`sleepwatch_spectral::fft::fft`] and friends,
 //! which plan and cache.
 
-use crate::complex::Complex;
-use crate::fft::{is_power_of_two, next_power_of_two};
+use sleepwatch_spectral::fft::{is_power_of_two, next_power_of_two};
+use sleepwatch_spectral::Complex;
 use std::f64::consts::PI;
 
 /// In-place iterative radix-2 Cooley–Tukey FFT with recurrence-generated
@@ -153,7 +153,7 @@ mod tests {
                 .map(|i| Complex::new((i as f64 * 0.31).sin(), (i as f64).sqrt().fract()))
                 .collect();
             let a = fft(&x);
-            let b = crate::fft::fft(&x);
+            let b = sleepwatch_spectral::fft(&x);
             for (i, (&p, &q)) in a.iter().zip(&b).enumerate() {
                 assert!((p - q).abs() < 1e-7 * n as f64, "bin {i}: {p:?} vs {q:?}");
             }

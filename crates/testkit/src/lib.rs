@@ -10,6 +10,8 @@
 //!   classification, planned vs baseline FFT kernels, survey truth vs
 //!   adaptive confusion), runnable under every
 //!   [`FaultPlan`](sleepwatch_probing::FaultPlan) preset;
+//! * [`baseline`] — the unplanned seed FFT kernels, the reference the
+//!   planned transforms are held to;
 //! * [`metamorphic`] — input transformations with provable output effects
 //!   (rotation ⇒ exact phase advance, scaling/permutation ⇒ invariance);
 //! * [`resilience`] — fixtures for the kill-and-resume journal oracle and
@@ -23,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baseline;
 pub mod chaos;
 pub mod fixtures;
 pub mod golden;

@@ -71,7 +71,7 @@ mod tests {
         let (n, b, k) = (240usize, 10usize, 7usize);
         let x: Vec<f64> = (0..n).map(|t| (TAU * b as f64 * t as f64 / n as f64).cos()).collect();
         let phase_at = |s: &[f64]| {
-            let c = sleepwatch_spectral::baseline::fft_real(s)[b];
+            let c = crate::baseline::fft_real(s)[b];
             c.im.atan2(c.re)
         };
         let advanced = phase_at(&rotate_left(&x, k));

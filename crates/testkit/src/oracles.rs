@@ -2,11 +2,12 @@
 //! quantity, cross-checked. Each helper panics with context on violation,
 //! so suites can call them directly and under every fault preset.
 
+use crate::baseline;
 use sleepwatch_availability::cleaning::clean_series;
 use sleepwatch_core::{analyze_series, OnlineConfig, OnlineDetector};
 use sleepwatch_probing::{BlockRun, FaultPlan, TrinocularConfig, TrinocularProber};
 use sleepwatch_simnet::{BlockSpec, ROUND_SECONDS};
-use sleepwatch_spectral::{baseline, plan_for, Complex, DiurnalClass, DiurnalConfig};
+use sleepwatch_spectral::{plan_for, Complex, DiurnalClass, DiurnalConfig};
 
 /// Runs the adaptive prober over `block` from time 0 under `plan`.
 pub fn run_under(

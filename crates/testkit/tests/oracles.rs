@@ -3,10 +3,11 @@
 //! never panics, verdicts agree across independent code paths, and recall
 //! decays monotonically (no cliffs) as loss grows.
 
+use proptest::prelude::*;
 use sleepwatch_probing::{FaultPlan, LossBurst, TrinocularConfig};
 use sleepwatch_simnet::ROUND_SECONDS;
-use sleepwatch_spectral::DiurnalConfig;
-use sleepwatch_testkit::{fixtures, oracles};
+use sleepwatch_spectral::{fft, fft_real, ifft, Complex, DiurnalConfig};
+use sleepwatch_testkit::{baseline, fixtures, oracles};
 
 /// Two weeks of rounds — the paper's observation span.
 const ROUNDS: u64 = 1_833;
@@ -61,6 +62,53 @@ fn planned_fft_matches_baseline_kernels() {
             })
             .collect();
         oracles::assert_planned_matches_baseline(&input, 1e-9);
+    }
+}
+
+// Planned-path equivalence: the plan cache and scratch machinery must be
+// observationally identical to the unplanned seed kernels at any length.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn planned_and_unplanned_fft_agree_any_length(
+        n in 1usize..=4096,
+        seed in 0u64..1_000,
+    ) {
+        let xs: Vec<Complex> = (0..n)
+            .map(|i| {
+                let t = (i as u64).wrapping_mul(seed.wrapping_add(1)) as f64;
+                Complex::new((t * 0.013).sin(), (t * 0.007).cos())
+            })
+            .collect();
+        let planned = fft(&xs);
+        let unplanned = baseline::fft(&xs);
+        let scale = n as f64 * 2.0;
+        for (k, (a, b)) in planned.iter().zip(&unplanned).enumerate() {
+            prop_assert!((*a - *b).abs() < 1e-8 * scale, "bin {k}: {a:?} vs {b:?}");
+        }
+
+        let planned_inv = ifft(&xs);
+        let unplanned_inv = baseline::ifft(&xs);
+        for (k, (a, b)) in planned_inv.iter().zip(&unplanned_inv).enumerate() {
+            prop_assert!((*a - *b).abs() < 1e-8 * scale, "inv bin {k}: {a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn planned_and_unplanned_fft_real_agree_any_length(
+        n in 1usize..=4096,
+        seed in 0u64..1_000,
+    ) {
+        let xs: Vec<f64> = (0..n)
+            .map(|i| ((i as u64).wrapping_mul(seed.wrapping_add(7)) as f64 * 0.011).sin())
+            .collect();
+        let planned = fft_real(&xs);
+        let unplanned = baseline::fft_real(&xs);
+        let scale = n as f64 * 2.0;
+        for (k, (a, b)) in planned.iter().zip(&unplanned).enumerate() {
+            prop_assert!((*a - *b).abs() < 1e-8 * scale, "bin {k}: {a:?} vs {b:?}");
+        }
     }
 }
 
