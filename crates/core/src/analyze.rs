@@ -160,6 +160,44 @@ impl BlockScratch {
     pub(crate) fn series_and_spectrum(&mut self) -> (&[f64], &mut SpectrumScratch) {
         (&self.series, &mut self.spectrum)
     }
+
+    /// Counts one classified block as a reuse or a growth of this arena:
+    /// the whole block (probe buffers, series, spectrum) either fit what
+    /// was reserved at `footprint_before` or grew it.
+    pub(crate) fn count_reuse(&self, footprint_before: usize) {
+        let obs = sleepwatch_obs::global();
+        if self.footprint_bytes() > footprint_before {
+            obs.pipeline.scratch_grows.incr();
+        } else {
+            obs.pipeline.scratch_reuses.incr();
+        }
+    }
+
+    /// Stage Clean: buckets, fills and midnight-trims `self.observations`
+    /// into `self.series`. Returns the fraction of samples interpolated.
+    fn clean_stage(&mut self, cfg: &AnalysisConfig) -> f64 {
+        let obs = sleepwatch_obs::global();
+        let _t = StageTimer::start(obs.pipeline.stage(Stage::Clean));
+        clean_series_into(
+            &self.observations,
+            cfg.rounds as usize,
+            cfg.start_time,
+            ROUND_SECONDS,
+            &mut self.clean,
+            &mut self.series,
+        )
+    }
+
+    /// Stage Fft, one series at a time: the spectrum of `self.series` into
+    /// `self.spectrum`. Every block of a run produces the same post-trim
+    /// length, so this hits the global plan cache after the first block —
+    /// the FFT tables are built once per world, not once per /24.
+    fn fft_stage(&mut self) {
+        let obs = sleepwatch_obs::global();
+        let _t = StageTimer::start(obs.pipeline.stage(Stage::Fft));
+        let plan = plan_for(self.series.len());
+        self.spectrum.compute_with_plan(&self.series, sleepwatch_spectral::ROUND_SECONDS, &plan);
+    }
 }
 
 /// Probe → estimate → clean results carried between the split phases of
@@ -200,18 +238,7 @@ pub(crate) fn probe_clean_into(
         scratch.observations.clear();
         scratch.observations.extend(scratch.records.iter().map(|r| (r.round, r.a_short)));
     }
-    let fill_fraction = {
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Clean));
-        clean_series_into(
-            &scratch.observations,
-            cfg.rounds as usize,
-            cfg.start_time,
-            ROUND_SECONDS,
-            &mut scratch.clean,
-            &mut scratch.series,
-        )
-    };
-    ProbedBlock { outages, total_probes, fill_fraction }
+    ProbedBlock { outages, total_probes, fill_fraction: scratch.clean_stage(cfg) }
 }
 
 /// Stages Estimate → Clean → Fft for observations collected elsewhere —
@@ -231,26 +258,8 @@ pub(crate) fn clean_fft_observations(
         scratch.observations.clear();
         scratch.observations.extend_from_slice(observations);
     }
-    let fill_fraction = {
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Clean));
-        clean_series_into(
-            &scratch.observations,
-            cfg.rounds as usize,
-            cfg.start_time,
-            ROUND_SECONDS,
-            &mut scratch.clean,
-            &mut scratch.series,
-        )
-    };
-    {
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Fft));
-        let plan = plan_for(scratch.series.len());
-        scratch.spectrum.compute_with_plan(
-            &scratch.series,
-            sleepwatch_spectral::ROUND_SECONDS,
-            &plan,
-        );
-    }
+    let fill_fraction = scratch.clean_stage(cfg);
+    scratch.fft_stage();
     fill_fraction
 }
 
@@ -310,25 +319,10 @@ fn analyze_block_into(
     let track = obs.pipeline.scratch_reuses.enabled();
     let footprint_before = if track { scratch.footprint_bytes() } else { 0 };
     let probed = probe_clean_into(block, cfg, scratch);
-    {
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Fft));
-        // Every block of a run produces the same post-trim length, so this
-        // hits the global plan cache after the first block — the FFT tables
-        // are built once per world, not once per /24.
-        let plan = plan_for(scratch.series.len());
-        scratch.spectrum.compute_with_plan(
-            &scratch.series,
-            sleepwatch_spectral::ROUND_SECONDS,
-            &plan,
-        );
-    }
+    scratch.fft_stage();
     let (summary, diurnal, trend) = classify_probed(block, cfg, scratch, probed);
     if track {
-        if scratch.footprint_bytes() > footprint_before {
-            obs.pipeline.scratch_grows.incr();
-        } else {
-            obs.pipeline.scratch_reuses.incr();
-        }
+        scratch.count_reuse(footprint_before);
     }
     (summary, diurnal, trend, probed.fill_fraction)
 }

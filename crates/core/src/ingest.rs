@@ -26,13 +26,13 @@
 //!   same phase, same summary, under every fault preset and any shard
 //!   count. The world-scale differential oracle in
 //!   `testkit/tests/ingest_oracle.rs` pins this.
-//! * **Checkpointing.** Completed blocks are appended to the same v2
-//!   journal the batch path uses ([`crate::journal`]); a killed ingest
-//!   resumes by replaying finished blocks and re-streaming unfinished
-//!   ones, healing to the same verdict set.
+//! * **Checkpointing.** Completed blocks go through the same checkpoint
+//!   policy into the same v2 journal as the batch path
+//!   ([`crate::journal`]); a killed ingest resumes by replaying finished
+//!   blocks and re-streaming unfinished ones, healing to the same verdict
+//!   set.
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use sleepwatch_probing::stream::{interleave, record_events, RoundEvent};
@@ -41,19 +41,13 @@ use sleepwatch_simnet::{shard_of, WorldSource};
 
 use crate::framing::RunIdentity;
 
-use crate::analyze::{
-    classify_probed, clean_fft_observations, AnalysisConfig, BlockScratch, ProbedBlock,
-};
-use crate::journal::{JournalError, JournalWriter, SYNC_EVERY};
+use crate::analyze::{clean_fft_observations, AnalysisConfig, BlockScratch, ProbedBlock};
+use crate::journal::{Checkpoint, JournalError};
 use crate::streaming::{OnlineConfig, OnlineDetector};
 use crate::worldrun::{
-    fire_poison, join_block, open_journal, panic_message, Quarantine, WorldBlockReport,
+    finish_block, is_replayed, quarantine_on_panic, Outcome, Quarantine, Resume, WorldBlockReport,
+    CHUNK,
 };
-
-/// Blocks probed per feeder chunk: bounds how many lanes are in flight
-/// at once when the engine generates its own feed (matches the batch
-/// path's chunk ledger).
-const CHUNK: usize = 256;
 
 /// Engine shape: shard count, queue bounds, feed batching.
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +103,7 @@ pub struct IngestStats {
 
 /// What an ingest run produces: batch-identical per-block reports plus
 /// run accounting.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IngestOutcome {
     /// Per-block joined reports in block order — element-for-element what
     /// [`crate::analyze_world`] produces for the same world and config.
@@ -313,12 +307,6 @@ struct ShardState<'a> {
     live_classifications: u64,
 }
 
-/// A finalized block, ready for the sink.
-enum Finished {
-    Report(WorldBlockReport),
-    Quarantined(Quarantine),
-}
-
 impl<'a> ShardState<'a> {
     fn new(source: &'a WorldSource, cfg: &'a AnalysisConfig, live_cfg: OnlineConfig) -> Self {
         ShardState {
@@ -334,7 +322,7 @@ impl<'a> ShardState<'a> {
     }
 
     /// Applies one event; `emit` receives each finalized block.
-    fn apply(&mut self, ev: RoundEvent, emit: &mut impl FnMut(Finished)) {
+    fn apply(&mut self, ev: RoundEvent, emit: &mut impl FnMut(Outcome)) {
         match ev {
             RoundEvent::Round { block_id, round, a_short } => {
                 let rounds = self.cfg.rounds as usize;
@@ -360,202 +348,159 @@ impl<'a> ShardState<'a> {
                 let source = self.source;
                 let cfg = self.cfg;
                 let scratch = &mut self.scratch;
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    fire_poison(cfg, block_id);
+                let outcome = quarantine_on_panic(cfg, block_id, || {
                     let block = source.generate_block(block_id);
                     let fill = clean_fft_observations(&lane.obs, cfg, scratch);
                     let probed = ProbedBlock { outages, total_probes, fill_fraction: fill };
-                    let (summary, _diurnal, _trend) = classify_probed(&block, cfg, scratch, probed);
-                    join_block(source.geodb(), &block, summary)
-                }));
-                match result {
-                    Ok(report) => emit(Finished::Report(report)),
-                    Err(payload) => {
-                        // The arena may hold partially written buffers —
-                        // start the next block from a fresh one.
-                        self.scratch = BlockScratch::new();
-                        sleepwatch_obs::global().resilience.blocks_quarantined.incr();
-                        emit(Finished::Quarantined(Quarantine {
-                            block_id,
-                            diagnostic: panic_message(payload),
-                        }));
-                    }
+                    finish_block(source.geodb(), &block, cfg, scratch, probed)
+                });
+                if outcome.is_err() {
+                    // The arena may hold partially written buffers —
+                    // start the next block from a fresh one.
+                    self.scratch = BlockScratch::new();
                 }
+                emit(outcome);
             }
         }
     }
 }
 
-/// Everything the shard workers share behind one lock: collected
-/// outcomes, the (optional) checkpoint journal, and run accounting.
-struct Sink {
-    reports: Vec<WorldBlockReport>,
-    quarantined: Vec<Quarantine>,
-    journal: Option<JournalWriter>,
-    appended: u64,
-    rounds: u64,
-    live_strict: u64,
-    live_classifications: u64,
-    open_lanes: Vec<u64>,
-}
-
-impl Sink {
-    fn absorb(&mut self, finished: Finished) {
-        match finished {
-            Finished::Report(report) => {
-                if let Some(w) = &mut self.journal {
-                    match w.append(&report) {
-                        Ok(true) => self.appended += 1,
-                        Ok(false) => {}
-                        Err(e) => {
-                            // Same contract as the batch path: a full disk
-                            // degrades checkpointing, never kills the run.
-                            eprintln!("[ingest] journal write failed, journaling disabled: {e}");
-                            self.journal = None;
-                        }
-                    }
-                }
-                self.reports.push(report);
-            }
-            Finished::Quarantined(q) => self.quarantined.push(q),
+impl IngestOutcome {
+    /// Takes one finished block while the engine is still running.
+    fn absorb(&mut self, outcome: Outcome) {
+        match outcome {
+            Ok(report) => self.reports.push(report),
+            Err(q) => self.quarantined.push(q),
         }
+    }
+
+    /// Folds in a shard whose stream has ended: the rounds it consumed,
+    /// its live-detector totals, and the lanes still open.
+    fn retire(&mut self, state: ShardState<'_>) {
+        self.stats.rounds_routed += state.rounds;
+        self.stats.live_strict += state.live_strict;
+        self.stats.live_classifications += state.live_classifications;
+        self.open_blocks.extend(state.lanes.into_keys());
+    }
+
+    /// The sort-and-count tail of every engine: block order everywhere,
+    /// block counts taken from what was collected.
+    fn assemble(mut self) -> IngestOutcome {
+        self.reports.sort_by_key(|r| r.summary.block_id);
+        self.quarantined.sort_by_key(|q| q.block_id);
+        self.open_blocks.sort_unstable();
+        self.stats.blocks = self.reports.len();
+        self.stats.quarantined = self.quarantined.len();
+        self
     }
 }
 
-/// The engine core: spawns one worker per shard, runs `feed` on the
-/// calling thread to route events, then drains, joins and aggregates.
+/// The engine core behind every queued `ingest_*` entry point: spawns
+/// one worker per shard, runs `feed` on the calling thread — it routes
+/// events, sees the mask of journal-replayed blocks, and reports the
+/// blocks it had to quarantine before they produced any — then drains,
+/// joins and assembles.
 fn run_engine(
     source: &WorldSource,
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
-    journal: Option<JournalWriter>,
-    replayed: Vec<WorldBlockReport>,
-    feed: impl FnOnce(&mut Router),
+    resume: Resume,
+    feed: impl FnOnce(&mut Router, &[bool], &mut Vec<Quarantine>),
 ) -> IngestOutcome {
-    let shards = icfg.shards.max(1);
     let live_cfg = live_config(cfg);
     let queues: Vec<EventQueue> =
-        (0..shards).map(|_| EventQueue::new(icfg.queue_capacity)).collect();
+        (0..icfg.shards.max(1)).map(|_| EventQueue::new(icfg.queue_capacity)).collect();
+    let Resume { checkpoint, skip, replayed } = resume;
     let replayed_count = replayed.len();
-    let sink = parking_lot::Mutex::new(Sink {
-        reports: replayed,
-        quarantined: Vec::new(),
-        journal,
-        appended: 0,
-        rounds: 0,
-        live_strict: 0,
-        live_classifications: 0,
-        open_lanes: Vec::new(),
-    });
+    let shared: parking_lot::Mutex<(IngestOutcome, Checkpoint)> = parking_lot::Mutex::new((
+        IngestOutcome { reports: replayed, ..Default::default() },
+        checkpoint,
+    ));
 
     let mut rounds_routed = 0u64;
+    let mut quarantined_at_feed = Vec::new();
     let pool = BatchPool::new();
     crossbeam::thread::scope(|s| {
         for q in &queues {
-            let sink = &sink;
+            let shared = &shared;
             let pool = &pool;
             s.spawn(move |_| {
                 let mut state = ShardState::new(source, cfg, live_cfg);
-                let mut done: Vec<Finished> = Vec::new();
+                let mut done: Vec<Outcome> = Vec::new();
                 while let Some(batch) = q.pop() {
                     for &ev in &batch {
-                        state.apply(ev, &mut |finished| done.push(finished));
+                        state.apply(ev, &mut |outcome| done.push(outcome));
                     }
                     pool.recycle(batch);
                     if !done.is_empty() {
-                        let mut sink = sink.lock();
-                        for finished in done.drain(..) {
-                            sink.absorb(finished);
+                        let (out, checkpoint) = &mut *shared.lock();
+                        for outcome in done.drain(..) {
+                            if let Ok(report) = &outcome {
+                                checkpoint.record(report);
+                            }
+                            out.absorb(outcome);
                         }
                     }
                 }
-                let mut sink = sink.lock();
-                sink.rounds += state.rounds;
-                sink.live_strict += state.live_strict;
-                sink.live_classifications += state.live_classifications;
-                sink.open_lanes.extend(state.lanes.keys().copied());
+                shared.lock().0.retire(state);
             });
         }
         let mut router = Router::new(&queues, &pool, icfg.batch_events);
-        feed(&mut router);
+        feed(&mut router, &skip, &mut quarantined_at_feed);
         rounds_routed = router.finish();
     })
     .expect("ingest worker panicked");
 
-    let mut sink = sink.into_inner();
-    let mut checkpoints = sink.appended / u64::from(SYNC_EVERY);
-    if let Some(w) = &mut sink.journal {
-        if let Err(e) = w.sync() {
-            eprintln!("[ingest] final journal sync failed: {e}");
-        } else {
-            checkpoints += 1;
-        }
+    let (mut out, mut checkpoint) = shared.into_inner();
+    // Feed-time quarantines (probing panics) join the shard-side ones; a
+    // block quarantined there never produced an event for a shard.
+    out.quarantined.append(&mut quarantined_at_feed);
+    debug_assert_eq!(rounds_routed, out.stats.rounds_routed, "routed and consumed rounds disagree");
+    out.stats.replayed = replayed_count;
+    out.stats.checkpoints = checkpoint.finish();
+    for (high_water, stalls) in queues.iter().map(EventQueue::pressure) {
+        out.stats.queue_high_water = out.stats.queue_high_water.max(high_water);
+        out.stats.backpressure_stalls += stalls;
     }
-    sink.reports.sort_by_key(|r| r.summary.block_id);
-    sink.quarantined.sort_by_key(|q| q.block_id);
-    sink.open_lanes.sort_unstable();
-
-    let (high_water, stalls) = queues
-        .iter()
-        .map(EventQueue::pressure)
-        .fold((0usize, 0u64), |(hw, st), (h, s)| (hw.max(h), st + s));
-    let stats = IngestStats {
-        blocks: sink.reports.len(),
-        replayed: replayed_count,
-        quarantined: sink.quarantined.len(),
-        rounds_routed,
-        backpressure_stalls: stalls,
-        queue_high_water: high_water,
-        checkpoints,
-        live_strict: sink.live_strict,
-        live_classifications: sink.live_classifications,
-    };
+    let out = out.assemble();
     let obs = &sleepwatch_obs::global().ingest;
-    obs.rounds_routed.add(stats.rounds_routed);
-    obs.backpressure_stalls.add(stats.backpressure_stalls);
-    obs.queue_high_water.raise(stats.queue_high_water as u64);
-    obs.checkpoints.add(stats.checkpoints);
-    obs.blocks_finished.add((stats.blocks - stats.replayed) as u64);
-    debug_assert_eq!(stats.rounds_routed, sink.rounds, "routed and consumed rounds disagree");
-    IngestOutcome {
-        reports: sink.reports,
-        quarantined: sink.quarantined,
-        open_blocks: sink.open_lanes,
-        stats,
-    }
+    obs.rounds_routed.add(out.stats.rounds_routed);
+    obs.backpressure_stalls.add(out.stats.backpressure_stalls);
+    obs.queue_high_water.raise(out.stats.queue_high_water as u64);
+    obs.checkpoints.add(out.stats.checkpoints);
+    obs.blocks_finished.add((out.stats.blocks - out.stats.replayed) as u64);
+    out
 }
 
-/// Probes the blocks in `ids` and emits their streams chunk-interleaved:
-/// the feeder half of [`ingest_world`], generic over where the events
-/// go (a [`Router`], or a buffer bound for a wire).
+/// Probes every block `skip` does not mark and emits their streams
+/// chunk-interleaved: the feeder half of [`ingest_world`], generic over
+/// where the events go (a [`Router`], or a buffer bound for a wire). A
+/// block whose probing panics emits nothing and lands in
+/// `quarantined_at_feed`.
 fn feed_world_into(
     source: &WorldSource,
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
-    ids: &[u64],
+    skip: &[bool],
     emit: &mut impl FnMut(RoundEvent),
     quarantined_at_feed: &mut Vec<Quarantine>,
 ) {
+    let ids: Vec<u64> =
+        (0..source.len() as u64).filter(|&id| !is_replayed(skip, id as usize)).collect();
     let mut specs = Vec::new();
+    // The batch path's chunk ledger bounds how many lanes a self-generated
+    // feed keeps in flight at once.
     for (chunk_idx, chunk) in ids.chunks(CHUNK).enumerate() {
         source.generate_into(chunk.iter().copied(), &mut specs);
         let mut streams: Vec<Vec<RoundEvent>> = Vec::with_capacity(specs.len());
         for block in &specs {
-            let events = catch_unwind(AssertUnwindSafe(|| {
-                fire_poison(cfg, block.id);
+            match quarantine_on_panic(cfg, block.id, || {
                 let mut prober = TrinocularProber::new(block, cfg.trinocular);
                 let run = prober.run_with_faults(block, cfg.start_time, cfg.rounds, &cfg.faults);
                 record_events(block.id, &run.records, run.outages.len() as u32, run.total_probes)
-            }));
-            match events {
+            }) {
                 Ok(events) => streams.push(events),
-                Err(payload) => {
-                    sleepwatch_obs::global().resilience.blocks_quarantined.incr();
-                    quarantined_at_feed.push(Quarantine {
-                        block_id: block.id,
-                        diagnostic: panic_message(payload),
-                    });
-                }
+                Err(q) => quarantined_at_feed.push(q),
             }
         }
         // A per-chunk keyed interleave: reproducible for a given seed,
@@ -565,19 +510,6 @@ fn feed_world_into(
             emit(ev);
         }
     }
-}
-
-/// Probes the blocks in `ids` and routes their streams chunk-interleaved:
-/// the feeder half of [`ingest_world`].
-fn feed_world(
-    source: &WorldSource,
-    cfg: &AnalysisConfig,
-    icfg: &IngestConfig,
-    ids: &[u64],
-    router: &mut Router,
-    quarantined_at_feed: &mut Vec<Quarantine>,
-) {
-    feed_world_into(source, cfg, icfg, ids, &mut |ev| router.route(ev), quarantined_at_feed);
 }
 
 /// Materializes the event feed [`ingest_world`] would route — probes
@@ -590,10 +522,9 @@ pub fn world_feed(
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
 ) -> (Vec<RoundEvent>, Vec<Quarantine>) {
-    let ids: Vec<u64> = (0..source.len() as u64).collect();
     let mut feed = Vec::new();
     let mut quarantined = Vec::new();
-    feed_world_into(source, cfg, icfg, &ids, &mut |ev| feed.push(ev), &mut quarantined);
+    feed_world_into(source, cfg, icfg, &[], &mut |ev| feed.push(ev), &mut quarantined);
     (feed, quarantined)
 }
 
@@ -613,13 +544,20 @@ pub fn ingest_world(
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
 ) -> IngestOutcome {
-    let ids: Vec<u64> = (0..source.len() as u64).collect();
-    let mut fed_quarantines = Vec::new();
-    let mut out = run_engine(source, cfg, icfg, None, Vec::new(), |router| {
-        feed_world(source, cfg, icfg, &ids, router, &mut fed_quarantines);
-    });
-    merge_feed_quarantines(&mut out, fed_quarantines);
-    out
+    ingest_generated(source, cfg, icfg, Resume::default())
+}
+
+/// The feeder both `ingest_world*` entry points share: probes and routes
+/// every block `resume` has not already replayed.
+fn ingest_generated(
+    source: &WorldSource,
+    cfg: &AnalysisConfig,
+    icfg: &IngestConfig,
+    resume: Resume,
+) -> IngestOutcome {
+    run_engine(source, cfg, icfg, resume, |router, skip, quarantined_at_feed| {
+        feed_world_into(source, cfg, icfg, skip, &mut |ev| router.route(ev), quarantined_at_feed);
+    })
 }
 
 /// [`ingest_world`] with a crash-safe checkpoint journal at `path` —
@@ -634,15 +572,8 @@ pub fn ingest_world_resumable(
     icfg: &IngestConfig,
     path: &Path,
 ) -> Result<IngestOutcome, JournalError> {
-    let n = source.len();
-    let (writer, skip, kept) = open_journal(path, source.cfg().seed, n, cfg)?;
-    let ids: Vec<u64> = (0..n as u64).filter(|&id| !skip[id as usize]).collect();
-    let mut fed_quarantines = Vec::new();
-    let mut out = run_engine(source, cfg, icfg, Some(writer), kept, |router| {
-        feed_world(source, cfg, icfg, &ids, router, &mut fed_quarantines);
-    });
-    merge_feed_quarantines(&mut out, fed_quarantines);
-    Ok(out)
+    let resume = Resume::open(path, source.cfg().seed, source.len(), cfg)?;
+    Ok(ingest_generated(source, cfg, icfg, resume))
 }
 
 /// Ingests a caller-supplied event feed — the entry point equivalence
@@ -655,7 +586,7 @@ pub fn ingest_events(
     icfg: &IngestConfig,
     events: impl IntoIterator<Item = RoundEvent>,
 ) -> IngestOutcome {
-    run_engine(source, cfg, icfg, None, Vec::new(), |router| {
+    run_engine(source, cfg, icfg, Resume::default(), |router, _, _| {
         for ev in events {
             router.route(ev);
         }
@@ -673,30 +604,12 @@ pub fn ingest_direct(
     events: impl IntoIterator<Item = RoundEvent>,
 ) -> IngestOutcome {
     let mut state = ShardState::new(source, cfg, live_config(cfg));
-    let mut reports = Vec::new();
-    let mut quarantined = Vec::new();
+    let mut out = IngestOutcome::default();
     for ev in events {
-        state.apply(ev, &mut |finished| match finished {
-            Finished::Report(r) => reports.push(r),
-            Finished::Quarantined(q) => quarantined.push(q),
-        });
+        state.apply(ev, &mut |outcome| out.absorb(outcome));
     }
-    reports.sort_by_key(|r| r.summary.block_id);
-    quarantined.sort_by_key(|q| q.block_id);
-    let stats = IngestStats {
-        blocks: reports.len(),
-        replayed: 0,
-        quarantined: quarantined.len(),
-        rounds_routed: state.rounds,
-        backpressure_stalls: 0,
-        queue_high_water: 0,
-        checkpoints: 0,
-        live_strict: state.live_strict,
-        live_classifications: state.live_classifications,
-    };
-    let mut open_blocks: Vec<u64> = state.lanes.keys().copied().collect();
-    open_blocks.sort_unstable();
-    IngestOutcome { reports, quarantined, open_blocks, stats }
+    out.retire(state);
+    out.assemble()
 }
 
 /// What a transport-fed ingest produced: the engine outcome plus the
@@ -739,9 +652,23 @@ pub fn ingest_source(
     icfg: &IngestConfig,
     events: &mut dyn sleepwatch_probing::transport::EventSource,
 ) -> TransportOutcome {
+    ingest_pulled(source, cfg, icfg, events, Resume::default())
+}
+
+/// The pull loop both `ingest_source*` entry points share: routes every
+/// event of a block `resume` has not already replayed until the stream
+/// ends or fails.
+fn ingest_pulled(
+    source: &WorldSource,
+    cfg: &AnalysisConfig,
+    icfg: &IngestConfig,
+    events: &mut dyn sleepwatch_probing::transport::EventSource,
+    resume: Resume,
+) -> TransportOutcome {
     let mut error = None;
-    let outcome = run_engine(source, cfg, icfg, None, Vec::new(), |router| loop {
+    let outcome = run_engine(source, cfg, icfg, resume, |router, skip, _| loop {
         match events.next_event() {
+            Ok(Some(ev)) if is_replayed(skip, ev.block_id() as usize) => {}
             Ok(Some(ev)) => router.route(ev),
             Ok(None) => break,
             Err(e) => {
@@ -766,37 +693,8 @@ pub fn ingest_source_resumable(
     events: &mut dyn sleepwatch_probing::transport::EventSource,
     path: &Path,
 ) -> Result<TransportOutcome, JournalError> {
-    let n = source.len();
-    let (writer, skip, kept) = open_journal(path, source.cfg().seed, n, cfg)?;
-    let mut error = None;
-    let outcome = run_engine(source, cfg, icfg, Some(writer), kept, |router| loop {
-        match events.next_event() {
-            Ok(Some(ev)) => {
-                let id = ev.block_id() as usize;
-                if id >= skip.len() || !skip[id] {
-                    router.route(ev);
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    });
-    Ok(TransportOutcome { outcome, transport: events.stats(), error })
-}
-
-/// Feed-time quarantines (probing panics) join the shard-side ones in
-/// the outcome, keeping block order.
-fn merge_feed_quarantines(out: &mut IngestOutcome, fed: Vec<Quarantine>) {
-    if fed.is_empty() {
-        return;
-    }
-    out.quarantined.extend(fed);
-    out.quarantined.sort_by_key(|q| q.block_id);
-    out.quarantined.dedup_by_key(|q| q.block_id);
-    out.stats.quarantined = out.quarantined.len();
+    let resume = Resume::open(path, source.cfg().seed, source.len(), cfg)?;
+    Ok(ingest_pulled(source, cfg, icfg, events, resume))
 }
 
 #[cfg(test)]

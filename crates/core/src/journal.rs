@@ -504,12 +504,30 @@ pub fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
     out
 }
 
+/// Where a [`JournalWriter`] puts its bytes: the two calls it makes on a
+/// [`File`], behind a trait so a test can substitute a sink that fails on
+/// cue.
+trait RecordSink: std::fmt::Debug + Send {
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
+    fn sync_data(&mut self) -> io::Result<()>;
+}
+
+impl RecordSink for File {
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        Write::write_all(self, buf)
+    }
+
+    fn sync_data(&mut self) -> io::Result<()> {
+        File::sync_data(self)
+    }
+}
+
 /// Append handle for a journal file positioned at the end of its valid
 /// prefix. Records are `fsync`'d every [`SYNC_EVERY`] appends and on
 /// [`sync`](Self::sync).
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: File,
+    sink: Box<dyn RecordSink>,
     unsynced: u32,
 }
 
@@ -521,10 +539,10 @@ impl JournalWriter {
         let Some(frame) = encode_record_v2(report) else {
             return Ok(false);
         };
-        self.file.write_all(&frame)?;
+        self.sink.write_all(&frame)?;
         self.unsynced += 1;
         if self.unsynced >= SYNC_EVERY {
-            self.file.sync_data()?;
+            self.sink.sync_data()?;
             self.unsynced = 0;
         }
         sleepwatch_obs::global().resilience.journal_records_written.incr();
@@ -534,7 +552,62 @@ impl JournalWriter {
     /// Forces appended records to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
         self.unsynced = 0;
-        self.file.sync_data()
+        self.sink.sync_data()
+    }
+}
+
+/// One line on stderr per checkpoint fault.
+fn diagnose(what: &str, e: &io::Error) {
+    eprintln!("[journal] {what}: {e}");
+    #[cfg(test)]
+    tests::DIAGNOSTICS.with(|d| d.set(d.get() + 1));
+}
+
+/// The checkpoint policy of every engine that journals finished blocks:
+/// append each report; on the first write error say so once and stop
+/// journaling — a full disk degrades checkpointing, it never kills the
+/// run — and sync once more at the end. Which lock it sits behind is the
+/// engine's business. The default journals nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Checkpoint {
+    writer: Option<JournalWriter>,
+    appended: u64,
+}
+
+impl Checkpoint {
+    /// A policy journaling through `writer`.
+    pub(crate) fn new(writer: JournalWriter) -> Checkpoint {
+        Checkpoint { writer: Some(writer), appended: 0 }
+    }
+
+    /// Records one finished block; `true` when it was appended.
+    pub(crate) fn record(&mut self, report: &WorldBlockReport) -> bool {
+        let appended = match self.writer.as_mut().map(|w| w.append(report)) {
+            None => false,
+            Some(Ok(appended)) => appended,
+            Some(Err(e)) => {
+                diagnose("write failed, journaling disabled", &e);
+                self.writer = None;
+                false
+            }
+        };
+        self.appended += u64::from(appended);
+        appended
+    }
+
+    /// The final sync. Returns the durable checkpoints the run reached:
+    /// one per [`SYNC_EVERY`] appended records, plus one when this sync
+    /// succeeded.
+    pub(crate) fn finish(&mut self) -> u64 {
+        let reached = self.appended / u64::from(SYNC_EVERY);
+        match self.writer.take().map(|mut w| w.sync()) {
+            Some(Ok(())) => reached + 1,
+            Some(Err(e)) => {
+                diagnose("final sync failed", &e);
+                reached
+            }
+            None => reached,
+        }
     }
 }
 
@@ -587,7 +660,7 @@ pub fn open_resume(
     if valid_len == 0 {
         file.set_len(0)?;
         file.seek(SeekFrom::Start(0))?;
-        file.write_all(&encode_header_v2(header))?;
+        Write::write_all(&mut file, &encode_header_v2(header))?;
     } else {
         file.set_len(valid_len)?;
         file.seek(SeekFrom::Start(valid_len))?;
@@ -596,7 +669,7 @@ pub fn open_resume(
     let obs = sleepwatch_obs::global();
     obs.resilience.journal_records_replayed.add(stats.replayed);
     obs.resilience.journal_records_discarded.add(stats.discarded);
-    Ok((JournalWriter { file, unsynced: 0 }, reports, stats))
+    Ok((JournalWriter { sink: Box::new(file), unsynced: 0 }, reports, stats))
 }
 
 #[cfg(test)]
@@ -745,6 +818,120 @@ mod tests {
             replay_bytes_v2(&damaged, &header()),
             Ok(ReplayOutcome::Fresh { discarded }) if discarded > 0
         ));
+    }
+
+    thread_local! {
+        /// Checkpoint diagnostics printed on this test's thread.
+        pub(super) static DIAGNOSTICS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A sink that keeps every byte that reaches it and fails on cue: a
+    /// `write_all` crossing `write_budget` lands torn at the budget, and
+    /// `sync_data` fails once `syncs_left` is spent.
+    #[derive(Debug)]
+    struct FaultySink {
+        bytes: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
+        write_budget: usize,
+        syncs_left: u32,
+    }
+
+    impl RecordSink for FaultySink {
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            let mut bytes = self.bytes.lock().unwrap();
+            let room = self.write_budget.saturating_sub(bytes.len());
+            bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            if buf.len() > room {
+                return Err(io::Error::other("no space left on device"));
+            }
+            Ok(())
+        }
+
+        fn sync_data(&mut self) -> io::Result<()> {
+            match self.syncs_left.checked_sub(1) {
+                Some(left) => self.syncs_left = left,
+                None => return Err(io::Error::other("fsync failed")),
+            }
+            Ok(())
+        }
+    }
+
+    /// What one faulted checkpoint run did, for the three write-fault tests.
+    struct Faulted {
+        /// Ids `Checkpoint::record` reported as appended, in order.
+        acknowledged: Vec<u64>,
+        /// Ids the sink's bytes replay to, in order.
+        replayed: Vec<u64>,
+        checkpoints: u64,
+        diagnostics: u32,
+    }
+
+    /// Drives the checkpoint policy over `offered` reports (ids `0..offered`)
+    /// into a sink that accepts `write_budget` record bytes and `syncs`
+    /// syncs, finishes, offers one more report, and replays what reached
+    /// the sink.
+    fn checkpoint_through_faults(offered: u64, write_budget: usize, syncs: u32) -> Faulted {
+        let h = header();
+        let bytes = std::sync::Arc::new(std::sync::Mutex::new(encode_header_v2(&h)));
+        let sink = FaultySink {
+            bytes: bytes.clone(),
+            write_budget: bytes.lock().unwrap().len() + write_budget,
+            syncs_left: syncs,
+        };
+        DIAGNOSTICS.with(|d| d.set(0));
+        let mut checkpoint = Checkpoint::new(JournalWriter { sink: Box::new(sink), unsynced: 0 });
+        let acknowledged: Vec<u64> =
+            (0..offered).filter(|&id| checkpoint.record(&sample_report(id))).collect();
+        let checkpoints = checkpoint.finish();
+        // Nothing is journaled past the final sync, whether it succeeded or not.
+        assert!(!checkpoint.record(&sample_report(offered)));
+        let bytes = bytes.lock().unwrap();
+        let replayed = match replay_bytes_v2(&bytes, &h).expect("compatible") {
+            ReplayOutcome::Resumed { reports, .. } => reports,
+            other => panic!("expected resume, got {other:?}"),
+        };
+        for r in &replayed {
+            let offered = sample_report(r.summary.block_id);
+            assert_eq!(format!("{r:?}"), format!("{offered:?}"), "a record was misread");
+        }
+        Faulted {
+            acknowledged,
+            replayed: replayed.iter().map(|r| r.summary.block_id).collect(),
+            checkpoints,
+            diagnostics: DIAGNOSTICS.with(|d| d.get()),
+        }
+    }
+
+    #[test]
+    fn a_write_torn_mid_record_stops_journaling_once() {
+        let rec_len = encode_record_v2(&sample_report(0)).unwrap().len();
+        // Ten whole records fit; the eleventh tears 17 bytes in.
+        let run = checkpoint_through_faults(20, 10 * rec_len + 17, u32::MAX);
+        assert_eq!(run.acknowledged, (0..10).collect::<Vec<u64>>(), "later records not appended");
+        assert_eq!(run.replayed, run.acknowledged, "the torn tail is discarded");
+        assert_eq!(run.diagnostics, 1);
+        assert_eq!(run.checkpoints, 0, "a stopped journal reaches no final checkpoint");
+    }
+
+    #[test]
+    fn a_failed_periodic_sync_stops_journaling_once() {
+        let n = u64::from(SYNC_EVERY);
+        let run = checkpoint_through_faults(2 * n, usize::MAX / 2, 0);
+        // The record whose sync failed is not acknowledged, though its
+        // bytes reached the sink whole; nothing after it is written.
+        assert_eq!(run.acknowledged, (0..n - 1).collect::<Vec<u64>>());
+        assert_eq!(run.replayed, (0..n).collect::<Vec<u64>>());
+        assert_eq!(run.diagnostics, 1);
+        assert_eq!(run.checkpoints, 0);
+    }
+
+    #[test]
+    fn a_failed_final_sync_is_reported_once_and_not_counted() {
+        let n = u64::from(SYNC_EVERY) + 6;
+        let run = checkpoint_through_faults(n, usize::MAX / 2, 1);
+        assert_eq!(run.acknowledged, (0..n).collect::<Vec<u64>>());
+        assert_eq!(run.replayed, run.acknowledged);
+        assert_eq!(run.diagnostics, 1);
+        assert_eq!(run.checkpoints, 1, "the periodic sync counts, the failed final one does not");
     }
 
     #[test]

@@ -13,18 +13,20 @@
 //! byte-for-byte. Aggregation can likewise stream into a compact
 //! [`WorldRunStats`] instead of collecting per-block reports.
 //!
-//! Resilience: workers wrap each phase of each block in `catch_unwind`, so
-//! one poisoned block is quarantined (recorded in
-//! [`WorldAnalysis::quarantined`]) instead of aborting the run, and the
-//! `*_resumable` entry points journal every completed block to an
-//! append-only checkpoint file ([`crate::journal`]) so a killed process
-//! resumes where it stopped with byte-identical output — without
-//! regenerating already-journaled blocks.
+//! Resilience: workers run each phase of each block inside the one panic
+//! boundary (`quarantine_on_panic`), so one poisoned block is quarantined
+//! (recorded in [`WorldAnalysis::quarantined`]) instead of aborting the
+//! run, and the `*_resumable` entry points journal every completed block
+//! to an append-only checkpoint file ([`crate::journal`]) so a killed
+//! process resumes where it stopped with byte-identical output — without
+//! regenerating already-journaled blocks. The streaming engine
+//! ([`crate::ingest`]) leaves through the same boundary, the same
+//! checkpoint policy and the same finishing tail (`finish_block`).
 
 use crate::analyze::{
     classify_probed, probe_clean_into, AnalysisConfig, BlockScratch, BlockSummary, ProbedBlock,
 };
-use crate::journal::{self, JournalError, JournalHeader, JournalWriter};
+use crate::journal::{self, Checkpoint, JournalError, JournalHeader};
 use sleepwatch_geoecon::allocation::YearMonth;
 use sleepwatch_geoecon::country::{by_code, COUNTRIES};
 use sleepwatch_geoecon::geolocate::{GeoDatabase, Location};
@@ -43,7 +45,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// stay deterministic across thread counts. Also the worker batch
 /// capacity: one flush per chunk bounds local memory and keeps
 /// `world.batch_grows` at zero.
-const CHUNK: usize = 256;
+pub(crate) const CHUNK: usize = 256;
 
 /// One block's measurement, joined with every external data source the
 /// paper correlates against.
@@ -76,20 +78,10 @@ pub struct Quarantine {
     pub diagnostic: String,
 }
 
-/// Outcome of one block's trip through a worker.
-#[derive(Debug, Clone)]
-pub enum BlockOutcome {
-    /// The pipeline completed normally.
-    Analyzed(WorldBlockReport),
-    /// The pipeline panicked; the block is excluded from every
-    /// aggregation and reported explicitly.
-    Quarantined {
-        /// Id of the poisoned block.
-        block_id: u64,
-        /// The panic message.
-        diagnostic: String,
-    },
-}
+/// Outcome of one block's trip through an engine: its report, or — when
+/// the pipeline panicked — the quarantine that excludes it from every
+/// aggregation and reports it explicitly.
+pub(crate) type Outcome = Result<WorldBlockReport, Quarantine>;
 
 /// The analyzed world.
 #[derive(Debug)]
@@ -162,15 +154,6 @@ impl WorldRunStats {
         self.total_probes += r.summary.total_probes;
     }
 
-    fn absorb_outcome(&mut self, outcome: BlockOutcome) {
-        match outcome {
-            BlockOutcome::Analyzed(r) => self.absorb_report(&r),
-            BlockOutcome::Quarantined { block_id, diagnostic } => {
-                self.quarantined.push(Quarantine { block_id, diagnostic });
-            }
-        }
-    }
-
     /// Count and fraction of strictly diurnal blocks.
     pub fn strict_fraction(&self) -> (usize, f64) {
         (self.strict, self.strict as f64 / self.blocks.max(1) as f64)
@@ -197,7 +180,7 @@ impl WorldRunStats {
 /// run's planted `poison_blocks`. The list travels inside the run's own
 /// [`AnalysisConfig`], so concurrent runs never see each other's plants;
 /// outside tests it is empty and this is one length check.
-pub(crate) fn fire_poison(cfg: &AnalysisConfig, block_id: u64) {
+fn fire_poison(cfg: &AnalysisConfig, block_id: u64) {
     if cfg.faults.poison_blocks.contains(&block_id) {
         panic!("planted panic for block {block_id}");
     }
@@ -244,17 +227,65 @@ impl<'a> ChunkView<'a> {
     }
 }
 
-/// Where outcomes go: per-block collection (order restored by slot index)
-/// or a streaming fold into [`WorldRunStats`].
-enum Sink {
-    Collect(Vec<Option<BlockOutcome>>),
-    Stats(WorldRunStats),
+/// Where outcomes go: per-block collection ([`Collect`], order restored by
+/// slot index) or a streaming fold into [`WorldRunStats`].
+trait Sink: Send {
+    type Output;
+    /// An empty sink for a world of `n` blocks.
+    fn empty(n: usize) -> Self;
+    /// Takes the outcome of the block at index `idx`.
+    fn put(&mut self, idx: usize, outcome: Outcome);
+    /// Assembles the output once every worker has joined.
+    fn finish(self) -> Self::Output;
 }
 
-/// What a finished run hands back, matching the sink it ran with.
-enum RunOutput {
-    Analysis(WorldAnalysis),
-    Stats(WorldRunStats),
+/// The collecting sink behind [`WorldAnalysis`].
+struct Collect(Vec<Option<Outcome>>);
+
+impl Sink for Collect {
+    type Output = WorldAnalysis;
+
+    fn empty(n: usize) -> Self {
+        Collect(std::iter::repeat_with(|| None).take(n).collect())
+    }
+
+    fn put(&mut self, idx: usize, outcome: Outcome) {
+        self.0[idx] = Some(outcome);
+    }
+
+    fn finish(self) -> WorldAnalysis {
+        let mut reports = Vec::with_capacity(self.0.len());
+        let mut quarantined = Vec::new();
+        for slot in self.0 {
+            match slot.expect("every block analyzed") {
+                Ok(r) => reports.push(r),
+                Err(q) => quarantined.push(q),
+            }
+        }
+        WorldAnalysis { reports, quarantined }
+    }
+}
+
+impl Sink for WorldRunStats {
+    type Output = WorldRunStats;
+
+    fn empty(_n: usize) -> Self {
+        WorldRunStats::default()
+    }
+
+    fn put(&mut self, _idx: usize, outcome: Outcome) {
+        match outcome {
+            Ok(r) => self.absorb_report(&r),
+            Err(q) => self.quarantined.push(q),
+        }
+    }
+
+    fn finish(mut self) -> WorldRunStats {
+        // Workers fold in claim order; counters commute but the
+        // quarantine list must come out deterministic.
+        self.quarantined.sort_by_key(|q| q.block_id);
+        self
+    }
 }
 
 /// Geo/reverse-DNS/registry join for one completed summary — the
@@ -288,7 +319,21 @@ pub(crate) fn join_block(
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The finishing tail of both engines, for a block whose cleaned series
+/// and spectrum sit in `scratch`: classify (with the fill-fraction veto),
+/// summarize, and join with the external data sources.
+pub(crate) fn finish_block(
+    geodb: &GeoDatabase,
+    block: &BlockSpec,
+    cfg: &AnalysisConfig,
+    scratch: &BlockScratch,
+    probed: ProbedBlock,
+) -> WorldBlockReport {
+    let (summary, _diurnal, _trend) = classify_probed(block, cfg, scratch, probed);
+    join_block(geodb, block, summary)
+}
+
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -298,72 +343,44 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Flushes a worker's local batch: journals completed reports (disabling
-/// the journal on the first write error — the run itself must not die for
-/// a full disk), then publishes outcomes into the shared sink.
-fn flush_batch(
-    local: &mut Vec<(usize, BlockOutcome)>,
-    sink_mutex: &parking_lot::Mutex<&mut Sink>,
-    journal: Option<&parking_lot::Mutex<Option<JournalWriter>>>,
-) {
-    if let Some(j) = journal {
-        let mut jw = j.lock();
-        if let Some(w) = jw.as_mut() {
-            let mut failed = false;
-            for (_, outcome) in local.iter() {
-                if let BlockOutcome::Analyzed(rep) = outcome {
-                    if let Err(e) = w.append(rep) {
-                        eprintln!("[journal] write failed, journaling disabled: {e}");
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                *jw = None;
-            }
-        }
-    }
-    let mut guard = sink_mutex.lock();
-    match &mut **guard {
-        Sink::Collect(slots) => {
-            for (idx, outcome) in local.drain(..) {
-                slots[idx] = Some(outcome);
-            }
-        }
-        Sink::Stats(stats) => {
-            for (_, outcome) in local.drain(..) {
-                stats.absorb_outcome(outcome);
-            }
-        }
-    }
+/// The one panic boundary: runs `work` for block `block_id` and turns a
+/// panic into that block's [`Quarantine`] (counted in
+/// `resilience.blocks_quarantined`, the payload's message kept for
+/// triage) instead of unwinding into the engine. A caller whose arena
+/// `work` may have left half-written decides itself whether to replace it.
+/// Planted panics ([`fire_poison`]) go off here, at the first boundary
+/// their block enters.
+pub(crate) fn quarantine_on_panic<T>(
+    cfg: &AnalysisConfig,
+    block_id: u64,
+    work: impl FnOnce() -> T,
+) -> Result<T, Quarantine> {
+    catch_unwind(AssertUnwindSafe(|| {
+        fire_poison(cfg, block_id);
+        work()
+    }))
+    .map_err(|payload| {
+        sleepwatch_obs::global().resilience.blocks_quarantined.incr();
+        Quarantine { block_id, diagnostic: panic_message(payload) }
+    })
 }
 
-/// Records one outcome into the worker's batch, advances the shared done
-/// counter, and reports coarse intermediate progress.
-#[allow(clippy::too_many_arguments)]
-fn emit(
-    i: usize,
-    outcome: BlockOutcome,
-    n: usize,
-    base: usize,
-    local: &mut Vec<(usize, BlockOutcome)>,
-    blocks_done: &mut u64,
-    done: &AtomicUsize,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
+/// Flushes a worker's local batch: checkpoints completed reports, then
+/// publishes outcomes into the shared sink.
+fn flush_batch<S: Sink>(
+    local: &mut Vec<(usize, Outcome)>,
+    sink: &parking_lot::Mutex<S>,
+    checkpoint: &parking_lot::Mutex<Checkpoint>,
 ) {
-    if local.len() == local.capacity() {
-        sleepwatch_obs::global().world.batch_grows.incr();
-    }
-    local.push((i, outcome));
-    *blocks_done += 1;
-    let d = done.fetch_add(1, Ordering::Relaxed) + 1 + base;
-    if let Some(cb) = progress {
-        // Final (n, n) is reported by the calling thread after the join;
-        // workers only emit strictly intermediate counts.
-        if d % 500 == 0 && d < n {
-            cb(d, n);
+    {
+        let mut checkpoint = checkpoint.lock();
+        for report in local.iter().filter_map(|(_, outcome)| outcome.as_ref().ok()) {
+            checkpoint.record(report);
         }
+    }
+    let mut sink = sink.lock();
+    for (idx, outcome) in local.drain(..) {
+        sink.put(idx, outcome);
     }
 }
 
@@ -383,26 +400,29 @@ fn lane_refs<'a>(scratches: &'a mut [BlockScratch], slots: &[usize]) -> Vec<&'a 
     out
 }
 
-/// Shared driver behind every `analyze_world*` entry point. `skip` marks
-/// journal-replayed blocks (workers never touch them — for lazy sources a
-/// fully replayed chunk is not even generated); `base` is how many were
-/// replayed. Output depends only on the blocks and config — not on feed
+/// Shared driver behind every `analyze_world*` entry point: feed × sink ×
+/// where the run resumes from. Workers never touch the blocks `resume`
+/// replayed (for lazy sources a fully replayed chunk is not even
+/// generated). Output depends only on the blocks and config — not on feed
 /// kind, sink kind, thread count, schedule, journal presence, or how much
 /// was replayed.
-#[allow(clippy::too_many_arguments)]
-fn run_world(
+fn run_world<S: Sink>(
     feed: Feed<'_>,
     cfg: &AnalysisConfig,
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    journal: Option<&parking_lot::Mutex<Option<JournalWriter>>>,
-    skip: Vec<bool>,
-    sink: Sink,
-) -> RunOutput {
+    resume: Resume,
+) -> S::Output {
     let obs = sleepwatch_obs::global();
     let _total_timer = StageTimer::start(obs.pipeline.stage(Stage::Total));
     let n = feed.len();
-    debug_assert_eq!(skip.len(), n);
+    let Resume { checkpoint, skip, replayed } = resume;
+    let base = replayed.len();
+    let mut sink = S::empty(n);
+    for report in replayed {
+        sink.put(report.summary.block_id as usize, Ok(report));
+    }
+    let (sink, checkpoint) = (parking_lot::Mutex::new(sink), parking_lot::Mutex::new(checkpoint));
     let threads = threads.max(1);
     obs.world.runs.incr();
     obs.world.blocks_total.add(n as u64);
@@ -414,7 +434,6 @@ fn run_world(
     // warmup is not a caller-visible lookup and must not skew the
     // hit/miss-vs-transform accounting.)
     sleepwatch_spectral::prewarm(cfg.rounds as usize);
-    let base = skip.iter().filter(|&&s| s).count();
     if let Some(cb) = progress {
         // Surface replayed work immediately: a resumed run starts its
         // progress at `base` instead of the first worker report jumping
@@ -428,81 +447,83 @@ fn run_world(
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let started = std::time::Instant::now();
-    let mut sink = sink;
-    {
-        let sink_mutex = parking_lot::Mutex::new(&mut sink);
-        crossbeam::thread::scope(|s| {
-            for worker in 0..threads {
-                // Rebind as shared references so `move` captures copies,
-                // not the owned atomics/mutex themselves.
-                let (next, done, sink_mutex, skip, feed) =
-                    (&next, &done, &sink_mutex, &skip, &feed);
-                s.spawn(move |_| {
-                    // Worker arenas: one scratch per batch lane plus the
-                    // lane-interleaved FFT workspace and (for lazy feeds)
-                    // the chunk's spec buffer. All grow-only — after
-                    // warm-up a chunk runs without allocating.
-                    let mut local: Vec<(usize, BlockOutcome)> = Vec::with_capacity(CHUNK);
-                    let mut scratches: Vec<BlockScratch> =
-                        (0..MAX_BATCH_LANES).map(|_| BlockScratch::new()).collect();
-                    let mut batch_scratch = BatchRealScratch::new();
-                    let mut gen_buf: Vec<BlockSpec> = Vec::new();
-                    let mut work: Vec<usize> = Vec::with_capacity(CHUNK);
-                    let mut blocks_done = 0u64;
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= nchunks {
-                            break;
-                        }
-                        let lo = c * CHUNK;
-                        let hi = ((c + 1) * CHUNK).min(n);
-                        work.clear();
-                        work.extend((lo..hi).filter(|&i| !skip[i]));
-                        if work.is_empty() {
-                            // Fully replayed from the journal: resumed
-                            // sources skip generation outright.
-                            continue;
-                        }
-                        let view = match feed {
-                            Feed::World(w) => ChunkView::World(&w.blocks, &work),
-                            Feed::Source(src) => {
-                                src.generate_into(work.iter().map(|&i| i as u64), &mut gen_buf);
-                                obs.world.source_chunks.incr();
-                                ChunkView::Generated(&gen_buf)
-                            }
-                        };
-                        run_chunk_batched(
-                            &view,
-                            &work,
-                            feed.geodb(),
-                            cfg,
-                            &mut scratches,
-                            &mut batch_scratch,
-                            &mut |i, outcome| {
-                                emit(
-                                    i,
-                                    outcome,
-                                    n,
-                                    base,
-                                    &mut local,
-                                    &mut blocks_done,
-                                    done,
-                                    progress,
-                                )
-                            },
-                        );
-                        flush_batch(&mut local, sink_mutex, journal);
+    crossbeam::thread::scope(|s| {
+        for worker in 0..threads {
+            // Rebind as shared references so `move` captures copies,
+            // not the owned atomics/mutexes themselves.
+            let (next, done, sink, checkpoint, skip, feed) =
+                (&next, &done, &sink, &checkpoint, &skip, &feed);
+            s.spawn(move |_| {
+                // Worker arenas: one scratch per batch lane plus the
+                // lane-interleaved FFT workspace and (for lazy feeds)
+                // the chunk's spec buffer. All grow-only — after
+                // warm-up a chunk runs without allocating.
+                let mut local: Vec<(usize, Outcome)> = Vec::with_capacity(CHUNK);
+                let mut scratches: Vec<BlockScratch> =
+                    (0..MAX_BATCH_LANES).map(|_| BlockScratch::new()).collect();
+                let mut batch_scratch = BatchRealScratch::new();
+                let mut gen_buf: Vec<BlockSpec> = Vec::new();
+                let mut work: Vec<usize> = Vec::with_capacity(CHUNK);
+                let mut blocks_done = 0u64;
+                loop {
+                    let c = next.fetch_add(1, Ordering::Relaxed);
+                    if c >= nchunks {
+                        break;
                     }
-                    obs.world.worker_blocks.add(worker, blocks_done);
-                    let arena: usize = scratches.iter().map(|s| s.footprint_bytes()).sum::<usize>()
-                        + batch_scratch.footprint_bytes()
-                        + gen_buf.capacity() * std::mem::size_of::<BlockSpec>();
-                    obs.world.peak_block_bytes.raise(arena as u64);
-                });
-            }
-        })
-        .expect("worker thread panicked");
-    }
+                    let lo = c * CHUNK;
+                    let hi = ((c + 1) * CHUNK).min(n);
+                    work.clear();
+                    work.extend((lo..hi).filter(|&i| !is_replayed(skip, i)));
+                    if work.is_empty() {
+                        // Fully replayed from the journal: resumed
+                        // sources skip generation outright.
+                        continue;
+                    }
+                    let view = match feed {
+                        Feed::World(w) => ChunkView::World(&w.blocks, &work),
+                        Feed::Source(src) => {
+                            src.generate_into(work.iter().map(|&i| i as u64), &mut gen_buf);
+                            obs.world.source_chunks.incr();
+                            ChunkView::Generated(&gen_buf)
+                        }
+                    };
+                    run_chunk_batched(
+                        &view,
+                        &work,
+                        feed.geodb(),
+                        cfg,
+                        &mut scratches,
+                        &mut batch_scratch,
+                        // Each outcome joins the worker's batch and
+                        // advances the shared done counter.
+                        &mut |i, outcome| {
+                            if local.len() == local.capacity() {
+                                obs.world.batch_grows.incr();
+                            }
+                            local.push((i, outcome));
+                            blocks_done += 1;
+                            let d = done.fetch_add(1, Ordering::Relaxed) + 1 + base;
+                            // Final (n, n) is reported by the calling
+                            // thread after the join; workers only emit
+                            // strictly intermediate counts.
+                            if d % 500 == 0 && d < n {
+                                if let Some(cb) = progress {
+                                    cb(d, n);
+                                }
+                            }
+                        },
+                    );
+                    flush_batch(&mut local, sink, checkpoint);
+                }
+                obs.world.worker_blocks.add(worker, blocks_done);
+                let arena: usize = scratches.iter().map(|s| s.footprint_bytes()).sum::<usize>()
+                    + batch_scratch.footprint_bytes()
+                    + gen_buf.capacity() * std::mem::size_of::<BlockSpec>();
+                obs.world.peak_block_bytes.raise(arena as u64);
+            });
+        }
+    })
+    .expect("worker thread panicked");
 
     let analyzed = n - base;
     let secs = started.elapsed().as_secs_f64();
@@ -511,35 +532,9 @@ fn run_world(
     }
     let out = {
         let _t = StageTimer::start(obs.pipeline.stage(Stage::Join));
-        match sink {
-            Sink::Collect(slots) => {
-                let mut reports = Vec::with_capacity(n);
-                let mut quarantined = Vec::new();
-                for s in slots.into_iter().map(|s| s.expect("every block analyzed")) {
-                    match s {
-                        BlockOutcome::Analyzed(r) => reports.push(r),
-                        BlockOutcome::Quarantined { block_id, diagnostic } => {
-                            quarantined.push(Quarantine { block_id, diagnostic });
-                        }
-                    }
-                }
-                RunOutput::Analysis(WorldAnalysis { reports, quarantined })
-            }
-            Sink::Stats(mut stats) => {
-                // Workers fold in claim order; counters commute but the
-                // quarantine list must come out deterministic.
-                stats.quarantined.sort_by_key(|q| q.block_id);
-                RunOutput::Stats(stats)
-            }
-        }
+        sink.into_inner().finish()
     };
-    if let Some(j) = journal {
-        if let Some(w) = j.lock().as_mut() {
-            if let Err(e) = w.sync() {
-                eprintln!("[journal] final sync failed: {e}");
-            }
-        }
-    }
+    checkpoint.into_inner().finish();
     if let Some(cb) = progress {
         cb(n, n);
     }
@@ -549,8 +544,8 @@ fn run_world(
 /// Chunk execution: probe/clean up to [`MAX_BATCH_LANES`]
 /// blocks into per-lane arenas, FFT same-length series together through
 /// the lane-interleaved kernel, then classify and join each lane. Every
-/// phase keeps its own `catch_unwind` boundary so one poisoned block
-/// quarantines alone, never its batch-mates.
+/// phase runs each block inside [`quarantine_on_panic`] so one poisoned
+/// block quarantines alone, never its batch-mates.
 fn run_chunk_batched(
     view: &ChunkView<'_>,
     work: &[usize],
@@ -558,7 +553,7 @@ fn run_chunk_batched(
     cfg: &AnalysisConfig,
     scratches: &mut [BlockScratch],
     batch_scratch: &mut BatchRealScratch,
-    emit: &mut dyn FnMut(usize, BlockOutcome),
+    emit: &mut dyn FnMut(usize, Outcome),
 ) {
     let obs = sleepwatch_obs::global();
     let track = obs.pipeline.scratch_reuses.enabled();
@@ -566,7 +561,7 @@ fn run_chunk_batched(
     for mb in (0..m).step_by(MAX_BATCH_LANES) {
         let lanes = (m - mb).min(MAX_BATCH_LANES);
         let mut probed: [Option<ProbedBlock>; MAX_BATCH_LANES] = [None; MAX_BATCH_LANES];
-        let mut outcomes: [Option<BlockOutcome>; MAX_BATCH_LANES] = Default::default();
+        let mut quarantined: [Option<Quarantine>; MAX_BATCH_LANES] = Default::default();
         let mut fp_before = [0usize; MAX_BATCH_LANES];
 
         // Phase 1: probe → estimate → clean, one lane per block.
@@ -576,18 +571,9 @@ fn run_chunk_batched(
                 fp_before[l] = scratches[l].footprint_bytes();
             }
             let scr = &mut scratches[l];
-            match catch_unwind(AssertUnwindSafe(|| {
-                fire_poison(cfg, block.id);
-                probe_clean_into(block, cfg, scr)
-            })) {
+            match quarantine_on_panic(cfg, block.id, || probe_clean_into(block, cfg, scr)) {
                 Ok(p) => probed[l] = Some(p),
-                Err(payload) => {
-                    obs.resilience.blocks_quarantined.incr();
-                    outcomes[l] = Some(BlockOutcome::Quarantined {
-                        block_id: block.id,
-                        diagnostic: panic_message(payload),
-                    });
-                }
+                Err(q) => quarantined[l] = Some(q),
             }
         }
 
@@ -648,16 +634,12 @@ fn run_chunk_batched(
                 for &l in members {
                     let block = view.get(mb + l);
                     let scr = &mut scratches[l];
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
+                    if let Err(q) = quarantine_on_panic(cfg, block.id, || {
                         let (series, spec) = scr.series_and_spectrum();
                         spec.compute_with_plan(series, sleepwatch_spectral::ROUND_SECONDS, &plan);
-                    })) {
-                        obs.resilience.blocks_quarantined.incr();
+                    }) {
                         probed[l] = None;
-                        outcomes[l] = Some(BlockOutcome::Quarantined {
-                            block_id: block.id,
-                            diagnostic: panic_message(payload),
-                        });
+                        quarantined[l] = Some(q);
                     }
                 }
             }
@@ -674,58 +656,20 @@ fn run_chunk_batched(
         // Phase 3: classify and join each lane, in lane order.
         for l in 0..lanes {
             let i = work[mb + l];
-            if let Some(outcome) = outcomes[l].take() {
-                emit(i, outcome);
+            if let Some(q) = quarantined[l].take() {
+                emit(i, Err(q));
                 continue;
             }
             let block = view.get(mb + l);
             let p = probed[l].expect("lane survived phases 1–2");
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                let (summary, _diurnal, _trend) = classify_probed(block, cfg, &scratches[l], p);
-                if track {
-                    // Same classification point as `analyze_block`: the
-                    // whole block (probe buffers, series, spectrum) either
-                    // fit the warm arena or grew it.
-                    if scratches[l].footprint_bytes() > fp_before[l] {
-                        obs.pipeline.scratch_grows.incr();
-                    } else {
-                        obs.pipeline.scratch_reuses.incr();
-                    }
-                }
-                join_block(geodb, block, summary)
-            })) {
-                Ok(rep) => BlockOutcome::Analyzed(rep),
-                Err(payload) => {
-                    obs.resilience.blocks_quarantined.incr();
-                    BlockOutcome::Quarantined {
-                        block_id: block.id,
-                        diagnostic: panic_message(payload),
-                    }
-                }
-            };
+            let outcome = quarantine_on_panic(cfg, block.id, || {
+                finish_block(geodb, block, cfg, &scratches[l], p)
+            });
+            if track && outcome.is_ok() {
+                scratches[l].count_reuse(fp_before[l]);
+            }
             emit(i, outcome);
         }
-    }
-}
-
-/// Empty per-block collection slots for a fresh run.
-fn empty_slots(n: usize) -> Vec<Option<BlockOutcome>> {
-    let mut v = Vec::with_capacity(n);
-    v.resize_with(n, || None);
-    v
-}
-
-fn expect_analysis(out: RunOutput) -> WorldAnalysis {
-    match out {
-        RunOutput::Analysis(a) => a,
-        RunOutput::Stats(_) => unreachable!("collect sink returns an analysis"),
-    }
-}
-
-fn expect_stats(out: RunOutput) -> WorldRunStats {
-    match out {
-        RunOutput::Stats(s) => s,
-        RunOutput::Analysis(_) => unreachable!("stats sink returns stats"),
     }
 }
 
@@ -746,16 +690,7 @@ pub fn analyze_world(
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> WorldAnalysis {
-    let n = world.blocks.len();
-    expect_analysis(run_world(
-        Feed::World(world),
-        cfg,
-        threads,
-        progress,
-        None,
-        vec![false; n],
-        Sink::Collect(empty_slots(n)),
-    ))
+    run_world::<Collect>(Feed::World(world), cfg, threads, progress, Resume::default())
 }
 
 /// [`analyze_world`] over a lazy [`WorldSource`]: blocks are synthesized
@@ -769,16 +704,7 @@ pub fn analyze_world_source(
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> WorldAnalysis {
-    let n = source.len();
-    expect_analysis(run_world(
-        Feed::Source(source),
-        cfg,
-        threads,
-        progress,
-        None,
-        vec![false; n],
-        Sink::Collect(empty_slots(n)),
-    ))
+    run_world::<Collect>(Feed::Source(source), cfg, threads, progress, Resume::default())
 }
 
 /// Paper-scale entry point: lazy generation ([`WorldSource`]) and a
@@ -791,16 +717,7 @@ pub fn analyze_world_stats(
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> WorldRunStats {
-    let n = source.len();
-    expect_stats(run_world(
-        Feed::Source(source),
-        cfg,
-        threads,
-        progress,
-        None,
-        vec![false; n],
-        Sink::Stats(WorldRunStats::default()),
-    ))
+    run_world::<WorldRunStats>(Feed::Source(source), cfg, threads, progress, Resume::default())
 }
 
 /// The run identity a resumable world run stamps into its journal (and
@@ -820,30 +737,49 @@ pub fn run_identity(
     }
 }
 
-/// Builds the journal prefill for a resumable run: opens (or validates)
-/// the journal at `path` and returns the writer, the replay skip-mask,
-/// and the replayed reports.
-pub(crate) fn open_journal(
-    path: &Path,
-    seed: u64,
-    n: usize,
-    cfg: &AnalysisConfig,
-) -> Result<(JournalWriter, Vec<bool>, Vec<WorldBlockReport>), JournalError> {
-    let header = JournalHeader::from_identity(&run_identity(seed, n, cfg));
-    let (writer, replayed, _stats) = journal::open_resume(path, &header)?;
-    let mut skip = vec![false; n];
-    let mut kept = Vec::with_capacity(replayed.len());
-    for rep in replayed {
-        let idx = rep.summary.block_id as usize;
-        // Defensive: only trust records that name a real slot of this
-        // world (generated worlds satisfy `blocks[i].id == i`), first
-        // record wins.
-        if idx < n && !skip[idx] {
-            skip[idx] = true;
-            kept.push(rep);
+/// Where an engine run starts from. The default is a fresh run: nothing
+/// replayed, nothing journaled.
+#[derive(Debug, Default)]
+pub(crate) struct Resume {
+    /// The checkpoint policy finished blocks are recorded through.
+    pub(crate) checkpoint: Checkpoint,
+    /// `skip[i]`: block `i` was replayed; read through [`is_replayed`].
+    pub(crate) skip: Vec<bool>,
+    /// The replayed reports, one per marked block.
+    pub(crate) replayed: Vec<WorldBlockReport>,
+}
+
+impl Resume {
+    /// The journal prefill of a resumable run: opens (or validates) the
+    /// journal at `path` for the world of `n` blocks grown from `seed`.
+    pub(crate) fn open(
+        path: &Path,
+        seed: u64,
+        n: usize,
+        cfg: &AnalysisConfig,
+    ) -> Result<Resume, JournalError> {
+        let header = JournalHeader::from_identity(&run_identity(seed, n, cfg));
+        let (writer, recovered, _stats) = journal::open_resume(path, &header)?;
+        let mut skip = vec![false; n];
+        let mut replayed = Vec::with_capacity(recovered.len());
+        for rep in recovered {
+            let idx = rep.summary.block_id as usize;
+            // Defensive: only trust records that name a real slot of this
+            // world (generated worlds satisfy `blocks[i].id == i`), first
+            // record wins.
+            if idx < n && !skip[idx] {
+                skip[idx] = true;
+                replayed.push(rep);
+            }
         }
+        Ok(Resume { checkpoint: Checkpoint::new(writer), skip, replayed })
     }
-    Ok((writer, skip, kept))
+}
+
+/// Whether block `idx` was replayed from the journal (a fresh run's empty
+/// mask marks nothing).
+pub(crate) fn is_replayed(skip: &[bool], idx: usize) -> bool {
+    skip.get(idx).copied().unwrap_or(false)
 }
 
 /// [`analyze_world`] with a crash-safe checkpoint journal at
@@ -864,23 +800,8 @@ pub fn analyze_world_resumable(
     journal_path: &Path,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> Result<WorldAnalysis, JournalError> {
-    let n = world.blocks.len();
-    let (writer, skip, replayed) = open_journal(journal_path, world.cfg.seed, n, cfg)?;
-    let mut slots = empty_slots(n);
-    for rep in replayed {
-        let idx = rep.summary.block_id as usize;
-        slots[idx] = Some(BlockOutcome::Analyzed(rep));
-    }
-    let jmutex = parking_lot::Mutex::new(Some(writer));
-    Ok(expect_analysis(run_world(
-        Feed::World(world),
-        cfg,
-        threads,
-        progress,
-        Some(&jmutex),
-        skip,
-        Sink::Collect(slots),
-    )))
+    let resume = Resume::open(journal_path, world.cfg.seed, world.blocks.len(), cfg)?;
+    Ok(run_world::<Collect>(Feed::World(world), cfg, threads, progress, resume))
 }
 
 /// [`analyze_world_stats`] with the checkpoint journal: replayed blocks
@@ -894,22 +815,8 @@ pub fn analyze_world_stats_resumable(
     journal_path: &Path,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> Result<WorldRunStats, JournalError> {
-    let n = source.len();
-    let (writer, skip, replayed) = open_journal(journal_path, source.cfg().seed, n, cfg)?;
-    let mut stats = WorldRunStats::default();
-    for rep in &replayed {
-        stats.absorb_report(rep);
-    }
-    let jmutex = parking_lot::Mutex::new(Some(writer));
-    Ok(expect_stats(run_world(
-        Feed::Source(source),
-        cfg,
-        threads,
-        progress,
-        Some(&jmutex),
-        skip,
-        Sink::Stats(stats),
-    )))
+    let resume = Resume::open(journal_path, source.cfg().seed, source.len(), cfg)?;
+    Ok(run_world::<WorldRunStats>(Feed::Source(source), cfg, threads, progress, resume))
 }
 
 impl WorldAnalysis {
@@ -937,38 +844,23 @@ impl WorldAnalysis {
 
     /// Count and fraction of strictly diurnal blocks.
     pub fn strict_fraction(&self) -> (usize, f64) {
-        let n = self.reports.iter().filter(|r| r.summary.class.is_strict()).count();
-        (n, n as f64 / self.len().max(1) as f64)
+        self.stats().strict_fraction()
     }
 
     /// Count and fraction of strict-or-relaxed diurnal blocks.
     pub fn diurnal_fraction(&self) -> (usize, f64) {
-        let n = self.reports.iter().filter(|r| r.summary.class.is_diurnal()).count();
-        (n, n as f64 / self.len().max(1) as f64)
+        self.stats().diurnal_fraction()
     }
 
     /// Fraction of blocks passing the stationarity screen.
     pub fn stationary_fraction(&self) -> f64 {
-        let n = self.reports.iter().filter(|r| r.summary.stationary).count();
-        n as f64 / self.len().max(1) as f64
+        self.stats().stationary_fraction()
     }
 
     /// Detection quality against the planted labels:
     /// `(true_pos, false_pos, false_neg, true_neg)` using the strict class.
     pub fn confusion_vs_planted(&self) -> (usize, usize, usize, usize) {
-        let mut tp = 0;
-        let mut fp = 0;
-        let mut fneg = 0;
-        let mut tn = 0;
-        for r in &self.reports {
-            match (r.planted_diurnal, r.summary.class.is_strict()) {
-                (true, true) => tp += 1,
-                (false, true) => fp += 1,
-                (true, false) => fneg += 1,
-                (false, false) => tn += 1,
-            }
-        }
-        (tp, fp, fneg, tn)
+        self.stats().confusion_vs_planted()
     }
 }
 

@@ -4,7 +4,7 @@
 //! sleepwatch analyze   [--blocks N] [--days D] [--seed S] [--threads T]
 //!                      [--dataset FILE] [--format tsv|bin]
 //!                      world-scale pipeline summary
-//! sleepwatch convert   IN OUT [--format tsv|bin] [--blocks N] [--seed S]
+//! sleepwatch convert   IN OUT [--format tsv|bin] [--blocks N] [--days D] [--seed S]
 //!                      convert datasets between TSV and the compact
 //!                      binary container (input format is sniffed)
 //! sleepwatch block     [--diurnal|--flat] [--days D] [--seed S]
@@ -20,6 +20,7 @@
 //!                      `SLPWFEED` wire instead of in-process
 //! sleepwatch feed      [--blocks N] [--days D] [--seed S]
 //!                      [--listen ADDR | --connect ADDR | --to-file FILE]
+//!                      [--reconnect-attempts N] [--backoff-ms B]
 //!                      serve the world's event feed to a remote ingest
 //!                      (or write it to a file)
 //! sleepwatch serve     --listen ADDR (--dataset FILE | --journal FILE)
@@ -31,9 +32,16 @@
 //! sleepwatch info                          versions and configuration
 //! ```
 //!
+//! A command takes the flags listed for it and refuses any other (the
+//! `COMMANDS` table is what the parser and the usage text read). `--days`
+//! must span two UTC midnights from the run's start, or the midnight trim
+//! leaves nothing to analyse: about 1.3 days for a world (it starts at
+//! 17:18 UTC), just over 1 for `block` (it starts on a midnight).
+//!
 //! Paper tables/figures live in the separate `experiments` binary
 //! (`cargo run -p sleepwatch-experiments -- --list`).
 
+use sleepwatch::availability::midnight_trim;
 use sleepwatch::core::binfmt::DATASET_MAGIC;
 use sleepwatch::core::framing::sniff_magic;
 use sleepwatch::core::{
@@ -47,10 +55,35 @@ use sleepwatch::probing::transport::{
     serve_feed, write_feed, BackoffConfig, Endpoint, EventSource, FeedConfig, FileSource,
     TcpConfig, TcpEventSource, TransportError,
 };
-use sleepwatch::simnet::{BlockProfile, BlockSpec, World, WorldConfig, WorldSource};
+use sleepwatch::simnet::{
+    BlockProfile, BlockSpec, World, WorldConfig, WorldSource, A12W_START, ROUND_SECONDS,
+};
 use sleepwatch::spectral::MAX_PLAN_LEN;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// `println!` through the one stdout helper ([`write_stdout`]).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout (line-buffered). A reader that has gone away
+/// (`sleepwatch … | head -2`) ends the process quietly with exit 0; any
+/// other write error is reported and exits 1. `println!` would panic on
+/// both.
+fn write_stdout(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("sleepwatch: could not write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -140,21 +173,77 @@ impl Args {
     }
 }
 
+/// One subcommand: its name, its usage — the arguments and flags its `run`
+/// reads, which is also what the parser lets it take — and where its
+/// observation starts (`--days` is checked against that).
+struct Command {
+    name: &'static str,
+    usage: &'static str,
+    start_time: u64,
+    run: fn(&Args) -> ExitCode,
+}
+
+impl Command {
+    /// Whether `flag` is one of the flags this command's usage names.
+    fn reads(&self, flag: &str) -> bool {
+        self.usage.split(|c: char| " []|()".contains(c)).any(|word| word == flag)
+    }
+}
+
+/// Every subcommand. The parser refuses a flag its command's usage does
+/// not name, and the usage text is these rows.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "analyze",
+        usage: "[--blocks N] [--days D] [--seed S] [--threads T] [--dataset FILE] \
+                [--format tsv|bin]",
+        start_time: A12W_START,
+        run: cmd_analyze,
+    },
+    Command {
+        name: "convert",
+        usage: "IN OUT [--format tsv|bin] [--blocks N] [--days D] [--seed S]",
+        start_time: A12W_START,
+        run: cmd_convert,
+    },
+    Command {
+        name: "block",
+        usage: "[--diurnal|--flat] [--days D] [--seed S]",
+        start_time: 0,
+        run: cmd_block,
+    },
+    Command {
+        name: "ingest",
+        usage: "[--blocks N] [--days D] [--seed S] [--shards K] [--journal FILE] \
+                [--listen ADDR | --connect ADDR | --from-file FILE] [--strict] \
+                [--read-timeout-ms T] [--reconnect-attempts N] [--backoff-ms B]",
+        start_time: A12W_START,
+        run: cmd_ingest,
+    },
+    Command {
+        name: "feed",
+        usage: "[--blocks N] [--days D] [--seed S] \
+                [--listen ADDR | --connect ADDR | --to-file FILE] \
+                [--reconnect-attempts N] [--backoff-ms B]",
+        start_time: A12W_START,
+        run: cmd_feed,
+    },
+    Command {
+        name: "serve",
+        usage: "--listen ADDR (--dataset FILE | --journal FILE) [--blocks N] [--days D] \
+                [--seed S] [--threads T] [--lru-capacity N] [--read-timeout-ms T]",
+        start_time: A12W_START,
+        run: cmd_serve,
+    },
+    Command { name: "countries", usage: "", start_time: 0, run: cmd_countries },
+    Command { name: "info", usage: "", start_time: 0, run: cmd_info },
+];
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: sleepwatch <analyze|convert|block|ingest|feed|serve|countries|info> \
-         [--blocks N] [--days D] [--seed S] [--threads T] [--dataset FILE] \
-         [--format tsv|bin] [--flat]\n       \
-         sleepwatch convert IN OUT [--format tsv|bin] [--blocks N] [--seed S]\n       \
-         sleepwatch ingest [--blocks N] [--days D] [--seed S] [--shards K] [--journal FILE]\n             \
-         [--listen ADDR | --connect ADDR | --from-file FILE] [--strict]\n             \
-         [--read-timeout-ms T] [--reconnect-attempts N] [--backoff-ms B]\n       \
-         sleepwatch feed [--blocks N] [--days D] [--seed S]\n             \
-         [--listen ADDR | --connect ADDR | --to-file FILE]\n       \
-         sleepwatch serve --listen ADDR (--dataset FILE | --journal FILE)\n             \
-         [--blocks N] [--days D] [--seed S] [--threads T]\n             \
-         [--lru-capacity N] [--read-timeout-ms T]"
-    );
+    for (i, c) in COMMANDS.iter().enumerate() {
+        let lead = if i == 0 { "usage:" } else { "      " };
+        eprintln!("{}", format!("{lead} sleepwatch {} {}", c.name, c.usage).trim_end());
+    }
     std::process::exit(2);
 }
 
@@ -180,10 +269,14 @@ fn flag_value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
 /// peaks near 300 MiB.
 const MAX_SPAN_DAYS: f64 = 3_660.0;
 
-fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
+fn parse_args(cmd: &Command, mut it: impl Iterator<Item = String>) -> Args {
     let mut a = Args::default();
     while let Some(arg) = it.next() {
         let flag = arg.as_str();
+        let known = flag.starts_with('-') && COMMANDS.iter().any(|c| c.reads(flag));
+        if known && !cmd.reads(flag) {
+            bad_flag(flag, &format!("not a flag of {}", cmd.name));
+        }
         match flag {
             "--blocks" => {
                 a.blocks = flag_value(flag, it.next());
@@ -203,6 +296,12 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
                 }
                 if a.days > MAX_SPAN_DAYS {
                     bad_flag(flag, &format!("spans more than {MAX_SPAN_DAYS} days"));
+                }
+                // Everything outside the first and last UTC midnight is
+                // trimmed away; a span that crosses only one leaves an
+                // empty series, which "analyses" to all-zero verdicts.
+                if midnight_trim(cmd.start_time, rounds, ROUND_SECONDS).is_empty() {
+                    bad_flag(flag, "must span two UTC midnights from the start of the run");
                 }
             }
             "--seed" => a.seed = flag_value(flag, it.next()),
@@ -256,21 +355,24 @@ fn cmd_analyze(a: &Args) -> ExitCode {
 
     let (strict, sf) = analysis.strict_fraction();
     let (either, ef) = analysis.diurnal_fraction();
-    println!("blocks analyzed     : {}", analysis.len());
-    println!("strictly diurnal    : {strict} ({:.1}%)", 100.0 * sf);
-    println!("strict or relaxed   : {either} ({:.1}%)", 100.0 * ef);
-    println!("stationary          : {:.1}%", 100.0 * analysis.stationary_fraction());
+    outln!("blocks analyzed     : {}", analysis.len());
+    outln!("strictly diurnal    : {strict} ({:.1}%)", 100.0 * sf);
+    outln!("strict or relaxed   : {either} ({:.1}%)", 100.0 * ef);
+    outln!("stationary          : {:.1}%", 100.0 * analysis.stationary_fraction());
 
-    println!("\ntop countries by diurnal fraction (≥20 blocks):");
+    outln!("\ntop countries by diurnal fraction (≥20 blocks):");
     for s in analysis.country_stats(20).iter().take(10) {
-        println!(
+        outln!(
             "  {:<4}{:>7} blocks  {:>7.3}  (GDP ${:.0})",
-            s.code, s.blocks, s.frac_diurnal, s.gdp
+            s.code,
+            s.blocks,
+            s.frac_diurnal,
+            s.gdp
         );
     }
 
     let size = estimate_size(&analysis);
-    println!(
+    outln!(
         "\nactive addresses: mean {:.0}, snapshot range [{:.0}, {:.0}] ({:.1}% swing)",
         size.mean_active,
         size.trough_active,
@@ -291,8 +393,8 @@ fn cmd_analyze(a: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
         match format {
-            Format::Bin => println!("\nbinary dataset written to {path} (seed-joined)"),
-            Format::Tsv => println!("\ndataset written to {path}"),
+            Format::Bin => outln!("\nbinary dataset written to {path} (seed-joined)"),
+            Format::Tsv => outln!("\ndataset written to {path}"),
         }
     }
     ExitCode::SUCCESS
@@ -346,7 +448,7 @@ fn cmd_convert(a: &Args) -> ExitCode {
         eprintln!("could not write {output}: {e}");
         return ExitCode::FAILURE;
     }
-    println!(
+    outln!(
         "{} rows: {input} ({}) -> {output} ({})",
         rows.len(),
         if is_bin { "binary" } else { "tsv" },
@@ -377,18 +479,20 @@ fn cmd_block(a: &Args) -> ExitCode {
         BlockProfile::always_on(150, 0.8)
     };
     let block = BlockSpec::bare(0, a.seed, profile);
+    // Starts at midnight UTC — the `start_time` of this command's row.
     let analysis = analyze_block(&block, &AnalysisConfig::over_days(0, a.days));
-    println!("class         : {:?}", analysis.diurnal.class);
-    println!("mean Âs       : {:.3}", analysis.mean_a_short);
-    println!("probes/hour   : {:.1}", analysis.run.probes_per_hour());
-    println!("dominance     : {:.2}", analysis.diurnal.dominance_ratio());
+    outln!("class         : {:?}", analysis.diurnal.class);
+    outln!("mean Âs       : {:.3}", analysis.mean_a_short);
+    outln!("probes/hour   : {:.1}", analysis.run.probes_per_hour());
+    outln!("dominance     : {:.2}", analysis.diurnal.dominance_ratio());
     if let Some(phase) = analysis.diurnal.phase {
         let peak = sleepwatch::core::peak_utc_hour(phase);
-        println!("phase         : {phase:.3} rad (daily peak ≈ {peak:.1}h UTC)");
+        outln!("phase         : {phase:.3} rad (daily peak ≈ {peak:.1}h UTC)");
     }
-    println!(
+    outln!(
         "stationary    : {} ({:+.2} addr/day)",
-        analysis.trend.stationary, analysis.trend.addresses_per_day
+        analysis.trend.stationary,
+        analysis.trend.addresses_per_day
     );
     ExitCode::SUCCESS
 }
@@ -434,22 +538,19 @@ fn wire_source(
 fn report_transport(a: &Args, out: TransportOutcome, secs: f64, shards: usize) -> ExitCode {
     print_ingest_summary(a, &out.outcome, secs, shards);
     let t = &out.transport;
-    println!("wire frames         : {}", t.frames);
-    println!("reconnects          : {}", t.reconnects);
+    outln!("wire frames         : {}", t.frames);
+    outln!("reconnects          : {}", t.reconnects);
     if t.duplicates > 0 {
-        println!("duplicate frames    : {}", t.duplicates);
+        outln!("duplicate frames    : {}", t.duplicates);
     }
     if t.skipped_corrupt > 0 || t.lost_events > 0 {
-        println!(
-            "corrupt skipped     : {} frames, {} events lost",
-            t.skipped_corrupt, t.lost_events
-        );
+        outln!("corrupt skipped     : {} frames, {} events lost", t.skipped_corrupt, t.lost_events);
     }
     if t.heartbeats_missed > 0 {
-        println!("heartbeats missed   : {}", t.heartbeats_missed);
+        outln!("heartbeats missed   : {}", t.heartbeats_missed);
     }
     if t.backoff_ms > 0 {
-        println!("backoff slept       : {} ms", t.backoff_ms);
+        outln!("backoff slept       : {} ms", t.backoff_ms);
     }
     if let Some(e) = &out.error {
         match e {
@@ -532,26 +633,26 @@ fn cmd_ingest(a: &Args) -> ExitCode {
 fn print_ingest_summary(a: &Args, out: &sleepwatch::core::IngestOutcome, secs: f64, shards: usize) {
     let s = &out.stats;
     let strict = out.reports.iter().filter(|r| r.summary.class.is_strict()).count();
-    println!("blocks finalized    : {}", s.blocks);
+    outln!("blocks finalized    : {}", s.blocks);
     if s.replayed > 0 {
-        println!("  from journal      : {}", s.replayed);
+        outln!("  from journal      : {}", s.replayed);
     }
     if s.quarantined > 0 {
-        println!("  quarantined       : {}", s.quarantined);
+        outln!("  quarantined       : {}", s.quarantined);
     }
-    println!(
+    outln!(
         "strictly diurnal    : {strict} ({:.1}%)",
         100.0 * strict as f64 / s.blocks.max(1) as f64
     );
-    println!("live strict (stream): {}", s.live_strict);
-    println!("rounds routed       : {}", s.rounds_routed);
-    println!("queue high water    : {} events", s.queue_high_water);
-    println!("backpressure stalls : {}", s.backpressure_stalls);
+    outln!("live strict (stream): {}", s.live_strict);
+    outln!("rounds routed       : {}", s.rounds_routed);
+    outln!("queue high water    : {} events", s.queue_high_water);
+    outln!("backpressure stalls : {}", s.backpressure_stalls);
     if a.journal.is_some() {
-        println!("checkpoints         : {}", s.checkpoints);
+        outln!("checkpoints         : {}", s.checkpoints);
     }
     if secs > 0.0 {
-        println!(
+        outln!(
             "throughput          : {:.0} rounds/s ({:.0} rounds/s/shard)",
             s.rounds_routed as f64 / secs,
             s.rounds_routed as f64 / secs / shards as f64
@@ -566,7 +667,7 @@ fn print_ingest_summary(a: &Args, out: &sleepwatch::core::IngestOutcome, secs: f
 fn cmd_feed(a: &Args) -> ExitCode {
     let source = WorldSource::new(a.world_config());
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, a.days);
-    let icfg = IngestConfig { shards: a.shards.max(1), ..Default::default() };
+    let icfg = IngestConfig::default();
     let identity = feed_identity(&source, &cfg);
     let picked = [a.listen.is_some(), a.connect.is_some(), a.to_file.is_some()]
         .into_iter()
@@ -587,7 +688,7 @@ fn cmd_feed(a: &Args) -> ExitCode {
             .and_then(|mut f| write_feed(&mut f, &events, &identity, fcfg.frame_events));
         return match write {
             Ok(()) => {
-                println!("{} events written to {path}", events.len());
+                outln!("{} events written to {path}", events.len());
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -613,7 +714,7 @@ fn cmd_feed(a: &Args) -> ExitCode {
     let stop = std::sync::atomic::AtomicBool::new(false);
     match serve_feed(&endpoint, &events, &fcfg, &a.backoff(), &stop) {
         Ok(served) => {
-            println!("feed delivered over {served} connection(s)");
+            outln!("feed delivered over {served} connection(s)");
             ExitCode::SUCCESS
         }
         Err(e @ TransportError::Exhausted { .. }) => {
@@ -676,18 +777,16 @@ fn cmd_serve(a: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("serving {blocks} blocks on http://{} ({} threads)", server.addr(), scfg.threads);
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    outln!("serving {blocks} blocks on http://{} ({} threads)", server.addr(), scfg.threads);
     loop {
         std::thread::park();
     }
 }
 
-fn cmd_countries() -> ExitCode {
-    println!("{:<5}{:<24}{:>10}{:>10}{:>8}  region", "code", "name", "GDP", "kWh/cap", "blocks");
+fn cmd_countries(_: &Args) -> ExitCode {
+    outln!("{:<5}{:<24}{:>10}{:>10}{:>8}  region", "code", "name", "GDP", "kWh/cap", "blocks");
     for c in COUNTRIES {
-        println!(
+        outln!(
             "{:<5}{:<24}{:>10.0}{:>10.0}{:>8.0}  {}",
             c.code,
             c.name,
@@ -697,33 +796,23 @@ fn cmd_countries() -> ExitCode {
             c.region.name()
         );
     }
-    println!("\n{} countries modeled", COUNTRIES.len());
+    outln!("\n{} countries modeled", COUNTRIES.len());
     ExitCode::SUCCESS
 }
 
-fn cmd_info() -> ExitCode {
-    println!("sleepwatch {}", env!("CARGO_PKG_VERSION"));
-    println!("reproduction of: Quan, Heidemann, Pradkin — 'When the Internet Sleeps' (IMC 2014)");
-    println!("round length   : 660 s (11 minutes)");
-    println!("countries      : {}", COUNTRIES.len());
-    println!("experiments    : run `cargo run -p sleepwatch-experiments -- --list`");
+fn cmd_info(_: &Args) -> ExitCode {
+    outln!("sleepwatch {}", env!("CARGO_PKG_VERSION"));
+    outln!("reproduction of: Quan, Heidemann, Pradkin — 'When the Internet Sleeps' (IMC 2014)");
+    outln!("round length   : 660 s (11 minutes)");
+    outln!("countries      : {}", COUNTRIES.len());
+    outln!("experiments    : run `cargo run -p sleepwatch-experiments -- --list`");
     ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let Some(cmd) = args.next() else { usage() };
-    let parsed = parse_args(args);
-    match cmd.as_str() {
-        "analyze" => cmd_analyze(&parsed),
-        "convert" => cmd_convert(&parsed),
-        "block" => cmd_block(&parsed),
-        "ingest" => cmd_ingest(&parsed),
-        "feed" => cmd_feed(&parsed),
-        "serve" => cmd_serve(&parsed),
-        "countries" => cmd_countries(),
-        "info" => cmd_info(),
-        "--help" | "-h" | "help" => usage(),
-        _ => usage(),
-    }
+    let Some(cmd) = args.next().and_then(|name| COMMANDS.iter().find(|c| c.name == name)) else {
+        usage()
+    };
+    (cmd.run)(&parse_args(cmd, args))
 }

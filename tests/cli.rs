@@ -125,7 +125,7 @@ fn sleepwatch_convert_round_trips_both_formats() {
 fn sleepwatch_feed_file_round_trips_into_ingest() {
     let dir = std::env::temp_dir().join(format!("swtest-cli-feed-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let world = ["--blocks", "16", "--days", "1", "--seed", "11"];
+    let world = ["--blocks", "16", "--days", "2", "--seed", "11"];
     let feed_path = dir.join("world.feed");
 
     let Some(mut cmd) = bin("sleepwatch") else { return };
@@ -153,7 +153,7 @@ fn sleepwatch_feed_file_round_trips_into_ingest() {
     let out = cmd
         .args(["ingest", "--from-file"])
         .arg(&feed_path)
-        .args(["--blocks", "16", "--days", "1", "--seed", "12"])
+        .args(["--blocks", "16", "--days", "2", "--seed", "12"])
         .output()
         .expect("spawn foreign ingest");
     assert!(!out.status.success());
@@ -179,15 +179,67 @@ fn assert_flag_refused(command: &str, args: &[&str]) {
 /// A `--days` that is not a finite span of at least one round, or longer
 /// than the FFT planner or memory accepts, is refused up front by every
 /// command that builds a world from it — not a planner panic (`1e7`,
-/// `inf`), a silent zero-round analysis (`nan`, `-3`, `0`) or an
-/// allocation until killed (`1000000`, `3661`: past the ten-year bound).
+/// `inf`), a silent zero-round analysis (`nan`, `-3`, `0`), an
+/// allocation until killed (`1000000`, `3661`: past the ten-year bound)
+/// or a silent zero-sample analysis (`1`: the midnight trim keeps what
+/// lies between two UTC midnights, and one day crosses only one).
 #[test]
 fn sleepwatch_days_is_validated_by_every_world_command() {
     for command in ["analyze", "block", "ingest", "feed"] {
-        for days in ["nan", "inf", "-3", "0", "1e7", "1000000", "3661"] {
+        for days in ["nan", "inf", "-3", "0", "1e7", "1000000", "3661", "1"] {
             assert_flag_refused(command, &["--days", days, "--blocks", "2"]);
         }
     }
+    // A world starts at 17:18 UTC, so its second midnight is 1.28 days in;
+    // `block` starts on a midnight and reaches the next after one day.
+    for command in ["analyze", "ingest", "feed", "serve", "convert"] {
+        assert_flag_refused(command, &["--days", "1.2"]);
+    }
+    for args in [&["analyze", "--days", "1.5", "--blocks", "20"][..], &["block", "--days", "2"]] {
+        let Some(mut cmd) = bin("sleepwatch") else { return };
+        assert!(cmd.args(args).output().expect("spawn").status.success(), "{args:?}");
+    }
+}
+
+/// A command refuses a flag it does not read — `analyze --shards 9` used
+/// to run as if the flag were not there.
+#[test]
+fn sleepwatch_commands_refuse_flags_they_do_not_read() {
+    for (command, args) in [
+        ("analyze", &["--shards", "9"][..]),
+        ("convert", &["--threads", "2"]),
+        ("block", &["--blocks", "3"]),
+        ("ingest", &["--threads", "2"]),
+        ("feed", &["--shards", "2"]),
+        ("serve", &["--strict"]),
+        ("countries", &["--seed", "1"]),
+        ("info", &["--flat"]),
+    ] {
+        assert_flag_refused(command, args);
+    }
+    let Some(mut cmd) = bin("sleepwatch") else { return };
+    let out = cmd.args(["analyze", "--shards", "9"]).output().expect("spawn");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "sleepwatch: --shards: not a flag of analyze\n"
+    );
+}
+
+/// A reader that closes stdout early (`sleepwatch block | head -2`) ends
+/// the process quietly: `println!` used to panic on `EPIPE` — "failed
+/// printing to stdout: Broken pipe", a backtrace and exit 101. No race:
+/// stdout is the write end of a pipe whose only reader has already exited.
+#[cfg(unix)]
+#[test]
+fn sleepwatch_does_not_panic_on_a_closed_stdout() {
+    use std::process::Stdio;
+    let mut reader = Command::new("true").stdin(Stdio::piped()).spawn().expect("spawn true");
+    let pipe = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("wait for true");
+    let Some(mut cmd) = bin("sleepwatch") else { return };
+    let out = cmd.arg("countries").stdout(Stdio::from(pipe)).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(0), "{:?}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
 }
 
 /// A world of no blocks is refused up front — not an empty report with
@@ -240,7 +292,7 @@ fn sleepwatch_ingest_reports_budget_exhaustion() {
     let Some(mut cmd) = bin("sleepwatch") else { return };
     // Port 1 is never listening; keep the budget tiny so the test is fast.
     let out = cmd
-        .args(["ingest", "--blocks", "4", "--days", "1", "--connect", "127.0.0.1:1"])
+        .args(["ingest", "--blocks", "4", "--days", "2", "--connect", "127.0.0.1:1"])
         .args(["--reconnect-attempts", "2", "--backoff-ms", "1"])
         .output()
         .expect("spawn");
@@ -260,7 +312,7 @@ fn sleepwatch_serve_answers_queries_end_to_end() {
 
     let dir = std::env::temp_dir().join(format!("swtest-cli-serve-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let world = ["--blocks", "24", "--days", "1", "--seed", "9"];
+    let world = ["--blocks", "24", "--days", "2", "--seed", "9"];
     let data = dir.join("world.bin");
 
     let Some(mut cmd) = bin("sleepwatch") else { return };
@@ -371,7 +423,7 @@ fn sleepwatch_serve_refuses_foreign_datasets() {
     let out = cmd
         .args(["analyze", "--format", "bin", "--dataset"])
         .arg(&data)
-        .args(["--blocks", "24", "--days", "1", "--seed", "9"])
+        .args(["--blocks", "24", "--days", "2", "--seed", "9"])
         .output()
         .expect("spawn analyze");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -380,7 +432,7 @@ fn sleepwatch_serve_refuses_foreign_datasets() {
     let out = cmd
         .args(["serve", "--listen", "127.0.0.1:0", "--dataset"])
         .arg(&data)
-        .args(["--blocks", "24", "--days", "1", "--seed", "10"])
+        .args(["--blocks", "24", "--days", "2", "--seed", "10"])
         .output()
         .expect("spawn foreign serve");
     assert!(!out.status.success());
@@ -408,7 +460,7 @@ fn sleepwatch_serve_refuses_v1_journals() {
     let out = cmd
         .args(["serve", "--listen", "127.0.0.1:0", "--journal"])
         .arg(&journal)
-        .args(["--blocks", "24", "--days", "1", "--seed", "9"])
+        .args(["--blocks", "24", "--days", "2", "--seed", "9"])
         .output()
         .expect("spawn v1 serve");
     assert_eq!(out.status.code(), Some(1));
@@ -430,7 +482,7 @@ fn sleepwatch_analyze_reports_unwritable_dataset_path() {
         .join("x.tsv");
     let Some(mut cmd) = bin("sleepwatch") else { return };
     let out = cmd
-        .args(["analyze", "--blocks", "8", "--days", "1", "--dataset"])
+        .args(["analyze", "--blocks", "8", "--days", "2", "--dataset"])
         .arg(&missing)
         .output()
         .expect("spawn analyze");
