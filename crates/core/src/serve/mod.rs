@@ -155,14 +155,6 @@ pub fn load_rows(
     }
 }
 
-/// Renders the obs registry for `GET /metrics`: every counter in the
-/// process-global registry, sorted by name.
-pub fn metrics_body() -> String {
-    let snap = sleepwatch_obs::Snapshot::capture(sleepwatch_obs::global());
-    let counters: Vec<String> = snap.counters.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-    format!("{{\"counters\":{{{}}}}}", counters.join(","))
-}
-
 /// Parses `/v1/query`'s query string into a [`Filter`]. Empty string →
 /// empty filter (matches everything). Unknown, duplicate or malformed
 /// parameters are refused with the message for a 400 body.
@@ -226,7 +218,7 @@ pub fn route(state: &ServeState, target: &str) -> (u16, &'static str, String) {
     let ok = |body: String| (200, "OK", body);
     let not_found = |what: &str| (404, "Not Found", error_body(what));
     match path {
-        "/metrics" => ok(metrics_body()),
+        "/metrics" => ok(sleepwatch_obs::Snapshot::capture(obs).to_json()),
         "/v1/summary" => ok(state.summary().to_string()),
         "/v1/country" => ok(state.countries().to_string()),
         "/v1/as" => ok(state.ases().to_string()),

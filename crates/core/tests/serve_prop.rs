@@ -12,7 +12,7 @@ use sleepwatch_core::serve::http::{
     error_body, read_request, write_response, RequestError, MAX_HEADERS, MAX_REQUEST_LINE,
 };
 use sleepwatch_core::serve::index::Filter;
-use sleepwatch_core::serve::{metrics_body, route, LruOutcome, LruShard, ShardedLru};
+use sleepwatch_core::serve::{route, LruOutcome, LruShard, ShardedLru};
 use sleepwatch_core::{analyze_world, dataset_rows, AnalysisConfig, ServeState};
 use sleepwatch_simnet::{World, WorldConfig};
 use std::io::BufReader;
@@ -50,7 +50,7 @@ fn payloads() -> &'static Vec<String> {
             st.ases().to_string(),
             st.links().to_string(),
             st.outages().to_string(),
-            metrics_body(),
+            route(st, "/metrics").2,
             error_body("unknown country"),
             error_body("unknown query parameter \"bogus\""),
         ];

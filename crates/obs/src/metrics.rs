@@ -5,8 +5,8 @@
 //! `static`s) and carries a plain `on: bool` captured at construction.
 //! When `on` is `false` the recording methods return before touching any
 //! atomic, which is what makes [`crate::Registry::disabled`] free on the
-//! hot path. With the crate feature `off` the recording bodies are compiled
-//! out entirely.
+//! hot path. With the crate feature `off` that test is the constant
+//! `false`, so the recording bodies are dead code the compiler drops.
 //!
 //! All atomics use `Relaxed` ordering: metrics are monotone accumulators
 //! read at synchronisation points (end of run), never used for
@@ -49,12 +49,9 @@ impl Counter {
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "off"))]
-        if self.on {
+        if self.enabled() {
             self.v.fetch_add(n, Relaxed);
         }
-        #[cfg(feature = "off")]
-        let _ = n;
     }
 
     /// Adds one to the counter.
@@ -84,12 +81,9 @@ impl Gauge {
     /// Raises the gauge to `v` if `v` exceeds the current value.
     #[inline]
     pub fn raise(&self, v: u64) {
-        #[cfg(not(feature = "off"))]
-        if self.on {
+        if !cfg!(feature = "off") && self.on {
             self.v.fetch_max(v, Relaxed);
         }
-        #[cfg(feature = "off")]
-        let _ = v;
     }
 
     /// Current value.
@@ -178,15 +172,12 @@ impl Histogram {
     /// Records one observation of `value` (in the scheme's unit).
     #[inline]
     pub fn record(&self, value: f64) {
-        #[cfg(not(feature = "off"))]
-        if self.on {
+        if self.enabled() {
             let v = if value.is_finite() && value > 0.0 { value } else { 0.0 };
             self.count.fetch_add(1, Relaxed);
             self.sum_micros.fetch_add((v * 1e6).round() as u64, Relaxed);
             self.buckets[self.scheme.index(v)].fetch_add(1, Relaxed);
         }
-        #[cfg(feature = "off")]
-        let _ = value;
     }
 
     /// The bucketing scheme this histogram was built with.
@@ -291,12 +282,9 @@ impl LengthCounts {
     /// Adds `n` to the count for `key`.
     #[inline]
     pub fn add(&self, key: usize, n: u64) {
-        #[cfg(not(feature = "off"))]
-        if self.on {
+        if !cfg!(feature = "off") && self.on {
             self.add_slow(key as u64 + 1, n);
         }
-        #[cfg(feature = "off")]
-        let _ = (key, n);
     }
 
     /// Adds one to the count for `key`.
@@ -305,7 +293,6 @@ impl LengthCounts {
         self.add(key, 1);
     }
 
-    #[cfg(not(feature = "off"))]
     fn add_slow(&self, stored: u64, n: u64) {
         let start = (stored as usize).wrapping_mul(0x9E37_79B9) % LENGTH_SLOTS;
         for probe in 0..LENGTH_SLOTS {

@@ -1,5 +1,10 @@
-//! The metric registry: one `const`-constructible struct per pipeline
-//! subsystem, grouped under [`Registry`].
+//! The metric registry: one table, one row per metric.
+//!
+//! `metrics!` turns the table at the bottom of this file into the
+//! `const`-constructible group structs, [`Registry`], its constructor,
+//! [`Snapshot::capture`] with its `group.field` keys, and the gauge test
+//! [`Snapshot::delta`] needs — so a metric is written once and cannot be
+//! half-registered.
 //!
 //! Two registries exist for the whole process (see [`crate::global`]): an
 //! enabled one and a disabled one. Instrumented code grabs a reference
@@ -9,115 +14,96 @@
 //! `on` flag — whether anything is written.
 
 use crate::metrics::{Buckets, Counter, Gauge, Histogram, LengthCounts};
+use crate::snapshot::Snapshot;
 use crate::stage::Stage;
 
-/// Probing-side counters: Trinocular rounds, survey baselines and the
-/// deterministic fault layer.
-pub struct ProbingMetrics {
-    /// Individual probes sent by `TrinocularProber` runs (sum of
-    /// per-run `total_probes`).
-    pub probes_sent: Counter,
-    /// Probes sent by full-census survey scans (kept separate so
-    /// `probes_sent` stays exactly Σ `BlockRun::total_probes`).
-    pub survey_probes: Counter,
-    /// Completed prober runs.
-    pub runs: Counter,
-    /// E(b) refreshes: initial ever-responsive walks built plus
-    /// mid-run churn rebuilds.
-    pub eb_refreshes: Counter,
-    /// Individual E(b) slots replaced by churn events.
-    pub churned_slots: Counter,
-    /// Fault-event counters, by kind.
-    pub faults: FaultMetrics,
+/// What a row's kind means: its field type (`type`), its `const`
+/// constructor (`new`), its line in [`Snapshot::capture`] (`capture`) and
+/// whether [`Snapshot::delta`] keeps it whole (`gauge`).
+#[rustfmt::skip] // one line per rule: this is a lookup table
+macro_rules! kind {
+    (type counter) => { Counter };
+    (type gauge) => { Gauge };
+    (type histogram $scheme:tt) => { Histogram };
+    (type lengths) => { LengthCounts };
+    (type stages) => { [Histogram; Stage::COUNT] };
+    (new $on:ident counter) => { Counter::new($on) };
+    (new $on:ident gauge) => { Gauge::new($on) };
+    (new $on:ident histogram($scheme:expr)) => { Histogram::new($on, $scheme) };
+    (new $on:ident lengths) => { LengthCounts::new($on) };
+    (new $on:ident stages) => { Stage::histograms($on) };
+    (capture $s:ident $key:expr, $m:expr, counter) => { $s.counters.insert($key, $m.get()); };
+    (capture $s:ident $key:expr, $m:expr, gauge) => { $s.counters.insert($key, $m.get()); };
+    (capture $s:ident $key:expr, $m:expr, histogram $scheme:tt) => {
+        $s.histograms.insert($key, $m.snapshot());
+    };
+    (capture $s:ident $key:expr, $m:expr, lengths) => { $s.lengths.insert($key, $m.snapshot()); };
+    (capture $s:ident $key:expr, $m:expr, stages) => {
+        for stage in Stage::ALL {
+            $s.histograms.insert(stage.key(), $m[stage as usize].snapshot());
+        }
+    };
+    (gauge gauge) => { true };
+    (gauge $($other:tt)+) => { false };
 }
 
-/// Counters for every fault kind a `FaultPlan` can inject.
-pub struct FaultMetrics {
-    /// Correlated loss bursts that started.
-    pub loss_bursts: Counter,
-    /// Probe responses suppressed by loss bursts.
-    pub lost_probes: Counter,
-    /// Vantage blackouts entered.
-    pub blackouts: Counter,
-    /// Rounds skipped entirely while blacked out.
-    pub blackout_rounds: Counter,
-    /// Restart storms triggered by the fault plan.
-    pub storm_restarts: Counter,
-    /// Rounds lost to restart storms.
-    pub storm_lost_rounds: Counter,
-    /// Runs truncated early.
-    pub truncations: Counter,
-    /// Rounds dropped by truncation.
-    pub truncated_rounds: Counter,
-    /// Duplicate records appended by record mangling.
-    pub duplicates: Counter,
-    /// Adjacent record swaps applied by record mangling.
-    pub reorders: Counter,
-    /// Configured (non-fault) prober restarts observed during runs.
-    pub cfg_restarts: Counter,
+/// A row's snapshot key, `group.field`.
+macro_rules! key {
+    ($group:ident.$field:ident) => {
+        concat!(stringify!($group), ".", stringify!($field))
+    };
 }
 
-/// Availability-cleaning counters and the per-series fill-fraction
-/// distribution.
-pub struct CleaningMetrics {
-    /// Series passed through `clean_series`.
-    pub series_cleaned: Counter,
-    /// Output samples produced across all cleaned series.
-    pub samples_out: Counter,
-    /// Output samples synthesised by gap filling.
-    pub samples_filled: Counter,
-    /// Distribution of per-series fill fraction (filled / total), 0..1.
-    pub fill_fraction: Histogram,
-}
+/// The table: `group: GroupStruct { field: kind, … }`, docs included.
+/// Kinds are `counter`, `gauge`, `histogram(scheme)`, `lengths` and
+/// `stages` (the per-[`Stage`] histogram array, keyed `stage.<name>`).
+macro_rules! metrics {
+    ($(
+        $(#[$gdoc:meta])*
+        $group:ident: $Group:ident {
+            $($(#[$doc:meta])* $field:ident: $kind:ident $(($($arg:tt)*))?,)*
+        }
+    )*) => {
+        $(
+            $(#[$gdoc])*
+            pub struct $Group {
+                $($(#[$doc])* pub $field: kind!(type $kind $(($($arg)*))?),)*
+            }
+        )*
 
-/// FFT plan-cache telemetry.
-pub struct PlanCacheMetrics {
-    /// Public `plan_for` lookups served from the cache.
-    pub hits: Counter,
-    /// Public `plan_for` lookups that had to build a plan.
-    pub misses: Counter,
-    /// Plans inserted into the cache (misses that won the insert race).
-    pub inserts: Counter,
-    /// Explicit `prewarm` calls (uncounted as hits/misses).
-    pub prewarms: Counter,
-}
+        /// The full metric registry, one instance per enabled/disabled state.
+        pub struct Registry {
+            $($(#[$gdoc])* pub $group: $Group,)*
+        }
 
-/// FFT execution telemetry.
-pub struct FftMetrics {
-    /// Transforms executed through the public plan entry points.
-    pub transforms: Counter,
-    /// The subset of `transforms` that went through an allocating
-    /// wrapper instead of a caller-provided scratch buffer.
-    pub alloc_transforms: Counter,
-    /// Transform counts keyed by input length.
-    pub by_length: LengthCounts,
-}
+        impl Registry {
+            /// Builds a registry whose metrics record only when `on` is true.
+            pub const fn with_state(on: bool) -> Self {
+                Registry {
+                    $($group: $Group {
+                        $($field: kind!(new on $kind $(($($arg)*))?),)*
+                    },)*
+                }
+            }
 
-/// Batched-spectral kernel telemetry (the structure-of-arrays real-FFT
-/// path used by paper-scale world runs).
-pub struct SpectralMetrics {
-    /// Batched real-FFT kernel invocations (one per same-length group,
-    /// regardless of lane count).
-    pub batched_ffts: Counter,
-    /// Series transformed through the batched kernel (sum of lane counts;
-    /// also counted in `fft.transforms`).
-    pub batched_series: Counter,
-}
+            /// True for the keys of gauges: high-water marks, which a
+            /// delta carries over instead of subtracting.
+            pub(crate) fn is_gauge(key: &str) -> bool {
+                $($((kind!(gauge $kind $(($($arg)*))?) && key == key!($group.$field)) ||)*)* false
+            }
+        }
 
-/// Per-block pipeline counters and stage wall-time histograms.
-pub struct PipelineMetrics {
-    /// Blocks fully analysed by `analyze_block`.
-    pub blocks_analyzed: Counter,
-    /// Blocks rejected by the fill-fraction screen.
-    pub blocks_rejected: Counter,
-    /// Scratch-path blocks whose `BlockScratch` arena was reused without
-    /// growing (the steady state).
-    pub scratch_reuses: Counter,
-    /// Scratch-path blocks that grew the arena (warm-up, or a longer
-    /// series than any before).
-    pub scratch_grows: Counter,
-    /// Wall-time histograms, one per [`Stage`], in microseconds.
-    stages: [Histogram; Stage::COUNT],
+        impl Snapshot {
+            /// Captures the current state of `reg`.
+            pub fn capture(reg: &Registry) -> Snapshot {
+                let mut s = Snapshot::default();
+                $($(
+                    kind!(capture s key!($group.$field), reg.$group.$field, $kind $(($($arg)*))?);
+                )*)*
+                s
+            }
+        }
+    };
 }
 
 impl PipelineMetrics {
@@ -127,302 +113,250 @@ impl PipelineMetrics {
     }
 }
 
-/// World-run orchestration counters.
-pub struct WorldMetrics {
-    /// `analyze_world` invocations.
-    pub runs: Counter,
-    /// Blocks submitted across all world runs.
-    pub blocks_total: Counter,
-    /// Largest single world analysed (blocks).
-    pub max_world_blocks: Gauge,
-    /// Largest per-worker `BlockScratch` arena seen, in bytes.
-    pub peak_block_bytes: Gauge,
-    /// Times a worker's local result batch had to grow its capacity
-    /// (should stay 0: batches are pre-sized and flushed before full).
-    pub batch_grows: Counter,
-    /// Chunks claimed from a lazy `WorldSource` that generated at least
-    /// one block (fully-journaled chunks skip generation entirely).
-    pub source_chunks: Counter,
-    /// End-to-end throughput of the largest completed world run, in
-    /// blocks per second (freshly analysed blocks / wall-clock).
-    pub blocks_per_sec: Gauge,
-    /// Blocks analysed per worker index, to see scheduling balance.
-    pub worker_blocks: LengthCounts,
-}
-
-/// Synthetic-world generation counters.
-pub struct SimnetMetrics {
-    /// Worlds generated.
-    pub worlds_generated: Counter,
-    /// Blocks generated across all worlds.
-    pub blocks_generated: Counter,
-}
-
-/// Geolocation / economic-join counters.
-pub struct GeoMetrics {
-    /// Block lookups that resolved to a country.
-    pub locate_hits: Counter,
-    /// Block lookups with no geolocation entry.
-    pub locate_misses: Counter,
-    /// Located blocks whose country code had no entry in the country
-    /// table (the block degrades to country-less instead of panicking).
-    pub unknown_countries: Counter,
-}
-
-/// Link-type classification counters.
-pub struct LinktypeMetrics {
-    /// Blocks classified by access-link type.
-    pub blocks_classified: Counter,
-}
-
-/// Crash-safety counters: panic quarantine and the checkpoint journal.
-pub struct ResilienceMetrics {
-    /// Blocks whose analysis panicked and was quarantined instead of
-    /// aborting the world run.
-    pub blocks_quarantined: Counter,
-    /// Block records appended to a checkpoint journal.
-    pub journal_records_written: Counter,
-    /// Block records recovered from a journal on resume.
-    pub journal_records_replayed: Counter,
-    /// Damaged or partial trailing records discarded during replay.
-    pub journal_records_discarded: Counter,
-}
-
-/// Compact binary container counters: the dataset encode/decode paths
-/// of `core::binfmt`.
-pub struct FormatMetrics {
-    /// Binary datasets encoded.
-    pub datasets_encoded: Counter,
-    /// Total container bytes produced by encoding.
-    pub bytes_encoded: Counter,
-    /// Rows encoded into containers.
-    pub records_encoded: Counter,
-    /// Record frames written.
-    pub frames_encoded: Counter,
-    /// Containers parsed and fully validated.
-    pub datasets_decoded: Counter,
-    /// Rows made available by successful parses.
-    pub records_decoded: Counter,
-    /// Parses rejected with a typed decode error (including the damaged
-    /// tail of a prefix decode).
-    pub decode_errors: Counter,
-}
-
-/// Streaming ingest: sharded routing, bounded queues, checkpoints.
-pub struct IngestMetrics {
-    /// Round events routed to shard queues.
-    pub rounds_routed: Counter,
-    /// Feeder pushes that blocked on a full shard queue.
-    pub backpressure_stalls: Counter,
-    /// Highest queued-event count observed on any shard queue.
-    pub queue_high_water: Gauge,
-    /// Journal sync points reached (durable checkpoints).
-    pub checkpoints: Counter,
-    /// Blocks whose stream completed and was finalized.
-    pub blocks_finished: Counter,
-}
-
-/// Wire transport: the `SLPWFEED` sources feeding streaming ingest.
-pub struct TransportMetrics {
-    /// Frames accepted (events, heartbeats, end markers).
-    pub frames: Counter,
-    /// Connections re-established after the first.
-    pub reconnects: Counter,
-    /// Damaged frames detected and skipped (or refused in strict mode).
-    pub skipped_corrupt: Counter,
-    /// Total reconnect backoff slept, in milliseconds.
-    pub backoff_ms: Counter,
-    /// Read timeouts while waiting for the peer.
-    pub heartbeats_missed: Counter,
-}
-
-/// Query-service counters: the HTTP front end, its protocol-error
-/// taxonomy, and the ad-hoc-query LRU.
-pub struct ServeMetrics {
-    /// Connections accepted.
-    pub connections: Counter,
-    /// Requests parsed successfully.
-    pub requests: Counter,
-    /// 2xx responses written.
-    pub responses_ok: Counter,
-    /// 4xx/5xx responses written (routing misses and protocol errors).
-    pub responses_err: Counter,
-    /// Protocol violations (malformed, oversized or truncated requests).
-    pub bad_requests: Counter,
-    /// Read timeouts waiting for a request (the slowloris bound).
-    pub read_timeouts: Counter,
-    /// Connections lost while writing a response.
-    pub write_errors: Counter,
-    /// Ad-hoc query answers served from the LRU.
-    pub lru_hits: Counter,
-    /// Ad-hoc queries folded over the rows (and cached).
-    pub lru_misses: Counter,
-    /// LRU entries evicted to make room.
-    pub lru_evictions: Counter,
-    /// Response bytes put on the wire.
-    pub bytes_out: Counter,
-}
-
-/// The full metric registry, one instance per enabled/disabled state.
-pub struct Registry {
-    /// Probing subsystem.
-    pub probing: ProbingMetrics,
-    /// Availability cleaning subsystem.
-    pub cleaning: CleaningMetrics,
-    /// FFT plan cache.
-    pub plan_cache: PlanCacheMetrics,
-    /// FFT execution.
-    pub fft: FftMetrics,
-    /// Batched-spectral kernels.
-    pub spectral: SpectralMetrics,
-    /// Per-block analysis pipeline.
-    pub pipeline: PipelineMetrics,
-    /// World-run orchestration.
-    pub world: WorldMetrics,
-    /// Synthetic world generation.
-    pub simnet: SimnetMetrics,
-    /// Geolocation joins.
-    pub geo: GeoMetrics,
-    /// Link-type classification.
-    pub linktype: LinktypeMetrics,
-    /// Crash safety: quarantine and checkpoint journal.
-    pub resilience: ResilienceMetrics,
-    /// Compact binary dataset container.
-    pub format: FormatMetrics,
-    /// Streaming ingest engine.
-    pub ingest: IngestMetrics,
-    /// Wire transport sources.
-    pub transport: TransportMetrics,
-    /// Query service (`core::serve`).
-    pub serve: ServeMetrics,
-}
-
-impl Registry {
-    /// Builds a registry whose metrics record only when `on` is true.
-    pub const fn with_state(on: bool) -> Self {
-        const fn stage_hist(on: bool) -> Histogram {
-            Histogram::new(on, Buckets::Log2Micros)
-        }
-        Registry {
-            probing: ProbingMetrics {
-                probes_sent: Counter::new(on),
-                survey_probes: Counter::new(on),
-                runs: Counter::new(on),
-                eb_refreshes: Counter::new(on),
-                churned_slots: Counter::new(on),
-                faults: FaultMetrics {
-                    loss_bursts: Counter::new(on),
-                    lost_probes: Counter::new(on),
-                    blackouts: Counter::new(on),
-                    blackout_rounds: Counter::new(on),
-                    storm_restarts: Counter::new(on),
-                    storm_lost_rounds: Counter::new(on),
-                    truncations: Counter::new(on),
-                    truncated_rounds: Counter::new(on),
-                    duplicates: Counter::new(on),
-                    reorders: Counter::new(on),
-                    cfg_restarts: Counter::new(on),
-                },
-            },
-            cleaning: CleaningMetrics {
-                series_cleaned: Counter::new(on),
-                samples_out: Counter::new(on),
-                samples_filled: Counter::new(on),
-                fill_fraction: Histogram::new(on, Buckets::Linear { lo: 0.0, hi: 1.0 }),
-            },
-            plan_cache: PlanCacheMetrics {
-                hits: Counter::new(on),
-                misses: Counter::new(on),
-                inserts: Counter::new(on),
-                prewarms: Counter::new(on),
-            },
-            fft: FftMetrics {
-                transforms: Counter::new(on),
-                alloc_transforms: Counter::new(on),
-                by_length: LengthCounts::new(on),
-            },
-            spectral: SpectralMetrics {
-                batched_ffts: Counter::new(on),
-                batched_series: Counter::new(on),
-            },
-            pipeline: PipelineMetrics {
-                blocks_analyzed: Counter::new(on),
-                blocks_rejected: Counter::new(on),
-                scratch_reuses: Counter::new(on),
-                scratch_grows: Counter::new(on),
-                stages: [
-                    stage_hist(on),
-                    stage_hist(on),
-                    stage_hist(on),
-                    stage_hist(on),
-                    stage_hist(on),
-                    stage_hist(on),
-                    stage_hist(on),
-                ],
-            },
-            world: WorldMetrics {
-                runs: Counter::new(on),
-                blocks_total: Counter::new(on),
-                max_world_blocks: Gauge::new(on),
-                peak_block_bytes: Gauge::new(on),
-                batch_grows: Counter::new(on),
-                source_chunks: Counter::new(on),
-                blocks_per_sec: Gauge::new(on),
-                worker_blocks: LengthCounts::new(on),
-            },
-            simnet: SimnetMetrics {
-                worlds_generated: Counter::new(on),
-                blocks_generated: Counter::new(on),
-            },
-            geo: GeoMetrics {
-                locate_hits: Counter::new(on),
-                locate_misses: Counter::new(on),
-                unknown_countries: Counter::new(on),
-            },
-            linktype: LinktypeMetrics { blocks_classified: Counter::new(on) },
-            resilience: ResilienceMetrics {
-                blocks_quarantined: Counter::new(on),
-                journal_records_written: Counter::new(on),
-                journal_records_replayed: Counter::new(on),
-                journal_records_discarded: Counter::new(on),
-            },
-            format: FormatMetrics {
-                datasets_encoded: Counter::new(on),
-                bytes_encoded: Counter::new(on),
-                records_encoded: Counter::new(on),
-                frames_encoded: Counter::new(on),
-                datasets_decoded: Counter::new(on),
-                records_decoded: Counter::new(on),
-                decode_errors: Counter::new(on),
-            },
-            ingest: IngestMetrics {
-                rounds_routed: Counter::new(on),
-                backpressure_stalls: Counter::new(on),
-                queue_high_water: Gauge::new(on),
-                checkpoints: Counter::new(on),
-                blocks_finished: Counter::new(on),
-            },
-            transport: TransportMetrics {
-                frames: Counter::new(on),
-                reconnects: Counter::new(on),
-                skipped_corrupt: Counter::new(on),
-                backoff_ms: Counter::new(on),
-                heartbeats_missed: Counter::new(on),
-            },
-            serve: ServeMetrics {
-                connections: Counter::new(on),
-                requests: Counter::new(on),
-                responses_ok: Counter::new(on),
-                responses_err: Counter::new(on),
-                bad_requests: Counter::new(on),
-                read_timeouts: Counter::new(on),
-                write_errors: Counter::new(on),
-                lru_hits: Counter::new(on),
-                lru_misses: Counter::new(on),
-                lru_evictions: Counter::new(on),
-                bytes_out: Counter::new(on),
-            },
-        }
+metrics! {
+    /// Probing-side counters: Trinocular rounds and survey baselines.
+    probing: ProbingMetrics {
+        /// Individual probes sent by `TrinocularProber` runs (sum of
+        /// per-run `total_probes`).
+        probes_sent: counter,
+        /// Probes sent by full-census survey scans (kept separate so
+        /// `probes_sent` stays exactly Σ `BlockRun::total_probes`).
+        survey_probes: counter,
+        /// Completed prober runs.
+        runs: counter,
+        /// E(b) refreshes: initial ever-responsive walks built plus
+        /// mid-run churn rebuilds.
+        eb_refreshes: counter,
+        /// Individual E(b) slots replaced by churn events. No equality: an
+        /// event replaces a fraction of the prober's private E(b) walk.
+        churned_slots: counter,
+    }
+    /// Counters for every fault kind a `FaultPlan` can inject; each event
+    /// counter equals the count recomputed through the public plan API.
+    faults: FaultMetrics {
+        /// Correlated loss bursts that started.
+        loss_bursts: counter,
+        /// Probe responses suppressed by loss bursts. No equality: which
+        /// probes a burst eats is the prober's private randomness.
+        lost_probes: counter,
+        /// Vantage blackouts entered.
+        blackouts: counter,
+        /// Rounds skipped entirely while blacked out.
+        blackout_rounds: counter,
+        /// Restart storms triggered by the fault plan.
+        storm_restarts: counter,
+        /// Rounds lost to restart storms. Bounded by `storm_restarts` only:
+        /// the length of a restart is the prober's private draw.
+        storm_lost_rounds: counter,
+        /// Runs truncated early.
+        truncations: counter,
+        /// Rounds dropped by truncation.
+        truncated_rounds: counter,
+        /// Duplicate records appended by record mangling.
+        duplicates: counter,
+        /// Adjacent record swaps applied by record mangling.
+        reorders: counter,
+        /// Configured (non-fault) prober restarts observed during runs.
+        cfg_restarts: counter,
+    }
+    /// Availability-cleaning counters and the per-series fill-fraction
+    /// distribution.
+    cleaning: CleaningMetrics {
+        /// Series passed through `clean_series`.
+        series_cleaned: counter,
+        /// Output samples produced across all cleaned series.
+        samples_out: counter,
+        /// Output samples synthesised by gap filling.
+        samples_filled: counter,
+        /// Distribution of per-series fill fraction (filled / total), 0..1.
+        fill_fraction: histogram(Buckets::Linear { lo: 0.0, hi: 1.0 }),
+    }
+    /// FFT plan-cache telemetry; `hits + misses == fft.transforms`.
+    plan_cache: PlanCacheMetrics {
+        /// Public `plan_for` lookups served from the cache.
+        hits: counter,
+        /// Public `plan_for` lookups that had to build a plan.
+        misses: counter,
+        /// Plans inserted into the cache (misses that won the insert race;
+        /// no equality: the cache outlives a run, and losers insert nothing).
+        inserts: counter,
+        /// Explicit `prewarm` calls (uncounted as hits/misses).
+        prewarms: counter,
+    }
+    /// FFT execution telemetry.
+    fft: FftMetrics {
+        /// Transforms executed through the public plan entry points.
+        transforms: counter,
+        /// The subset of `transforms` that went through an allocating
+        /// wrapper instead of a caller-provided scratch buffer.
+        alloc_transforms: counter,
+        /// Transform counts keyed by input length.
+        by_length: lengths,
+    }
+    /// Batched-spectral kernel telemetry (the structure-of-arrays real-FFT
+    /// path used by paper-scale world runs).
+    spectral: SpectralMetrics {
+        /// Batched real-FFT kernel invocations (one per same-length group,
+        /// regardless of lane count; no equality: the grouping depends on
+        /// which blocks each worker's chunk holds).
+        batched_ffts: counter,
+        /// Series transformed through the batched kernel (sum of lane
+        /// counts; also counted in `fft.transforms`). Equals
+        /// `pipeline.blocks_analyzed` in a clean world run.
+        batched_series: counter,
+    }
+    /// Per-block pipeline counters and stage wall-time histograms.
+    pipeline: PipelineMetrics {
+        /// Blocks fully analysed by `analyze_block`.
+        blocks_analyzed: counter,
+        /// Blocks rejected by the fill-fraction screen.
+        blocks_rejected: counter,
+        /// Scratch-path blocks whose `BlockScratch` arena was reused
+        /// without growing (the steady state), judged by the arena's
+        /// capacity footprint before and after the block.
+        /// `scratch_reuses + scratch_grows == blocks_analyzed`.
+        scratch_reuses: counter,
+        /// Scratch-path blocks that grew the arena: warm-up, a longer
+        /// series than any before, or every block of `analyze_block`,
+        /// whose arena starts empty.
+        scratch_grows: counter,
+        /// Wall-time histograms in microseconds, one per [`Stage`], read
+        /// through [`PipelineMetrics::stage`].
+        stages: stages,
+    }
+    /// World-run orchestration counters.
+    world: WorldMetrics {
+        /// `analyze_world` invocations.
+        runs: counter,
+        /// Blocks submitted across all world runs.
+        blocks_total: counter,
+        /// Largest single world analysed (blocks).
+        max_world_blocks: gauge,
+        /// Largest per-worker `BlockScratch` arena footprint seen, in bytes
+        /// (the experiments harness prints it to stderr).
+        peak_block_bytes: gauge,
+        /// Times a worker's local result batch had to grow its capacity.
+        /// Pinned to 0: batches are pre-sized to one chunk (256) and
+        /// flushed per chunk.
+        batch_grows: counter,
+        /// Chunks claimed from a lazy `WorldSource` that generated at least
+        /// one block (fully-journaled chunks skip generation entirely).
+        source_chunks: counter,
+        /// End-to-end throughput of the fastest completed world run, in
+        /// blocks per second (freshly analysed blocks / wall-clock, so no
+        /// equality).
+        blocks_per_sec: gauge,
+        /// Blocks analysed per worker index, to see scheduling balance.
+        worker_blocks: lengths,
+    }
+    /// Synthetic-world generation counters.
+    simnet: SimnetMetrics {
+        /// Worlds generated.
+        worlds_generated: counter,
+        /// Blocks generated across all worlds.
+        blocks_generated: counter,
+    }
+    /// Geolocation / economic-join counters.
+    geo: GeoMetrics {
+        /// Block lookups that resolved to a country.
+        locate_hits: counter,
+        /// Block lookups with no geolocation entry.
+        locate_misses: counter,
+        /// Located blocks whose country code had no entry in the country
+        /// table (the block degrades to country-less instead of panicking).
+        unknown_countries: counter,
+    }
+    /// Link-type classification counters.
+    linktype: LinktypeMetrics {
+        /// Blocks classified by access-link type.
+        blocks_classified: counter,
+    }
+    /// Crash-safety counters: panic quarantine and the checkpoint journal.
+    resilience: ResilienceMetrics {
+        /// Blocks whose analysis panicked and was quarantined instead of
+        /// aborting the world run.
+        blocks_quarantined: counter,
+        /// Block records appended to a checkpoint journal.
+        journal_records_written: counter,
+        /// Block records recovered from a journal on resume.
+        journal_records_replayed: counter,
+        /// Damaged or partial trailing records discarded during replay.
+        journal_records_discarded: counter,
+    }
+    /// Compact binary container counters: the dataset encode/decode paths
+    /// of `core::binfmt`.
+    format: FormatMetrics {
+        /// Binary datasets encoded.
+        datasets_encoded: counter,
+        /// Total container bytes produced by encoding.
+        bytes_encoded: counter,
+        /// Rows encoded into containers.
+        records_encoded: counter,
+        /// Record frames written.
+        frames_encoded: counter,
+        /// Containers parsed and fully validated.
+        datasets_decoded: counter,
+        /// Rows made available by successful parses.
+        records_decoded: counter,
+        /// Parses rejected with a typed decode error (including the damaged
+        /// tail of a prefix decode).
+        decode_errors: counter,
+    }
+    /// Streaming ingest: sharded routing, bounded queues, checkpoints.
+    /// Flushed from the run's `IngestStats` when it ends.
+    ingest: IngestMetrics {
+        /// Round events routed to shard queues.
+        rounds_routed: counter,
+        /// Feeder pushes that blocked on a full shard queue.
+        backpressure_stalls: counter,
+        /// Highest queued-event count observed on any shard queue.
+        queue_high_water: gauge,
+        /// Journal sync points reached (durable checkpoints).
+        checkpoints: counter,
+        /// Blocks whose stream completed and was finalized (journal
+        /// replays excluded).
+        blocks_finished: counter,
+    }
+    /// Wire transport: the `SLPWFEED` sources feeding streaming ingest,
+    /// bumped side by side with the source's `TransportStats`.
+    transport: TransportMetrics {
+        /// Frames accepted (events, heartbeats, end markers).
+        frames: counter,
+        /// Connections re-established after the first.
+        reconnects: counter,
+        /// Damaged frames detected and skipped (or refused in strict mode).
+        skipped_corrupt: counter,
+        /// Total reconnect backoff slept, in milliseconds.
+        backoff_ms: counter,
+        /// Read timeouts while waiting for the peer.
+        heartbeats_missed: counter,
+    }
+    /// Query-service counters: the HTTP front end, its protocol-error
+    /// taxonomy, and the ad-hoc-query LRU. The connection counters are
+    /// bumped side by side with the connection's `ConnStats`.
+    serve: ServeMetrics {
+        /// Connections accepted.
+        connections: counter,
+        /// Requests parsed successfully.
+        requests: counter,
+        /// 2xx responses written.
+        responses_ok: counter,
+        /// 4xx/5xx responses written (routing misses and protocol errors).
+        responses_err: counter,
+        /// Protocol violations (malformed, oversized or truncated requests).
+        bad_requests: counter,
+        /// Read timeouts waiting for a request (the slowloris bound).
+        read_timeouts: counter,
+        /// Connections lost while writing a response.
+        write_errors: counter,
+        /// Ad-hoc query answers served from the LRU.
+        lru_hits: counter,
+        /// Ad-hoc queries folded over the rows (and cached).
+        lru_misses: counter,
+        /// LRU entries evicted to make room.
+        lru_evictions: counter,
+        /// Response bytes put on the wire.
+        bytes_out: counter,
     }
 }
 
@@ -437,5 +371,13 @@ mod tests {
             // Indexing must not panic for any stage.
             let _ = r.pipeline.stage(stage);
         }
+    }
+
+    #[test]
+    fn gauge_kind_is_known_by_key() {
+        assert!(Registry::is_gauge("world.peak_block_bytes"));
+        assert!(Registry::is_gauge("ingest.queue_high_water"));
+        assert!(!Registry::is_gauge("world.runs"));
+        assert!(!Registry::is_gauge("stage.fft"));
     }
 }

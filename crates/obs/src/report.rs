@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use crate::snapshot::Snapshot;
-use crate::stage::Stage;
 
 /// A finished run's observability summary: a labelled [`Snapshot`] delta
 /// plus wall-clock context, renderable as TSV or JSON.
@@ -70,54 +69,51 @@ impl RunReport {
         out
     }
 
-    /// Renders the report as a single JSON object (handwritten writer —
-    /// this crate is dependency-free).
+    /// Renders the report as a single JSON object: the run's context, then
+    /// the delta under `"snapshot"` as [`Snapshot::to_json`] writes it.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"label\":{}", json_str(&self.label));
-        let _ = write!(out, ",\"threads\":{}", self.threads);
-        let _ = write!(out, ",\"wall_seconds\":{:.6}", self.wall_seconds);
-        let _ = write!(out, ",\"blocks_per_second\":{:.3}", self.blocks_per_second());
-        out.push_str(",\"counters\":{");
-        for (i, (k, v)) in self.snapshot.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
+        format!(
+            "{{\"label\":{},\"threads\":{},\"wall_seconds\":{:.6},\"blocks_per_second\":{:.3},\"snapshot\":{}}}",
+            json_str(&self.label),
+            self.threads,
+            self.wall_seconds,
+            self.blocks_per_second(),
+            self.snapshot.to_json()
+        )
+    }
+}
+
+impl Snapshot {
+    /// Renders every metric as one JSON object: `"counters"` first, then
+    /// `"histograms"` (stage timers included, in the recorded unit) and
+    /// `"lengths"`, each sorted by key. The one JSON form of a snapshot:
+    /// `GET /metrics` serves it and [`crate::RunReport::to_json`] wraps it.
+    pub fn to_json(&self) -> String {
+        let sep = |i: usize| if i > 0 { "," } else { "" };
+        let mut out = String::from("{\"counters\":{");
+        for (i, (k, v)) in self.counters.iter().enumerate() {
+            let _ = write!(out, "{}\"{k}\":{v}", sep(i));
         }
-        out.push_str("},\"stages\":{");
-        let mut first = true;
-        for stage in Stage::ALL {
-            if let Some(h) = self.snapshot.stage(stage) {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "\"{}\":{{\"count\":{},\"mean_us\":{:.3},\"p50_us\":{:.3},\"p99_us\":{:.3}}}",
-                    stage.name(),
-                    h.count,
-                    h.mean(),
-                    h.quantile(0.5),
-                    h.quantile(0.99)
-                );
-            }
+        out.push_str("},\"histograms\":{");
+        for (i, (k, h)) in self.histograms.iter().enumerate() {
+            let _ = write!(
+                out,
+                "{}\"{k}\":{{\"count\":{},\"mean\":{:.3},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3}}}",
+                sep(i),
+                h.count,
+                h.mean(),
+                h.quantile(0.5),
+                h.quantile(0.9),
+                h.quantile(0.99)
+            );
         }
         out.push_str("},\"lengths\":{");
-        for (i, (k, (pairs, _))) in self.snapshot.lengths.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        for (i, (k, (pairs, overflow))) in self.lengths.iter().enumerate() {
+            let _ = write!(out, "{}\"{k}\":{{", sep(i));
+            for &(key, n) in pairs {
+                let _ = write!(out, "\"{key}\":{n},");
             }
-            let _ = write!(out, "\"{k}\":{{");
-            for (j, &(key, n)) in pairs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{key}\":{n}");
-            }
-            out.push('}');
+            let _ = write!(out, "\"overflow\":{overflow}}}");
         }
         out.push_str("}}");
         out
@@ -325,8 +321,11 @@ mod tests {
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
         assert!(j.contains("\"label\":\"fig1\""), "{j}");
-        assert!(j.contains("\"counters\":{"), "{j}");
-        assert!(j.contains("\"stages\":{"), "{j}");
+        assert!(j.contains("\"snapshot\":{\"counters\":{"), "{j}");
+        // Everything `to_tsv` prints is here too: every histogram, stage or not.
+        assert!(j.contains("\"stage.probe\":{\"count\":"), "{j}");
+        assert!(j.contains("\"cleaning.fill_fraction\":{\"count\":0,"), "{j}");
+        assert!(j.contains("\"world.worker_blocks\":{\"overflow\":0}"), "{j}");
         // Balanced braces (no nesting surprises from the hand writer).
         let opens = j.matches('{').count();
         let closes = j.matches('}').count();

@@ -2,59 +2,65 @@
 
 use std::time::Instant;
 
-use crate::metrics::Histogram;
+use crate::metrics::{Buckets, Histogram};
 
-/// The stages of the per-block analysis pipeline, plus orchestration
-/// stages measured at the world-run level.
-///
-/// The numeric value indexes the stage-histogram array in
-/// [`crate::registry::PipelineMetrics`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Stage {
-    /// Adaptive probing of one block (`TrinocularProber::run_with_faults`).
-    Probe = 0,
-    /// A(b) estimation from raw outage records.
-    Estimate = 1,
-    /// Availability series cleaning (bucketing, gap fill, midnight trim).
-    Clean = 2,
-    /// Spectral transform and periodogram summarisation.
-    Fft = 3,
-    /// Diurnal classification and trend screening.
-    Classify = 4,
-    /// Worker-result collection and report assembly in `analyze_world`.
-    Join = 5,
-    /// Whole `analyze_world` call, end to end.
-    Total = 6,
+/// The stage table: one row per stage — doc, variant, lowercase name —
+/// from which the enum, [`Stage::COUNT`], [`Stage::ALL`], [`Stage::name`],
+/// [`Stage::key`] and the registry's histogram array are all generated.
+macro_rules! stages {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// The stages of the per-block analysis pipeline, plus orchestration
+        /// stages measured at the world-run level.
+        ///
+        /// The numeric value indexes the stage-histogram array in
+        /// [`crate::registry::PipelineMetrics`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Stage {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Stage {
+            /// Number of stages (length of the per-stage histogram array).
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// Every stage, in index order.
+            pub const ALL: [Stage; Stage::COUNT] = [$(Stage::$variant),*];
+
+            /// Stable lowercase name used in reports.
+            pub fn name(self) -> &'static str {
+                match self { $(Stage::$variant => $name,)* }
+            }
+
+            /// Stable snapshot key of this stage's histogram, `stage.<name>`.
+            pub fn key(self) -> &'static str {
+                match self { $(Stage::$variant => concat!("stage.", $name),)* }
+            }
+
+            /// One wall-time histogram (µs) per stage, in index order.
+            pub(crate) const fn histograms(on: bool) -> [Histogram; Stage::COUNT] {
+                // `$name` only drives the repetition: every stage gets the same histogram.
+                [$({ let _ = $name; Histogram::new(on, Buckets::Log2Micros) }),*]
+            }
+        }
+    };
 }
 
-impl Stage {
-    /// Number of stages (length of the per-stage histogram array).
-    pub const COUNT: usize = 7;
-
-    /// Every stage, in index order.
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::Probe,
-        Stage::Estimate,
-        Stage::Clean,
-        Stage::Fft,
-        Stage::Classify,
-        Stage::Join,
-        Stage::Total,
-    ];
-
-    /// Stable lowercase name used in snapshots and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Probe => "probe",
-            Stage::Estimate => "estimate",
-            Stage::Clean => "clean",
-            Stage::Fft => "fft",
-            Stage::Classify => "classify",
-            Stage::Join => "join",
-            Stage::Total => "total",
-        }
-    }
+stages! {
+    /// Adaptive probing of one block (`TrinocularProber::run_with_faults`).
+    Probe => "probe",
+    /// A(b) estimation from raw outage records.
+    Estimate => "estimate",
+    /// Availability series cleaning (bucketing, gap fill, midnight trim).
+    Clean => "clean",
+    /// Spectral transform and periodogram summarisation.
+    Fft => "fft",
+    /// Diurnal classification and trend screening.
+    Classify => "classify",
+    /// Worker-result collection and report assembly in `analyze_world`.
+    Join => "join",
+    /// Whole `analyze_world` call, end to end.
+    Total => "total",
 }
 
 /// Measures the wall time of a scope and records it (in microseconds)
@@ -87,7 +93,6 @@ impl Drop for StageTimer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Buckets;
 
     #[test]
     fn stage_names_are_unique() {
@@ -95,6 +100,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Stage::COUNT);
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i);
+            assert_eq!(stage.key(), format!("stage.{}", stage.name()));
+        }
     }
 
     #[test]

@@ -588,7 +588,7 @@ impl TrinocularProber {
         }
         obs.probing.runs.incr();
         obs.probing.probes_sent.add(probes);
-        let f = &obs.probing.faults;
+        let f = &obs.faults;
         f.loss_bursts.add(fc.loss_bursts);
         f.lost_probes.add(fc.lost_probes);
         f.blackouts.add(fc.blackouts);

@@ -1,7 +1,9 @@
 //! Golden-report conformance: the world-run dataset must reproduce
 //! byte-for-byte against the recorded golden, at every thread count.
 
+use sleepwatch_obs::{Registry, Snapshot};
 use sleepwatch_testkit::{assert_golden, fixtures, golden_threads};
+use std::fmt::Write as _;
 
 /// The canonical world-run TSV is byte-identical to the recorded golden
 /// and identical across 1/4/8 worker threads.
@@ -55,4 +57,23 @@ fn goldens_hold_with_metrics_disabled() {
     sleepwatch_obs::set_global_enabled(true);
     assert_golden("world_small.tsv", &plain);
     assert_golden("world_small_faulted.tsv", &faulted);
+}
+
+/// Every snapshot key, under the map that holds it and in the order
+/// `Snapshot` holds them. A metric added to the obs table shows up here
+/// as one reviewed golden line; a renamed or dropped key fails.
+#[test]
+fn snapshot_key_set_matches_golden() {
+    let s = Snapshot::capture(Registry::disabled());
+    let mut keys = String::new();
+    for k in s.counters.keys() {
+        let _ = writeln!(keys, "counter {k}");
+    }
+    for k in s.histograms.keys() {
+        let _ = writeln!(keys, "hist {k}");
+    }
+    for k in s.lengths.keys() {
+        let _ = writeln!(keys, "lengths {k}");
+    }
+    assert_golden("snapshot_keys.txt", &keys);
 }

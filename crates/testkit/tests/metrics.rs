@@ -7,11 +7,24 @@
 //! process-wide; activity is isolated with snapshot deltas around the
 //! measured call.
 
-use sleepwatch_core::{analyze_block, analyze_world, AnalysisConfig};
+use sleepwatch_core::journal::record_boundaries;
+use sleepwatch_core::serve::index::Filter;
+use sleepwatch_core::serve::{serve_streams, LruOutcome};
+use sleepwatch_core::{
+    analyze_block, analyze_world, analyze_world_resumable, dataset_rows, decode_dataset,
+    encode_dataset, feed_identity, ingest_source, ingest_world, world_feed, AnalysisConfig,
+    DatasetMode, IngestConfig, ServeState,
+};
 use sleepwatch_obs::Snapshot;
+use sleepwatch_probing::transport::{
+    serve_feed, BackoffConfig, Endpoint, FeedConfig, TcpConfig, TcpEventSource,
+};
 use sleepwatch_probing::{FaultPlan, TrinocularProber};
-use sleepwatch_simnet::World;
+use sleepwatch_simnet::{World, WorldConfig, WorldSource};
+use sleepwatch_testkit::chaos::{ChaosPlan, ChaosProxy, Harm};
 use sleepwatch_testkit::fixtures;
+use sleepwatch_testkit::resilience::scratch_path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static GATE: Mutex<()> = Mutex::new(());
@@ -367,5 +380,213 @@ fn survey_probes_are_counted_separately() {
         assert_eq!(d.counter("probing.survey_probes"), result.total_probes);
         assert_eq!(result.total_probes, 256 * result.rounds);
         assert_eq!(d.counter("probing.probes_sent"), 0, "surveys must not count as adaptive");
+    });
+}
+
+// ---------------------------------------------------------------------
+// What is counted twice: ingest, transport and serve keep a local stats
+// struct next to the global counters; the two must never disagree.
+// ---------------------------------------------------------------------
+
+/// A short lazy world for the streaming tests: 24 blocks, 1.25 days.
+fn stream_world() -> (WorldSource, AnalysisConfig) {
+    let wcfg = WorldConfig { num_blocks: 24, seed: 21, span_days: 1.25, ..Default::default() };
+    let cfg = AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days);
+    (WorldSource::new(wcfg), cfg)
+}
+
+/// Asserts the `ingest.*` delta equals the run's own `IngestStats`.
+fn assert_ingest_counters(d: &Snapshot, stats: &sleepwatch_core::IngestStats) {
+    assert_eq!(d.counter("ingest.rounds_routed"), stats.rounds_routed);
+    assert_eq!(d.counter("ingest.backpressure_stalls"), stats.backpressure_stalls);
+    assert_eq!(d.counter("ingest.checkpoints"), stats.checkpoints);
+    assert_eq!(d.counter("ingest.blocks_finished"), (stats.blocks - stats.replayed) as u64);
+    // A gauge is the process's high-water mark, not this run's.
+    assert!(d.counter("ingest.queue_high_water") >= stats.queue_high_water as u64);
+}
+
+/// `IngestStats` is flushed into `ingest.*` once, at the end of the run.
+#[test]
+fn ingest_counters_match_ingest_stats() {
+    let _g = lock();
+    with_metrics(|| {
+        let (source, cfg) = stream_world();
+        // A queue far smaller than the feed, so the feeder really stalls.
+        let icfg =
+            IngestConfig { shards: 2, queue_capacity: 64, batch_events: 16, ..Default::default() };
+        let (out, d) = measure(|| ingest_world(&source, &cfg, &icfg));
+        assert_eq!(out.stats.blocks, source.len());
+        assert_eq!(out.stats.rounds_routed, source.len() as u64 * cfg.rounds);
+        assert!(out.stats.queue_high_water > 0);
+        assert_ingest_counters(&d, &out.stats);
+    });
+}
+
+/// One session cut mid-frame and resumed: every `transport.*` counter is
+/// bumped side by side with the source's `TransportStats`.
+#[test]
+fn transport_counters_match_transport_stats_across_a_sever() {
+    let _g = lock();
+    with_metrics(|| {
+        let (source, cfg) = stream_world();
+        let icfg = IngestConfig { shards: 2, ..Default::default() };
+        let (events, quarantined) = world_feed(&source, &cfg, &icfg);
+        assert!(quarantined.is_empty());
+        let identity = feed_identity(&source, &cfg);
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind feed server");
+        let addr = listener.local_addr().expect("feed addr").to_string();
+        let stop = std::sync::Arc::new(AtomicBool::new(false));
+        let server = {
+            let stop = stop.clone();
+            let mut fcfg = FeedConfig::new(identity);
+            fcfg.frame_events = 64;
+            std::thread::spawn(move || {
+                let endpoint = Endpoint::Accept(listener);
+                serve_feed(&endpoint, &events, &fcfg, &BackoffConfig::default(), &stop)
+            })
+        };
+        let plan = ChaosPlan {
+            harm: Some(Harm::SeverMidFrame),
+            base: 2,
+            max_harms: 1,
+            ..ChaosPlan::none(0xC4A05)
+        };
+        let proxy = ChaosProxy::spawn(&addr, plan).expect("spawn chaos proxy");
+        let mut tcfg = TcpConfig::new(identity);
+        tcfg.backoff = BackoffConfig { base_ms: 5, max_ms: 100, attempts: 10, seed: 1 };
+        let mut es = TcpEventSource::dial(proxy.addr().to_string(), tcfg);
+
+        let (out, d) = measure(|| ingest_source(&source, &cfg, &icfg, &mut es));
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(proxy.harms(), 1, "the proxy must have cut the session once");
+        proxy.shutdown();
+        server.join().expect("feed server thread").expect("feed server");
+
+        assert!(out.complete(), "resume must heal the sever: {:?}", out.error);
+        let t = out.transport;
+        assert!(t.reconnects >= 1 && t.backoff_ms > 0, "no reconnect was recorded: {t:?}");
+        assert_eq!(d.counter("transport.frames"), t.frames);
+        assert_eq!(d.counter("transport.reconnects"), t.reconnects);
+        assert_eq!(d.counter("transport.skipped_corrupt"), t.skipped_corrupt);
+        assert_eq!(d.counter("transport.backoff_ms"), t.backoff_ms);
+        assert_eq!(d.counter("transport.heartbeats_missed"), t.heartbeats_missed);
+        assert_ingest_counters(&d, &out.outcome.stats);
+    });
+}
+
+/// One scripted connection — reads, a 404, ad-hoc queries past the LRU's
+/// capacity, then a malformed request: `serve.*` equals the connection's
+/// `ConnStats`, and the LRU counters equal the outcomes a twin state
+/// reports for the same filters.
+#[test]
+fn serve_counters_match_conn_stats_and_lru_outcomes() {
+    let _g = lock();
+    with_metrics(|| {
+        let world = fixtures::small_world();
+        let analysis = analyze_world(&world, &fixtures::small_world_cfg(&world), 2, None);
+        let rows = dataset_rows(&analysis);
+        let (state, twin) = (ServeState::build(rows.clone(), 8), ServeState::build(rows, 8));
+
+        // Twenty distinct filters into eight slots, then the first again.
+        let asns: Vec<u32> = (1..=20).chain([1]).collect();
+        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        let mut script =
+            String::from("GET /v1/summary HTTP/1.1\r\n\r\nGET /v1/nope HTTP/1.1\r\n\r\n");
+        for asn in asns {
+            script += &format!("GET /v1/query?as={asn} HTTP/1.1\r\n\r\n");
+            match twin.query(&Filter { asn: Some(asn), ..Filter::default() }).1 {
+                LruOutcome::Hit => hits += 1,
+                LruOutcome::Miss { evicted } => {
+                    misses += 1;
+                    evictions += u64::from(evicted);
+                }
+            }
+        }
+        script += "BOGUS\r\n\r\n";
+        assert!(evictions > 0, "the script must overflow the LRU");
+
+        let mut wire = Vec::new();
+        let (conn, d) = measure(|| serve_streams(script.as_bytes(), &mut wire, &state));
+        assert_eq!(conn.requests, 23);
+        assert_eq!(conn.bad_requests, 1);
+        assert_eq!(d.counter("serve.requests"), conn.requests);
+        assert_eq!(
+            d.counter("serve.responses_ok") + d.counter("serve.responses_err"),
+            conn.responses
+        );
+        assert_eq!(d.counter("serve.responses_err"), 2, "the 404 and the 400");
+        assert_eq!(d.counter("serve.bad_requests"), conn.bad_requests);
+        assert_eq!(d.counter("serve.read_timeouts"), conn.timeouts);
+        assert_eq!(d.counter("serve.write_errors"), conn.write_errors);
+        assert_eq!(d.counter("serve.bytes_out"), conn.bytes_out);
+        assert_eq!(conn.bytes_out, wire.len() as u64);
+        assert_eq!(d.counter("serve.lru_hits"), hits);
+        assert_eq!(d.counter("serve.lru_misses"), misses);
+        assert_eq!(d.counter("serve.lru_evictions"), evictions);
+        assert_eq!(d.counter("serve.connections"), 0, "counted per accepted socket only");
+    });
+}
+
+/// The binary container's counters equal what was written and read back.
+#[test]
+fn format_counters_match_rows_written_and_read() {
+    let _g = lock();
+    with_metrics(|| {
+        let world = fixtures::small_world();
+        let analysis = analyze_world(&world, &fixtures::small_world_cfg(&world), 2, None);
+        let rows = dataset_rows(&analysis);
+        let n = rows.len() as u64;
+
+        let (bytes, d) = measure(|| encode_dataset(&rows, DatasetMode::SelfContained).unwrap());
+        assert_eq!(d.counter("format.datasets_encoded"), 1);
+        assert_eq!(d.counter("format.records_encoded"), n);
+        assert_eq!(d.counter("format.bytes_encoded"), bytes.len() as u64);
+        assert!(d.counter("format.frames_encoded") >= 1);
+
+        let (back, d) = measure(|| decode_dataset(&bytes, None).unwrap());
+        assert_eq!(back.len() as u64, n);
+        assert_eq!(d.counter("format.datasets_decoded"), 1);
+        assert_eq!(d.counter("format.records_decoded"), n);
+        assert_eq!(d.counter("format.decode_errors"), 0);
+
+        let (torn, d) = measure(|| decode_dataset(&bytes[..bytes.len() - 1], None));
+        assert!(torn.is_err());
+        assert_eq!(d.counter("format.decode_errors"), 1);
+        assert_eq!(d.counter("format.records_decoded"), 0);
+    });
+}
+
+/// A run resumed from a torn journal: records replayed plus records
+/// written equals the world, and the torn tail is the one discard.
+#[test]
+fn journal_counters_match_blocks_of_a_resumed_run() {
+    let _g = lock();
+    with_metrics(|| {
+        let world = fixtures::small_world();
+        let cfg = fixtures::small_world_cfg(&world);
+        let n = world.blocks.len() as u64;
+        let journal = scratch_path("metrics-journal");
+
+        let (_, d) = measure(|| analyze_world_resumable(&world, &cfg, 2, &journal, None).unwrap());
+        assert_eq!(d.counter("resilience.journal_records_written"), n);
+        assert_eq!(d.counter("resilience.journal_records_replayed"), 0);
+        assert_eq!(d.counter("resilience.journal_records_discarded"), 0);
+
+        // Crash mid-record: keep `kept` whole records and half of the next.
+        let bytes = std::fs::read(&journal).expect("read journal");
+        let bounds = record_boundaries(&bytes);
+        let kept = world.blocks.len() / 3;
+        let cut = (bounds[kept] + bounds[kept + 1]) / 2;
+        std::fs::write(&journal, &bytes[..cut]).expect("tear journal");
+
+        let (resumed, d) =
+            measure(|| analyze_world_resumable(&world, &cfg, 2, &journal, None).unwrap());
+        assert_eq!(resumed.reports.len() as u64, n);
+        assert_eq!(d.counter("resilience.journal_records_replayed"), kept as u64);
+        assert_eq!(d.counter("resilience.journal_records_written"), n - kept as u64);
+        assert_eq!(d.counter("resilience.journal_records_discarded"), 1);
+        assert_eq!(d.counter("pipeline.blocks_analyzed"), n - kept as u64);
+        let _ = std::fs::remove_file(&journal);
     });
 }
