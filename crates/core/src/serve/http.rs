@@ -12,7 +12,8 @@
 //! [`MAX_REQUEST_LINE`] bytes of request line, [`MAX_HEADER_BYTES`] of
 //! header block across at most [`MAX_HEADERS`] headers, zero body bytes.
 
-use sleepwatch_obs::json_str;
+use super::index::push_u64;
+use sleepwatch_obs::push_json_str;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -110,67 +111,56 @@ pub fn status_for(e: &RequestError) -> Option<(u16, &'static str, &'static str)>
     }
 }
 
-/// Reads one `\n`-terminated line into `out` (CR/LF stripped), refusing
-/// lines longer than `max`. Returns `Ok(true)` on a complete line,
-/// `Ok(false)` on EOF with nothing consumed for this line.
-fn read_line<R: BufRead>(r: &mut R, max: usize, out: &mut Vec<u8>) -> Result<bool, RequestError> {
-    out.clear();
+/// Reads one `\n`-terminated line and hands it to `f`, CR/LF stripped:
+/// straight out of the reader's buffer when the line lies whole in it,
+/// through `scratch` when it straddles a refill. Lines longer than `max`
+/// are refused. `Ok(None)` is EOF with nothing consumed for this line.
+fn with_line<R: BufRead, T>(
+    r: &mut R,
+    max: usize,
+    scratch: &mut Vec<u8>,
+    f: impl FnOnce(&[u8]) -> Result<T, RequestError>,
+) -> Result<Option<T>, RequestError> {
+    scratch.clear();
     loop {
         let buf = r.fill_buf().map_err(RequestError::Io)?;
         if buf.is_empty() {
-            if out.is_empty() {
-                return Ok(false);
-            }
-            return Err(RequestError::Truncated);
+            return if scratch.is_empty() { Ok(None) } else { Err(RequestError::Truncated) };
         }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                if out.len() + i > max {
-                    return Err(RequestError::LineTooLong);
-                }
-                out.extend_from_slice(&buf[..i]);
-                r.consume(i + 1);
-                if out.last() == Some(&b'\r') {
-                    out.pop();
-                }
-                return Ok(true);
+        let Some(i) = buf.iter().position(|&b| b == b'\n') else {
+            let n = buf.len();
+            if scratch.len() + n > max {
+                return Err(RequestError::LineTooLong);
             }
-            None => {
-                let n = buf.len();
-                if out.len() + n > max {
-                    return Err(RequestError::LineTooLong);
-                }
-                out.extend_from_slice(buf);
-                r.consume(n);
-            }
+            scratch.extend_from_slice(buf);
+            r.consume(n);
+            continue;
+        };
+        if scratch.len() + i > max {
+            return Err(RequestError::LineTooLong);
         }
+        let line = if scratch.is_empty() {
+            &buf[..i]
+        } else {
+            scratch.extend_from_slice(&buf[..i]);
+            &scratch[..]
+        };
+        let out = f(line.strip_suffix(b"\r").unwrap_or(line));
+        r.consume(i + 1);
+        return out.map(Some);
     }
 }
 
-/// Reads and validates one request from `r`. Total: any byte sequence
-/// yields a [`Request`] or a typed [`RequestError`], never a panic.
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, RequestError> {
-    let mut line = Vec::with_capacity(128);
-    // Tolerate a little CRLF slack between pipelined requests (RFC 9112
-    // §2.2), but not an unbounded stream of blank lines.
-    for _ in 0..4 {
-        if !read_line(r, MAX_REQUEST_LINE, &mut line)? {
-            return Err(RequestError::Closed);
-        }
-        if !line.is_empty() {
-            break;
-        }
-    }
-    if line.is_empty() {
-        return Err(RequestError::BadRequestLine);
-    }
-    let text = std::str::from_utf8(&line).map_err(|_| RequestError::BadRequestLine)?;
+/// Validates `METHOD TARGET VERSION`, copies the target into `target`
+/// and returns whether the version is `HTTP/1.1`.
+fn parse_request_line(line: &[u8], target: &mut String) -> Result<bool, RequestError> {
+    let text = std::str::from_utf8(line).map_err(|_| RequestError::BadRequestLine)?;
     let mut parts = text.split(' ').filter(|p| !p.is_empty());
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
+    let (method, t, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
         _ => return Err(RequestError::BadRequestLine),
     };
-    if !target.starts_with('/') {
+    if !t.starts_with('/') {
         return Err(RequestError::BadRequestLine);
     }
     let http11 = match version {
@@ -181,51 +171,125 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, RequestError> {
     if method != "GET" {
         return Err(RequestError::BadMethod);
     }
-    let target = target.to_string();
+    target.clear();
+    target.push_str(t);
+    Ok(http11)
+}
 
-    let mut keep_alive = http11;
-    let mut header_bytes = 0usize;
-    let mut headers = 0usize;
-    loop {
-        if !read_line(r, MAX_HEADER_BYTES, &mut line)? {
-            return Err(RequestError::Truncated);
+/// Applies one header line: `Connection` moves `keep_alive`, an
+/// announced body is refused, every other header is skipped.
+fn parse_header(line: &[u8], keep_alive: &mut bool) -> Result<(), RequestError> {
+    let text = std::str::from_utf8(line).map_err(|_| RequestError::BadHeader)?;
+    let Some((name, value)) = text.split_once(':') else {
+        return Err(RequestError::BadHeader);
+    };
+    let (name, value) = (name.trim(), value.trim());
+    if name.eq_ignore_ascii_case("connection") {
+        if value.eq_ignore_ascii_case("close") {
+            *keep_alive = false;
+        } else if value.eq_ignore_ascii_case("keep-alive") {
+            *keep_alive = true;
         }
-        if line.is_empty() {
-            break;
+    } else if name.eq_ignore_ascii_case("content-length") {
+        let n: u64 = value.parse().map_err(|_| RequestError::BadHeader)?;
+        if n > 0 {
+            return Err(RequestError::HasBody);
         }
-        headers += 1;
-        header_bytes += line.len() + 2;
-        if headers > MAX_HEADERS || header_bytes > MAX_HEADER_BYTES {
-            return Err(RequestError::HeadersTooLarge);
-        }
-        let text = std::str::from_utf8(&line).map_err(|_| RequestError::BadHeader)?;
-        let Some((name, value)) = text.split_once(':') else {
-            return Err(RequestError::BadHeader);
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "connection" => match value.to_ascii_lowercase().as_str() {
-                "close" => keep_alive = false,
-                "keep-alive" => keep_alive = true,
-                _ => {}
-            },
-            "content-length" => {
-                let n: u64 = value.parse().map_err(|_| RequestError::BadHeader)?;
-                if n > 0 {
-                    return Err(RequestError::HasBody);
-                }
-            }
-            "transfer-encoding" => return Err(RequestError::HasBody),
-            _ => {}
-        }
+    } else if name.eq_ignore_ascii_case("transfer-encoding") {
+        return Err(RequestError::HasBody);
     }
+    Ok(())
+}
+
+/// Reads and validates one request from `r`. Total: any byte sequence
+/// yields a [`Request`] or a typed [`RequestError`], never a panic.
+pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, RequestError> {
+    let (mut line, mut target) = (Vec::new(), String::new());
+    let keep_alive = read_request_into(r, &mut line, &mut target)?;
     Ok(Request { target, keep_alive })
 }
 
-/// Writes one JSON response; returns the bytes put on the wire. The
-/// head is assembled in one buffer so a response is a single `write`
-/// into the connection's `BufWriter`.
+/// [`read_request`] into a connection's scratch: the target replaces
+/// `target`, the keep-alive decision is returned, and `line` is touched
+/// only by a line that straddles one of `r`'s refills — in the steady
+/// state a request is parsed where it lies and allocates nothing.
+pub(crate) fn read_request_into<R: BufRead>(
+    r: &mut R,
+    line: &mut Vec<u8>,
+    target: &mut String,
+) -> Result<bool, RequestError> {
+    // Tolerate a little CRLF slack between pipelined requests (RFC 9112
+    // §2.2), but not an unbounded stream of blank lines.
+    let mut blank_lines = 0;
+    let mut keep_alive = loop {
+        let parsed = with_line(r, MAX_REQUEST_LINE, line, |l| {
+            if l.is_empty() {
+                Ok(None)
+            } else {
+                parse_request_line(l, target).map(Some)
+            }
+        })?;
+        match parsed {
+            None => return Err(RequestError::Closed),
+            Some(Some(http11)) => break http11,
+            Some(None) if blank_lines == 3 => return Err(RequestError::BadRequestLine),
+            Some(None) => blank_lines += 1,
+        }
+    };
+
+    let mut header_bytes = 0usize;
+    let mut headers = 0usize;
+    loop {
+        let end = with_line(r, MAX_HEADER_BYTES, line, |l| {
+            if l.is_empty() {
+                return Ok(true);
+            }
+            headers += 1;
+            header_bytes += l.len() + 2;
+            if headers > MAX_HEADERS || header_bytes > MAX_HEADER_BYTES {
+                return Err(RequestError::HeadersTooLarge);
+            }
+            parse_header(l, &mut keep_alive).map(|()| false)
+        })?;
+        match end {
+            None => return Err(RequestError::Truncated),
+            Some(true) => return Ok(keep_alive),
+            Some(false) => {}
+        }
+    }
+}
+
+/// Appends one JSON response, head and body, to `out`; returns its
+/// length in bytes.
+pub(crate) fn push_response(
+    out: &mut String,
+    status: u16,
+    reason: &str,
+    body: &str,
+    keep_alive: bool,
+) -> u64 {
+    let start = out.len();
+    out.push_str("HTTP/1.1 ");
+    push_u64(out, status.into());
+    out.push(' ');
+    out.push_str(reason);
+    out.push_str("\r\nContent-Type: application/json\r\nContent-Length: ");
+    push_u64(out, body.len() as u64);
+    out.push_str(if keep_alive {
+        "\r\nConnection: keep-alive\r\n\r\n"
+    } else {
+        "\r\nConnection: close\r\n\r\n"
+    });
+    out.push_str(body);
+    (out.len() - start) as u64
+}
+
+/// Room a response head takes beside its body (they run to about 90
+/// bytes; the longest reason phrase is 31).
+pub(crate) const HEAD_ROOM: usize = 160;
+
+/// Writes one JSON response as a single `write_all`; returns the bytes
+/// put on the wire.
 pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
@@ -233,20 +297,24 @@ pub fn write_response<W: Write>(
     body: &str,
     keep_alive: bool,
 ) -> io::Result<u64> {
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: {}\r\n\r\n",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    w.write_all(head.as_bytes())?;
-    w.write_all(body.as_bytes())?;
-    Ok((head.len() + body.len()) as u64)
+    let mut out = String::with_capacity(HEAD_ROOM + body.len());
+    let n = push_response(&mut out, status, reason, body, keep_alive);
+    w.write_all(out.as_bytes())?;
+    Ok(n)
+}
+
+/// Appends the standard error body: `{"error":"..."}`.
+pub(crate) fn push_error_body(out: &mut String, message: &str) {
+    out.push_str("{\"error\":");
+    push_json_str(out, message);
+    out.push('}');
 }
 
 /// The standard error body: `{"error":"..."}`.
 pub fn error_body(message: &str) -> String {
-    format!("{{\"error\":{}}}", json_str(message))
+    let mut out = String::new();
+    push_error_body(&mut out, message);
+    out
 }
 
 #[cfg(test)]

@@ -3,23 +3,29 @@
 //! Everything here is computed once at load time from the decoded
 //! [`DatasetRow`]s and then only read: the per-key group bodies, the
 //! list bodies, the summary and the outage histogram are fully rendered
-//! strings, and a per-block lookup answers `/v1/block/{id}` by binary
-//! search over the id-sorted rows. Worker threads share the state behind
-//! an `Arc` and never take a lock on these paths — the only mutable
-//! structure is the [`ShardedLru`] in front of
-//! ad-hoc `/v1/query` folds.
+//! strings; `/v1/block/{id}` is a binary search over a sorted id column
+//! and one [`write_block_body`] into the caller's buffer; an ad-hoc
+//! `/v1/query` that misses the [`ShardedLru`] folds over the shortest
+//! posting list (row indices per country, AS and link keyword) its
+//! filter names instead of over the table. Worker threads share the
+//! state behind an `Arc` and never take a lock on these paths — the only
+//! mutable structure is the LRU.
 //!
 //! Number formatting mirrors the canonical TSV dataset (6 decimals, 4
 //! for `strongest_cpd`), so every served float is exactly the dataset's
-//! rendering of the same value. The batch-differential oracle
-//! (`testkit/tests/serve_oracle.rs`) re-renders all of these bodies from
-//! an index-free fold and compares byte-for-byte.
+//! rendering of the same value: [`push_fixed`] is `format!`'s `{:.N}`
+//! by exact arithmetic, without the formatter. The batch-differential
+//! oracle (`testkit/tests/serve_oracle.rs`) re-renders all of these
+//! bodies from an index-free fold and compares byte-for-byte.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::hash::Hash;
 
 use super::lru::{LruOutcome, ShardedLru};
 use crate::export::DatasetRow;
-use sleepwatch_obs::json_str;
+use sleepwatch_obs::push_json_str;
 use sleepwatch_spectral::DiurnalClass;
 
 /// Counts behind one aggregation key (a country, an AS, a link type, or
@@ -52,63 +58,173 @@ impl GroupCounts {
     }
 }
 
-/// `x/y` with the canonical 6-decimal rendering, `0.000000` when empty.
-pub fn frac(x: u64, y: u64) -> String {
-    if y == 0 {
-        return "0.000000".to_string();
+/// Appends `n` in decimal with a point before its last `decimals`
+/// digits (none for zero), zero-padded so that a digit precedes the
+/// point: `(1234, 2)` is `12.34`, `(5, 2)` is `0.05`, `(5, 0)` is `5`.
+fn push_scaled(out: &mut String, mut n: u64, decimals: usize) {
+    let mut buf = [0u8; 32];
+    let mut i = buf.len();
+    for _ in 0..decimals {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
     }
-    format!("{:.6}", x as f64 / y as f64)
+    if decimals > 0 {
+        i -= 1;
+        buf[i] = b'.';
+    }
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
 }
 
-fn group_fields(c: &GroupCounts) -> String {
-    format!(
-        "\"blocks\":{},\"strict\":{},\"diurnal\":{},\"strict_fraction\":{},\"diurnal_fraction\":{}",
-        c.blocks,
-        c.strict,
-        c.diurnal,
-        frac(c.strict, c.blocks),
-        frac(c.diurnal, c.blocks),
-    )
+/// Appends `n` in decimal, as `{n}` renders it.
+pub(crate) fn push_u64(out: &mut String, n: u64) {
+    push_scaled(out, n, 0);
+}
+
+/// Appends `v` with `decimals` digits after the point: byte for byte
+/// `format!("{v:.decimals$}")`, without the formatter (three of these
+/// were most of a block body's cost).
+///
+/// A non-negative double below 1e9 is `m / 2^shift` exactly, so
+/// `v * 10^decimals` is the u128 `m * 10^decimals` shifted right, and
+/// the bits shifted out say on which side of one half the remainder
+/// lies. Above and below one half the digits are forced; an exact tie
+/// is left to the standard formatter, as are negatives (`-0.0`
+/// included), NaN, infinities, values from 1e9 and more than 9
+/// decimals, so no rounding rule is spelled twice.
+pub fn push_fixed(out: &mut String, v: f64, decimals: usize) {
+    const POW10: [u64; 10] =
+        [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000];
+    let bits = v.to_bits();
+    // A set sign bit makes `bits >> 52` exceed 0x7ff; NaN fails `v < 1e9`.
+    let exp = (bits >> 52) as u32;
+    if exp <= 0x7ff && v < 1e9 && decimals < POW10.len() {
+        let frac = bits & ((1 << 52) - 1);
+        let (m, shift) = if exp == 0 { (frac, 1074) } else { (frac | 1 << 52, 1075 - exp) };
+        // m < 2^53 and the scale < 2^30; v < 2^30 puts shift at 23 or more.
+        let p = u128::from(m) * u128::from(POW10[decimals]);
+        let (q, side) = if shift >= 100 {
+            (0, Ordering::Less)
+        } else {
+            (p >> shift, (p & ((1 << shift) - 1)).cmp(&(1 << (shift - 1))))
+        };
+        if side != Ordering::Equal {
+            push_scaled(out, q as u64 + u64::from(side == Ordering::Greater), decimals);
+            return;
+        }
+    }
+    let _ = write!(out, "{v:.decimals$}");
+}
+
+/// Appends `label` (punctuation included) and the count after it.
+fn push_count(out: &mut String, label: &str, n: u64) {
+    out.push_str(label);
+    push_u64(out, n);
+}
+
+/// Appends `label` and `x/y` in the canonical 6-decimal rendering,
+/// `0.000000` when empty.
+fn push_frac(out: &mut String, label: &str, x: u64, y: u64) {
+    out.push_str(label);
+    if y == 0 {
+        out.push_str("0.000000");
+    } else {
+        push_fixed(out, x as f64 / y as f64, 6);
+    }
+}
+
+/// Appends the three counts every aggregate body carries, `blocks`
+/// behind `open`.
+fn push_counts(out: &mut String, open: &str, c: &GroupCounts) {
+    push_count(out, open, c.blocks);
+    push_count(out, ",\"strict\":", c.strict);
+    push_count(out, ",\"diurnal\":", c.diurnal);
+}
+
+/// Closes a group body opened with its key: the counts and both
+/// fractions.
+fn close_group_body(mut out: String, c: &GroupCounts) -> String {
+    push_counts(&mut out, ",\"blocks\":", c);
+    push_frac(&mut out, ",\"strict_fraction\":", c.strict, c.blocks);
+    push_frac(&mut out, ",\"diurnal_fraction\":", c.diurnal, c.blocks);
+    out.push('}');
+    out
 }
 
 /// The `/v1/country/{code}` body.
 pub fn country_body(code: &str, c: &GroupCounts) -> String {
-    format!("{{\"country\":{},{}}}", json_str(code), group_fields(c))
+    let mut out = String::from("{\"country\":");
+    push_json_str(&mut out, code);
+    close_group_body(out, c)
 }
 
 /// The `/v1/as/{asn}` body.
 pub fn as_body(asn: u32, c: &GroupCounts) -> String {
-    format!("{{\"asn\":{asn},{}}}", group_fields(c))
+    let mut out = String::new();
+    push_count(&mut out, "{\"asn\":", asn.into());
+    close_group_body(out, c)
 }
 
 /// The `/v1/link/{keyword}` body.
 pub fn link_body(keyword: &str, c: &GroupCounts) -> String {
-    format!("{{\"link\":{},{}}}", json_str(keyword), group_fields(c))
+    let mut out = String::from("{\"link\":");
+    push_json_str(&mut out, keyword);
+    close_group_body(out, c)
+}
+
+/// Room a body buffer starts with: block, group and query bodies run to
+/// about 200 bytes, so only a list body or `/metrics` outgrows it. Kept
+/// tight because callers of [`block_body`] hold on to what it returns.
+pub(crate) const BODY_ROOM: usize = 256;
+
+/// Appends the `/v1/block/{id}` body for one row.
+pub fn write_block_body(out: &mut String, r: &DatasetRow) {
+    push_count(out, "{\"block\":", r.block_id);
+    out.push_str(match r.class {
+        DiurnalClass::Strict => ",\"class\":\"d\",\"phase\":",
+        DiurnalClass::Relaxed => ",\"class\":\"r\",\"phase\":",
+        DiurnalClass::NonDiurnal => ",\"class\":\"n\",\"phase\":",
+    });
+    match r.phase {
+        Some(p) => push_fixed(out, p, 6),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"mean_a\":");
+    push_fixed(out, r.mean_a, 6);
+    out.push_str(",\"strongest_cpd\":");
+    push_fixed(out, r.strongest_cpd, 4);
+    out.push_str(if r.stationary { ",\"stationary\":true" } else { ",\"stationary\":false" });
+    push_count(out, ",\"outages\":", r.outages.into());
+    push_count(out, ",\"probes\":", r.probes);
+    out.push_str(",\"country\":");
+    match &r.country {
+        Some(c) => push_json_str(out, c),
+        None => out.push_str("null"),
+    }
+    push_count(out, ",\"asn\":", r.asn.into());
+    out.push_str(",\"links\":[");
+    for (i, l) in r.links.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(out, l);
+    }
+    out.push_str("]}");
 }
 
 /// The `/v1/block/{id}` body for one row.
 pub fn block_body(r: &DatasetRow) -> String {
-    let class = match r.class {
-        DiurnalClass::Strict => "d",
-        DiurnalClass::Relaxed => "r",
-        DiurnalClass::NonDiurnal => "n",
-    };
-    let phase = r.phase.map(|p| format!("{p:.6}")).unwrap_or_else(|| "null".into());
-    let country = r.country.as_deref().map(json_str).unwrap_or_else(|| "null".into());
-    let links: Vec<String> = r.links.iter().map(|l| json_str(l)).collect();
-    format!(
-        "{{\"block\":{},\"class\":\"{class}\",\"phase\":{phase},\"mean_a\":{:.6},\
-         \"strongest_cpd\":{:.4},\"stationary\":{},\"outages\":{},\"probes\":{},\
-         \"country\":{country},\"asn\":{},\"links\":[{}]}}",
-        r.block_id,
-        r.mean_a,
-        r.strongest_cpd,
-        r.stationary,
-        r.outages,
-        r.probes,
-        r.asn,
-        links.join(","),
-    )
+    let mut out = String::with_capacity(BODY_ROOM);
+    write_block_body(&mut out, r);
+    out
 }
 
 /// The `/v1/summary` body.
@@ -121,21 +237,19 @@ pub fn summary_body(rows: &[DatasetRow]) -> String {
             located += 1;
         }
     }
-    format!(
-        "{{\"blocks\":{},\"strict\":{},\"diurnal\":{},\"stationary\":{},\"located\":{located},\
-         \"strict_fraction\":{},\"diurnal_fraction\":{}}}",
-        c.blocks,
-        c.strict,
-        c.diurnal,
-        c.stationary,
-        frac(c.strict, c.blocks),
-        frac(c.diurnal, c.blocks),
-    )
+    let mut out = String::new();
+    push_counts(&mut out, "{\"blocks\":", &c);
+    push_count(&mut out, ",\"stationary\":", c.stationary);
+    push_count(&mut out, ",\"located\":", located);
+    push_frac(&mut out, ",\"strict_fraction\":", c.strict, c.blocks);
+    push_frac(&mut out, ",\"diurnal_fraction\":", c.diurnal, c.blocks);
+    out.push('}');
+    out
 }
 
 /// The `/v1/outages` body: the outage-window series as a histogram of
 /// blocks by outage count, ascending.
-pub fn outages_body(rows: &[DatasetRow]) -> String {
+fn outages_body(rows: &[DatasetRow]) -> String {
     let mut hist: BTreeMap<u32, u64> = BTreeMap::new();
     let mut total = 0u64;
     let mut with = 0u64;
@@ -171,67 +285,103 @@ pub struct Filter {
 }
 
 impl Filter {
+    /// The same filter over borrowed strings.
+    pub(crate) fn as_ref(&self) -> FilterRef<'_> {
+        FilterRef {
+            country: self.country.as_deref(),
+            asn: self.asn,
+            link: self.link.as_deref(),
+            stationary: self.stationary,
+        }
+    }
+
     /// True when the row passes every present dimension.
     pub fn matches(&self, r: &DatasetRow) -> bool {
-        if let Some(c) = &self.country {
-            if r.country.as_deref() != Some(c.as_str()) {
-                return false;
-            }
-        }
-        if let Some(a) = self.asn {
-            if r.asn != a {
-                return false;
-            }
-        }
-        if let Some(l) = &self.link {
-            if !r.links.iter().any(|k| k == l) {
-                return false;
-            }
-        }
-        if let Some(s) = self.stationary {
-            if r.stationary != s {
-                return false;
-            }
-        }
-        true
+        self.as_ref().matches(r)
     }
 
     /// Canonical cache key: present dimensions in fixed order, so
     /// equivalent filters share one LRU entry.
     pub fn cache_key(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(c) = &self.country {
-            parts.push(format!("country={c}"));
-        }
-        if let Some(a) = self.asn {
-            parts.push(format!("as={a}"));
-        }
-        if let Some(l) = &self.link {
-            parts.push(format!("link={l}"));
-        }
-        if let Some(s) = self.stationary {
-            parts.push(format!("stationary={s}"));
-        }
-        parts.join("&")
+        let mut key = String::new();
+        self.as_ref().cache_key_into(&mut key);
+        key
+    }
+}
+
+/// A [`Filter`] borrowing its strings — what the request path parses a
+/// query string into, so that a filter costs no allocation.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct FilterRef<'a> {
+    pub(crate) country: Option<&'a str>,
+    pub(crate) asn: Option<u32>,
+    pub(crate) link: Option<&'a str>,
+    pub(crate) stationary: Option<bool>,
+}
+
+impl FilterRef<'_> {
+    fn matches(&self, r: &DatasetRow) -> bool {
+        self.country.map_or(true, |c| r.country.as_deref() == Some(c))
+            && self.asn.map_or(true, |a| r.asn == a)
+            && self.link.map_or(true, |l| r.links.iter().any(|k| k == l))
+            && self.stationary.map_or(true, |s| r.stationary == s)
     }
 
-    /// The echoed `"filter"` object for the response body.
-    fn echo(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(c) = &self.country {
-            parts.push(format!("\"country\":{}", json_str(c)));
+    /// Replaces `key` with the canonical cache key.
+    fn cache_key_into(&self, key: &mut String) {
+        key.clear();
+        if let Some(c) = self.country {
+            push_term(key, 0, '&', "country=");
+            key.push_str(c);
         }
         if let Some(a) = self.asn {
-            parts.push(format!("\"asn\":{a}"));
+            push_term(key, 0, '&', "as=");
+            push_u64(key, a.into());
         }
-        if let Some(l) = &self.link {
-            parts.push(format!("\"link\":{}", json_str(l)));
+        if let Some(l) = self.link {
+            push_term(key, 0, '&', "link=");
+            key.push_str(l);
         }
         if let Some(s) = self.stationary {
-            parts.push(format!("\"stationary\":{s}"));
+            push_term(key, 0, '&', if s { "stationary=true" } else { "stationary=false" });
         }
-        format!("{{{}}}", parts.join(","))
     }
+
+    /// Appends the `/v1/query` body: the echoed filter, then the counts
+    /// of the rows it matched.
+    fn write_body(&self, out: &mut String, c: &GroupCounts) {
+        out.push_str("{\"filter\":{");
+        let open = out.len();
+        if let Some(c) = self.country {
+            push_term(out, open, ',', "\"country\":");
+            push_json_str(out, c);
+        }
+        if let Some(a) = self.asn {
+            push_term(out, open, ',', "\"asn\":");
+            push_u64(out, a.into());
+        }
+        if let Some(l) = self.link {
+            push_term(out, open, ',', "\"link\":");
+            push_json_str(out, l);
+        }
+        if let Some(s) = self.stationary {
+            let term = if s { "\"stationary\":true" } else { "\"stationary\":false" };
+            push_term(out, open, ',', term);
+        }
+        push_counts(out, "},\"blocks\":", c);
+        push_count(out, ",\"stationary\":", c.stationary);
+        push_frac(out, ",\"strict_fraction\":", c.strict, c.blocks);
+        out.push('}');
+    }
+}
+
+/// Starts one more term of a list whose first term sits at `from`:
+/// `sep` unless this is that first term, then `label`.
+fn push_term(out: &mut String, from: usize, sep: char, label: &str) {
+    if out.len() > from {
+        out.push(sep);
+    }
+    out.push_str(label);
 }
 
 /// The `/v1/query` body: a straight fold of `filter` over `rows`.
@@ -240,63 +390,112 @@ pub fn query_body(rows: &[DatasetRow], filter: &Filter) -> String {
     for r in rows.iter().filter(|r| filter.matches(r)) {
         c.absorb(r);
     }
-    format!(
-        "{{\"filter\":{},\"blocks\":{},\"strict\":{},\"diurnal\":{},\"stationary\":{},\
-         \"strict_fraction\":{}}}",
-        filter.echo(),
-        c.blocks,
-        c.strict,
-        c.diurnal,
-        c.stationary,
-        frac(c.strict, c.blocks),
-    )
+    let mut out = String::new();
+    filter.as_ref().write_body(&mut out, &c);
+    out
 }
 
-/// The immutable serving state: id-sorted rows, fully rendered list and
-/// summary bodies, per-key group bodies, and the `/v1/query` LRU.
+/// One key of one dimension: its rendered body and its posting list —
+/// the indices into the sorted rows that carry the key, ascending, each
+/// row once.
+#[derive(Debug)]
+struct Group {
+    body: String,
+    rows: Vec<u32>,
+}
+
+/// A dimension while it is being rolled up: keys borrowed from the rows
+/// and kept in the order the list body wants.
+type Rollup<K> = BTreeMap<K, (GroupCounts, Vec<u32>)>;
+
+/// Counts `r` under one key and posts its index `i` there, once per
+/// row however often the row repeats the key.
+fn roll(group: &mut (GroupCounts, Vec<u32>), r: &DatasetRow, i: u32) {
+    group.0.absorb(r);
+    if group.1.last() != Some(&i) {
+        group.1.push(i);
+    }
+}
+
+/// Renders a rolled-up dimension: each key's body once, shared between
+/// the `{"name":[…]}` list body and the per-key map.
+fn render<K: Copy + Into<O>, O: Hash + Eq>(
+    name: &str,
+    rollup: Rollup<K>,
+    body: impl Fn(K, &GroupCounts) -> String,
+) -> (String, HashMap<O, Group>) {
+    let mut list = format!("{{\"{name}\":[");
+    let open = list.len();
+    let mut map = HashMap::with_capacity(rollup.len());
+    for (key, (counts, rows)) in rollup {
+        let body = body(key, &counts);
+        push_term(&mut list, open, ',', &body);
+        map.insert(key.into(), Group { body, rows });
+    }
+    list.push_str("]}");
+    (list, map)
+}
+
+/// The immutable serving state: id-sorted rows and their id column,
+/// fully rendered list and summary bodies, per-key group bodies with
+/// their posting lists, and the `/v1/query` LRU.
 #[derive(Debug)]
 pub struct ServeState {
     rows: Vec<DatasetRow>,
+    ids: Vec<u64>,
     summary: String,
     countries: String,
     ases: String,
     links: String,
     outages: String,
-    by_country: HashMap<String, String>,
-    by_asn: HashMap<u32, String>,
-    by_link: HashMap<String, String>,
+    by_country: HashMap<String, Group>,
+    by_asn: HashMap<u32, Group>,
+    by_link: HashMap<String, Group>,
+    /// Counts of the non-stationary and of the stationary rows: the
+    /// answers to the three filters that name no keyed dimension.
+    by_stationary: [GroupCounts; 2],
     lru: ShardedLru,
 }
 
 impl ServeState {
     /// Builds every index from `rows` (sorted by block id internally).
     /// `lru_capacity` bounds the ad-hoc query cache; zero disables it.
+    ///
+    /// # Panics
+    /// Past `u32::MAX` rows, the width of a posting-list entry — 256
+    /// times the /24 blocks IPv4 has.
     pub fn build(mut rows: Vec<DatasetRow>, lru_capacity: usize) -> ServeState {
+        assert!(u32::try_from(rows.len()).is_ok(), "posting lists index rows with 32 bits");
         rows.sort_by_key(|r| r.block_id);
-        let mut by_country: BTreeMap<String, GroupCounts> = BTreeMap::new();
-        let mut by_asn: BTreeMap<u32, GroupCounts> = BTreeMap::new();
-        let mut by_link: BTreeMap<String, GroupCounts> = BTreeMap::new();
-        for r in &rows {
+        let mut countries: Rollup<&str> = BTreeMap::new();
+        let mut ases: Rollup<u32> = BTreeMap::new();
+        let mut links: Rollup<&str> = BTreeMap::new();
+        let mut by_stationary = [GroupCounts::default(); 2];
+        for (i, r) in rows.iter().enumerate() {
+            let i = i as u32;
+            by_stationary[usize::from(r.stationary)].absorb(r);
             if let Some(c) = &r.country {
-                by_country.entry(c.clone()).or_default().absorb(r);
+                roll(countries.entry(c).or_default(), r, i);
             }
-            by_asn.entry(r.asn).or_default().absorb(r);
+            roll(ases.entry(r.asn).or_default(), r, i);
             for l in &r.links {
-                by_link.entry(l.clone()).or_default().absorb(r);
+                roll(links.entry(l).or_default(), r, i);
             }
         }
-        let countries: Vec<String> = by_country.iter().map(|(k, c)| country_body(k, c)).collect();
-        let ases: Vec<String> = by_asn.iter().map(|(k, c)| as_body(*k, c)).collect();
-        let links: Vec<String> = by_link.iter().map(|(k, c)| link_body(k, c)).collect();
+        let (countries, by_country) = render("countries", countries, country_body);
+        let (ases, by_asn) = render("ases", ases, as_body);
+        let (links, by_link) = render("links", links, link_body);
         ServeState {
+            ids: rows.iter().map(|r| r.block_id).collect(),
             summary: summary_body(&rows),
-            countries: format!("{{\"countries\":[{}]}}", countries.join(",")),
-            ases: format!("{{\"ases\":[{}]}}", ases.join(",")),
-            links: format!("{{\"links\":[{}]}}", links.join(",")),
+            countries,
+            ases,
+            links,
             outages: outages_body(&rows),
-            by_country: by_country.iter().map(|(k, c)| (k.clone(), country_body(k, c))).collect(),
-            by_asn: by_asn.iter().map(|(k, c)| (*k, as_body(*k, c))).collect(),
-            by_link: by_link.iter().map(|(k, c)| (k.clone(), link_body(k, c))).collect(),
+            by_country,
+            by_asn,
+            by_link,
+            by_stationary,
             lru: ShardedLru::new(lru_capacity),
             rows,
         }
@@ -334,30 +533,89 @@ impl ServeState {
 
     /// The `/v1/country/{code}` body, if the country is present.
     pub fn country(&self, code: &str) -> Option<&str> {
-        self.by_country.get(code).map(String::as_str)
+        self.by_country.get(code).map(|g| g.body.as_str())
     }
 
     /// The `/v1/as/{asn}` body, if the AS is present.
     pub fn asn(&self, asn: u32) -> Option<&str> {
-        self.by_asn.get(&asn).map(String::as_str)
+        self.by_asn.get(&asn).map(|g| g.body.as_str())
     }
 
     /// The `/v1/link/{keyword}` body, if the keyword is present.
     pub fn link(&self, keyword: &str) -> Option<&str> {
-        self.by_link.get(keyword).map(String::as_str)
+        self.by_link.get(keyword).map(|g| g.body.as_str())
     }
 
-    /// The `/v1/block/{id}` body: binary search over the sorted rows,
-    /// rendered on demand (worlds are large; responses are not).
+    /// The row of block `id`: binary search over the id column, eight
+    /// bytes a step where the rows themselves are a cache line or two.
+    pub(crate) fn row(&self, id: u64) -> Option<&DatasetRow> {
+        self.ids.binary_search(&id).ok().map(|i| &self.rows[i])
+    }
+
+    /// The `/v1/block/{id}` body, rendered on demand (worlds are large;
+    /// responses are not).
     pub fn block(&self, id: u64) -> Option<String> {
-        let i = self.rows.binary_search_by_key(&id, |r| r.block_id).ok()?;
-        Some(block_body(&self.rows[i]))
+        self.row(id).map(block_body)
     }
 
     /// The `/v1/query` body for `filter`, served from the LRU when
-    /// cached, folded over the rows otherwise.
+    /// cached, folded from the posting lists otherwise.
     pub fn query(&self, filter: &Filter) -> (String, LruOutcome) {
-        self.lru.get_or_insert_with(&filter.cache_key(), || query_body(&self.rows, filter))
+        let (mut key, mut body) = (String::new(), String::new());
+        let outcome = self.query_into(&filter.as_ref(), &mut key, &mut body);
+        (body, outcome)
+    }
+
+    /// [`query`](Self::query) appending to `body`; `key` is scratch for
+    /// the cache key.
+    pub(crate) fn query_into(
+        &self,
+        filter: &FilterRef<'_>,
+        key: &mut String,
+        body: &mut String,
+    ) -> LruOutcome {
+        filter.cache_key_into(key);
+        self.lru.get_or_insert_into(key, body, |out| filter.write_body(out, &self.fold(filter)))
+    }
+
+    /// Counts the rows `filter` matches without visiting the others: the
+    /// shortest posting list among the keyed dimensions it names holds
+    /// every candidate (a key the world lacks matches nothing), and a
+    /// filter that names none is answered from the stationarity counts.
+    fn fold(&self, filter: &FilterRef<'_>) -> GroupCounts {
+        let named = [
+            filter.country.map(|c| self.by_country.get(c)),
+            filter.asn.map(|a| self.by_asn.get(&a)),
+            filter.link.map(|l| self.by_link.get(l)),
+        ];
+        let mut shortest: Option<&[u32]> = None;
+        for group in named.into_iter().flatten() {
+            let Some(group) = group else { return GroupCounts::default() };
+            if shortest.map_or(true, |s| group.rows.len() < s.len()) {
+                shortest = Some(&group.rows);
+            }
+        }
+        let mut c = GroupCounts::default();
+        match (shortest, filter.stationary) {
+            (Some(candidates), _) => {
+                for r in candidates.iter().map(|&i| &self.rows[i as usize]) {
+                    if filter.matches(r) {
+                        c.absorb(r);
+                    }
+                }
+            }
+            (None, Some(s)) => c = self.by_stationary[usize::from(s)],
+            (None, None) => {
+                let [moving, still] = self.by_stationary;
+                c = GroupCounts {
+                    blocks: moving.blocks + still.blocks,
+                    strict: moving.strict + still.strict,
+                    diurnal: moving.diurnal + still.diurnal,
+                    stationary: still.stationary,
+                };
+            }
+        }
+        c
     }
 }
 

@@ -61,12 +61,17 @@ impl LruShard {
     }
 
     /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<String> {
+    pub(crate) fn touch(&mut self, key: &str) -> Option<&str> {
         self.tick += 1;
         let tick = self.tick;
         let e = self.entries.iter_mut().find(|(k, _, _)| k == key)?;
         e.2 = tick;
-        Some(e.1.clone())
+        Some(&e.1)
+    }
+
+    /// Looks `key` up like `touch`, with the value cloned out.
+    pub fn get(&mut self, key: &str) -> Option<String> {
+        self.touch(key).map(str::to_string)
     }
 
     /// Inserts `key → value`, evicting the least-recently-used entry
@@ -74,28 +79,34 @@ impl LruShard {
     /// zero capacity caches nothing. Inserting an existing key refreshes
     /// its value and recency without evicting.
     pub fn insert(&mut self, key: String, value: String) -> bool {
+        self.insert_str(&key, &value)
+    }
+
+    /// [`insert`](Self::insert) from borrowed strings: a refreshed or
+    /// evicted entry's own strings are overwritten in place, so only an
+    /// insert into free room allocates.
+    pub(crate) fn insert_str(&mut self, key: &str, value: &str) -> bool {
         if self.cap == 0 {
             return false;
         }
         self.tick += 1;
-        if let Some(e) = self.entries.iter_mut().find(|(k, _, _)| *k == key) {
-            e.1 = value;
-            e.2 = self.tick;
+        let full = self.entries.len() >= self.cap;
+        let slot = match self.entries.iter_mut().find(|(k, _, _)| k == key) {
+            Some(e) => Some((e, false)),
+            None if full => self.entries.iter_mut().min_by_key(|(_, _, t)| *t).map(|e| (e, true)),
+            None => None,
+        };
+        let Some((e, evicted)) = slot else {
+            self.entries.push((key.to_string(), value.to_string(), self.tick));
             return false;
+        };
+        if evicted {
+            e.0.clear();
+            e.0.push_str(key);
         }
-        let mut evicted = false;
-        if self.entries.len() >= self.cap {
-            let oldest = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, t))| *t)
-                .map(|(i, _)| i)
-                .expect("full shard has entries");
-            self.entries.swap_remove(oldest);
-            evicted = true;
-        }
-        self.entries.push((key, value, self.tick));
+        e.1.clear();
+        e.1.push_str(value);
+        e.2 = self.tick;
         evicted
     }
 
@@ -151,22 +162,38 @@ impl ShardedLru {
         self.len() == 0
     }
 
+    /// Appends the cached value for `key` to `out`, or has `f` append it
+    /// and caches what it appended. A hit is copied out under the shard
+    /// lock; the lock is *not* held while `f` runs, so a slow fold never
+    /// blocks other shards' hits; two racing misses on the same key both
+    /// compute and the later insert refreshes.
+    pub(crate) fn get_or_insert_into(
+        &self,
+        key: &str,
+        out: &mut String,
+        f: impl FnOnce(&mut String),
+    ) -> LruOutcome {
+        let shard = &self.shards[(fnv1a(key) % SHARDS as u64) as usize];
+        if let Some(v) = shard.lock().touch(key) {
+            out.push_str(v);
+            return LruOutcome::Hit;
+        }
+        let start = out.len();
+        f(out);
+        let evicted = shard.lock().insert_str(key, &out[start..]);
+        LruOutcome::Miss { evicted }
+    }
+
     /// Returns the cached value for `key`, computing and caching it via
-    /// `f` on a miss. The shard lock is *not* held while `f` runs, so a
-    /// slow fold never blocks other shards' hits; two racing misses on
-    /// the same key both compute and the later insert refreshes.
+    /// `f` on a miss.
     pub fn get_or_insert_with(
         &self,
         key: &str,
         f: impl FnOnce() -> String,
     ) -> (String, LruOutcome) {
-        let shard = &self.shards[(fnv1a(key) % SHARDS as u64) as usize];
-        if let Some(v) = shard.lock().get(key) {
-            return (v, LruOutcome::Hit);
-        }
-        let v = f();
-        let evicted = shard.lock().insert(key.to_string(), v.clone());
-        (v, LruOutcome::Miss { evicted })
+        let mut v = String::new();
+        let outcome = self.get_or_insert_into(key, &mut v, |out| *out = f());
+        (v, outcome)
     }
 }
 

@@ -25,9 +25,10 @@ pub mod http;
 pub mod index;
 pub mod lru;
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,8 +40,8 @@ use crate::export::{dataset_rows, DatasetRow};
 use crate::framing::DecodeError;
 use crate::journal::{replay_bytes_v2, sniff_journal, JournalHeader, ReplayOutcome};
 use crate::worldrun::WorldAnalysis;
-use http::{error_body, is_timeout, RequestError};
-use index::Filter;
+use http::{is_timeout, push_error_body, RequestError};
+use index::{write_block_body, FilterRef, BODY_ROOM};
 use sleepwatch_simnet::WorldConfig;
 
 pub use index::ServeState;
@@ -155,11 +156,11 @@ pub fn load_rows(
     }
 }
 
-/// Parses `/v1/query`'s query string into a [`Filter`]. Empty string →
-/// empty filter (matches everything). Unknown, duplicate or malformed
-/// parameters are refused with the message for a 400 body.
-fn parse_filter(query: &str) -> Result<Filter, String> {
-    let mut f = Filter::default();
+/// Parses `/v1/query`'s query string into a filter borrowing from it.
+/// Empty string → empty filter (matches everything). Unknown, duplicate
+/// or malformed parameters are refused with the message for a 400 body.
+fn parse_filter(query: &str) -> Result<FilterRef<'_>, String> {
+    let mut f = FilterRef::default();
     if query.is_empty() {
         return Ok(f);
     }
@@ -172,7 +173,7 @@ fn parse_filter(query: &str) -> Result<Filter, String> {
         }
         match k {
             "country" => {
-                if f.country.replace(v.to_string()).is_some() {
+                if f.country.replace(v).is_some() {
                     return Err("duplicate query parameter \"country\"".into());
                 }
             }
@@ -183,7 +184,7 @@ fn parse_filter(query: &str) -> Result<Filter, String> {
                 }
             }
             "link" => {
-                if f.link.replace(v.to_string()).is_some() {
+                if f.link.replace(v).is_some() {
                     return Err("duplicate query parameter \"link\"".into());
                 }
             }
@@ -203,77 +204,105 @@ fn parse_filter(query: &str) -> Result<Filter, String> {
     Ok(f)
 }
 
+/// A refusal: status, reason phrase and the message for the error body.
+type Refusal = (u16, &'static str, Cow<'static, str>);
+
+fn bad_request(message: impl Into<Cow<'static, str>>) -> Refusal {
+    (400, "Bad Request", message.into())
+}
+
+fn not_found(what: &'static str) -> Refusal {
+    (404, "Not Found", what.into())
+}
+
 /// Routes one request target to `(status, reason, body)`. Pure apart
 /// from LRU bookkeeping: same state + same target → same bytes, which is
 /// what the differential oracle holds the server to.
 pub fn route(state: &ServeState, target: &str) -> (u16, &'static str, String) {
+    let (mut key, mut body) = (String::new(), String::with_capacity(BODY_ROOM));
+    let (status, reason) = route_into(state, target, &mut key, &mut body);
+    (status, reason, body)
+}
+
+/// [`route`] into a connection's scratch: the body is appended to
+/// `body`, handed over empty, and `key` holds an ad-hoc query's cache
+/// key. Once the two have grown to fit, only `/metrics`, an LRU miss
+/// and a refused query parameter's message allocate.
+fn route_into(
+    state: &ServeState,
+    target: &str,
+    key: &mut String,
+    body: &mut String,
+) -> (u16, &'static str) {
+    match answer(state, target, key, body) {
+        Ok(()) => (200, "OK"),
+        Err((status, reason, message)) => {
+            push_error_body(body, &message);
+            (status, reason)
+        }
+    }
+}
+
+/// Appends the 200 body `target` is owed to `body`, or refuses having
+/// appended nothing.
+fn answer(
+    state: &ServeState,
+    target: &str,
+    key: &mut String,
+    body: &mut String,
+) -> Result<(), Refusal> {
     let obs = sleepwatch_obs::global();
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
     if query.is_some() && path != "/v1/query" {
-        return (400, "Bad Request", error_body("this route takes no query string"));
+        return Err(bad_request("this route takes no query string"));
     }
-    let ok = |body: String| (200, "OK", body);
-    let not_found = |what: &str| (404, "Not Found", error_body(what));
-    match path {
-        "/metrics" => ok(sleepwatch_obs::Snapshot::capture(obs).to_json()),
-        "/v1/summary" => ok(state.summary().to_string()),
-        "/v1/country" => ok(state.countries().to_string()),
-        "/v1/as" => ok(state.ases().to_string()),
-        "/v1/link" => ok(state.links().to_string()),
-        "/v1/outages" => ok(state.outages().to_string()),
-        "/v1/query" => match parse_filter(query.unwrap_or("")) {
-            Ok(filter) => {
-                let (body, outcome) = state.query(&filter);
-                match outcome {
-                    LruOutcome::Hit => obs.serve.lru_hits.incr(),
-                    LruOutcome::Miss { evicted } => {
-                        obs.serve.lru_misses.incr();
-                        if evicted {
-                            obs.serve.lru_evictions.incr();
-                        }
+    if let Some(id) = path.strip_prefix("/v1/block/") {
+        let id = id.parse::<u64>().map_err(|_| bad_request("malformed block id"))?;
+        let row = state.row(id).ok_or_else(|| not_found("unknown block"))?;
+        write_block_body(body, row);
+        return Ok(());
+    }
+    let rendered = match path {
+        "/metrics" => {
+            body.push_str(&sleepwatch_obs::Snapshot::capture(obs).to_json());
+            return Ok(());
+        }
+        "/v1/query" => {
+            let filter = parse_filter(query.unwrap_or("")).map_err(bad_request)?;
+            match state.query_into(&filter, key, body) {
+                LruOutcome::Hit => obs.serve.lru_hits.incr(),
+                LruOutcome::Miss { evicted } => {
+                    obs.serve.lru_misses.incr();
+                    if evicted {
+                        obs.serve.lru_evictions.incr();
                     }
                 }
-                ok(body)
             }
-            Err(msg) => (400, "Bad Request", error_body(&msg)),
-        },
+            return Ok(());
+        }
+        "/v1/summary" => state.summary(),
+        "/v1/country" => state.countries(),
+        "/v1/as" => state.ases(),
+        "/v1/link" => state.links(),
+        "/v1/outages" => state.outages(),
         _ => {
             if let Some(code) = path.strip_prefix("/v1/country/") {
-                return match state.country(code) {
-                    Some(body) => ok(body.to_string()),
-                    None => not_found("unknown country"),
-                };
+                state.country(code).ok_or_else(|| not_found("unknown country"))?
+            } else if let Some(asn) = path.strip_prefix("/v1/as/") {
+                let asn = asn.parse::<u32>().map_err(|_| bad_request("malformed AS number"))?;
+                state.asn(asn).ok_or_else(|| not_found("unknown as"))?
+            } else if let Some(keyword) = path.strip_prefix("/v1/link/") {
+                state.link(keyword).ok_or_else(|| not_found("unknown link"))?
+            } else {
+                return Err(not_found("no such route"));
             }
-            if let Some(asn) = path.strip_prefix("/v1/as/") {
-                return match asn.parse::<u32>() {
-                    Ok(n) => match state.asn(n) {
-                        Some(body) => ok(body.to_string()),
-                        None => not_found("unknown as"),
-                    },
-                    Err(_) => (400, "Bad Request", error_body("malformed AS number")),
-                };
-            }
-            if let Some(kw) = path.strip_prefix("/v1/link/") {
-                return match state.link(kw) {
-                    Some(body) => ok(body.to_string()),
-                    None => not_found("unknown link"),
-                };
-            }
-            if let Some(id) = path.strip_prefix("/v1/block/") {
-                return match id.parse::<u64>() {
-                    Ok(n) => match state.block(n) {
-                        Some(body) => ok(body),
-                        None => not_found("unknown block"),
-                    },
-                    Err(_) => (400, "Bad Request", error_body("malformed block id")),
-                };
-            }
-            not_found("no such route")
         }
-    }
+    };
+    body.push_str(rendered);
+    Ok(())
 }
 
 /// Per-connection accounting, returned by [`serve_streams`] so tests
@@ -294,27 +323,106 @@ pub struct ConnStats {
     pub bytes_out: u64,
 }
 
+/// Responses held back for one `write`: a pipelined batch of 64 block
+/// reads (about 21 KiB of answers) leaves in one.
+const WRITE_BUF: usize = 32 * 1024;
+
+/// One connection's two halves and the rule that ties them: responses
+/// collect in `out`, and `out` is written before any read of the stream
+/// itself — the one place the connection can block, for up to the whole
+/// read timeout — so a finished answer never waits behind a request that
+/// has only half arrived. [`http::read_request_into`] reads through this
+/// as a `BufRead` and needs to know none of it.
+struct Conn<R, W> {
+    r: BufReader<R>,
+    w: W,
+    out: String,
+    /// Set by a failed [`flush`](Self::flush), which a reader sees only
+    /// as an I/O error of its own.
+    write_failed: bool,
+}
+
+impl<R: Read, W: Write> Conn<R, W> {
+    fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let done = self.w.write_all(self.out.as_bytes()).and_then(|()| self.w.flush());
+        self.out.clear();
+        self.write_failed |= done.is_err();
+        done
+    }
+
+    /// Queues one response behind those already held, writing those
+    /// first when it would not fit beside them; returns its length.
+    fn respond(
+        &mut self,
+        status: u16,
+        reason: &str,
+        body: &str,
+        keep_alive: bool,
+    ) -> io::Result<u64> {
+        if self.out.len() + http::HEAD_ROOM + body.len() > WRITE_BUF {
+            self.flush()?;
+        }
+        Ok(http::push_response(&mut self.out, status, reason, body, keep_alive))
+    }
+}
+
+impl<R: Read, W: Write> Read for Conn<R, W> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.fill_buf()?.read(buf)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl<R: Read, W: Write> BufRead for Conn<R, W> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        if self.r.buffer().is_empty() {
+            self.flush()?;
+        }
+        self.r.fill_buf()
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.r.consume(n);
+    }
+}
+
 /// Serves one connection's request stream until it closes, errors or
 /// times out. Generic over the transport so chaos tests can drive it
 /// with hand-built readers and writers; [`serve_connection`] adapts a
 /// `TcpStream`.
 ///
-/// Keep-alive and pipelining are supported; responses are flushed only
-/// once the read buffer holds no further pipelined request, so a
-/// pipelined batch costs one write syscall per `BufWriter` fill rather
-/// than one per response.
+/// Keep-alive and pipelining are supported. Every buffer a request needs
+/// is allocated here, once per connection: a request is parsed where the
+/// read buffer holds it, its body rendered into one buffer and copied
+/// with its head into the write buffer, which leaves when full or when
+/// the connection is about to wait for the peer (see `Conn`) — so a
+/// pipelined batch costs one write syscall, and a steady-state request
+/// no allocation.
 pub fn serve_streams<R: Read, W: Write>(reader: R, writer: W, state: &ServeState) -> ConnStats {
     let obs = sleepwatch_obs::global();
-    let mut r = BufReader::new(reader);
-    let mut w = BufWriter::new(writer);
+    let mut conn = Conn {
+        r: BufReader::new(reader),
+        w: writer,
+        out: String::with_capacity(WRITE_BUF),
+        write_failed: false,
+    };
+    let mut line = Vec::with_capacity(http::MAX_REQUEST_LINE);
+    let mut target = String::with_capacity(http::MAX_REQUEST_LINE);
+    let mut key = String::new();
+    let mut body = String::with_capacity(BODY_ROOM);
     let mut s = ConnStats::default();
     loop {
-        match http::read_request(&mut r) {
-            Ok(req) => {
+        body.clear();
+        match http::read_request_into(&mut conn, &mut line, &mut target) {
+            Ok(keep_alive) => {
                 s.requests += 1;
                 obs.serve.requests.incr();
-                let (status, reason, body) = route(state, &req.target);
-                match http::write_response(&mut w, status, reason, &body, req.keep_alive) {
+                let (status, reason) = route_into(state, &target, &mut key, &mut body);
+                match conn.respond(status, reason, &body, keep_alive) {
                     Ok(n) => {
                         s.responses += 1;
                         s.bytes_out += n;
@@ -331,15 +439,15 @@ pub fn serve_streams<R: Read, W: Write>(reader: R, writer: W, state: &ServeState
                         return s;
                     }
                 }
-                if !req.keep_alive {
-                    let _ = w.flush();
+                if !keep_alive {
+                    let _ = conn.flush();
                     return s;
                 }
-                if r.buffer().is_empty() && w.flush().is_err() {
-                    s.write_errors += 1;
-                    obs.serve.write_errors.incr();
-                    return s;
-                }
+            }
+            Err(_) if conn.write_failed => {
+                s.write_errors += 1;
+                obs.serve.write_errors.incr();
+                return s;
             }
             Err(e) => {
                 match &e {
@@ -355,16 +463,15 @@ pub fn serve_streams<R: Read, W: Write>(reader: R, writer: W, state: &ServeState
                     }
                 }
                 if let Some((status, reason, msg)) = http::status_for(&e) {
-                    if let Ok(n) =
-                        http::write_response(&mut w, status, reason, &error_body(msg), false)
-                    {
+                    push_error_body(&mut body, msg);
+                    if let Ok(n) = conn.respond(status, reason, &body, false) {
                         s.responses += 1;
                         s.bytes_out += n;
                         obs.serve.bytes_out.add(n);
                         obs.serve.responses_err.incr();
                     }
                 }
-                let _ = w.flush();
+                let _ = conn.flush();
                 return s;
             }
         }

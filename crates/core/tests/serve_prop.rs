@@ -5,16 +5,20 @@
 //! JSON), and the sharded LRU honours its invariants — capacity never
 //! exceeded, every lookup is exactly a hit or a miss, and evictions
 //! strike the least-recently-used entry, pinned against a
-//! model-checked reference.
+//! model-checked reference. The request path's writers are held to the
+//! formatter they replaced: `push_fixed` to `{:.N}` bit pattern for bit
+//! pattern, `write_block_body` to a `format!` rendition kept here, and the
+//! posting-list `query` to the index-free `query_body`.
 
 use proptest::prelude::*;
 use sleepwatch_core::serve::http::{
     error_body, read_request, write_response, RequestError, MAX_HEADERS, MAX_REQUEST_LINE,
 };
-use sleepwatch_core::serve::index::Filter;
+use sleepwatch_core::serve::index::{push_fixed, query_body, write_block_body, Filter};
 use sleepwatch_core::serve::{route, LruOutcome, LruShard, ShardedLru};
-use sleepwatch_core::{analyze_world, dataset_rows, AnalysisConfig, ServeState};
+use sleepwatch_core::{analyze_world, dataset_rows, AnalysisConfig, DatasetRow, ServeState};
 use sleepwatch_simnet::{World, WorldConfig};
+use sleepwatch_spectral::DiurnalClass;
 use std::io::BufReader;
 use std::sync::OnceLock;
 
@@ -268,6 +272,247 @@ impl ModelLru {
 
     fn oldest(&self) -> Option<&str> {
         self.order.first().map(|(k, _)| k.as_str())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Generators and references for the writer ≡ formatter properties.
+// ---------------------------------------------------------------------
+
+/// Strings of everything the JSON escaper has a rule for, and of what it
+/// must leave alone.
+fn tricky_string() -> impl Strategy<Value = String> {
+    const PALETTE: [char; 16] = [
+        'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é',
+        '日', '😀',
+    ];
+    proptest::collection::vec(0usize..PALETTE.len(), 0..10)
+        .prop_map(|picks| picks.into_iter().map(|i| PALETTE[i]).collect())
+}
+
+/// Doubles: arbitrary bit patterns, and the ranges served values live in
+/// (fractions, small magnitudes, and either side of ±1e9).
+fn any_f64() -> impl Strategy<Value = f64> {
+    (any::<u64>(), 0u8..4, 0.0f64..1.0).prop_map(|(bits, kind, unit)| match kind {
+        0 => f64::from_bits(bits),
+        1 => unit,
+        2 => unit * 1e3,
+        _ => unit * 4e9 - 2e9,
+    })
+}
+
+fn any_row() -> impl Strategy<Value = DatasetRow> {
+    (
+        (any::<u64>(), 0usize..3, proptest::option::of(any_f64()), any_f64(), any_f64()),
+        (any::<bool>(), any::<u32>(), any::<u64>(), any::<u32>()),
+        (proptest::option::of(tricky_string()), proptest::collection::vec(tricky_string(), 0..4)),
+    )
+        .prop_map(|(spectral, counts, keys)| {
+            let (block_id, class, phase, mean_a, strongest_cpd) = spectral;
+            let (stationary, outages, probes, asn) = counts;
+            let (country, links) = keys;
+            DatasetRow {
+                block_id,
+                class: [DiurnalClass::Strict, DiurnalClass::Relaxed, DiurnalClass::NonDiurnal]
+                    [class],
+                phase,
+                mean_a,
+                strongest_cpd,
+                stationary,
+                outages,
+                probes,
+                lon: None,
+                lat: None,
+                country,
+                centroid: false,
+                alloc: String::new(),
+                asn,
+                links,
+            }
+        })
+}
+
+const COUNTRIES: [&str; 3] = ["US", "DE", "q\"\\\n日"];
+const LINKS: [&str; 3] = ["adsl", "cable", "w\"\t"];
+
+/// Arbitrary rows over a key space small enough for filters to meet:
+/// three countries or none, six ASes, up to three link keywords drawn
+/// with repetition (a row may carry one twice).
+fn small_world() -> impl Strategy<Value = Vec<DatasetRow>> {
+    let keys = (0usize..4, 0u32..6, proptest::collection::vec(0usize..3, 0..4));
+    proptest::collection::vec((any_row(), keys), 0..40).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(row, (country, asn, links))| DatasetRow {
+                country: COUNTRIES.get(country).map(|c| c.to_string()),
+                asn,
+                links: links.into_iter().map(|l| LINKS[l].to_string()).collect(),
+                ..row
+            })
+            .collect()
+    })
+}
+
+/// Filters over that key space and just past it: a fourth country, two
+/// more ASes and a fourth keyword that no row carries.
+fn any_filter() -> impl Strategy<Value = Filter> {
+    let pick = |keys: [&'static str; 3], absent: &'static str| {
+        proptest::option::of(0usize..4)
+            .prop_map(move |i| i.map(|i| keys.get(i).unwrap_or(&absent).to_string()))
+    };
+    (
+        pick(COUNTRIES, "FR"),
+        proptest::option::of(0u32..8),
+        pick(LINKS, "fiber"),
+        proptest::option::of(any::<bool>()),
+    )
+        .prop_map(|(country, asn, link, stationary)| Filter { country, asn, link, stationary })
+}
+
+/// The JSON escaper's rules, spelled a second time.
+fn reference_json_str(s: &str) -> String {
+    let mut out = String::from("\"");
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
+}
+
+/// The `/v1/block/{id}` body as one `format!`.
+fn reference_block_body(r: &DatasetRow) -> String {
+    let class = match r.class {
+        DiurnalClass::Strict => "d",
+        DiurnalClass::Relaxed => "r",
+        DiurnalClass::NonDiurnal => "n",
+    };
+    let phase = r.phase.map_or("null".to_string(), |p| format!("{p:.6}"));
+    let country = r.country.as_deref().map_or("null".to_string(), reference_json_str);
+    let links: Vec<String> = r.links.iter().map(|l| reference_json_str(l)).collect();
+    format!(
+        "{{\"block\":{},\"class\":\"{class}\",\"phase\":{phase},\"mean_a\":{:.6},\
+         \"strongest_cpd\":{:.4},\"stationary\":{},\"outages\":{},\"probes\":{},\
+         \"country\":{country},\"asn\":{},\"links\":[{}]}}",
+        r.block_id,
+        r.mean_a,
+        r.strongest_cpd,
+        r.stationary,
+        r.outages,
+        r.probes,
+        r.asn,
+        links.join(","),
+    )
+}
+
+fn assert_fixed_is_format(v: f64) {
+    for decimals in [0, 4, 6, 9, 10] {
+        let mut got = String::from("=");
+        push_fixed(&mut got, v, decimals);
+        assert_eq!(got, format!("={v:.decimals$}"), "{v:e} ({:#018x}) at {decimals}", v.to_bits());
+    }
+}
+
+/// The seeded hard cases of `push_fixed`: exact ties and their
+/// neighbours, carries into the integer part, the edges of the range it
+/// answers itself, and the values the dataset decoder emits.
+#[test]
+fn push_fixed_hard_cases() {
+    let with_neighbours = |v: f64| {
+        for bits in [v.to_bits().wrapping_sub(1), v.to_bits(), v.to_bits() + 1] {
+            assert_fixed_is_format(f64::from_bits(bits));
+        }
+    };
+    // Odd multiples of 1/128 and 1/32 are exact ties at 6 and 4 decimals.
+    for k in (1..4000u32).step_by(2) {
+        for base in [0.0, 7.0, 123_456.0, 999_999_936.0] {
+            with_neighbours(base + f64::from(k) / 128.0);
+            with_neighbours(base + f64::from(k) / 32.0);
+        }
+    }
+    // Carries into the integer part, from both sides of the rounding point.
+    for whole in [0.0, 1.0, 9.0, 99.0, 999_999.0, 999_999_998.0, 999_999_999.0] {
+        for frac in [0.9999995, 0.99999949, 0.99999951, 0.99995, 0.999949, 0.999951, 0.5] {
+            with_neighbours(whole + frac);
+        }
+    }
+    for v in [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::MIN_POSITIVE,
+        f64::EPSILON,
+        5e-7,
+        5e-5,
+        1e9,
+        1e15,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+    ] {
+        with_neighbours(v);
+        assert_fixed_is_format(-v);
+    }
+    assert_fixed_is_format(f64::NAN);
+    // What `SLPWBIN1` decodes a quantized column to: every q in a dense
+    // range, then strides out to a million and into the negatives.
+    for q in (0..100_000i64).chain((0..100_000).map(|k| k * 9_999_973)) {
+        assert_fixed_is_format(q as f64 / 1e6);
+    }
+    for q in (1..2_000i64).map(|k| k * -104_729) {
+        assert_fixed_is_format(q as f64 / 1e6);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `push_fixed` ≡ `format!("{v:.N}")` over arbitrary doubles.
+    #[test]
+    fn push_fixed_is_the_formatter(v in any_f64()) {
+        assert_fixed_is_format(v);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `write_block_body` appends exactly the `format!` rendition,
+    /// whatever the row holds.
+    #[test]
+    fn block_writer_is_the_format_rendition(row in any_row()) {
+        let mut got = String::from("kept");
+        write_block_body(&mut got, &row);
+        prop_assert_eq!(got, format!("kept{}", reference_block_body(&row)));
+    }
+
+    /// A query answered from the posting lists and stationarity counts is
+    /// the straight fold over the rows, cached or not, first asked or
+    /// asked again.
+    #[test]
+    fn posting_list_query_is_the_row_fold(
+        rows in small_world(),
+        filters in proptest::collection::vec(any_filter(), 1..12),
+        cached in any::<bool>(),
+    ) {
+        // Room for every filter in whichever shard its key lands, or none.
+        let state = ServeState::build(rows, if cached { 128 } else { 0 });
+        for filter in &filters {
+            let want = query_body(state.rows(), filter);
+            let (first, outcome) = state.query(filter);
+            prop_assert_eq!(&first, &want, "{:?}", filter);
+            assert_json(&first);
+            prop_assert!(cached || outcome == LruOutcome::Miss { evicted: false });
+            let (again, outcome) = state.query(filter);
+            prop_assert_eq!(&again, &want, "{:?} asked again", filter);
+            prop_assert_eq!(outcome == LruOutcome::Hit, cached);
+        }
     }
 }
 

@@ -68,7 +68,7 @@ pub mod stage;
 
 pub use metrics::{Buckets, Counter, Gauge, Histogram, HistogramSnapshot, LengthCounts};
 pub use registry::{Registry, ServeMetrics, TransportMetrics};
-pub use report::{json_str, Reporter, RunReport};
+pub use report::{json_str, push_json_str, Reporter, RunReport};
 pub use snapshot::Snapshot;
 pub use stage::{Stage, StageTimer};
 

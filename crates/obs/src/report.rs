@@ -120,26 +120,38 @@ impl Snapshot {
     }
 }
 
-/// Renders a string as a JSON string literal, quotes included — the
+/// Appends `s` to `out` as a JSON string literal, quotes included — the
 /// workspace's one JSON escaper (run reports here, every served body in
-/// `sleepwatch_core::serve`).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// `sleepwatch_core::serve`). Runs of bytes that need no escape are
+/// copied whole.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
+}
+
+/// [`push_json_str`] into a fresh string.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
     out
 }
 

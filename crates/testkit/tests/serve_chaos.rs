@@ -10,7 +10,10 @@
 //! the obs registry is global, and exact-delta assertions must not race
 //! with another test's increments.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -212,6 +215,81 @@ fn oversized_request_line_is_a_bad_request_with_431() {
     assert_eq!(stats.requests, 0);
     let resp = read_response(&mut std::io::Cursor::new(out));
     assert_eq!((resp.status, resp.keep_alive), (431, false));
+}
+
+/// A peer that sends its script one chunk per `read` and, before each,
+/// notes what the server has put on the shared wire so far.
+struct ChunkedPeer {
+    chunks: VecDeque<Vec<u8>>,
+    wire: Rc<RefCell<Vec<u8>>>,
+    seen: Vec<Vec<u8>>,
+}
+
+impl Read for ChunkedPeer {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.seen.push(self.wire.borrow().clone());
+        let Some(chunk) = self.chunks.pop_front() else { return Ok(0) };
+        buf[..chunk.len()].copy_from_slice(&chunk);
+        Ok(chunk.len())
+    }
+}
+
+struct SharedWire(Rc<RefCell<Vec<u8>>>);
+
+impl Write for SharedWire {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn finished_response_is_not_withheld_behind_a_partial_request() {
+    let _g = lock();
+    let st = state();
+    let wire = Rc::new(RefCell::new(Vec::new()));
+    // The second request arrives in two pieces: the read for its rest can
+    // block for the whole read timeout, so the first answer must be on the
+    // wire before it.
+    let mut peer = ChunkedPeer {
+        chunks: VecDeque::from([
+            b"GET /v1/summary HTTP/1.1\r\n\r\nGET /v1/coun".to_vec(),
+            b"try/US HTTP/1.1\r\n\r\n".to_vec(),
+        ]),
+        wire: wire.clone(),
+        seen: Vec::new(),
+    };
+    let before = Snapshot::capture(sleepwatch_obs::global());
+    let stats = serve_streams(&mut peer, SharedWire(wire.clone()), &st);
+    let delta = Snapshot::capture(sleepwatch_obs::global()).delta(&before);
+    let wire = wire.borrow();
+
+    assert_eq!(peer.seen.len(), 3, "two chunks and the EOF");
+    assert!(peer.seen[0].is_empty(), "nothing to answer before the first byte");
+    let mut first = std::io::Cursor::new(&peer.seen[1][..]);
+    let resp = read_response(&mut first);
+    assert_eq!((resp.status, resp.keep_alive), (200, true));
+    assert_eq!(resp.body, summary_body(&st));
+    assert_eq!(first.position() as usize, peer.seen[1].len(), "exactly the first response");
+    assert_eq!(peer.seen[2], *wire, "the second follows before the next wait");
+    let mut rest = std::io::Cursor::new(&wire[peer.seen[1].len()..]);
+    assert_eq!(read_response(&mut rest).body, st.country("US").expect("US body"));
+
+    let want = sleepwatch_core::ConnStats {
+        requests: 2,
+        responses: 2,
+        bytes_out: wire.len() as u64,
+        ..Default::default()
+    };
+    assert_eq!(stats, want);
+    assert_eq!(delta.counters["serve.requests"], 2);
+    assert_eq!(delta.counters["serve.responses_ok"], 2);
+    assert_eq!(delta.counters["serve.bytes_out"], wire.len() as u64);
+    assert_eq!(delta.counters["serve.write_errors"], 0);
 }
 
 // ---------------------------------------------------------------------
