@@ -31,9 +31,9 @@ use sleepwatch_geoecon::allocation::YearMonth;
 use sleepwatch_geoecon::country::{by_code, COUNTRIES};
 use sleepwatch_geoecon::geolocate::{GeoDatabase, Location};
 use sleepwatch_geoecon::region::Region;
-use sleepwatch_linktype::{classify_block, LinkFeature};
+use sleepwatch_linktype::{BlockLabel, LinkFeature};
 use sleepwatch_obs::{Stage, StageTimer};
-use sleepwatch_simnet::{ptr_names, BlockSpec, World, WorldSource};
+use sleepwatch_simnet::{BlockSpec, PtrTemplate, World, WorldSource};
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, MAX_BATCH_LANES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -289,12 +289,16 @@ impl Sink for WorldRunStats {
 }
 
 /// Geo/reverse-DNS/registry join for one completed summary — the
-/// world-independent second half of the per-block pipeline.
+/// world-independent second half of the per-block pipeline, timed as
+/// [`Stage::Label`]. Each address's PTR name is rendered into one reused
+/// buffer and counted straight into the block's label: a named block
+/// allocates that buffer, its label's features and the report's.
 pub(crate) fn join_block(
     geodb: &GeoDatabase,
     block: &BlockSpec,
     summary: BlockSummary,
 ) -> WorldBlockReport {
+    let _t = StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::Label));
     let country = &COUNTRIES[block.country_idx];
     let location = geodb.locate(block.id, country, block.lon, block.lat);
     // Lookup-or-`None`: an out-of-table country code degrades this one
@@ -306,8 +310,17 @@ pub(crate) fn join_block(
             None
         }
     });
-    let names = ptr_names(block);
-    let label = classify_block(names.iter().map(|o| o.as_deref()));
+    let mut label = BlockLabel::default();
+    if let Some(template) = PtrTemplate::of(block) {
+        let mut name = String::with_capacity(64);
+        for addr in 0..=255u8 {
+            name.clear();
+            if template.write_name(addr, &mut name) {
+                label.add_name(&name);
+            }
+        }
+    }
+    let label = label.finish();
     WorldBlockReport {
         summary,
         location,
@@ -382,22 +395,6 @@ fn flush_batch<S: Sink>(
     for (idx, outcome) in local.drain(..) {
         sink.put(idx, outcome);
     }
-}
-
-/// Disjoint mutable references to the given scratch slots (ascending,
-/// unique) — the lanes of one same-length FFT group.
-fn lane_refs<'a>(scratches: &'a mut [BlockScratch], slots: &[usize]) -> Vec<&'a mut BlockScratch> {
-    let mut out = Vec::with_capacity(slots.len());
-    let mut rest = scratches;
-    let mut consumed = 0;
-    for &s in slots {
-        let (_, tail) = std::mem::take(&mut rest).split_at_mut(s - consumed);
-        let (head, tail2) = tail.split_at_mut(1);
-        out.push(&mut head[0]);
-        rest = tail2;
-        consumed = s + 1;
-    }
-    out
 }
 
 /// Shared driver behind every `analyze_world*` entry point: feed × sink ×
@@ -614,15 +611,19 @@ fn run_chunk_batched(
             let timed = hist.enabled();
             let start = timed.then(std::time::Instant::now);
             let batch_ok = catch_unwind(AssertUnwindSafe(|| {
-                let mut lanes_mut = lane_refs(scratches, members);
-                let mut ins: Vec<&[f64]> = Vec::with_capacity(lanes_mut.len());
-                let mut outs: Vec<&mut [Complex]> = Vec::with_capacity(lanes_mut.len());
-                for scr in lanes_mut.iter_mut() {
+                // Fixed lane tables (members are ascending and unique), so
+                // a group allocates nothing.
+                let mut ins: [&[f64]; MAX_BATCH_LANES] = [&[]; MAX_BATCH_LANES];
+                let mut outs: [&mut [Complex]; MAX_BATCH_LANES] = Default::default();
+                let lanes_mut =
+                    scratches.iter_mut().enumerate().filter(|(l, _)| members.contains(l));
+                for (k, (_, scr)) in lanes_mut.enumerate() {
                     let (series, spec) = scr.series_and_spectrum();
-                    ins.push(series);
-                    outs.push(spec.prepare_coeffs(len, sleepwatch_spectral::ROUND_SECONDS));
+                    ins[k] = series;
+                    outs[k] = spec.prepare_coeffs(len, sleepwatch_spectral::ROUND_SECONDS);
                 }
-                plan.real_batch_with_scratch(&ins, &mut outs, batch_scratch);
+                let k = members.len();
+                plan.real_batch_with_scratch(&ins[..k], &mut outs[..k], batch_scratch);
             }))
             .is_ok();
             if !batch_ok {

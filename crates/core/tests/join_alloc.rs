@@ -1,0 +1,84 @@
+//! Counts what the per-block join allocates: a named block renders its 256
+//! PTR names into one reused buffer and counts them straight into its
+//! label, so it may allocate that buffer, the label's feature list and the
+//! report's `link_features` — three — and an unnamed block nothing.
+//!
+//! The join runs on the world run's worker thread, so the counter is a
+//! global atomic and this binary holds one test (the pattern of
+//! `scratch_alloc.rs`, which counts per thread). The join's share is
+//! isolated by difference: the same world with every block's link classes
+//! removed probes, cleans and classifies identically (only the reverse-DNS
+//! synthesis reads them) but names no address.
+
+use sleepwatch_core::{analyze_world, AnalysisConfig};
+use sleepwatch_simnet::{PtrTemplate, World, WorldConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations made by one single-worker world run.
+fn run_allocations(world: &World, cfg: &AnalysisConfig) -> usize {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let analysis = analyze_world(world, cfg, 1, None);
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(analysis.len(), world.blocks.len());
+    allocated
+}
+
+/// The world of `wcfg` with every block unnamed.
+fn unnamed(wcfg: &WorldConfig) -> World {
+    let mut world = World::generate(wcfg.clone());
+    for block in &mut world.blocks {
+        block.links.clear();
+    }
+    world
+}
+
+#[test]
+fn a_named_block_joins_in_three_allocations_and_an_unnamed_one_in_none() {
+    let wcfg = WorldConfig { num_blocks: 512, seed: 77, span_days: 2.0, ..Default::default() };
+    let cfg = AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days);
+    let named = World::generate(wcfg.clone());
+    let all_unnamed = unnamed(&wcfg);
+    let mut half_unnamed = unnamed(&wcfg);
+    half_unnamed.blocks.truncate(wcfg.num_blocks / 2);
+    let named_blocks = named.blocks.iter().filter(|b| PtrTemplate::of(b).is_some()).count();
+    assert!(named_blocks > 100, "only {named_blocks} named blocks");
+
+    // Warm-up: the FFT plan cache and every lazily built table.
+    run_allocations(&all_unnamed, &cfg);
+
+    // Steady state of an unnamed block: the second half of the world
+    // costs what the whole run costs beyond the first half.
+    let base = run_allocations(&all_unnamed, &cfg);
+    let per_unnamed =
+        (base - run_allocations(&half_unnamed, &cfg)) as f64 / (wcfg.num_blocks / 2) as f64;
+    assert!(per_unnamed <= 1.0, "an unnamed block allocated {per_unnamed:.2} times");
+
+    // A named block on top of that: its names, its label, its report.
+    let per_named = (run_allocations(&named, &cfg) - base) as f64 / named_blocks as f64;
+    assert!(per_named <= 3.0, "a named block allocated {per_named:.2} times more");
+    eprintln!("per unnamed block {per_unnamed:.3}, per named block +{per_named:.3}");
+}

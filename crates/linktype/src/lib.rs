@@ -11,6 +11,10 @@
 //!    feature's count;
 //! 5. labels the block with every remaining non-zero feature.
 //!
+//! A name is matched in one pass ([`feature_mask`]) and counted into a
+//! [`BlockLabel`] with [`BlockLabel::add_name`]; [`BlockLabel::finish`]
+//! applies step 4. [`classify_block`] is those two over an iterator.
+//!
 //! Seven of the 16 keywords (`rtr`, `gw`, `ded`, `client`, `sql`,
 //! `wireless`, `wifi`) are dominant in fewer than 1000 blocks of the
 //! paper's dataset and are discarded from the analysis; they are still
@@ -89,7 +93,7 @@ impl LinkFeature {
     ];
 
     /// The substring matched in reverse names.
-    pub fn keyword(self) -> &'static str {
+    pub const fn keyword(self) -> &'static str {
         match self {
             LinkFeature::Sta => "sta",
             LinkFeature::Dyn => "dyn",
@@ -125,9 +129,10 @@ impl LinkFeature {
         )
     }
 
-    /// Index into 16-wide count arrays.
-    pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&f| f == self).expect("feature is in ALL")
+    /// Index into 16-wide count arrays and bit of a [`feature_mask`]: the
+    /// position in [`ALL`](Self::ALL), which is declaration order.
+    pub const fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -137,11 +142,86 @@ impl std::fmt::Display for LinkFeature {
     }
 }
 
+/// `FIRST[b]`: the [`feature_mask`] bits of the keywords whose first byte is
+/// `b` (keywords are lower-case ASCII, so only lower-case bytes are set).
+const FIRST: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < LinkFeature::ALL.len() {
+        table[LinkFeature::ALL[i].keyword().as_bytes()[0] as usize] |= 1 << i;
+        i += 1;
+    }
+    table
+};
+
+/// One keyword as [`feature_mask`] compares it: its first four bytes
+/// (fewer for a shorter keyword) packed little-endian, the mask of those
+/// bytes, and the bytes after them.
+#[derive(Clone, Copy)]
+struct Key {
+    head: u32,
+    head_mask: u32,
+    tail: &'static [u8],
+}
+
+/// [`Key`]s, in [`LinkFeature::ALL`] order.
+const KEYS: [Key; 16] = {
+    let mut keys = [Key { head: 0, head_mask: 0, tail: &[] }; 16];
+    let mut i = 0;
+    while i < LinkFeature::ALL.len() {
+        let kw = LinkFeature::ALL[i].keyword().as_bytes();
+        let (head, tail) = kw.split_at(if kw.len() < 4 { kw.len() } else { 4 });
+        let mut j = 0;
+        while j < head.len() {
+            keys[i].head |= (head[j] as u32) << (8 * j);
+            keys[i].head_mask |= 0xFF << (8 * j);
+            j += 1;
+        }
+        keys[i].tail = tail;
+        i += 1;
+    }
+    keys
+};
+
+/// The features found in one address's reverse name as a bit mask (bit
+/// [`LinkFeature::index`]), in one pass over the name: bit `f` is set
+/// exactly when `name.to_ascii_lowercase().contains(f.keyword())`.
+///
+/// Every keyword is ASCII, so the test at each offset is on lower-cased
+/// bytes: the byte there selects the keywords starting with it
+/// (`FIRST`), a four-byte window of lower-cased bytes from there (zero
+/// past the end, a byte no keyword holds) is compared with each one's
+/// head, and only a keyword longer than four bytes compares the rest.
+pub fn feature_mask(name: &str) -> u16 {
+    let bytes = name.as_bytes();
+    let lower = |i: usize| bytes.get(i).map_or(0, u8::to_ascii_lowercase) as u32;
+    let mut window = lower(0) | lower(1) << 8 | lower(2) << 16 | lower(3) << 24;
+    let mut mask = 0u16;
+    for i in 0..bytes.len() {
+        let mut candidates = FIRST[(window & 0xFF) as usize] & !mask;
+        while candidates != 0 {
+            let f = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            let key = &KEYS[f];
+            if window & key.head_mask == key.head
+                && (key.tail.is_empty()
+                    || bytes
+                        .get(i + 4..i + 4 + key.tail.len())
+                        .is_some_and(|t| t.eq_ignore_ascii_case(key.tail)))
+            {
+                mask |= 1 << f;
+            }
+        }
+        window = window >> 8 | lower(i + 4) << 24;
+    }
+    mask
+}
+
 /// Features found in one address's reverse name (non-exclusive substring
-/// match, case-insensitive).
+/// match, case-insensitive), in [`LinkFeature::ALL`] order.
 pub fn address_features(name: &str) -> Vec<LinkFeature> {
-    let lower = name.to_ascii_lowercase();
-    LinkFeature::ALL.iter().copied().filter(|f| lower.contains(f.keyword())).collect()
+    let mask = feature_mask(name);
+    LinkFeature::ALL.iter().copied().filter(|f| mask & (1 << f.index()) != 0).collect()
 }
 
 /// Per-feature address counts for one block, before and after the 1/15
@@ -176,6 +256,40 @@ impl BlockLabel {
     pub fn kept_features(&self) -> Vec<LinkFeature> {
         self.features.iter().copied().filter(|f| !f.discarded()).collect()
     }
+
+    /// Counts one address's reverse name (addresses without a PTR record
+    /// are simply not added).
+    pub fn add_name(&mut self, name: &str) {
+        self.named_addresses += 1;
+        let mut mask = feature_mask(name);
+        while mask != 0 {
+            self.counts[mask.trailing_zeros() as usize] += 1;
+            mask &= mask - 1;
+        }
+    }
+
+    /// Labels the block from the counted names: applies the 1/15
+    /// minor-feature suppression and fills [`features`](Self::features).
+    pub fn finish(mut self) -> BlockLabel {
+        sleepwatch_obs::global().linktype.blocks_classified.incr();
+        let max = self.counts.iter().copied().max().unwrap_or(0);
+        if max == 0 {
+            return self;
+        }
+        // "filtering out features that are less than 1/15th of the most
+        // frequent feature … label the block with all remaining features that
+        // have non-zero counts."
+        let threshold = max.div_ceil(SUPPRESSION_DIVISOR);
+        self.features = LinkFeature::ALL
+            .iter()
+            .copied()
+            .filter(|f| {
+                let c = self.counts[f.index()];
+                c > 0 && c >= threshold
+            })
+            .collect();
+        self
+    }
 }
 
 /// Suppression threshold: features with fewer than `max/15` addresses are
@@ -185,32 +299,11 @@ const SUPPRESSION_DIVISOR: u32 = 15;
 /// Classifies one block from its per-address reverse names (`None` where no
 /// PTR record exists). Accepts any iterator of up to 256 entries.
 pub fn classify_block<'a>(names: impl IntoIterator<Item = Option<&'a str>>) -> BlockLabel {
-    sleepwatch_obs::global().linktype.blocks_classified.incr();
     let mut label = BlockLabel::default();
-    for name in names {
-        let Some(name) = name else { continue };
-        label.named_addresses += 1;
-        for f in address_features(name) {
-            label.counts[f.index()] += 1;
-        }
+    for name in names.into_iter().flatten() {
+        label.add_name(name);
     }
-    let max = label.counts.iter().copied().max().unwrap_or(0);
-    if max == 0 {
-        return label;
-    }
-    // "filtering out features that are less than 1/15th of the most
-    // frequent feature … label the block with all remaining features that
-    // have non-zero counts."
-    let threshold = max.div_ceil(SUPPRESSION_DIVISOR);
-    label.features = LinkFeature::ALL
-        .iter()
-        .copied()
-        .filter(|f| {
-            let c = label.counts[f.index()];
-            c > 0 && c >= threshold
-        })
-        .collect();
-    label
+    label.finish()
 }
 
 #[cfg(test)]
@@ -335,6 +428,13 @@ mod tests {
         assert!(at.has(LinkFeature::Cable));
         let below = classify(&names_of(&[("ppp", 150), ("cable", 9)]));
         assert!(!below.has(LinkFeature::Cable));
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, f) in LinkFeature::ALL.into_iter().enumerate() {
+            assert_eq!(f.index(), i, "{f}");
+        }
     }
 
     #[test]

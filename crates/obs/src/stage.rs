@@ -57,6 +57,8 @@ stages! {
     Fft => "fft",
     /// Diurnal classification and trend screening.
     Classify => "classify",
+    /// The per-block join: geolocation, reverse-DNS link label, registry.
+    Label => "label",
     /// Worker-result collection and report assembly in `analyze_world`.
     Join => "join",
     /// Whole `analyze_world` call, end to end.

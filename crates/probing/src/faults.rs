@@ -48,6 +48,56 @@ pub struct LossBurst {
     pub loss: f64,
 }
 
+/// One epoch's loss-burst draw for one block
+/// ([`FaultPlan::burst_window`]): it answers for the epoch's rounds
+/// ([`rounds`](Self::rounds)) and drops positives with probability `loss`
+/// in the `len` rounds from `start`. A burst may run past the epoch; those
+/// rounds belong to the next epoch's draw, so the window never answers
+/// for them. Fields stay private: [`advance`](Self::advance) trusts that
+/// a window answers for exactly the epoch it was drawn for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BurstWindow {
+    first: u64,
+    end: u64,
+    start: u64,
+    /// 0 when the epoch drew no burst.
+    len: u64,
+    loss: f64,
+}
+
+impl BurstWindow {
+    /// A window answering for no round: the first
+    /// [`advance`](Self::advance) of a run draws.
+    pub const UNDRAWN: BurstWindow = BurstWindow { first: 0, end: 0, start: 0, len: 0, loss: 0.0 };
+
+    /// The rounds this draw answers for: its epoch, or every round of a
+    /// plan without bursts.
+    pub fn rounds(&self) -> std::ops::Range<u64> {
+        self.first..self.end
+    }
+
+    /// Loss at `round`, a round of this window's epoch.
+    pub fn loss_at(&self, round: u64) -> f64 {
+        if round >= self.start && round - self.start < self.len {
+            self.loss
+        } else {
+            0.0
+        }
+    }
+
+    /// [`FaultPlan::loss_at`] for a per-round loop: redraws this window
+    /// from `plan` only when `round` leaves the epoch it answers for, so a
+    /// run pays the three keyed hashes once per epoch instead of once per
+    /// round. Equal to `plan.loss_at(block_id, round)` for every round, in
+    /// any order.
+    pub fn advance(&mut self, plan: &FaultPlan, block_id: u64, round: u64) -> f64 {
+        if !self.rounds().contains(&round) {
+            *self = plan.burst_window(block_id, plan.burst_epoch(round));
+        }
+        self.loss_at(round)
+    }
+}
+
 /// A vantage blackout: the prober records nothing at all for
 /// `len_rounds` rounds starting at `start_round`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,30 +283,41 @@ impl FaultPlan {
             .is_some_and(|b| round >= b.start_round && round < b.start_round + b.len_rounds)
     }
 
-    /// Extra response-loss probability at `round` for `block_id`
-    /// (0.0 outside any burst). Bursts are keyed per `(plan, block,
-    /// epoch)`, so a burst hits every probe of the affected rounds —
-    /// correlated loss, not i.i.d. thinning.
-    pub fn loss_at(&self, block_id: u64, round: u64) -> f64 {
-        let Some(b) = self.loss_burst else { return 0.0 };
-        if b.epoch_rounds == 0 {
-            return 0.0;
-        }
-        let epoch = round / b.epoch_rounds;
-        let key = [self.seed, STREAM_BURST, block_id, epoch];
-        if !chance_at(b.burst_chance, &key) {
-            return 0.0;
+    /// The loss burst `block_id` draws in `epoch` — the one place the burst
+    /// rule lives. Bursts are keyed per `(plan, block, epoch)`, so a burst
+    /// hits every probe of the affected rounds — correlated loss, not
+    /// i.i.d. thinning. A plan without bursts (or with `epoch_rounds == 0`)
+    /// answers with one quiet window covering every round.
+    pub fn burst_window(&self, block_id: u64, epoch: u64) -> BurstWindow {
+        let quiet = BurstWindow { first: 0, end: u64::MAX, start: 0, len: 0, loss: 0.0 };
+        let Some(b) = self.loss_burst.filter(|b| b.epoch_rounds > 0) else { return quiet };
+        let first = epoch.saturating_mul(b.epoch_rounds);
+        let no_burst = BurstWindow { first, end: first.saturating_add(b.epoch_rounds), ..quiet };
+        if !chance_at(b.burst_chance, &[self.seed, STREAM_BURST, block_id, epoch]) {
+            return no_burst;
         }
         let len = 1 + hash_parts(&[self.seed, STREAM_BURST ^ 1, block_id, epoch])
             % b.max_len_rounds.max(1);
         let span = b.epoch_rounds.saturating_sub(len).max(1);
-        let start = epoch * b.epoch_rounds
-            + hash_parts(&[self.seed, STREAM_BURST ^ 2, block_id, epoch]) % span;
-        if round >= start && round < start + len {
-            b.loss
-        } else {
-            0.0
+        let start = first
+            .saturating_add(hash_parts(&[self.seed, STREAM_BURST ^ 2, block_id, epoch]) % span);
+        BurstWindow { start, len, loss: b.loss, ..no_burst }
+    }
+
+    /// The epoch `round` falls in (0 when the plan has no epochs).
+    fn burst_epoch(&self, round: u64) -> u64 {
+        match self.loss_burst {
+            Some(b) if b.epoch_rounds > 0 => round / b.epoch_rounds,
+            _ => 0,
         }
+    }
+
+    /// Extra response-loss probability at `round` for `block_id` (0.0
+    /// outside any burst): the round's [`burst_window`](Self::burst_window),
+    /// drawn for this one query. Per-round loops keep the window instead
+    /// ([`BurstWindow::advance`]).
+    pub fn loss_at(&self, block_id: u64, round: u64) -> f64 {
+        self.burst_window(block_id, self.burst_epoch(round)).loss_at(round)
     }
 
     /// If a storm restart lands on `round`, returns `(observation lost,

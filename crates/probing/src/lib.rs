@@ -42,7 +42,7 @@ pub mod transport;
 pub mod trinocular;
 
 pub use census::{run_census, CensusConfig, CensusRecord};
-pub use faults::{Blackout, EChurn, FaultPlan, LossBurst, RestartStorm};
+pub use faults::{Blackout, BurstWindow, EChurn, FaultPlan, LossBurst, RestartStorm};
 pub use multisite::{agreement, merge_states, merged_outages, MergedOutage, MergedState};
 pub use record::{BlockRun, RoundRecord};
 pub use stream::{interleave, record_events, replay_run, RoundEvent};

@@ -6,7 +6,7 @@
 //! that answered in round `t`. The validation experiments (§3) compare the
 //! adaptive estimators against these measurements.
 
-use crate::faults::{burst_loses_response, FaultPlan};
+use crate::faults::{burst_loses_response, BurstWindow, FaultPlan};
 use sleepwatch_simnet::{BlockSpec, ProbeMemo, ROUND_SECONDS};
 
 /// Result of surveying one block.
@@ -77,6 +77,7 @@ pub fn survey_block_with_faults(
     // Every address is probed 131 times a day; draw its schedule once.
     let mut memo = ProbeMemo::new(block);
     let mut surveyed = 0u64;
+    let mut bursts = BurstWindow::UNDRAWN;
     for r in 0..rounds {
         if plan.truncates_at(r) {
             break;
@@ -89,7 +90,7 @@ pub fn survey_block_with_faults(
             responders.push(0);
             continue;
         }
-        let loss = plan.loss_at(block.id, r);
+        let loss = bursts.advance(plan, block.id, r);
         let mut count = 0u32;
         for &addr in &active {
             if memo.probe(block, addr, time)

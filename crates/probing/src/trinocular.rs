@@ -16,7 +16,7 @@
 //!   corrects;
 //! * beliefs are capped below 1 so the prober can always change its mind.
 
-use crate::faults::FaultPlan;
+use crate::faults::{BurstWindow, FaultPlan};
 use crate::record::{BlockRun, RoundRecord};
 use sleepwatch_availability::{AvailabilityEstimator, EwmaConfig};
 use sleepwatch_geoecon::rng::KeyedRng;
@@ -489,6 +489,7 @@ impl TrinocularProber {
         let mut fc = FaultCounts::default();
         let mut in_blackout = false;
         let mut in_burst = false;
+        let mut bursts = BurstWindow::UNDRAWN;
         records.clear();
         records.reserve(rounds as usize);
         for r in 0..rounds {
@@ -517,7 +518,7 @@ impl TrinocularProber {
             if storm.is_some() {
                 fc.storm_restarts += 1;
             }
-            let burst_rate = plan.loss_at(block.id, r);
+            let burst_rate = bursts.advance(plan, block.id, r);
             if burst_rate > 0.0 {
                 if !in_burst {
                     fc.loss_bursts += 1;

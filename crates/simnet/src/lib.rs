@@ -49,5 +49,5 @@ pub use block::{
 };
 pub use campus::{generate_campus, CampusConfig, CampusUse};
 pub use controlled::ControlledConfig;
-pub use rdns::{ptr_name, ptr_names};
+pub use rdns::{ptr_name, PtrTemplate};
 pub use world::{shard_of, World, WorldConfig, WorldSource, A12W_START, ROUND_SECONDS, S51W_START};

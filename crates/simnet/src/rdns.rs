@@ -22,47 +22,134 @@ const NO_PTR_BLOCK_FRACTION: f64 = 0.45;
 /// Within a named block, fraction of individual addresses lacking a PTR.
 const NO_PTR_ADDR_FRACTION: f64 = 0.15;
 
+/// A block's reverse-DNS template: the per-block draws (no-PTR coin, name
+/// style, one or both link keywords) made once, and everything of the name
+/// but the address octet rendered once — so each address's name is one
+/// keyed coin and three appends.
+#[derive(Debug, Clone, Copy)]
+pub struct PtrTemplate {
+    seed: u64,
+    id: u64,
+    /// The name around the octet: `text[..head]` precedes it and
+    /// `text[head..len]` follows it (at most 39 bytes plus the country
+    /// code).
+    text: [u8; 64],
+    head: usize,
+    len: usize,
+    /// Digits the octet is zero-padded to.
+    width: usize,
+}
+
+impl PtrTemplate {
+    /// The block's template, or `None` when its ISP publishes no PTR
+    /// records at all (every address unnamed).
+    pub fn of(block: &BlockSpec) -> Option<PtrTemplate> {
+        let mut blk = KeyedRng::from_parts(&[block.seed, STREAM_RDNS, block.id]);
+        if blk.chance(NO_PTR_BLOCK_FRACTION) || block.links.is_empty() {
+            return None;
+        }
+        // Per-block stable choices: domain style and whether names carry one
+        // or both link keywords.
+        let style = blk.below(3);
+        let both_keywords = block.links.len() > 1 && blk.chance(0.6);
+        let mut t = PtrTemplate {
+            seed: block.seed,
+            id: block.id,
+            text: [0; 64],
+            head: 0,
+            len: 0,
+            width: 1,
+        };
+        let tech = |t: &mut PtrTemplate| {
+            t.put(block.links[0].keyword().as_bytes());
+            if both_keywords {
+                t.put(b"-");
+                t.put(block.links[1].keyword().as_bytes());
+            }
+        };
+        // `{tech}-{addr:03}`, `{tech}{id % 100}-{addr}` or `host{addr}.{tech}`,
+        // then `.isp{asn}.example.{country}`.
+        match style {
+            0 => {
+                tech(&mut t);
+                t.put(b"-");
+                t.width = 3;
+            }
+            1 => {
+                tech(&mut t);
+                t.put(decimal(block.id % 100, 1, &mut [0; 20]));
+                t.put(b"-");
+            }
+            _ => t.put(b"host"),
+        }
+        t.head = t.len;
+        if style >= 2 {
+            t.put(b".");
+            tech(&mut t);
+        }
+        t.put(b".isp");
+        t.put(decimal(block.asn as u64, 1, &mut [0; 20]));
+        t.put(b".example.");
+        let country = t.len;
+        t.put(COUNTRIES[block.country_idx].code.as_bytes());
+        t.text[country..t.len].make_ascii_lowercase();
+        Some(t)
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.text[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// Appends the PTR name of address `addr` to `out` and returns `true`,
+    /// or returns `false` with `out` untouched where that address has no
+    /// record. Deterministic in `(block, addr)`.
+    pub fn write_name(&self, addr: u8, out: &mut String) -> bool {
+        let mut ar = KeyedRng::from_parts(&[self.seed, STREAM_RDNS, self.id, addr as u64]);
+        if ar.chance(NO_PTR_ADDR_FRACTION) {
+            return false;
+        }
+        out.push_str(text(&self.text[..self.head]));
+        out.push_str(text(decimal(addr as u64, self.width, &mut [0; 20])));
+        out.push_str(text(&self.text[self.head..self.len]));
+        true
+    }
+}
+
+/// Bytes the template wrote, as `str`.
+fn text(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("template pieces are whole strs and ASCII digits")
+}
+
+/// `v` in decimal, zero-padded to at least `width` (≥ 1) digits, written
+/// to the end of `digits`.
+fn decimal(mut v: u64, width: usize, digits: &mut [u8; 20]) -> &[u8] {
+    let mut start = digits.len();
+    while v > 0 || digits.len() - start < width {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    &digits[start..]
+}
+
 /// Generates the PTR name for one address of a block, or `None` where no
 /// record exists. Deterministic in `(block, addr)`.
 pub fn ptr_name(block: &BlockSpec, addr: u8) -> Option<String> {
-    let mut blk = KeyedRng::from_parts(&[block.seed, STREAM_RDNS, block.id]);
-    if blk.chance(NO_PTR_BLOCK_FRACTION) || block.links.is_empty() {
-        return None;
-    }
-    // Per-block stable choices: domain style and whether names carry one or
-    // both link keywords.
-    let country = COUNTRIES[block.country_idx].code.to_ascii_lowercase();
-    let style = blk.below(3);
-    let both_keywords = block.links.len() > 1 && blk.chance(0.6);
-
-    let mut ar = KeyedRng::from_parts(&[block.seed, STREAM_RDNS, block.id, addr as u64]);
-    if ar.chance(NO_PTR_ADDR_FRACTION) {
-        return None;
-    }
-
-    let kw1 = block.links[0].keyword();
-    let tech = if both_keywords {
-        format!("{}-{}", kw1, block.links[1].keyword())
-    } else {
-        kw1.to_string()
-    };
-    let host = match style {
-        0 => format!("{tech}-{addr:03}"),
-        1 => format!("{tech}{}-{addr}", block.id % 100),
-        _ => format!("host{addr}.{tech}"),
-    };
-    Some(format!("{host}.isp{}.example.{country}", block.asn))
-}
-
-/// PTR names for the whole /24 (index = last octet).
-pub fn ptr_names(block: &BlockSpec) -> Vec<Option<String>> {
-    (0..=255u8).map(|a| ptr_name(block, a)).collect()
+    let template = PtrTemplate::of(block)?;
+    let mut name = String::new();
+    template.write_name(addr, &mut name).then_some(name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::{BlockProfile, LinkClass};
+
+    /// PTR names for the whole /24 (index = last octet).
+    fn ptr_names(block: &BlockSpec) -> Vec<Option<String>> {
+        (0..=255u8).map(|a| ptr_name(block, a)).collect()
+    }
 
     fn block_with_links(id: u64, links: Vec<LinkClass>) -> BlockSpec {
         let mut b = BlockSpec::bare(id, 42, BlockProfile::always_on(100, 0.8));

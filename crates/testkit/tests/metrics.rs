@@ -346,6 +346,30 @@ fn quarantine_counter_matches_quarantined_blocks() {
     });
 }
 
+/// The per-block join is timed once per report an engine emits, in both
+/// engines; a quarantined block never reaches it.
+#[test]
+fn label_stage_samples_once_per_emitted_report() {
+    let _g = lock();
+    with_metrics(|| {
+        let world = fixtures::small_world();
+        let mut cfg = fixtures::small_world_cfg(&world);
+        cfg.faults.poison_blocks = &[3, 17];
+        let (analysis, d) = measure(|| analyze_world(&world, &cfg, 2, None));
+        assert_eq!(analysis.quarantined.len(), 2);
+        let reports = analysis.reports.len() as u64;
+        assert_eq!(d.histogram("stage.label").map(|h| h.count), Some(reports), "world run");
+
+        let (source, mut cfg) = stream_world();
+        cfg.faults.poison_blocks = &[5];
+        let icfg = IngestConfig { shards: 2, ..Default::default() };
+        let (out, d) = measure(|| ingest_world(&source, &cfg, &icfg));
+        assert_eq!(out.quarantined.len(), 1);
+        let reports = out.reports.len() as u64;
+        assert_eq!(d.histogram("stage.label").map(|h| h.count), Some(reports), "ingest");
+    });
+}
+
 /// The disabled registry records nothing — and the analysis output is
 /// byte-identical with metrics on, off, and across thread counts.
 #[test]
