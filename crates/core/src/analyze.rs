@@ -246,9 +246,10 @@ pub(crate) fn probe_clean_into(
 /// pipeline runs after probing (the tail of [`probe_clean_into`] plus the
 /// FFT phase of `analyze_block_into`), so a shard finalizing a block's
 /// event stream lands in exactly the scratch state the batch pipeline
-/// reaches before [`classify_probed`].
+/// reaches before [`classify_probed`]. The `(round, Âs)` pairs are written
+/// straight into the arena's observation buffer.
 pub(crate) fn clean_fft_observations(
-    observations: &[(u64, f64)],
+    observations: impl Iterator<Item = (u64, f64)>,
     cfg: &AnalysisConfig,
     scratch: &mut BlockScratch,
 ) -> f64 {
@@ -256,7 +257,7 @@ pub(crate) fn clean_fft_observations(
     {
         let _t = StageTimer::start(obs.pipeline.stage(Stage::Estimate));
         scratch.observations.clear();
-        scratch.observations.extend_from_slice(observations);
+        scratch.observations.extend(observations);
     }
     let fill_fraction = scratch.clean_stage(cfg);
     scratch.fft_stage();

@@ -16,9 +16,12 @@
 //!   peak queue memory is `(capacity + batch_events) ×
 //!   size_of::<RoundEvent>()` per shard, and spent batch buffers recycle
 //!   through a pool so the feeder rewrites the same cache-hot lines.
-//! * **Live detection.** Each in-flight block ("lane") feeds an
-//!   [`OnlineDetector`] round by round — the bounded-window monitoring
-//!   verdict, available mid-stream.
+//! * **Lanes.** Each in-flight block ("lane") keeps its `Âs` values in
+//!   arrival order plus a run list that is one entry unless rounds broke
+//!   sequence: 8 B per round. Its [`OnlineDetector`] — the bounded-window
+//!   monitoring verdict, available mid-stream — reads its window in place
+//!   as the tail of those values. Finished lanes' buffers go back to the
+//!   shard's free list, so the steady state opens lanes without allocating.
 //! * **Exact finalization.** When a block's stream ends, the shard runs
 //!   the *identical* code the batch pipeline runs — clean, FFT, classify,
 //!   geo join — over the observations it accumulated, so the final
@@ -32,6 +35,7 @@
 //!   blocks and re-streaming unfinished ones, healing to the same verdict
 //!   set.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 
@@ -99,6 +103,10 @@ pub struct IngestStats {
     pub live_strict: u64,
     /// Full FFT classifications the live detectors performed.
     pub live_classifications: u64,
+    /// Most blocks open at once on any single shard.
+    pub open_lanes: usize,
+    /// Most heap bytes the open lanes of any single shard held at once.
+    pub lane_bytes: usize,
 }
 
 /// What an ingest run produces: batch-identical per-block reports plus
@@ -276,11 +284,56 @@ impl<'a> Router<'a> {
     }
 }
 
-/// One in-flight block on a shard: the observations the batch pipeline
-/// would have collected, plus the live bounded-window detector.
+/// One in-flight block on a shard: every `Âs` value in arrival order, the
+/// rounds they belong to, and the live detector, whose window is the tail
+/// of `values`.
+///
+/// Rounds are kept as runs: `(start, first)` says `values[start..]`, up to
+/// the next run, holds rounds `first, first + 1, …`. A run opens only
+/// where a round is not its predecessor + 1 (a restart gap, a blackout, a
+/// duplicate, a swap), so a lane costs 8 B per round plus 16 B per break.
 struct Lane {
-    obs: Vec<(u64, f64)>,
+    values: Vec<f64>,
+    runs: Runs,
     live: OnlineDetector,
+}
+
+/// A lane's runs, `(start, first)` each.
+type Runs = Vec<(usize, u64)>;
+
+impl Lane {
+    /// Heap bytes the lane's buffers hold.
+    fn bytes(&self) -> usize {
+        self.values.capacity() * std::mem::size_of::<f64>()
+            + self.runs.capacity() * std::mem::size_of::<(usize, u64)>()
+    }
+
+    /// Appends one round and feeds the live detector; returns the bytes
+    /// the lane grew by (0 unless a buffer was full).
+    fn push(&mut self, round: u64, a_short: f64) -> usize {
+        let before = self.bytes();
+        let next = self
+            .runs
+            .last()
+            .and_then(|&(start, first)| first.checked_add((self.values.len() - start) as u64));
+        if next != Some(round) {
+            self.runs.push((self.values.len(), round));
+        }
+        self.values.push(a_short);
+        self.live.push(&self.values);
+        self.bytes() - before
+    }
+
+    /// The `(round, Âs)` pairs in arrival order: what the batch pipeline
+    /// collects from the same run.
+    fn observations(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let ends = self.runs.iter().skip(1).map(|&(start, _)| start);
+        let ends = ends.chain(std::iter::once(self.values.len()));
+        self.runs.iter().zip(ends).flat_map(move |(&(start, first), end)| {
+            let run = self.values[start..end].iter().enumerate();
+            run.map(move |(k, &value)| (first + k as u64, value))
+        })
+    }
 }
 
 /// The live detector runs the default monitoring window, clamped to the
@@ -301,10 +354,15 @@ struct ShardState<'a> {
     cfg: &'a AnalysisConfig,
     live_cfg: OnlineConfig,
     lanes: HashMap<u64, Lane>,
+    /// Finished lanes' buffers, cleared, for the next blocks to open.
+    spare: Vec<(Vec<f64>, Runs)>,
     scratch: BlockScratch,
     rounds: u64,
     live_strict: u64,
     live_classifications: u64,
+    lane_bytes: usize,
+    peak_lanes: usize,
+    peak_lane_bytes: usize,
 }
 
 impl<'a> ShardState<'a> {
@@ -314,10 +372,14 @@ impl<'a> ShardState<'a> {
             cfg,
             live_cfg,
             lanes: HashMap::new(),
+            spare: Vec::new(),
             scratch: BlockScratch::new(),
             rounds: 0,
             live_strict: 0,
             live_classifications: 0,
+            lane_bytes: 0,
+            peak_lanes: 0,
+            peak_lane_bytes: 0,
         }
     }
 
@@ -325,32 +387,40 @@ impl<'a> ShardState<'a> {
     fn apply(&mut self, ev: RoundEvent, emit: &mut impl FnMut(Outcome)) {
         match ev {
             RoundEvent::Round { block_id, round, a_short } => {
-                let rounds = self.cfg.rounds as usize;
-                let lane = self.lanes.entry(block_id).or_insert_with(|| Lane {
-                    // Reserving the nominal run length up front keeps lane
-                    // growth reallocations out of the per-round hot path.
-                    obs: Vec::with_capacity(rounds),
-                    live: OnlineDetector::new(self.live_cfg),
-                });
-                lane.obs.push((round, a_short));
-                lane.live.push_value(a_short);
+                let open = self.lanes.len();
+                let lane = match self.lanes.entry(block_id) {
+                    Entry::Occupied(lane) => lane.into_mut(),
+                    Entry::Vacant(slot) => {
+                        // A finished lane's buffers when there are any,
+                        // holding the nominal run length either way, so
+                        // no round into the lane reallocates.
+                        let (mut values, runs) = self.spare.pop().unwrap_or_default();
+                        values.reserve(self.cfg.rounds as usize);
+                        let lane = Lane { values, runs, live: OnlineDetector::new(self.live_cfg) };
+                        self.lane_bytes += lane.bytes();
+                        self.peak_lanes = self.peak_lanes.max(open + 1);
+                        slot.insert(lane)
+                    }
+                };
+                self.lane_bytes += lane.push(round, a_short);
+                self.peak_lane_bytes = self.peak_lane_bytes.max(self.lane_bytes);
                 self.rounds += 1;
             }
             RoundEvent::Finish { block_id, outages, total_probes } => {
-                let lane = self.lanes.remove(&block_id).unwrap_or_else(|| Lane {
-                    obs: Vec::new(),
-                    live: OnlineDetector::new(self.live_cfg),
-                });
-                if lane.live.class().is_strict() {
-                    self.live_strict += 1;
+                // A finish with no rounds before it has no lane: an empty
+                // run, and a live detector that never classified.
+                let lane = self.lanes.remove(&block_id);
+                if let Some(live) = lane.as_ref().map(|lane| &lane.live) {
+                    self.live_strict += u64::from(live.class().is_strict());
+                    self.live_classifications += live.classifications();
                 }
-                self.live_classifications += lane.live.classifications();
                 let source = self.source;
                 let cfg = self.cfg;
                 let scratch = &mut self.scratch;
                 let outcome = quarantine_on_panic(cfg, block_id, || {
                     let block = source.generate_block(block_id);
-                    let fill = clean_fft_observations(&lane.obs, cfg, scratch);
+                    let observations = lane.iter().flat_map(Lane::observations);
+                    let fill = clean_fft_observations(observations, cfg, scratch);
                     let probed = ProbedBlock { outages, total_probes, fill_fraction: fill };
                     finish_block(source.geodb(), &block, cfg, scratch, probed)
                 });
@@ -358,6 +428,13 @@ impl<'a> ShardState<'a> {
                     // The arena may hold partially written buffers —
                     // start the next block from a fresh one.
                     self.scratch = BlockScratch::new();
+                }
+                if let Some(lane) = lane {
+                    self.lane_bytes -= lane.bytes();
+                    let Lane { mut values, mut runs, .. } = lane;
+                    values.clear();
+                    runs.clear();
+                    self.spare.push((values, runs));
                 }
                 emit(outcome);
             }
@@ -375,11 +452,13 @@ impl IngestOutcome {
     }
 
     /// Folds in a shard whose stream has ended: the rounds it consumed,
-    /// its live-detector totals, and the lanes still open.
+    /// its live-detector totals, its lane peaks, and the lanes still open.
     fn retire(&mut self, state: ShardState<'_>) {
         self.stats.rounds_routed += state.rounds;
         self.stats.live_strict += state.live_strict;
         self.stats.live_classifications += state.live_classifications;
+        self.stats.open_lanes = self.stats.open_lanes.max(state.peak_lanes);
+        self.stats.lane_bytes = self.stats.lane_bytes.max(state.peak_lane_bytes);
         self.open_blocks.extend(state.lanes.into_keys());
     }
 
@@ -467,6 +546,8 @@ fn run_engine(
     obs.rounds_routed.add(out.stats.rounds_routed);
     obs.backpressure_stalls.add(out.stats.backpressure_stalls);
     obs.queue_high_water.raise(out.stats.queue_high_water as u64);
+    obs.open_lanes.raise(out.stats.open_lanes as u64);
+    obs.lane_bytes.raise(out.stats.lane_bytes as u64);
     obs.checkpoints.add(out.stats.checkpoints);
     obs.blocks_finished.add((out.stats.blocks - out.stats.replayed) as u64);
     out

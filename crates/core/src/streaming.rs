@@ -3,12 +3,13 @@
 //! The batch pipeline ([`crate::analyze`]) stores a full series and runs
 //! one FFT at the end. An operational monitor wants a verdict *while*
 //! collecting — and at 3.7 M blocks it cannot afford a full spectrum per
-//! block per round. [`OnlineDetector`] keeps a bounded window of recent
-//! `Âs` values and re-classifies on a coarse schedule, preceded by a cheap
+//! block per round. [`OnlineDetector`] re-classifies the last
+//! `window_rounds` `Âs` values on a coarse schedule, preceded by a cheap
 //! Goertzel screen of the daily bin so obviously-flat blocks never pay for
-//! a full FFT.
+//! a full FFT. It owns no samples: the caller keeps the history (an ingest
+//! lane already holds it for the batch-identical finish) and the window is
+//! read in place as that history's tail.
 
-use sleepwatch_availability::Estimates;
 use sleepwatch_spectral::{classify, diurnal_energy_ratio, DiurnalClass, DiurnalConfig, Spectrum};
 
 /// Configuration for [`OnlineDetector`].
@@ -46,13 +47,11 @@ impl Default for OnlineConfig {
     }
 }
 
-/// Incremental diurnal detector over a sliding window of `Âs` estimates.
+/// Incremental diurnal detector over the sliding window of a caller-kept
+/// `Âs` history.
 #[derive(Debug, Clone)]
 pub struct OnlineDetector {
     cfg: OnlineConfig,
-    window: Vec<f64>,
-    head: usize,
-    filled: bool,
     rounds_seen: u64,
     since_classify: usize,
     class: DiurnalClass,
@@ -67,9 +66,6 @@ impl OnlineDetector {
     pub fn new(cfg: OnlineConfig) -> Self {
         assert!(cfg.window_rounds >= 4, "window too small to classify");
         OnlineDetector {
-            window: Vec::with_capacity(cfg.window_rounds),
-            head: 0,
-            filled: false,
             rounds_seen: 0,
             since_classify: 0,
             class: DiurnalClass::NonDiurnal,
@@ -81,50 +77,29 @@ impl OnlineDetector {
         }
     }
 
-    /// Feeds one round's estimates; returns the current classification.
-    pub fn push(&mut self, estimates: &Estimates) -> DiurnalClass {
-        self.push_value(estimates.a_short)
-    }
-
-    /// Feeds one raw `Âs` value.
-    pub fn push_value(&mut self, a_short: f64) -> DiurnalClass {
-        if self.window.len() < self.cfg.window_rounds {
-            self.window.push(a_short);
-            self.filled = self.window.len() == self.cfg.window_rounds;
-        } else {
-            self.window[self.head] = a_short;
-            self.head = (self.head + 1) % self.cfg.window_rounds;
-        }
+    /// Takes one round: `history` is every `Âs` value so far, the newest
+    /// (just appended by the caller) last. Returns the current
+    /// classification; a due reclassification reads the window as the
+    /// tail of `history`, in place.
+    pub fn push(&mut self, history: &[f64]) -> DiurnalClass {
         self.rounds_seen += 1;
         self.since_classify += 1;
-        if self.filled && self.since_classify >= self.cfg.reclassify_every {
+        let window = self.cfg.window_rounds;
+        if history.len() >= window && self.since_classify >= self.cfg.reclassify_every {
             self.since_classify = 0;
-            self.reclassify();
+            self.reclassify(&history[history.len() - window..]);
         }
         self.class
     }
 
-    /// The window in chronological order.
-    fn ordered_window(&self) -> Vec<f64> {
-        if !self.filled || self.head == 0 {
-            self.window.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.window.len());
-            out.extend_from_slice(&self.window[self.head..]);
-            out.extend_from_slice(&self.window[..self.head]);
-            out
-        }
-    }
-
-    fn reclassify(&mut self) {
-        let series = self.ordered_window();
+    fn reclassify(&mut self, series: &[f64]) {
         let (raw_class, raw_phase) = if self.cfg.screen_threshold > 0.0
-            && diurnal_energy_ratio(&series, self.cfg.sample_period) < self.cfg.screen_threshold
+            && diurnal_energy_ratio(series, self.cfg.sample_period) < self.cfg.screen_threshold
         {
             self.screens_skipped += 1;
             (DiurnalClass::NonDiurnal, None)
         } else {
-            let spectrum = Spectrum::compute(&series, self.cfg.sample_period);
+            let spectrum = Spectrum::compute(series, self.cfg.sample_period);
             let report = classify(&spectrum, &self.cfg.diurnal);
             self.classifications += 1;
             (report.class, report.phase)
@@ -164,9 +139,9 @@ impl OnlineDetector {
         self.phase
     }
 
-    /// `true` once the window holds a full span.
+    /// `true` once a full window of rounds has been pushed.
     pub fn warmed_up(&self) -> bool {
-        self.filled
+        self.rounds_seen >= self.cfg.window_rounds as u64
     }
 
     /// Rounds ingested.
@@ -200,6 +175,13 @@ mod tests {
         }
     }
 
+    /// The caller's half of a push: append the newest value to the
+    /// history, then let the detector read it.
+    fn feed(det: &mut OnlineDetector, history: &mut Vec<f64>, a_short: f64) -> DiurnalClass {
+        history.push(a_short);
+        det.push(history)
+    }
+
     fn small_cfg() -> OnlineConfig {
         OnlineConfig {
             window_rounds: (7.0 * RPD) as usize,
@@ -211,9 +193,10 @@ mod tests {
     #[test]
     fn detects_diurnal_after_warmup() {
         let mut det = OnlineDetector::new(small_cfg());
+        let mut history = Vec::new();
         let mut first_detection = None;
         for r in 0..(10.0 * RPD) as usize {
-            let class = det.push_value(diurnal_value(r));
+            let class = feed(&mut det, &mut history, diurnal_value(r));
             if class.is_strict() && first_detection.is_none() {
                 first_detection = Some(r);
             }
@@ -227,9 +210,10 @@ mod tests {
     #[test]
     fn flat_stream_never_classifies_and_skips_ffts() {
         let mut det = OnlineDetector::new(small_cfg());
+        let mut history = Vec::new();
         for r in 0..(10.0 * RPD) as usize {
             let noise = ((r as f64 * 12.9898).sin() * 43_758.545_3).fract() * 0.05;
-            assert_eq!(det.push_value(0.6 + noise), DiurnalClass::NonDiurnal);
+            assert_eq!(feed(&mut det, &mut history, 0.6 + noise), DiurnalClass::NonDiurnal);
         }
         assert!(det.screens_skipped() > 0, "screen should fire");
         assert_eq!(det.classifications(), 0, "no full FFT needed for flat blocks");
@@ -240,13 +224,14 @@ mod tests {
         // Diurnal for 10 days, then permanently flat: the verdict must
         // decay back to NonDiurnal once the window slides past the change.
         let mut det = OnlineDetector::new(small_cfg());
+        let mut history = Vec::new();
         let change = (10.0 * RPD) as usize;
         for r in 0..change {
-            det.push_value(diurnal_value(r));
+            feed(&mut det, &mut history, diurnal_value(r));
         }
         assert!(det.class().is_diurnal(), "diurnal before the change");
         for r in change..change + (9.0 * RPD) as usize {
-            det.push_value(0.6 + 0.02 * ((r % 7) as f64));
+            feed(&mut det, &mut history, 0.6 + 0.02 * ((r % 7) as f64));
         }
         assert_eq!(det.class(), DiurnalClass::NonDiurnal, "verdict follows behaviour");
     }
@@ -254,8 +239,9 @@ mod tests {
     #[test]
     fn no_verdict_before_warmup() {
         let mut det = OnlineDetector::new(small_cfg());
+        let mut history = Vec::new();
         for r in 0..100 {
-            assert_eq!(det.push_value(diurnal_value(r)), DiurnalClass::NonDiurnal);
+            assert_eq!(feed(&mut det, &mut history, diurnal_value(r)), DiurnalClass::NonDiurnal);
         }
         assert!(!det.warmed_up());
         assert_eq!(det.classifications(), 0);
@@ -266,8 +252,9 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.screen_threshold = 0.0;
         let mut det = OnlineDetector::new(cfg);
+        let mut history = Vec::new();
         for _ in 0..(8.0 * RPD) as usize {
-            det.push_value(0.5);
+            feed(&mut det, &mut history, 0.5);
         }
         assert!(det.classifications() > 0, "without the screen every pass FFTs");
     }
@@ -275,8 +262,9 @@ mod tests {
     #[test]
     fn phase_is_available_when_diurnal() {
         let mut det = OnlineDetector::new(small_cfg());
+        let mut history = Vec::new();
         for r in 0..(9.0 * RPD) as usize {
-            det.push_value(diurnal_value(r));
+            feed(&mut det, &mut history, diurnal_value(r));
         }
         assert!(det.class().is_diurnal());
         assert!(det.phase().is_some());
@@ -403,6 +391,7 @@ mod tests {
         let cfg = OnlineConfig { hysteresis: 2, ..small_cfg() };
         let reclassify = cfg.reclassify_every;
         let mut det = OnlineDetector::new(cfg);
+        let mut history = Vec::new();
         let phase_len = (10.0 * RPD) as usize;
         let mut flips = Vec::new();
         let mut last = det.class();
@@ -411,7 +400,7 @@ mod tests {
                 0 | 2 => diurnal_value(r),
                 _ => 0.55,
             };
-            det.push_value(v);
+            feed(&mut det, &mut history, v);
             if det.class() != last {
                 flips.push(r);
                 last = det.class();

@@ -10,39 +10,18 @@
 //! removed probes, cleans and classifies identically (only the reverse-DNS
 //! synthesis reads them) but names no address.
 
+use counting_alloc::allocations;
 use sleepwatch_core::{analyze_world, AnalysisConfig};
 use sleepwatch_simnet::{PtrTemplate, World, WorldConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 /// Allocations made by one single-worker world run.
 fn run_allocations(world: &World, cfg: &AnalysisConfig) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let analysis = analyze_world(world, cfg, 1, None);
-    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocated = allocations() - before;
     assert_eq!(analysis.len(), world.blocks.len());
     allocated
 }

@@ -311,6 +311,10 @@ metrics! {
         backpressure_stalls: counter,
         /// Highest queued-event count observed on any shard queue.
         queue_high_water: gauge,
+        /// Most blocks open at once on any one shard.
+        open_lanes: gauge,
+        /// Most heap bytes the open lanes of any one shard held at once.
+        lane_bytes: gauge,
         /// Journal sync points reached (durable checkpoints).
         checkpoints: counter,
         /// Blocks whose stream completed and was finalized (journal

@@ -7,44 +7,11 @@
 //! own threads (output capture, progress printing) cannot perturb the
 //! counted window.
 
+use counting_alloc::thread_allocations as allocations;
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, MAX_BATCH_LANES};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAlloc;
-
-std::thread_local! {
-    // const-initialized: reading it from inside the allocator never
-    // triggers a lazy (allocating) initialization.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCATIONS.with(|c| c.get())
-}
+static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 fn assert_no_allocations(label: &str, mut f: impl FnMut()) {
     // One warm-up call outside the counted window (lazy statics, cache

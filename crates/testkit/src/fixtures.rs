@@ -3,8 +3,10 @@
 //! Everything here is keyed by fixed seeds, so every caller — any thread
 //! count, any test ordering — reconstructs bit-identical inputs.
 
+use std::collections::BTreeMap;
+
 use sleepwatch_core::{analyze_world, AnalysisConfig};
-use sleepwatch_probing::{Blackout, EChurn, FaultPlan, LossBurst, TrinocularConfig};
+use sleepwatch_probing::{Blackout, EChurn, FaultPlan, LossBurst, RoundEvent, TrinocularConfig};
 use sleepwatch_simnet::{BlockProfile, BlockSpec, World, WorldConfig};
 
 /// The small conformance world: 60 blocks, 4 days, fixed seed.
@@ -89,6 +91,19 @@ pub fn flat_block(id: u64, seed: u64) -> BlockSpec {
     BlockSpec::bare(id, seed, BlockProfile::always_on(120, 0.85))
 }
 
+/// Reorders `feed` the way a deployment probing every block every round
+/// delivers it: event k of every block (in block-id order), then event
+/// k + 1 of every block, and so on. Per-block order is kept; every block
+/// stays open from the first round to its last.
+pub fn round_major(feed: &[RoundEvent]) -> Vec<RoundEvent> {
+    let mut streams: BTreeMap<u64, Vec<RoundEvent>> = BTreeMap::new();
+    for &ev in feed {
+        streams.entry(ev.block_id()).or_default().push(ev);
+    }
+    let longest = streams.values().map(Vec::len).max().unwrap_or(0);
+    (0..longest).flat_map(|k| streams.values().filter_map(move |s| s.get(k).copied())).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,5 +119,12 @@ mod tests {
         assert_eq!(d.ever_active_addrs().len(), 200);
         let f = flat_block(2, 7);
         assert_eq!(f.ever_active_addrs().len(), 120);
+    }
+
+    #[test]
+    fn round_major_advances_every_block_together_in_its_own_order() {
+        let ev = |block_id, round| RoundEvent::Round { block_id, round, a_short: 0.5 };
+        let feed = [ev(2, 0), ev(2, 1), ev(1, 0), ev(2, 2), ev(1, 1)];
+        assert_eq!(round_major(&feed), [ev(1, 0), ev(2, 0), ev(1, 1), ev(2, 1), ev(2, 2)]);
     }
 }

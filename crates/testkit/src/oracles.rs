@@ -72,8 +72,8 @@ pub fn assert_batch_online_agree(series: &[f64], cfg: &DiurnalConfig, context: &
         hysteresis: 1,
     });
     let mut online = DiurnalClass::NonDiurnal;
-    for &v in series {
-        online = det.push_value(v);
+    for end in 1..=series.len() {
+        online = det.push(&series[..end]);
     }
     assert_eq!(
         online, batch.class,

@@ -189,6 +189,84 @@ fn online_detector_agrees_with_batch_across_the_world() {
     }
 }
 
+/// The order a deployment feeds: every block, every round. Each block's
+/// lane stays open for the whole run, where the chunked feeds above keep
+/// at most one chunk open, and the reports are still the batch run's,
+/// under every preset at 1, 4 and 8 shards.
+#[test]
+fn round_major_feed_matches_batch_under_every_preset() {
+    let blocks = if cfg!(debug_assertions) { 128 } else { 512 };
+    let wcfg =
+        WorldConfig { num_blocks: blocks, seed: ORACLE_SEED, span_days: 5.0, ..Default::default() };
+    let source = WorldSource::new(wcfg.clone());
+    let world = World::generate(wcfg.clone());
+    let mut plans = vec![("none", FaultPlan::none())];
+    plans.extend(FaultPlan::presets(PRESET_SEED));
+    for (name, plan) in plans {
+        let cfg = AnalysisConfig {
+            faults: plan,
+            ..AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days)
+        };
+        let batch = analyze_world(&world, &cfg, 8, None);
+        let (feed, quarantined) =
+            sleepwatch_core::world_feed(&source, &cfg, &IngestConfig::default());
+        assert!(quarantined.is_empty(), "{name}: feed quarantines");
+        let feed = sleepwatch_testkit::fixtures::round_major(&feed);
+        for shards in SHARDS {
+            let icfg = IngestConfig { shards, ..Default::default() };
+            let streamed =
+                sleepwatch_core::ingest_events(&source, &cfg, &icfg, feed.iter().copied());
+            assert!(streamed.quarantined.is_empty(), "{name}@{shards}: quarantines");
+            assert!(streamed.open_blocks.is_empty(), "{name}@{shards}: blocks left open");
+            assert_eq!(streamed.reports.len(), batch.reports.len(), "{name}@{shards}: blocks");
+            for (s, b) in streamed.reports.iter().zip(&batch.reports) {
+                assert_eq!(
+                    format!("{s:?}"),
+                    format!("{b:?}"),
+                    "{name}@{shards}: round-major report diverged on block {}",
+                    b.summary.block_id
+                );
+            }
+        }
+    }
+}
+
+/// The live detectors' totals on a 20-day world, pinned per preset: at
+/// 20 days every block reclassifies about a dozen times, so the window
+/// each reclassification reads is the tail of a longer history. Columns
+/// are `live_strict`, `live_classifications` and `rounds_routed`.
+#[test]
+fn live_detector_totals_are_pinned_on_a_twenty_day_world() {
+    const PINS: [(&str, u64, u64, u64); 8] = [
+        ("none", 36, 3186, 670_208),
+        ("loss-light", 36, 3172, 670_208),
+        ("loss-heavy", 35, 3297, 670_208),
+        ("blackout", 36, 2921, 653_568),
+        ("restart-storm", 35, 2729, 650_642),
+        ("truncated", 0, 0, 335_360),
+        ("dup-reorder", 18, 3587, 703_626),
+        ("churn", 36, 3123, 670_208),
+    ];
+    let wcfg = WorldConfig { num_blocks: 256, seed: 41, span_days: 20.0, ..Default::default() };
+    let source = WorldSource::new(wcfg.clone());
+    let mut plans = vec![("none", FaultPlan::none())];
+    plans.extend(FaultPlan::presets(5));
+    for ((name, plan), (pin_name, strict, classifications, rounds)) in plans.into_iter().zip(PINS) {
+        assert_eq!(name, pin_name);
+        let cfg = AnalysisConfig {
+            faults: plan,
+            ..AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days)
+        };
+        let out = ingest_world(&source, &cfg, &IngestConfig { shards: 2, ..Default::default() });
+        let s = out.stats;
+        assert_eq!(
+            (s.live_strict, s.live_classifications, s.rounds_routed),
+            (strict, classifications, rounds),
+            "{name}: live_strict / live_classifications / rounds_routed"
+        );
+    }
+}
+
 /// Kill-and-resume heals to the same verdict set: a reference streamed
 /// run, a journal severed mid-stream (at a record boundary *and* inside
 /// a record), and resumes at different shard counts must all agree —

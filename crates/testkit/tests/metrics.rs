@@ -446,6 +446,71 @@ fn ingest_counters_match_ingest_stats() {
     });
 }
 
+/// The largest set of blocks open at once on any one shard, walking `feed`
+/// per `shard_of`: each shard applies its events in feed order.
+fn most_open_on_a_shard(feed: &[sleepwatch_probing::RoundEvent], shards: usize) -> usize {
+    use sleepwatch_probing::RoundEvent;
+    let mut open = vec![std::collections::HashSet::new(); shards];
+    let mut most = 0;
+    for ev in feed {
+        let shard = &mut open[sleepwatch_simnet::shard_of(ev.block_id(), shards)];
+        match *ev {
+            RoundEvent::Round { block_id, .. } => {
+                shard.insert(block_id);
+                most = most.max(shard.len());
+            }
+            RoundEvent::Finish { block_id, .. } => {
+                shard.remove(&block_id);
+            }
+        }
+    }
+    most
+}
+
+/// `ingest.open_lanes` is the most blocks open at once on one shard, and
+/// `ingest.lane_bytes` stays within 8 B per round plus a constant per open
+/// lane — on the chunked feed, and on the round-major one, where every
+/// block of the fullest shard is open at once.
+#[test]
+fn lane_gauges_match_the_feed_and_hold_eight_bytes_per_round() {
+    let _g = lock();
+    with_metrics(|| {
+        let (source, cfg) = stream_world();
+        let icfg = IngestConfig { shards: 2, ..Default::default() };
+        let (chunked, quarantined) = world_feed(&source, &cfg, &icfg);
+        assert!(quarantined.is_empty());
+        let round_major = fixtures::round_major(&chunked);
+        let fullest_shard = (0..icfg.shards)
+            .map(|k| {
+                let on_k = |&id: &u64| sleepwatch_simnet::shard_of(id, icfg.shards) == k;
+                (0..source.len() as u64).filter(on_k).count()
+            })
+            .max()
+            .expect("at least one shard");
+        assert_eq!(most_open_on_a_shard(&round_major, icfg.shards), fullest_shard);
+
+        for (tag, feed) in [("chunked", chunked), ("round-major", round_major)] {
+            let (out, d) = measure(|| {
+                sleepwatch_core::ingest_events(&source, &cfg, &icfg, feed.iter().copied())
+            });
+            let s = out.stats;
+            assert_eq!(s.blocks, source.len(), "{tag}");
+            assert_eq!(s.open_lanes, most_open_on_a_shard(&feed, icfg.shards), "{tag}");
+            // A gauge is the process's high-water mark, not this run's.
+            assert!(d.counter("ingest.open_lanes") >= s.open_lanes as u64, "{tag}");
+            assert!(d.counter("ingest.lane_bytes") >= s.lane_bytes as u64, "{tag}");
+            let bound = s.open_lanes * (8 * cfg.rounds as usize + 256);
+            assert!(
+                s.lane_bytes > 0 && s.lane_bytes <= bound,
+                "{tag}: {} lane bytes over {} open lanes of {} rounds",
+                s.lane_bytes,
+                s.open_lanes,
+                cfg.rounds
+            );
+        }
+    });
+}
+
 /// One session cut mid-frame and resumed: every `transport.*` counter is
 /// bumped side by side with the source's `TransportStats`.
 #[test]

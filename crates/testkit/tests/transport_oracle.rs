@@ -240,6 +240,31 @@ fn chaos_differential_reconnect_storm() {
     chaos_differential("reconnect-storm");
 }
 
+/// The order a deployment feeds — every block, every round, so every lane
+/// is open for the whole run — over loopback through mid-frame severs:
+/// the resumed sessions still reproduce the batch analysis at 1, 4 and 8
+/// shards.
+#[test]
+fn round_major_feed_through_severs_matches_batch() {
+    let source = oracle_source();
+    let cfg = oracle_cfg();
+    let batch = batch_reference(&cfg);
+    let (plan_name, plan) = ChaosPlan::presets(CHAOS_SEED)
+        .into_iter()
+        .find(|(n, _)| *n == "sever-midframe")
+        .expect("the sever-midframe chaos preset");
+    let (events, quarantined) = world_feed(&source, &cfg, &IngestConfig::default());
+    assert!(quarantined.is_empty(), "feed quarantines");
+    let events = sleepwatch_testkit::fixtures::round_major(&events);
+    for shards in SHARDS {
+        let icfg = IngestConfig { shards, ..Default::default() };
+        let (out, _, harms) = ingest_through_chaos(&source, &cfg, &icfg, &events, plan);
+        let tag = format!("round-major {plan_name}@{shards}");
+        assert!(harms > 0, "{tag}: no sever injected");
+        assert_matches_batch(&tag, &out, &batch);
+    }
+}
+
 /// Serves `events` once over plain loopback TCP (no chaos) into a
 /// resumable ingest journaling at `path`.
 fn ingest_over_tcp_resumable(

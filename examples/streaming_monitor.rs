@@ -60,13 +60,16 @@ fn main() {
     for (name, phases) in scenarios {
         println!("\n== {name} ==");
         let mut detector = OnlineDetector::new(cfg);
+        // The detector reads its window from the history the caller keeps.
+        let mut history = Vec::new();
         let mut last = DiurnalClass::NonDiurnal;
         let mut round = 0u64;
         for (block, span) in &phases {
             let mut prober = TrinocularProber::new(block, TrinocularConfig::default());
             for _ in 0..*span {
                 if let Some(rec) = prober.round(block, round, round * 660) {
-                    let class = detector.push_value(rec.a_short);
+                    history.push(rec.a_short);
+                    let class = detector.push(&history);
                     if class != last {
                         println!(
                             "  day {:>5.1}: {:?} → {:?}",
