@@ -13,9 +13,14 @@
 //!   proptests feed adversarial interleavings to prove it.
 //! * **Backpressure.** Each shard consumes from a bounded queue; a feeder
 //!   outrunning the workers blocks instead of buffering unboundedly, so
-//!   peak queue memory is `(capacity + batch_events) ×
-//!   size_of::<RoundEvent>()` per shard, and spent batch buffers recycle
-//!   through a pool so the feeder rewrites the same cache-hot lines.
+//!   peak queue memory is `(capacity + batch_events) × 24 B` per shard,
+//!   and spent batch buffers recycle through a pool so the feeder
+//!   rewrites the same cache-hot lines.
+//! * **Self-generated feeds.** A [`WorldFeed`] probes 256 blocks at a time
+//!   and interleaves each chunk's streams as they are read, so a feed
+//!   holds one chunk of streams, never the world. Counted once, it sends
+//!   any suffix a resume asks for by regenerating from the chunk that
+//!   holds it: what `sleepwatch feed` serves.
 //! * **Lanes.** Each in-flight block ("lane") keeps its `Âs` values in
 //!   arrival order plus a run list that is one entry unless rounds broke
 //!   sequence: 8 B per round. Its [`OnlineDetector`] — the bounded-window
@@ -39,9 +44,10 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 
-use sleepwatch_probing::stream::{interleave, record_events, RoundEvent};
+use sleepwatch_probing::stream::{record_events, Interleave, RoundEvent};
+use sleepwatch_probing::transport::FeedEvents;
 use sleepwatch_probing::TrinocularProber;
-use sleepwatch_simnet::{shard_of, WorldSource};
+use sleepwatch_simnet::{shard_of, BlockSpec, WorldSource};
 
 use crate::framing::RunIdentity;
 
@@ -402,7 +408,7 @@ impl<'a> ShardState<'a> {
                         slot.insert(lane)
                     }
                 };
-                self.lane_bytes += lane.push(round, a_short);
+                self.lane_bytes += lane.push(u64::from(round), a_short);
                 self.peak_lane_bytes = self.peak_lane_bytes.max(self.lane_bytes);
                 self.rounds += 1;
             }
@@ -553,60 +559,196 @@ fn run_engine(
     out
 }
 
-/// Probes every block `skip` does not mark and emits their streams
-/// chunk-interleaved: the feeder half of [`ingest_world`], generic over
-/// where the events go (a [`Router`], or a buffer bound for a wire). A
-/// block whose probing panics emits nothing and lands in
-/// `quarantined_at_feed`.
-fn feed_world_into(
-    source: &WorldSource,
-    cfg: &AnalysisConfig,
-    icfg: &IngestConfig,
-    skip: &[bool],
-    emit: &mut impl FnMut(RoundEvent),
-    quarantined_at_feed: &mut Vec<Quarantine>,
-) {
-    let ids: Vec<u64> =
-        (0..source.len() as u64).filter(|&id| !is_replayed(skip, id as usize)).collect();
-    let mut specs = Vec::new();
-    // The batch path's chunk ledger bounds how many lanes a self-generated
-    // feed keeps in flight at once.
-    for (chunk_idx, chunk) in ids.chunks(CHUNK).enumerate() {
-        source.generate_into(chunk.iter().copied(), &mut specs);
-        let mut streams: Vec<Vec<RoundEvent>> = Vec::with_capacity(specs.len());
-        for block in &specs {
+/// A world's event feed, generated a chunk at a time: what
+/// [`ingest_world`] routes, what [`world_feed`] collects and what
+/// `sleepwatch feed` sends.
+///
+/// Blocks are probed 256 at a time — the batch path's chunk — and a
+/// chunk's streams are interleaved as they are read, keyed by
+/// `interleave_seed + c` for chunk `c`. A chunk's events are therefore a
+/// pure function of the source, the config, the seed and `c`, and the feed
+/// holds one chunk's streams at a time, never the world.
+///
+/// [`WorldFeed::new`] probes the world once to count it: a hello carries
+/// the total before the first event, and on a file every frame's CRC
+/// chains on the hello. It keeps only each chunk's cumulative event count.
+/// Sending the feed ([`FeedEvents`]) probes the chunks again, and a resume
+/// at sequence `s` starts from the chunk that holds `s`, so the probing
+/// and quarantine counters (and `ingest.feed_chunks`) count a chunk once
+/// per pass.
+pub struct WorldFeed<'a> {
+    source: &'a WorldSource,
+    cfg: &'a AnalysisConfig,
+    interleave_seed: u64,
+    /// Journal-replayed blocks, left out of the feed (by block id).
+    skip: &'a [bool],
+    /// `ends[c]`: events in chunks `0..=c`. Empty unless counted.
+    ends: Vec<u64>,
+    /// Blocks quarantined by a probing panic while counting.
+    quarantined: Vec<Quarantine>,
+}
+
+impl<'a> WorldFeed<'a> {
+    /// The feed of every block of `source`, counted: probes the world
+    /// once, keeping each chunk's event count and the blocks whose probing
+    /// panicked (they send no events).
+    pub fn new(source: &'a WorldSource, cfg: &'a AnalysisConfig, icfg: &IngestConfig) -> Self {
+        let mut feed = WorldFeed::lazy(source, cfg, icfg, &[]);
+        let (mut ids, mut specs, mut quarantined) =
+            (0..source.len() as u64, Vec::new(), Vec::new());
+        let mut total = 0;
+        while let Some(streams) = feed.probe_chunk(&mut ids, &mut specs, &mut quarantined) {
+            total += streams.iter().map(|s| s.len() as u64).sum::<u64>();
+            feed.ends.push(total);
+        }
+        feed.quarantined = quarantined;
+        feed
+    }
+
+    /// The feed of every block `skip` does not mark, uncounted: for
+    /// reading from the start only.
+    fn lazy(
+        source: &'a WorldSource,
+        cfg: &'a AnalysisConfig,
+        icfg: &IngestConfig,
+        skip: &'a [bool],
+    ) -> Self {
+        let interleave_seed = icfg.interleave_seed;
+        WorldFeed { source, cfg, interleave_seed, skip, ends: Vec::new(), quarantined: Vec::new() }
+    }
+
+    /// Blocks quarantined by a probing panic: they send no events.
+    pub fn quarantined(&self) -> &[Quarantine] {
+        &self.quarantined
+    }
+
+    /// Probes the next chunk of `ids` (the next 256 blocks `skip` does not
+    /// mark): one event stream per block, or `None` once `ids` is used up.
+    /// A block whose probing panics lands in `quarantined` instead.
+    fn probe_chunk(
+        &self,
+        ids: &mut std::ops::Range<u64>,
+        specs: &mut Vec<BlockSpec>,
+        quarantined: &mut Vec<Quarantine>,
+    ) -> Option<Vec<Vec<RoundEvent>>> {
+        let chunk = ids.filter(|&id| !is_replayed(self.skip, id as usize)).take(CHUNK);
+        self.source.generate_into(chunk, specs);
+        if specs.is_empty() {
+            return None;
+        }
+        sleepwatch_obs::global().ingest.feed_chunks.incr();
+        let cfg = self.cfg;
+        let mut streams = Vec::with_capacity(specs.len());
+        for block in specs.iter() {
             match quarantine_on_panic(cfg, block.id, || {
                 let mut prober = TrinocularProber::new(block, cfg.trinocular);
                 let run = prober.run_with_faults(block, cfg.start_time, cfg.rounds, &cfg.faults);
                 record_events(block.id, &run.records, run.outages.len() as u32, run.total_probes)
             }) {
                 Ok(events) => streams.push(events),
-                Err(q) => quarantined_at_feed.push(q),
+                Err(q) => quarantined.push(q),
             }
         }
-        // A per-chunk keyed interleave: reproducible for a given seed,
-        // different across chunks, adversarial to any order assumption.
-        let seed = icfg.interleave_seed.wrapping_add(chunk_idx as u64);
-        for ev in interleave(streams, seed) {
-            emit(ev);
+        Some(streams)
+    }
+
+    /// The feed's events from the start of chunk `first` on. Only a feed
+    /// of every block has its chunks at fixed block ids, so only it may
+    /// start past chunk 0.
+    fn events(&self, first: usize) -> WorldEvents<'_, 'a> {
+        debug_assert!(first == 0 || self.skip.is_empty(), "chunks move with the skip mask");
+        let blocks = self.source.len() as u64;
+        let start = (first as u64).saturating_mul(CHUNK as u64).min(blocks);
+        WorldEvents {
+            feed: self,
+            ids: start..blocks,
+            chunk: first as u64,
+            specs: Vec::new(),
+            merge: Interleave::new(Vec::new(), 0),
+            quarantined: Vec::new(),
+        }
+    }
+}
+
+/// A [`WorldFeed`]'s events in feed order, one chunk probed at a time.
+struct WorldEvents<'f, 'a> {
+    feed: &'f WorldFeed<'a>,
+    /// Block ids not yet probed.
+    ids: std::ops::Range<u64>,
+    /// The next chunk's index.
+    chunk: u64,
+    specs: Vec<BlockSpec>,
+    /// The chunk being read.
+    merge: Interleave,
+    /// Blocks quarantined by a probing panic in the chunks read so far.
+    quarantined: Vec<Quarantine>,
+}
+
+impl Iterator for WorldEvents<'_, '_> {
+    type Item = RoundEvent;
+
+    fn next(&mut self) -> Option<RoundEvent> {
+        loop {
+            if let Some(ev) = self.merge.next() {
+                return Some(ev);
+            }
+            let streams =
+                self.feed.probe_chunk(&mut self.ids, &mut self.specs, &mut self.quarantined)?;
+            // A per-chunk keyed interleave: reproducible for a given seed,
+            // different across chunks, adversarial to any order assumption.
+            self.merge =
+                Interleave::new(streams, self.feed.interleave_seed.wrapping_add(self.chunk));
+            self.chunk += 1;
+        }
+    }
+}
+
+impl FeedEvents for WorldFeed<'_> {
+    fn total(&self) -> u64 {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    fn runs_from<E>(
+        &self,
+        from: u64,
+        len: usize,
+        mut run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // The chunk holding event `from`, and how far into it `from` is.
+        let chunk = self.ends.partition_point(|&end| end <= from);
+        let start = chunk.checked_sub(1).map_or(0, |c| self.ends[c]);
+        let into = usize::try_from(from - start).unwrap_or(usize::MAX);
+        let mut batch = Vec::with_capacity(len);
+        for ev in self.events(chunk).skip(into) {
+            batch.push(ev);
+            if batch.len() == len {
+                run(&batch)?;
+                batch.clear();
+            }
+        }
+        if batch.is_empty() {
+            Ok(())
+        } else {
+            run(&batch)
         }
     }
 }
 
 /// Materializes the event feed [`ingest_world`] would route — probes
 /// every block and chunk-interleaves the streams with
-/// `icfg.interleave_seed` — for replay over a transport (`sleepwatch
-/// feed`, the chaos oracle, the throughput bench). Returns the feed and
-/// any blocks quarantined by probing panics.
+/// `icfg.interleave_seed` — for replay over a transport (the chaos
+/// oracle, the throughput bench). Returns the feed and any blocks
+/// quarantined by probing panics. This is [`WorldFeed`] collected, without
+/// its counting pass.
 pub fn world_feed(
     source: &WorldSource,
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
 ) -> (Vec<RoundEvent>, Vec<Quarantine>) {
-    let mut feed = Vec::new();
-    let mut quarantined = Vec::new();
-    feed_world_into(source, cfg, icfg, &[], &mut |ev| feed.push(ev), &mut quarantined);
-    (feed, quarantined)
+    let feed = WorldFeed::lazy(source, cfg, icfg, &[]);
+    let mut events = feed.events(0);
+    let all = events.by_ref().collect();
+    (all, events.quarantined)
 }
 
 /// The run identity a transport session carries for this source and
@@ -637,7 +779,12 @@ fn ingest_generated(
     resume: Resume,
 ) -> IngestOutcome {
     run_engine(source, cfg, icfg, resume, |router, skip, quarantined_at_feed| {
-        feed_world_into(source, cfg, icfg, skip, &mut |ev| router.route(ev), quarantined_at_feed);
+        let feed = WorldFeed::lazy(source, cfg, icfg, skip);
+        let mut events = feed.events(0);
+        for ev in events.by_ref() {
+            router.route(ev);
+        }
+        quarantined_at_feed.append(&mut events.quarantined);
     })
 }
 
@@ -783,7 +930,7 @@ mod tests {
     use super::*;
     use crate::analyze::analyze_block;
     use crate::worldrun::analyze_world;
-    use sleepwatch_probing::stream::replay_run;
+    use sleepwatch_probing::stream::{interleave, replay_run};
     use sleepwatch_probing::FaultPlan;
     use sleepwatch_simnet::WorldConfig;
 

@@ -69,7 +69,7 @@ pub use framing::{DecodeError, IdentityField, RunIdentity};
 pub use ingest::{
     feed_identity, ingest_direct, ingest_events, ingest_source, ingest_source_resumable,
     ingest_world, ingest_world_resumable, world_feed, IngestConfig, IngestOutcome, IngestStats,
-    TransportOutcome,
+    TransportOutcome, WorldFeed,
 };
 pub use journal::{JournalError, JournalHeader, ReplayStats};
 pub use serve::{

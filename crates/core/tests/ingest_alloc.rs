@@ -70,7 +70,7 @@ fn a_round_into_an_open_lane_does_not_allocate() {
     // Five days is 654 rounds, the live window's length: no round below it
     // reclassifies, so only the lane itself could allocate.
     let (source, cfg, _) = fixture(1, 5.0);
-    let rounds = |n: u64| -> Vec<RoundEvent> {
+    let rounds = |n: u32| -> Vec<RoundEvent> {
         (0..n).map(|round| RoundEvent::Round { block_id: 0, round, a_short: 0.5 }).collect()
     };
     let count = |feed: Vec<RoundEvent>| {

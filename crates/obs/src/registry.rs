@@ -320,6 +320,10 @@ metrics! {
         /// Blocks whose stream completed and was finalized (journal
         /// replays excluded).
         blocks_finished: counter,
+        /// Chunks of blocks a self-generated feed probed and interleaved;
+        /// a feed that counts itself first, or serves a resume, probes a
+        /// chunk again.
+        feed_chunks: counter,
     }
     /// Wire transport: the `SLPWFEED` sources feeding streaming ingest,
     /// bumped side by side with the source's `TransportStats`.

@@ -45,6 +45,6 @@ pub use census::{run_census, CensusConfig, CensusRecord};
 pub use faults::{Blackout, BurstWindow, EChurn, FaultPlan, LossBurst, RestartStorm};
 pub use multisite::{agreement, merge_states, merged_outages, MergedOutage, MergedState};
 pub use record::{BlockRun, RoundRecord};
-pub use stream::{interleave, record_events, replay_run, RoundEvent};
+pub use stream::{interleave, record_events, replay_run, Interleave, RoundEvent};
 pub use survey::{survey_block, survey_block_with_faults, SurveyResult};
 pub use trinocular::{BlockState, OutageEvent, ProberScratch, TrinocularConfig, TrinocularProber};

@@ -19,11 +19,14 @@ const STREAM_INTERLEAVE: u64 = 0x696e_746c; // "intl"
 
 /// One element of a live ingest feed.
 ///
-/// Deliberately lean (32 bytes): queue memory is bounded by
-/// `capacity × size_of::<RoundEvent>()`, so the event carries exactly
-/// what downstream analysis consumes — the batch pipeline only ever
-/// reads `(round, a_short)` from a record, plus the run-level outage
-/// and probe totals delivered by the terminal [`RoundEvent::Finish`].
+/// Deliberately lean (24 bytes): queue memory is bounded by
+/// `capacity × size_of::<RoundEvent>()`, and a materialized feed is
+/// `events × size_of::<RoundEvent>()`, so the event carries exactly what
+/// downstream analysis consumes — the batch pipeline only ever reads
+/// `(round, a_short)` from a record, plus the run-level outage and probe
+/// totals delivered by the terminal [`RoundEvent::Finish`]. The tag shares
+/// a word with `round` (or `outages`); the wire keeps 8 bytes for the
+/// round either way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RoundEvent {
     /// One probing round's short-term availability estimate.
@@ -32,7 +35,7 @@ pub enum RoundEvent {
         block_id: u64,
         /// Round index within the run (may repeat or regress under
         /// dup/reorder faults, exactly as the prober emitted it).
-        round: u64,
+        round: u32,
         /// The round's `Âs` estimate.
         a_short: f64,
     },
@@ -46,6 +49,8 @@ pub enum RoundEvent {
         total_probes: u64,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<RoundEvent>() == 24);
 
 impl RoundEvent {
     /// The block this event belongs to.
@@ -69,7 +74,12 @@ pub fn record_events(
     let mut out = Vec::with_capacity(records.len() + 1);
     out.extend(records.iter().map(|r| RoundEvent::Round {
         block_id,
-        round: r.round,
+        // The one place a round narrows. A record's round is below its
+        // run's round count, and no run the pipeline analyzes is longer
+        // than the FFT planner's `MAX_PLAN_LEN` = 2^30 rounds, which
+        // `sleepwatch_spectral` const-asserts below the `u32` limit (the
+        // CLI refuses longer spans up front).
+        round: u32::try_from(r.round).expect("a plannable run has fewer than 2^32 rounds"),
         a_short: r.a_short,
     }));
     out.push(RoundEvent::Finish { block_id, outages, total_probes });
@@ -82,7 +92,14 @@ pub fn replay_run(run: &BlockRun) -> Vec<RoundEvent> {
 }
 
 /// Merges many per-block streams into one feed, preserving each stream's
-/// internal order while shuffling across streams.
+/// internal order while shuffling across streams: [`Interleave`],
+/// collected.
+pub fn interleave(streams: Vec<Vec<RoundEvent>>, seed: u64) -> Vec<RoundEvent> {
+    Interleave::new(streams, seed).collect()
+}
+
+/// The merge behind [`interleave`], one event at a time, so a consumer
+/// can take a feed as it is merged instead of holding it twice.
 ///
 /// The merge is a keyed deterministic walk — at every step a splitmix
 /// draw over `(seed, step)` picks which live stream advances — so a
@@ -90,25 +107,51 @@ pub fn replay_run(run: &BlockRun) -> Vec<RoundEvent> {
 /// different seeds exercise genuinely different arrival orders. This is
 /// the adversarial input generator for the ingest equivalence oracle:
 /// correctness must not depend on which interleaving the transport
-/// happened to deliver.
-pub fn interleave(streams: Vec<Vec<RoundEvent>>, seed: u64) -> Vec<RoundEvent> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut at = vec![0usize; streams.len()];
-    let mut alive: Vec<usize> = (0..streams.len()).filter(|&i| !streams[i].is_empty()).collect();
-    let mut step = 0u64;
-    while !alive.is_empty() {
-        let pick = (hash_parts(&[seed, STREAM_INTERLEAVE, step]) % alive.len() as u64) as usize;
-        let s = alive[pick];
-        out.push(streams[s][at[s]]);
-        at[s] += 1;
-        if at[s] == streams[s].len() {
-            alive.swap_remove(pick);
-        }
-        step += 1;
-    }
-    out
+/// happened to deliver. A stream's buffer is freed as soon as its last
+/// event is taken.
+#[derive(Debug)]
+pub struct Interleave {
+    /// The streams with events left, in the order the walk indexes them.
+    alive: Vec<std::vec::IntoIter<RoundEvent>>,
+    seed: u64,
+    step: u64,
+    left: usize,
 }
+
+impl Interleave {
+    /// The walk over `streams` keyed by `seed`.
+    pub fn new(streams: Vec<Vec<RoundEvent>>, seed: u64) -> Interleave {
+        let left = streams.iter().map(Vec::len).sum();
+        let alive = streams.into_iter().filter(|s| !s.is_empty()).map(Vec::into_iter).collect();
+        Interleave { alive, seed, step: 0, left }
+    }
+}
+
+impl Iterator for Interleave {
+    type Item = RoundEvent;
+
+    fn next(&mut self) -> Option<RoundEvent> {
+        if self.alive.is_empty() {
+            return None;
+        }
+        let draw = hash_parts(&[self.seed, STREAM_INTERLEAVE, self.step]);
+        let pick = (draw % self.alive.len() as u64) as usize;
+        let stream = &mut self.alive[pick];
+        let ev = stream.next()?;
+        if stream.as_slice().is_empty() {
+            self.alive.swap_remove(pick);
+        }
+        self.step += 1;
+        self.left -= 1;
+        Some(ev)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Interleave {}
 
 #[cfg(test)]
 mod tests {
@@ -130,7 +173,7 @@ mod tests {
         for (ev, rec) in events.iter().zip(&run.records) {
             assert_eq!(
                 *ev,
-                RoundEvent::Round { block_id: 3, round: rec.round, a_short: rec.a_short }
+                RoundEvent::Round { block_id: 3, round: rec.round as u32, a_short: rec.a_short }
             );
         }
         assert_eq!(
@@ -171,5 +214,17 @@ mod tests {
         let streams = vec![Vec::new(), replay_run(&run_of(1, 10)), Vec::new()];
         let merged = interleave(streams.clone(), 7);
         assert_eq!(merged, streams[1]);
+    }
+
+    #[test]
+    fn interleave_reports_exactly_what_is_left() {
+        let streams: Vec<Vec<RoundEvent>> = (0..3).map(|id| replay_run(&run_of(id, 20))).collect();
+        let total: usize = streams.iter().map(Vec::len).sum();
+        let mut merge = Interleave::new(streams, 5);
+        for left in (0..total).rev() {
+            assert!(merge.next().is_some());
+            assert_eq!(merge.len(), left);
+        }
+        assert_eq!(merge.next(), None);
     }
 }

@@ -290,7 +290,7 @@ fn put_event(out: &mut Vec<u8>, ev: &RoundEvent) {
         RoundEvent::Round { block_id, round, a_short } => {
             let mut rec = [0u8; ROUND_RECORD_LEN];
             rec[1..9].copy_from_slice(&block_id.to_le_bytes());
-            rec[9..17].copy_from_slice(&round.to_le_bytes());
+            rec[9..17].copy_from_slice(&u64::from(round).to_le_bytes());
             rec[17..25].copy_from_slice(&a_short.to_bits().to_le_bytes());
             out.extend_from_slice(&rec);
         }
@@ -415,7 +415,9 @@ impl Batch {
                     rest = &rest[ROUND_RECORD_LEN..];
                     RoundEvent::Round {
                         block_id: get_u64(rec, 1),
-                        round: get_u64(rec, 9),
+                        // No encoder writes a round past `u32::MAX`: one
+                        // that arrives is a malformed record.
+                        round: u32::try_from(get_u64(rec, 9)).ok()?,
                         a_short: f64::from_bits(get_u64(rec, 17)),
                     }
                 }
@@ -608,29 +610,86 @@ fn obs() -> &'static sleepwatch_obs::TransportMetrics {
 }
 
 // ---------------------------------------------------------------------------
+// What a sender sends
+// ---------------------------------------------------------------------------
+
+/// A feed a sender can put on the wire: its event count, which the hello
+/// carries before the first frame, and its events from any sequence number
+/// on, in frame-sized runs.
+///
+/// An in-memory feed is a slice of events; `sleepwatch_core`'s `WorldFeed`
+/// regenerates a world's feed a chunk at a time instead of holding it.
+pub trait FeedEvents {
+    /// Events in the feed.
+    fn total(&self) -> u64;
+
+    /// Hands `run` the events from sequence number `from` to the end, in
+    /// order, as consecutive runs of `len` events (the last may be
+    /// shorter), and stops at the first error `run` returns. Nothing is
+    /// handed out when `from` is at or past the end.
+    fn runs_from<E>(
+        &self,
+        from: u64,
+        len: usize,
+        run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
+    ) -> Result<(), E>;
+}
+
+impl FeedEvents for [RoundEvent] {
+    fn total(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn runs_from<E>(
+        &self,
+        from: u64,
+        len: usize,
+        run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let from = usize::try_from(from).map_or(self.len(), |from| from.min(self.len()));
+        self[from..].chunks(len).try_for_each(run)
+    }
+}
+
+impl FeedEvents for Vec<RoundEvent> {
+    fn total(&self) -> u64 {
+        self.as_slice().total()
+    }
+
+    fn runs_from<E>(
+        &self,
+        from: u64,
+        len: usize,
+        run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.as_slice().runs_from(from, len, run)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // File / pipe source
 // ---------------------------------------------------------------------------
 
 /// Serializes a whole feed (hello, event frames, end marker) — the file
 /// the [`FileSource`] reads and `sleepwatch feed --to-file` writes.
-pub fn write_feed<W: Write>(
+pub fn write_feed<W: Write, F: FeedEvents + ?Sized>(
     w: &mut W,
-    events: &[RoundEvent],
+    events: &F,
     identity: &RunIdentity,
     frame_events: usize,
 ) -> io::Result<()> {
-    let hello = encode_hello(identity, events.len() as u64);
+    let hello = encode_hello(identity, events.total());
     let chain = header_crc_of(&hello);
     w.write_all(&hello)?;
     let frame_events = frame_events.clamp(1, MAX_FRAME_EVENTS);
     let mut out = Vec::new();
     let mut seq = 0u64;
-    for batch in events.chunks(frame_events) {
+    events.runs_from(0, frame_events, |batch| {
         out.clear();
         encode_events(&mut out, seq, batch, chain);
-        w.write_all(&out)?;
         seq += batch.len() as u64;
-    }
+        w.write_all(&out)
+    })?;
     out.clear();
     encode_frame(&mut out, &Frame::End { total: seq }, chain);
     w.write_all(&out)?;
@@ -1188,14 +1247,15 @@ impl FeedConfig {
 /// refused), then frames from the requested sequence, heartbeats
 /// interleaved, end marker last. `Ok(true)` means the full stream
 /// including the end marker was written and flushed.
-pub fn serve_connection(
+pub fn serve_connection<F: FeedEvents + ?Sized>(
     stream: &mut TcpStream,
-    events: &[RoundEvent],
+    events: &F,
     cfg: &FeedConfig,
 ) -> Result<bool, TransportError> {
+    let total = events.total();
     stream.set_read_timeout(Some(cfg.resume_timeout))?;
     stream.set_nodelay(true)?;
-    stream.write_all(&encode_hello(&cfg.identity, events.len() as u64))?;
+    stream.write_all(&encode_hello(&cfg.identity, total))?;
     stream.flush()?;
     let mut resume = [0u8; PRELUDE_LEN];
     stream.read_exact(&mut resume).map_err(|e| {
@@ -1208,21 +1268,23 @@ pub fn serve_connection(
     let answer =
         decode_handshake(&resume, &cfg.identity, MODE_RESUME).map_err(TransportError::Handshake)?;
     let chain = tcp_chain(&cfg.identity);
-    let from = (answer.record_count as usize).min(events.len());
+    let from = answer.record_count.min(total);
     let frame_events = cfg.frame_events.clamp(1, MAX_FRAME_EVENTS);
     let mut out = Vec::with_capacity(frame_events * 32 + 64);
-    let mut seq = from as u64;
-    for (i, batch) in events[from..].chunks(frame_events).enumerate() {
+    let mut seq = from;
+    let mut frames = 0u64;
+    events.runs_from(from, frame_events, |batch| {
         out.clear();
         encode_events(&mut out, seq, batch, chain);
         seq += batch.len() as u64;
-        if cfg.heartbeat_every > 0 && (i as u64 + 1) % cfg.heartbeat_every == 0 {
+        frames += 1;
+        if cfg.heartbeat_every > 0 && frames % cfg.heartbeat_every == 0 {
             encode_frame(&mut out, &Frame::Heartbeat { next_seq: seq }, chain);
         }
-        stream.write_all(&out)?;
-    }
+        stream.write_all(&out)
+    })?;
     out.clear();
-    encode_frame(&mut out, &Frame::End { total: events.len() as u64 }, chain);
+    encode_frame(&mut out, &Frame::End { total }, chain);
     stream.write_all(&out)?;
     stream.flush()?;
     Ok(true)
@@ -1236,9 +1298,9 @@ pub fn serve_connection(
 /// socket reconnects and resumes — and treats per-connection failures as
 /// that client's problem. Dial mode retries with the backoff budget and
 /// stops after the first complete delivery.
-pub fn serve_feed(
+pub fn serve_feed<F: FeedEvents + ?Sized>(
     endpoint: &Endpoint,
-    events: &[RoundEvent],
+    events: &F,
     cfg: &FeedConfig,
     backoff: &BackoffConfig,
     stop: &std::sync::atomic::AtomicBool,
@@ -1312,7 +1374,11 @@ mod tests {
 
     fn sample_events(n: u64) -> Vec<RoundEvent> {
         let mut out: Vec<RoundEvent> = (0..n)
-            .map(|i| RoundEvent::Round { block_id: i % 3, round: i, a_short: i as f64 / n as f64 })
+            .map(|i| RoundEvent::Round {
+                block_id: i % 3,
+                round: i as u32,
+                a_short: i as f64 / n as f64,
+            })
             .collect();
         out.push(RoundEvent::Finish { block_id: 0, outages: 2, total_probes: 99 });
         out
@@ -1339,8 +1405,9 @@ mod tests {
     }
 
     /// The wire layout, byte for byte. The literals were produced by the
-    /// encoder as it stood before frames were built in place, so a pass
-    /// means "unchanged on the wire", not "round-trips with itself".
+    /// encoder as it stood before frames were built in place, and before
+    /// an event's round narrowed to `u32`, so a pass means "unchanged on
+    /// the wire", not "round-trips with itself".
     #[test]
     fn wire_layout_is_pinned_byte_for_byte() {
         let chain = 0xDEAD_BEEF;
@@ -1349,7 +1416,7 @@ mod tests {
             events: vec![
                 RoundEvent::Round {
                     block_id: 0x0102_0304_0506_0708,
-                    round: 0x1112_1314_1516_1718,
+                    round: 0x1516_1718,
                     a_short: 0.75,
                 },
                 RoundEvent::Finish {
@@ -1367,13 +1434,13 @@ mod tests {
             0x02, 0x00, 0x00, 0x00,                         // count 2
             0x00,                                           // tag: round (25 bytes)
             0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // block_id
-            0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // round
+            0x18, 0x17, 0x16, 0x15, 0x00, 0x00, 0x00, 0x00, // round
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, // a_short 0.75
             0x01,                                           // tag: finish (21 bytes)
             0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // block_id
             0x24, 0x23, 0x22, 0x21,                         // outages
             0x38, 0x37, 0x36, 0x35, 0x34, 0x33, 0x32, 0x31, // total_probes
-            0xb3, 0x48, 0x75, 0x3a,                         // crc32(chain ‖ body)
+            0x23, 0xed, 0x0f, 0x53,                         // crc32(chain ‖ body)
         ];
         #[rustfmt::skip]
         let heartbeat_bytes: [u8; 17] = [
@@ -1556,6 +1623,129 @@ mod tests {
         }
         assert_eq!(got, events);
         assert_eq!(src.stats().lost_events, u64::MAX - 1);
+    }
+
+    /// A CRC-valid events frame of one `Round` record whose round word is
+    /// `round`: well-formed in every other byte.
+    fn frame_with_round(seq: u64, round: u64, chain: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        let at = open_frame(&mut out, FRAME_EVENTS, seq);
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.push(0);
+        out.extend_from_slice(&7u64.to_le_bytes());
+        out.extend_from_slice(&round.to_le_bytes());
+        out.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        close_frame(&mut out, at, chain);
+        out
+    }
+
+    /// A three-event feed whose second frame the tests below damage into
+    /// a round of `u32::MAX + 1`.
+    fn three_events() -> Vec<RoundEvent> {
+        let ev = |round| RoundEvent::Round { block_id: 7, round, a_short: 0.5 };
+        vec![ev(0), ev(1), ev(u32::MAX)]
+    }
+
+    #[test]
+    fn a_round_past_u32_is_a_malformed_record() {
+        let top = frame_with_round(4, u64::from(u32::MAX), 9);
+        let want = RoundEvent::Round { block_id: 7, round: u32::MAX, a_short: 0.5 };
+        match decode_frame(&top, 9) {
+            FrameDecode::Frame { frame: Frame::Events { seq: 4, events }, .. } => {
+                assert_eq!(events, [want]);
+            }
+            other => panic!("the largest round did not decode: {other:?}"),
+        }
+        let past = frame_with_round(4, u64::from(u32::MAX) + 1, 9);
+        assert_eq!(
+            decode_frame(&past, 9),
+            FrameDecode::Damaged { skip: Some(past.len()), detail: "malformed events" }
+        );
+    }
+
+    #[test]
+    fn file_source_skips_or_refuses_a_round_past_u32() {
+        let events = three_events();
+        let hello = encode_hello(&ident(), 3);
+        let chain = header_crc_of(&hello);
+        let mut bytes = hello.to_vec();
+        encode_frame(&mut bytes, &Frame::Events { seq: 0, events: vec![events[0]] }, chain);
+        bytes.extend_from_slice(&frame_with_round(1, u64::from(u32::MAX) + 1, chain));
+        encode_frame(&mut bytes, &Frame::Events { seq: 2, events: vec![events[2]] }, chain);
+        encode_frame(&mut bytes, &Frame::End { total: 3 }, chain);
+
+        let mut src = FileSource::new(&bytes[..], &ident(), false).unwrap();
+        let mut got = Vec::new();
+        while let Some(ev) = src.next_event().unwrap() {
+            got.push(ev);
+        }
+        assert_eq!(got, [events[0], events[2]]);
+        let stats = src.stats();
+        assert_eq!((stats.skipped_corrupt, stats.lost_events, stats.clean_end), (1, 1, true));
+
+        let mut src = FileSource::new(&bytes[..], &ident(), true).unwrap();
+        assert_eq!(src.next_event().unwrap(), Some(events[0]));
+        match src.next_event() {
+            Err(TransportError::Corrupt { frame: 1, detail }) => {
+                assert_eq!(detail, "malformed events");
+            }
+            other => panic!("strict mode took a round past u32: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tcp_source_treats_a_round_past_u32_as_a_poisoned_connection() {
+        let events = three_events();
+        let chain = tcp_chain(&ident());
+        for strict in [false, true] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = {
+                let events = events.clone();
+                std::thread::spawn(move || {
+                    // The first session sends one good frame, then the bad
+                    // one; a lenient receiver comes back for the rest.
+                    let (mut s, _) = listener.accept().unwrap();
+                    s.write_all(&encode_hello(&ident(), 3)).unwrap();
+                    s.read_exact(&mut [0u8; PRELUDE_LEN]).unwrap();
+                    let mut out = Vec::new();
+                    encode_frame(
+                        &mut out,
+                        &Frame::Events { seq: 0, events: vec![events[0]] },
+                        chain,
+                    );
+                    out.extend_from_slice(&frame_with_round(1, u64::from(u32::MAX) + 1, chain));
+                    s.write_all(&out).unwrap();
+                    drop(s);
+                    if !strict {
+                        let (mut s, _) = listener.accept().unwrap();
+                        serve_connection(&mut s, &events, &FeedConfig::new(ident())).unwrap();
+                    }
+                })
+            };
+            let mut cfg = TcpConfig::new(ident());
+            cfg.read_timeout = Duration::from_millis(200);
+            cfg.strict = strict;
+            let mut client = TcpEventSource::dial(addr.to_string(), cfg);
+            let mut got = Vec::new();
+            let end = loop {
+                match client.next_event() {
+                    Ok(Some(ev)) => got.push(ev),
+                    other => break other,
+                }
+            };
+            server.join().unwrap();
+            let stats = client.stats();
+            assert_eq!(stats.skipped_corrupt, 1, "strict {strict}");
+            if strict {
+                assert_eq!(got, [events[0]]);
+                assert!(matches!(end, Err(TransportError::Corrupt { .. })), "{end:?}");
+            } else {
+                assert!(matches!(end, Ok(None)), "{end:?}");
+                assert_eq!(got, events);
+                assert_eq!((stats.reconnects, stats.clean_end), (1, true));
+            }
+        }
     }
 
     #[test]

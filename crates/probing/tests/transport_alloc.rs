@@ -28,7 +28,7 @@ fn events() -> Vec<RoundEvent> {
     (0..(FRAMES * FRAME_EVENTS) as u64)
         .map(|i| match i % 100 {
             99 => RoundEvent::Finish { block_id: i % 16, outages: 1, total_probes: i },
-            _ => RoundEvent::Round { block_id: i % 16, round: i / 16, a_short: 0.5 },
+            _ => RoundEvent::Round { block_id: i % 16, round: (i / 16) as u32, a_short: 0.5 },
         })
         .collect()
 }

@@ -20,10 +20,17 @@ fn ident() -> RunIdentity {
     RunIdentity { world_seed: 0x5EED, num_blocks: 9, rounds: 64, start_time: 7_200 }
 }
 
-/// A deterministic mixed feed: rounds for a few blocks, finishes last.
-fn mk_events(n: usize) -> Vec<RoundEvent> {
+/// A mixed feed: rounds for a few blocks, finishes last. The rounds run
+/// from `base` and wrap, so a drawn `base` reaches any part of the `u32`
+/// range, and the first four rounds are always its edges.
+fn mk_events(n: usize, base: u32) -> Vec<RoundEvent> {
+    const EDGES: [u32; 4] = [0, 1, u32::MAX - 1, u32::MAX];
     let mut out: Vec<RoundEvent> = (0..n as u64)
-        .map(|i| RoundEvent::Round { block_id: i % 9, round: i / 9, a_short: (i as f64) / 97.0 })
+        .map(|i| {
+            let k = (i / 9) as usize;
+            let round = EDGES.get(k).copied().unwrap_or(base.wrapping_add(k as u32));
+            RoundEvent::Round { block_id: i % 9, round, a_short: (i as f64) / 97.0 }
+        })
         .collect();
     for b in 0..3u64 {
         out.push(RoundEvent::Finish { block_id: b, outages: b as u32, total_probes: 11 * b });
@@ -104,9 +111,25 @@ proptest! {
 
     /// Every single-byte corruption of the handshake prelude is refused
     /// before any event is decoded.
+    /// A feed round-trips exactly through the file reader, rounds at both
+    /// ends of the `u32` range included.
+    #[test]
+    fn feed_round_trips_over_the_whole_round_range(
+        n in 0usize..200,
+        frame_events in 1usize..24,
+        base in any::<u32>(),
+    ) {
+        let events = mk_events(n, base);
+        let bytes = feed_bytes(&events, frame_events);
+        let (got, stats, err) = drain(FileSource::new(&bytes[..], &ident(), true).expect("handshake"));
+        prop_assert!(err.is_none(), "strict mode refused a clean feed: {err:?}");
+        prop_assert!(stats.clean_end);
+        prop_assert_eq!(got, events);
+    }
+
     #[test]
     fn every_hello_flip_is_refused(pos in 0usize..PRELUDE_LEN, mask in 1u8..=255) {
-        let mut bytes = feed_bytes(&mk_events(40), 8);
+        let mut bytes = feed_bytes(&mk_events(40, 0), 8);
         bytes[pos] ^= mask;
         let id = ident();
         prop_assert!(
@@ -124,8 +147,9 @@ proptest! {
         frame_events in 1usize..24,
         pick in any::<u64>(),
         mask in 1u8..=255,
+        base in any::<u32>(),
     ) {
-        let events = mk_events(n);
+        let events = mk_events(n, base);
         let clean = feed_bytes(&events, frame_events);
         let pos = PRELUDE_LEN + (pick as usize) % (clean.len() - PRELUDE_LEN);
         let mut bytes = clean;
@@ -158,8 +182,9 @@ proptest! {
         n in 1usize..160,
         frame_events in 1usize..24,
         pick in any::<u64>(),
+        base in any::<u32>(),
     ) {
-        let events = mk_events(n);
+        let events = mk_events(n, base);
         let clean = feed_bytes(&events, frame_events);
         let cut = PRELUDE_LEN + (pick as usize) % (clean.len() - PRELUDE_LEN + 1);
         let bytes = &clean[..cut];
@@ -188,8 +213,9 @@ proptest! {
         n in 24usize..200,
         frame_events in 1usize..16,
         pick in any::<u64>(),
+        base in any::<u32>(),
     ) {
-        let events = mk_events(n);
+        let events = mk_events(n, base);
         let id = ident();
         let hello = {
             let mut bytes = feed_bytes(&[], frame_events);

@@ -13,11 +13,12 @@ use sleepwatch_core::serve::{serve_streams, LruOutcome};
 use sleepwatch_core::{
     analyze_block, analyze_world, analyze_world_resumable, dataset_rows, decode_dataset,
     encode_dataset, feed_identity, ingest_source, ingest_world, world_feed, AnalysisConfig,
-    DatasetMode, IngestConfig, ServeState,
+    DatasetMode, IngestConfig, ServeState, WorldFeed,
 };
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::transport::{
-    serve_feed, BackoffConfig, Endpoint, FeedConfig, TcpConfig, TcpEventSource,
+    serve_feed, write_feed, BackoffConfig, Endpoint, FeedConfig, FeedEvents, TcpConfig,
+    TcpEventSource,
 };
 use sleepwatch_probing::{FaultPlan, TrinocularProber};
 use sleepwatch_simnet::{World, WorldConfig, WorldSource};
@@ -506,6 +507,55 @@ fn lane_gauges_match_the_feed_and_hold_eight_bytes_per_round() {
                 s.lane_bytes,
                 s.open_lanes,
                 cfg.rounds
+            );
+        }
+    });
+}
+
+/// A self-generated feed probes each chunk of 256 blocks once per pass
+/// over it: `world_feed` once; a counted `WorldFeed` written to a file
+/// twice, once to count it and once to send it; and a `RESUME(s)` — the
+/// runs a feed server sends from `s` — only the chunk holding `s` and the
+/// chunks after it.
+#[test]
+fn feed_chunks_count_each_pass_over_the_world() {
+    let _g = lock();
+    with_metrics(|| {
+        let wcfg = WorldConfig { num_blocks: 600, seed: 21, span_days: 1.0, ..Default::default() };
+        let cfg = AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days);
+        let source = WorldSource::new(wcfg);
+        let icfg = IngestConfig::default();
+        let (blocks, chunks) = (source.len() as u64, source.len().div_ceil(256) as u64);
+
+        let ((events, _), d) = measure(|| world_feed(&source, &cfg, &icfg));
+        assert_eq!(d.counter("ingest.feed_chunks"), chunks);
+
+        let identity = feed_identity(&source, &cfg);
+        let (feed, d) = measure(|| {
+            let feed = WorldFeed::new(&source, &cfg, &icfg);
+            write_feed(&mut std::io::sink(), &feed, &identity, 256).expect("write into a sink");
+            feed
+        });
+        assert_eq!(d.counter("ingest.feed_chunks"), 2 * chunks);
+        assert_eq!(d.counter("simnet.blocks_generated"), 2 * blocks);
+
+        for chunk in 0..chunks {
+            let first_block = 256 * chunk;
+            let from = events.iter().filter(|ev| ev.block_id() < first_block).count() as u64 + 1;
+            let (sent, d) = measure(|| {
+                let mut sent = 0;
+                let runs = feed.runs_from(from, 256, |run| {
+                    sent += run.len() as u64;
+                    Ok::<(), ()>(())
+                });
+                runs.map(|()| sent)
+            });
+            assert_eq!(sent, Ok(feed.total() - from), "RESUME({from})");
+            assert_eq!(d.counter("ingest.feed_chunks"), chunks - chunk, "RESUME({from})");
+            assert_eq!(
+                d.counter("simnet.blocks_generated"),
+                blocks - first_block,
+                "RESUME({from})"
             );
         }
     });

@@ -46,14 +46,14 @@ use sleepwatch::core::binfmt::DATASET_MAGIC;
 use sleepwatch::core::framing::sniff_magic;
 use sleepwatch::core::{
     analyze_block, analyze_world, decode_dataset, estimate_size, feed_identity, ingest_source,
-    ingest_source_resumable, ingest_world, ingest_world_resumable, read_dataset, world_feed,
+    ingest_source_resumable, ingest_world, ingest_world_resumable, read_dataset,
     write_dataset_bin_file, write_dataset_file, write_dataset_rows, AnalysisConfig, IngestConfig,
-    TransportOutcome,
+    TransportOutcome, WorldFeed,
 };
 use sleepwatch::geoecon::country::COUNTRIES;
 use sleepwatch::probing::transport::{
-    serve_feed, write_feed, BackoffConfig, Endpoint, EventSource, FeedConfig, FileSource,
-    TcpConfig, TcpEventSource, TransportError,
+    serve_feed, write_feed, BackoffConfig, Endpoint, EventSource, FeedConfig, FeedEvents,
+    FileSource, TcpConfig, TcpEventSource, TransportError,
 };
 use sleepwatch::simnet::{
     BlockProfile, BlockSpec, World, WorldConfig, WorldSource, A12W_START, ROUND_SECONDS,
@@ -660,10 +660,11 @@ fn print_ingest_summary(a: &Args, out: &sleepwatch::core::IngestOutcome, secs: f
     }
 }
 
-/// `sleepwatch feed`: materializes a world's interleaved round stream
-/// once and serves it over the `SLPWFEED` wire — to a file, to a dialing
-/// consumer (`--listen`), or by dialing a listening consumer
-/// (`--connect`).
+/// `sleepwatch feed`: serves a world's interleaved round stream over the
+/// `SLPWFEED` wire — to a file, to a dialing consumer (`--listen`), or by
+/// dialing a listening consumer (`--connect`). The world is probed once to
+/// count its events, then again a chunk at a time as it is sent, so memory
+/// stays at one chunk whatever the world's size.
 fn cmd_feed(a: &Args) -> ExitCode {
     let source = WorldSource::new(a.world_config());
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, a.days);
@@ -677,18 +678,18 @@ fn cmd_feed(a: &Args) -> ExitCode {
         eprintln!("sleepwatch: feed needs exactly one of --listen, --connect or --to-file");
         return ExitCode::FAILURE;
     }
-    eprintln!("materializing feed: {} blocks over {} days…", a.blocks, a.days);
-    let (events, quarantined) = world_feed(&source, &cfg, &icfg);
-    if !quarantined.is_empty() {
-        eprintln!("note: {} blocks quarantined at probe time", quarantined.len());
+    eprintln!("counting feed: {} blocks over {} days…", a.blocks, a.days);
+    let feed = WorldFeed::new(&source, &cfg, &icfg);
+    if !feed.quarantined().is_empty() {
+        eprintln!("note: {} blocks quarantined at probe time", feed.quarantined().len());
     }
     let fcfg = FeedConfig::new(identity);
     if let Some(path) = &a.to_file {
         let write = std::fs::File::create(path)
-            .and_then(|mut f| write_feed(&mut f, &events, &identity, fcfg.frame_events));
+            .and_then(|mut f| write_feed(&mut f, &feed, &identity, fcfg.frame_events));
         return match write {
             Ok(()) => {
-                outln!("{} events written to {path}", events.len());
+                outln!("{} events written to {path}", feed.total());
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -712,7 +713,7 @@ fn cmd_feed(a: &Args) -> ExitCode {
         Endpoint::Dial(a.connect.clone().expect("checked above"))
     };
     let stop = std::sync::atomic::AtomicBool::new(false);
-    match serve_feed(&endpoint, &events, &fcfg, &a.backoff(), &stop) {
+    match serve_feed(&endpoint, &feed, &fcfg, &a.backoff(), &stop) {
         Ok(served) => {
             outln!("feed delivered over {served} connection(s)");
             ExitCode::SUCCESS

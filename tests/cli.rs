@@ -163,6 +163,33 @@ fn sleepwatch_feed_file_round_trips_into_ingest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `feed --to-file` writes the bytes it wrote when it held the whole feed
+/// in memory, pinned as length and FNV-1a digest: one chunk of blocks, and
+/// two.
+#[test]
+fn sleepwatch_feed_file_bytes_match_the_pinned_digest() {
+    let dir = std::env::temp_dir().join(format!("swtest-cli-feed-pin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    for (blocks, days, pin) in [
+        ("64", "3", (632_304, 11_931_760_646_491_472_136)),
+        ("300", "2", (1_977_870, 12_294_719_132_169_214_719)),
+    ] {
+        let path = dir.join(format!("{blocks}.feed"));
+        let Some(mut cmd) = bin("sleepwatch") else { return };
+        let world = ["--blocks", blocks, "--days", days, "--seed", "7"];
+        let out = cmd.args(["feed", "--to-file"]).arg(&path).args(world).output().expect("spawn");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let bytes = std::fs::read(&path).expect("feed written");
+        assert_eq!((bytes.len(), fnv1a(&bytes)), pin, "{blocks} blocks over {days} days");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `sleepwatch <command> <args>` exits 2 with the single stderr line
 /// `sleepwatch: <args[0]>: …`.
 fn assert_flag_refused(command: &str, args: &[&str]) {
