@@ -161,6 +161,12 @@ impl BlockScratch {
         (&self.series, &mut self.spectrum)
     }
 
+    /// The spectrum workspace alone: a shard borrows it for its live
+    /// detectors' transforms while the arena holds no block.
+    pub(crate) fn spectrum_mut(&mut self) -> &mut SpectrumScratch {
+        &mut self.spectrum
+    }
+
     /// Counts one classified block as a reuse or a growth of this arena:
     /// the whole block (probe buffers, series, spectrum) either fit what
     /// was reserved at `footprint_before` or grew it.
@@ -241,14 +247,14 @@ pub(crate) fn probe_clean_into(
     ProbedBlock { outages, total_probes, fill_fraction: scratch.clean_stage(cfg) }
 }
 
-/// Stages Estimate → Clean → Fft for observations collected elsewhere —
-/// the streaming ingest path. Byte-for-byte the same code the batch
-/// pipeline runs after probing (the tail of [`probe_clean_into`] plus the
-/// FFT phase of `analyze_block_into`), so a shard finalizing a block's
-/// event stream lands in exactly the scratch state the batch pipeline
-/// reaches before [`classify_probed`]. The `(round, Âs)` pairs are written
-/// straight into the arena's observation buffer.
-pub(crate) fn clean_fft_observations(
+/// Stages Estimate → Clean for observations collected elsewhere — the
+/// streaming ingest path's first phase. Byte-for-byte the tail of
+/// [`probe_clean_into`], so a shard finalizing a block's event stream
+/// lands in exactly the scratch state the batch pipeline reaches before
+/// its FFT phase. The `(round, Âs)` pairs are written straight into the
+/// arena's observation buffer. Returns the fraction of samples
+/// interpolated.
+pub(crate) fn clean_observations_into(
     observations: impl Iterator<Item = (u64, f64)>,
     cfg: &AnalysisConfig,
     scratch: &mut BlockScratch,
@@ -259,9 +265,7 @@ pub(crate) fn clean_fft_observations(
         scratch.observations.clear();
         scratch.observations.extend(observations);
     }
-    let fill_fraction = scratch.clean_stage(cfg);
-    scratch.fft_stage();
-    fill_fraction
+    scratch.clean_stage(cfg)
 }
 
 /// Stage Classify plus summary assembly. Expects `scratch.spectrum` to

@@ -25,38 +25,51 @@
 //!   arrival order plus a run list that is one entry unless rounds broke
 //!   sequence: 8 B per round. Its [`OnlineDetector`] — the bounded-window
 //!   monitoring verdict, available mid-stream — reads its window in place
-//!   as the tail of those values. Finished lanes' buffers go back to the
-//!   shard's free list, so the steady state opens lanes without allocating.
-//! * **Exact finalization.** When a block's stream ends, the shard runs
-//!   the *identical* code the batch pipeline runs — clean, FFT, classify,
-//!   geo join — over the observations it accumulated, so the final
-//!   verdict agrees with [`crate::analyze_block`] exactly: same class,
-//!   same phase, same summary, under every fault preset and any shard
-//!   count. The world-scale differential oracle in
-//!   `testkit/tests/ingest_oracle.rs` pins this.
+//!   as the tail of those values and defers a verdict that falls due
+//!   until the next one, or the lane's finish. Finished lanes' buffers go
+//!   back to the shard's free list, so the steady state opens lanes
+//!   without allocating.
+//! * **Grouped, exact finalization.** A finished block waits in its
+//!   shard's group, which flushes when it holds [`MAX_BATCH_LANES`]
+//!   blocks, when the shard's queue is empty (rather than sleep on it),
+//!   and when the stream ends. A flush settles the lanes' last live
+//!   verdicts — one batched transform over the windows that pass the
+//!   screen — and then runs the blocks through the world run's batched
+//!   phases (`worldrun::run_batch`: clean, batched FFT, classify, geo
+//!   join) over the observations the lanes accumulated, in one arena of
+//!   the world worker's shape. The final verdict agrees with
+//!   [`crate::analyze_block`] exactly: same class, same phase, same
+//!   summary, under every fault preset and any shard count. The
+//!   world-scale differential oracle in `testkit/tests/ingest_oracle.rs`
+//!   pins this.
 //! * **Checkpointing.** Completed blocks go through the same checkpoint
 //!   policy into the same v2 journal as the batch path
-//!   ([`crate::journal`]); a killed ingest resumes by replaying finished
-//!   blocks and re-streaming unfinished ones, healing to the same verdict
-//!   set.
+//!   ([`crate::journal`]), in finish order as their group flushes; a
+//!   killed ingest resumes by replaying finished blocks and re-streaming
+//!   unfinished ones (up to seven finished but not yet flushed per
+//!   shard among them), healing to the same verdict set.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::path::Path;
+use std::time::Instant;
 
+use sleepwatch_obs::Stage;
 use sleepwatch_probing::stream::{record_events, Interleave, RoundEvent};
 use sleepwatch_probing::transport::FeedEvents;
 use sleepwatch_probing::TrinocularProber;
 use sleepwatch_simnet::{shard_of, BlockSpec, WorldSource};
+use sleepwatch_spectral::{Complex, SpectrumScratch, MAX_BATCH_LANES};
 
 use crate::framing::RunIdentity;
 
-use crate::analyze::{clean_fft_observations, AnalysisConfig, BlockScratch, ProbedBlock};
+use crate::analyze::{clean_observations_into, AnalysisConfig, ProbedBlock};
 use crate::journal::{Checkpoint, JournalError};
 use crate::streaming::{OnlineConfig, OnlineDetector};
 use crate::worldrun::{
-    finish_block, is_replayed, quarantine_on_panic, Outcome, Quarantine, Resume, WorldBlockReport,
-    CHUNK,
+    is_replayed, plan_per_member, quarantine_on_panic, run_batch, BatchArena, Outcome, Quarantine,
+    Resume, WorldBlockReport, CHUNK,
 };
 
 /// Engine shape: shard count, queue bounds, feed batching.
@@ -185,18 +198,37 @@ impl EventQueue {
         self.ready.notify_one();
     }
 
+    /// The next batch if one is queued, without waiting.
+    fn try_pop(&self) -> Option<Vec<RoundEvent>> {
+        let mut s = self.state.lock().expect("queue lock");
+        let batch = s.batches.pop_front()?;
+        s.events -= batch.len();
+        drop(s);
+        self.room.notify_one();
+        Some(batch)
+    }
+
+    /// The next batch, waiting for one while the queue is open; `None`
+    /// once it is closed and drained. A pop that had to wait for its batch
+    /// records the wait as one `ingest.queue_wait` sample.
     fn pop(&self) -> Option<Vec<RoundEvent>> {
+        let hist = sleepwatch_obs::global().pipeline.stage(Stage::IngestQueueWait);
+        let mut waited_since: Option<Option<Instant>> = None;
         let mut s = self.state.lock().expect("queue lock");
         loop {
             if let Some(batch) = s.batches.pop_front() {
                 s.events -= batch.len();
                 drop(s);
                 self.room.notify_one();
+                if let Some(t0) = waited_since.flatten() {
+                    hist.record(t0.elapsed().as_secs_f64() * 1e6);
+                }
                 return Some(batch);
             }
             if s.closed {
                 return None;
             }
+            waited_since.get_or_insert_with(|| hist.enabled().then(Instant::now));
             s = self.ready.wait(s).expect("queue lock");
         }
     }
@@ -314,9 +346,10 @@ impl Lane {
             + self.runs.capacity() * std::mem::size_of::<(usize, u64)>()
     }
 
-    /// Appends one round and feeds the live detector; returns the bytes
-    /// the lane grew by (0 unless a buffer was full).
-    fn push(&mut self, round: u64, a_short: f64) -> usize {
+    /// Appends one round and feeds the live detector, which settles an
+    /// earlier due verdict through `scratch` when a new one falls due;
+    /// returns the bytes the lane grew by (0 unless a buffer was full).
+    fn push(&mut self, round: u64, a_short: f64, scratch: &mut SpectrumScratch) -> usize {
         let before = self.bytes();
         let next = self
             .runs
@@ -326,7 +359,7 @@ impl Lane {
             self.runs.push((self.values.len(), round));
         }
         self.values.push(a_short);
-        self.live.push(&self.values);
+        self.live.push(&self.values, scratch);
         self.bytes() - before
     }
 
@@ -353,6 +386,15 @@ fn live_config(cfg: &AnalysisConfig) -> OnlineConfig {
     }
 }
 
+/// A block whose `Finish` arrived, waiting for its group to flush: its
+/// lane (`None` when no round came before the finish) and its run totals.
+struct Finished {
+    block_id: u64,
+    lane: Option<Lane>,
+    outages: u32,
+    total_probes: u64,
+}
+
 /// Per-shard processing state, shared by the threaded worker and the
 /// queue-less direct path so both run byte-identical per-event logic.
 struct ShardState<'a> {
@@ -360,9 +402,13 @@ struct ShardState<'a> {
     cfg: &'a AnalysisConfig,
     live_cfg: OnlineConfig,
     lanes: HashMap<u64, Lane>,
+    /// Finished blocks not yet flushed, in finish order.
+    finished: Vec<Finished>,
+    /// The flushing group's specs, aligned with `finished`.
+    specs: Vec<BlockSpec>,
     /// Finished lanes' buffers, cleared, for the next blocks to open.
     spare: Vec<(Vec<f64>, Runs)>,
-    scratch: BlockScratch,
+    arena: BatchArena,
     rounds: u64,
     live_strict: u64,
     live_classifications: u64,
@@ -378,8 +424,10 @@ impl<'a> ShardState<'a> {
             cfg,
             live_cfg,
             lanes: HashMap::new(),
+            finished: Vec::with_capacity(MAX_BATCH_LANES),
+            specs: Vec::with_capacity(MAX_BATCH_LANES),
             spare: Vec::new(),
-            scratch: BlockScratch::new(),
+            arena: BatchArena::new(),
             rounds: 0,
             live_strict: 0,
             live_classifications: 0,
@@ -389,7 +437,8 @@ impl<'a> ShardState<'a> {
         }
     }
 
-    /// Applies one event; `emit` receives each finalized block.
+    /// Applies one event; `emit` receives each finalized block, in finish
+    /// order, when its group flushes.
     fn apply(&mut self, ev: RoundEvent, emit: &mut impl FnMut(Outcome)) {
         match ev {
             RoundEvent::Round { block_id, round, a_short } => {
@@ -408,42 +457,111 @@ impl<'a> ShardState<'a> {
                         slot.insert(lane)
                     }
                 };
-                self.lane_bytes += lane.push(u64::from(round), a_short);
+                // Between flushes the arena holds no block, so its first
+                // lane's spectrum workspace serves inline live verdicts.
+                let live_scratch = self.arena.lanes[0].spectrum_mut();
+                self.lane_bytes += lane.push(u64::from(round), a_short, live_scratch);
                 self.peak_lane_bytes = self.peak_lane_bytes.max(self.lane_bytes);
                 self.rounds += 1;
             }
             RoundEvent::Finish { block_id, outages, total_probes } => {
-                // A finish with no rounds before it has no lane: an empty
-                // run, and a live detector that never classified.
+                // The lane closes now; its buffers wait with it for the
+                // group to flush.
                 let lane = self.lanes.remove(&block_id);
-                if let Some(live) = lane.as_ref().map(|lane| &lane.live) {
-                    self.live_strict += u64::from(live.class().is_strict());
-                    self.live_classifications += live.classifications();
+                self.lane_bytes -= lane.as_ref().map_or(0, Lane::bytes);
+                self.finished.push(Finished { block_id, lane, outages, total_probes });
+                if self.finished.len() == MAX_BATCH_LANES {
+                    self.flush(emit);
                 }
-                let source = self.source;
-                let cfg = self.cfg;
-                let scratch = &mut self.scratch;
-                let outcome = quarantine_on_panic(cfg, block_id, || {
-                    let block = source.generate_block(block_id);
-                    let observations = lane.iter().flat_map(Lane::observations);
-                    let fill = clean_fft_observations(observations, cfg, scratch);
-                    let probed = ProbedBlock { outages, total_probes, fill_fraction: fill };
-                    finish_block(source.geodb(), &block, cfg, scratch, probed)
-                });
-                if outcome.is_err() {
-                    // The arena may hold partially written buffers —
-                    // start the next block from a fresh one.
-                    self.scratch = BlockScratch::new();
-                }
-                if let Some(lane) = lane {
-                    self.lane_bytes -= lane.bytes();
-                    let Lane { mut values, mut runs, .. } = lane;
-                    values.clear();
-                    runs.clear();
-                    self.spare.push((values, runs));
-                }
-                emit(outcome);
             }
+        }
+    }
+
+    /// Finalizes the finished blocks as one group: settles each lane's due
+    /// live verdict (one batched transform over the windows that pass the
+    /// screen) and reads the live totals, then runs the blocks through the
+    /// world run's batched phases ([`run_batch`]), which emit them in
+    /// finish order. The group's wall time, split evenly, is one
+    /// `ingest.finalize` sample per report.
+    fn flush(&mut self, emit: &mut impl FnMut(Outcome)) {
+        let lanes = self.finished.len();
+        if lanes == 0 {
+            return;
+        }
+        let hist = sleepwatch_obs::global().pipeline.stage(Stage::IngestFinalize);
+        let start = hist.enabled().then(Instant::now);
+        self.settle_live();
+        let (source, cfg) = (self.source, self.cfg);
+        source.generate_into(self.finished.iter().map(|f| f.block_id), &mut self.specs);
+        let (finished, specs) = (&self.finished, &self.specs);
+        let mut reports = 0usize;
+        run_batch(
+            lanes,
+            |l| &specs[l],
+            |l, scratch| {
+                let f = &finished[l];
+                let observations = f.lane.iter().flat_map(Lane::observations);
+                let fill_fraction = clean_observations_into(observations, cfg, scratch);
+                ProbedBlock { outages: f.outages, total_probes: f.total_probes, fill_fraction }
+            },
+            source.geodb(),
+            cfg,
+            &mut self.arena,
+            &mut |_, outcome| {
+                reports += usize::from(outcome.is_ok());
+                emit(outcome);
+            },
+        );
+        if let Some(t0) = start {
+            let per_report = t0.elapsed().as_secs_f64() * 1e6 / reports.max(1) as f64;
+            for _ in 0..reports {
+                hist.record(per_report);
+            }
+        }
+        for lane in self.finished.drain(..).filter_map(|f| f.lane) {
+            let Lane { mut values, mut runs, .. } = lane;
+            values.clear();
+            runs.clear();
+            self.spare.push((values, runs));
+        }
+    }
+
+    /// Settles the due live verdicts of the finished lanes — screened one
+    /// by one, the windows that pass transformed in one batch into the
+    /// arena's spectrum workspaces — and adds the lanes' live verdicts to
+    /// the shard's totals.
+    fn settle_live(&mut self) {
+        let mut windows: [(usize, Range<usize>); MAX_BATCH_LANES] = Default::default();
+        let mut passed = 0;
+        for (l, f) in self.finished.iter_mut().enumerate() {
+            if let Some(lane) = &mut f.lane {
+                if let Some(window) = lane.live.screen_due(&lane.values) {
+                    windows[passed] = (l, window);
+                    passed += 1;
+                }
+            }
+        }
+        if passed > 0 {
+            let len = self.live_cfg.window_rounds;
+            let plan = plan_per_member(len, passed);
+            let mut ins: [&[f64]; MAX_BATCH_LANES] = [&[]; MAX_BATCH_LANES];
+            let mut outs: [&mut [Complex]; MAX_BATCH_LANES] = Default::default();
+            for ((k, (l, window)), scratch) in
+                windows[..passed].iter().enumerate().zip(&mut self.arena.lanes)
+            {
+                let values = &self.finished[*l].lane.as_ref().expect("a screened lane").values;
+                ins[k] = &values[window.clone()];
+                outs[k] = scratch.spectrum_mut().prepare_coeffs(len, self.live_cfg.sample_period);
+            }
+            plan.real_batch_with_scratch(&ins[..passed], &mut outs[..passed], &mut self.arena.fft);
+            for ((l, _), scratch) in windows[..passed].iter().zip(&mut self.arena.lanes) {
+                let lane = self.finished[*l].lane.as_mut().expect("a screened lane");
+                lane.live.classify_due(scratch.spectrum_mut().spectrum());
+            }
+        }
+        for live in self.finished.iter().filter_map(|f| f.lane.as_ref()).map(|lane| &lane.live) {
+            self.live_strict += u64::from(live.class().is_strict());
+            self.live_classifications += live.classifications();
         }
     }
 }
@@ -457,9 +575,11 @@ impl IngestOutcome {
         }
     }
 
-    /// Folds in a shard whose stream has ended: the rounds it consumed,
-    /// its live-detector totals, its lane peaks, and the lanes still open.
+    /// Folds in a shard whose stream has ended and whose last group has
+    /// flushed: the rounds it consumed, its live-detector totals, its lane
+    /// peaks, and the lanes still open.
     fn retire(&mut self, state: ShardState<'_>) {
+        debug_assert!(state.finished.is_empty(), "retired with a group unflushed");
         self.stats.rounds_routed += state.rounds;
         self.stats.live_strict += state.live_strict;
         self.stats.live_classifications += state.live_classifications;
@@ -512,11 +632,7 @@ fn run_engine(
             s.spawn(move |_| {
                 let mut state = ShardState::new(source, cfg, live_cfg);
                 let mut done: Vec<Outcome> = Vec::new();
-                while let Some(batch) = q.pop() {
-                    for &ev in &batch {
-                        state.apply(ev, &mut |outcome| done.push(outcome));
-                    }
-                    pool.recycle(batch);
+                let publish = |done: &mut Vec<Outcome>| {
                     if !done.is_empty() {
                         let (out, checkpoint) = &mut *shared.lock();
                         for outcome in done.drain(..) {
@@ -526,6 +642,26 @@ fn run_engine(
                             out.absorb(outcome);
                         }
                     }
+                };
+                loop {
+                    let batch = match q.try_pop() {
+                        Some(batch) => batch,
+                        None => {
+                            // Nothing queued: finish the waiting group
+                            // rather than sleep on it (at stream end too).
+                            state.flush(&mut |outcome| done.push(outcome));
+                            publish(&mut done);
+                            match q.pop() {
+                                Some(batch) => batch,
+                                None => break,
+                            }
+                        }
+                    };
+                    for &ev in &batch {
+                        state.apply(ev, &mut |outcome| done.push(outcome));
+                    }
+                    pool.recycle(batch);
+                    publish(&mut done);
                 }
                 shared.lock().0.retire(state);
             });
@@ -836,6 +972,7 @@ pub fn ingest_direct(
     for ev in events {
         state.apply(ev, &mut |outcome| out.absorb(outcome));
     }
+    state.flush(&mut |outcome| out.absorb(outcome));
     out.retire(state);
     out.assemble()
 }
@@ -1017,6 +1154,58 @@ mod tests {
         assert_eq!(out.quarantined[0].block_id, 7);
         assert_eq!(out.reports.len(), 11);
         assert!(out.reports.iter().all(|r| r.summary.block_id != 7));
+    }
+
+    /// Finished blocks flush in groups of eight, when a shard's queue runs
+    /// dry and at stream end. With 1, 7, 8 and 9 finishes per shard, and a
+    /// poisoned block among them, the poisoned block quarantines alone and
+    /// every other block finalizes exactly as the batch run does.
+    #[test]
+    fn grouped_finalization_matches_batch_at_every_flush_boundary() {
+        let source = tiny_source(48);
+        let cfg = cfg_for(&source, 2.0, FaultPlan::none());
+        let world = WorldSource::new(source.cfg().clone()).into_world();
+        let streams: Vec<Vec<RoundEvent>> = world
+            .blocks
+            .iter()
+            .map(|block| {
+                let mut prober = TrinocularProber::new(block, cfg.trinocular);
+                replay_run(&prober.run_with_faults(block, cfg.start_time, cfg.rounds, &cfg.faults))
+            })
+            .collect();
+        for shards in [1usize, 2] {
+            for per_shard in [1usize, 7, 8, 9] {
+                let tag = format!("{shards} shards, {per_shard} finishes each");
+                let mut picked: Vec<u64> = (0..shards)
+                    .flat_map(|k| {
+                        let on_k = move |id: &u64| shard_of(*id, shards) == k;
+                        (0..world.blocks.len() as u64).filter(on_k).take(per_shard)
+                    })
+                    .collect();
+                picked.sort_unstable();
+                assert_eq!(picked.len(), shards * per_shard, "{tag}");
+                let poisoned = picked[picked.len() / 2];
+                let mut bad = cfg;
+                bad.faults.poison_blocks = Box::leak(vec![poisoned].into_boxed_slice());
+                let batch = analyze_world(&world, &bad, 2, None);
+                let feed =
+                    interleave(picked.iter().map(|&id| streams[id as usize].clone()).collect(), 5);
+                let icfg = IngestConfig { shards, batch_events: 7, ..Default::default() };
+                let sharded = ingest_events(&source, &bad, &icfg, feed.iter().copied());
+                let direct = ingest_direct(&source, &bad, feed.iter().copied());
+                for out in [direct, sharded] {
+                    let quarantined: Vec<u64> =
+                        out.quarantined.iter().map(|q| q.block_id).collect();
+                    assert_eq!(quarantined, [poisoned], "{tag}");
+                    assert_eq!(out.reports.len(), picked.len() - 1, "{tag}");
+                    for report in &out.reports {
+                        let id = report.summary.block_id;
+                        let want = batch.reports.iter().find(|b| b.summary.block_id == id);
+                        assert_eq!(format!("{report:?}"), format!("{:?}", want.unwrap()), "{tag}");
+                    }
+                }
+            }
+        }
     }
 
     /// Tiny queues force backpressure; the outcome is unchanged and the

@@ -9,8 +9,23 @@
 //! a full FFT. It owns no samples: the caller keeps the history (an ingest
 //! lane already holds it for the batch-identical finish) and the window is
 //! read in place as that history's tail.
+//!
+//! A verdict that falls due is *deferred*: the detector records where its
+//! window ends and computes nothing. The history is append-only, so that
+//! window reads the same values later. The pending verdict is computed
+//! first thing at the next due round, inline ([`OnlineDetector::settle`]),
+//! or by whoever owns the history when it ends — an ingest shard settles
+//! the last verdicts of up to eight finished lanes with one batched
+//! transform. Either way it is one path (screen → planned FFT → classify
+//! → hysteresis), verdicts apply in the order they fell due, and a verdict
+//! the stream ends on is computed exactly once.
 
-use sleepwatch_spectral::{classify, diurnal_energy_ratio, DiurnalClass, DiurnalConfig, Spectrum};
+use std::ops::Range;
+
+use sleepwatch_spectral::{
+    classify, diurnal_energy_ratio, plan_for, DiurnalClass, DiurnalConfig, Spectrum,
+    SpectrumScratch,
+};
 
 /// Configuration for [`OnlineDetector`].
 #[derive(Debug, Clone, Copy)]
@@ -57,6 +72,9 @@ pub struct OnlineDetector {
     class: DiurnalClass,
     phase: Option<f64>,
     pending: Option<(DiurnalClass, u32)>,
+    /// Where the window of a verdict that fell due and is not computed
+    /// yet ends, as a history length.
+    due_end: Option<usize>,
     classifications: u64,
     screens_skipped: u64,
 }
@@ -71,6 +89,7 @@ impl OnlineDetector {
             class: DiurnalClass::NonDiurnal,
             phase: None,
             pending: None,
+            due_end: None,
             classifications: 0,
             screens_skipped: 0,
             cfg,
@@ -78,33 +97,66 @@ impl OnlineDetector {
     }
 
     /// Takes one round: `history` is every `Âs` value so far, the newest
-    /// (just appended by the caller) last. Returns the current
-    /// classification; a due reclassification reads the window as the
-    /// tail of `history`, in place.
-    pub fn push(&mut self, history: &[f64]) -> DiurnalClass {
+    /// (just appended by the caller) last, and only ever appended to.
+    /// Returns the classification as of the verdicts computed so far.
+    ///
+    /// A reclassification that falls due is deferred: it settles the one
+    /// before it (through `scratch`) and records where its own window ends.
+    /// Call [`settle`](Self::settle) to compute it now.
+    pub fn push(&mut self, history: &[f64], scratch: &mut SpectrumScratch) -> DiurnalClass {
         self.rounds_seen += 1;
         self.since_classify += 1;
-        let window = self.cfg.window_rounds;
-        if history.len() >= window && self.since_classify >= self.cfg.reclassify_every {
+        if history.len() >= self.cfg.window_rounds
+            && self.since_classify >= self.cfg.reclassify_every
+        {
             self.since_classify = 0;
-            self.reclassify(&history[history.len() - window..]);
+            self.settle(history, scratch);
+            self.due_end = Some(history.len());
         }
         self.class
     }
 
-    fn reclassify(&mut self, series: &[f64]) {
-        let (raw_class, raw_phase) = if self.cfg.screen_threshold > 0.0
-            && diurnal_energy_ratio(series, self.cfg.sample_period) < self.cfg.screen_threshold
+    /// Computes the deferred verdict, if one is due, inline: its window is
+    /// screened, and a window that passes is transformed through the
+    /// cached plan into `scratch` and classified. `history` is the one
+    /// given to [`push`](Self::push), possibly longer since.
+    pub fn settle(&mut self, history: &[f64], scratch: &mut SpectrumScratch) {
+        if let Some(window) = self.screen_due(history) {
+            let window = &history[window];
+            let plan = plan_for(window.len());
+            self.classify_due(scratch.compute_with_plan(window, self.cfg.sample_period, &plan));
+        }
+    }
+
+    /// The first half of settling: screens the due verdict's window. A
+    /// window the screen rejects settles here, as non-diurnal; one that
+    /// passes is returned (as a range of `history`) for its spectrum,
+    /// which [`classify_due`](Self::classify_due) takes. `None` when no
+    /// verdict is due.
+    pub(crate) fn screen_due(&mut self, history: &[f64]) -> Option<Range<usize>> {
+        let end = self.due_end?;
+        let window = end - self.cfg.window_rounds..end;
+        if self.cfg.screen_threshold > 0.0
+            && diurnal_energy_ratio(&history[window.clone()], self.cfg.sample_period)
+                < self.cfg.screen_threshold
         {
+            self.due_end = None;
             self.screens_skipped += 1;
-            (DiurnalClass::NonDiurnal, None)
-        } else {
-            let spectrum = Spectrum::compute(series, self.cfg.sample_period);
-            let report = classify(&spectrum, &self.cfg.diurnal);
-            self.classifications += 1;
-            (report.class, report.phase)
-        };
-        self.apply_verdict(raw_class, raw_phase);
+            self.apply_verdict(DiurnalClass::NonDiurnal, None);
+            return None;
+        }
+        Some(window)
+    }
+
+    /// The second half of settling: the due verdict from the spectrum of
+    /// the window [`screen_due`](Self::screen_due) returned, sampled every
+    /// `sample_period` seconds of this detector's config.
+    pub(crate) fn classify_due(&mut self, spectrum: &Spectrum) {
+        debug_assert!(self.due_end.is_some(), "no verdict is due");
+        self.due_end = None;
+        let report = classify(spectrum, &self.cfg.diurnal);
+        self.classifications += 1;
+        self.apply_verdict(report.class, report.phase);
     }
 
     /// Applies hysteresis: a change must repeat `hysteresis` times in a row
@@ -129,7 +181,8 @@ impl OnlineDetector {
         }
     }
 
-    /// Current verdict.
+    /// The verdict as of the reclassifications computed so far (a due
+    /// one waits for [`settle`](Self::settle) or the next due round).
     pub fn class(&self) -> DiurnalClass {
         self.class
     }
@@ -149,7 +202,7 @@ impl OnlineDetector {
         self.rounds_seen
     }
 
-    /// Full FFT classifications performed (cost accounting).
+    /// Full FFT classifications computed (cost accounting).
     pub fn classifications(&self) -> u64 {
         self.classifications
     }
@@ -176,10 +229,14 @@ mod tests {
     }
 
     /// The caller's half of a push: append the newest value to the
-    /// history, then let the detector read it.
+    /// history, let the detector read it, and settle a verdict that fell
+    /// due at once.
     fn feed(det: &mut OnlineDetector, history: &mut Vec<f64>, a_short: f64) -> DiurnalClass {
+        let mut scratch = SpectrumScratch::new();
         history.push(a_short);
-        det.push(history)
+        det.push(history, &mut scratch);
+        det.settle(history, &mut scratch);
+        det.class()
     }
 
     fn small_cfg() -> OnlineConfig {
@@ -380,6 +437,119 @@ mod tests {
         // the 3rd consecutive new verdict).
         assert_eq!(classes[8 + 1], Strict, "still old class one verdict in");
         assert_eq!(classes[8 + 2], NonDiurnal, "flips on the 3rd new verdict");
+    }
+
+    /// The detector before deferral: a due verdict is computed the moment
+    /// it falls due, through the allocating, unplanned `Spectrum::compute`.
+    fn push_inline(det: &mut OnlineDetector, history: &[f64]) {
+        det.rounds_seen += 1;
+        det.since_classify += 1;
+        let window = det.cfg.window_rounds;
+        if history.len() >= window && det.since_classify >= det.cfg.reclassify_every {
+            det.since_classify = 0;
+            let series = &history[history.len() - window..];
+            if det.cfg.screen_threshold > 0.0
+                && diurnal_energy_ratio(series, det.cfg.sample_period) < det.cfg.screen_threshold
+            {
+                det.screens_skipped += 1;
+                det.apply_verdict(DiurnalClass::NonDiurnal, None);
+            } else {
+                let report =
+                    classify(&Spectrum::compute(series, det.cfg.sample_period), &det.cfg.diurnal);
+                det.classifications += 1;
+                det.apply_verdict(report.class, report.phase);
+            }
+        }
+    }
+
+    /// What a detector reports, phase as bits.
+    fn observed(det: &OnlineDetector) -> (DiurnalClass, Option<u64>, u64, u64) {
+        (det.class(), det.phase().map(f64::to_bits), det.classifications(), det.screens_skipped())
+    }
+
+    /// A deferred detector, settled after any round, reports exactly what
+    /// the inline one does after that round: same class, phase bits and
+    /// cost counters, hysteresis applied in the same order.
+    #[test]
+    fn deferred_verdicts_match_inline_ones_after_every_round() {
+        for window in [4usize, 50, 1_833] {
+            // The window spans five days, so its daily bin is in range.
+            let per_day = window as f64 / 5.0;
+            let sample_period = 86_400.0 / per_day;
+            let span = if window == 1_833 { window + 135 } else { 4 * window + 300 };
+            // Diurnal, then flat noise, then diurnal again: verdicts flip.
+            let series: Vec<f64> = (0..span)
+                .map(|r| {
+                    let noise = ((r as f64 * 12.9898).sin() * 43_758.545_3).fract() * 0.1;
+                    let diurnal = if (r as f64 / per_day).fract() < 0.4 { 0.8 } else { 0.2 };
+                    match 3 * r / span {
+                        1 => 0.5 + noise,
+                        _ => diurnal + noise,
+                    }
+                })
+                .collect();
+            for every in [1usize, 7, 65] {
+                for hysteresis in [1u32, 2, 3] {
+                    for screen_threshold in [2.0, 0.0] {
+                        let cfg = OnlineConfig {
+                            window_rounds: window,
+                            reclassify_every: every,
+                            screen_threshold,
+                            sample_period,
+                            hysteresis,
+                            ..Default::default()
+                        };
+                        let tag = format!("window {window}, every {every}, hysteresis {hysteresis}, screen {screen_threshold}");
+                        let (mut inline, mut deferred) =
+                            (OnlineDetector::new(cfg), OnlineDetector::new(cfg));
+                        let mut scratch = SpectrumScratch::new();
+                        // Settling reads only the detector's state and the
+                        // append-only history up to `due_end`, so a clone is
+                        // settled again only when that state moved.
+                        let mut settled = None;
+                        for end in 1..=span {
+                            let history = &series[..end];
+                            push_inline(&mut inline, history);
+                            deferred.push(history, &mut scratch);
+                            let state = (deferred.due_end, observed(&deferred));
+                            if settled.as_ref().map(|(s, _)| s) != Some(&state) {
+                                let mut clone = deferred.clone();
+                                clone.settle(history, &mut scratch);
+                                settled = Some((state, observed(&clone)));
+                            }
+                            let now = settled.as_ref().map(|(_, o)| *o);
+                            assert_eq!(now, Some(observed(&inline)), "{tag}, round {end}");
+                        }
+                        assert!(inline.classifications() + inline.screens_skipped() > 0, "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A due verdict is computed once: settling twice, or settling with
+    /// nothing due, changes nothing.
+    #[test]
+    fn settling_computes_a_due_verdict_once() {
+        let cfg = small_cfg();
+        let mut det = OnlineDetector::new(cfg);
+        let mut history = Vec::new();
+        let mut scratch = SpectrumScratch::new();
+        for r in 0..cfg.window_rounds {
+            history.push(diurnal_value(r));
+            det.push(&history, &mut scratch);
+        }
+        assert_eq!(
+            observed(&det),
+            (DiurnalClass::NonDiurnal, None, 0, 0),
+            "deferred, not computed"
+        );
+        det.settle(&history, &mut scratch);
+        let once = observed(&det);
+        assert_eq!(once.2, 1, "one classification");
+        assert!(once.0.is_strict());
+        det.settle(&history, &mut scratch);
+        assert_eq!(observed(&det), once);
     }
 
     #[test]

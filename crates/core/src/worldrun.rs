@@ -20,8 +20,8 @@
 //! to an append-only checkpoint file ([`crate::journal`]) so a killed
 //! process resumes where it stopped with byte-identical output — without
 //! regenerating already-journaled blocks. The streaming engine
-//! ([`crate::ingest`]) leaves through the same boundary, the same
-//! checkpoint policy and the same finishing tail (`finish_block`).
+//! ([`crate::ingest`]) finishes its blocks through the same batched phases
+//! (`run_batch`), the same boundary and the same checkpoint policy.
 
 use crate::analyze::{
     classify_probed, probe_clean_into, AnalysisConfig, BlockScratch, BlockSummary, ProbedBlock,
@@ -34,10 +34,11 @@ use sleepwatch_geoecon::region::Region;
 use sleepwatch_linktype::{BlockLabel, LinkFeature};
 use sleepwatch_obs::{Stage, StageTimer};
 use sleepwatch_simnet::{BlockSpec, PtrTemplate, World, WorldSource};
-use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, MAX_BATCH_LANES};
+use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, FftPlan, MAX_BATCH_LANES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Blocks per claimed chunk. Chunk composition is a pure function of the
 /// block index, so which worker claims a chunk never changes what is in
@@ -332,10 +333,10 @@ pub(crate) fn join_block(
     }
 }
 
-/// The finishing tail of both engines, for a block whose cleaned series
-/// and spectrum sit in `scratch`: classify (with the fill-fraction veto),
-/// summarize, and join with the external data sources.
-pub(crate) fn finish_block(
+/// The finishing tail of a batch lane whose cleaned series and spectrum
+/// sit in `scratch`: classify (with the fill-fraction veto), summarize,
+/// and join with the external data sources.
+fn finish_block(
     geodb: &GeoDatabase,
     block: &BlockSpec,
     cfg: &AnalysisConfig,
@@ -451,14 +452,11 @@ fn run_world<S: Sink>(
             let (next, done, sink, checkpoint, skip, feed) =
                 (&next, &done, &sink, &checkpoint, &skip, &feed);
             s.spawn(move |_| {
-                // Worker arenas: one scratch per batch lane plus the
-                // lane-interleaved FFT workspace and (for lazy feeds)
-                // the chunk's spec buffer. All grow-only — after
-                // warm-up a chunk runs without allocating.
+                // Worker arenas: the batch arena and (for lazy feeds) the
+                // chunk's spec buffer. All grow-only — after warm-up a
+                // chunk runs without allocating.
                 let mut local: Vec<(usize, Outcome)> = Vec::with_capacity(CHUNK);
-                let mut scratches: Vec<BlockScratch> =
-                    (0..MAX_BATCH_LANES).map(|_| BlockScratch::new()).collect();
-                let mut batch_scratch = BatchRealScratch::new();
+                let mut arena = BatchArena::new();
                 let mut gen_buf: Vec<BlockSpec> = Vec::new();
                 let mut work: Vec<usize> = Vec::with_capacity(CHUNK);
                 let mut blocks_done = 0u64;
@@ -489,8 +487,7 @@ fn run_world<S: Sink>(
                         &work,
                         feed.geodb(),
                         cfg,
-                        &mut scratches,
-                        &mut batch_scratch,
+                        &mut arena,
                         // Each outcome joins the worker's batch and
                         // advances the shared done counter.
                         &mut |i, outcome| {
@@ -513,9 +510,8 @@ fn run_world<S: Sink>(
                     flush_batch(&mut local, sink, checkpoint);
                 }
                 obs.world.worker_blocks.add(worker, blocks_done);
-                let arena: usize = scratches.iter().map(|s| s.footprint_bytes()).sum::<usize>()
-                    + batch_scratch.footprint_bytes()
-                    + gen_buf.capacity() * std::mem::size_of::<BlockSpec>();
+                let arena =
+                    arena.footprint_bytes() + gen_buf.capacity() * std::mem::size_of::<BlockSpec>();
                 obs.world.peak_block_bytes.raise(arena as u64);
             });
         }
@@ -538,140 +534,195 @@ fn run_world<S: Sink>(
     out
 }
 
-/// Chunk execution: probe/clean up to [`MAX_BATCH_LANES`]
-/// blocks into per-lane arenas, FFT same-length series together through
-/// the lane-interleaved kernel, then classify and join each lane. Every
-/// phase runs each block inside [`quarantine_on_panic`] so one poisoned
-/// block quarantines alone, never its batch-mates.
+/// Chunk execution: the chunk's blocks through [`run_batch`],
+/// [`MAX_BATCH_LANES`] at a time, each lane filled by probing its block.
 fn run_chunk_batched(
     view: &ChunkView<'_>,
     work: &[usize],
     geodb: &GeoDatabase,
     cfg: &AnalysisConfig,
-    scratches: &mut [BlockScratch],
-    batch_scratch: &mut BatchRealScratch,
+    arena: &mut BatchArena,
+    emit: &mut dyn FnMut(usize, Outcome),
+) {
+    let m = work.len();
+    for mb in (0..m).step_by(MAX_BATCH_LANES) {
+        let lanes = (m - mb).min(MAX_BATCH_LANES);
+        run_batch(
+            lanes,
+            |l| view.get(mb + l),
+            |l, scratch| probe_clean_into(view.get(mb + l), cfg, scratch),
+            geodb,
+            cfg,
+            arena,
+            &mut |l, outcome| emit(work[mb + l], outcome),
+        );
+    }
+}
+
+/// The arena a batch runs in: one [`BlockScratch`] per lane plus the
+/// lane-interleaved FFT workspace. Grow-only; after warm-up a batch runs
+/// without allocating. A world worker and an ingest shard each own one.
+pub(crate) struct BatchArena {
+    pub(crate) lanes: Vec<BlockScratch>,
+    pub(crate) fft: BatchRealScratch,
+}
+
+impl BatchArena {
+    pub(crate) fn new() -> BatchArena {
+        BatchArena {
+            lanes: (0..MAX_BATCH_LANES).map(|_| BlockScratch::new()).collect(),
+            fft: BatchRealScratch::new(),
+        }
+    }
+
+    /// Bytes reserved across every buffer, capacity not length.
+    fn footprint_bytes(&self) -> usize {
+        self.lanes.iter().map(BlockScratch::footprint_bytes).sum::<usize>()
+            + self.fft.footprint_bytes()
+    }
+}
+
+/// Finishes up to [`MAX_BATCH_LANES`] blocks together, the one way both
+/// engines turn blocks into reports:
+///
+/// 1. `fill` leaves lane `l`'s cleaned series in its scratch — the world
+///    run probes `block_of(l)`, an ingest shard writes the observations it
+///    streamed for it;
+/// 2. surviving lanes are grouped by cleaned length and each group takes
+///    one batched real FFT (bit-identical to the scalar kernel);
+/// 3. each lane is classified and joined, and `emit` receives it in lane
+///    order.
+///
+/// Every phase runs each block inside [`quarantine_on_panic`], and a
+/// batch transform that panics is redone lane by lane through the scalar
+/// kernel, so one poisoned block quarantines alone, never its batch-mates.
+pub(crate) fn run_batch<'b>(
+    lanes: usize,
+    block_of: impl Fn(usize) -> &'b BlockSpec,
+    mut fill: impl FnMut(usize, &mut BlockScratch) -> ProbedBlock,
+    geodb: &GeoDatabase,
+    cfg: &AnalysisConfig,
+    arena: &mut BatchArena,
     emit: &mut dyn FnMut(usize, Outcome),
 ) {
     let obs = sleepwatch_obs::global();
     let track = obs.pipeline.scratch_reuses.enabled();
-    let m = work.len();
-    for mb in (0..m).step_by(MAX_BATCH_LANES) {
-        let lanes = (m - mb).min(MAX_BATCH_LANES);
-        let mut probed: [Option<ProbedBlock>; MAX_BATCH_LANES] = [None; MAX_BATCH_LANES];
-        let mut quarantined: [Option<Quarantine>; MAX_BATCH_LANES] = Default::default();
-        let mut fp_before = [0usize; MAX_BATCH_LANES];
+    let scratches = &mut arena.lanes;
+    let mut probed: [Option<ProbedBlock>; MAX_BATCH_LANES] = [None; MAX_BATCH_LANES];
+    let mut quarantined: [Option<Quarantine>; MAX_BATCH_LANES] = Default::default();
+    let mut fp_before = [0usize; MAX_BATCH_LANES];
 
-        // Phase 1: probe → estimate → clean, one lane per block.
-        for l in 0..lanes {
-            let block = view.get(mb + l);
-            if track {
-                fp_before[l] = scratches[l].footprint_bytes();
-            }
-            let scr = &mut scratches[l];
-            match quarantine_on_panic(cfg, block.id, || probe_clean_into(block, cfg, scr)) {
-                Ok(p) => probed[l] = Some(p),
-                Err(q) => quarantined[l] = Some(q),
-            }
+    // Phase 1: fill each lane with its block's cleaned series.
+    for l in 0..lanes {
+        if track {
+            fp_before[l] = scratches[l].footprint_bytes();
         }
-
-        // Phase 2: group surviving lanes by cleaned-series length (fixed
-        // stack tables — lanes ≤ MAX_BATCH_LANES) and FFT each group in
-        // one batched pass.
-        let mut glen = [0usize; MAX_BATCH_LANES];
-        let mut gmem = [[0usize; MAX_BATCH_LANES]; MAX_BATCH_LANES];
-        let mut gcnt = [0usize; MAX_BATCH_LANES];
-        let mut ngroups = 0usize;
-        for l in 0..lanes {
-            if probed[l].is_none() {
-                continue;
-            }
-            let len = scratches[l].series_len();
-            let gi = match (0..ngroups).find(|&g| glen[g] == len) {
-                Some(g) => g,
-                None => {
-                    glen[ngroups] = len;
-                    ngroups += 1;
-                    ngroups - 1
-                }
-            };
-            gmem[gi][gcnt[gi]] = l;
-            gcnt[gi] += 1;
-        }
-        for g in 0..ngroups {
-            let len = glen[g];
-            let members = &gmem[g][..gcnt[g]];
-            // One counted cache lookup per member: the batched kernel
-            // records one transform per lane, and the metrics suite pins
-            // `plan_cache.hits + misses == fft.transforms`.
-            let mut plan = plan_for(len);
-            for _ in 1..members.len() {
-                plan = plan_for(len);
-            }
-            let hist = obs.pipeline.stage(Stage::Fft);
-            let timed = hist.enabled();
-            let start = timed.then(std::time::Instant::now);
-            let batch_ok = catch_unwind(AssertUnwindSafe(|| {
-                // Fixed lane tables (members are ascending and unique), so
-                // a group allocates nothing.
-                let mut ins: [&[f64]; MAX_BATCH_LANES] = [&[]; MAX_BATCH_LANES];
-                let mut outs: [&mut [Complex]; MAX_BATCH_LANES] = Default::default();
-                let lanes_mut =
-                    scratches.iter_mut().enumerate().filter(|(l, _)| members.contains(l));
-                for (k, (_, scr)) in lanes_mut.enumerate() {
-                    let (series, spec) = scr.series_and_spectrum();
-                    ins[k] = series;
-                    outs[k] = spec.prepare_coeffs(len, sleepwatch_spectral::ROUND_SECONDS);
-                }
-                let k = members.len();
-                plan.real_batch_with_scratch(&ins[..k], &mut outs[..k], batch_scratch);
-            }))
-            .is_ok();
-            if !batch_ok {
-                // A poisoned lane must not sink its batch-mates: redo each
-                // lane through the scalar kernel with its own quarantine
-                // boundary. (The batch kernel validates before recording
-                // telemetry, so the scalar redo keeps the lookup/transform
-                // ledger aligned up to the quarantined lanes.)
-                for &l in members {
-                    let block = view.get(mb + l);
-                    let scr = &mut scratches[l];
-                    if let Err(q) = quarantine_on_panic(cfg, block.id, || {
-                        let (series, spec) = scr.series_and_spectrum();
-                        spec.compute_with_plan(series, sleepwatch_spectral::ROUND_SECONDS, &plan);
-                    }) {
-                        probed[l] = None;
-                        quarantined[l] = Some(q);
-                    }
-                }
-            }
-            if let Some(t0) = start {
-                // The group's wall time split evenly keeps the per-block
-                // stage histogram at one sample per block.
-                let per_member = t0.elapsed().as_secs_f64() * 1e6 / members.len() as f64;
-                for _ in members {
-                    hist.record(per_member);
-                }
-            }
-        }
-
-        // Phase 3: classify and join each lane, in lane order.
-        for l in 0..lanes {
-            let i = work[mb + l];
-            if let Some(q) = quarantined[l].take() {
-                emit(i, Err(q));
-                continue;
-            }
-            let block = view.get(mb + l);
-            let p = probed[l].expect("lane survived phases 1–2");
-            let outcome = quarantine_on_panic(cfg, block.id, || {
-                finish_block(geodb, block, cfg, &scratches[l], p)
-            });
-            if track && outcome.is_ok() {
-                scratches[l].count_reuse(fp_before[l]);
-            }
-            emit(i, outcome);
+        let scr = &mut scratches[l];
+        match quarantine_on_panic(cfg, block_of(l).id, || fill(l, scr)) {
+            Ok(p) => probed[l] = Some(p),
+            Err(q) => quarantined[l] = Some(q),
         }
     }
+
+    // Phase 2: group surviving lanes by cleaned-series length (fixed stack
+    // tables — lanes ≤ MAX_BATCH_LANES) and FFT each group in one batched
+    // pass.
+    let mut glen = [0usize; MAX_BATCH_LANES];
+    let mut gmem = [[0usize; MAX_BATCH_LANES]; MAX_BATCH_LANES];
+    let mut gcnt = [0usize; MAX_BATCH_LANES];
+    let mut ngroups = 0usize;
+    for l in 0..lanes {
+        if probed[l].is_none() {
+            continue;
+        }
+        let len = scratches[l].series_len();
+        let gi = match (0..ngroups).find(|&g| glen[g] == len) {
+            Some(g) => g,
+            None => {
+                glen[ngroups] = len;
+                ngroups += 1;
+                ngroups - 1
+            }
+        };
+        gmem[gi][gcnt[gi]] = l;
+        gcnt[gi] += 1;
+    }
+    for g in 0..ngroups {
+        let len = glen[g];
+        let members = &gmem[g][..gcnt[g]];
+        let plan = plan_per_member(len, members.len());
+        let hist = obs.pipeline.stage(Stage::Fft);
+        let timed = hist.enabled();
+        let start = timed.then(std::time::Instant::now);
+        let batch_ok = catch_unwind(AssertUnwindSafe(|| {
+            // Fixed lane tables (members are ascending and unique), so a
+            // group allocates nothing.
+            let mut ins: [&[f64]; MAX_BATCH_LANES] = [&[]; MAX_BATCH_LANES];
+            let mut outs: [&mut [Complex]; MAX_BATCH_LANES] = Default::default();
+            let lanes_mut = scratches.iter_mut().enumerate().filter(|(l, _)| members.contains(l));
+            for (k, (_, scr)) in lanes_mut.enumerate() {
+                let (series, spec) = scr.series_and_spectrum();
+                ins[k] = series;
+                outs[k] = spec.prepare_coeffs(len, sleepwatch_spectral::ROUND_SECONDS);
+            }
+            let k = members.len();
+            plan.real_batch_with_scratch(&ins[..k], &mut outs[..k], &mut arena.fft);
+        }))
+        .is_ok();
+        if !batch_ok {
+            // A poisoned lane must not sink its batch-mates: redo each lane
+            // through the scalar kernel with its own quarantine boundary.
+            // (The batch kernel validates before recording telemetry, so
+            // the scalar redo keeps the lookup/transform ledger aligned up
+            // to the quarantined lanes.)
+            for &l in members {
+                let scr = &mut scratches[l];
+                if let Err(q) = quarantine_on_panic(cfg, block_of(l).id, || {
+                    let (series, spec) = scr.series_and_spectrum();
+                    spec.compute_with_plan(series, sleepwatch_spectral::ROUND_SECONDS, &plan);
+                }) {
+                    probed[l] = None;
+                    quarantined[l] = Some(q);
+                }
+            }
+        }
+        if let Some(t0) = start {
+            // The group's wall time split evenly keeps the per-block stage
+            // histogram at one sample per block.
+            let per_member = t0.elapsed().as_secs_f64() * 1e6 / members.len() as f64;
+            for _ in members {
+                hist.record(per_member);
+            }
+        }
+    }
+
+    // Phase 3: classify and join each lane, in lane order.
+    for l in 0..lanes {
+        if let Some(q) = quarantined[l].take() {
+            emit(l, Err(q));
+            continue;
+        }
+        let block = block_of(l);
+        let p = probed[l].expect("lane survived phases 1–2");
+        let outcome = quarantine_on_panic(cfg, block.id, || {
+            finish_block(geodb, block, cfg, &scratches[l], p)
+        });
+        if track && outcome.is_ok() {
+            scratches[l].count_reuse(fp_before[l]);
+        }
+        emit(l, outcome);
+    }
+}
+
+/// The plan for `len`, looked up once per batch member: the batched
+/// kernel records one transform per lane, and the metrics suite pins
+/// `plan_cache.hits + misses == fft.transforms`.
+pub(crate) fn plan_per_member(len: usize, members: usize) -> Arc<FftPlan> {
+    let mut plan = plan_for(len);
+    for _ in 1..members {
+        plan = plan_for(len);
+    }
+    plan
 }
 
 /// Analyzes every block of `world` with `cfg`, using `threads` worker

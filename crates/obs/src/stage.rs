@@ -63,6 +63,13 @@ stages! {
     Join => "join",
     /// Whole `analyze_world` call, end to end.
     Total => "total",
+    /// An ingest shard finalizing a group of finished blocks (live
+    /// verdicts, clean, batched FFT, classify, join), split evenly over the
+    /// group's reports: one sample per streamed report.
+    IngestFinalize => "ingest.finalize",
+    /// An ingest shard waiting on its empty queue, one sample per pop that
+    /// had to wait for its batch.
+    IngestQueueWait => "ingest.queue_wait",
 }
 
 /// Measures the wall time of a scope and records it (in microseconds)

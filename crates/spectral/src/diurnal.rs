@@ -15,7 +15,7 @@
 //! angle of the fundamental coefficient and is only meaningful for diurnal
 //! blocks — for non-diurnal blocks it is effectively random.
 
-use crate::periodogram::Spectrum;
+use crate::periodogram::{skip_bound, Spectrum};
 
 /// Classification outcome for one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,7 +99,10 @@ impl DiurnalReport {
 }
 
 /// `true` when bin `k` lies within `tol` of `m·base` for some `m ≥ 2`
-/// (i.e. `k` is a harmonic of the daily fundamental).
+/// (i.e. `k` is a harmonic of the daily fundamental). The classifier walks
+/// the same families without a division ([`Family`]); this is its
+/// reference.
+#[cfg(test)]
 fn is_harmonic(k: usize, base: usize, tol: usize) -> bool {
     if base == 0 {
         return false;
@@ -110,13 +113,65 @@ fn is_harmonic(k: usize, base: usize, tol: usize) -> bool {
 
 /// `true` when bin `k` lies within the fundamental family
 /// (`N_d - tol ..= N_d + 1 + tol`, clamped at 1).
+#[cfg(test)]
 fn is_fundamental(k: usize, base: usize, tol: usize) -> bool {
     let lo = base.saturating_sub(tol).max(1);
     let hi = base + 1 + tol;
     (lo..=hi).contains(&k)
 }
 
+/// Which family a bin belongs to: the fundamental's (`N_d − tol ..=
+/// N_d + 1 + tol`, clamped at 1), a harmonic's (within `tol` of `m·N_d`
+/// for some `m ≥ 2`), or neither — a competitor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    Fundamental,
+    Harmonic,
+    Competitor,
+}
+
+/// Assigns [`Family`]s to bins `1, 2, 3, …` in order, without a division
+/// per bin: it keeps the smallest harmonic centre `m·base` whose window
+/// has not yet been passed. A bin is harmonic exactly when that centre is
+/// within `tol` of it.
+struct FamilyWalk {
+    base: usize,
+    tol: usize,
+    fund: std::ops::RangeInclusive<usize>,
+    next_harmonic: usize,
+}
+
+impl FamilyWalk {
+    /// The walk for daily bin `base ≥ 1`.
+    fn new(base: usize, tol: usize) -> FamilyWalk {
+        debug_assert!(base >= 1, "the daily bin is at least 1");
+        let fund = base.saturating_sub(tol).max(1)..=base.saturating_add(1).saturating_add(tol);
+        FamilyWalk { base, tol, fund, next_harmonic: base.saturating_mul(2) }
+    }
+
+    /// The family of bin `k`; bins must come in increasing order.
+    fn family(&mut self, k: usize) -> Family {
+        while self.next_harmonic.saturating_add(self.tol) < k {
+            self.next_harmonic += self.base;
+        }
+        if self.fund.contains(&k) {
+            Family::Fundamental
+        } else if k.saturating_add(self.tol) >= self.next_harmonic {
+            Family::Harmonic
+        } else {
+            Family::Competitor
+        }
+    }
+}
+
 /// Classifies one block's availability spectrum.
+///
+/// One sweep over bins `1..=n/2` keeps three running maxima (overall,
+/// harmonic, competitor). A bin takes its `hypot` only when its squared
+/// magnitude could reach a maximum it is compared against
+/// (`periodogram::skip_bound`); every maximum and every reported amplitude
+/// is still an exact `hypot`, so the report is the one a `hypot` per bin
+/// gives.
 pub fn classify(spectrum: &Spectrum, cfg: &DiurnalConfig) -> DiurnalReport {
     let base = spectrum.diurnal_bin();
     let nyq = spectrum.nyquist_bin();
@@ -151,20 +206,35 @@ pub fn classify(spectrum: &Spectrum, cfg: &DiurnalConfig) -> DiurnalReport {
     let mut strongest_competitor: Option<(usize, f64)> = None;
     let mut strongest_harmonic: Option<(usize, f64)> = None;
     let mut global_max: (usize, f64) = (fund_bin, fund_amp);
+    // Squared-magnitude bounds below which a bin cannot move the maxima
+    // its family is compared against; an empty family bounds nothing.
+    let mut global_bound = skip_bound(fund_amp);
+    let (mut harmonic_bound, mut competitor_bound) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
 
-    for (k, amp) in spectrum.half_amplitudes() {
-        if amp > global_max.1 {
-            global_max = (k, amp);
-        }
-        if is_fundamental(k, base, tol) {
+    let mut walk = FamilyWalk::new(base, tol);
+    for (k, c) in spectrum.half_coeffs() {
+        let family = walk.family(k);
+        let bound = match family {
+            Family::Fundamental => global_bound,
+            Family::Harmonic => global_bound.min(harmonic_bound),
+            Family::Competitor => global_bound.min(competitor_bound),
+        };
+        if c.norm_sqr() < bound {
             continue;
         }
-        if is_harmonic(k, base, tol) {
-            if strongest_harmonic.map_or(true, |(_, a)| amp > a) {
-                strongest_harmonic = Some((k, amp));
-            }
-        } else if strongest_competitor.map_or(true, |(_, a)| amp > a) {
-            strongest_competitor = Some((k, amp));
+        let amp = c.abs();
+        if amp > global_max.1 {
+            global_max = (k, amp);
+            global_bound = skip_bound(amp);
+        }
+        let (strongest, family_bound) = match family {
+            Family::Fundamental => continue,
+            Family::Harmonic => (&mut strongest_harmonic, &mut harmonic_bound),
+            Family::Competitor => (&mut strongest_competitor, &mut competitor_bound),
+        };
+        if strongest.map_or(true, |(_, a)| amp > a) {
+            *strongest = Some((k, amp));
+            *family_bound = skip_bound(amp);
         }
     }
 
@@ -174,7 +244,7 @@ pub fn classify(spectrum: &Spectrum, cfg: &DiurnalConfig) -> DiurnalReport {
     let class = if too_short {
         DiurnalClass::NonDiurnal
     } else {
-        let peak_at_fundamental = is_fundamental(global_max.0, base, tol);
+        let peak_at_fundamental = walk.fund.contains(&global_max.0);
         let beats_competitor =
             strongest_competitor.map(|(_, a)| fund_amp >= cfg.strict_ratio * a).unwrap_or(true);
         let beats_harmonics = strongest_harmonic.map(|(_, a)| fund_amp > a).unwrap_or(true);
@@ -360,6 +430,25 @@ mod tests {
         assert!(is_fundamental(16, 14, 1)); // N_d + 1 + tol
         assert!(!is_fundamental(17, 14, 1));
         assert!(!is_fundamental(11, 14, 1));
+    }
+
+    #[test]
+    fn family_walk_matches_the_division_helpers() {
+        for base in 1..40 {
+            for tol in 0..5 {
+                let mut walk = FamilyWalk::new(base, tol);
+                for k in 1..400 {
+                    let want = if is_fundamental(k, base, tol) {
+                        Family::Fundamental
+                    } else if is_harmonic(k, base, tol) {
+                        Family::Harmonic
+                    } else {
+                        Family::Competitor
+                    };
+                    assert_eq!(walk.family(k), want, "bin {k}, base {base}, tol {tol}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,20 +20,42 @@ pub fn goertzel(series: &[f64], k: usize) -> Complex {
     let n = series.len();
     assert!(n > 0, "empty series");
     assert!(k < n, "bin {k} out of range for n = {n}");
-
-    let w = 2.0 * PI * k as f64 / n as f64;
-    let coeff = 2.0 * w.cos();
-    let mut s_prev = 0.0f64;
-    let mut s_prev2 = 0.0f64;
+    let mut state = Goertzel::new(k, n);
     for &x in series {
-        let s = x + coeff * s_prev - s_prev2;
-        s_prev2 = s_prev;
-        s_prev = s;
+        state.step(x);
     }
-    // α_k = e^{iω}·s_prev − s_prev2 lands exactly on the e^{−2πi·mk/n}
-    // convention (ω·n = 2πk makes the trailing rotation vanish).
-    let (sin_w, cos_w) = (w.sin(), w.cos());
-    Complex::new(cos_w * s_prev - s_prev2, sin_w * s_prev)
+    state.finish()
+}
+
+/// The running state of one bin's Goertzel recurrence, so several bins
+/// (and other accumulators) can share one pass over a series.
+struct Goertzel {
+    w: f64,
+    coeff: f64,
+    s_prev: f64,
+    s_prev2: f64,
+}
+
+impl Goertzel {
+    /// Bin `k` of an `n`-sample series, before its first sample.
+    fn new(k: usize, n: usize) -> Goertzel {
+        let w = 2.0 * PI * k as f64 / n as f64;
+        Goertzel { w, coeff: 2.0 * w.cos(), s_prev: 0.0, s_prev2: 0.0 }
+    }
+
+    #[inline]
+    fn step(&mut self, x: f64) {
+        let s = x + self.coeff * self.s_prev - self.s_prev2;
+        self.s_prev2 = self.s_prev;
+        self.s_prev = s;
+    }
+
+    fn finish(&self) -> Complex {
+        // α_k = e^{iω}·s_prev − s_prev2 lands exactly on the e^{−2πi·mk/n}
+        // convention (ω·n = 2πk makes the trailing rotation vanish).
+        let (sin_w, cos_w) = (self.w.sin(), self.w.cos());
+        Complex::new(cos_w * self.s_prev - self.s_prev2, sin_w * self.s_prev)
+    }
 }
 
 /// Amplitude `|α_k|` via Goertzel, without constructing the complex value's
@@ -47,6 +69,11 @@ pub fn goertzel_amplitude(series: &[f64], k: usize) -> f64 {
 /// a ratio below a threshold cannot be strictly diurnal, letting a caller
 /// skip the full spectrum. Returns 0 for series too short to carry a daily
 /// bin.
+///
+/// Two passes: the sum and both bins' recurrences share the first, the
+/// deviation (which needs the mean) takes the second. Each accumulator
+/// keeps the operation sequence it would have alone, so the ratio is
+/// bit-for-bit the four-pass formula's.
 pub fn diurnal_energy_ratio(series: &[f64], sample_period: f64) -> f64 {
     let n = series.len();
     if n < 4 {
@@ -56,15 +83,22 @@ pub fn diurnal_energy_ratio(series: &[f64], sample_period: f64) -> f64 {
     if nd + 1 >= n / 2 {
         return 0.0;
     }
-    let mean = series.iter().sum::<f64>() / n as f64;
+    let (mut at_nd, mut at_next) = (Goertzel::new(nd, n), Goertzel::new(nd + 1, n));
+    let mut sum = 0.0;
+    for &x in series {
+        sum += x;
+        at_nd.step(x);
+        at_next.step(x);
+    }
+    let mean = sum / n as f64;
     let dev: f64 = series.iter().map(|&x| (x - mean) * (x - mean)).sum();
-    let total_ac = dev.sqrt() * (n as f64).sqrt(); // ≈ Σ_k≠0 |α_k|² scale, Parseval
-                                                   // Constant series accumulate only rounding dust; treat it as zero AC
-                                                   // energy rather than dividing by it.
+    // ≈ Σ_k≠0 |α_k|² scale, Parseval. Constant series accumulate only
+    // rounding dust; treat it as zero AC energy rather than dividing by it.
+    let total_ac = dev.sqrt() * (n as f64).sqrt();
     if total_ac <= 1e-9 * n as f64 * (mean.abs() + 1.0) {
         return 0.0;
     }
-    let daily = goertzel_amplitude(series, nd).max(goertzel_amplitude(series, nd + 1));
+    let daily = at_nd.finish().abs().max(at_next.finish().abs());
     daily / total_ac * (n as f64).sqrt()
 }
 
@@ -134,6 +168,54 @@ mod tests {
         assert_eq!(diurnal_energy_ratio(&[], 660.0), 0.0);
         assert_eq!(diurnal_energy_ratio(&[1.0, 1.0], 660.0), 0.0);
         assert_eq!(diurnal_energy_ratio(&vec![0.7; 2_000], 660.0), 0.0);
+    }
+
+    /// The four-pass screen the two-pass one replaced: mean, deviation,
+    /// then each bin's own recurrence.
+    fn four_pass_ratio(series: &[f64], sample_period: f64) -> f64 {
+        let n = series.len();
+        if n < 4 {
+            return 0.0;
+        }
+        let nd = ((n as f64 * sample_period) / 86_400.0).round().max(1.0) as usize;
+        if nd + 1 >= n / 2 {
+            return 0.0;
+        }
+        let mean = series.iter().sum::<f64>() / n as f64;
+        let dev: f64 = series.iter().map(|&x| (x - mean) * (x - mean)).sum();
+        let total_ac = dev.sqrt() * (n as f64).sqrt();
+        if total_ac <= 1e-9 * n as f64 * (mean.abs() + 1.0) {
+            return 0.0;
+        }
+        let daily = goertzel_amplitude(series, nd).max(goertzel_amplitude(series, nd + 1));
+        daily / total_ac * (n as f64).sqrt()
+    }
+
+    #[test]
+    fn two_pass_screen_is_bit_identical_to_four_passes() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut series_set: Vec<Vec<f64>> = Vec::new();
+        for n in [0usize, 1, 2, 3, 4, 5, 7, 131, 524, 654, 1_702, 1_833] {
+            series_set.push((0..n).map(|_| uniform()).collect());
+            series_set.push((0..n).map(|_| 1e6 * (uniform() - 0.5)).collect());
+            series_set.push(tone(n, (n as f64 / 131.0).round(), 0.3, 0.5, uniform()));
+            series_set.push(vec![0.7; n]);
+            series_set.push(vec![0.0; n]);
+            series_set.push(vec![-0.0; n]);
+        }
+        for series in &series_set {
+            for period in [660.0, 300.0, 86_400.0, 1.0] {
+                let (got, want) =
+                    (diurnal_energy_ratio(series, period), four_pass_ratio(series, period));
+                assert_eq!(got.to_bits(), want.to_bits(), "n = {}, period {period}", series.len());
+            }
+        }
     }
 
     #[test]

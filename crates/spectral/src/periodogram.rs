@@ -116,15 +116,28 @@ impl Spectrum {
 
     /// The bin in `1..=n/2` with the largest amplitude, or `None` for series
     /// shorter than 2 samples. Of equal maxima the last wins, and a NaN
-    /// amplitude displaces whatever came before it.
+    /// amplitude displaces whatever came before it. Only a bin that could
+    /// still win pays for its `hypot`.
     pub fn strongest_bin(&self) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
-        for (k, amp) in self.half_amplitudes() {
+        let mut bound = f64::NEG_INFINITY;
+        for (k, c) in self.half_coeffs() {
+            if c.norm_sqr() < bound {
+                continue;
+            }
+            let amp = c.abs();
             if !best.is_some_and(|(_, top)| top > amp) {
                 best = Some((k, amp));
+                bound = skip_bound(amp);
             }
         }
         best.map(|(k, _)| k)
+    }
+
+    /// Coefficients of bins `1..=n/2` (DC excluded), as `(bin, α_k)`.
+    pub(crate) fn half_coeffs(&self) -> impl Iterator<Item = (usize, Complex)> + '_ {
+        let half = self.coeffs.get(1..=self.nyquist_bin()).unwrap_or(&[]);
+        half.iter().enumerate().map(|(i, &c)| (i + 1, c))
     }
 
     /// The bin whose frequency is nearest to one cycle per day. For a series
@@ -132,6 +145,26 @@ impl Spectrum {
     pub fn diurnal_bin(&self) -> usize {
         let exact = self.len() as f64 * self.sample_period / DAY_SECONDS;
         exact.round().max(1.0) as usize
+    }
+}
+
+/// The squared-magnitude bound below which a bin provably cannot reach
+/// amplitude `max`: a coefficient `c` with `c.norm_sqr() < skip_bound(max)`
+/// has `c.abs() < max`, so its `hypot` cannot change a running maximum.
+///
+/// `hypot` is within 1 ulp of the exact `|c|` and `re² + im²` within about
+/// 1.5 ulp of `|c|²`, while the bound sits a relative `1e-9` below `max²`
+/// — nine orders of magnitude of headroom. Squares stay normal while `max`
+/// is in `[1e-100, 1e100]`; a component whose square underflows is far
+/// below such a `max`, and one whose square overflows (or a NaN) never
+/// compares below. Any other `max` — NaN, ±∞, zero, subnormal, huge —
+/// returns `−∞`, which nothing compares below: those bins take the exact
+/// path.
+pub(crate) fn skip_bound(max: f64) -> f64 {
+    if (1e-100..=1e100).contains(&max) {
+        max * max * (1.0 - 1e-9)
+    } else {
+        f64::NEG_INFINITY
     }
 }
 
@@ -327,6 +360,21 @@ mod tests {
         }
         // And on a real spectrum with noise-level ties nowhere near exact.
         let s = Spectrum::compute_rounds(&tone(1833, 14.0, 0.3, 0.5));
+        assert_eq!(s.strongest_bin(), strongest_bin_by_max_by(&s));
+    }
+
+    /// Where `max²` is subnormal, `re² + im²` can fall below
+    /// `max²·(1 − 1e-9)` for a coefficient whose `hypot` equals `max`: the
+    /// skip bound must not apply there, or a tie is lost.
+    #[test]
+    fn strongest_bin_keeps_ties_whose_squares_are_subnormal() {
+        let first = Complex::new(6.757_028_009_001_981_4e-161, 1.019_676_070_812_916_7e-160);
+        let tie = Complex::new(1.003_621_953_836_899_6e-161, 1.219_114_840_476_731_7e-160);
+        assert_eq!(first.abs(), tie.abs(), "the two bins tie");
+        assert!(tie.norm_sqr() < first.abs() * first.abs() * (1.0 - 1e-9));
+        let s =
+            Spectrum { coeffs: vec![Complex::ZERO, first, tie, Complex::ZERO], sample_period: 1.0 };
+        assert_eq!(s.strongest_bin(), Some(2), "of equal maxima the last wins");
         assert_eq!(s.strongest_bin(), strongest_bin_by_max_by(&s));
     }
 

@@ -142,6 +142,226 @@ proptest! {
     }
 }
 
+// The classifier and `strongest_bin` take `hypot` only where it can change
+// the answer. The references are their bodies from before that: one
+// `hypot` per bin, the bin families by division.
+mod reference {
+    use sleepwatch_spectral::{DiurnalClass, DiurnalConfig, DiurnalReport, Spectrum};
+
+    fn is_harmonic(k: usize, base: usize, tol: usize) -> bool {
+        if base == 0 {
+            return false;
+        }
+        let m = (k + tol) / base;
+        m >= 2 && k.abs_diff(m * base) <= tol
+    }
+
+    fn is_fundamental(k: usize, base: usize, tol: usize) -> bool {
+        let lo = base.saturating_sub(tol).max(1);
+        let hi = base + 1 + tol;
+        (lo..=hi).contains(&k)
+    }
+
+    pub fn classify(spectrum: &Spectrum, cfg: &DiurnalConfig) -> DiurnalReport {
+        let base = spectrum.diurnal_bin();
+        let nyq = spectrum.nyquist_bin();
+        let tol = cfg.bin_tolerance;
+        let (fund_bin, fund_amp) = if base < nyq && base >= 1 {
+            let a = spectrum.amplitude(base);
+            let b = spectrum.amplitude(base + 1);
+            if b > a {
+                (base + 1, b)
+            } else {
+                (base, a)
+            }
+        } else if base <= nyq && base >= 1 {
+            (base, spectrum.amplitude(base))
+        } else {
+            return DiurnalReport {
+                class: DiurnalClass::NonDiurnal,
+                fundamental_bin: base,
+                fundamental_amp: 0.0,
+                strongest_competitor: None,
+                strongest_harmonic: None,
+                phase: None,
+                too_short: true,
+            };
+        };
+        let too_short = spectrum.span_days() < cfg.min_days;
+        let mut strongest_competitor: Option<(usize, f64)> = None;
+        let mut strongest_harmonic: Option<(usize, f64)> = None;
+        let mut global_max: (usize, f64) = (fund_bin, fund_amp);
+        for (k, amp) in spectrum.half_amplitudes() {
+            if amp > global_max.1 {
+                global_max = (k, amp);
+            }
+            if is_fundamental(k, base, tol) {
+                continue;
+            }
+            if is_harmonic(k, base, tol) {
+                if strongest_harmonic.map_or(true, |(_, a)| amp > a) {
+                    strongest_harmonic = Some((k, amp));
+                }
+            } else if strongest_competitor.map_or(true, |(_, a)| amp > a) {
+                strongest_competitor = Some((k, amp));
+            }
+        }
+        let first_harmonic_family =
+            |k: usize| k.abs_diff(2 * base) <= tol || k.abs_diff(2 * (base + 1)) <= tol;
+        let class = if too_short {
+            DiurnalClass::NonDiurnal
+        } else {
+            let peak_at_fundamental = is_fundamental(global_max.0, base, tol);
+            let beats_competitor =
+                strongest_competitor.map(|(_, a)| fund_amp >= cfg.strict_ratio * a).unwrap_or(true);
+            let beats_harmonics = strongest_harmonic.map(|(_, a)| fund_amp > a).unwrap_or(true);
+            if peak_at_fundamental && beats_competitor && beats_harmonics {
+                DiurnalClass::Strict
+            } else if peak_at_fundamental || first_harmonic_family(global_max.0) {
+                DiurnalClass::Relaxed
+            } else {
+                DiurnalClass::NonDiurnal
+            }
+        };
+        let phase = class.is_diurnal().then(|| spectrum.phase(fund_bin));
+        DiurnalReport {
+            class,
+            fundamental_bin: fund_bin,
+            fundamental_amp: fund_amp,
+            strongest_competitor,
+            strongest_harmonic,
+            phase,
+            too_short,
+        }
+    }
+
+    pub fn strongest_bin(spectrum: &Spectrum) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (k, amp) in spectrum.half_amplitudes() {
+            if !best.is_some_and(|(_, top)| top > amp) {
+                best = Some((k, amp));
+            }
+        }
+        best.map(|(k, _)| k)
+    }
+}
+
+/// A report as bits, so NaN amplitudes and phases compare equal to
+/// themselves.
+fn report_bits(r: &sleepwatch_spectral::DiurnalReport) -> impl PartialEq + std::fmt::Debug {
+    let pair = |p: Option<(usize, f64)>| p.map(|(k, a)| (k, a.to_bits()));
+    (
+        r.class,
+        r.fundamental_bin,
+        r.fundamental_amp.to_bits(),
+        pair(r.strongest_competitor),
+        pair(r.strongest_harmonic),
+        r.phase.map(f64::to_bits),
+        r.too_short,
+    )
+}
+
+/// Components the lazy sweep must get right: exact ties, signed zeros,
+/// infinities, NaN, subnormals, squares that underflow or overflow, and
+/// the edges of the range where its bound applies.
+const SPECIAL: [f64; 24] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    0.5,
+    3.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    5e-324,
+    1e-310,
+    f64::MIN_POSITIVE,
+    1e-160,
+    1e-100,
+    1.000_000_000_1e-100,
+    1e100,
+    0.999_999_999_9e100,
+    1e150,
+    -1e150,
+    1.000_000_1e150,
+    1e155,
+    f64::MAX,
+    1.0 + f64::EPSILON,
+    1.0 - f64::EPSILON / 2.0,
+];
+
+/// `n` coefficients from `seed`: mostly noise at a random scale, some
+/// special components, and repeats of earlier coefficients (exactly, or
+/// with the same magnitude by sign flip or swap), so maxima tie.
+fn coefficients(n: usize, seed: u64) -> Vec<Complex> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let scale = [1e-120, 1e-3, 1.0, 1e3, 1e120, 1e150][(next() % 6) as usize];
+    let mut coeffs: Vec<Complex> = Vec::with_capacity(n);
+    for k in 0..n {
+        let pick = next() % 16;
+        let uniform = |bits: u64| ((bits >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale;
+        let c = match pick {
+            0 => Complex::new(SPECIAL[(next() % 24) as usize], SPECIAL[(next() % 24) as usize]),
+            1 => Complex::new(SPECIAL[(next() % 24) as usize], uniform(next())),
+            2 | 3 if k > 0 => {
+                let c = coeffs[(next() % k as u64) as usize];
+                match next() % 3 {
+                    0 => c,
+                    1 => Complex::new(-c.re, c.im),
+                    _ => Complex::new(c.im, c.re),
+                }
+            }
+            _ => Complex::new(uniform(next()), uniform(next())),
+        };
+        coeffs.push(c);
+    }
+    coeffs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn lazy_sweep_matches_a_hypot_per_bin(
+        n in 2usize..=5_000,
+        seed in any::<u64>(),
+        placement in 0usize..5,
+        tol in 0usize..4,
+        ratio in 0usize..3,
+        short_allowed in any::<bool>(),
+    ) {
+        // The daily bin at the Nyquist edge (below, on, past it), anywhere
+        // inside, or where 11-minute rounds put it.
+        let nyq = n / 2;
+        let base = match placement {
+            0 => nyq.saturating_sub(1).max(1),
+            1 => nyq.max(1),
+            2 => nyq + 1,
+            3 => 1 + (seed as usize >> 7) % nyq.max(1),
+            _ => 0,
+        };
+        let period = if base == 0 { 660.0 } else { 86_400.0 * base as f64 / n as f64 };
+        let mut scratch = sleepwatch_spectral::SpectrumScratch::new();
+        scratch.prepare_coeffs(n, period).copy_from_slice(&coefficients(n, seed));
+        let spectrum = scratch.spectrum();
+        let strict_ratio = [2.0, 1.0, 0.5][ratio];
+        let min_days = if short_allowed { 0.0 } else { 2.0 };
+        let cfg = DiurnalConfig { strict_ratio, bin_tolerance: tol, min_days };
+        prop_assert_eq!(
+            report_bits(&classify(spectrum, &cfg)),
+            report_bits(&reference::classify(spectrum, &cfg))
+        );
+        prop_assert_eq!(spectrum.strongest_bin(), reference::strongest_bin(spectrum));
+    }
+}
+
 // The odd-length real transform convolves for bins 0..=n/2 only, at
 // `(n + n/2).next_power_of_two()` points, and mirrors the rest.
 

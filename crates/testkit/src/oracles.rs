@@ -7,7 +7,7 @@ use sleepwatch_availability::cleaning::clean_series;
 use sleepwatch_core::{analyze_series, OnlineConfig, OnlineDetector};
 use sleepwatch_probing::{BlockRun, FaultPlan, TrinocularConfig, TrinocularProber};
 use sleepwatch_simnet::{BlockSpec, ROUND_SECONDS};
-use sleepwatch_spectral::{plan_for, Complex, DiurnalClass, DiurnalConfig};
+use sleepwatch_spectral::{plan_for, Complex, DiurnalConfig, SpectrumScratch};
 
 /// Runs the adaptive prober over `block` from time 0 under `plan`.
 pub fn run_under(
@@ -71,10 +71,12 @@ pub fn assert_batch_online_agree(series: &[f64], cfg: &DiurnalConfig, context: &
         diurnal: *cfg,
         hysteresis: 1,
     });
-    let mut online = DiurnalClass::NonDiurnal;
+    let mut scratch = SpectrumScratch::new();
     for end in 1..=series.len() {
-        online = det.push(&series[..end]);
+        det.push(&series[..end], &mut scratch);
     }
+    det.settle(series, &mut scratch);
+    let online = det.class();
     assert_eq!(
         online, batch.class,
         "{context}: online verdict {online:?} != batch verdict {:?}",

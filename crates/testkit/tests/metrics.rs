@@ -12,8 +12,8 @@ use sleepwatch_core::serve::index::Filter;
 use sleepwatch_core::serve::{serve_streams, LruOutcome};
 use sleepwatch_core::{
     analyze_block, analyze_world, analyze_world_resumable, dataset_rows, decode_dataset,
-    encode_dataset, feed_identity, ingest_source, ingest_world, world_feed, AnalysisConfig,
-    DatasetMode, IngestConfig, ServeState, WorldFeed,
+    encode_dataset, feed_identity, ingest_source, ingest_world, ingest_world_resumable, world_feed,
+    AnalysisConfig, DatasetMode, IngestConfig, ServeState, WorldFeed,
 };
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::transport::{
@@ -368,6 +368,8 @@ fn label_stage_samples_once_per_emitted_report() {
         assert_eq!(out.quarantined.len(), 1);
         let reports = out.reports.len() as u64;
         assert_eq!(d.histogram("stage.label").map(|h| h.count), Some(reports), "ingest");
+        let finalize = d.histogram("stage.ingest.finalize").map(|h| h.count);
+        assert_eq!(finalize, Some(reports), "ingest finalize");
     });
 }
 
@@ -426,6 +428,10 @@ fn assert_ingest_counters(d: &Snapshot, stats: &sleepwatch_core::IngestStats) {
     assert_eq!(d.counter("ingest.backpressure_stalls"), stats.backpressure_stalls);
     assert_eq!(d.counter("ingest.checkpoints"), stats.checkpoints);
     assert_eq!(d.counter("ingest.blocks_finished"), (stats.blocks - stats.replayed) as u64);
+    // One finalize sample per streamed report: replayed blocks are never
+    // finalized, quarantined ones never reported.
+    let finalize = d.histogram("stage.ingest.finalize").map_or(0, |h| h.count);
+    assert_eq!(finalize, (stats.blocks - stats.replayed) as u64);
     // A gauge is the process's high-water mark, not this run's.
     assert!(d.counter("ingest.queue_high_water") >= stats.queue_high_water as u64);
 }
@@ -444,6 +450,52 @@ fn ingest_counters_match_ingest_stats() {
         assert_eq!(out.stats.rounds_routed, source.len() as u64 * cfg.rounds);
         assert!(out.stats.queue_high_water > 0);
         assert_ingest_counters(&d, &out.stats);
+
+        // A worker records a queue wait only for a pop that waited for its
+        // batch: at most one per batch the router filled, ⌈events/16⌉ for
+        // each shard's share of the feed.
+        let (feed, _) = world_feed(&source, &cfg, &icfg);
+        let mut per_shard = vec![0usize; icfg.shards];
+        for ev in &feed {
+            per_shard[sleepwatch_simnet::shard_of(ev.block_id(), icfg.shards)] += 1;
+        }
+        let batches: usize = per_shard.iter().map(|n| n.div_ceil(icfg.batch_events)).sum();
+        let waits = d.histogram("stage.ingest.queue_wait").map_or(0, |h| h.count);
+        assert!(waits <= batches as u64, "{waits} waiting pops for {batches} batches");
+    });
+}
+
+/// One finalize sample per streamed report: none for a block replayed
+/// from the journal, none for one quarantined on its shard.
+#[test]
+fn finalize_samples_skip_replayed_and_quarantined_blocks() {
+    let _g = lock();
+    with_metrics(|| {
+        let (source, cfg) = stream_world();
+        let icfg = IngestConfig { shards: 2, ..Default::default() };
+        // Fed from a clean probe, so the planted panic goes off on the
+        // shard, inside a finalizing group, not at feed time.
+        let (feed, _) = world_feed(&source, &cfg, &icfg);
+        let mut poisoned = cfg;
+        poisoned.faults.poison_blocks = &[5];
+        let (out, d) = measure(|| {
+            sleepwatch_core::ingest_events(&source, &poisoned, &icfg, feed.iter().copied())
+        });
+        assert_eq!(out.quarantined.len(), 1);
+        assert_ingest_counters(&d, &out.stats);
+
+        let journal = scratch_path("metrics-ingest-journal");
+        let (out, d) = measure(|| ingest_world_resumable(&source, &cfg, &icfg, &journal).unwrap());
+        assert_eq!(out.stats.replayed, 0);
+        assert_ingest_counters(&d, &out.stats);
+
+        let bytes = std::fs::read(&journal).expect("read journal");
+        let kept = source.len() / 3;
+        std::fs::write(&journal, &bytes[..record_boundaries(&bytes)[kept]]).expect("cut journal");
+        let (out, d) = measure(|| ingest_world_resumable(&source, &cfg, &icfg, &journal).unwrap());
+        assert_eq!((out.stats.blocks, out.stats.replayed), (source.len(), kept));
+        assert_ingest_counters(&d, &out.stats);
+        let _ = std::fs::remove_file(&journal);
     });
 }
 

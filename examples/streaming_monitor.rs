@@ -10,7 +10,7 @@
 use sleepwatch::core::{OnlineConfig, OnlineDetector};
 use sleepwatch::probing::{TrinocularConfig, TrinocularProber};
 use sleepwatch::simnet::{BlockProfile, BlockSpec};
-use sleepwatch::spectral::DiurnalClass;
+use sleepwatch::spectral::{DiurnalClass, SpectrumScratch};
 
 fn diurnal_profile() -> BlockProfile {
     BlockProfile {
@@ -60,8 +60,10 @@ fn main() {
     for (name, phases) in scenarios {
         println!("\n== {name} ==");
         let mut detector = OnlineDetector::new(cfg);
-        // The detector reads its window from the history the caller keeps.
+        // The detector reads its window from the history the caller keeps,
+        // and transforms it in the caller's spectrum workspace.
         let mut history = Vec::new();
+        let mut scratch = SpectrumScratch::new();
         let mut last = DiurnalClass::NonDiurnal;
         let mut round = 0u64;
         for (block, span) in &phases {
@@ -69,7 +71,10 @@ fn main() {
             for _ in 0..*span {
                 if let Some(rec) = prober.round(block, round, round * 660) {
                     history.push(rec.a_short);
-                    let class = detector.push(&history);
+                    // A due verdict is deferred; settle it to report now.
+                    detector.push(&history, &mut scratch);
+                    detector.settle(&history, &mut scratch);
+                    let class = detector.class();
                     if class != last {
                         println!(
                             "  day {:>5.1}: {:?} → {:?}",
