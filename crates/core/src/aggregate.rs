@@ -130,7 +130,7 @@ impl WorldAnalysis {
             .iter()
             .map(|&f| {
                 let with: Vec<_> =
-                    self.reports.iter().filter(|r| r.link_features.contains(&f)).collect();
+                    self.reports.iter().filter(|r| r.link_features.contains(f)).collect();
                 let d = with.iter().filter(|r| r.summary.class.is_strict()).count();
                 (f, with.len(), d as f64 / with.len().max(1) as f64)
             })

@@ -48,12 +48,15 @@ use crate::framing::{
     BitReader, BitWriter, Crc32, DecodeError, Prelude, RunIdentity, RICE_MAX,
 };
 use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::COUNTRIES;
-use sleepwatch_linktype::LinkFeature;
+use sleepwatch_geoecon::country::{by_code, COUNTRIES};
+use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_simnet::{WorldConfig, WorldSource};
 use sleepwatch_spectral::DiurnalClass;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
+use std::io::Write;
 
 /// Dataset container magic: `SLPWBIN1` as a little-endian u64.
 pub const DATASET_MAGIC: u64 = u64::from_le_bytes(*b"SLPWBIN1");
@@ -87,8 +90,8 @@ pub enum EncodeError {
         /// Row index whose id does not exceed its predecessor's.
         index: usize,
     },
-    /// A row field does not fit the container (unknown link keyword,
-    /// oversized string, lon/lat on an unlocated row, …).
+    /// A row field does not fit the container (a country outside the
+    /// table, lon/lat on an unlocated row, …).
     Unrepresentable {
         /// Block the row describes.
         block_id: u64,
@@ -133,14 +136,19 @@ impl std::error::Error for EncodeError {}
 // Float canonicalization
 // ---------------------------------------------------------------------------
 
-/// Rounds `x` to `decimals` fractional digits exactly the way the TSV
-/// writer prints it, by formatting and re-parsing. Non-finite values are
-/// returned unchanged.
-pub fn canon(x: f64, decimals: usize) -> f64 {
-    if !x.is_finite() {
+/// Rounds `x` to `decimals` (at most 190) fractional digits exactly the
+/// way the TSV writer prints it, by formatting and re-parsing. Non-finite
+/// values are returned unchanged.
+pub(crate) fn canon(x: f64, decimals: usize) -> f64 {
+    // Printed on the stack, so canonicalizing a row allocates nothing: a
+    // finite double at 190 decimals fits in 512 bytes.
+    let mut buf = [0u8; 512];
+    let mut rest = &mut buf[..];
+    if !x.is_finite() || write!(rest, "{x:.decimals$}").is_err() {
         return x;
     }
-    format!("{x:.decimals$}").parse().unwrap_or(x)
+    let len = 512 - rest.len();
+    std::str::from_utf8(&buf[..len]).ok().and_then(|s| s.parse().ok()).unwrap_or(x)
 }
 
 /// `x` as an integer multiple of `1/scale`, if the roundtrip
@@ -170,11 +178,11 @@ fn quantize(x: f64, scale: f64) -> Option<i64> {
 /// Writes a quantized-float column: `min i64 | width u7`, then per value
 /// either a `0` tag and a width-bit delta, or a `1` tag and the raw 64
 /// bits.
-fn put_scaled(w: &mut BitWriter, values: &[f64], scale: f64) {
-    let qs: Vec<Option<i64>> = values.iter().map(|&x| quantize(x, scale)).collect();
+fn put_scaled(w: &mut BitWriter, values: impl Iterator<Item = f64>, scale: f64) {
+    let values: Vec<(f64, Option<i64>)> = values.map(|x| (x, quantize(x, scale))).collect();
     let mut min = i64::MAX;
     let mut max = i64::MIN;
-    for &q in qs.iter().flatten() {
+    for q in values.iter().filter_map(|v| v.1) {
         min = min.min(q);
         max = max.max(q);
     }
@@ -186,7 +194,7 @@ fn put_scaled(w: &mut BitWriter, values: &[f64], scale: f64) {
     };
     w.put(min as u64, 64);
     w.put(width as u64, 7);
-    for (&x, &q) in values.iter().zip(&qs) {
+    for &(x, q) in &values {
         match q {
             Some(q) => {
                 w.put_bit(false);
@@ -200,39 +208,45 @@ fn put_scaled(w: &mut BitWriter, values: &[f64], scale: f64) {
     }
 }
 
-/// Reads `n` values written by [`put_scaled`] into `out`.
-fn get_scaled(r: &mut BitReader<'_>, n: usize, scale: f64, out: &mut Vec<f64>) -> Option<()> {
+/// Reads values written by [`put_scaled`] into `out`, one per target.
+fn get_scaled<'x>(
+    r: &mut BitReader<'_>,
+    scale: f64,
+    out: impl Iterator<Item = &'x mut f64>,
+) -> Option<()> {
     let min = r.get(64)? as i64;
     let width = r.get(7)? as u32;
     if width > 63 {
         return None;
     }
-    for _ in 0..n {
-        if r.get_bit()? {
-            out.push(f64::from_bits(r.get(64)?));
+    for x in out {
+        *x = if r.get_bit()? {
+            f64::from_bits(r.get(64)?)
         } else {
-            let q = min.checked_add(r.get(width)? as i64)?;
-            out.push(q as f64 / scale);
-        }
+            min.checked_add(r.get(width)? as i64)? as f64 / scale
+        };
     }
     Some(())
 }
 
 /// Writes a frame-of-reference integer column: `min u64 | width u7`,
 /// then width-bit offsets from the minimum.
-fn put_for(w: &mut BitWriter, values: &[u64]) {
+fn put_for(w: &mut BitWriter, values: impl Iterator<Item = u64>) {
+    let values: Vec<u64> = values.collect();
     let min = values.iter().copied().min().unwrap_or(0);
     let max = values.iter().copied().max().unwrap_or(0);
     let width = u64::BITS - (max - min).leading_zeros();
     w.put(min, 64);
     w.put(width as u64, 7);
-    for &v in values {
+    for v in values {
         w.put(v - min, width);
     }
 }
 
-/// Reads `n` values written by [`put_for`] into `out`.
+/// Reads `n` values written by [`put_for`] into `out`, replacing its
+/// contents.
 fn get_for(r: &mut BitReader<'_>, n: usize, out: &mut Vec<u64>) -> Option<()> {
+    out.clear();
     let min = r.get(64)?;
     let width = r.get(7)? as u32;
     if width > 64 {
@@ -246,17 +260,20 @@ fn get_for(r: &mut BitReader<'_>, n: usize, out: &mut Vec<u64>) -> Option<()> {
 
 /// Writes a Rice-coded column: the exact-argmin parameter in 5 bits,
 /// then every value. Values must be ≤ [`RICE_MAX`].
-fn put_rice_col(w: &mut BitWriter, values: &[u64]) {
+fn put_rice_col(w: &mut BitWriter, values: impl Iterator<Item = u64>) {
+    let values: Vec<u64> = values.collect();
     debug_assert!(values.iter().all(|&v| v <= RICE_MAX));
     let (k, _) = rice_best_k(values.iter().copied());
     w.put(k as u64, 5);
-    for &v in values {
+    for v in values {
         rice_put(w, v, k);
     }
 }
 
-/// Reads `n` values written by [`put_rice_col`] into `out`.
+/// Reads `n` values written by [`put_rice_col`] into `out`, replacing its
+/// contents.
 fn get_rice_col(r: &mut BitReader<'_>, n: usize, out: &mut Vec<u64>) -> Option<()> {
+    out.clear();
     let k = r.get(5)? as u32;
     if k > 24 {
         return None;
@@ -268,38 +285,11 @@ fn get_rice_col(r: &mut BitReader<'_>, n: usize, out: &mut Vec<u64>) -> Option<(
 }
 
 // ---------------------------------------------------------------------------
-// Link masks and class codes
+// Class codes and frame checksums
 // ---------------------------------------------------------------------------
 
-/// The keywords a link mask expands to, in [`LinkFeature::ALL`] order.
-fn mask_keywords(mask: u16) -> impl Iterator<Item = &'static str> {
-    LinkFeature::ALL
-        .iter()
-        .enumerate()
-        .filter(move |(i, _)| mask & (1 << i) != 0)
-        .map(|(_, f)| f.keyword())
-}
-
-/// Compresses a row's link keywords into a [`LinkFeature::ALL`] bitmask,
-/// verifying the mask expands back to exactly the stored list (order and
-/// multiplicity included) so decode reproduces the TSV byte-for-byte.
-fn link_mask(row: &DatasetRow) -> Result<u16, EncodeError> {
-    let err = EncodeError::Unrepresentable { block_id: row.block_id, field: "links" };
-    let mut mask = 0u16;
-    for kw in &row.links {
-        let pos =
-            LinkFeature::ALL.iter().position(|f| f.keyword() == kw).ok_or_else(|| err.clone())?;
-        mask |= 1 << pos;
-    }
-    let echoes = mask_keywords(mask).eq(row.links.iter().map(|s| s.as_str()));
-    if echoes {
-        Ok(mask)
-    } else {
-        Err(err)
-    }
-}
-
-fn class_code(c: DiurnalClass) -> u64 {
+/// A class's code in a dataset frame and a journal record.
+pub(crate) fn class_code(c: DiurnalClass) -> u64 {
     match c {
         DiurnalClass::Strict => 0,
         DiurnalClass::Relaxed => 1,
@@ -307,13 +297,25 @@ fn class_code(c: DiurnalClass) -> u64 {
     }
 }
 
-fn class_from_code(code: u64) -> Option<DiurnalClass> {
+pub(crate) fn class_from_code(code: u64) -> Option<DiurnalClass> {
     match code {
         0 => Some(DiurnalClass::Strict),
         1 => Some(DiurnalClass::Relaxed),
         2 => Some(DiurnalClass::NonDiurnal),
         _ => None,
     }
+}
+
+/// A frame's CRC32, chained over the prelude's and the dictionary's
+/// checksums (`chain`) and the frame's index.
+fn frame_crc(chain: [u32; 2], frame_index: usize, header: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&chain[0].to_le_bytes());
+    crc.update(&chain[1].to_le_bytes());
+    crc.update(&(frame_index as u64).to_le_bytes());
+    crc.update(header);
+    crc.update(payload);
+    crc.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -343,22 +345,21 @@ pub fn dataset_identity(cfg: &WorldConfig) -> RunIdentity {
     }
 }
 
-/// What the seed derives for one block: the TSV-canonicalized location
-/// columns plus registry data.
-struct Derived {
-    location: Option<(f64, f64, &'static str, bool)>,
-    alloc: YearMonth,
-    asn: u32,
-}
-
-fn derive(source: &WorldSource, id: u64) -> Derived {
-    let spec = source.generate_block(id);
+/// `row` with the columns a seed-joined file elides — location,
+/// allocation date, AS — as the seed derives them, TSV-canonicalized.
+fn derive(source: &WorldSource, row: DatasetRow) -> DatasetRow {
+    let spec = source.generate_block(row.block_id);
     let country = &COUNTRIES[spec.country_idx];
-    let location = source
-        .geodb()
-        .locate(id, country, spec.lon, spec.lat)
-        .map(|l| (canon(l.lon, 6), canon(l.lat, 6), l.country, l.centroid_fallback));
-    Derived { location, alloc: spec.alloc_date, asn: spec.asn }
+    let location = source.geodb().locate(row.block_id, country, spec.lon, spec.lat);
+    DatasetRow {
+        lon: location.map(|l| canon(l.lon, 6)),
+        lat: location.map(|l| canon(l.lat, 6)),
+        country: location.map(|l| l.country),
+        centroid: location.is_some_and(|l| l.centroid_fallback),
+        alloc: spec.alloc_date,
+        asn: spec.asn,
+        ..row
+    }
 }
 
 /// Checks that every elided column of `row` is bit-exactly reproduced by
@@ -369,51 +370,31 @@ fn verify_derivable(source: &WorldSource, row: &DatasetRow) -> Result<(), Encode
     if row.block_id >= source.cfg().num_blocks as u64 {
         return Err(fail("block_id"));
     }
-    let d = derive(source, row.block_id);
-    match (&d.location, &row.country) {
-        (Some((lon, lat, country, centroid)), Some(row_country)) => {
-            if row_country != country {
-                return Err(fail("country"));
-            }
-            if row.lon.map(f64::to_bits) != Some(lon.to_bits()) {
-                return Err(fail("lon"));
-            }
-            if row.lat.map(f64::to_bits) != Some(lat.to_bits()) {
-                return Err(fail("lat"));
-            }
-            if row.centroid != *centroid {
-                return Err(fail("centroid"));
-            }
-        }
-        (None, None) => {}
-        _ => return Err(fail("country")),
+    let d = derive(source, *row);
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    let agree = [
+        ("country", d.country == row.country),
+        ("lon", bits(d.lon) == bits(row.lon)),
+        ("lat", bits(d.lat) == bits(row.lat)),
+        ("centroid", d.centroid == row.centroid),
+        ("alloc", d.alloc == row.alloc),
+        ("asn", d.asn == row.asn),
+    ];
+    match agree.iter().find(|(_, same)| !same) {
+        Some(&(field, _)) => Err(fail(field)),
+        None => Ok(()),
     }
-    if row.alloc != d.alloc.to_string() {
-        return Err(fail("alloc"));
-    }
-    if row.asn != d.asn {
-        return Err(fail("asn"));
-    }
-    Ok(())
 }
 
-/// Distinct values sorted by descending frequency (ascending value as
-/// the tiebreak, for deterministic output), with an index map back.
-fn freq_sorted<T: Ord + std::hash::Hash + Copy>(
+/// Distinct values sorted by descending frequency (ascending `key` as the
+/// tiebreak, for deterministic output), with an index map back.
+fn freq_sorted<T: Hash + Eq + Copy, K: Ord>(
     counts: &HashMap<T, u64>,
+    key: impl Fn(T) -> K,
 ) -> (Vec<T>, HashMap<T, u64>) {
     let mut entries: Vec<(T, u64)> = counts.iter().map(|(&k, &c)| (k, c)).collect();
-    entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    entries.sort_by_cached_key(|&(v, c)| (Reverse(c), key(v)));
     let values: Vec<T> = entries.into_iter().map(|(k, _)| k).collect();
-    let index = values.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect();
-    (values, index)
-}
-
-/// String-dictionary variant of [`freq_sorted`].
-fn freq_sorted_str<'a>(counts: &HashMap<&'a str, u64>) -> (Vec<&'a str>, HashMap<&'a str, u64>) {
-    let mut entries: Vec<(&str, u64)> = counts.iter().map(|(&k, &c)| (k, c)).collect();
-    entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    let values: Vec<&str> = entries.into_iter().map(|(k, _)| k).collect();
     let index = values.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect();
     (values, index)
 }
@@ -437,15 +418,10 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
         if !coherent {
             return Err(EncodeError::Unrepresentable { block_id: row.block_id, field: "location" });
         }
-        let long = |s: &str| s.len() > u8::MAX as usize;
-        if row.country.as_deref().is_some_and(long) {
+        if row.country.is_some_and(|c| by_code(c).is_none()) {
             return Err(EncodeError::Unrepresentable { block_id: row.block_id, field: "country" });
         }
-        if long(&row.alloc) {
-            return Err(EncodeError::Unrepresentable { block_id: row.block_id, field: "alloc" });
-        }
     }
-    let masks: Vec<u16> = rows.iter().map(link_mask).collect::<Result<_, _>>()?;
 
     let (mode_byte, identity) = match mode {
         DatasetMode::SelfContained => (MODE_SELF, RunIdentity::default()),
@@ -459,27 +435,25 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
     };
 
     // Global dictionaries, frequency-sorted for cheap Rice indices.
-    let mut mask_counts: HashMap<u16, u64> = HashMap::new();
+    let mut mask_counts: HashMap<LinkSet, u64> = HashMap::new();
     let mut cpd_counts: HashMap<u64, u64> = HashMap::new();
     let mut country_counts: HashMap<&str, u64> = HashMap::new();
-    let mut alloc_counts: HashMap<&str, u64> = HashMap::new();
-    for (row, &mask) in rows.iter().zip(&masks) {
-        *mask_counts.entry(mask).or_insert(0) += 1;
+    let mut alloc_counts: HashMap<YearMonth, u64> = HashMap::new();
+    for row in rows {
+        *mask_counts.entry(row.links).or_insert(0) += 1;
         *cpd_counts.entry(row.strongest_cpd.to_bits()).or_insert(0) += 1;
         if mode_byte == MODE_SELF {
-            if let Some(c) = row.country.as_deref() {
+            if let Some(c) = row.country {
                 *country_counts.entry(c).or_insert(0) += 1;
             }
-            *alloc_counts.entry(row.alloc.as_str()).or_insert(0) += 1;
+            *alloc_counts.entry(row.alloc).or_insert(0) += 1;
         }
     }
-    let (mask_dict, mask_idx) = freq_sorted(&mask_counts);
-    let (cpd_dict, cpd_idx) = freq_sorted(&cpd_counts);
-    let (country_dict, country_idx) = freq_sorted_str(&country_counts);
-    let (alloc_dict, alloc_idx) = freq_sorted_str(&alloc_counts);
-    if country_dict.len() > u16::MAX as usize {
-        return Err(EncodeError::TooMany { what: "countries" });
-    }
+    let (mask_dict, mask_idx) = freq_sorted(&mask_counts, |m| m);
+    let (cpd_dict, cpd_idx) = freq_sorted(&cpd_counts, |c| c);
+    let (country_dict, country_idx) = freq_sorted(&country_counts, |c| c);
+    // Ties break on the text the dictionary stores.
+    let (alloc_dict, alloc_idx) = freq_sorted(&alloc_counts, |a| a.to_string());
     if alloc_dict.len() > u16::MAX as usize {
         return Err(EncodeError::TooMany { what: "allocation dates" });
     }
@@ -501,11 +475,12 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
     // Dictionary section: `len u32 | payload | crc32`.
     let mut dict = Vec::new();
     put_string_table(&mut dict, country_dict.iter().copied());
-    put_string_table(&mut dict, alloc_dict.iter().copied());
+    let alloc_text: Vec<String> = alloc_dict.iter().map(YearMonth::to_string).collect();
+    put_string_table(&mut dict, alloc_text.iter().map(String::as_str));
     put_string_table(&mut dict, LinkFeature::ALL.iter().map(|f| f.keyword()));
     dict.extend_from_slice(&(mask_dict.len() as u32).to_le_bytes());
     for &m in &mask_dict {
-        dict.extend_from_slice(&m.to_le_bytes());
+        dict.extend_from_slice(&m.bits().to_le_bytes());
     }
     dict.extend_from_slice(&(cpd_dict.len() as u32).to_le_bytes());
     for &c in &cpd_dict {
@@ -517,10 +492,7 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
     out.extend_from_slice(&dict);
 
     // Frames.
-    let mut frame_count = 0u64;
     for (frame_index, chunk) in rows.chunks(MAX_FRAME_ROWS).enumerate() {
-        let lo = frame_index * MAX_FRAME_ROWS;
-        let chunk_masks = &masks[lo..lo + chunk.len()];
         let mut w = BitWriter::new();
 
         let gaps: Vec<u64> = chunk.windows(2).map(|p| p[1].block_id - p[0].block_id - 1).collect();
@@ -534,18 +506,12 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
             w.put_bit(row.stationary);
             w.put_bit(row.phase.is_some());
         }
-        let col: Vec<f64> = chunk.iter().map(|r| r.mean_a).collect();
-        put_scaled(&mut w, &col, SCALE6);
-        let col: Vec<u64> = chunk.iter().map(|r| cpd_idx[&r.strongest_cpd.to_bits()]).collect();
-        put_rice_col(&mut w, &col);
-        let col: Vec<u64> = chunk.iter().map(|r| r.outages as u64).collect();
-        put_rice_col(&mut w, &col);
-        let col: Vec<u64> = chunk.iter().map(|r| r.probes).collect();
-        put_for(&mut w, &col);
-        let col: Vec<u64> = chunk_masks.iter().map(|m| mask_idx[m]).collect();
-        put_rice_col(&mut w, &col);
-        let col: Vec<f64> = chunk.iter().filter_map(|r| r.phase).collect();
-        put_scaled(&mut w, &col, SCALE6);
+        put_scaled(&mut w, chunk.iter().map(|r| r.mean_a), SCALE6);
+        put_rice_col(&mut w, chunk.iter().map(|r| cpd_idx[&r.strongest_cpd.to_bits()]));
+        put_rice_col(&mut w, chunk.iter().map(|r| u64::from(r.outages)));
+        put_for(&mut w, chunk.iter().map(|r| r.probes));
+        put_rice_col(&mut w, chunk.iter().map(|r| mask_idx[&r.links]));
+        put_scaled(&mut w, chunk.iter().filter_map(|r| r.phase), SCALE6);
         // The located flag is stored in both modes: it lets a seed-joined
         // reader aggregate [`DatasetStats`] without regenerating a single
         // block. One bit per row; derivability is still verified above.
@@ -554,23 +520,17 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
         }
 
         if mode_byte == MODE_SELF {
-            let located: Vec<&DatasetRow> = chunk.iter().filter(|r| r.country.is_some()).collect();
-            for row in &located {
+            // Coherence was checked above: a located row has both
+            // coordinates, an unlocated one neither.
+            let located = || chunk.iter().filter(|r| r.country.is_some());
+            for row in located() {
                 w.put_bit(row.centroid);
             }
-            let col: Vec<f64> = located.iter().map(|r| r.lon.expect("checked located")).collect();
-            put_scaled(&mut w, &col, SCALE6);
-            let col: Vec<f64> = located.iter().map(|r| r.lat.expect("checked located")).collect();
-            put_scaled(&mut w, &col, SCALE6);
-            let col: Vec<u64> = located
-                .iter()
-                .map(|r| country_idx[r.country.as_deref().expect("checked located")])
-                .collect();
-            put_rice_col(&mut w, &col);
-            let col: Vec<u64> = chunk.iter().map(|r| alloc_idx[r.alloc.as_str()]).collect();
-            put_rice_col(&mut w, &col);
-            let col: Vec<u64> = chunk.iter().map(|r| r.asn as u64).collect();
-            put_for(&mut w, &col);
+            put_scaled(&mut w, located().filter_map(|r| r.lon), SCALE6);
+            put_scaled(&mut w, located().filter_map(|r| r.lat), SCALE6);
+            put_rice_col(&mut w, chunk.iter().filter_map(|r| r.country).map(|c| country_idx[c]));
+            put_rice_col(&mut w, chunk.iter().map(|r| alloc_idx[&r.alloc]));
+            put_for(&mut w, chunk.iter().map(|r| u64::from(r.asn)));
         }
 
         let payload = w.into_bytes();
@@ -579,23 +539,17 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
         header[4..8].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
         header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[12..20].copy_from_slice(&chunk[0].block_id.to_le_bytes());
-        let mut crc = Crc32::new();
-        crc.update(&header_crc.to_le_bytes());
-        crc.update(&dict_crc.to_le_bytes());
-        crc.update(&(frame_index as u64).to_le_bytes());
-        crc.update(&header);
-        crc.update(&payload);
+        let crc = frame_crc([header_crc, dict_crc], frame_index, &header, &payload);
         out.extend_from_slice(&header);
         out.extend_from_slice(&payload);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        frame_count += 1;
+        out.extend_from_slice(&crc.to_le_bytes());
     }
 
     let obs = sleepwatch_obs::global();
     obs.format.datasets_encoded.incr();
     obs.format.bytes_encoded.add(out.len() as u64);
     obs.format.records_encoded.add(rows.len() as u64);
-    obs.format.frames_encoded.add(frame_count);
+    obs.format.frames_encoded.add(rows.len().div_ceil(MAX_FRAME_ROWS) as u64);
     Ok(out)
 }
 
@@ -603,172 +557,47 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// One decoded row, borrowing its strings from the file (or the static
-/// tables, in seed-joined mode) — nothing is copied until
-/// [`BinRow::to_row`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BinRow<'a> {
-    /// Block id.
-    pub block_id: u64,
-    /// Measured diurnal class.
-    pub class: DiurnalClass,
-    /// Phase of the daily component (diurnal blocks only).
-    pub phase: Option<f64>,
-    /// Mean `Âs`.
-    pub mean_a: f64,
-    /// Strongest spectral component, cycles/day.
-    pub strongest_cpd: f64,
-    /// Stationarity screen result.
-    pub stationary: bool,
-    /// Outages detected.
-    pub outages: u32,
-    /// Probes spent.
-    pub probes: u64,
-    /// Geolocated longitude (if located).
-    pub lon: Option<f64>,
-    /// Geolocated latitude.
-    pub lat: Option<f64>,
-    /// Country code, borrowed (if located).
-    pub country: Option<&'a str>,
-    /// Country-centroid fallback flag.
-    pub centroid: bool,
-    /// /8 allocation date.
-    pub alloc: AllocDate<'a>,
-    /// Origin AS.
-    pub asn: u32,
-    /// Kept link features as a [`LinkFeature::ALL`] bitmask.
-    pub link_mask: u16,
-}
-
-/// An allocation date as the container holds it: borrowed text
-/// (self-contained files) or a parsed year-month (seed-joined files).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocDate<'a> {
-    /// Verbatim `YYYY-MM` text from the file's dictionary.
-    Text(&'a str),
-    /// Derived from the world seed.
-    Date(YearMonth),
-}
-
-impl fmt::Display for AllocDate<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AllocDate::Text(s) => f.write_str(s),
-            AllocDate::Date(ym) => write!(f, "{ym}"),
-        }
-    }
-}
-
-impl BinRow<'_> {
-    /// The row's link keywords, in [`LinkFeature::ALL`] order.
-    pub fn links(&self) -> impl Iterator<Item = &'static str> {
-        mask_keywords(self.link_mask)
-    }
-
-    /// Materializes an owned [`DatasetRow`].
-    pub fn to_row(&self) -> DatasetRow {
-        DatasetRow {
-            block_id: self.block_id,
-            class: self.class,
-            phase: self.phase,
-            mean_a: self.mean_a,
-            strongest_cpd: self.strongest_cpd,
-            stationary: self.stationary,
-            outages: self.outages,
-            probes: self.probes,
-            lon: self.lon,
-            lat: self.lat,
-            country: self.country.map(str::to_owned),
-            centroid: self.centroid,
-            alloc: self.alloc.to_string(),
-            asn: self.asn,
-            links: self.links().map(str::to_owned).collect(),
-        }
-    }
-}
-
-/// The file's dictionaries, borrowed from the mapped bytes.
-struct Dicts<'a> {
-    countries: Vec<&'a str>,
-    allocs: Vec<&'a str>,
-    masks: Vec<u16>,
+/// Everything before the frames: the prelude, the dictionaries (resolved
+/// against this build's tables) and their checksum, the world a
+/// seed-joined file derives its elided columns from, and where the frames
+/// start.
+struct Shell {
+    prelude: Prelude,
+    countries: Vec<&'static str>,
+    allocs: Vec<YearMonth>,
+    masks: Vec<LinkSet>,
     cpds: Vec<f64>,
+    dict_crc: u32,
+    source: Option<WorldSource>,
+    frames_at: usize,
 }
 
-/// Location and byte range of one validated frame.
-struct FrameMeta {
-    count: usize,
-    first_id: u64,
-    payload: std::ops::Range<usize>,
-}
-
-/// Per-frame decoded columns, reused across frames so steady-state
-/// decoding allocates nothing.
-#[derive(Default)]
-struct FrameScratch {
-    ids: Vec<u64>,
-    class: Vec<DiurnalClass>,
-    stationary: Vec<bool>,
-    has_phase: Vec<bool>,
-    mean_a: Vec<f64>,
-    cpd: Vec<f64>,
-    outages: Vec<u64>,
-    probes: Vec<u64>,
-    masks: Vec<u16>,
-    phase: Vec<f64>,
-    located: Vec<bool>,
-    centroid: Vec<bool>,
-    lon: Vec<f64>,
-    lat: Vec<f64>,
-    country: Vec<u64>,
-    alloc: Vec<u64>,
-    asn: Vec<u64>,
-    /// Staging buffer for dictionary-index columns before remapping.
-    idx: Vec<u64>,
-}
-
-impl FrameScratch {
-    fn clear(&mut self) {
-        let FrameScratch {
-            ids,
-            class,
-            stationary,
-            has_phase,
-            mean_a,
-            cpd,
-            outages,
-            probes,
-            masks,
-            phase,
-            located,
-            centroid,
-            lon,
-            lat,
-            country,
-            alloc,
-            asn,
-            idx,
-        } = self;
-        ids.clear();
-        class.clear();
-        stationary.clear();
-        has_phase.clear();
-        mean_a.clear();
-        cpd.clear();
-        outages.clear();
-        probes.clear();
-        masks.clear();
-        phase.clear();
-        located.clear();
-        centroid.clear();
-        lon.clear();
-        lat.clear();
-        country.clear();
-        alloc.clear();
-        asn.clear();
-        idx.clear();
+impl Shell {
+    /// A decoded row as the file means it: a seed-joined file's elided
+    /// columns derived from the world.
+    fn complete(&self, row: DatasetRow) -> DatasetRow {
+        self.source.as_ref().map_or(row, |source| derive(source, row))
     }
 }
+
+/// What a row holds before its frame's columns are decoded into it.
+const BLANK: DatasetRow = DatasetRow {
+    block_id: 0,
+    class: DiurnalClass::NonDiurnal,
+    phase: None,
+    mean_a: 0.0,
+    strongest_cpd: 0.0,
+    stationary: false,
+    outages: 0,
+    probes: 0,
+    lon: None,
+    lat: None,
+    country: None,
+    centroid: false,
+    alloc: YearMonth { year: 0, month: 1 },
+    asn: 0,
+    links: LinkSet::from_bits(0),
+};
 
 /// A parsed, fully validated compact dataset over a borrowed byte slice
 /// (e.g. a memory map). Construction decodes every frame once — after
@@ -776,29 +605,24 @@ impl FrameScratch {
 /// and the row accessors cannot fail structurally.
 pub struct BinDataset<'a> {
     bytes: &'a [u8],
-    prelude: Prelude,
-    dicts: Dicts<'a>,
-    source: Option<WorldSource>,
-    frames: Vec<FrameMeta>,
+    shell: Shell,
     stats: DatasetStats,
 }
 
 impl fmt::Debug for BinDataset<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BinDataset")
-            .field("mode", &self.prelude.mode)
-            .field("records", &self.prelude.record_count)
-            .field("frames", &self.frames.len())
+            .field("mode", &self.shell.prelude.mode)
+            .field("records", &self.shell.prelude.record_count)
             .finish()
     }
 }
 
-/// Parses the prelude, mode and dictionary section, returning the byte
-/// offset where frames start.
-fn parse_shell<'a>(
-    bytes: &'a [u8],
-    world: Option<&WorldConfig>,
-) -> Result<(Prelude, Dicts<'a>, Option<WorldSource>, u32, usize), DecodeError> {
+/// Parses the prelude, mode and dictionary section. A country code
+/// outside [`COUNTRIES`] or an allocation date that is not canonical
+/// `YYYY-MM` is refused here, behind a valid checksum or not: no row can
+/// name what this build's tables cannot hold.
+fn parse_shell(bytes: &[u8], world: Option<&WorldConfig>) -> Result<Shell, DecodeError> {
     let prelude = Prelude::decode(bytes)?;
     prelude.require(DATASET_MAGIC, DATASET_VERSION, KIND_DATASET)?;
     let source = match prelude.mode {
@@ -833,8 +657,14 @@ fn parse_shell<'a>(
     }
     let frames_at = pos + dict_len;
     let mut dpos = 0usize;
-    let countries = read_string_table(dict_bytes, &mut dpos)?;
-    let allocs = read_string_table(dict_bytes, &mut dpos)?;
+    let countries = read_string_table(dict_bytes, &mut dpos)?
+        .into_iter()
+        .map(|c| by_code(c).map(|c| c.code).ok_or(corrupt("unknown country code")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let allocs = read_string_table(dict_bytes, &mut dpos)?
+        .into_iter()
+        .map(|a| a.parse().map_err(|_| corrupt("allocation date not canonical YYYY-MM")))
+        .collect::<Result<Vec<_>, _>>()?;
     let link_table = read_string_table(dict_bytes, &mut dpos)?;
     if !link_table.iter().copied().eq(LinkFeature::ALL.iter().map(|f| f.keyword())) {
         return Err(DecodeError::DictMismatch { table: "link" });
@@ -842,45 +672,69 @@ fn parse_shell<'a>(
     if prelude.mode == MODE_SEED_JOINED && (!countries.is_empty() || !allocs.is_empty()) {
         return Err(corrupt("seed-joined file carries stored-column tables"));
     }
-    let take = |dpos: &mut usize, n: usize| -> Result<&'a [u8], DecodeError> {
+    let take = |dpos: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
         let end = dpos.checked_add(n).ok_or(corrupt("length overflow"))?;
         let slice = dict_bytes.get(*dpos..end).ok_or(corrupt("dictionary truncated"))?;
         *dpos = end;
         Ok(slice)
     };
-    let n = take(&mut dpos, 4)?;
-    let mask_count = u32::from_le_bytes([n[0], n[1], n[2], n[3]]) as usize;
-    let mut masks = Vec::with_capacity(mask_count.min(1 << 16));
-    for _ in 0..mask_count {
-        let b = take(&mut dpos, 2)?;
-        masks.push(u16::from_le_bytes([b[0], b[1]]));
-    }
-    let n = take(&mut dpos, 4)?;
-    let cpd_count = u32::from_le_bytes([n[0], n[1], n[2], n[3]]) as usize;
-    let mut cpds = Vec::with_capacity(cpd_count.min(1 << 16));
-    for _ in 0..cpd_count {
-        let b = take(&mut dpos, 8)?;
-        cpds.push(f64::from_bits(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ])));
-    }
+    // A table of `n` fixed-width entries: `n u32`, then the entries.
+    let mut table = |width: usize| {
+        let n = take(&mut dpos, 4)?;
+        take(&mut dpos, width * u32::from_le_bytes([n[0], n[1], n[2], n[3]]) as usize)
+    };
+    let masks = table(2)?.chunks_exact(2);
+    let masks = masks.map(|b| LinkSet::from_bits(u16::from_le_bytes([b[0], b[1]]))).collect();
+    let cpds = table(8)?.chunks_exact(8);
+    let cpds = cpds.map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))));
+    let cpds = cpds.collect();
     if dpos != dict_len {
         return Err(corrupt("trailing dictionary bytes"));
     }
-    Ok((prelude, Dicts { countries, allocs, masks, cpds }, source, dict_crc, frames_at))
+    Ok(Shell { prelude, countries, allocs, masks, cpds, dict_crc, source, frames_at })
 }
 
-/// Validates the header and checksum of the frame at `pos`, returning
-/// `(count, first_id, payload_range, next_pos)`.
-fn frame_at(
+/// Decodes the frames that follow `shell`, one at a time into one reused
+/// buffer of rows, handing each frame's rows (elided columns not yet
+/// derived) to `each`, until the declared record count. The error is the
+/// one that stopped the walk, or bytes after the final frame.
+fn walk_frames(
     bytes: &[u8],
-    header_crc: u32,
-    dict_crc: u32,
-    record_count: u64,
-    decoded: u64,
-    frame_index: usize,
-    pos: usize,
-) -> Result<(usize, u64, std::ops::Range<usize>, usize), DecodeError> {
+    shell: &Shell,
+    mut each: impl FnMut(&[DatasetRow]),
+) -> Result<(), DecodeError> {
+    let (mut rows, mut staged) = (Vec::new(), Vec::new());
+    let (mut pos, mut decoded, mut idx) = (shell.frames_at, 0u64, 0usize);
+    while decoded < shell.prelude.record_count {
+        pos = decode_frame(bytes, shell, (decoded, idx, pos), &mut rows, &mut staged)?;
+        each(&rows);
+        decoded += rows.len() as u64;
+        idx += 1;
+    }
+    if pos != bytes.len() {
+        return Err(DecodeError::FrameCorrupt {
+            frame: idx,
+            detail: "trailing bytes after final frame",
+        });
+    }
+    Ok(())
+}
+
+/// Validates the header and checksum of frame `frame_index` at `pos`,
+/// after `decoded` rows, and bit-decodes its columns into `rows`,
+/// validating every field; returns where the next frame starts. `rows`
+/// held the previous frame, whose last id enforces file-wide id
+/// monotonicity; `staged` holds one integer column at a time. A located
+/// row's location holds placeholders until its stored columns fill them
+/// or, in a seed-joined file, [`Shell::complete`] derives them.
+fn decode_frame(
+    bytes: &[u8],
+    shell: &Shell,
+    (decoded, frame_index, pos): (u64, usize, usize),
+    rows: &mut Vec<DatasetRow>,
+    staged: &mut Vec<u64>,
+) -> Result<usize, DecodeError> {
+    let record_count = shell.prelude.record_count;
     let torn = DecodeError::TornTail { valid_records: decoded, expected_records: record_count };
     let frame = |detail| DecodeError::FrameCorrupt { frame: frame_index, detail };
     if bytes.len() - pos < FRAME_HEADER_LEN + 4 {
@@ -905,37 +759,18 @@ fn frame_at(
     if end > bytes.len() {
         return Err(torn);
     }
-    let payload = pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + payload_len;
-    let mut crc = Crc32::new();
-    crc.update(&header_crc.to_le_bytes());
-    crc.update(&dict_crc.to_le_bytes());
-    crc.update(&(frame_index as u64).to_le_bytes());
-    crc.update(header);
-    crc.update(&bytes[payload.clone()]);
+    let payload = &bytes[pos + FRAME_HEADER_LEN..end - 4];
+    let crc = frame_crc([shell.prelude.header_crc(), shell.dict_crc], frame_index, header, payload);
     let stored = u32::from_le_bytes(bytes[end - 4..end].try_into().expect("bounds checked"));
-    if crc.finish() != stored {
+    if crc != stored {
         return Err(frame("checksum mismatch"));
     }
-    Ok((count, first_id, payload, end))
-}
 
-/// Bit-decodes one frame's columns into `s`, validating every field.
-/// `prev_last` is the last block id of the previous frame, enforcing
-/// file-wide id monotonicity.
-#[allow(clippy::too_many_arguments)]
-fn decode_frame(
-    dicts: &Dicts<'_>,
-    seed_joined: bool,
-    num_blocks: u64,
-    frame_index: usize,
-    count: usize,
-    first_id: u64,
-    payload: &[u8],
-    prev_last: Option<u64>,
-    s: &mut FrameScratch,
-) -> Result<(), DecodeError> {
-    let frame = |detail| DecodeError::FrameCorrupt { frame: frame_index, detail };
-    s.clear();
+    let seed_joined = shell.source.is_some();
+    if rows.last().is_some_and(|last| first_id <= last.block_id) {
+        return Err(frame("block ids not increasing across frames"));
+    }
+    rows.clear();
     let mut r = BitReader::new(payload);
 
     let width = r.get(7).ok_or(frame("ids truncated"))? as u32;
@@ -943,157 +778,75 @@ fn decode_frame(
         return Err(frame("gap width out of range"));
     }
     let mut id = first_id;
-    if prev_last.is_some_and(|last| first_id <= last) {
-        return Err(frame("block ids not increasing across frames"));
-    }
-    s.ids.push(id);
+    rows.push(DatasetRow { block_id: id, ..BLANK });
     for _ in 1..count {
         let gap = r.get(width).ok_or(frame("ids truncated"))?;
         id =
             gap.checked_add(1).and_then(|g| id.checked_add(g)).ok_or(frame("block id overflow"))?;
-        s.ids.push(id);
+        rows.push(DatasetRow { block_id: id, ..BLANK });
     }
-    if seed_joined && id >= num_blocks {
+    if seed_joined && id >= shell.prelude.identity.num_blocks {
         return Err(frame("block id outside the world"));
     }
-    for _ in 0..count {
+    for row in rows.iter_mut() {
         let code = r.get(2).ok_or(frame("flags truncated"))?;
-        s.class.push(class_from_code(code).ok_or(frame("bad class code"))?);
-        s.stationary.push(r.get_bit().ok_or(frame("flags truncated"))?);
-        s.has_phase.push(r.get_bit().ok_or(frame("flags truncated"))?);
+        row.class = class_from_code(code).ok_or(frame("bad class code"))?;
+        row.stationary = r.get_bit().ok_or(frame("flags truncated"))?;
+        row.phase = r.get_bit().ok_or(frame("flags truncated"))?.then_some(0.0);
     }
-    get_scaled(&mut r, count, SCALE6, &mut s.mean_a).ok_or(frame("mean_a column damaged"))?;
-    get_rice_col(&mut r, count, &mut s.idx).ok_or(frame("cpd column damaged"))?;
-    for &idx in &s.idx {
-        let v = *dicts.cpds.get(idx as usize).ok_or(frame("cpd index out of range"))?;
-        s.cpd.push(v);
+    get_scaled(&mut r, SCALE6, rows.iter_mut().map(|x| &mut x.mean_a))
+        .ok_or(frame("mean_a column damaged"))?;
+    get_rice_col(&mut r, count, staged).ok_or(frame("cpd column damaged"))?;
+    for (row, &i) in rows.iter_mut().zip(staged.iter()) {
+        row.strongest_cpd = *shell.cpds.get(i as usize).ok_or(frame("cpd index out of range"))?;
     }
-    get_rice_col(&mut r, count, &mut s.outages).ok_or(frame("outage column damaged"))?;
-    for &o in &s.outages {
-        if o > u32::MAX as u64 {
-            return Err(frame("outage count out of range"));
-        }
+    get_rice_col(&mut r, count, staged).ok_or(frame("outage column damaged"))?;
+    for (row, &o) in rows.iter_mut().zip(staged.iter()) {
+        row.outages = u32::try_from(o).map_err(|_| frame("outage count out of range"))?;
     }
-    get_for(&mut r, count, &mut s.probes).ok_or(frame("probe column damaged"))?;
-    s.idx.clear();
-    get_rice_col(&mut r, count, &mut s.idx).ok_or(frame("link column damaged"))?;
-    for &idx in &s.idx {
-        let m = *dicts.masks.get(idx as usize).ok_or(frame("link index out of range"))?;
-        s.masks.push(m);
+    get_for(&mut r, count, staged).ok_or(frame("probe column damaged"))?;
+    for (row, &p) in rows.iter_mut().zip(staged.iter()) {
+        row.probes = p;
     }
-    let phases = s.has_phase.iter().filter(|&&p| p).count();
-    get_scaled(&mut r, phases, SCALE6, &mut s.phase).ok_or(frame("phase column damaged"))?;
-    for _ in 0..count {
-        s.located.push(r.get_bit().ok_or(frame("located column damaged"))?);
+    get_rice_col(&mut r, count, staged).ok_or(frame("link column damaged"))?;
+    for (row, &i) in rows.iter_mut().zip(staged.iter()) {
+        row.links = *shell.masks.get(i as usize).ok_or(frame("link index out of range"))?;
+    }
+    get_scaled(&mut r, SCALE6, rows.iter_mut().filter_map(|x| x.phase.as_mut()))
+        .ok_or(frame("phase column damaged"))?;
+    for row in rows.iter_mut() {
+        let located = r.get_bit().ok_or(frame("located column damaged"))?;
+        let placeholder = located.then_some(0.0);
+        (row.lon, row.lat, row.country) = (placeholder, placeholder, located.then_some(""));
     }
 
     if !seed_joined {
-        let located = s.located.iter().filter(|&&l| l).count();
-        for _ in 0..located {
-            s.centroid.push(r.get_bit().ok_or(frame("centroid column damaged"))?);
+        for row in rows.iter_mut().filter(|x| x.country.is_some()) {
+            row.centroid = r.get_bit().ok_or(frame("centroid column damaged"))?;
         }
-        get_scaled(&mut r, located, SCALE6, &mut s.lon).ok_or(frame("lon column damaged"))?;
-        get_scaled(&mut r, located, SCALE6, &mut s.lat).ok_or(frame("lat column damaged"))?;
-        get_rice_col(&mut r, located, &mut s.country).ok_or(frame("country column damaged"))?;
-        for &idx in &s.country {
-            if idx as usize >= dicts.countries.len() {
-                return Err(frame("country index out of range"));
-            }
+        get_scaled(&mut r, SCALE6, rows.iter_mut().filter_map(|x| x.lon.as_mut()))
+            .ok_or(frame("lon column damaged"))?;
+        get_scaled(&mut r, SCALE6, rows.iter_mut().filter_map(|x| x.lat.as_mut()))
+            .ok_or(frame("lat column damaged"))?;
+        let located = rows.iter().filter(|x| x.country.is_some()).count();
+        get_rice_col(&mut r, located, staged).ok_or(frame("country column damaged"))?;
+        for (row, &i) in rows.iter_mut().filter(|x| x.country.is_some()).zip(staged.iter()) {
+            row.country =
+                Some(*shell.countries.get(i as usize).ok_or(frame("country index out of range"))?);
         }
-        get_rice_col(&mut r, count, &mut s.alloc).ok_or(frame("alloc column damaged"))?;
-        for &idx in &s.alloc {
-            if idx as usize >= dicts.allocs.len() {
-                return Err(frame("alloc index out of range"));
-            }
+        get_rice_col(&mut r, count, staged).ok_or(frame("alloc column damaged"))?;
+        for (row, &i) in rows.iter_mut().zip(staged.iter()) {
+            row.alloc = *shell.allocs.get(i as usize).ok_or(frame("alloc index out of range"))?;
         }
-        get_for(&mut r, count, &mut s.asn).ok_or(frame("asn column damaged"))?;
-        for &a in &s.asn {
-            if a > u32::MAX as u64 {
-                return Err(frame("asn out of range"));
-            }
+        get_for(&mut r, count, staged).ok_or(frame("asn column damaged"))?;
+        for (row, &a) in rows.iter_mut().zip(staged.iter()) {
+            row.asn = u32::try_from(a).map_err(|_| frame("asn out of range"))?;
         }
     }
     if r.bytes_consumed() != payload.len() {
         return Err(frame("payload length mismatch"));
     }
-    Ok(())
-}
-
-/// Emits every row of the decoded frame in `s` to `f`.
-fn emit_rows<'a>(
-    dicts: &Dicts<'a>,
-    source: Option<&WorldSource>,
-    s: &FrameScratch,
-    f: &mut impl FnMut(&BinRow<'_>),
-) {
-    let mut phase_i = 0usize;
-    let mut loc_i = 0usize;
-    for i in 0..s.ids.len() {
-        let phase = if s.has_phase[i] {
-            phase_i += 1;
-            Some(s.phase[phase_i - 1])
-        } else {
-            None
-        };
-        let row = if let Some(source) = source {
-            let d = derive(source, s.ids[i]);
-            let (lon, lat, country, centroid) = match d.location {
-                Some((lon, lat, country, centroid)) => {
-                    (Some(lon), Some(lat), Some(country), centroid)
-                }
-                None => (None, None, None, false),
-            };
-            BinRow {
-                block_id: s.ids[i],
-                class: s.class[i],
-                phase,
-                mean_a: s.mean_a[i],
-                strongest_cpd: s.cpd[i],
-                stationary: s.stationary[i],
-                outages: s.outages[i] as u32,
-                probes: s.probes[i],
-                lon,
-                lat,
-                country,
-                centroid,
-                alloc: AllocDate::Date(d.alloc),
-                asn: d.asn,
-                link_mask: s.masks[i],
-            }
-        } else {
-            let located = s.located[i];
-            let (lon, lat, country, centroid) = if located {
-                loc_i += 1;
-                let j = loc_i - 1;
-                (
-                    Some(s.lon[j]),
-                    Some(s.lat[j]),
-                    Some(dicts.countries[s.country[j] as usize]),
-                    s.centroid[j],
-                )
-            } else {
-                (None, None, None, false)
-            };
-            BinRow {
-                block_id: s.ids[i],
-                class: s.class[i],
-                phase,
-                mean_a: s.mean_a[i],
-                strongest_cpd: s.cpd[i],
-                stationary: s.stationary[i],
-                outages: s.outages[i] as u32,
-                probes: s.probes[i],
-                lon,
-                lat,
-                country,
-                centroid,
-                alloc: AllocDate::Text(dicts.allocs[s.alloc[i] as usize]),
-                asn: s.asn[i] as u32,
-                link_mask: s.masks[i],
-            }
-        };
-        f(&row);
-    }
+    Ok(end)
 }
 
 impl<'a> BinDataset<'a> {
@@ -1107,7 +860,7 @@ impl<'a> BinDataset<'a> {
         match &r {
             Ok(ds) => {
                 obs.format.datasets_decoded.incr();
-                obs.format.records_decoded.add(ds.prelude.record_count);
+                obs.format.records_decoded.add(ds.record_count());
             }
             Err(_) => obs.format.decode_errors.incr(),
         }
@@ -1115,97 +868,38 @@ impl<'a> BinDataset<'a> {
     }
 
     fn parse_inner(bytes: &'a [u8], world: Option<&WorldConfig>) -> Result<Self, DecodeError> {
-        let (prelude, dicts, source, dict_crc, mut pos) = parse_shell(bytes, world)?;
-        let header_crc = prelude.header_crc();
-        let mut frames = Vec::new();
-        let mut decoded = 0u64;
-        let mut prev_last: Option<u64> = None;
-        let mut scratch = FrameScratch::default();
+        let shell = parse_shell(bytes, world)?;
+        // The validation pass decodes every column this aggregate needs,
+        // so the stats ride along for free.
         let mut stats = DatasetStats::default();
-        while decoded < prelude.record_count {
-            let idx = frames.len();
-            let (count, first_id, payload, next) =
-                frame_at(bytes, header_crc, dict_crc, prelude.record_count, decoded, idx, pos)?;
-            decode_frame(
-                &dicts,
-                source.is_some(),
-                prelude.identity.num_blocks,
-                idx,
-                count,
-                first_id,
-                &bytes[payload.clone()],
-                prev_last,
-                &mut scratch,
-            )?;
-            prev_last = scratch.ids.last().copied();
-            // The validation pass already decoded every column this
-            // aggregate needs, so the stats ride along for free.
-            for i in 0..count {
-                stats.accumulate(
-                    scratch.class[i],
-                    scratch.located[i],
-                    scratch.outages[i] as u32,
-                    scratch.probes[i],
-                    scratch.mean_a[i],
-                );
-            }
-            frames.push(FrameMeta { count, first_id, payload });
-            decoded += count as u64;
-            pos = next;
-        }
-        if pos != bytes.len() {
-            return Err(DecodeError::FrameCorrupt {
-                frame: frames.len(),
-                detail: "trailing bytes after final frame",
-            });
-        }
-        Ok(BinDataset { bytes, prelude, dicts, source, frames, stats })
+        walk_frames(bytes, &shell, |rows| rows.iter().for_each(|r| stats.accumulate(r)))?;
+        Ok(BinDataset { bytes, shell, stats })
     }
 
     /// Rows the file declares (and parse verified).
     pub fn record_count(&self) -> u64 {
-        self.prelude.record_count
+        self.shell.prelude.record_count
     }
 
     /// The run identity the file carries.
     pub fn identity(&self) -> RunIdentity {
-        self.prelude.identity
+        self.shell.prelude.identity
     }
 
     /// The container mode byte ([`MODE_SELF`] or [`MODE_SEED_JOINED`]).
     pub fn mode(&self) -> u8 {
-        self.prelude.mode
+        self.shell.prelude.mode
     }
 
-    /// Streams every row to `f` in block-id order, reusing one frame of
-    /// scratch for the whole pass — no per-row allocation, strings
-    /// borrowed from the file. Structural errors cannot occur after
+    /// Decodes every row, in block-id order, reusing one frame of scratch
+    /// for the whole pass. Structural errors cannot occur after
     /// [`parse`](BinDataset::parse), but the signature keeps them typed.
-    pub fn for_each_row(&self, mut f: impl FnMut(&BinRow<'_>)) -> Result<(), DecodeError> {
-        let mut scratch = FrameScratch::default();
-        let mut prev_last: Option<u64> = None;
-        for (idx, meta) in self.frames.iter().enumerate() {
-            decode_frame(
-                &self.dicts,
-                self.source.is_some(),
-                self.prelude.identity.num_blocks,
-                idx,
-                meta.count,
-                meta.first_id,
-                &self.bytes[meta.payload.clone()],
-                prev_last,
-                &mut scratch,
-            )?;
-            prev_last = scratch.ids.last().copied();
-            emit_rows(&self.dicts, self.source.as_ref(), &scratch, &mut f);
-        }
-        Ok(())
-    }
-
-    /// Materializes every row as an owned [`DatasetRow`].
     pub fn to_rows(&self) -> Result<Vec<DatasetRow>, DecodeError> {
-        let mut rows = Vec::with_capacity(self.prelude.record_count as usize);
-        self.for_each_row(|r| rows.push(r.to_row()))?;
+        let mut rows = Vec::with_capacity(self.record_count() as usize);
+        let shell = &self.shell;
+        walk_frames(self.bytes, shell, |frame| {
+            rows.extend(frame.iter().map(|&r| shell.complete(r)))
+        })?;
         Ok(rows)
     }
 }
@@ -1226,56 +920,14 @@ pub fn decode_prefix(
     bytes: &[u8],
     world: Option<&WorldConfig>,
 ) -> (Vec<DatasetRow>, Option<DecodeError>) {
-    let (prelude, dicts, source, dict_crc, mut pos) = match parse_shell(bytes, world) {
-        Ok(shell) => shell,
-        Err(e) => {
-            sleepwatch_obs::global().format.decode_errors.incr();
-            return (Vec::new(), Some(e));
-        }
-    };
-    let header_crc = prelude.header_crc();
     let mut rows = Vec::new();
-    let mut decoded = 0u64;
-    let mut prev_last: Option<u64> = None;
-    let mut scratch = FrameScratch::default();
-    let mut idx = 0usize;
-    while decoded < prelude.record_count {
-        let step = frame_at(bytes, header_crc, dict_crc, prelude.record_count, decoded, idx, pos)
-            .and_then(|(count, first_id, payload, next)| {
-                decode_frame(
-                    &dicts,
-                    source.is_some(),
-                    prelude.identity.num_blocks,
-                    idx,
-                    count,
-                    first_id,
-                    &bytes[payload],
-                    prev_last,
-                    &mut scratch,
-                )?;
-                Ok((count, next))
-            });
-        match step {
-            Ok((count, next)) => {
-                prev_last = scratch.ids.last().copied();
-                emit_rows(&dicts, source.as_ref(), &scratch, &mut |r| rows.push(r.to_row()));
-                decoded += count as u64;
-                pos = next;
-                idx += 1;
-            }
-            Err(e) => {
-                sleepwatch_obs::global().format.decode_errors.incr();
-                return (rows, Some(e));
-            }
-        }
-    }
-    if pos != bytes.len() {
+    let walked = parse_shell(bytes, world).and_then(|shell| {
+        walk_frames(bytes, &shell, |frame| rows.extend(frame.iter().map(|&r| shell.complete(r))))
+    });
+    if walked.is_err() {
         sleepwatch_obs::global().format.decode_errors.incr();
-        let e =
-            DecodeError::FrameCorrupt { frame: idx, detail: "trailing bytes after final frame" };
-        return (rows, Some(e));
     }
-    (rows, None)
+    (rows, walked.err())
 }
 
 // ---------------------------------------------------------------------------
@@ -1304,33 +956,24 @@ pub struct DatasetStats {
 }
 
 impl DatasetStats {
-    /// Folds one row's fields into the aggregate.
-    pub fn accumulate(
-        &mut self,
-        class: DiurnalClass,
-        located: bool,
-        outages: u32,
-        probes: u64,
-        mean_a: f64,
-    ) {
+    /// Folds one row into the aggregate.
+    fn accumulate(&mut self, r: &DatasetRow) {
         self.rows += 1;
-        match class {
+        match r.class {
             DiurnalClass::Strict => self.strict += 1,
             DiurnalClass::Relaxed => self.relaxed += 1,
             DiurnalClass::NonDiurnal => {}
         }
-        self.located += located as u64;
-        self.outages += outages as u64;
-        self.total_probes += probes;
-        self.mean_a_sum += mean_a;
+        self.located += r.country.is_some() as u64;
+        self.outages += r.outages as u64;
+        self.total_probes += r.probes;
+        self.mean_a_sum += r.mean_a;
     }
 
     /// Aggregates owned rows (the TSV read path).
     pub fn from_rows(rows: &[DatasetRow]) -> Self {
         let mut s = Self::default();
-        for r in rows {
-            s.accumulate(r.class, r.country.is_some(), r.outages, r.probes, r.mean_a);
-        }
+        rows.iter().for_each(|r| s.accumulate(r));
         s
     }
 
@@ -1389,10 +1032,10 @@ mod tests {
     fn scaled_column_roundtrips_with_escapes() {
         let values = [0.5, -0.0, 1.25, f64::NAN, 0.000001, -3.0, f64::INFINITY];
         let mut w = BitWriter::new();
-        put_scaled(&mut w, &values, SCALE6);
+        put_scaled(&mut w, values.iter().copied(), SCALE6);
         let bytes = w.into_bytes();
-        let mut out = Vec::new();
-        get_scaled(&mut BitReader::new(&bytes), values.len(), SCALE6, &mut out).unwrap();
+        let mut out = [0.0; 7];
+        get_scaled(&mut BitReader::new(&bytes), SCALE6, out.iter_mut()).unwrap();
         for (a, b) in values.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1476,11 +1119,13 @@ mod tests {
             encode_dataset(&unsorted, DatasetMode::SelfContained),
             Err(EncodeError::Unsorted { index: 1 })
         ));
-        let mut bad_links = rows.clone();
-        bad_links[0].links = vec!["not-a-keyword".into()];
+        // A country is stored only if the table holds it.
+        let mut foreign = rows.clone();
+        let located = foreign.iter().position(|r| r.country.is_some()).expect("a located row");
+        foreign[located].country = Some("ZZ");
         assert!(matches!(
-            encode_dataset(&bad_links, DatasetMode::SelfContained),
-            Err(EncodeError::Unrepresentable { field: "links", .. })
+            encode_dataset(&foreign, DatasetMode::SelfContained),
+            Err(EncodeError::Unrepresentable { field: "country", .. })
         ));
         let mut orphan_lon = rows;
         orphan_lon[0].country = None;
@@ -1505,7 +1150,7 @@ mod tests {
         assert!(err.is_some());
         // Multi-frame file: first frame survives a tail cut.
         let many: Vec<DatasetRow> = (0..MAX_FRAME_ROWS as u64 + 10)
-            .map(|i| DatasetRow { block_id: i, ..rows[0].clone() })
+            .map(|i| DatasetRow { block_id: i, ..rows[0] })
             .collect();
         let bin = encode_dataset(&many, DatasetMode::SelfContained).unwrap();
         let cut = &bin[..bin.len() - 5];
@@ -1546,7 +1191,7 @@ mod tests {
         // the wrong index, which the chained frame-index CRC catches.
         let template = dataset_rows(&analysis());
         let many: Vec<DatasetRow> = (0..2 * MAX_FRAME_ROWS as u64)
-            .map(|i| DatasetRow { block_id: i, ..template[0].clone() })
+            .map(|i| DatasetRow { block_id: i, ..template[0] })
             .collect();
         let bin = encode_dataset(&many, DatasetMode::SelfContained).unwrap();
         let shell = shell_end(&bin);

@@ -10,8 +10,25 @@
 //!
 //! Format: a `#`-prefixed header line naming the columns, then
 //! tab-separated rows. Missing values are the literal `-`.
+//!
+//! A [`DatasetRow`] holds no text: its country is a
+//! [`COUNTRIES`](sleepwatch_geoecon::country::COUNTRIES) entry, its
+//! allocation date a [`YearMonth`], its links a [`LinkSet`]. So
+//! [`read_dataset`] accepts exactly what [`write_dataset_rows`] prints and
+//! refuses anything else with a [`ParseError::BadField`] naming the line
+//! and column:
+//!
+//! * `class`: `d`, `r` or `n`; `stationary`, `centroid`: `0` or `1`;
+//! * `country`: a code of that table, or `-`;
+//! * `alloc`: canonical `YYYY-MM`, month 01–12 (`2001-05`, not `2001-5`);
+//! * `links`: `-`, or [`LinkFeature::ALL`] keywords joined by `,`, each at
+//!   most once and in that table's order (`sta,cable`, not `cable,sta`);
+//! * the other columns: numbers, `-` for an absent phase or location.
 
 use crate::worldrun::WorldAnalysis;
+use sleepwatch_geoecon::allocation::YearMonth;
+use sleepwatch_geoecon::country::by_code;
+use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_spectral::DiurnalClass;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -19,10 +36,10 @@ use std::path::{Path, PathBuf};
 /// Column header written (and required on import).
 const HEADER: &str = "#block_id\tclass\tphase\tmean_a\tstrongest_cpd\tstationary\toutages\tprobes\tlon\tlat\tcountry\tcentroid\talloc\tasn\tlinks";
 
-/// One parsed dataset row (a deserialized [`crate::worldrun::WorldBlockReport`]
-/// without the planted ground-truth label, which is deliberately not
-/// exported).
-#[derive(Debug, Clone, PartialEq)]
+/// One dataset row: a [`crate::worldrun::WorldBlockReport`] without the
+/// planted ground-truth label, which is deliberately not exported, and
+/// without the region, which the country implies. `Copy`, with no heap.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetRow {
     /// Block id.
     pub block_id: u64,
@@ -44,16 +61,16 @@ pub struct DatasetRow {
     pub lon: Option<f64>,
     /// Geolocated latitude.
     pub lat: Option<f64>,
-    /// Country code (if located).
-    pub country: Option<String>,
+    /// Country code of a table entry (if located).
+    pub country: Option<&'static str>,
     /// Country-centroid fallback flag.
     pub centroid: bool,
-    /// /8 allocation date, `YYYY-MM`.
-    pub alloc: String,
+    /// /8 allocation date.
+    pub alloc: YearMonth,
     /// Origin AS.
     pub asn: u32,
-    /// Kept link keywords, comma-separated.
-    pub links: Vec<String>,
+    /// Kept link features.
+    pub links: LinkSet,
 }
 
 fn class_str(c: DiurnalClass) -> &'static str {
@@ -64,25 +81,17 @@ fn class_str(c: DiurnalClass) -> &'static str {
     }
 }
 
-fn class_from(s: &str) -> Result<DiurnalClass, ParseError> {
-    match s {
-        "d" => Ok(DiurnalClass::Strict),
-        "r" => Ok(DiurnalClass::Relaxed),
-        "n" => Ok(DiurnalClass::NonDiurnal),
-        other => Err(ParseError::BadField(format!("unknown class {other:?}"))),
-    }
-}
-
 /// Writes the full analysis as a TSV dataset.
 pub fn write_dataset<W: Write>(w: &mut W, analysis: &WorldAnalysis) -> io::Result<()> {
     write_dataset_rows(w, &dataset_rows(analysis))
 }
 
-/// The analysis as owned [`DatasetRow`]s with every float canonicalized
-/// to the TSV print precision — exactly the rows [`read_dataset`] would
-/// return after a [`write_dataset`] roundtrip, without going through
-/// text. This is the canonical input to [`crate::binfmt::encode_dataset`]
-/// and to [`write_dataset_rows`], the one TSV row formatter.
+/// The analysis as [`DatasetRow`]s with every float canonicalized to the
+/// TSV print precision — exactly the rows [`read_dataset`] would return
+/// after a [`write_dataset`] roundtrip, without going through text. This
+/// is the canonical input to [`crate::binfmt::encode_dataset`] and to
+/// [`write_dataset_rows`], the one TSV row formatter. One allocation: the
+/// returned `Vec`.
 pub fn dataset_rows(analysis: &WorldAnalysis) -> Vec<DatasetRow> {
     use crate::binfmt::canon;
     analysis
@@ -99,18 +108,17 @@ pub fn dataset_rows(analysis: &WorldAnalysis) -> Vec<DatasetRow> {
             probes: r.summary.total_probes,
             lon: r.location.map(|l| canon(l.lon, 6)),
             lat: r.location.map(|l| canon(l.lat, 6)),
-            country: r.location.map(|l| l.country.to_string()),
-            centroid: r.location.map(|l| l.centroid_fallback).unwrap_or(false),
-            alloc: r.alloc_date.to_string(),
+            country: r.location.map(|l| l.country),
+            centroid: r.location.is_some_and(|l| l.centroid_fallback),
+            alloc: r.alloc_date,
             asn: r.asn,
-            links: r.link_features.iter().map(|f| f.keyword().to_string()).collect(),
+            links: r.link_features,
         })
         .collect()
 }
 
-/// Writes owned rows as a TSV dataset — the only place a row is
-/// formatted, so a binary decode re-serializes byte-identically to
-/// [`write_dataset`].
+/// Writes rows as a TSV dataset — the only place a row is formatted, so a
+/// binary decode re-serializes byte-identically to [`write_dataset`].
 pub fn write_dataset_rows<W: Write>(w: &mut W, rows: &[DatasetRow]) -> io::Result<()> {
     writeln!(w, "{HEADER}")?;
     let opt = |v: Option<f64>| v.map(|x| format!("{x:.6}")).unwrap_or_else(|| "-".into());
@@ -128,11 +136,15 @@ pub fn write_dataset_rows<W: Write>(w: &mut W, rows: &[DatasetRow]) -> io::Resul
             r.probes,
             opt(r.lon),
             opt(r.lat),
-            r.country.as_deref().unwrap_or("-"),
+            r.country.unwrap_or("-"),
             r.centroid as u8,
             r.alloc,
             r.asn,
-            if r.links.is_empty() { "-".to_string() } else { r.links.join(",") },
+            if r.links.is_empty() {
+                "-".into()
+            } else {
+                r.links.into_iter().collect::<Vec<_>>().join(",")
+            },
         )?;
     }
     Ok(())
@@ -231,8 +243,16 @@ pub enum ParseError {
         /// Fields found.
         fields: usize,
     },
-    /// A field failed to parse.
-    BadField(String),
+    /// A field holds a value outside the accepted vocabulary (see the
+    /// module documentation).
+    BadField {
+        /// 1-based line number.
+        line: usize,
+        /// Column name, as the header spells it.
+        column: &'static str,
+        /// What is wrong, quoting the value.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for ParseError {
@@ -243,7 +263,9 @@ impl std::fmt::Display for ParseError {
             ParseError::BadShape { line, fields } => {
                 write!(f, "line {line}: expected 15 fields, found {fields}")
             }
-            ParseError::BadField(msg) => write!(f, "bad field: {msg}"),
+            ParseError::BadField { line, column, detail } => {
+                write!(f, "line {line}, column {column}: {detail}")
+            }
         }
     }
 }
@@ -256,19 +278,58 @@ impl From<io::Error> for ParseError {
     }
 }
 
-fn parse_opt_f64(s: &str) -> Result<Option<f64>, ParseError> {
-    if s == "-" {
-        Ok(None)
-    } else {
-        s.parse().map(Some).map_err(|_| ParseError::BadField(format!("not a number: {s:?}")))
+/// One TSV row being read: its 1-based line number and its fields.
+struct Fields<'a> {
+    line: usize,
+    text: Vec<&'a str>,
+}
+
+impl Fields<'_> {
+    /// Field `c` through `f`, or the refusal that names the line, the
+    /// column, `what` the field must be and what it holds.
+    fn get<T>(&self, c: usize, what: &str, f: impl Fn(&str) -> Option<T>) -> Result<T, ParseError> {
+        f(self.text[c]).ok_or_else(|| ParseError::BadField {
+            line: self.line,
+            column: HEADER[1..].split('\t').nth(c).unwrap_or_default(),
+            detail: format!("expected {what}, found {:?}", self.text[c]),
+        })
     }
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, ParseError> {
-    s.parse().map_err(|_| ParseError::BadField(format!("not a number: {s:?}")))
+fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
 }
 
-/// Reads a dataset written by [`write_dataset`].
+/// `-` as `None`, anything else through `parse`.
+fn opt<T>(s: &str, parse: impl Fn(&str) -> Option<T>) -> Option<Option<T>> {
+    if s == "-" {
+        Some(None)
+    } else {
+        parse(s).map(Some)
+    }
+}
+
+fn flag(s: &str) -> Option<bool> {
+    (s == "0" || s == "1").then_some(s == "1")
+}
+
+fn class_from(s: &str) -> Option<DiurnalClass> {
+    let all = [DiurnalClass::Strict, DiurnalClass::Relaxed, DiurnalClass::NonDiurnal];
+    all.into_iter().find(|&c| class_str(c) == s)
+}
+
+/// `-`, or keywords joined by `,`, each known and above every one before
+/// it in table order (so none repeats).
+fn links_from(s: &str) -> Option<LinkSet> {
+    let bits = s.split(',').filter(|_| s != "-").try_fold(0u16, |bits, kw| {
+        let i = LinkFeature::from_keyword(kw)?.index();
+        (bits >> i == 0).then_some(bits | 1 << i)
+    });
+    bits.map(LinkSet::from_bits)
+}
+
+/// Reads a dataset written by [`write_dataset`], refusing any value
+/// outside the vocabulary in the module documentation.
 pub fn read_dataset<R: BufRead>(r: R) -> Result<Vec<DatasetRow>, ParseError> {
     let mut lines = r.lines();
     let header = lines.next().ok_or_else(|| ParseError::BadHeader("<empty file>".into()))??;
@@ -281,30 +342,27 @@ pub fn read_dataset<R: BufRead>(r: R) -> Result<Vec<DatasetRow>, ParseError> {
         if line.is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 15 {
-            return Err(ParseError::BadShape { line: i + 2, fields: fields.len() });
+        let f = Fields { line: i + 2, text: line.split('\t').collect() };
+        if f.text.len() != 15 {
+            return Err(ParseError::BadShape { line: f.line, fields: f.text.len() });
         }
+        let country = |s: &str| opt(s, |c| by_code(c).map(|c| c.code));
         rows.push(DatasetRow {
-            block_id: parse_num(fields[0])?,
-            class: class_from(fields[1])?,
-            phase: parse_opt_f64(fields[2])?,
-            mean_a: parse_num(fields[3])?,
-            strongest_cpd: parse_num(fields[4])?,
-            stationary: fields[5] == "1",
-            outages: parse_num(fields[6])?,
-            probes: parse_num(fields[7])?,
-            lon: parse_opt_f64(fields[8])?,
-            lat: parse_opt_f64(fields[9])?,
-            country: if fields[10] == "-" { None } else { Some(fields[10].to_string()) },
-            centroid: fields[11] == "1",
-            alloc: fields[12].to_string(),
-            asn: parse_num(fields[13])?,
-            links: if fields[14] == "-" {
-                Vec::new()
-            } else {
-                fields[14].split(',').map(str::to_string).collect()
-            },
+            block_id: f.get(0, "a number", num)?,
+            class: f.get(1, "d, r or n", class_from)?,
+            phase: f.get(2, "a number or -", |s| opt(s, num))?,
+            mean_a: f.get(3, "a number", num)?,
+            strongest_cpd: f.get(4, "a number", num)?,
+            stationary: f.get(5, "0 or 1", flag)?,
+            outages: f.get(6, "a number", num)?,
+            probes: f.get(7, "a number", num)?,
+            lon: f.get(8, "a number or -", |s| opt(s, num))?,
+            lat: f.get(9, "a number or -", |s| opt(s, num))?,
+            country: f.get(10, "a country code or -", country)?,
+            centroid: f.get(11, "0 or 1", flag)?,
+            alloc: f.get(12, "a YYYY-MM date", |s| s.parse().ok())?,
+            asn: f.get(13, "a number", num)?,
+            links: f.get(14, "link keywords in table order or -", links_from)?,
         });
     }
     Ok(rows)
@@ -336,24 +394,20 @@ mod tests {
         let rows = read_dataset(buf.as_slice()).unwrap();
         assert_eq!(rows.len(), a.reports.len());
         for (row, rep) in rows.iter().zip(&a.reports) {
-            assert_eq!(row.block_id, rep.summary.block_id);
-            assert_eq!(row.class, rep.summary.class);
-            assert_eq!(row.stationary, rep.summary.stationary);
-            assert_eq!(row.outages, rep.summary.outages);
-            assert_eq!(row.probes, rep.summary.total_probes);
-            assert_eq!(row.asn, rep.asn);
-            assert_eq!(row.country.as_deref(), rep.location.map(|l| l.country));
-            assert!((row.mean_a - rep.summary.mean_a).abs() < 1e-5);
-            match (row.phase, rep.summary.phase) {
+            let s = rep.summary;
+            assert_eq!(
+                (row.block_id, row.class, row.stationary),
+                (s.block_id, s.class, s.stationary)
+            );
+            assert_eq!((row.outages, row.probes, row.asn), (s.outages, s.total_probes, rep.asn));
+            assert_eq!(row.country, rep.location.map(|l| l.country));
+            assert!((row.mean_a - s.mean_a).abs() < 1e-5);
+            match (row.phase, s.phase) {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-5),
                 (None, None) => {}
                 other => panic!("phase mismatch {other:?}"),
             }
-            assert_eq!(
-                row.links,
-                rep.link_features.iter().map(|f| f.keyword().to_string()).collect::<Vec<_>>()
-            );
-            assert_eq!(row.alloc, rep.alloc_date.to_string());
+            assert_eq!((row.links, row.alloc), (rep.link_features, rep.alloc_date));
         }
     }
 
@@ -376,10 +430,78 @@ mod tests {
         }
     }
 
+    /// A located, linked row whose every field the reader accepts.
+    const GOOD: &str =
+        "7\td\t0.250000\t0.500000\t1.0000\t1\t0\t10\t10.000000\t20.000000\tUS\t0\t1990-01\t7\tsta,dsl";
+
+    /// Reads a good row, then on line 3 one with field `column` set to
+    /// `value`; the refusal must name line 3, the column `name`, the value.
+    fn assert_refused(column: usize, value: &str, name: &str) {
+        let mut bad: Vec<&str> = GOOD.split('\t').collect();
+        bad[column] = value;
+        let text = format!("{HEADER}\n{GOOD}\n{}\n", bad.join("\t"));
+        match read_dataset(text.as_bytes()) {
+            Err(ParseError::BadField { line: 3, column, detail }) => {
+                assert_eq!(column, name, "{value:?}");
+                assert!(detail.ends_with(&format!("found {value:?}")), "{detail}");
+            }
+            other => panic!("{name} = {value:?} not refused: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_good_row_reads() {
+        let text = format!("{HEADER}\n{GOOD}\n");
+        let rows = read_dataset(text.as_bytes()).unwrap();
+        assert_eq!(rows[0].country, Some("US"));
+        assert_eq!(rows[0].alloc, YearMonth::new(1990, 1));
+        assert_eq!(rows[0].links, LinkSet::from_iter([LinkFeature::Sta, LinkFeature::Dsl]));
+        let mut tsv = Vec::new();
+        write_dataset_rows(&mut tsv, &rows).unwrap();
+        assert_eq!(tsv, text.as_bytes(), "the reader accepts exactly what the writer prints");
+    }
+
     #[test]
     fn bad_class_is_rejected() {
-        let text = format!("{HEADER}\n1\tX\t-\t0.5\t1.0\t1\t0\t10\t-\t-\t-\t0\t1990-01\t7\t-\n");
-        assert!(matches!(read_dataset(text.as_bytes()), Err(ParseError::BadField(_))));
+        assert_refused(1, "X", "class");
+    }
+
+    #[test]
+    fn a_country_outside_the_table_is_refused() {
+        assert_refused(10, "ZZ", "country");
+    }
+
+    #[test]
+    fn a_one_digit_month_is_refused() {
+        assert_refused(12, "2001-5", "alloc");
+    }
+
+    #[test]
+    fn month_thirteen_is_refused() {
+        assert_refused(12, "2001-13", "alloc");
+    }
+
+    #[test]
+    fn an_unknown_link_keyword_is_refused() {
+        assert_refused(14, "sta,adsl", "links");
+    }
+
+    #[test]
+    fn a_repeated_link_keyword_is_refused() {
+        assert_refused(14, "dsl,dsl", "links");
+    }
+
+    #[test]
+    fn link_keywords_out_of_order_are_refused() {
+        assert_refused(14, "dsl,sta", "links");
+    }
+
+    #[test]
+    fn a_flag_other_than_zero_or_one_is_refused() {
+        for value in ["2", "true", ""] {
+            assert_refused(5, value, "stationary");
+            assert_refused(11, value, "centroid");
+        }
     }
 
     #[test]

@@ -37,14 +37,14 @@
 //! [`SYNC_EVERY`] records and on [`JournalWriter::sync`], bounding how
 //! much work a crash can lose.
 
+use crate::binfmt::{class_code, class_from_code};
 use crate::framing::{check_identity, sniff_magic, DecodeError, Prelude, RunIdentity};
 use crate::worldrun::WorldBlockReport;
 use sleepwatch_geoecon::allocation::YearMonth;
 use sleepwatch_geoecon::country::COUNTRIES;
 use sleepwatch_geoecon::geolocate::Location;
 use sleepwatch_geoecon::region::Region;
-use sleepwatch_linktype::LinkFeature;
-use sleepwatch_spectral::DiurnalClass;
+use sleepwatch_linktype::{LinkFeature, LinkSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -239,11 +239,7 @@ pub fn encode_record_v2(r: &WorldBlockReport) -> Option<Vec<u8>> {
     let probes = u32::try_from(r.summary.total_probes).ok()?;
     let outages = u16::try_from(r.summary.outages).ok()?;
     let mut flags = 0u16;
-    let mut cr = match r.summary.class {
-        DiurnalClass::Strict => 0u8,
-        DiurnalClass::Relaxed => 1,
-        DiurnalClass::NonDiurnal => 2,
-    };
+    let mut cr = class_code(r.summary.class) as u8;
     if let Some(region) = r.region {
         flags |= FLAG_REGION;
         cr |= (Region::ALL.iter().position(|&x| x == region)? as u8) << 2;
@@ -267,10 +263,6 @@ pub fn encode_record_v2(r: &WorldBlockReport) -> Option<Vec<u8>> {
         }
         None => None,
     };
-    let mut mask = 0u16;
-    for f in &r.link_features {
-        mask |= 1 << f.index();
-    }
     let mut buf =
         Vec::with_capacity(record_v2_len(r.summary.phase.is_some(), r.location.is_some()));
     buf.push(flags as u8);
@@ -283,7 +275,7 @@ pub fn encode_record_v2(r: &WorldBlockReport) -> Option<Vec<u8>> {
     buf.extend_from_slice(&r.asn.to_le_bytes());
     buf.extend_from_slice(&r.alloc_date.year.to_le_bytes());
     buf.push(r.alloc_date.month);
-    buf.extend_from_slice(&mask.to_le_bytes());
+    buf.extend_from_slice(&r.link_features.bits().to_le_bytes());
     debug_assert_eq!(buf.len(), RECORD_V2_FIXED);
     if let Some(phase) = r.summary.phase {
         buf.extend_from_slice(&phase.to_bits().to_le_bytes());
@@ -321,12 +313,7 @@ pub fn decode_record_v2(bytes: &[u8]) -> Option<(WorldBlockReport, usize)> {
     if cr >> 6 != 0 {
         return None;
     }
-    let class = match cr & 0x3 {
-        0 => DiurnalClass::Strict,
-        1 => DiurnalClass::Relaxed,
-        2 => DiurnalClass::NonDiurnal,
-        _ => return None,
-    };
+    let class = class_from_code(u64::from(cr & 0x3))?;
     let region_idx = (cr >> 2) & 0xF;
     let region = if flags & FLAG_REGION != 0 {
         Some(*Region::ALL.get(region_idx as usize)?)
@@ -342,13 +329,6 @@ pub fn decode_record_v2(bytes: &[u8]) -> Option<(WorldBlockReport, usize)> {
     let month = b[34];
     if !(1..=12).contains(&month) {
         return None;
-    }
-    let mask = le_u16(&b[35..37]);
-    let mut link_features = Vec::new();
-    for (i, &f) in LinkFeature::ALL.iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            link_features.push(f);
-        }
     }
     let mut at = RECORD_V2_FIXED;
     let phase = if flags & FLAG_PHASE != 0 {
@@ -385,7 +365,7 @@ pub fn decode_record_v2(bytes: &[u8]) -> Option<(WorldBlockReport, usize)> {
         location,
         region,
         alloc_date: YearMonth::new(le_u16(&b[32..34]), month),
-        link_features,
+        link_features: LinkSet::from_bits(le_u16(&b[35..37])),
         asn: le_u32(&b[28..32]),
         planted_diurnal: flags & FLAG_PLANTED != 0,
     };
@@ -677,6 +657,7 @@ mod tests {
     use super::*;
     use crate::analyze::BlockSummary;
     use sleepwatch_geoecon::country::by_code;
+    use sleepwatch_spectral::DiurnalClass;
 
     fn sample_report(id: u64) -> WorldBlockReport {
         WorldBlockReport {
@@ -698,7 +679,7 @@ mod tests {
             }),
             region: Some(Region::ALL[4]),
             alloc_date: YearMonth::new(1998, 7),
-            link_features: vec![LinkFeature::ALL[0], LinkFeature::ALL[9]],
+            link_features: LinkSet::from_iter([LinkFeature::ALL[0], LinkFeature::ALL[9]]),
             asn: 64_500,
             planted_diurnal: true,
         }
@@ -723,7 +704,7 @@ mod tests {
         r.location = None;
         r.region = None;
         r.summary.phase = None;
-        r.link_features.clear();
+        r.link_features = LinkSet::default();
         r.summary.stationary = false;
         r.planted_diurnal = false;
         assert_roundtrip(&r);

@@ -58,7 +58,7 @@ pub use analyze::{
 };
 pub use applications::{correct_snapshot, estimate_size, SizeEstimate};
 pub use binfmt::{
-    decode_dataset, decode_prefix, encode_dataset, BinDataset, BinRow, DatasetMode, DatasetStats,
+    decode_dataset, decode_prefix, encode_dataset, BinDataset, DatasetMode, DatasetStats,
     EncodeError,
 };
 pub use export::{

@@ -205,13 +205,13 @@ pub fn write_block_body(out: &mut String, r: &DatasetRow) {
     push_count(out, ",\"outages\":", r.outages.into());
     push_count(out, ",\"probes\":", r.probes);
     out.push_str(",\"country\":");
-    match &r.country {
+    match r.country {
         Some(c) => push_json_str(out, c),
         None => out.push_str("null"),
     }
     push_count(out, ",\"asn\":", r.asn.into());
     out.push_str(",\"links\":[");
-    for (i, l) in r.links.iter().enumerate() {
+    for (i, l) in r.links.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -299,14 +299,6 @@ impl Filter {
     pub fn matches(&self, r: &DatasetRow) -> bool {
         self.as_ref().matches(r)
     }
-
-    /// Canonical cache key: present dimensions in fixed order, so
-    /// equivalent filters share one LRU entry.
-    pub fn cache_key(&self) -> String {
-        let mut key = String::new();
-        self.as_ref().cache_key_into(&mut key);
-        key
-    }
 }
 
 /// A [`Filter`] borrowing its strings — what the request path parses a
@@ -321,13 +313,14 @@ pub(crate) struct FilterRef<'a> {
 
 impl FilterRef<'_> {
     fn matches(&self, r: &DatasetRow) -> bool {
-        self.country.map_or(true, |c| r.country.as_deref() == Some(c))
+        self.country.map_or(true, |c| r.country == Some(c))
             && self.asn.map_or(true, |a| r.asn == a)
-            && self.link.map_or(true, |l| r.links.iter().any(|k| k == l))
+            && self.link.map_or(true, |l| r.links.into_iter().any(|k| k == l))
             && self.stationary.map_or(true, |s| r.stationary == s)
     }
 
-    /// Replaces `key` with the canonical cache key.
+    /// Replaces `key` with the canonical cache key: present dimensions in
+    /// fixed order, so equivalent filters share one LRU entry.
     fn cache_key_into(&self, key: &mut String) {
         key.clear();
         if let Some(c) = self.country {
@@ -404,33 +397,31 @@ struct Group {
     rows: Vec<u32>,
 }
 
-/// A dimension while it is being rolled up: keys borrowed from the rows
-/// and kept in the order the list body wants.
+/// A dimension while it is being rolled up, its keys kept in the order
+/// the list body wants.
 type Rollup<K> = BTreeMap<K, (GroupCounts, Vec<u32>)>;
 
-/// Counts `r` under one key and posts its index `i` there, once per
-/// row however often the row repeats the key.
+/// Counts `r` under one key and posts its index `i` there (a row holds
+/// each key at most once).
 fn roll(group: &mut (GroupCounts, Vec<u32>), r: &DatasetRow, i: u32) {
     group.0.absorb(r);
-    if group.1.last() != Some(&i) {
-        group.1.push(i);
-    }
+    group.1.push(i);
 }
 
 /// Renders a rolled-up dimension: each key's body once, shared between
 /// the `{"name":[…]}` list body and the per-key map.
-fn render<K: Copy + Into<O>, O: Hash + Eq>(
+fn render<K: Copy + Hash + Eq>(
     name: &str,
     rollup: Rollup<K>,
     body: impl Fn(K, &GroupCounts) -> String,
-) -> (String, HashMap<O, Group>) {
+) -> (String, HashMap<K, Group>) {
     let mut list = format!("{{\"{name}\":[");
     let open = list.len();
     let mut map = HashMap::with_capacity(rollup.len());
     for (key, (counts, rows)) in rollup {
         let body = body(key, &counts);
         push_term(&mut list, open, ',', &body);
-        map.insert(key.into(), Group { body, rows });
+        map.insert(key, Group { body, rows });
     }
     list.push_str("]}");
     (list, map)
@@ -448,9 +439,9 @@ pub struct ServeState {
     ases: String,
     links: String,
     outages: String,
-    by_country: HashMap<String, Group>,
+    by_country: HashMap<&'static str, Group>,
     by_asn: HashMap<u32, Group>,
-    by_link: HashMap<String, Group>,
+    by_link: HashMap<&'static str, Group>,
     /// Counts of the non-stationary and of the stationary rows: the
     /// answers to the three filters that name no keyed dimension.
     by_stationary: [GroupCounts; 2],
@@ -467,14 +458,14 @@ impl ServeState {
     pub fn build(mut rows: Vec<DatasetRow>, lru_capacity: usize) -> ServeState {
         assert!(u32::try_from(rows.len()).is_ok(), "posting lists index rows with 32 bits");
         rows.sort_by_key(|r| r.block_id);
-        let mut countries: Rollup<&str> = BTreeMap::new();
+        let mut countries: Rollup<&'static str> = BTreeMap::new();
         let mut ases: Rollup<u32> = BTreeMap::new();
-        let mut links: Rollup<&str> = BTreeMap::new();
+        let mut links: Rollup<&'static str> = BTreeMap::new();
         let mut by_stationary = [GroupCounts::default(); 2];
         for (i, r) in rows.iter().enumerate() {
             let i = i as u32;
             by_stationary[usize::from(r.stationary)].absorb(r);
-            if let Some(c) = &r.country {
+            if let Some(c) = r.country {
                 roll(countries.entry(c).or_default(), r, i);
             }
             roll(ases.entry(r.asn).or_default(), r, i);
@@ -620,10 +611,17 @@ impl ServeState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
+    use sleepwatch_linktype::LinkFeature;
 
-    fn row(id: u64, country: Option<&str>, asn: u32, links: &[&str]) -> DatasetRow {
+    /// A row whose class, phase, outages and probes follow its id.
+    pub(in crate::serve) fn row(
+        id: u64,
+        country: Option<&'static str>,
+        asn: u32,
+        links: &[LinkFeature],
+    ) -> DatasetRow {
         DatasetRow {
             block_id: id,
             class: if id % 2 == 0 { DiurnalClass::Strict } else { DiurnalClass::NonDiurnal },
@@ -635,21 +633,21 @@ mod tests {
             probes: 100 + id,
             lon: country.map(|_| 10.0),
             lat: country.map(|_| 20.0),
-            country: country.map(String::from),
+            country,
             centroid: false,
-            alloc: "1994-05".into(),
+            alloc: sleepwatch_geoecon::allocation::YearMonth::new(1994, 5),
             asn,
-            links: links.iter().map(|s| s.to_string()).collect(),
+            links: links.iter().copied().collect(),
         }
     }
 
     fn state() -> ServeState {
         ServeState::build(
             vec![
-                row(2, Some("US"), 7, &["adsl"]),
-                row(1, Some("US"), 7, &["cable", "adsl"]),
+                row(2, Some("US"), 7, &[LinkFeature::Dsl]),
+                row(1, Some("US"), 7, &[LinkFeature::Cable, LinkFeature::Dsl]),
                 row(3, Some("DE"), 9, &[]),
-                row(4, None, 9, &["cable"]),
+                row(4, None, 9, &[LinkFeature::Cable]),
             ],
             8,
         )
@@ -689,7 +687,7 @@ mod tests {
     fn filters_compose_and_cache() {
         let s = state();
         let f =
-            Filter { country: Some("US".into()), link: Some("adsl".into()), ..Filter::default() };
+            Filter { country: Some("US".into()), link: Some("dsl".into()), ..Filter::default() };
         let (body, out) = s.query(&f);
         assert_eq!(out, LruOutcome::Miss { evicted: false });
         assert!(body.contains("\"blocks\":2"), "{body}");

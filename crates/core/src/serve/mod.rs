@@ -580,33 +580,16 @@ fn worker(listener: &TcpListener, state: &ServeState, stop: &AtomicBool, timeout
 
 #[cfg(test)]
 mod tests {
+    use super::index::tests::row;
     use super::*;
-    use sleepwatch_spectral::DiurnalClass;
-
-    fn rows() -> Vec<DatasetRow> {
-        (0..6)
-            .map(|id| DatasetRow {
-                block_id: id,
-                class: if id % 3 == 0 { DiurnalClass::Strict } else { DiurnalClass::Relaxed },
-                phase: Some(0.5),
-                mean_a: 0.25,
-                strongest_cpd: 1.0,
-                stationary: id % 2 == 0,
-                outages: 0,
-                probes: 10,
-                lon: Some(1.0),
-                lat: Some(2.0),
-                country: Some(if id < 3 { "US".into() } else { "DE".into() }),
-                centroid: false,
-                alloc: "1994-05".into(),
-                asn: 5,
-                links: vec!["adsl".into()],
-            })
-            .collect()
-    }
+    use sleepwatch_linktype::LinkFeature;
 
     fn state() -> ServeState {
-        ServeState::build(rows(), 8)
+        let country = |id| Some(if id < 3 { "US" } else { "DE" });
+        ServeState::build(
+            (0..6).map(|id| row(id, country(id), 5, &[LinkFeature::Dsl])).collect(),
+            8,
+        )
     }
 
     #[test]

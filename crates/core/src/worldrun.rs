@@ -31,7 +31,7 @@ use sleepwatch_geoecon::allocation::YearMonth;
 use sleepwatch_geoecon::country::{by_code, COUNTRIES};
 use sleepwatch_geoecon::geolocate::{GeoDatabase, Location};
 use sleepwatch_geoecon::region::Region;
-use sleepwatch_linktype::{BlockLabel, LinkFeature};
+use sleepwatch_linktype::{BlockLabel, LinkSet};
 use sleepwatch_obs::{Stage, StageTimer};
 use sleepwatch_simnet::{BlockSpec, PtrTemplate, World, WorldSource};
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, FftPlan, MAX_BATCH_LANES};
@@ -50,7 +50,7 @@ pub(crate) const CHUNK: usize = 256;
 
 /// One block's measurement, joined with every external data source the
 /// paper correlates against.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorldBlockReport {
     /// Pipeline outcome.
     pub summary: BlockSummary,
@@ -61,7 +61,7 @@ pub struct WorldBlockReport {
     /// Allocation date of the block's /8 (public registry data).
     pub alloc_date: YearMonth,
     /// Link features inferred from reverse DNS (kept keywords only).
-    pub link_features: Vec<LinkFeature>,
+    pub link_features: LinkSet,
     /// Origin AS.
     pub asn: u32,
     /// Ground-truth label carried along *for scoring only* — no aggregation
@@ -293,7 +293,7 @@ impl Sink for WorldRunStats {
 /// world-independent second half of the per-block pipeline, timed as
 /// [`Stage::Label`]. Each address's PTR name is rendered into one reused
 /// buffer and counted straight into the block's label: a named block
-/// allocates that buffer, its label's features and the report's.
+/// allocates that buffer and nothing else.
 pub(crate) fn join_block(
     geodb: &GeoDatabase,
     block: &BlockSpec,
@@ -327,7 +327,7 @@ pub(crate) fn join_block(
         location,
         region,
         alloc_date: block.alloc_date,
-        link_features: label.kept_features(),
+        link_features: label.features.kept(),
         asn: block.asn,
         planted_diurnal: block.planted_diurnal,
     }

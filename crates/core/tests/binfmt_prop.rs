@@ -2,13 +2,18 @@
 //! decoding is total (never panics, whatever the bytes), corruption is
 //! always surfaced as a typed error, and the damaged-file reader heals to
 //! a valid prefix of the original rows — the binfmt mirror of the
-//! journal codec's `journal_prop` suite.
+//! journal codec's `journal_prop` suite. Totality covers well-formed
+//! files too: a dictionary naming a country outside the table or a date
+//! that is not canonical `YYYY-MM` is refused behind a valid checksum.
 
 use proptest::prelude::*;
+use sleepwatch_core::framing::{crc32, PRELUDE_LEN};
 use sleepwatch_core::{
     analyze_world, dataset_rows, decode_dataset, decode_prefix, encode_dataset, AnalysisConfig,
-    BinDataset, DatasetMode, DatasetRow,
+    BinDataset, DatasetMode, DatasetRow, DecodeError,
 };
+use sleepwatch_geoecon::allocation::YearMonth;
+use sleepwatch_geoecon::country::by_code;
 use sleepwatch_simnet::{World, WorldConfig};
 use std::sync::OnceLock;
 
@@ -40,6 +45,24 @@ fn container() -> &'static Vec<u8> {
 
 fn dbg(r: &DatasetRow) -> String {
     format!("{r:?}")
+}
+
+/// The fixture container with the first entry of its country (`table` 0)
+/// or allocation-date (`table` 1) string table overwritten by `text`, of
+/// the entry's length, and the dictionary checksum rewritten to match.
+fn with_dict_entry(table: usize, text: &str) -> Vec<u8> {
+    let mut bytes = container().clone();
+    let dict = PRELUDE_LEN + 8;
+    let len = u32::from_le_bytes(bytes[PRELUDE_LEN..dict - 4].try_into().unwrap()) as usize;
+    // Every country code is two bytes: the date table follows `countries`
+    // entries of three (length byte and code).
+    let countries = usize::from(u16::from_le_bytes([bytes[dict], bytes[dict + 1]]));
+    let entry = if table == 0 { dict + 3 } else { dict + 2 + 3 * countries + 3 };
+    assert_eq!(usize::from(bytes[entry - 1]), text.len(), "same-length entries only");
+    bytes[entry..entry + text.len()].copy_from_slice(text.as_bytes());
+    let crc = crc32(&bytes[dict..dict + len]);
+    bytes[dict - 4..dict].copy_from_slice(&crc.to_le_bytes());
+    bytes
 }
 
 proptest! {
@@ -141,6 +164,36 @@ proptest! {
             for (g, want) in got.iter().zip(rows()) {
                 prop_assert_eq!(dbg(g), dbg(want));
             }
+        }
+    }
+
+    /// A dictionary entry the tables cannot hold — an unknown country, a
+    /// date like `2001-13`, `12001-5` or `2001-5 ` — is a typed dictionary
+    /// error from both readers even behind a valid checksum: never a
+    /// panic, never a row. An entry the tables do hold changes the
+    /// dictionary the frames' checksums chain over, so only the original
+    /// file decodes.
+    #[test]
+    fn dictionary_entries_outside_the_tables_are_refused(
+        table in 0usize..2,
+        code in "[A-Z]{2}|[ -~]{2}",
+        date in "[0-9]{4}-[0-9]{2}|[0-9]{5}-[0-9]|[0-9]{4}-[0-9] |[ -~]{7}",
+    ) {
+        let text = if table == 0 { code } else { date };
+        let bytes = with_dict_entry(table, &text);
+        let held = if table == 0 {
+            by_code(&text).is_some()
+        } else {
+            text.parse::<YearMonth>().is_ok()
+        };
+        let parsed = BinDataset::parse(&bytes, None);
+        let (got, err) = decode_prefix(&bytes, None);
+        if held {
+            prop_assert_eq!(parsed.is_ok(), bytes == *container());
+        } else {
+            prop_assert!(matches!(parsed, Err(DecodeError::DictCorrupt { .. })), "{:?}", text);
+            prop_assert!(got.is_empty());
+            prop_assert!(matches!(err, Some(DecodeError::DictCorrupt { .. })));
         }
     }
 }

@@ -16,6 +16,8 @@
 use counting_alloc::thread_allocations as allocations;
 use sleepwatch_core::serve::serve_streams;
 use sleepwatch_core::{DatasetRow, ServeState};
+use sleepwatch_geoecon::allocation::YearMonth;
+use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_spectral::DiurnalClass;
 use std::io::Read;
 
@@ -23,9 +25,9 @@ use std::io::Read;
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 fn row(id: u64) -> DatasetRow {
-    let links: &[&str] = match id % 3 {
-        0 => &["adsl"],
-        1 => &["cable", "adsl"],
+    let links: &[LinkFeature] = match id % 3 {
+        0 => &[LinkFeature::Dsl],
+        1 => &[LinkFeature::Dsl, LinkFeature::Cable],
         _ => &[],
     };
     DatasetRow {
@@ -40,11 +42,11 @@ fn row(id: u64) -> DatasetRow {
         probes: 1000 + id,
         lon: Some(1.0),
         lat: Some(2.0),
-        country: [Some("US"), Some("DE"), None][(id % 3) as usize].map(String::from),
+        country: [Some("US"), Some("DE"), None][(id % 3) as usize],
         centroid: false,
-        alloc: "2001-05".to_string(),
+        alloc: YearMonth::new(2001, 5),
         asn: 1000 + (id % 5) as u32,
-        links: links.iter().map(|l| l.to_string()).collect(),
+        links: links.iter().copied().collect::<LinkSet>(),
     }
 }
 
@@ -99,13 +101,13 @@ fn steady_state_requests_do_not_allocate() {
         "?stationary=true",
         "?country=US",
         "?as=1002&stationary=0",
-        "?link=adsl&country=DE&stationary=true&as=1001",
+        "?link=dsl&country=DE&stationary=true&as=1001",
         "?country=FR",
     ];
     mix.extend(hot.iter().map(|q| format!("/v1/query{q}")));
 
     let cold: Vec<String> =
-        (0..40).map(|i| format!("/v1/query?as={}&link=adsl", 2000 + i)).collect();
+        (0..40).map(|i| format!("/v1/query?as={}&link=dsl", 2000 + i)).collect();
     let absent = ["/v1/block/5".to_string(), "/v1/country/FR".into(), "/v1/nope".into()];
     let malformed = ["/v1/block/x".to_string(), "/v1/as/-1".into(), "/v1/summary?x=1".into()];
     let refused = ["/v1/query?bogus=1".to_string(), "/v1/query?as=x".into()];

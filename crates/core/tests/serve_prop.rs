@@ -17,6 +17,9 @@ use sleepwatch_core::serve::http::{
 use sleepwatch_core::serve::index::{push_fixed, query_body, write_block_body, Filter};
 use sleepwatch_core::serve::{route, LruOutcome, LruShard, ShardedLru};
 use sleepwatch_core::{analyze_world, dataset_rows, AnalysisConfig, DatasetRow, ServeState};
+use sleepwatch_geoecon::allocation::YearMonth;
+use sleepwatch_geoecon::country::COUNTRIES as TABLE;
+use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_simnet::{World, WorldConfig};
 use sleepwatch_spectral::DiurnalClass;
 use std::io::BufReader;
@@ -58,16 +61,16 @@ fn payloads() -> &'static Vec<String> {
             error_body("unknown country"),
             error_body("unknown query parameter \"bogus\""),
         ];
-        let code = rows.iter().find_map(|r| r.country.clone()).expect("a located row");
-        bodies.push(st.country(&code).expect("country body").to_string());
+        let code = rows.iter().find_map(|r| r.country).expect("a located row");
+        bodies.push(st.country(code).expect("country body").to_string());
         bodies.push(st.asn(rows[0].asn).expect("as body").to_string());
-        let kw = rows.iter().find_map(|r| r.links.first().cloned()).expect("a link keyword");
-        bodies.push(st.link(&kw).expect("link body").to_string());
+        let kw = rows.iter().find_map(|r| r.links.into_iter().next()).expect("a link keyword");
+        bodies.push(st.link(kw).expect("link body").to_string());
         bodies.push(st.block(rows[0].block_id).expect("block body"));
         for filter in [
             Filter::default(),
-            Filter { country: Some(code), ..Filter::default() },
-            Filter { link: Some(kw), stationary: Some(true), ..Filter::default() },
+            Filter { country: Some(code.into()), ..Filter::default() },
+            Filter { link: Some(kw.into()), stationary: Some(true), ..Filter::default() },
         ] {
             bodies.push(st.query(&filter).0);
         }
@@ -301,11 +304,13 @@ fn any_f64() -> impl Strategy<Value = f64> {
     })
 }
 
+/// Rows of any values the row type can hold: any country of the table or
+/// none, any set of the sixteen link features.
 fn any_row() -> impl Strategy<Value = DatasetRow> {
     (
         (any::<u64>(), 0usize..3, proptest::option::of(any_f64()), any_f64(), any_f64()),
         (any::<bool>(), any::<u32>(), any::<u64>(), any::<u32>()),
-        (proptest::option::of(tricky_string()), proptest::collection::vec(tricky_string(), 0..4)),
+        (proptest::option::of(0..TABLE.len()), any::<u16>()),
     )
         .prop_map(|(spectral, counts, keys)| {
             let (block_id, class, phase, mean_a, strongest_cpd) = spectral;
@@ -323,46 +328,46 @@ fn any_row() -> impl Strategy<Value = DatasetRow> {
                 probes,
                 lon: None,
                 lat: None,
-                country,
+                country: country.map(|i| TABLE[i].code),
                 centroid: false,
-                alloc: String::new(),
+                alloc: YearMonth::new(2001, 5),
                 asn,
-                links,
+                links: LinkSet::from_bits(links),
             }
         })
 }
 
-const COUNTRIES: [&str; 3] = ["US", "DE", "q\"\\\n日"];
-const LINKS: [&str; 3] = ["adsl", "cable", "w\"\t"];
+const COUNTRIES: [&str; 3] = ["US", "DE", "JP"];
+const LINKS: [LinkFeature; 3] = [LinkFeature::Dsl, LinkFeature::Cable, LinkFeature::Wifi];
 
 /// Arbitrary rows over a key space small enough for filters to meet:
-/// three countries or none, six ASes, up to three link keywords drawn
-/// with repetition (a row may carry one twice).
+/// three countries or none, six ASes, up to three link features.
 fn small_world() -> impl Strategy<Value = Vec<DatasetRow>> {
     let keys = (0usize..4, 0u32..6, proptest::collection::vec(0usize..3, 0..4));
     proptest::collection::vec((any_row(), keys), 0..40).prop_map(|rows| {
         rows.into_iter()
             .map(|(row, (country, asn, links))| DatasetRow {
-                country: COUNTRIES.get(country).map(|c| c.to_string()),
+                country: COUNTRIES.get(country).copied(),
                 asn,
-                links: links.into_iter().map(|l| LINKS[l].to_string()).collect(),
+                links: links.into_iter().map(|l| LINKS[l]).collect(),
                 ..row
             })
             .collect()
     })
 }
 
-/// Filters over that key space and just past it: a fourth country, two
-/// more ASes and a fourth keyword that no row carries.
+/// Filters over that key space and just past it: a country, two ASes and
+/// a keyword that no row carries — the strings among them tricky, so the
+/// `/v1/query` echo goes through the JSON escaper.
 fn any_filter() -> impl Strategy<Value = Filter> {
-    let pick = |keys: [&'static str; 3], absent: &'static str| {
-        proptest::option::of(0usize..4)
-            .prop_map(move |i| i.map(|i| keys.get(i).unwrap_or(&absent).to_string()))
+    let pick = |keys: [&'static str; 3]| {
+        (proptest::option::of(0usize..5), tricky_string())
+            .prop_map(move |(i, absent)| i.map(|i| keys.get(i).map_or(absent, |k| k.to_string())))
     };
     (
-        pick(COUNTRIES, "FR"),
+        pick(COUNTRIES),
         proptest::option::of(0u32..8),
-        pick(LINKS, "fiber"),
+        pick(LINKS.map(LinkFeature::keyword)),
         proptest::option::of(any::<bool>()),
     )
         .prop_map(|(country, asn, link, stationary)| Filter { country, asn, link, stationary })
@@ -393,8 +398,8 @@ fn reference_block_body(r: &DatasetRow) -> String {
         DiurnalClass::NonDiurnal => "n",
     };
     let phase = r.phase.map_or("null".to_string(), |p| format!("{p:.6}"));
-    let country = r.country.as_deref().map_or("null".to_string(), reference_json_str);
-    let links: Vec<String> = r.links.iter().map(|l| reference_json_str(l)).collect();
+    let country = r.country.map_or("null".to_string(), reference_json_str);
+    let links: Vec<String> = r.links.into_iter().map(reference_json_str).collect();
     format!(
         "{{\"block\":{},\"class\":\"{class}\",\"phase\":{phase},\"mean_a\":{:.6},\
          \"strongest_cpd\":{:.4},\"stationary\":{},\"outages\":{},\"probes\":{},\

@@ -59,6 +59,37 @@ impl std::fmt::Display for YearMonth {
     }
 }
 
+/// Why a string is not a year-month as [`YearMonth`] prints it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseYearMonthError;
+
+impl std::fmt::Display for ParseYearMonthError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("not a canonical YYYY-MM date")
+    }
+}
+
+impl std::error::Error for ParseYearMonthError {}
+
+/// Parses exactly what [`Display`](std::fmt::Display) prints, so
+/// `2001-5`, `2001-13` or `+2001-05` is refused rather than read as some
+/// other date.
+impl std::str::FromStr for YearMonth {
+    type Err = ParseYearMonthError;
+
+    fn from_str(s: &str) -> Result<YearMonth, ParseYearMonthError> {
+        let (year, month) = s.split_once('-').ok_or(ParseYearMonthError)?;
+        let year = year.parse().map_err(|_| ParseYearMonthError)?;
+        let month = month.parse().map_err(|_| ParseYearMonthError)?;
+        let ym = YearMonth { year, month };
+        if (1..=12).contains(&month) && ym.to_string() == s {
+            Ok(ym)
+        } else {
+            Err(ParseYearMonthError)
+        }
+    }
+}
+
 /// Regional Internet registries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
@@ -227,6 +258,19 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn year_month_rejects_bad_month() {
         let _ = YearMonth::new(2000, 13);
+    }
+
+    #[test]
+    fn year_month_parses_exactly_its_display() {
+        for (year, month) in [(0, 1), (1983, 1), (9999, 12), (10_000, 7), (u16::MAX, 9)] {
+            let ym = YearMonth::new(year, month);
+            assert_eq!(ym.to_string().parse::<YearMonth>(), Ok(ym));
+        }
+        let bad = "|-|2001|2001-|-05|2001-5|2001-005|2001-13|2001-00|201-05|02001-05|65536-01|\
+                   +2001-05|2001-+5|2001-05-01|2001/05| 2001-05|２００１-05";
+        for bad in bad.split('|') {
+            assert_eq!(bad.parse::<YearMonth>(), Err(ParseYearMonthError), "{bad:?}");
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!     .map(|i| Some(format!("dhcp-dialup-{i:03}.example.com")))
 //!     .collect();
 //! let label = classify_block(names.iter().map(|n| n.as_deref()));
-//! assert!(label.has(LinkFeature::Dhcp));
-//! assert!(label.has(LinkFeature::Dial));
+//! assert!(label.features.contains(LinkFeature::Dhcp));
+//! assert!(label.features.contains(LinkFeature::Dial));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -134,6 +134,86 @@ impl LinkFeature {
     pub const fn index(self) -> usize {
         self as usize
     }
+
+    /// The feature whose [`keyword`](Self::keyword) is exactly `s`.
+    pub fn from_keyword(s: &str) -> Option<LinkFeature> {
+        LinkFeature::ALL.into_iter().find(|f| f.keyword() == s)
+    }
+}
+
+/// A set of link features: bit [`LinkFeature::index`] of a `u16`, the
+/// layout of a [`feature_mask`]. Iterating a set by reference yields its
+/// keywords in [`LinkFeature::ALL`] order — the order every dataset row
+/// prints them in; [`features`](Self::features) yields the features.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LinkSet(u16);
+
+impl LinkSet {
+    /// The set whose bit `i` stands for `LinkFeature::ALL[i]`.
+    pub const fn from_bits(bits: u16) -> LinkSet {
+        LinkSet(bits)
+    }
+
+    /// The set as a [`feature_mask`]-layout bit mask.
+    pub const fn bits(self) -> u16 {
+        self.0
+    }
+
+    /// Whether `feature` is in the set.
+    pub const fn contains(self, feature: LinkFeature) -> bool {
+        self.0 & 1 << feature.index() != 0
+    }
+
+    /// Whether the set is empty.
+    pub const fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The set without the seven keywords the paper discards.
+    pub fn kept(self) -> LinkSet {
+        self.features().filter(|f| !f.discarded()).collect()
+    }
+
+    /// The features, in [`LinkFeature::ALL`] order.
+    pub const fn features(self) -> Features {
+        Features(self.0)
+    }
+}
+
+impl FromIterator<LinkFeature> for LinkSet {
+    fn from_iter<I: IntoIterator<Item = LinkFeature>>(iter: I) -> LinkSet {
+        LinkSet(iter.into_iter().fold(0, |bits, f| bits | 1 << f.index()))
+    }
+}
+
+impl IntoIterator for &LinkSet {
+    type Item = &'static str;
+    type IntoIter = std::iter::Map<Features, fn(LinkFeature) -> &'static str>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.features().map(LinkFeature::keyword)
+    }
+}
+
+impl std::fmt::Debug for LinkSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self).finish()
+    }
+}
+
+/// The features of a [`LinkSet`], in [`LinkFeature::ALL`] order.
+#[derive(Debug, Clone)]
+pub struct Features(u16);
+
+impl Iterator for Features {
+    type Item = LinkFeature;
+
+    fn next(&mut self) -> Option<LinkFeature> {
+        let i = self.0.trailing_zeros() as usize;
+        let f = *LinkFeature::ALL.get(i)?;
+        self.0 &= self.0 - 1;
+        Some(f)
+    }
 }
 
 impl std::fmt::Display for LinkFeature {
@@ -218,10 +298,9 @@ pub fn feature_mask(name: &str) -> u16 {
 }
 
 /// Features found in one address's reverse name (non-exclusive substring
-/// match, case-insensitive), in [`LinkFeature::ALL`] order.
-pub fn address_features(name: &str) -> Vec<LinkFeature> {
-    let mask = feature_mask(name);
-    LinkFeature::ALL.iter().copied().filter(|f| mask & (1 << f.index()) != 0).collect()
+/// match, case-insensitive).
+pub fn address_features(name: &str) -> LinkSet {
+    LinkSet::from_bits(feature_mask(name))
 }
 
 /// Per-feature address counts for one block, before and after the 1/15
@@ -231,32 +310,12 @@ pub struct BlockLabel {
     /// Raw per-feature address counts (indexed by [`LinkFeature::index`]).
     pub counts: [u32; 16],
     /// Features surviving suppression.
-    pub features: Vec<LinkFeature>,
+    pub features: LinkSet,
     /// Number of addresses that had any reverse name.
     pub named_addresses: u32,
 }
 
 impl BlockLabel {
-    /// Whether the block carries `feature` after suppression.
-    pub fn has(&self, feature: LinkFeature) -> bool {
-        self.features.contains(&feature)
-    }
-
-    /// Whether any feature survived (the paper's "has some feature").
-    pub fn is_classified(&self) -> bool {
-        !self.features.is_empty()
-    }
-
-    /// Whether more than one feature survived.
-    pub fn is_multi_feature(&self) -> bool {
-        self.features.len() > 1
-    }
-
-    /// Surviving features restricted to the paper's kept nine.
-    pub fn kept_features(&self) -> Vec<LinkFeature> {
-        self.features.iter().copied().filter(|f| !f.discarded()).collect()
-    }
-
     /// Counts one address's reverse name (addresses without a PTR record
     /// are simply not added).
     pub fn add_name(&mut self, name: &str) {
@@ -269,7 +328,7 @@ impl BlockLabel {
     }
 
     /// Labels the block from the counted names: applies the 1/15
-    /// minor-feature suppression and fills [`features`](Self::features).
+    /// minor-feature suppression and sets [`features`](Self::features).
     pub fn finish(mut self) -> BlockLabel {
         sleepwatch_obs::global().linktype.blocks_classified.incr();
         let max = self.counts.iter().copied().max().unwrap_or(0);
@@ -330,16 +389,16 @@ mod tests {
     #[test]
     fn paper_example_dhcp_dialup() {
         let fs = address_features("dhcp-dialup-001.example.com");
-        assert!(fs.contains(&LinkFeature::Dhcp));
-        assert!(fs.contains(&LinkFeature::Dial));
+        assert!(fs.contains(LinkFeature::Dhcp));
+        assert!(fs.contains(LinkFeature::Dial));
     }
 
     #[test]
     fn abbreviations_match_full_words() {
-        assert!(address_features("static-pool-7.isp.net").contains(&LinkFeature::Sta));
-        assert!(address_features("DYNAMIC-44.ISP.NET").contains(&LinkFeature::Dyn));
-        assert!(address_features("adsl-modem.example.org").contains(&LinkFeature::Dsl));
-        assert!(address_features("resnet-12.campus.edu").contains(&LinkFeature::Res));
+        assert!(address_features("static-pool-7.isp.net").contains(LinkFeature::Sta));
+        assert!(address_features("DYNAMIC-44.ISP.NET").contains(LinkFeature::Dyn));
+        assert!(address_features("adsl-modem.example.org").contains(LinkFeature::Dsl));
+        assert!(address_features("resnet-12.campus.edu").contains(LinkFeature::Res));
     }
 
     #[test]
@@ -363,10 +422,10 @@ mod tests {
     fn block_with_uniform_names_gets_one_feature() {
         let names = names_of(&[("cable", 200)]);
         let label = classify(&names);
-        assert_eq!(label.features, vec![LinkFeature::Cable]);
+        assert_eq!(label.features, LinkSet::from_iter([LinkFeature::Cable]));
         assert_eq!(label.named_addresses, 200);
-        assert!(label.is_classified());
-        assert!(!label.is_multi_feature());
+        assert!(!label.features.is_empty());
+        assert_eq!(label.features.features().count(), 1);
     }
 
     #[test]
@@ -374,7 +433,7 @@ mod tests {
         // 150 dsl + 5 srv: 5 < ceil(150/15)=10 → srv suppressed.
         let names = names_of(&[("dsl", 150), ("srv", 5)]);
         let label = classify(&names);
-        assert_eq!(label.features, vec![LinkFeature::Dsl]);
+        assert_eq!(label.features, LinkSet::from_iter([LinkFeature::Dsl]));
         assert_eq!(label.counts[LinkFeature::Srv.index()], 5);
     }
 
@@ -383,16 +442,16 @@ mod tests {
         // 150 dsl + 20 srv: 20 ≥ 10 → both kept.
         let names = names_of(&[("dsl", 150), ("srv", 20)]);
         let label = classify(&names);
-        assert!(label.has(LinkFeature::Dsl));
-        assert!(label.has(LinkFeature::Srv));
-        assert!(label.is_multi_feature());
+        assert!(label.features.contains(LinkFeature::Dsl));
+        assert!(label.features.contains(LinkFeature::Srv));
+        assert_eq!(label.features.features().count(), 2);
     }
 
     #[test]
     fn unnamed_block_is_unclassified() {
         let names: Vec<Option<String>> = vec![None; 256];
         let label = classify(&names);
-        assert!(!label.is_classified());
+        assert!(label.features.is_empty());
         assert_eq!(label.named_addresses, 0);
     }
 
@@ -401,7 +460,7 @@ mod tests {
         let names = names_of(&[("host", 100)]);
         let label = classify(&names);
         assert_eq!(label.named_addresses, 100);
-        assert!(!label.is_classified());
+        assert!(label.features.is_empty());
     }
 
     #[test]
@@ -410,24 +469,27 @@ mod tests {
         let label = classify(&names);
         assert_eq!(label.counts[LinkFeature::Dhcp.index()], 100);
         assert_eq!(label.counts[LinkFeature::Dial.index()], 100);
-        assert!(label.has(LinkFeature::Dhcp) && label.has(LinkFeature::Dial));
+        assert!(
+            label.features.contains(LinkFeature::Dhcp)
+                && label.features.contains(LinkFeature::Dial)
+        );
     }
 
     #[test]
     fn kept_features_filters_discarded() {
         let names = names_of(&[("wireless", 120), ("dyn", 120)]);
         let label = classify(&names);
-        assert!(label.has(LinkFeature::Wireless), "matched before filtering");
-        assert_eq!(label.kept_features(), vec![LinkFeature::Dyn]);
+        assert!(label.features.contains(LinkFeature::Wireless), "matched before filtering");
+        assert_eq!(label.features.kept(), LinkSet::from_iter([LinkFeature::Dyn]));
     }
 
     #[test]
     fn boundary_of_one_fifteenth() {
         // max=150 → threshold ceil(150/15)=10; exactly 10 survives, 9 doesn't.
         let at = classify(&names_of(&[("ppp", 150), ("cable", 10)]));
-        assert!(at.has(LinkFeature::Cable));
+        assert!(at.features.contains(LinkFeature::Cable));
         let below = classify(&names_of(&[("ppp", 150), ("cable", 9)]));
-        assert!(!below.has(LinkFeature::Cable));
+        assert!(!below.features.contains(LinkFeature::Cable));
     }
 
     #[test]
@@ -442,6 +504,23 @@ mod tests {
         for f in LinkFeature::ALL {
             assert_eq!(LinkFeature::ALL[f.index()], f);
             assert_eq!(format!("{f}"), f.keyword());
+            assert_eq!(LinkFeature::from_keyword(f.keyword()), Some(f));
         }
+        assert_eq!(LinkFeature::from_keyword("adsl"), None);
+        assert_eq!(LinkFeature::from_keyword("DSL"), None);
+    }
+
+    #[test]
+    fn a_link_set_is_its_mask_in_all_order() {
+        let set = LinkSet::from_iter([LinkFeature::Wifi, LinkFeature::Sta, LinkFeature::Cable]);
+        assert_eq!(set.bits(), 1 | 1 << 9 | 1 << 15);
+        assert!(set.contains(LinkFeature::Cable) && !set.contains(LinkFeature::Dsl));
+        let features: Vec<LinkFeature> = set.features().collect();
+        assert_eq!(features, [LinkFeature::Sta, LinkFeature::Cable, LinkFeature::Wifi]);
+        let keywords: Vec<&str> = (&set).into_iter().collect();
+        assert_eq!(keywords, ["sta", "cable", "wifi"]);
+        assert_eq!(format!("{set:?}"), r#"{"sta", "cable", "wifi"}"#);
+        assert!(LinkSet::default().is_empty());
+        assert_eq!(LinkSet::from_bits(u16::MAX).features().count(), 16);
     }
 }

@@ -16,7 +16,7 @@ proptest! {
         let label = classify_block(names.iter().map(|n| n.as_deref()));
         prop_assert!(label.named_addresses as usize <= names.len());
         // Surviving features all have non-zero counts.
-        for f in &label.features {
+        for f in label.features.features() {
             prop_assert!(label.counts[f.index()] > 0);
         }
     }
@@ -29,7 +29,7 @@ proptest! {
         let max = label.counts.iter().copied().max().unwrap_or(0);
         for f in LinkFeature::ALL {
             let c = label.counts[f.index()];
-            let survives = label.features.contains(&f);
+            let survives = label.features.contains(f);
             if survives {
                 prop_assert!(c >= max.div_ceil(15), "{f}: {c} of max {max}");
             } else {
@@ -43,7 +43,7 @@ proptest! {
         let fs = address_features(&name);
         for f in LinkFeature::ALL {
             prop_assert_eq!(
-                fs.contains(&f),
+                fs.contains(f),
                 name.to_ascii_lowercase().contains(f.keyword()),
                 "feature {} on {}", f, name
             );
@@ -59,8 +59,8 @@ proptest! {
     #[test]
     fn kept_features_is_a_subset(names in prop::collection::vec(prop::option::of(hostname()), 0..64)) {
         let label = classify_block(names.iter().map(|n| n.as_deref()));
-        for f in label.kept_features() {
-            prop_assert!(label.features.contains(&f));
+        for f in label.features.kept().features() {
+            prop_assert!(label.features.contains(f));
             prop_assert!(!f.discarded());
         }
     }

@@ -19,6 +19,8 @@ use std::time::Duration;
 
 use sleepwatch_core::serve::serve_streams;
 use sleepwatch_core::{DatasetRow, QueryServer, ServeConfig, ServeState};
+use sleepwatch_geoecon::allocation::YearMonth;
+use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_obs::Snapshot;
 use sleepwatch_spectral::DiurnalClass;
 use sleepwatch_testkit::httpclient::{read_response, HttpConnection};
@@ -31,7 +33,7 @@ fn lock() -> MutexGuard<'static, ()> {
     REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn row(id: u64, country: &str, stationary: bool) -> DatasetRow {
+fn row(id: u64, country: &'static str, stationary: bool) -> DatasetRow {
     DatasetRow {
         block_id: id,
         class: if id % 2 == 0 { DiurnalClass::Strict } else { DiurnalClass::NonDiurnal },
@@ -43,11 +45,11 @@ fn row(id: u64, country: &str, stationary: bool) -> DatasetRow {
         probes: 100 + id,
         lon: Some(1.0),
         lat: Some(2.0),
-        country: Some(country.to_string()),
+        country: Some(country),
         centroid: false,
-        alloc: "2001-05".to_string(),
+        alloc: YearMonth::new(2001, 5),
         asn: 1000 + (id % 2) as u32,
-        links: vec!["adsl".to_string()],
+        links: LinkSet::from_iter([LinkFeature::Dsl]),
     }
 }
 

@@ -143,7 +143,7 @@ fn batch_summary(rows: &[DatasetRow]) -> String {
 }
 
 fn batch_country(rows: &[DatasetRow], code: &str) -> String {
-    let c = fold(rows.iter().filter(|r| r.country.as_deref() == Some(code)));
+    let c = fold(rows.iter().filter(|r| r.country == Some(code)));
     format!("{{\"country\":\"{code}\",{}}}", group_tail(c))
 }
 
@@ -153,7 +153,7 @@ fn batch_as(rows: &[DatasetRow], asn: u32) -> String {
 }
 
 fn batch_link(rows: &[DatasetRow], kw: &str) -> String {
-    let c = fold(rows.iter().filter(|r| r.links.iter().any(|l| l == kw)));
+    let c = fold(rows.iter().filter(|r| r.links.into_iter().any(|l| l == kw)));
     format!("{{\"link\":\"{kw}\",{}}}", group_tail(c))
 }
 
@@ -164,8 +164,8 @@ fn batch_block(r: &DatasetRow) -> String {
         DiurnalClass::NonDiurnal => "n",
     };
     let phase = r.phase.map(|p| format!("{p:.6}")).unwrap_or_else(|| "null".into());
-    let country = r.country.as_deref().map(|c| format!("\"{c}\"")).unwrap_or_else(|| "null".into());
-    let links: Vec<String> = r.links.iter().map(|l| format!("\"{l}\"")).collect();
+    let country = r.country.map(|c| format!("\"{c}\"")).unwrap_or_else(|| "null".into());
+    let links: Vec<String> = r.links.into_iter().map(|l| format!("\"{l}\"")).collect();
     format!(
         "{{\"block\":{},\"class\":\"{class}\",\"phase\":{phase},\"mean_a\":{:.6},\
          \"strongest_cpd\":{:.4},\"stationary\":{},\"outages\":{},\"probes\":{},\
@@ -208,9 +208,9 @@ fn batch_query(
     stationary: Option<bool>,
 ) -> String {
     let c = fold(rows.iter().filter(|r| {
-        country.map_or(true, |c| r.country.as_deref() == Some(c))
+        country.map_or(true, |c| r.country == Some(c))
             && asn.map_or(true, |a| r.asn == a)
-            && link.map_or(true, |l| r.links.iter().any(|k| k == l))
+            && link.map_or(true, |l| r.links.into_iter().any(|k| k == l))
             && stationary.map_or(true, |s| r.stationary == s)
     }));
     let mut echo = Vec::new();
@@ -256,7 +256,7 @@ fn query_plan(rows: &[DatasetRow]) -> Vec<(String, u16, String)> {
     push("/v1/outages".into(), 200, batch_outages(rows));
 
     let codes: Vec<String> = {
-        let mut c: Vec<String> = rows.iter().filter_map(|r| r.country.clone()).collect();
+        let mut c: Vec<String> = rows.iter().filter_map(|r| r.country.map(String::from)).collect();
         c.sort();
         c.dedup();
         c
@@ -284,7 +284,8 @@ fn query_plan(rows: &[DatasetRow]) -> Vec<(String, u16, String)> {
     push("/v1/as/notanumber".into(), 400, err_body("malformed AS number"));
 
     let links: Vec<String> = {
-        let mut l: Vec<String> = rows.iter().flat_map(|r| r.links.iter().cloned()).collect();
+        let mut l: Vec<String> =
+            rows.iter().flat_map(|r| r.links.into_iter().map(String::from)).collect();
         l.sort();
         l.dedup();
         l

@@ -119,6 +119,27 @@ fn sleepwatch_convert_round_trips_both_formats() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn sleepwatch_convert_refuses_a_country_outside_the_table() {
+    let dir = std::env::temp_dir().join(format!("swtest-cli-zz-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let row = |country: &str| {
+        format!("1\td\t0.250000\t0.500000\t1.0000\t1\t0\t10\t10.000000\t20.000000\t{country}\t0\t1990-01\t7\tsta\n")
+    };
+    let input = dir.join("zz.tsv");
+    let header = "#block_id\tclass\tphase\tmean_a\tstrongest_cpd\tstationary\toutages\tprobes\t\
+                  lon\tlat\tcountry\tcentroid\talloc\tasn\tlinks\n";
+    std::fs::write(&input, format!("{header}{}{}", row("US"), row("ZZ"))).expect("write tsv");
+    let output = dir.join("out.bin");
+    let Some(mut cmd) = bin("sleepwatch") else { return };
+    let out = cmd.arg("convert").args([&input, &output]).output().expect("spawn convert");
+    assert!(!out.status.success(), "convert accepted country ZZ");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 3, column country") && stderr.contains("\"ZZ\""), "{stderr}");
+    assert!(!output.exists(), "a refused convert wrote its output");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `feed --to-file` then `ingest --from-file` round-trips a small world
 /// over the wire format and finalizes every block cleanly.
 #[test]

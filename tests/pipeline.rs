@@ -138,7 +138,7 @@ fn deterministic_end_to_end() {
         analyze_world(&world, &cfg, 3, None)
             .reports
             .iter()
-            .map(|r| (r.summary.class, r.summary.total_probes, r.link_features.clone()))
+            .map(|r| (r.summary.class, r.summary.total_probes, r.link_features))
             .collect::<Vec<_>>()
     };
     assert_eq!(mk(), mk(), "same seed ⇒ identical analysis, any thread count");
