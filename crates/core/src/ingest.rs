@@ -16,19 +16,21 @@
 //!   peak queue memory is `(capacity + batch_events) × 24 B` per shard,
 //!   and spent batch buffers recycle through a pool so the feeder
 //!   rewrites the same cache-hot lines.
-//! * **Self-generated feeds.** A [`WorldFeed`] probes 256 blocks at a time
-//!   and interleaves each chunk's streams as they are read, so a feed
-//!   holds one chunk of streams, never the world. Counted once, it sends
-//!   any suffix a resume asks for by regenerating from the chunk that
-//!   holds it: what `sleepwatch feed` serves.
+//! * **Self-generated feeds.** A [`WorldFeed`] interleaves 256-block
+//!   chunks in order on the calling thread while one worker per core
+//!   probes the next chunk's blocks, each held as its lane would hold it
+//!   (8 B per round). A feed holds two chunks at any core count, never the
+//!   world, and no event depends on the worker count. Counted once, it
+//!   sends any suffix a resume asks for by regenerating from the chunk
+//!   that holds it: what `sleepwatch feed` serves.
 //! * **Lanes.** Each in-flight block ("lane") keeps its `Âs` values in
 //!   arrival order plus a run list that is one entry unless rounds broke
-//!   sequence: 8 B per round. Its [`OnlineDetector`] — the bounded-window
-//!   monitoring verdict, available mid-stream — reads its window in place
-//!   as the tail of those values and defers a verdict that falls due
-//!   until the next one, or the lane's finish. Finished lanes' buffers go
-//!   back to the shard's free list, so the steady state opens lanes
-//!   without allocating.
+//!   sequence (a `RoundSeries`, 8 B per round). Its [`OnlineDetector`] —
+//!   the bounded-window monitoring verdict, available mid-stream — reads
+//!   its window in place as the tail of those values and defers a verdict
+//!   that falls due until the next one, or the lane's finish. Finished
+//!   lanes' buffers go back to the shard's free list, so the steady state
+//!   opens lanes without allocating.
 //! * **Grouped, exact finalization.** A finished block waits in its
 //!   shard's group, which flushes when it holds [`MAX_BATCH_LANES`]
 //!   blocks, when the shard's queue is empty (rather than sleep on it),
@@ -49,14 +51,18 @@
 //!   unfinished ones (up to seven finished but not yet flushed per
 //!   shard among them), healing to the same verdict set.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sleepwatch_obs::Stage;
-use sleepwatch_probing::stream::{record_events, Interleave, RoundEvent};
+use sleepwatch_probing::stream::{record_rounds, Interleave, RoundEvent};
 use sleepwatch_probing::transport::FeedEvents;
 use sleepwatch_probing::TrinocularProber;
 use sleepwatch_simnet::{shard_of, BlockSpec, WorldSource};
@@ -245,30 +251,35 @@ impl EventQueue {
     }
 }
 
-/// Recycles spent batch buffers from workers back to the feeder.
+/// Spent buffers handed back from the thread that used them up to the
+/// threads that fill them. Two pools:
 ///
-/// Without it the feeder allocates a fresh buffer per batch while
-/// workers free them into *their* malloc arenas, so the feeder writes
-/// cold memory for the whole run. Cycling a handful of buffers keeps
-/// the same cache-hot lines in use; the pool's size is naturally
-/// bounded by queue backpressure (a buffer is either in a queue, in a
-/// worker, in the pool, or being filled).
-struct BatchPool {
-    stack: parking_lot::Mutex<Vec<Vec<RoundEvent>>>,
+/// * batch buffers, from shard workers back to the feeder. Without it the
+///   feeder allocates a fresh buffer per batch while workers free them, so
+///   the feeder writes cold memory for the whole run;
+/// * a feed pass's block series, from its reader back to its probing
+///   workers. Without it each worker's malloc arena keeps its own high
+///   water of the series it filled, above what the pass holds.
+///
+/// A pool never holds more than was in flight at once (a buffer is either
+/// in use or in the pool), so it is bounded by backpressure.
+struct Pool<T> {
+    stack: parking_lot::Mutex<Vec<T>>,
 }
 
-impl BatchPool {
-    fn new() -> BatchPool {
-        BatchPool { stack: parking_lot::Mutex::new(Vec::new()) }
+impl<T> Pool<T> {
+    fn new() -> Pool<T> {
+        Pool { stack: parking_lot::Mutex::new(Vec::new()) }
     }
 
-    fn take(&self, batch_events: usize) -> Vec<RoundEvent> {
-        self.stack.lock().pop().unwrap_or_else(|| Vec::with_capacity(batch_events))
+    /// A spent buffer, if one is waiting.
+    fn take(&self) -> Option<T> {
+        self.stack.lock().pop()
     }
 
-    fn recycle(&self, mut batch: Vec<RoundEvent>) {
-        batch.clear();
-        self.stack.lock().push(batch);
+    /// Hands back a spent buffer, cleared by the caller.
+    fn give(&self, spent: T) {
+        self.stack.lock().push(spent);
     }
 }
 
@@ -276,14 +287,18 @@ impl BatchPool {
 /// bounded queues.
 struct Router<'a> {
     queues: &'a [EventQueue],
-    pool: &'a BatchPool,
+    pool: &'a Pool<Vec<RoundEvent>>,
     buffers: Vec<Vec<RoundEvent>>,
     batch_events: usize,
     rounds_routed: u64,
 }
 
 impl<'a> Router<'a> {
-    fn new(queues: &'a [EventQueue], pool: &'a BatchPool, batch_events: usize) -> Router<'a> {
+    fn new(
+        queues: &'a [EventQueue],
+        pool: &'a Pool<Vec<RoundEvent>>,
+        batch_events: usize,
+    ) -> Router<'a> {
         let batch_events = batch_events.max(1);
         Router {
             queues,
@@ -305,7 +320,8 @@ impl<'a> Router<'a> {
         let buf = &mut self.buffers[shard];
         buf.push(ev);
         if buf.len() >= self.batch_events {
-            let full = std::mem::replace(buf, self.pool.take(self.batch_events));
+            let empty = self.pool.take().unwrap_or_else(|| Vec::with_capacity(self.batch_events));
+            let full = std::mem::replace(buf, empty);
             self.queues[shard].push(full);
         }
     }
@@ -322,56 +338,77 @@ impl<'a> Router<'a> {
     }
 }
 
-/// One in-flight block on a shard: every `Âs` value in arrival order, the
-/// rounds they belong to, and the live detector, whose window is the tail
-/// of `values`.
+/// A block's `Âs` values in arrival order and the rounds they belong to:
+/// how an ingest lane holds an open block and a feed chunk a probed one.
 ///
 /// Rounds are kept as runs: `(start, first)` says `values[start..]`, up to
-/// the next run, holds rounds `first, first + 1, …`. A run opens only
-/// where a round is not its predecessor + 1 (a restart gap, a blackout, a
-/// duplicate, a swap), so a lane costs 8 B per round plus 16 B per break.
-struct Lane {
+/// the next run, holds rounds `first, first + 1, …`. A run opens only where
+/// a round is not its predecessor + 1 (a restart gap, a blackout, a
+/// duplicate, a swap), so a series costs 8 B per round plus 16 B per break.
+#[derive(Debug, Default)]
+struct RoundSeries {
     values: Vec<f64>,
-    runs: Runs,
-    live: OnlineDetector,
+    runs: Vec<(usize, u64)>,
 }
 
-/// A lane's runs, `(start, first)` each.
-type Runs = Vec<(usize, u64)>;
-
-impl Lane {
-    /// Heap bytes the lane's buffers hold.
+impl RoundSeries {
+    /// Heap bytes the series' buffers hold.
     fn bytes(&self) -> usize {
         self.values.capacity() * std::mem::size_of::<f64>()
             + self.runs.capacity() * std::mem::size_of::<(usize, u64)>()
     }
 
-    /// Appends one round and feeds the live detector, which settles an
-    /// earlier due verdict through `scratch` when a new one falls due;
-    /// returns the bytes the lane grew by (0 unless a buffer was full).
-    fn push(&mut self, round: u64, a_short: f64, scratch: &mut SpectrumScratch) -> usize {
-        let before = self.bytes();
-        let next = self
-            .runs
-            .last()
-            .and_then(|&(start, first)| first.checked_add((self.values.len() - start) as u64));
+    /// Appends one round's value.
+    fn push(&mut self, round: u32, value: f64) {
+        let round = u64::from(round);
+        let next =
+            self.runs.last().map(|&(start, first)| first + (self.values.len() - start) as u64);
         if next != Some(round) {
             self.runs.push((self.values.len(), round));
         }
-        self.values.push(a_short);
-        self.live.push(&self.values, scratch);
-        self.bytes() - before
+        self.values.push(value);
+    }
+
+    fn clear(&mut self) {
+        self.values.clear();
+        self.runs.clear();
+    }
+
+    /// The round of value `at`. `run` is the index of a run at or before
+    /// the one holding `at`, and is moved to that run, so a walk in order
+    /// reads each run once.
+    fn round_at(&self, at: usize, run: &mut usize) -> u64 {
+        while self.runs.get(*run + 1).is_some_and(|&(start, _)| start <= at) {
+            *run += 1;
+        }
+        let (start, first) = self.runs[*run];
+        first + (at - start) as u64
     }
 
     /// The `(round, Âs)` pairs in arrival order: what the batch pipeline
     /// collects from the same run.
     fn observations(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let ends = self.runs.iter().skip(1).map(|&(start, _)| start);
-        let ends = ends.chain(std::iter::once(self.values.len()));
-        self.runs.iter().zip(ends).flat_map(move |(&(start, first), end)| {
-            let run = self.values[start..end].iter().enumerate();
-            run.map(move |(k, &value)| (first + k as u64, value))
-        })
+        let mut run = 0;
+        self.values.iter().enumerate().map(move |(at, &value)| (self.round_at(at, &mut run), value))
+    }
+}
+
+/// One in-flight block on a shard: its series and the live detector, whose
+/// window is the tail of the series' values.
+struct Lane {
+    series: RoundSeries,
+    live: OnlineDetector,
+}
+
+impl Lane {
+    /// Appends one round and feeds the live detector, which settles an
+    /// earlier due verdict through `scratch` when a new one falls due;
+    /// returns the bytes the lane grew by (0 unless a buffer was full).
+    fn push(&mut self, round: u32, a_short: f64, scratch: &mut SpectrumScratch) -> usize {
+        let before = self.series.bytes();
+        self.series.push(round, a_short);
+        self.live.push(&self.series.values, scratch);
+        self.series.bytes() - before
     }
 }
 
@@ -406,8 +443,8 @@ struct ShardState<'a> {
     finished: Vec<Finished>,
     /// The flushing group's specs, aligned with `finished`.
     specs: Vec<BlockSpec>,
-    /// Finished lanes' buffers, cleared, for the next blocks to open.
-    spare: Vec<(Vec<f64>, Runs)>,
+    /// Finished lanes' series, cleared, for the next blocks to open.
+    spare: Vec<RoundSeries>,
     arena: BatchArena,
     rounds: u64,
     live_strict: u64,
@@ -449,10 +486,10 @@ impl<'a> ShardState<'a> {
                         // A finished lane's buffers when there are any,
                         // holding the nominal run length either way, so
                         // no round into the lane reallocates.
-                        let (mut values, runs) = self.spare.pop().unwrap_or_default();
-                        values.reserve(self.cfg.rounds as usize);
-                        let lane = Lane { values, runs, live: OnlineDetector::new(self.live_cfg) };
-                        self.lane_bytes += lane.bytes();
+                        let mut series = self.spare.pop().unwrap_or_default();
+                        series.values.reserve(self.cfg.rounds as usize);
+                        let lane = Lane { series, live: OnlineDetector::new(self.live_cfg) };
+                        self.lane_bytes += lane.series.bytes();
                         self.peak_lanes = self.peak_lanes.max(open + 1);
                         slot.insert(lane)
                     }
@@ -460,7 +497,7 @@ impl<'a> ShardState<'a> {
                 // Between flushes the arena holds no block, so its first
                 // lane's spectrum workspace serves inline live verdicts.
                 let live_scratch = self.arena.lanes[0].spectrum_mut();
-                self.lane_bytes += lane.push(u64::from(round), a_short, live_scratch);
+                self.lane_bytes += lane.push(round, a_short, live_scratch);
                 self.peak_lane_bytes = self.peak_lane_bytes.max(self.lane_bytes);
                 self.rounds += 1;
             }
@@ -468,7 +505,7 @@ impl<'a> ShardState<'a> {
                 // The lane closes now; its buffers wait with it for the
                 // group to flush.
                 let lane = self.lanes.remove(&block_id);
-                self.lane_bytes -= lane.as_ref().map_or(0, Lane::bytes);
+                self.lane_bytes -= lane.as_ref().map_or(0, |lane| lane.series.bytes());
                 self.finished.push(Finished { block_id, lane, outages, total_probes });
                 if self.finished.len() == MAX_BATCH_LANES {
                     self.flush(emit);
@@ -500,7 +537,7 @@ impl<'a> ShardState<'a> {
             |l| &specs[l],
             |l, scratch| {
                 let f = &finished[l];
-                let observations = f.lane.iter().flat_map(Lane::observations);
+                let observations = f.lane.iter().flat_map(|lane| lane.series.observations());
                 let fill_fraction = clean_observations_into(observations, cfg, scratch);
                 ProbedBlock { outages: f.outages, total_probes: f.total_probes, fill_fraction }
             },
@@ -519,10 +556,9 @@ impl<'a> ShardState<'a> {
             }
         }
         for lane in self.finished.drain(..).filter_map(|f| f.lane) {
-            let Lane { mut values, mut runs, .. } = lane;
-            values.clear();
-            runs.clear();
-            self.spare.push((values, runs));
+            let mut series = lane.series;
+            series.clear();
+            self.spare.push(series);
         }
     }
 
@@ -535,7 +571,7 @@ impl<'a> ShardState<'a> {
         let mut passed = 0;
         for (l, f) in self.finished.iter_mut().enumerate() {
             if let Some(lane) = &mut f.lane {
-                if let Some(window) = lane.live.screen_due(&lane.values) {
+                if let Some(window) = lane.live.screen_due(&lane.series.values) {
                     windows[passed] = (l, window);
                     passed += 1;
                 }
@@ -549,7 +585,8 @@ impl<'a> ShardState<'a> {
             for ((k, (l, window)), scratch) in
                 windows[..passed].iter().enumerate().zip(&mut self.arena.lanes)
             {
-                let values = &self.finished[*l].lane.as_ref().expect("a screened lane").values;
+                let lane = self.finished[*l].lane.as_ref().expect("a screened lane");
+                let values = &lane.series.values;
                 ins[k] = &values[window.clone()];
                 outs[k] = scratch.spectrum_mut().prepare_coeffs(len, self.live_cfg.sample_period);
             }
@@ -624,7 +661,7 @@ fn run_engine(
 
     let mut rounds_routed = 0u64;
     let mut quarantined_at_feed = Vec::new();
-    let pool = BatchPool::new();
+    let pool = Pool::new();
     crossbeam::thread::scope(|s| {
         for q in &queues {
             let shared = &shared;
@@ -644,7 +681,7 @@ fn run_engine(
                     }
                 };
                 loop {
-                    let batch = match q.try_pop() {
+                    let mut batch = match q.try_pop() {
                         Some(batch) => batch,
                         None => {
                             // Nothing queued: finish the waiting group
@@ -660,7 +697,8 @@ fn run_engine(
                     for &ev in &batch {
                         state.apply(ev, &mut |outcome| done.push(outcome));
                     }
-                    pool.recycle(batch);
+                    batch.clear();
+                    pool.give(batch);
                     publish(&mut done);
                 }
                 shared.lock().0.retire(state);
@@ -699,23 +737,30 @@ fn run_engine(
 /// [`ingest_world`] routes, what [`world_feed`] collects and what
 /// `sleepwatch feed` sends.
 ///
-/// Blocks are probed 256 at a time — the batch path's chunk — and a
-/// chunk's streams are interleaved as they are read, keyed by
-/// `interleave_seed + c` for chunk `c`. A chunk's events are therefore a
-/// pure function of the source, the config, the seed and `c`, and the feed
-/// holds one chunk's streams at a time, never the world.
+/// Blocks are interleaved 256 at a time — the batch path's chunk — keyed
+/// by `interleave_seed + c` for chunk `c`, so a chunk's events are a pure
+/// function of the source, the config, the seed and `c`. One worker per
+/// core probes the blocks of the chunk after the one being read, each
+/// held as its lane would hold it (8 B per round), while the calling
+/// thread interleaves the chunks in order. A pass holds two chunks of
+/// series at a time at any core count, never the world, and no event
+/// depends on which worker probed which block.
 ///
 /// [`WorldFeed::new`] probes the world once to count it: a hello carries
 /// the total before the first event, and on a file every frame's CRC
-/// chains on the hello. It keeps only each chunk's cumulative event count.
-/// Sending the feed ([`FeedEvents`]) probes the chunks again, and a resume
-/// at sequence `s` starts from the chunk that holds `s`, so the probing
-/// and quarantine counters (and `ingest.feed_chunks`) count a chunk once
-/// per pass.
+/// chains on the hello. Its workers count events and keep no streams; it
+/// keeps only each chunk's cumulative event count. Sending the feed
+/// ([`FeedEvents`]) probes the chunks again, and a resume at sequence `s`
+/// starts from the chunk that holds `s`, so the probing and quarantine
+/// counters, `ingest.feed_chunks` and `stage.ingest.feed_probe` count a
+/// chunk once per pass. A send whose callback fails stops the workers;
+/// the chunk they were probing ahead of the failed one counts too if it
+/// was finished, and its blocks count in the probing counters either way.
 pub struct WorldFeed<'a> {
     source: &'a WorldSource,
     cfg: &'a AnalysisConfig,
     interleave_seed: u64,
+    workers: usize,
     /// Journal-replayed blocks, left out of the feed (by block id).
     skip: &'a [bool],
     /// `ends[c]`: events in chunks `0..=c`. Empty unless counted.
@@ -724,19 +769,133 @@ pub struct WorldFeed<'a> {
     quarantined: Vec<Quarantine>,
 }
 
+/// Chunks a feed pass holds at once, whatever its worker count: the one
+/// its reader is interleaving and the one its workers are probing.
+const FEED_WINDOW: usize = 2;
+
+thread_local! {
+    /// Probing workers of the feeds built on this thread; `None`: one per
+    /// core.
+    static FEED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the feeds it builds on this thread probing on `workers`
+/// threads instead of one per core. No feed byte depends on the count;
+/// this exists so tests can show that.
+#[doc(hidden)]
+pub fn with_feed_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    let outer = FEED_WORKERS.replace(Some(workers.max(1)));
+    let out = f();
+    FEED_WORKERS.set(outer);
+    out
+}
+
+/// One probed chunk of a [`WorldFeed`]: its blocks' streams (none on a
+/// counting pass), its event count, and the blocks whose probing panicked.
+#[derive(Default)]
+struct Chunk {
+    streams: Vec<BlockStream>,
+    events: u64,
+    quarantined: Vec<Quarantine>,
+}
+
+/// One probed block: its stream (`None` on a counting pass) and its event
+/// count, or its quarantine.
+type Probed = Result<(Option<BlockStream>, u64), Quarantine>;
+
+impl Chunk {
+    /// The chunk of `blocks`, in chunk order.
+    fn of(blocks: impl IntoIterator<Item = Probed>) -> Chunk {
+        let mut chunk = Chunk::default();
+        for probed in blocks {
+            match probed {
+                Ok((stream, events)) => {
+                    chunk.events += events;
+                    chunk.streams.extend(stream);
+                }
+                Err(q) => chunk.quarantined.push(q),
+            }
+        }
+        chunk
+    }
+}
+
+/// One probed block of a chunk: its series and its `Finish` totals.
+struct BlockStream {
+    block_id: u64,
+    series: RoundSeries,
+    outages: u32,
+    total_probes: u64,
+}
+
+/// A [`BlockStream`]'s events in emission order: one `Round` per value,
+/// then the `Finish`. Dropped — once its last event is taken — it gives its
+/// series back to the pass's workers.
+struct BlockEvents<'p> {
+    block: BlockStream,
+    /// The next value to send; `values.len()` sends the `Finish`.
+    at: usize,
+    /// The run holding `at`.
+    run: usize,
+    spare: &'p Pool<RoundSeries>,
+}
+
+impl BlockStream {
+    fn events(self, spare: &Pool<RoundSeries>) -> BlockEvents<'_> {
+        BlockEvents { block: self, at: 0, run: 0, spare }
+    }
+}
+
+impl Drop for BlockEvents<'_> {
+    fn drop(&mut self) {
+        let mut series = std::mem::take(&mut self.block.series);
+        series.clear();
+        self.spare.give(series);
+    }
+}
+
+impl Iterator for BlockEvents<'_> {
+    type Item = RoundEvent;
+
+    fn next(&mut self) -> Option<RoundEvent> {
+        let BlockStream { block_id, ref series, outages, total_probes } = self.block;
+        let at = self.at;
+        if at > series.values.len() {
+            return None;
+        }
+        self.at += 1;
+        let Some(&a_short) = series.values.get(at) else {
+            return Some(RoundEvent::Finish { block_id, outages, total_probes });
+        };
+        // Every round was pushed as a `u32`, and a run holds consecutive
+        // pushed rounds, so this narrowing is exact.
+        let round = series.round_at(at, &mut self.run) as u32;
+        Some(RoundEvent::Round { block_id, round, a_short })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.block.series.values.len() + 1).saturating_sub(self.at);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for BlockEvents<'_> {}
+
 impl<'a> WorldFeed<'a> {
     /// The feed of every block of `source`, counted: probes the world
     /// once, keeping each chunk's event count and the blocks whose probing
     /// panicked (they send no events).
     pub fn new(source: &'a WorldSource, cfg: &'a AnalysisConfig, icfg: &IngestConfig) -> Self {
         let mut feed = WorldFeed::lazy(source, cfg, icfg, &[]);
-        let (mut ids, mut specs, mut quarantined) =
-            (0..source.len() as u64, Vec::new(), Vec::new());
-        let mut total = 0;
-        while let Some(streams) = feed.probe_chunk(&mut ids, &mut specs, &mut quarantined) {
-            total += streams.iter().map(|s| s.len() as u64).sum::<u64>();
-            feed.ends.push(total);
-        }
+        let (mut total, mut ends, mut quarantined) = (0, Vec::new(), Vec::new());
+        let counted = feed.each_chunk(0, None, |_, chunk| {
+            total += chunk.events;
+            ends.push(total);
+            quarantined.extend(chunk.quarantined);
+            Ok::<(), Infallible>(())
+        });
+        counted.unwrap_or_else(|never| match never {});
+        feed.ends = ends;
         feed.quarantined = quarantined;
         feed
     }
@@ -749,8 +908,16 @@ impl<'a> WorldFeed<'a> {
         icfg: &IngestConfig,
         skip: &'a [bool],
     ) -> Self {
-        let interleave_seed = icfg.interleave_seed;
-        WorldFeed { source, cfg, interleave_seed, skip, ends: Vec::new(), quarantined: Vec::new() }
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        WorldFeed {
+            source,
+            cfg,
+            interleave_seed: icfg.interleave_seed,
+            workers: FEED_WORKERS.get().unwrap_or_else(cores),
+            skip,
+            ends: Vec::new(),
+            quarantined: Vec::new(),
+        }
     }
 
     /// Blocks quarantined by a probing panic: they send no events.
@@ -758,83 +925,250 @@ impl<'a> WorldFeed<'a> {
         &self.quarantined
     }
 
-    /// Probes the next chunk of `ids` (the next 256 blocks `skip` does not
-    /// mark): one event stream per block, or `None` once `ids` is used up.
-    /// A block whose probing panics lands in `quarantined` instead.
-    fn probe_chunk(
+    /// Probes the chunks from `first` on, on the feed's workers, and hands
+    /// each to `read` on the calling thread, in chunk order; stops at the
+    /// first error `read` returns and returns it once every worker has
+    /// joined. A sending pass passes the pool its reader gives spent series
+    /// back to; a counting pass passes none and keeps no streams.
+    ///
+    /// Chunk `c` is the `c`-th run of 256 blocks `skip` does not mark, so
+    /// its blocks are known before any probing. Workers claim blocks, in
+    /// feed order, from one counter, and probe a block of chunk `c` only
+    /// while `c` is within [`FEED_WINDOW`] of the chunk being read.
+    fn each_chunk<E>(
         &self,
-        ids: &mut std::ops::Range<u64>,
-        specs: &mut Vec<BlockSpec>,
-        quarantined: &mut Vec<Quarantine>,
-    ) -> Option<Vec<Vec<RoundEvent>>> {
-        let chunk = ids.filter(|&id| !is_replayed(self.skip, id as usize)).take(CHUNK);
-        self.source.generate_into(chunk, specs);
-        if specs.is_empty() {
-            return None;
+        first: usize,
+        spare: Option<&Pool<RoundSeries>>,
+        mut read: impl FnMut(u64, Chunk) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let ids = |from: u64| {
+            (from..self.source.len() as u64).filter(|&id| !is_replayed(self.skip, id as usize))
+        };
+        let starts: Vec<u64> = ids(0).step_by(CHUNK).collect();
+        if first >= starts.len() {
+            return Ok(());
         }
-        sleepwatch_obs::global().ingest.feed_chunks.incr();
-        let cfg = self.cfg;
-        let mut streams = Vec::with_capacity(specs.len());
-        for block in specs.iter() {
-            match quarantine_on_panic(cfg, block.id, || {
-                let mut prober = TrinocularProber::new(block, cfg.trinocular);
-                let run = prober.run_with_faults(block, cfg.start_time, cfg.rounds, &cfg.faults);
-                record_events(block.id, &run.records, run.outages.len() as u32, run.total_probes)
-            }) {
-                Ok(events) => streams.push(events),
-                Err(q) => quarantined.push(q),
+        let blocks = ids(0).count();
+        let len_of = |c: usize| (blocks - c * CHUNK).min(CHUNK);
+        let pipe = Pipe::new(first);
+        let next = AtomicUsize::new(first * CHUNK);
+        std::thread::scope(|s| {
+            for _ in 0..self.workers {
+                s.spawn(|| {
+                    let _stop = StopWhen(&pipe, std::thread::panicking);
+                    // The ids of the chunk this worker last probed in.
+                    let (mut held, mut chunk_ids) = (usize::MAX, Vec::with_capacity(CHUNK));
+                    loop {
+                        // Relaxed: the index publishes nothing; blocks
+                        // pass through the pipe's mutex.
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let (c, at) = (k / CHUNK, k % CHUNK);
+                        if k >= blocks || !pipe.wait_for_room(c) {
+                            break;
+                        }
+                        if held != c {
+                            chunk_ids.clear();
+                            chunk_ids.extend(ids(starts[c]).take(CHUNK));
+                            held = c;
+                        }
+                        let hist = sleepwatch_obs::global().pipeline.stage(Stage::IngestFeedProbe);
+                        let start = hist.enabled().then(Instant::now);
+                        let probed = self.probe_block(chunk_ids[at], spare);
+                        let us = start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
+                        pipe.land(c, at, len_of(c), probed, us);
+                    }
+                });
             }
-        }
-        Some(streams)
+            // Stops the workers however the reader leaves: done, failed
+            // or unwinding.
+            let _stop = StopWhen(&pipe, || true);
+            for c in first..starts.len() {
+                // `None`: a worker died outside the quarantine boundary;
+                // the scope re-raises its panic.
+                let Some(chunk) = pipe.take(c, len_of(c)) else { break };
+                read(c as u64, chunk)?;
+                pipe.advance(c + 1);
+            }
+            Ok(())
+        })
     }
 
-    /// The feed's events from the start of chunk `first` on. Only a feed
-    /// of every block has its chunks at fixed block ids, so only it may
-    /// start past chunk 0.
-    fn events(&self, first: usize) -> WorldEvents<'_, 'a> {
+    /// Probes block `id`, counting its events and, on a sending pass,
+    /// keeping its stream in a series from `spare`; quarantines it if its
+    /// probing panics.
+    fn probe_block(&self, id: u64, spare: Option<&Pool<RoundSeries>>) -> Probed {
+        let (cfg, block) = (self.cfg, self.source.generate_block(id));
+        quarantine_on_panic(cfg, id, || {
+            let mut prober = TrinocularProber::new(&block, cfg.trinocular);
+            let run = prober.run_with_faults(&block, cfg.start_time, cfg.rounds, &cfg.faults);
+            let mut series = spare.map(|spare| spare.take().unwrap_or_default());
+            if let Some(series) = &mut series {
+                series.values.reserve_exact(run.records.len());
+            }
+            let mut events = 1; // the `Finish`
+            for (round, a_short) in record_rounds(&run.records) {
+                events += 1;
+                if let Some(series) = &mut series {
+                    series.push(round, a_short);
+                }
+            }
+            let (outages, total_probes) = (run.outages.len() as u32, run.total_probes);
+            let stream =
+                series.map(|series| BlockStream { block_id: id, series, outages, total_probes });
+            (stream, events)
+        })
+    }
+
+    /// Hands `each` the feed's events from the start of chunk `first` on,
+    /// in feed order, and returns the blocks quarantined in those chunks;
+    /// stops at the first error `each` returns. Only a feed of every block
+    /// has its chunks at fixed block ids, so only it may start past chunk 0.
+    fn each_event<E>(
+        &self,
+        first: usize,
+        mut each: impl FnMut(RoundEvent) -> Result<(), E>,
+    ) -> Result<Vec<Quarantine>, E> {
         debug_assert!(first == 0 || self.skip.is_empty(), "chunks move with the skip mask");
-        let blocks = self.source.len() as u64;
-        let start = (first as u64).saturating_mul(CHUNK as u64).min(blocks);
-        WorldEvents {
-            feed: self,
-            ids: start..blocks,
-            chunk: first as u64,
-            specs: Vec::new(),
-            merge: Interleave::new(Vec::new(), 0),
-            quarantined: Vec::new(),
-        }
-    }
-}
-
-/// A [`WorldFeed`]'s events in feed order, one chunk probed at a time.
-struct WorldEvents<'f, 'a> {
-    feed: &'f WorldFeed<'a>,
-    /// Block ids not yet probed.
-    ids: std::ops::Range<u64>,
-    /// The next chunk's index.
-    chunk: u64,
-    specs: Vec<BlockSpec>,
-    /// The chunk being read.
-    merge: Interleave,
-    /// Blocks quarantined by a probing panic in the chunks read so far.
-    quarantined: Vec<Quarantine>,
-}
-
-impl Iterator for WorldEvents<'_, '_> {
-    type Item = RoundEvent;
-
-    fn next(&mut self) -> Option<RoundEvent> {
-        loop {
-            if let Some(ev) = self.merge.next() {
-                return Some(ev);
-            }
-            let streams =
-                self.feed.probe_chunk(&mut self.ids, &mut self.specs, &mut self.quarantined)?;
+        let mut quarantined = Vec::new();
+        let spare = Pool::new();
+        self.each_chunk(first, Some(&spare), |c, chunk| {
+            quarantined.extend(chunk.quarantined);
             // A per-chunk keyed interleave: reproducible for a given seed,
             // different across chunks, adversarial to any order assumption.
-            self.merge =
-                Interleave::new(streams, self.feed.interleave_seed.wrapping_add(self.chunk));
-            self.chunk += 1;
+            let seed = self.interleave_seed.wrapping_add(c);
+            let streams = chunk.streams.into_iter().map(|block| block.events(&spare));
+            Interleave::new(streams, seed).try_for_each(&mut each)
+        })?;
+        Ok(quarantined)
+    }
+
+    /// Every event of the feed, in feed order, to `each`; returns the
+    /// blocks quarantined on the way.
+    fn for_each(&self, mut each: impl FnMut(RoundEvent)) -> Vec<Quarantine> {
+        let all = self.each_event(0, |ev| {
+            each(ev);
+            Ok::<(), Infallible>(())
+        });
+        all.unwrap_or_else(|never| match never {})
+    }
+}
+
+/// The hand-off between a feed pass's workers and its reader: chunk `c`'s
+/// blocks land in slot `c % FEED_WINDOW` until the reader takes the whole
+/// chunk, and a worker may probe a block of chunk `c` only while
+/// `c < reading + FEED_WINDOW`.
+struct Pipe {
+    state: Mutex<PipeState>,
+    /// Signalled when a chunk's last block lands or the pass stops.
+    landed: Condvar,
+    /// Signalled when the reader moves on or the pass stops.
+    moved: Condvar,
+}
+
+struct PipeState {
+    /// The chunk the reader is on.
+    reading: usize,
+    slots: [Slot; FEED_WINDOW],
+    stop: bool,
+}
+
+/// One chunk's blocks as they land, by position in the chunk.
+#[derive(Default)]
+struct Slot {
+    blocks: Vec<Option<Probed>>,
+    landed: usize,
+    /// Workers' time probing the landed blocks, in µs.
+    probe_us: f64,
+}
+
+impl Pipe {
+    fn new(first: usize) -> Pipe {
+        Pipe {
+            state: Mutex::new(PipeState { reading: first, slots: Default::default(), stop: false }),
+            landed: Condvar::new(),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// The state, even after a holder panicked: every update leaves it
+    /// valid before anything that can panic.
+    fn lock(&self) -> MutexGuard<'_, PipeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until a block of chunk `c` may be probed; `false` once the
+    /// pass stopped.
+    fn wait_for_room(&self, c: usize) -> bool {
+        let mut s = self.lock();
+        while !s.stop && c >= s.reading + FEED_WINDOW {
+            s = self.moved.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        !s.stop
+    }
+
+    /// Lands block `at` of chunk `c`, which has `len` blocks. The block
+    /// that completes the chunk counts it: one `ingest.feed_chunks` and
+    /// one `stage.ingest.feed_probe` sample of its blocks' probing time.
+    fn land(&self, c: usize, at: usize, len: usize, probed: Probed, us: f64) {
+        let mut s = self.lock();
+        let slot = &mut s.slots[c % FEED_WINDOW];
+        if slot.blocks.len() < len {
+            slot.blocks.resize_with(len, || None);
+        }
+        slot.blocks[at] = Some(probed);
+        slot.landed += 1;
+        slot.probe_us += us;
+        let done = (slot.landed == len).then_some(slot.probe_us);
+        drop(s);
+        if let Some(us) = done {
+            let obs = sleepwatch_obs::global();
+            obs.ingest.feed_chunks.incr();
+            obs.pipeline.stage(Stage::IngestFeedProbe).record(us);
+            self.landed.notify_one();
+        }
+    }
+
+    /// Chunk `c`, of `len` blocks, once every block landed; `None` if the
+    /// pass stops first.
+    fn take(&self, c: usize, len: usize) -> Option<Chunk> {
+        let mut s = self.lock();
+        loop {
+            let slot = &mut s.slots[c % FEED_WINDOW];
+            if slot.landed == len {
+                let full = std::mem::take(slot);
+                drop(s);
+                return Some(Chunk::of(full.blocks.into_iter().flatten()));
+            }
+            if s.stop {
+                return None;
+            }
+            s = self.landed.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The reader has finished every chunk before `reading`.
+    fn advance(&self, reading: usize) {
+        self.lock().reading = reading;
+        self.moved.notify_all();
+    }
+
+    fn stop(&self) {
+        self.lock().stop = true;
+        self.moved.notify_all();
+        self.landed.notify_all();
+    }
+}
+
+/// Stops a feed pass when dropped while its test holds: the reader's on
+/// any exit, so no worker waits for room that will never come, and each
+/// worker's on unwinding, so the reader never waits for a block no one
+/// will land.
+struct StopWhen<'p>(&'p Pipe, fn() -> bool);
+
+impl Drop for StopWhen<'_> {
+    fn drop(&mut self) {
+        if (self.1)() {
+            self.0.stop();
         }
     }
 }
@@ -852,16 +1186,20 @@ impl FeedEvents for WorldFeed<'_> {
     ) -> Result<(), E> {
         // The chunk holding event `from`, and how far into it `from` is.
         let chunk = self.ends.partition_point(|&end| end <= from);
-        let start = chunk.checked_sub(1).map_or(0, |c| self.ends[c]);
-        let into = usize::try_from(from - start).unwrap_or(usize::MAX);
+        let mut into = from - chunk.checked_sub(1).map_or(0, |c| self.ends[c]);
         let mut batch = Vec::with_capacity(len);
-        for ev in self.events(chunk).skip(into) {
+        self.each_event(chunk, |ev| {
+            if into > 0 {
+                into -= 1;
+                return Ok(());
+            }
             batch.push(ev);
             if batch.len() == len {
                 run(&batch)?;
                 batch.clear();
             }
-        }
+            Ok(())
+        })?;
         if batch.is_empty() {
             Ok(())
         } else {
@@ -881,10 +1219,9 @@ pub fn world_feed(
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
 ) -> (Vec<RoundEvent>, Vec<Quarantine>) {
-    let feed = WorldFeed::lazy(source, cfg, icfg, &[]);
-    let mut events = feed.events(0);
-    let all = events.by_ref().collect();
-    (all, events.quarantined)
+    let mut all = Vec::new();
+    let quarantined = WorldFeed::lazy(source, cfg, icfg, &[]).for_each(|ev| all.push(ev));
+    (all, quarantined)
 }
 
 /// The run identity a transport session carries for this source and
@@ -916,11 +1253,7 @@ fn ingest_generated(
 ) -> IngestOutcome {
     run_engine(source, cfg, icfg, resume, |router, skip, quarantined_at_feed| {
         let feed = WorldFeed::lazy(source, cfg, icfg, skip);
-        let mut events = feed.events(0);
-        for ev in events.by_ref() {
-            router.route(ev);
-        }
-        quarantined_at_feed.append(&mut events.quarantined);
+        *quarantined_at_feed = feed.for_each(|ev| router.route(ev));
     })
 }
 
@@ -1154,6 +1487,30 @@ mod tests {
         assert_eq!(out.quarantined[0].block_id, 7);
         assert_eq!(out.reports.len(), 11);
         assert!(out.reports.iter().all(|r| r.summary.block_id != 7));
+    }
+
+    /// A send whose callback panics re-raises the panic once the workers
+    /// have joined — including the ones waiting for room — instead of
+    /// leaving them, and itself, waiting forever.
+    #[test]
+    fn a_panicking_send_panics_instead_of_hanging() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let source = tiny_source(2_000);
+            let cfg = cfg_for(&source, 1.25, FaultPlan::none());
+            let feed =
+                with_feed_workers(4, || WorldFeed::new(&source, &cfg, &IngestConfig::default()));
+            let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                feed.runs_from(0, 256, |_| -> Result<(), ()> {
+                    // Room for the workers to fill the window and wait.
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    panic!("the reader died")
+                })
+            }));
+            done.send(sent.is_err()).expect("the test is waiting");
+        });
+        let panicked = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert_eq!(panicked, Ok(true), "the send hung or returned instead of panicking");
     }
 
     /// Finished blocks flush in groups of eight, when a shard's queue runs

@@ -320,9 +320,10 @@ metrics! {
         /// Blocks whose stream completed and was finalized (journal
         /// replays excluded).
         blocks_finished: counter,
-        /// Chunks of blocks a self-generated feed probed and interleaved;
-        /// a feed that counts itself first, or serves a resume, probes a
-        /// chunk again.
+        /// Chunks of blocks a self-generated feed's workers finished
+        /// probing; a feed that counts itself first, or serves a resume,
+        /// probes a chunk again, and a chunk finished ahead of a failed
+        /// send counts too.
         feed_chunks: counter,
     }
     /// Wire transport: the `SLPWFEED` sources feeding streaming ingest,

@@ -70,6 +70,10 @@ stages! {
     /// An ingest shard waiting on its empty queue, one sample per pop that
     /// had to wait for its batch.
     IngestQueueWait => "ingest.queue_wait",
+    /// A self-generated feed's workers probing one chunk (generate, probe,
+    /// hold its streams or count them): one sample per chunk, the summed
+    /// time of its blocks, whichever workers probed them.
+    IngestFeedProbe => "ingest.feed_probe",
 }
 
 /// Measures the wall time of a scope and records it (in microseconds)

@@ -72,18 +72,27 @@ pub fn record_events(
     total_probes: u64,
 ) -> Vec<RoundEvent> {
     let mut out = Vec::with_capacity(records.len() + 1);
-    out.extend(records.iter().map(|r| RoundEvent::Round {
+    out.extend(record_rounds(records).map(|(round, a_short)| RoundEvent::Round {
         block_id,
+        round,
+        a_short,
+    }));
+    out.push(RoundEvent::Finish { block_id, outages, total_probes });
+    out
+}
+
+/// The `(round, Âs)` pair each record sends, in emission order: what a
+/// block's [`RoundEvent::Round`]s carry.
+pub fn record_rounds(records: &[RoundRecord]) -> impl ExactSizeIterator<Item = (u32, f64)> + '_ {
+    records.iter().map(|r| {
         // The one place a round narrows. A record's round is below its
         // run's round count, and no run the pipeline analyzes is longer
         // than the FFT planner's `MAX_PLAN_LEN` = 2^30 rounds, which
         // `sleepwatch_spectral` const-asserts below the `u32` limit (the
         // CLI refuses longer spans up front).
-        round: u32::try_from(r.round).expect("a plannable run has fewer than 2^32 rounds"),
-        a_short: r.a_short,
-    }));
-    out.push(RoundEvent::Finish { block_id, outages, total_probes });
-    out
+        let round = u32::try_from(r.round).expect("a plannable run has fewer than 2^32 rounds");
+        (round, r.a_short)
+    })
 }
 
 /// Replays a completed [`BlockRun`] as its event stream.
@@ -107,27 +116,34 @@ pub fn interleave(streams: Vec<Vec<RoundEvent>>, seed: u64) -> Vec<RoundEvent> {
 /// different seeds exercise genuinely different arrival orders. This is
 /// the adversarial input generator for the ingest equivalence oracle:
 /// correctness must not depend on which interleaving the transport
-/// happened to deliver. A stream's buffer is freed as soon as its last
-/// event is taken.
+/// happened to deliver. A stream is any exact-size iterator of events:
+/// the walk reads only how many each has left, so the order depends on
+/// the streams' lengths and the seed, never on how a stream stores its
+/// events. A stream is dropped as soon as its last event is taken.
 #[derive(Debug)]
-pub struct Interleave {
+pub struct Interleave<S = std::vec::IntoIter<RoundEvent>> {
     /// The streams with events left, in the order the walk indexes them.
-    alive: Vec<std::vec::IntoIter<RoundEvent>>,
+    alive: Vec<S>,
     seed: u64,
     step: u64,
     left: usize,
 }
 
-impl Interleave {
+impl<S: ExactSizeIterator<Item = RoundEvent>> Interleave<S> {
     /// The walk over `streams` keyed by `seed`.
-    pub fn new(streams: Vec<Vec<RoundEvent>>, seed: u64) -> Interleave {
-        let left = streams.iter().map(Vec::len).sum();
-        let alive = streams.into_iter().filter(|s| !s.is_empty()).map(Vec::into_iter).collect();
+    pub fn new<I>(streams: I, seed: u64) -> Interleave<S>
+    where
+        I: IntoIterator,
+        I::Item: IntoIterator<IntoIter = S>,
+    {
+        let alive: Vec<S> =
+            streams.into_iter().map(IntoIterator::into_iter).filter(|s| s.len() > 0).collect();
+        let left = alive.iter().map(ExactSizeIterator::len).sum();
         Interleave { alive, seed, step: 0, left }
     }
 }
 
-impl Iterator for Interleave {
+impl<S: ExactSizeIterator<Item = RoundEvent>> Iterator for Interleave<S> {
     type Item = RoundEvent;
 
     fn next(&mut self) -> Option<RoundEvent> {
@@ -138,7 +154,7 @@ impl Iterator for Interleave {
         let pick = (draw % self.alive.len() as u64) as usize;
         let stream = &mut self.alive[pick];
         let ev = stream.next()?;
-        if stream.as_slice().is_empty() {
+        if stream.len() == 0 {
             self.alive.swap_remove(pick);
         }
         self.step += 1;
@@ -151,7 +167,7 @@ impl Iterator for Interleave {
     }
 }
 
-impl ExactSizeIterator for Interleave {}
+impl<S: ExactSizeIterator<Item = RoundEvent>> ExactSizeIterator for Interleave<S> {}
 
 #[cfg(test)]
 mod tests {

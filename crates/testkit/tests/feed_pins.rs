@@ -8,21 +8,25 @@
 //! fault preset on one chunk of blocks, and a world of two chunks whose
 //! resume points land in either chunk.
 //!
+//! Every pin holds at 1 and 4 probing workers: a feed's bytes never depend
+//! on how many threads probed it.
+//!
 //! `sleepwatch feed` does not hold the feed these pins collect: it sends a
 //! counted `WorldFeed`, regenerated a chunk at a time. The last test holds
 //! its bytes, on a file and from every resume point around each chunk
-//! boundary, to the collected feed's.
+//! boundary, to the collected feed's, at 1, 2 and 8 workers.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
+use sleepwatch_core::ingest::with_feed_workers;
 use sleepwatch_core::{
-    feed_identity, world_feed, AnalysisConfig, IngestConfig, RunIdentity, WorldFeed,
+    feed_identity, world_feed, AnalysisConfig, IngestConfig, Quarantine, RunIdentity, WorldFeed,
 };
 use sleepwatch_probing::transport::{
     encode_resume, serve_connection, write_feed, FeedConfig, FeedEvents,
 };
-use sleepwatch_probing::FaultPlan;
+use sleepwatch_probing::{FaultPlan, RoundEvent};
 use sleepwatch_simnet::{WorldConfig, WorldSource};
 
 /// 64-bit FNV-1a.
@@ -72,9 +76,21 @@ fn served<F: FeedEvents + Sync + ?Sized>(events: &F, identity: RunIdentity, from
     })
 }
 
+/// Probing workers each pinned test runs its feeds at.
+const PIN_THREADS: [usize; 2] = [1, 4];
+
+/// The feed `world_feed` collects with `threads` probing workers.
+fn collected(
+    source: &WorldSource,
+    cfg: &AnalysisConfig,
+    threads: usize,
+) -> (Vec<RoundEvent>, Vec<Quarantine>) {
+    with_feed_workers(threads, || world_feed(source, cfg, &IngestConfig::default()))
+}
+
 /// `(length, digest)` of the file `sleepwatch feed --to-file` writes.
-fn file_bytes(source: &WorldSource, cfg: &AnalysisConfig) -> (usize, u64) {
-    let (events, quarantined) = world_feed(source, cfg, &IngestConfig::default());
+fn file_bytes(source: &WorldSource, cfg: &AnalysisConfig, threads: usize) -> (usize, u64) {
+    let (events, quarantined) = collected(source, cfg, threads);
     assert!(quarantined.is_empty());
     let bytes = written(&events, feed_identity(source, cfg));
     (bytes.len(), fnv1a(&bytes))
@@ -82,8 +98,13 @@ fn file_bytes(source: &WorldSource, cfg: &AnalysisConfig) -> (usize, u64) {
 
 /// `(length, digest)` of everything a feed server sends on one connection
 /// whose receiver answers the hello with `RESUME(from)`.
-fn resumed_bytes(source: &WorldSource, cfg: &AnalysisConfig, from: u64) -> (usize, u64) {
-    let (events, _) = world_feed(source, cfg, &IngestConfig::default());
+fn resumed_bytes(
+    source: &WorldSource,
+    cfg: &AnalysisConfig,
+    from: u64,
+    threads: usize,
+) -> (usize, u64) {
+    let (events, _) = collected(source, cfg, threads);
     let bytes = served(&events, feed_identity(source, cfg), from);
     (bytes.len(), fnv1a(&bytes))
 }
@@ -114,21 +135,26 @@ fn feed_file_bytes_are_pinned_under_every_preset() {
     ];
     let mut regimes = vec![("none", FaultPlan::none())];
     regimes.extend(FaultPlan::presets(5));
-    let mut got = Vec::new();
-    for days in [3.0, 11.0] {
-        for &(name, faults) in &regimes {
-            let (source, cfg) = world(64, days, faults);
-            let (len, digest) = file_bytes(&source, &cfg);
-            got.push((name, days, len, digest));
+    for threads in PIN_THREADS {
+        let mut got = Vec::new();
+        for days in [3.0, 11.0] {
+            for &(name, faults) in &regimes {
+                let (source, cfg) = world(64, days, faults);
+                let (len, digest) = file_bytes(&source, &cfg, threads);
+                got.push((name, days, len, digest));
+            }
         }
+        assert_eq!(got, pins, "{threads} threads");
     }
-    assert_eq!(got, pins);
 }
 
 #[test]
 fn resumed_session_bytes_are_pinned() {
     let (source, cfg) = world(64, 3.0, FaultPlan::none());
-    assert_eq!(resumed_bytes(&source, &cfg, 37), (631_430, 11_586_121_595_741_388_153));
+    for threads in PIN_THREADS {
+        let got = resumed_bytes(&source, &cfg, 37, threads);
+        assert_eq!(got, (631_430, 11_586_121_595_741_388_153), "{threads} threads");
+    }
 }
 
 /// 300 blocks are two chunks (256 + 44); the first holds 256 × 262
@@ -137,7 +163,6 @@ fn resumed_session_bytes_are_pinned() {
 #[test]
 fn two_chunk_feed_bytes_are_pinned_from_any_resume_point() {
     let (source, cfg) = world(300, 2.0, FaultPlan::loss_light(5));
-    assert_eq!(file_bytes(&source, &cfg), (1_977_870, 11_320_392_576_513_133_499), "file");
     #[rustfmt::skip]
     let pins: [(u64, usize, u64); 4] = [
         (0,         1_978_023, 17_253_717_541_669_531_091),
@@ -145,21 +170,26 @@ fn two_chunk_feed_bytes_are_pinned_from_any_resume_point() {
         (70_001,      223_132,  9_663_233_497_465_235_668),
         (u64::MAX,         81,  2_307_784_271_765_712_086),
     ];
-    let got: Vec<(u64, usize, u64)> = pins
-        .iter()
-        .map(|&(from, ..)| {
-            let (len, digest) = resumed_bytes(&source, &cfg, from);
-            (from, len, digest)
-        })
-        .collect();
-    assert_eq!(got, pins);
+    for threads in PIN_THREADS {
+        let file = file_bytes(&source, &cfg, threads);
+        assert_eq!(file, (1_977_870, 11_320_392_576_513_133_499), "file, {threads} threads");
+        let got: Vec<(u64, usize, u64)> = pins
+            .iter()
+            .map(|&(from, ..)| {
+                let (len, digest) = resumed_bytes(&source, &cfg, from, threads);
+                (from, len, digest)
+            })
+            .collect();
+        assert_eq!(got, pins, "{threads} threads");
+    }
 }
 
 /// A counted `WorldFeed` sends the collected feed's bytes: the same hello
 /// total, the same frame boundaries, from any resume point — the first
 /// event of every chunk, the one before it, and the end — and it reports
 /// the same quarantines. Three chunks, the last a partial one, under a
-/// fault-free run, a record-mangling preset and planted probing panics.
+/// fault-free run, a record-mangling preset and planted probing panics,
+/// each probed by 1, 2 and 8 workers against a feed collected by one.
 #[test]
 fn a_counted_world_feed_sends_the_collected_feed_bytes() {
     let poisoned = FaultPlan { poison_blocks: &[3, 300, 599], ..FaultPlan::loss_light(5) };
@@ -169,23 +199,28 @@ fn a_counted_world_feed_sends_the_collected_feed_bytes() {
         ("poisoned", poisoned),
     ] {
         let (source, cfg) = world(600, 1.25, faults);
-        let icfg = IngestConfig::default();
         let identity = feed_identity(&source, &cfg);
-        let (events, quarantined) = world_feed(&source, &cfg, &icfg);
-        let feed = WorldFeed::new(&source, &cfg, &icfg);
-        assert_eq!(format!("{:?}", feed.quarantined()), format!("{quarantined:?}"), "{name}");
-        assert_eq!(feed.total(), events.len() as u64, "{name}");
-        assert!(written(&feed, identity) == written(&events, identity), "{name}: file bytes");
-
+        let (events, quarantined) = collected(&source, &cfg, 1);
         let chunk_starts = [256, 512].map(|first_block| {
             events.iter().filter(|ev| ev.block_id() < first_block).count() as u64
         });
         let total = events.len() as u64;
         let mut resumes = vec![0, 1, total - 1, total, u64::MAX];
         resumes.extend(chunk_starts.iter().flat_map(|&s| [s - 1, s]));
-        for from in resumes {
-            let (lazy, held) = (served(&feed, identity, from), served(&events, identity, from));
-            assert!(lazy == held, "{name}: RESUME({from}) bytes");
+        for threads in [1, 2, 8] {
+            let tag = format!("{name}, {threads} threads");
+            let by_threads = collected(&source, &cfg, threads);
+            assert!(by_threads == (events.clone(), quarantined.clone()), "{tag}: collected feed");
+            let feed = with_feed_workers(threads, || {
+                WorldFeed::new(&source, &cfg, &IngestConfig::default())
+            });
+            assert_eq!(format!("{:?}", feed.quarantined()), format!("{quarantined:?}"), "{tag}");
+            assert_eq!(feed.total(), total, "{tag}");
+            assert!(written(&feed, identity) == written(&events, identity), "{tag}: file bytes");
+            for &from in &resumes {
+                let (lazy, held) = (served(&feed, identity, from), served(&events, identity, from));
+                assert!(lazy == held, "{tag}: RESUME({from}) bytes");
+            }
         }
     }
 }

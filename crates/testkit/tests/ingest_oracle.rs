@@ -15,6 +15,7 @@
 //! default keeps debug tier-1 runs tractable while release runs cover
 //! the full world.
 
+use sleepwatch_core::ingest::with_feed_workers;
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
     analyze_block, analyze_world, analyze_world_resumable, ingest_world, ingest_world_resumable,
@@ -307,6 +308,53 @@ fn killed_and_resumed_ingest_heals_to_the_same_verdicts() {
         assert_eq!(want, got, "{tag}: resumed verdict set diverged");
         let _ = std::fs::remove_file(&severed);
     }
+    let _ = std::fs::remove_file(&journal);
+}
+
+/// The feed's worker count changes nothing: `ingest_world` fed by one
+/// probing worker and by four reproduces the batch analysis, report for
+/// report.
+#[test]
+fn ingest_world_matches_batch_at_one_and_four_feed_threads() {
+    let source = oracle_source();
+    let cfg = oracle_cfg(preset("restart-storm"));
+    let want: Vec<String> =
+        batch_reference(&cfg).reports.iter().map(|r| format!("{r:?}")).collect();
+    for threads in [1, 4] {
+        let streamed =
+            with_feed_workers(threads, || ingest_world(&source, &cfg, &IngestConfig::default()));
+        assert!(streamed.quarantined.is_empty(), "{threads} feed threads: quarantines");
+        let got: Vec<String> = streamed.reports.iter().map(|r| format!("{r:?}")).collect();
+        assert!(got == want, "{threads} feed threads: reports diverged from batch");
+    }
+}
+
+/// Kill-and-resume with four feed workers: a resumed feed's chunks are
+/// runs of 256 blocks the journal did not replay, probed four at a time,
+/// and the verdicts heal to the uninterrupted run's and the batch run's.
+#[test]
+fn killed_and_resumed_ingest_heals_at_four_feed_threads() {
+    let source = oracle_source();
+    let cfg = oracle_cfg(preset("loss-heavy"));
+    let icfg = IngestConfig { shards: 2, ..Default::default() };
+    let want: Vec<String> =
+        batch_reference(&cfg).reports.iter().map(|r| format!("{r:?}")).collect();
+
+    let journal = scratch_path("ingest-resume-feed-threads");
+    let resumable =
+        || with_feed_workers(4, || ingest_world_resumable(&source, &cfg, &icfg, &journal));
+    let reference = resumable().expect("reference run");
+    let got: Vec<String> = reference.reports.iter().map(|r| format!("{r:?}")).collect();
+    assert!(got == want, "uninterrupted run diverged from batch");
+
+    let bytes = std::fs::read(&journal).expect("read journal");
+    let cut = record_boundaries(&bytes)[reference.reports.len() / 3];
+    std::fs::write(&journal, &bytes[..cut]).expect("sever the journal");
+    let resumed = resumable().expect("resumed run");
+    assert!(resumed.stats.replayed > 0, "nothing replayed from the journal");
+    assert!(resumed.stats.replayed < resumed.stats.blocks, "everything replayed");
+    let got: Vec<String> = resumed.reports.iter().map(|r| format!("{r:?}")).collect();
+    assert!(got == want, "resumed verdict set diverged");
     let _ = std::fs::remove_file(&journal);
 }
 

@@ -305,8 +305,18 @@ fn parse_args(cmd: &Command, mut it: impl Iterator<Item = String>) -> Args {
                 }
             }
             "--seed" => a.seed = flag_value(flag, it.next()),
-            "--threads" => a.threads = flag_value(flag, it.next()),
-            "--shards" => a.shards = flag_value(flag, it.next()),
+            "--threads" => {
+                a.threads = flag_value(flag, it.next());
+                if a.threads == 0 {
+                    bad_flag(flag, "must be at least 1");
+                }
+            }
+            "--shards" => {
+                a.shards = flag_value(flag, it.next());
+                if a.shards == 0 {
+                    bad_flag(flag, "must be at least 1");
+                }
+            }
             "--dataset" => a.dataset = Some(flag_value(flag, it.next())),
             "--journal" => a.journal = Some(flag_value(flag, it.next())),
             "--format" => a.format = Some(flag_value(flag, it.next())),
@@ -590,7 +600,7 @@ fn report_transport(a: &Args, out: TransportOutcome, secs: f64, shards: usize) -
 fn cmd_ingest(a: &Args) -> ExitCode {
     let source = WorldSource::new(a.world_config());
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, a.days);
-    let icfg = IngestConfig { shards: a.shards.max(1), ..Default::default() };
+    let icfg = IngestConfig { shards: a.shards, ..Default::default() };
     let wire = match wire_source(a, feed_identity(&source, &cfg)) {
         Ok(w) => w,
         Err(msg) => {
@@ -663,8 +673,8 @@ fn print_ingest_summary(a: &Args, out: &sleepwatch::core::IngestOutcome, secs: f
 /// `sleepwatch feed`: serves a world's interleaved round stream over the
 /// `SLPWFEED` wire — to a file, to a dialing consumer (`--listen`), or by
 /// dialing a listening consumer (`--connect`). The world is probed once to
-/// count its events, then again a chunk at a time as it is sent, so memory
-/// stays at one chunk whatever the world's size.
+/// count its events, then again as it is sent, on every core, so memory
+/// stays at two chunks whatever the world's size.
 fn cmd_feed(a: &Args) -> ExitCode {
     let source = WorldSource::new(a.world_config());
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, a.days);
@@ -768,7 +778,7 @@ fn cmd_serve(a: &Args) -> ExitCode {
         }
     };
     let scfg = ServeConfig {
-        threads: a.threads.max(1),
+        threads: a.threads,
         read_timeout: std::time::Duration::from_millis(a.read_timeout_ms),
     };
     let server = match QueryServer::spawn(listener, state, &scfg) {

@@ -299,6 +299,19 @@ fn sleepwatch_refuses_a_zero_block_world() {
     }
 }
 
+/// `--threads 0` and `--shards 0` are refused like `--blocks 0`, not
+/// clamped to one thread or one shard.
+#[test]
+fn sleepwatch_refuses_zero_threads_and_shards() {
+    for (command, flag) in [("analyze", "--threads"), ("ingest", "--shards")] {
+        let Some(mut cmd) = bin("sleepwatch") else { return };
+        let out = cmd.args([command, flag, "0", "--blocks", "2"]).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{command} {flag} 0");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err, format!("sleepwatch: {flag}: must be at least 1\n"), "{command}");
+    }
+}
+
 /// Malformed, out-of-range or missing flag values exit 2 with one line
 /// naming the offending flag — never the usage dump, never a panic.
 #[test]
