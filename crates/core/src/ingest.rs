@@ -11,18 +11,23 @@
 //!   block's stream always lands on one worker, in order. Cross-block
 //!   arrival order is irrelevant by construction — the equivalence
 //!   proptests feed adversarial interleavings to prove it.
-//! * **Backpressure.** Each shard consumes from a bounded queue; a feeder
-//!   outrunning the workers blocks instead of buffering unboundedly, so
-//!   peak queue memory is `(capacity + batch_events) × 24 B` per shard,
-//!   and spent batch buffers recycle through a pool so the feeder
-//!   rewrites the same cache-hot lines.
-//! * **Self-generated feeds.** A [`WorldFeed`] interleaves 256-block
-//!   chunks in order on the calling thread while one worker per core
-//!   probes the next chunk's blocks, each held as its lane would hold it
-//!   (8 B per round). A feed holds two chunks at any core count, never the
-//!   world, and no event depends on the worker count. Counted once, it
-//!   sends any suffix a resume asks for by regenerating from the chunk
-//!   that holds it: what `sleepwatch feed` serves.
+//! * **Backpressure.** Each shard consumes event batches from a bounded
+//!   `std::sync::mpsc::sync_channel` of `max(1, capacity / batch_events)`
+//!   batches; a feeder outrunning the workers blocks in `send` instead of
+//!   buffering unboundedly, so a shard's queue holds at most
+//!   `max(capacity, batch_events) × 24 B`. Spent batch buffers recycle
+//!   through a pool so the feeder rewrites the same cache-hot lines. The
+//!   feeder owns the senders: however it leaves — done or unwinding — the
+//!   channels close, and the shards drain them and retire.
+//! * **Self-generated feeds.** A [`WorldFeed`] probes 256-block chunks
+//!   one `std::thread::scope` at a time: one worker per core claims chunk
+//!   `c`'s blocks while the calling thread interleaves chunk `c − 1`, then
+//!   claims blocks beside them. The scope's join is the only wait. Each
+//!   block is held as its lane would hold it (8 B per round), so a feed
+//!   holds two chunks at any core count, never the world, and no event
+//!   depends on the worker count. Counted once, it sends any suffix a
+//!   resume asks for by regenerating from the chunk that holds it: what
+//!   `sleepwatch feed` serves.
 //! * **Lanes.** Each in-flight block ("lane") keeps its `Âs` values in
 //!   arrival order plus a run list that is one entry unless rounds broke
 //!   sequence (a `RoundSeries`, 8 B per round). Its [`OnlineDetector`] —
@@ -53,12 +58,14 @@
 
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::convert::Infallible;
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use sleepwatch_obs::Stage;
@@ -71,7 +78,7 @@ use sleepwatch_spectral::{Complex, SpectrumScratch, MAX_BATCH_LANES};
 use crate::framing::RunIdentity;
 
 use crate::analyze::{clean_observations_into, AnalysisConfig, ProbedBlock};
-use crate::journal::{Checkpoint, JournalError};
+use crate::journal::JournalError;
 use crate::streaming::{OnlineConfig, OnlineDetector};
 use crate::worldrun::{
     is_replayed, plan_per_member, quarantine_on_panic, run_batch, BatchArena, Outcome, Quarantine,
@@ -84,9 +91,11 @@ pub struct IngestConfig {
     /// Worker shards (each owns a queue, a scratch arena and its lanes).
     pub shards: usize,
     /// Bound, in events, of each shard's queue — the backpressure knob
-    /// and the peak-memory contract.
+    /// and the peak-memory contract. The queue holds whole batches, so the
+    /// bound is `max(1, queue_capacity / batch_events)` batches: rounded
+    /// down to a multiple of `batch_events`, and never below one batch.
     pub queue_capacity: usize,
-    /// Events per routed batch (amortizes queue locking).
+    /// Events per routed batch (amortizes the hand-off to a shard).
     pub batch_events: usize,
     /// Seed for the deterministic chunk interleaving of self-generated
     /// feeds ([`ingest_world`]): different seeds exercise different
@@ -118,7 +127,7 @@ pub struct IngestStats {
     pub quarantined: usize,
     /// Round events routed to shards.
     pub rounds_routed: u64,
-    /// Feeder pushes that had to wait for queue room.
+    /// Feeder sends that found the queue full and waited for room.
     pub backpressure_stalls: u64,
     /// Highest queued-event count observed on any single shard queue.
     pub queue_high_water: usize,
@@ -151,106 +160,6 @@ pub struct IngestOutcome {
     pub stats: IngestStats,
 }
 
-/// Bounded MPSC queue of event batches with blocking backpressure.
-///
-/// Built on `std::sync::{Mutex, Condvar}`: the feeder blocks in
-/// [`EventQueue::push`] while the queue is at capacity (counted in
-/// events, not batches), and the shard worker blocks in
-/// [`EventQueue::pop`] while it is empty and not yet closed. One
-/// oversized batch is admitted into an *empty* queue rather than
-/// deadlocking, so `batch_events > queue_capacity` degrades to
-/// lock-step handoff instead of hanging.
-struct EventQueue {
-    state: std::sync::Mutex<QueueState>,
-    room: std::sync::Condvar,
-    ready: std::sync::Condvar,
-    capacity: usize,
-}
-
-#[derive(Default)]
-struct QueueState {
-    batches: VecDeque<Vec<RoundEvent>>,
-    events: usize,
-    closed: bool,
-    high_water: usize,
-    stalls: u64,
-}
-
-impl EventQueue {
-    fn new(capacity: usize) -> EventQueue {
-        EventQueue {
-            state: std::sync::Mutex::new(QueueState::default()),
-            room: std::sync::Condvar::new(),
-            ready: std::sync::Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn push(&self, batch: Vec<RoundEvent>) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut s = self.state.lock().expect("queue lock");
-        if s.events + batch.len() > self.capacity && s.events > 0 {
-            s.stalls += 1;
-            while s.events + batch.len() > self.capacity && s.events > 0 {
-                s = self.room.wait(s).expect("queue lock");
-            }
-        }
-        s.events += batch.len();
-        s.high_water = s.high_water.max(s.events);
-        s.batches.push_back(batch);
-        drop(s);
-        self.ready.notify_one();
-    }
-
-    /// The next batch if one is queued, without waiting.
-    fn try_pop(&self) -> Option<Vec<RoundEvent>> {
-        let mut s = self.state.lock().expect("queue lock");
-        let batch = s.batches.pop_front()?;
-        s.events -= batch.len();
-        drop(s);
-        self.room.notify_one();
-        Some(batch)
-    }
-
-    /// The next batch, waiting for one while the queue is open; `None`
-    /// once it is closed and drained. A pop that had to wait for its batch
-    /// records the wait as one `ingest.queue_wait` sample.
-    fn pop(&self) -> Option<Vec<RoundEvent>> {
-        let hist = sleepwatch_obs::global().pipeline.stage(Stage::IngestQueueWait);
-        let mut waited_since: Option<Option<Instant>> = None;
-        let mut s = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(batch) = s.batches.pop_front() {
-                s.events -= batch.len();
-                drop(s);
-                self.room.notify_one();
-                if let Some(t0) = waited_since.flatten() {
-                    hist.record(t0.elapsed().as_secs_f64() * 1e6);
-                }
-                return Some(batch);
-            }
-            if s.closed {
-                return None;
-            }
-            waited_since.get_or_insert_with(|| hist.enabled().then(Instant::now));
-            s = self.ready.wait(s).expect("queue lock");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.ready.notify_all();
-    }
-
-    /// `(high_water, stalls)` after the run.
-    fn pressure(&self) -> (usize, u64) {
-        let s = self.state.lock().expect("queue lock");
-        (s.high_water, s.stalls)
-    }
-}
-
 /// Spent buffers handed back from the thread that used them up to the
 /// threads that fill them. Two pools:
 ///
@@ -264,51 +173,40 @@ impl EventQueue {
 /// A pool never holds more than was in flight at once (a buffer is either
 /// in use or in the pool), so it is bounded by backpressure.
 struct Pool<T> {
-    stack: parking_lot::Mutex<Vec<T>>,
+    stack: Mutex<Vec<T>>,
 }
 
 impl<T> Pool<T> {
     fn new() -> Pool<T> {
-        Pool { stack: parking_lot::Mutex::new(Vec::new()) }
+        Pool { stack: Mutex::new(Vec::new()) }
     }
 
     /// A spent buffer, if one is waiting.
     fn take(&self) -> Option<T> {
-        self.stack.lock().pop()
+        self.stack.lock().unwrap_or_else(PoisonError::into_inner).pop()
     }
 
     /// Hands back a spent buffer, cleared by the caller.
     fn give(&self, spent: T) {
-        self.stack.lock().push(spent);
+        self.stack.lock().unwrap_or_else(PoisonError::into_inner).push(spent);
     }
 }
 
-/// Routes events into per-shard batch buffers and flushes them to the
-/// bounded queues.
+/// Routes events into per-shard batch buffers and sends full ones down
+/// the shards' bounded channels. It owns the senders, so dropping it —
+/// the feed returned or unwound — closes every channel.
 struct Router<'a> {
-    queues: &'a [EventQueue],
+    shards: Vec<SyncSender<Vec<RoundEvent>>>,
+    /// Events each shard's channel has accepted.
+    sent: &'a [AtomicUsize],
     pool: &'a Pool<Vec<RoundEvent>>,
     buffers: Vec<Vec<RoundEvent>>,
     batch_events: usize,
     rounds_routed: u64,
+    stalls: u64,
 }
 
-impl<'a> Router<'a> {
-    fn new(
-        queues: &'a [EventQueue],
-        pool: &'a Pool<Vec<RoundEvent>>,
-        batch_events: usize,
-    ) -> Router<'a> {
-        let batch_events = batch_events.max(1);
-        Router {
-            queues,
-            pool,
-            buffers: queues.iter().map(|_| Vec::with_capacity(batch_events)).collect(),
-            batch_events,
-            rounds_routed: 0,
-        }
-    }
-
+impl Router<'_> {
     fn route(&mut self, ev: RoundEvent) {
         if matches!(ev, RoundEvent::Round { .. }) {
             self.rounds_routed += 1;
@@ -316,25 +214,44 @@ impl<'a> Router<'a> {
         // With one shard every block routes to it; skipping the hash
         // keeps the single-shard feeder off the per-event hot path.
         let shard =
-            if self.queues.len() == 1 { 0 } else { shard_of(ev.block_id(), self.queues.len()) };
+            if self.shards.len() == 1 { 0 } else { shard_of(ev.block_id(), self.shards.len()) };
         let buf = &mut self.buffers[shard];
         buf.push(ev);
         if buf.len() >= self.batch_events {
             let empty = self.pool.take().unwrap_or_else(|| Vec::with_capacity(self.batch_events));
             let full = std::mem::replace(buf, empty);
-            self.queues[shard].push(full);
+            self.send(shard, full);
         }
     }
 
-    /// Flushes every partial batch and closes the queues.
-    fn finish(mut self) -> u64 {
-        for (shard, buf) in self.buffers.drain(..).enumerate() {
-            self.queues[shard].push(buf);
+    /// Sends `batch` to `shard`, counting a stall when its channel is full.
+    /// A shard that died dropped its receiver, so the send fails instead of
+    /// waiting, and the scope re-raises the shard's panic when it joins.
+    fn send(&mut self, shard: usize, batch: Vec<RoundEvent>) {
+        let len = batch.len();
+        let accepted = match self.shards[shard].try_send(batch) {
+            Ok(()) => true,
+            Err(TrySendError::Full(batch)) => {
+                self.stalls += 1;
+                self.shards[shard].send(batch).is_ok()
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        };
+        if accepted {
+            // Relaxed: only the high-water statistic reads it (see the shard).
+            self.sent[shard].fetch_add(len, Ordering::Relaxed);
         }
-        for q in self.queues {
-            q.close();
+    }
+
+    /// Sends every partial batch and closes the channels; returns the
+    /// rounds routed and the stalls.
+    fn finish(mut self) -> (u64, u64) {
+        for (shard, buf) in std::mem::take(&mut self.buffers).into_iter().enumerate() {
+            if !buf.is_empty() {
+                self.send(shard, buf);
+            }
         }
-        self.rounds_routed
+        (self.rounds_routed, self.stalls)
     }
 }
 
@@ -641,7 +558,8 @@ impl IngestOutcome {
 /// one worker per shard, runs `feed` on the calling thread — it routes
 /// events, sees the mask of journal-replayed blocks, and reports the
 /// blocks it had to quarantine before they produced any — then drains,
-/// joins and assembles.
+/// joins and assembles. A feed that panics closes the channels as it
+/// unwinds, so the shards retire and the panic re-raises at the join.
 fn run_engine(
     source: &WorldSource,
     cfg: &AnalysisConfig,
@@ -650,28 +568,31 @@ fn run_engine(
     feed: impl FnOnce(&mut Router, &[bool], &mut Vec<Quarantine>),
 ) -> IngestOutcome {
     let live_cfg = live_config(cfg);
-    let queues: Vec<EventQueue> =
-        (0..icfg.shards.max(1)).map(|_| EventQueue::new(icfg.queue_capacity)).collect();
+    let batch_events = icfg.batch_events.max(1);
+    let bound = (icfg.queue_capacity / batch_events).max(1);
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..icfg.shards.max(1)).map(|_| sync_channel::<Vec<RoundEvent>>(bound)).unzip();
+    let sent: Vec<AtomicUsize> = senders.iter().map(|_| AtomicUsize::new(0)).collect();
     let Resume { checkpoint, skip, replayed } = resume;
     let replayed_count = replayed.len();
-    let shared: parking_lot::Mutex<(IngestOutcome, Checkpoint)> = parking_lot::Mutex::new((
-        IngestOutcome { reports: replayed, ..Default::default() },
-        checkpoint,
-    ));
+    let shared =
+        Mutex::new((IngestOutcome { reports: replayed, ..Default::default() }, checkpoint));
+    // Every update of the shared state completes before anything that can
+    // panic, so a poisoned lock is taken as is.
+    let lock = || shared.lock().unwrap_or_else(PoisonError::into_inner);
 
-    let mut rounds_routed = 0u64;
     let mut quarantined_at_feed = Vec::new();
     let pool = Pool::new();
-    crossbeam::thread::scope(|s| {
-        for q in &queues {
-            let shared = &shared;
-            let pool = &pool;
-            s.spawn(move |_| {
+    let (rounds_routed, stalls) = std::thread::scope(|s| {
+        for (queue, sent) in receivers.into_iter().zip(&sent) {
+            let (lock, pool) = (&lock, &pool);
+            s.spawn(move || {
+                let wait = sleepwatch_obs::global().pipeline.stage(Stage::IngestQueueWait);
                 let mut state = ShardState::new(source, cfg, live_cfg);
                 let mut done: Vec<Outcome> = Vec::new();
                 let publish = |done: &mut Vec<Outcome>| {
                     if !done.is_empty() {
-                        let (out, checkpoint) = &mut *shared.lock();
+                        let (out, checkpoint) = &mut *lock();
                         for outcome in done.drain(..) {
                             if let Ok(report) = &outcome {
                                 checkpoint.record(report);
@@ -680,20 +601,32 @@ fn run_engine(
                         }
                     }
                 };
+                let (mut taken, mut high_water) = (0usize, 0usize);
                 loop {
-                    let mut batch = match q.try_pop() {
-                        Some(batch) => batch,
-                        None => {
+                    // Events in the channel as the shard looks: the feeder
+                    // counts a batch once the channel holds it, so this
+                    // stays within the channel's bound. The batch taken
+                    // was queued too, so the high water is at least it.
+                    let queued = sent.load(Ordering::Relaxed).saturating_sub(taken);
+                    let mut batch = match queue.try_recv() {
+                        Ok(batch) => batch,
+                        Err(_) => {
                             // Nothing queued: finish the waiting group
                             // rather than sleep on it (at stream end too).
                             state.flush(&mut |outcome| done.push(outcome));
                             publish(&mut done);
-                            match q.pop() {
-                                Some(batch) => batch,
-                                None => break,
+                            let start = wait.enabled().then(Instant::now);
+                            // `Err`: every sender is gone and the channel
+                            // is drained.
+                            let Ok(batch) = queue.recv() else { break };
+                            if let Some(t0) = start {
+                                wait.record(t0.elapsed().as_secs_f64() * 1e6);
                             }
+                            batch
                         }
                     };
+                    high_water = high_water.max(queued.max(batch.len()));
+                    taken += batch.len();
                     for &ev in &batch {
                         state.apply(ev, &mut |outcome| done.push(outcome));
                     }
@@ -701,26 +634,32 @@ fn run_engine(
                     pool.give(batch);
                     publish(&mut done);
                 }
-                shared.lock().0.retire(state);
+                let (out, _) = &mut *lock();
+                out.retire(state);
+                out.stats.queue_high_water = out.stats.queue_high_water.max(high_water);
             });
         }
-        let mut router = Router::new(&queues, &pool, icfg.batch_events);
+        let mut router = Router {
+            buffers: senders.iter().map(|_| Vec::with_capacity(batch_events)).collect(),
+            shards: senders,
+            sent: &sent,
+            pool: &pool,
+            batch_events,
+            rounds_routed: 0,
+            stalls: 0,
+        };
         feed(&mut router, &skip, &mut quarantined_at_feed);
-        rounds_routed = router.finish();
-    })
-    .expect("ingest worker panicked");
+        router.finish()
+    });
 
-    let (mut out, mut checkpoint) = shared.into_inner();
+    let (mut out, mut checkpoint) = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
     // Feed-time quarantines (probing panics) join the shard-side ones; a
     // block quarantined there never produced an event for a shard.
     out.quarantined.append(&mut quarantined_at_feed);
     debug_assert_eq!(rounds_routed, out.stats.rounds_routed, "routed and consumed rounds disagree");
     out.stats.replayed = replayed_count;
     out.stats.checkpoints = checkpoint.finish();
-    for (high_water, stalls) in queues.iter().map(EventQueue::pressure) {
-        out.stats.queue_high_water = out.stats.queue_high_water.max(high_water);
-        out.stats.backpressure_stalls += stalls;
-    }
+    out.stats.backpressure_stalls = stalls;
     let out = out.assemble();
     let obs = &sleepwatch_obs::global().ingest;
     obs.rounds_routed.add(out.stats.rounds_routed);
@@ -742,9 +681,9 @@ fn run_engine(
 /// function of the source, the config, the seed and `c`. One worker per
 /// core probes the blocks of the chunk after the one being read, each
 /// held as its lane would hold it (8 B per round), while the calling
-/// thread interleaves the chunks in order. A pass holds two chunks of
-/// series at a time at any core count, never the world, and no event
-/// depends on which worker probed which block.
+/// thread interleaves the chunks in order and then probes beside them. A
+/// pass holds two chunks of series at a time at any core count, never the
+/// world, and no event depends on which worker probed which block.
 ///
 /// [`WorldFeed::new`] probes the world once to count it: a hello carries
 /// the total before the first event, and on a file every frame's CRC
@@ -753,9 +692,10 @@ fn run_engine(
 /// ([`FeedEvents`]) probes the chunks again, and a resume at sequence `s`
 /// starts from the chunk that holds `s`, so the probing and quarantine
 /// counters, `ingest.feed_chunks` and `stage.ingest.feed_probe` count a
-/// chunk once per pass. A send whose callback fails stops the workers;
-/// the chunk they were probing ahead of the failed one counts too if it
-/// was finished, and its blocks count in the probing counters either way.
+/// chunk once per pass. A send whose callback fails stops the workers at
+/// their next block: the chunk they were probing ahead of the failed one
+/// is cut short and not counted, though the blocks they probed count in
+/// the probing counters.
 pub struct WorldFeed<'a> {
     source: &'a WorldSource,
     cfg: &'a AnalysisConfig,
@@ -768,10 +708,6 @@ pub struct WorldFeed<'a> {
     /// Blocks quarantined by a probing panic while counting.
     quarantined: Vec<Quarantine>,
 }
-
-/// Chunks a feed pass holds at once, whatever its worker count: the one
-/// its reader is interleaving and the one its workers are probing.
-const FEED_WINDOW: usize = 2;
 
 thread_local! {
     /// Probing workers of the feeds built on this thread; `None`: one per
@@ -804,10 +740,12 @@ struct Chunk {
 type Probed = Result<(Option<BlockStream>, u64), Quarantine>;
 
 impl Chunk {
-    /// The chunk of `blocks`, in chunk order.
-    fn of(blocks: impl IntoIterator<Item = Probed>) -> Chunk {
+    /// The chunk of `blocks`, in any order.
+    fn of(blocks: impl IntoIterator<Item = (u64, Probed)>) -> Chunk {
+        let mut blocks: Vec<_> = blocks.into_iter().collect();
+        blocks.sort_unstable_by_key(|&(id, _)| id);
         let mut chunk = Chunk::default();
-        for probed in blocks {
+        for (_, probed) in blocks {
             match probed {
                 Ok((stream, events)) => {
                     chunk.events += events;
@@ -932,9 +870,13 @@ impl<'a> WorldFeed<'a> {
     /// back to; a counting pass passes none and keeps no streams.
     ///
     /// Chunk `c` is the `c`-th run of 256 blocks `skip` does not mark, so
-    /// its blocks are known before any probing. Workers claim blocks, in
-    /// feed order, from one counter, and probe a block of chunk `c` only
-    /// while `c` is within [`FEED_WINDOW`] of the chunk being read.
+    /// its blocks are known before any probing. It is probed in a scope of
+    /// its own: the workers claim its blocks from one counter while the
+    /// calling thread reads chunk `c − 1`, then claims blocks beside them.
+    /// The join is the only wait, so a pass holds two chunks, and a panic
+    /// re-raises there. A failed read moves the counter past the chunk's
+    /// end, so the workers stop at their next claim and the chunk is
+    /// dropped uncounted.
     fn each_chunk<E>(
         &self,
         first: usize,
@@ -945,52 +887,42 @@ impl<'a> WorldFeed<'a> {
             (from..self.source.len() as u64).filter(|&id| !is_replayed(self.skip, id as usize))
         };
         let starts: Vec<u64> = ids(0).step_by(CHUNK).collect();
-        if first >= starts.len() {
-            return Ok(());
+        let hist = sleepwatch_obs::global().pipeline.stage(Stage::IngestFeedProbe);
+        // The chunk before `c`, probed and waiting to be read.
+        let mut ready = None;
+        for (c, &at) in starts.iter().enumerate().skip(first) {
+            let chunk: Vec<u64> = ids(at).take(CHUNK).collect();
+            let next = AtomicUsize::new(0);
+            // Probes blocks of `chunk` until none is left to claim; returns
+            // them with the µs spent probing.
+            let claim = || {
+                let (mut probed, mut us) = (Vec::new(), 0.0);
+                // Relaxed: the index publishes nothing; blocks come back
+                // through the join.
+                while let Some(&id) = chunk.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let start = hist.enabled().then(Instant::now);
+                    probed.push((id, self.probe_block(id, spare)));
+                    us += start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
+                }
+                (probed, us)
+            };
+            let lists = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..self.workers).map(|_| s.spawn(claim)).collect();
+                let done = ready.take().map_or(Ok(()), |before| read(c as u64 - 1, before));
+                if done.is_err() {
+                    next.store(chunk.len(), Ordering::Relaxed);
+                }
+                let mut lists = vec![claim()];
+                for worker in workers {
+                    lists.push(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
+                }
+                done.map(|()| lists)
+            })?;
+            sleepwatch_obs::global().ingest.feed_chunks.incr();
+            hist.record(lists.iter().map(|(_, us)| us).sum());
+            ready = Some(Chunk::of(lists.into_iter().flat_map(|(probed, _)| probed)));
         }
-        let blocks = ids(0).count();
-        let len_of = |c: usize| (blocks - c * CHUNK).min(CHUNK);
-        let pipe = Pipe::new(first);
-        let next = AtomicUsize::new(first * CHUNK);
-        std::thread::scope(|s| {
-            for _ in 0..self.workers {
-                s.spawn(|| {
-                    let _stop = StopWhen(&pipe, std::thread::panicking);
-                    // The ids of the chunk this worker last probed in.
-                    let (mut held, mut chunk_ids) = (usize::MAX, Vec::with_capacity(CHUNK));
-                    loop {
-                        // Relaxed: the index publishes nothing; blocks
-                        // pass through the pipe's mutex.
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let (c, at) = (k / CHUNK, k % CHUNK);
-                        if k >= blocks || !pipe.wait_for_room(c) {
-                            break;
-                        }
-                        if held != c {
-                            chunk_ids.clear();
-                            chunk_ids.extend(ids(starts[c]).take(CHUNK));
-                            held = c;
-                        }
-                        let hist = sleepwatch_obs::global().pipeline.stage(Stage::IngestFeedProbe);
-                        let start = hist.enabled().then(Instant::now);
-                        let probed = self.probe_block(chunk_ids[at], spare);
-                        let us = start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
-                        pipe.land(c, at, len_of(c), probed, us);
-                    }
-                });
-            }
-            // Stops the workers however the reader leaves: done, failed
-            // or unwinding.
-            let _stop = StopWhen(&pipe, || true);
-            for c in first..starts.len() {
-                // `None`: a worker died outside the quarantine boundary;
-                // the scope re-raises its panic.
-                let Some(chunk) = pipe.take(c, len_of(c)) else { break };
-                read(c as u64, chunk)?;
-                pipe.advance(c + 1);
-            }
-            Ok(())
-        })
+        ready.map_or(Ok(()), |last| read(starts.len() as u64 - 1, last))
     }
 
     /// Probes block `id`, counting its events and, on a sending pass,
@@ -1050,126 +982,6 @@ impl<'a> WorldFeed<'a> {
             Ok::<(), Infallible>(())
         });
         all.unwrap_or_else(|never| match never {})
-    }
-}
-
-/// The hand-off between a feed pass's workers and its reader: chunk `c`'s
-/// blocks land in slot `c % FEED_WINDOW` until the reader takes the whole
-/// chunk, and a worker may probe a block of chunk `c` only while
-/// `c < reading + FEED_WINDOW`.
-struct Pipe {
-    state: Mutex<PipeState>,
-    /// Signalled when a chunk's last block lands or the pass stops.
-    landed: Condvar,
-    /// Signalled when the reader moves on or the pass stops.
-    moved: Condvar,
-}
-
-struct PipeState {
-    /// The chunk the reader is on.
-    reading: usize,
-    slots: [Slot; FEED_WINDOW],
-    stop: bool,
-}
-
-/// One chunk's blocks as they land, by position in the chunk.
-#[derive(Default)]
-struct Slot {
-    blocks: Vec<Option<Probed>>,
-    landed: usize,
-    /// Workers' time probing the landed blocks, in µs.
-    probe_us: f64,
-}
-
-impl Pipe {
-    fn new(first: usize) -> Pipe {
-        Pipe {
-            state: Mutex::new(PipeState { reading: first, slots: Default::default(), stop: false }),
-            landed: Condvar::new(),
-            moved: Condvar::new(),
-        }
-    }
-
-    /// The state, even after a holder panicked: every update leaves it
-    /// valid before anything that can panic.
-    fn lock(&self) -> MutexGuard<'_, PipeState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Waits until a block of chunk `c` may be probed; `false` once the
-    /// pass stopped.
-    fn wait_for_room(&self, c: usize) -> bool {
-        let mut s = self.lock();
-        while !s.stop && c >= s.reading + FEED_WINDOW {
-            s = self.moved.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-        !s.stop
-    }
-
-    /// Lands block `at` of chunk `c`, which has `len` blocks. The block
-    /// that completes the chunk counts it: one `ingest.feed_chunks` and
-    /// one `stage.ingest.feed_probe` sample of its blocks' probing time.
-    fn land(&self, c: usize, at: usize, len: usize, probed: Probed, us: f64) {
-        let mut s = self.lock();
-        let slot = &mut s.slots[c % FEED_WINDOW];
-        if slot.blocks.len() < len {
-            slot.blocks.resize_with(len, || None);
-        }
-        slot.blocks[at] = Some(probed);
-        slot.landed += 1;
-        slot.probe_us += us;
-        let done = (slot.landed == len).then_some(slot.probe_us);
-        drop(s);
-        if let Some(us) = done {
-            let obs = sleepwatch_obs::global();
-            obs.ingest.feed_chunks.incr();
-            obs.pipeline.stage(Stage::IngestFeedProbe).record(us);
-            self.landed.notify_one();
-        }
-    }
-
-    /// Chunk `c`, of `len` blocks, once every block landed; `None` if the
-    /// pass stops first.
-    fn take(&self, c: usize, len: usize) -> Option<Chunk> {
-        let mut s = self.lock();
-        loop {
-            let slot = &mut s.slots[c % FEED_WINDOW];
-            if slot.landed == len {
-                let full = std::mem::take(slot);
-                drop(s);
-                return Some(Chunk::of(full.blocks.into_iter().flatten()));
-            }
-            if s.stop {
-                return None;
-            }
-            s = self.landed.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// The reader has finished every chunk before `reading`.
-    fn advance(&self, reading: usize) {
-        self.lock().reading = reading;
-        self.moved.notify_all();
-    }
-
-    fn stop(&self) {
-        self.lock().stop = true;
-        self.moved.notify_all();
-        self.landed.notify_all();
-    }
-}
-
-/// Stops a feed pass when dropped while its test holds: the reader's on
-/// any exit, so no worker waits for room that will never come, and each
-/// worker's on unwinding, so the reader never waits for a block no one
-/// will land.
-struct StopWhen<'p>(&'p Pipe, fn() -> bool);
-
-impl Drop for StopWhen<'_> {
-    fn drop(&mut self) {
-        if (self.1)() {
-            self.0.stop();
-        }
     }
 }
 
@@ -1401,6 +1213,7 @@ mod tests {
     use crate::analyze::analyze_block;
     use crate::worldrun::analyze_world;
     use sleepwatch_probing::stream::{interleave, replay_run};
+    use sleepwatch_probing::transport::IterSource;
     use sleepwatch_probing::FaultPlan;
     use sleepwatch_simnet::WorldConfig;
 
@@ -1511,6 +1324,40 @@ mod tests {
         });
         let panicked = finished.recv_timeout(std::time::Duration::from_secs(60));
         assert_eq!(panicked, Ok(true), "the send hung or returned instead of panicking");
+    }
+
+    /// A feed that panics half-way — an event iterator, or a transport
+    /// source whose `next_event` panics — closes the shards' channels as it
+    /// unwinds: the shards drain and retire, and the panic re-raises at the
+    /// join instead of leaving them, and the ingest, waiting forever.
+    #[test]
+    fn a_panicking_feed_panics_instead_of_hanging() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let source = tiny_source(24);
+            let cfg = cfg_for(&source, 1.25, FaultPlan::none());
+            let icfg = IngestConfig { shards: 2, ..Default::default() };
+            let (feed, _) = world_feed(&source, &cfg, &icfg);
+            let half = feed.len() / 2;
+            let dying = || {
+                feed.iter().enumerate().map(move |(i, &ev)| {
+                    assert!(i < half, "the feed died");
+                    ev
+                })
+            };
+            let panics = |ingest: &mut dyn FnMut()| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(ingest)).is_err()
+            };
+            let events = panics(&mut || {
+                ingest_events(&source, &cfg, &icfg, dying());
+            });
+            let pulled = panics(&mut || {
+                ingest_source(&source, &cfg, &icfg, &mut IterSource::new(dying()));
+            });
+            done.send([events, pulled]).expect("the test is waiting");
+        });
+        let panicked = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert_eq!(panicked, Ok([true, true]), "an ingest hung or returned instead of panicking");
     }
 
     /// Finished blocks flush in groups of eight, when a shard's queue runs

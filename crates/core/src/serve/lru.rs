@@ -14,7 +14,7 @@
 //! structure and keeps the code obviously correct for the eviction-order
 //! proptests.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of independently-locked shards.
 pub const SHARDS: usize = 8;
@@ -124,6 +124,12 @@ pub struct ShardedLru {
     shards: Vec<Mutex<LruShard>>,
 }
 
+/// A shard, even after a holder panicked: the shard changes only by whole
+/// lookups and inserts.
+fn lock(shard: &Mutex<LruShard>) -> MutexGuard<'_, LruShard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// FNV-1a over the key bytes — stable across runs, so shard placement
 /// (and therefore eviction behaviour) is deterministic.
 fn fnv1a(key: &str) -> u64 {
@@ -149,12 +155,12 @@ impl ShardedLru {
 
     /// Total configured capacity.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().capacity()).sum()
+        self.shards.iter().map(|s| lock(s).capacity()).sum()
     }
 
     /// Entries currently held across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// True when nothing is cached.
@@ -174,13 +180,13 @@ impl ShardedLru {
         f: impl FnOnce(&mut String),
     ) -> LruOutcome {
         let shard = &self.shards[(fnv1a(key) % SHARDS as u64) as usize];
-        if let Some(v) = shard.lock().touch(key) {
+        if let Some(v) = lock(shard).touch(key) {
             out.push_str(v);
             return LruOutcome::Hit;
         }
         let start = out.len();
         f(out);
-        let evicted = shard.lock().insert_str(key, &out[start..]);
+        let evicted = lock(shard).insert_str(key, &out[start..]);
         LruOutcome::Miss { evicted }
     }
 

@@ -38,7 +38,7 @@ use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, FftPlan, MAX_BATC
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Blocks per claimed chunk. Chunk composition is a pure function of the
 /// block index, so which worker claims a chunk never changes what is in
@@ -380,19 +380,20 @@ pub(crate) fn quarantine_on_panic<T>(
 }
 
 /// Flushes a worker's local batch: checkpoints completed reports, then
-/// publishes outcomes into the shared sink.
+/// publishes outcomes into the shared sink. A poisoned lock is taken as
+/// is: each guards whole records and puts, so its data stays valid.
 fn flush_batch<S: Sink>(
     local: &mut Vec<(usize, Outcome)>,
-    sink: &parking_lot::Mutex<S>,
-    checkpoint: &parking_lot::Mutex<Checkpoint>,
+    sink: &Mutex<S>,
+    checkpoint: &Mutex<Checkpoint>,
 ) {
     {
-        let mut checkpoint = checkpoint.lock();
+        let mut checkpoint = checkpoint.lock().unwrap_or_else(PoisonError::into_inner);
         for report in local.iter().filter_map(|(_, outcome)| outcome.as_ref().ok()) {
             checkpoint.record(report);
         }
     }
-    let mut sink = sink.lock();
+    let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
     for (idx, outcome) in local.drain(..) {
         sink.put(idx, outcome);
     }
@@ -420,7 +421,7 @@ fn run_world<S: Sink>(
     for report in replayed {
         sink.put(report.summary.block_id as usize, Ok(report));
     }
-    let (sink, checkpoint) = (parking_lot::Mutex::new(sink), parking_lot::Mutex::new(checkpoint));
+    let (sink, checkpoint) = (Mutex::new(sink), Mutex::new(checkpoint));
     let threads = threads.max(1);
     obs.world.runs.incr();
     obs.world.blocks_total.add(n as u64);
@@ -445,13 +446,13 @@ fn run_world<S: Sink>(
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let started = std::time::Instant::now();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for worker in 0..threads {
             // Rebind as shared references so `move` captures copies,
             // not the owned atomics/mutexes themselves.
             let (next, done, sink, checkpoint, skip, feed) =
                 (&next, &done, &sink, &checkpoint, &skip, &feed);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // Worker arenas: the batch arena and (for lazy feeds) the
                 // chunk's spec buffer. All grow-only — after warm-up a
                 // chunk runs without allocating.
@@ -515,8 +516,7 @@ fn run_world<S: Sink>(
                 obs.world.peak_block_bytes.raise(arena as u64);
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 
     let analyzed = n - base;
     let secs = started.elapsed().as_secs_f64();
@@ -525,9 +525,9 @@ fn run_world<S: Sink>(
     }
     let out = {
         let _t = StageTimer::start(obs.pipeline.stage(Stage::Join));
-        sink.into_inner().finish()
+        sink.into_inner().unwrap_or_else(PoisonError::into_inner).finish()
     };
-    checkpoint.into_inner().finish();
+    checkpoint.into_inner().unwrap_or_else(PoisonError::into_inner).finish();
     if let Some(cb) = progress {
         cb(n, n);
     }
@@ -1049,10 +1049,10 @@ mod tests {
             ..Default::default()
         });
         let cfg = AnalysisConfig::over_days(world.cfg.start_time, 3.0);
-        let calls = parking_lot::Mutex::new(Vec::new());
-        let cb = |d: usize, n: usize| calls.lock().push((d, n));
+        let calls = Mutex::new(Vec::new());
+        let cb = |d: usize, n: usize| calls.lock().unwrap().push((d, n));
         analyze_world(&world, &cfg, 3, Some(&cb));
-        let calls = calls.into_inner();
+        let calls = calls.into_inner().unwrap();
         assert_eq!(calls.last(), Some(&(10, 10)), "final call must be (n, n): {calls:?}");
         assert_eq!(
             calls.iter().filter(|&&c| c == (10, 10)).count(),
@@ -1070,10 +1070,14 @@ mod tests {
             ..Default::default()
         });
         let cfg = AnalysisConfig::over_days(world.cfg.start_time, 1.0);
-        let calls = parking_lot::Mutex::new(Vec::new());
-        let cb = |d: usize, n: usize| calls.lock().push((d, n));
+        let calls = Mutex::new(Vec::new());
+        let cb = |d: usize, n: usize| calls.lock().unwrap().push((d, n));
         analyze_world(&world, &cfg, 2, Some(&cb));
-        assert_eq!(calls.into_inner(), vec![(0, 0)], "empty worlds still get the final call");
+        assert_eq!(
+            calls.into_inner().unwrap(),
+            vec![(0, 0)],
+            "empty worlds still get the final call"
+        );
     }
 
     #[test]
@@ -1098,12 +1102,12 @@ mod tests {
         let first = analyze_world_resumable(&world, &poisoned, 2, &path, None).unwrap();
         assert_eq!(first.quarantined.len(), 1);
         // Resume: 19 replayed, 1 recomputed.
-        let calls = parking_lot::Mutex::new(Vec::new());
-        let cb = |d: usize, n: usize| calls.lock().push((d, n));
+        let calls = Mutex::new(Vec::new());
+        let cb = |d: usize, n: usize| calls.lock().unwrap().push((d, n));
         let resumed = analyze_world_resumable(&world, &cfg, 2, &path, Some(&cb)).unwrap();
         assert!(resumed.quarantined.is_empty());
         assert_eq!(resumed.len(), 20);
-        let calls = calls.into_inner();
+        let calls = calls.into_inner().unwrap();
         assert_eq!(calls.first(), Some(&(19, 20)), "replayed base must surface: {calls:?}");
         assert_eq!(calls.last(), Some(&(20, 20)));
         assert_eq!(calls.iter().filter(|&&c| c == (20, 20)).count(), 1);

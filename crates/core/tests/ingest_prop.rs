@@ -95,22 +95,25 @@ proptest! {
 
     /// Any per-block-order-preserving interleaving yields identical
     /// outcomes: arbitrary seeds drive the cross-stream shuffle, tiny
-    /// queue capacities force backpressure stalls, and the verdicts never
-    /// move.
+    /// queue capacities and batches force backpressure stalls, and the
+    /// verdicts never move. A queue holds whole batches, never more events
+    /// than its capacity or one batch, whichever is larger.
     #[test]
     fn any_order_preserving_interleaving_agrees(
         seed in any::<u64>(),
         capacity in 16usize..=512,
+        batch_events in 1usize..=64,
     ) {
-        let icfg = IngestConfig { shards: 4, queue_capacity: capacity, ..Default::default() };
+        let icfg =
+            IngestConfig { shards: 4, queue_capacity: capacity, batch_events, ..Default::default() };
         let feed = interleave(streams().clone(), seed);
         let out = ingest_events(source(), cfg(), &icfg, feed);
         prop_assert!(
-            out.stats.queue_high_water <= capacity + icfg.batch_events,
-            "queue grew past its bound: {} > {capacity} + {}",
+            out.stats.queue_high_water <= capacity.max(batch_events),
+            "queue grew past its bound: {} > max({capacity}, {batch_events})",
             out.stats.queue_high_water,
-            icfg.batch_events,
         );
-        assert_matches_reference(&out, &format!("interleave seed {seed:#x}, capacity {capacity}"));
+        let context = format!("interleave seed {seed:#x}, capacity {capacity}, batch {batch_events}");
+        assert_matches_reference(&out, &context);
     }
 }
