@@ -15,8 +15,9 @@
 //!    `SLPWBIN1` container: size ratio, decode-to-stats speed, equal
 //!    aggregates.
 //! 6. **Sever recovery** — one mid-stream cut through a `ChaosProxy`:
-//!    the client reconnects, verdicts do not move, and the extra wall
-//!    time stays within one backoff budget.
+//!    the extra wall time stays within one backoff budget. That the cut
+//!    reconnects and moves no verdict is asserted by the chaos oracle
+//!    (`testkit/tests/transport_oracle.rs`).
 //!
 //! Every size and sample count is a constant, so CI and a laptop run the
 //! same thing. Run with `cargo bench -p sleepwatch-bench --bench gates`;
@@ -26,16 +27,14 @@
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use sleepwatch_bench::Direction::{AtLeast, AtMost, Equal};
 use sleepwatch_bench::{best, interleaved, median, median_ratio, secs, Report};
 use sleepwatch_core::{
     analyze_block, analyze_block_with_scratch, analyze_world, analyze_world_source, dataset_rows,
-    encode_dataset, feed_identity, ingest_events, ingest_source, read_dataset, world_feed,
-    write_dataset_rows, AnalysisConfig, BinDataset, BlockScratch, DatasetMode, DatasetStats,
-    IngestConfig, TransportOutcome,
+    encode_dataset, feed_identity, ingest_source, read_dataset, world_feed, write_dataset_rows,
+    AnalysisConfig, BinDataset, BlockScratch, DatasetMode, DatasetStats, IngestConfig,
 };
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::stream::RoundEvent;
@@ -247,43 +246,41 @@ fn world_gates(report: &mut Report, threads: usize) {
 
 /// Serves `events` from a background thread (behind a chaos proxy when
 /// `plan` is given) and ingests them over loopback TCP; returns the
-/// outcome and the client's wall seconds.
+/// client's wall seconds.
 fn tcp_run(
     source: &WorldSource,
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
     events: &[RoundEvent],
     plan: Option<ChaosPlan>,
-) -> (TransportOutcome, f64) {
+) -> f64 {
     let identity = feed_identity(source, cfg);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind feed server");
     let addr = listener.local_addr().expect("feed addr").to_string();
-    let stop = Arc::new(AtomicBool::new(false));
-    let server = {
-        let stop = stop.clone();
-        let events = events.to_vec();
-        let fcfg = FeedConfig::new(identity);
-        let endpoint = Endpoint::Accept(listener);
-        std::thread::spawn(move || {
-            serve_feed(&endpoint, &events, &fcfg, &BackoffConfig::default(), &stop)
-        })
-    };
-    let proxy = plan.map(|p| ChaosProxy::spawn(&addr, p).expect("spawn chaos proxy"));
-    let dial = proxy.as_ref().map_or(addr, |p| p.addr().to_string());
-    let start = Instant::now();
-    let mut es = TcpEventSource::dial(dial, TcpConfig::new(identity));
-    let out = ingest_source(source, cfg, icfg, &mut es);
-    let wall = start.elapsed().as_secs_f64();
-    stop.store(true, Ordering::SeqCst);
-    if let Some(p) = proxy {
-        p.shutdown();
-    }
-    server.join().expect("feed server thread").expect("feed server");
-    (out, wall)
+    let (stop, fcfg) = (AtomicBool::new(false), FeedConfig::new(identity));
+    std::thread::scope(|s| {
+        let server = s.spawn(|| {
+            let accept = Endpoint::Accept(listener);
+            serve_feed(&accept, events, &fcfg, &BackoffConfig::default(), &stop)
+        });
+        let proxy = plan.map(|p| ChaosProxy::spawn(&addr, p).expect("spawn chaos proxy"));
+        let dial = proxy.as_ref().map_or(addr.clone(), |p| p.addr().to_string());
+        let start = Instant::now();
+        let mut es = TcpEventSource::dial(dial, TcpConfig::new(identity));
+        let complete = ingest_source(source, cfg, icfg, &mut es).complete();
+        let wall = start.elapsed().as_secs_f64();
+        stop.store(true, Ordering::SeqCst);
+        if let Some(p) = proxy {
+            p.shutdown();
+        }
+        server.join().expect("feed server thread").expect("feed server");
+        assert!(complete, "a timed ingest did not complete");
+        wall
+    })
 }
 
 /// Gate 6: the same pre-probed feed over clean loopback TCP and through a
-/// proxy that cuts the connection once mid-stream.
+/// proxy that cuts the connection once mid-stream, timed.
 fn sever_gate(report: &mut Report) {
     report.size("sever_blocks", SEVER_BLOCKS as f64);
     report.size("sever_days", SEVER_DAYS);
@@ -296,10 +293,6 @@ fn sever_gate(report: &mut Report) {
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, SEVER_DAYS);
     let icfg = IngestConfig { shards: 4, ..Default::default() };
     let (feed, _) = world_feed(&source, &cfg, &icfg);
-    let verdicts = |reports: &[sleepwatch_core::WorldBlockReport]| -> Vec<String> {
-        reports.iter().map(|r| format!("{r:?}")).collect()
-    };
-    let want = verdicts(&ingest_events(&source, &cfg, &icfg, feed.iter().copied()).reports);
     let plan = ChaosPlan {
         seed: 0xBE9C4,
         harm: Some(Harm::Sever),
@@ -309,27 +302,12 @@ fn sever_gate(report: &mut Report) {
         dup_every: None,
         short_write: false,
     };
-
-    // Per run: its reconnect count and whether its verdicts moved.
-    let run = |plan: Option<ChaosPlan>, log: &mut Vec<(u64, bool)>| {
-        let (out, wall) = tcp_run(&source, &cfg, &icfg, &feed, plan);
-        let moved = !out.complete() || verdicts(&out.outcome.reports) != want;
-        log.push((out.transport.reconnects, moved));
-        wall
-    };
-    let (mut clean_log, mut sever_log) = (Vec::new(), Vec::new());
-    let (clean, severed) =
-        interleaved(BEST_OF, || run(None, &mut clean_log), || run(Some(plan), &mut sever_log));
+    let run = |plan| tcp_run(&source, &cfg, &icfg, &feed, plan);
+    let (clean, severed) = interleaved(BEST_OF, || run(None), || run(Some(plan)));
 
     let budget_ms = TcpConfig::new(feed_identity(&source, &cfg)).backoff.budget_ms() as f64;
     let recovery_ms = ((best(&severed) - best(&clean)) * 1e3).max(0.0);
     report.measure("sever.clean_s", best(&clean));
     report.measure("sever.severed_s", best(&severed));
-    let clean_reconnects = clean_log.iter().map(|r| r.0).max().unwrap_or(0);
-    let reconnects = sever_log.iter().map(|r| r.0).min().unwrap_or(0);
-    let moved = clean_log.iter().chain(&sever_log).filter(|r| r.1).count();
-    report.gate("sever.clean_reconnects", clean_reconnects as f64, Equal, 0.0);
-    report.gate("sever.reconnects", reconnects as f64, AtLeast, 1.0);
-    report.gate("sever.verdict_divergence", moved as f64, Equal, 0.0);
     report.gate("sever.recovery_ms", recovery_ms, AtMost, budget_ms);
 }

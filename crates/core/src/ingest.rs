@@ -25,9 +25,9 @@
 //!   claims blocks beside them. The scope's join is the only wait. Each
 //!   block is held as its lane would hold it (8 B per round), so a feed
 //!   holds two chunks at any core count, never the world, and no event
-//!   depends on the worker count. Counted once, it sends any suffix a
-//!   resume asks for by regenerating from the chunk that holds it: what
-//!   `sleepwatch feed` serves.
+//!   depends on the worker count. It sends any suffix a resume asks for
+//!   by regenerating from the chunk that holds it, once a pass has
+//!   learned where that chunk starts: what `sleepwatch feed` serves.
 //! * **Lanes.** Each in-flight block ("lane") keeps its `Âs` values in
 //!   arrival order plus a run list that is one entry unless rounds broke
 //!   sequence (a `RoundSeries`, 8 B per round). Its [`OnlineDetector`] —
@@ -685,17 +685,17 @@ fn run_engine(
 /// pass holds two chunks of series at a time at any core count, never the
 /// world, and no event depends on which worker probed which block.
 ///
-/// [`WorldFeed::new`] probes the world once to count it: a hello carries
-/// the total before the first event, and on a file every frame's CRC
-/// chains on the hello. Its workers count events and keep no streams; it
-/// keeps only each chunk's cumulative event count. Sending the feed
-/// ([`FeedEvents`]) probes the chunks again, and a resume at sequence `s`
-/// starts from the chunk that holds `s`, so the probing and quarantine
-/// counters, `ingest.feed_chunks` and `stage.ingest.feed_probe` count a
-/// chunk once per pass. A send whose callback fails stops the workers at
+/// A feed does not know its length until a pass reaches its end. Each pass
+/// records, the first time it assembles a chunk, the chunk's cumulative
+/// event count and its quarantines. A resume at sequence `s`
+/// ([`FeedEvents`]) starts at the chunk that holds `s` if a pass has
+/// recorded it, and otherwise at the first chunk none has, skipping the
+/// events before `s`. So the probing and quarantine counters,
+/// `ingest.feed_chunks` and `stage.ingest.feed_probe` count a chunk once
+/// per pass over it. A send whose callback fails stops the workers at
 /// their next block: the chunk they were probing ahead of the failed one
-/// is cut short and not counted, though the blocks they probed count in
-/// the probing counters.
+/// is cut short and neither counted nor recorded, though the blocks they
+/// probed count in the probing counters.
 pub struct WorldFeed<'a> {
     source: &'a WorldSource,
     cfg: &'a AnalysisConfig,
@@ -703,9 +703,16 @@ pub struct WorldFeed<'a> {
     workers: usize,
     /// Journal-replayed blocks, left out of the feed (by block id).
     skip: &'a [bool],
-    /// `ends[c]`: events in chunks `0..=c`. Empty unless counted.
+    /// What the passes so far have recorded.
+    seen: Mutex<Seen>,
+}
+
+/// The chunks some pass over a [`WorldFeed`] has assembled, from the first.
+#[derive(Default)]
+struct Seen {
+    /// `ends[c]`: events in chunks `0..=c`.
     ends: Vec<u64>,
-    /// Blocks quarantined by a probing panic while counting.
+    /// Blocks of those chunks quarantined by a probing panic.
     quarantined: Vec<Quarantine>,
 }
 
@@ -726,37 +733,8 @@ pub fn with_feed_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// One probed chunk of a [`WorldFeed`]: its blocks' streams (none on a
-/// counting pass), its event count, and the blocks whose probing panicked.
-#[derive(Default)]
-struct Chunk {
-    streams: Vec<BlockStream>,
-    events: u64,
-    quarantined: Vec<Quarantine>,
-}
-
-/// One probed block: its stream (`None` on a counting pass) and its event
-/// count, or its quarantine.
-type Probed = Result<(Option<BlockStream>, u64), Quarantine>;
-
-impl Chunk {
-    /// The chunk of `blocks`, in any order.
-    fn of(blocks: impl IntoIterator<Item = (u64, Probed)>) -> Chunk {
-        let mut blocks: Vec<_> = blocks.into_iter().collect();
-        blocks.sort_unstable_by_key(|&(id, _)| id);
-        let mut chunk = Chunk::default();
-        for (_, probed) in blocks {
-            match probed {
-                Ok((stream, events)) => {
-                    chunk.events += events;
-                    chunk.streams.extend(stream);
-                }
-                Err(q) => chunk.quarantined.push(q),
-            }
-        }
-        chunk
-    }
-}
+/// One probed block: its stream, or its quarantine.
+type Probed = Result<BlockStream, Quarantine>;
 
 /// One probed block of a chunk: its series and its `Finish` totals.
 struct BlockStream {
@@ -820,27 +798,15 @@ impl Iterator for BlockEvents<'_> {
 impl ExactSizeIterator for BlockEvents<'_> {}
 
 impl<'a> WorldFeed<'a> {
-    /// The feed of every block of `source`, counted: probes the world
-    /// once, keeping each chunk's event count and the blocks whose probing
-    /// panicked (they send no events).
+    /// The feed of every block of `source`. Nothing is probed until it is
+    /// sent.
     pub fn new(source: &'a WorldSource, cfg: &'a AnalysisConfig, icfg: &IngestConfig) -> Self {
-        let mut feed = WorldFeed::lazy(source, cfg, icfg, &[]);
-        let (mut total, mut ends, mut quarantined) = (0, Vec::new(), Vec::new());
-        let counted = feed.each_chunk(0, None, |_, chunk| {
-            total += chunk.events;
-            ends.push(total);
-            quarantined.extend(chunk.quarantined);
-            Ok::<(), Infallible>(())
-        });
-        counted.unwrap_or_else(|never| match never {});
-        feed.ends = ends;
-        feed.quarantined = quarantined;
-        feed
+        WorldFeed::skipping(source, cfg, icfg, &[])
     }
 
-    /// The feed of every block `skip` does not mark, uncounted: for
-    /// reading from the start only.
-    fn lazy(
+    /// The feed of every block `skip` does not mark: for reading from the
+    /// start only.
+    fn skipping(
         source: &'a WorldSource,
         cfg: &'a AnalysisConfig,
         icfg: &IngestConfig,
@@ -853,21 +819,25 @@ impl<'a> WorldFeed<'a> {
             interleave_seed: icfg.interleave_seed,
             workers: FEED_WORKERS.get().unwrap_or_else(cores),
             skip,
-            ends: Vec::new(),
-            quarantined: Vec::new(),
+            seen: Mutex::default(),
         }
     }
 
-    /// Blocks quarantined by a probing panic: they send no events.
-    pub fn quarantined(&self) -> &[Quarantine] {
-        &self.quarantined
+    fn seen(&self) -> std::sync::MutexGuard<'_, Seen> {
+        self.seen.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks quarantined by a probing panic in the chunks a pass has
+    /// assembled so far: they send no events.
+    pub fn quarantined(&self) -> Vec<Quarantine> {
+        self.seen().quarantined.clone()
     }
 
     /// Probes the chunks from `first` on, on the feed's workers, and hands
-    /// each to `read` on the calling thread, in chunk order; stops at the
-    /// first error `read` returns and returns it once every worker has
-    /// joined. A sending pass passes the pool its reader gives spent series
-    /// back to; a counting pass passes none and keeps no streams.
+    /// each chunk's streams, in block order, to `read` on the calling
+    /// thread, in chunk order; stops at the first error `read` returns and
+    /// returns it once every worker has joined. `spare` is the pool its
+    /// reader gives spent series back to.
     ///
     /// Chunk `c` is the `c`-th run of 256 blocks `skip` does not mark, so
     /// its blocks are known before any probing. It is probed in a scope of
@@ -876,12 +846,12 @@ impl<'a> WorldFeed<'a> {
     /// The join is the only wait, so a pass holds two chunks, and a panic
     /// re-raises there. A failed read moves the counter past the chunk's
     /// end, so the workers stop at their next claim and the chunk is
-    /// dropped uncounted.
+    /// dropped uncounted and unrecorded.
     fn each_chunk<E>(
         &self,
         first: usize,
-        spare: Option<&Pool<RoundSeries>>,
-        mut read: impl FnMut(u64, Chunk) -> Result<(), E>,
+        spare: &Pool<RoundSeries>,
+        mut read: impl FnMut(u64, Vec<BlockStream>) -> Result<(), E>,
     ) -> Result<(), E> {
         let ids = |from: u64| {
             (from..self.source.len() as u64).filter(|&id| !is_replayed(self.skip, id as usize))
@@ -920,63 +890,78 @@ impl<'a> WorldFeed<'a> {
             })?;
             sleepwatch_obs::global().ingest.feed_chunks.incr();
             hist.record(lists.iter().map(|(_, us)| us).sum());
-            ready = Some(Chunk::of(lists.into_iter().flat_map(|(probed, _)| probed)));
+            ready = Some(self.assemble(c, lists.into_iter().flat_map(|(probed, _)| probed)));
         }
         ready.map_or(Ok(()), |last| read(starts.len() as u64 - 1, last))
     }
 
-    /// Probes block `id`, counting its events and, on a sending pass,
-    /// keeping its stream in a series from `spare`; quarantines it if its
+    /// Chunk `c`'s streams in block order, from its probed blocks in any
+    /// order. The first pass to assemble `c` records its event count and
+    /// quarantines; every chunk before it has been recorded already, since
+    /// a pass starts at a recorded chunk or the first unrecorded one.
+    fn assemble(&self, c: usize, blocks: impl Iterator<Item = (u64, Probed)>) -> Vec<BlockStream> {
+        let mut blocks: Vec<_> = blocks.collect();
+        blocks.sort_unstable_by_key(|&(id, _)| id);
+        let mut seen = self.seen();
+        let record = c == seen.ends.len();
+        debug_assert!(c <= seen.ends.len(), "chunk {c} assembled before the chunks ahead of it");
+        let mut end = seen.ends.last().copied().unwrap_or(0);
+        let mut streams = Vec::with_capacity(blocks.len());
+        for (_, probed) in blocks {
+            match probed {
+                Ok(stream) => {
+                    end += stream.series.values.len() as u64 + 1;
+                    streams.push(stream);
+                }
+                Err(q) if record => seen.quarantined.push(q),
+                Err(_) => {}
+            }
+        }
+        if record {
+            seen.ends.push(end);
+        }
+        streams
+    }
+
+    /// Probes block `id` into a series from `spare`; quarantines it if its
     /// probing panics.
-    fn probe_block(&self, id: u64, spare: Option<&Pool<RoundSeries>>) -> Probed {
+    fn probe_block(&self, id: u64, spare: &Pool<RoundSeries>) -> Probed {
         let (cfg, block) = (self.cfg, self.source.generate_block(id));
         quarantine_on_panic(cfg, id, || {
             let mut prober = TrinocularProber::new(&block, cfg.trinocular);
             let run = prober.run_with_faults(&block, cfg.start_time, cfg.rounds, &cfg.faults);
-            let mut series = spare.map(|spare| spare.take().unwrap_or_default());
-            if let Some(series) = &mut series {
-                series.values.reserve_exact(run.records.len());
-            }
-            let mut events = 1; // the `Finish`
+            let mut series = spare.take().unwrap_or_default();
+            series.values.reserve_exact(run.records.len());
             for (round, a_short) in record_rounds(&run.records) {
-                events += 1;
-                if let Some(series) = &mut series {
-                    series.push(round, a_short);
-                }
+                series.push(round, a_short);
             }
             let (outages, total_probes) = (run.outages.len() as u32, run.total_probes);
-            let stream =
-                series.map(|series| BlockStream { block_id: id, series, outages, total_probes });
-            (stream, events)
+            BlockStream { block_id: id, series, outages, total_probes }
         })
     }
 
     /// Hands `each` the feed's events from the start of chunk `first` on,
-    /// in feed order, and returns the blocks quarantined in those chunks;
-    /// stops at the first error `each` returns. Only a feed of every block
-    /// has its chunks at fixed block ids, so only it may start past chunk 0.
+    /// in feed order; stops at the first error `each` returns. Only a feed
+    /// of every block has its chunks at fixed block ids, so only it may
+    /// start past chunk 0.
     fn each_event<E>(
         &self,
         first: usize,
         mut each: impl FnMut(RoundEvent) -> Result<(), E>,
-    ) -> Result<Vec<Quarantine>, E> {
+    ) -> Result<(), E> {
         debug_assert!(first == 0 || self.skip.is_empty(), "chunks move with the skip mask");
-        let mut quarantined = Vec::new();
         let spare = Pool::new();
-        self.each_chunk(first, Some(&spare), |c, chunk| {
-            quarantined.extend(chunk.quarantined);
+        self.each_chunk(first, &spare, |c, streams| {
             // A per-chunk keyed interleave: reproducible for a given seed,
             // different across chunks, adversarial to any order assumption.
             let seed = self.interleave_seed.wrapping_add(c);
-            let streams = chunk.streams.into_iter().map(|block| block.events(&spare));
+            let streams = streams.into_iter().map(|block| block.events(&spare));
             Interleave::new(streams, seed).try_for_each(&mut each)
-        })?;
-        Ok(quarantined)
+        })
     }
 
-    /// Every event of the feed, in feed order, to `each`; returns the
-    /// blocks quarantined on the way.
-    fn for_each(&self, mut each: impl FnMut(RoundEvent)) -> Vec<Quarantine> {
+    /// Every event of the feed, in feed order, to `each`.
+    fn for_each(&self, mut each: impl FnMut(RoundEvent)) {
         let all = self.each_event(0, |ev| {
             each(ev);
             Ok::<(), Infallible>(())
@@ -986,19 +971,19 @@ impl<'a> WorldFeed<'a> {
 }
 
 impl FeedEvents for WorldFeed<'_> {
-    fn total(&self) -> u64 {
-        self.ends.last().copied().unwrap_or(0)
-    }
-
     fn runs_from<E>(
         &self,
         from: u64,
         len: usize,
         mut run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
-    ) -> Result<(), E> {
-        // The chunk holding event `from`, and how far into it `from` is.
-        let chunk = self.ends.partition_point(|&end| end <= from);
-        let mut into = from - chunk.checked_sub(1).map_or(0, |c| self.ends[c]);
+    ) -> Result<u64, E> {
+        // The recorded chunk holding event `from`, or the first unrecorded
+        // one, and how many events of the pass come before `from`.
+        let (chunk, mut into) = {
+            let ends = &self.seen().ends;
+            let chunk = ends.partition_point(|&end| end <= from);
+            (chunk, from - chunk.checked_sub(1).map_or(0, |c| ends[c]))
+        };
         let mut batch = Vec::with_capacity(len);
         self.each_event(chunk, |ev| {
             if into > 0 {
@@ -1012,11 +997,11 @@ impl FeedEvents for WorldFeed<'_> {
             }
             Ok(())
         })?;
-        if batch.is_empty() {
-            Ok(())
-        } else {
-            run(&batch)
+        if !batch.is_empty() {
+            run(&batch)?;
         }
+        // The pass reached the end, so every chunk is recorded.
+        Ok(self.seen().ends.last().copied().unwrap_or(0))
     }
 }
 
@@ -1024,16 +1009,16 @@ impl FeedEvents for WorldFeed<'_> {
 /// every block and chunk-interleaves the streams with
 /// `icfg.interleave_seed` — for replay over a transport (the chaos
 /// oracle, the throughput bench). Returns the feed and any blocks
-/// quarantined by probing panics. This is [`WorldFeed`] collected, without
-/// its counting pass.
+/// quarantined by probing panics. This is [`WorldFeed`] collected.
 pub fn world_feed(
     source: &WorldSource,
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
 ) -> (Vec<RoundEvent>, Vec<Quarantine>) {
+    let feed = WorldFeed::new(source, cfg, icfg);
     let mut all = Vec::new();
-    let quarantined = WorldFeed::lazy(source, cfg, icfg, &[]).for_each(|ev| all.push(ev));
-    (all, quarantined)
+    feed.for_each(|ev| all.push(ev));
+    (all, feed.quarantined())
 }
 
 /// The run identity a transport session carries for this source and
@@ -1064,8 +1049,9 @@ fn ingest_generated(
     resume: Resume,
 ) -> IngestOutcome {
     run_engine(source, cfg, icfg, resume, |router, skip, quarantined_at_feed| {
-        let feed = WorldFeed::lazy(source, cfg, icfg, skip);
-        *quarantined_at_feed = feed.for_each(|ev| router.route(ev));
+        let feed = WorldFeed::skipping(source, cfg, icfg, skip);
+        feed.for_each(|ev| router.route(ev));
+        *quarantined_at_feed = feed.quarantined();
     })
 }
 

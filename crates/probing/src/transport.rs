@@ -7,16 +7,20 @@
 //! toolbox ([`sleepwatch_framing`]):
 //!
 //! * **Handshake.** The sender opens with the shared 64-byte
-//!   [`Prelude`] (magic `SLPWFEED`, version, run identity, total event
-//!   count). The receiver answers with the same prelude shape carrying
-//!   the sequence number it wants to resume from. Both sides validate
-//!   the other's identity, so a feed from a foreign run is refused with
-//!   a typed [`DecodeError::IdentityMismatch`] before any event moves.
+//!   [`Prelude`] (magic `SLPWFEED`, version, run identity) and no length:
+//!   like Trinocular's stream, a feed need not know where it ends. The
+//!   receiver answers with the same prelude shape carrying the sequence
+//!   number it wants to resume from. A peer from a foreign run or on
+//!   another wire version is refused with a typed
+//!   [`DecodeError::IdentityMismatch`] or [`DecodeError::UnsupportedVersion`]
+//!   before any event moves, and never retried.
 //! * **Frames.** Everything after the handshake is length-prefixed
 //!   frames — events (sequence-numbered), heartbeats, and a terminal
-//!   end-of-stream marker — each closed by a CRC32 chained to the
-//!   handshake's header CRC so frames cannot be spliced between
-//!   sessions. Decoding is total: damage is detected, never trusted.
+//!   end-of-stream marker carrying the event count — each closed by a
+//!   CRC32 chained to [`session_chain`], the hello's header CRC. That is a
+//!   function of the run identity alone, so frames cannot be spliced
+//!   between runs, and a file's frames are byte for byte a fresh TCP
+//!   session's. Decoding is total: damage is detected, never trusted.
 //! * **Robustness.** The TCP client retries with seed-keyed jittered
 //!   exponential backoff, resumes from its last applied sequence after
 //!   every reconnect (nothing is lost, duplicates are dropped), treats
@@ -58,10 +62,11 @@ use crate::stream::RoundEvent;
 /// Feed magic: `SLPWFEED` as a little-endian u64.
 pub const FEED_MAGIC: u64 = u64::from_le_bytes(*b"SLPWFEED");
 /// Wire format version this build speaks.
-pub const FEED_VERSION: u16 = 1;
+pub const FEED_VERSION: u16 = 2;
 /// Prelude `kind` byte for transport handshakes.
 pub const FEED_KIND: u8 = b'T';
-/// Prelude `mode`: sender's opening hello (`record_count` = total events).
+/// Prelude `mode`: sender's opening hello (`record_count` 0: a feed
+/// announces no length).
 pub const MODE_HELLO: u8 = 0;
 /// Prelude `mode`: receiver's resume answer (`record_count` = resume-from
 /// sequence).
@@ -71,7 +76,8 @@ pub const MODE_RESUME: u8 = 1;
 pub const FRAME_EVENTS: u8 = 1;
 /// Frame kind: liveness heartbeat carrying the sender's next sequence.
 pub const FRAME_HEARTBEAT: u8 = 2;
-/// Frame kind: end of stream, carrying the total event count.
+/// Frame kind: end of stream, carrying the sequence number after the last
+/// event (the feed's event count), whatever the receiver resumed from.
 pub const FRAME_END: u8 = 3;
 
 /// Hard cap on a frame's declared body length: bounds in-flight memory
@@ -120,9 +126,16 @@ pub enum TransportError {
 }
 
 impl TransportError {
-    /// True when this error is the typed refusal of a foreign feed.
+    /// True when this error is a refusal no retry can heal: a feed from a
+    /// foreign run, or a peer on another wire version. The prelude's CRC is
+    /// checked before its version, so the version is the peer's, not noise.
     pub fn is_foreign_feed(&self) -> bool {
-        matches!(self, TransportError::Handshake(DecodeError::IdentityMismatch { .. }))
+        matches!(
+            self,
+            TransportError::Handshake(
+                DecodeError::IdentityMismatch { .. } | DecodeError::UnsupportedVersion { .. }
+            )
+        )
     }
 }
 
@@ -181,46 +194,52 @@ pub struct TransportStats {
 // Handshake codec
 // ---------------------------------------------------------------------------
 
-/// Encodes the sender's opening hello.
-pub fn encode_hello(identity: &RunIdentity, total_events: u64) -> [u8; PRELUDE_LEN] {
-    Prelude {
-        magic: FEED_MAGIC,
-        version: FEED_VERSION,
-        kind: FEED_KIND,
-        mode: MODE_HELLO,
-        identity: *identity,
-        record_count: total_events,
-    }
-    .encode()
+/// A handshake prelude of `mode` carrying `record_count`.
+fn handshake(identity: &RunIdentity, mode: u8, record_count: u64) -> [u8; PRELUDE_LEN] {
+    let (magic, version, kind, identity) = (FEED_MAGIC, FEED_VERSION, FEED_KIND, *identity);
+    Prelude { magic, version, kind, mode, identity, record_count }.encode()
+}
+
+/// Encodes the sender's opening hello: the run identity, and no length.
+pub fn encode_hello(identity: &RunIdentity) -> [u8; PRELUDE_LEN] {
+    handshake(identity, MODE_HELLO, 0)
 }
 
 /// Encodes the receiver's resume answer.
 pub fn encode_resume(identity: &RunIdentity, resume_from: u64) -> [u8; PRELUDE_LEN] {
-    Prelude {
-        magic: FEED_MAGIC,
-        version: FEED_VERSION,
-        kind: FEED_KIND,
-        mode: MODE_RESUME,
-        identity: *identity,
-        record_count: resume_from,
-    }
-    .encode()
+    handshake(identity, MODE_RESUME, resume_from)
 }
 
-/// Validates a received handshake prelude: structure, magic/version/kind,
-/// expected mode, and run identity. Returns the decoded prelude (whose
-/// `record_count` carries the total or the resume sequence).
-pub fn decode_handshake(
-    bytes: &[u8],
+/// The CRC chain seed of every frame of a run's feed: its hello's header
+/// CRC. The hello carries the identity alone, so a file and every TCP
+/// session of one run chain alike, frames cannot be spliced between runs,
+/// and no hello bytes need remembering across reconnects.
+pub fn session_chain(identity: &RunIdentity) -> u32 {
+    get_u32(&encode_hello(identity), 56)
+}
+
+/// Reads a handshake prelude off `r` and validates it: structure,
+/// magic/version/kind, `want_mode`, and run identity; a stream that ends
+/// inside it is a truncated handshake. Returns the prelude, whose
+/// `record_count` carries a resume answer's sequence.
+fn read_handshake(
+    r: &mut impl Read,
     expected: &RunIdentity,
     want_mode: u8,
-) -> Result<Prelude, DecodeError> {
-    let p = Prelude::decode(bytes)?;
-    p.require(FEED_MAGIC, FEED_VERSION, FEED_KIND)?;
+) -> Result<Prelude, TransportError> {
+    let mut bytes = [0u8; PRELUDE_LEN];
+    r.read_exact(&mut bytes).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => {
+            TransportError::Handshake(DecodeError::Truncated { need: PRELUDE_LEN, have: 0 })
+        }
+        _ => TransportError::Io(e),
+    })?;
+    let p = Prelude::decode(&bytes).map_err(TransportError::Handshake)?;
+    p.require(FEED_MAGIC, FEED_VERSION, FEED_KIND).map_err(TransportError::Handshake)?;
     if p.mode != want_mode {
-        return Err(DecodeError::BadMode { found: p.mode });
+        return Err(TransportError::Handshake(DecodeError::BadMode { found: p.mode }));
     }
-    check_identity(expected, &p.identity)?;
+    check_identity(expected, &p.identity).map_err(TransportError::Handshake)?;
     Ok(p)
 }
 
@@ -613,55 +632,47 @@ fn obs() -> &'static sleepwatch_obs::TransportMetrics {
 // What a sender sends
 // ---------------------------------------------------------------------------
 
-/// A feed a sender can put on the wire: its event count, which the hello
-/// carries before the first frame, and its events from any sequence number
-/// on, in frame-sized runs.
+/// A feed a sender can put on the wire: its events from any sequence
+/// number on, in frame-sized runs. A feed need not know its length before
+/// it is sent; it learns where it ends by getting there.
 ///
 /// An in-memory feed is a slice of events; `sleepwatch_core`'s `WorldFeed`
 /// regenerates a world's feed a chunk at a time instead of holding it.
 pub trait FeedEvents {
-    /// Events in the feed.
-    fn total(&self) -> u64;
-
     /// Hands `run` the events from sequence number `from` to the end, in
     /// order, as consecutive runs of `len` events (the last may be
     /// shorter), and stops at the first error `run` returns. Nothing is
-    /// handed out when `from` is at or past the end.
+    /// handed out when `from` is at or past the end. Returns the sequence
+    /// number after the feed's last event — its event count — wherever
+    /// `from` was.
     fn runs_from<E>(
         &self,
         from: u64,
         len: usize,
         run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
-    ) -> Result<(), E>;
+    ) -> Result<u64, E>;
 }
 
 impl FeedEvents for [RoundEvent] {
-    fn total(&self) -> u64 {
-        self.len() as u64
-    }
-
     fn runs_from<E>(
         &self,
         from: u64,
         len: usize,
         run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
-    ) -> Result<(), E> {
+    ) -> Result<u64, E> {
         let from = usize::try_from(from).map_or(self.len(), |from| from.min(self.len()));
-        self[from..].chunks(len).try_for_each(run)
+        self[from..].chunks(len).try_for_each(run)?;
+        Ok(self.len() as u64)
     }
 }
 
 impl FeedEvents for Vec<RoundEvent> {
-    fn total(&self) -> u64 {
-        self.as_slice().total()
-    }
-
     fn runs_from<E>(
         &self,
         from: u64,
         len: usize,
         run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
-    ) -> Result<(), E> {
+    ) -> Result<u64, E> {
         self.as_slice().runs_from(from, len, run)
     }
 }
@@ -678,36 +689,21 @@ pub fn write_feed<W: Write, F: FeedEvents + ?Sized>(
     identity: &RunIdentity,
     frame_events: usize,
 ) -> io::Result<()> {
-    let hello = encode_hello(identity, events.total());
-    let chain = header_crc_of(&hello);
-    w.write_all(&hello)?;
+    let chain = session_chain(identity);
+    w.write_all(&encode_hello(identity))?;
     let frame_events = frame_events.clamp(1, MAX_FRAME_EVENTS);
     let mut out = Vec::new();
     let mut seq = 0u64;
-    events.runs_from(0, frame_events, |batch| {
+    let end = events.runs_from(0, frame_events, |batch| {
         out.clear();
         encode_events(&mut out, seq, batch, chain);
         seq += batch.len() as u64;
         w.write_all(&out)
     })?;
     out.clear();
-    encode_frame(&mut out, &Frame::End { total: seq }, chain);
+    encode_frame(&mut out, &Frame::End { total: end }, chain);
     w.write_all(&out)?;
     w.flush()
-}
-
-/// The header CRC a handshake prelude carries (the per-session chain
-/// seed for every frame CRC).
-pub fn header_crc_of(prelude: &[u8; PRELUDE_LEN]) -> u32 {
-    get_u32(prelude, 56)
-}
-
-/// The CRC chain seed of a TCP session. The sender's hello varies in
-/// `record_count`, so both ends chain on the identity-bearing resume form
-/// instead, which each computes from the identity alone: frames are bound
-/// to the run, and no hello bytes need remembering across reconnects.
-fn tcp_chain(identity: &RunIdentity) -> u32 {
-    header_crc_of(&encode_resume(identity, 0))
 }
 
 /// Reads a feed from a file or pipe.
@@ -734,18 +730,11 @@ impl<R: Read> FileSource<R> {
     /// Reads and validates the hello handshake; a foreign identity is
     /// refused before any event is decoded.
     pub fn new(mut r: R, expected: &RunIdentity, strict: bool) -> Result<Self, TransportError> {
-        let mut hello = [0u8; PRELUDE_LEN];
-        r.read_exact(&mut hello).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => {
-                TransportError::Handshake(DecodeError::Truncated { need: PRELUDE_LEN, have: 0 })
-            }
-            _ => TransportError::Io(e),
-        })?;
-        decode_handshake(&hello, expected, MODE_HELLO).map_err(TransportError::Handshake)?;
+        read_handshake(&mut r, expected, MODE_HELLO)?;
         Ok(FileSource {
             r,
             rx: RecvBuf::new(),
-            chain: header_crc_of(&hello),
+            chain: session_chain(expected),
             next_seq: 0,
             pending: Batch::default(),
             strict,
@@ -1021,7 +1010,7 @@ impl TcpEventSource {
     pub fn over(endpoint: Endpoint, cfg: TcpConfig) -> Self {
         TcpEventSource {
             endpoint,
-            chain: tcp_chain(&cfg.identity),
+            chain: session_chain(&cfg.identity),
             cfg,
             conn: None,
             connected_once: false,
@@ -1037,28 +1026,18 @@ impl TcpEventSource {
 
     /// One connect + handshake attempt.
     fn connect_once(&mut self) -> Result<Conn, TransportError> {
-        let stream = self.endpoint.open(self.cfg.read_timeout)?;
+        let mut stream = self.endpoint.open(self.cfg.read_timeout)?;
         stream.set_read_timeout(Some(self.cfg.read_timeout))?;
         stream.set_nodelay(true)?;
-        let mut hello = [0u8; PRELUDE_LEN];
-        let mut stream = stream;
-        stream.read_exact(&mut hello).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TransportError::Handshake(DecodeError::Truncated { need: PRELUDE_LEN, have: 0 })
-            } else {
-                TransportError::Io(e)
-            }
-        })?;
-        decode_handshake(&hello, &self.cfg.identity, MODE_HELLO)
-            .map_err(TransportError::Handshake)?;
+        read_handshake(&mut stream, &self.cfg.identity, MODE_HELLO)?;
         stream.write_all(&encode_resume(&self.cfg.identity, self.next_seq))?;
         stream.flush()?;
         Ok(Conn { stream, rx: RecvBuf::new(), misses: 0 })
     }
 
     /// Establishes a connection, burning backoff budget on failures.
-    /// Only an identity mismatch is instantly fatal — everything else
-    /// (refused dials, torn handshakes, flipped handshake bytes) is
+    /// Only a foreign identity or version is instantly fatal — everything
+    /// else (refused dials, torn handshakes, flipped handshake bytes) is
     /// retried until the budget runs dry.
     fn ensure_conn(&mut self) -> Result<(), TransportError> {
         while self.conn.is_none() {
@@ -1252,28 +1231,17 @@ pub fn serve_connection<F: FeedEvents + ?Sized>(
     events: &F,
     cfg: &FeedConfig,
 ) -> Result<bool, TransportError> {
-    let total = events.total();
     stream.set_read_timeout(Some(cfg.resume_timeout))?;
     stream.set_nodelay(true)?;
-    stream.write_all(&encode_hello(&cfg.identity, total))?;
+    stream.write_all(&encode_hello(&cfg.identity))?;
     stream.flush()?;
-    let mut resume = [0u8; PRELUDE_LEN];
-    stream.read_exact(&mut resume).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TransportError::Handshake(DecodeError::Truncated { need: PRELUDE_LEN, have: 0 })
-        } else {
-            TransportError::Io(e)
-        }
-    })?;
-    let answer =
-        decode_handshake(&resume, &cfg.identity, MODE_RESUME).map_err(TransportError::Handshake)?;
-    let chain = tcp_chain(&cfg.identity);
-    let from = answer.record_count.min(total);
+    let answer = read_handshake(stream, &cfg.identity, MODE_RESUME)?;
+    let chain = session_chain(&cfg.identity);
     let frame_events = cfg.frame_events.clamp(1, MAX_FRAME_EVENTS);
     let mut out = Vec::with_capacity(frame_events * 32 + 64);
-    let mut seq = from;
+    let mut seq = answer.record_count;
     let mut frames = 0u64;
-    events.runs_from(from, frame_events, |batch| {
+    let end = events.runs_from(seq, frame_events, |batch| {
         out.clear();
         encode_events(&mut out, seq, batch, chain);
         seq += batch.len() as u64;
@@ -1284,7 +1252,7 @@ pub fn serve_connection<F: FeedEvents + ?Sized>(
         stream.write_all(&out)
     })?;
     out.clear();
-    encode_frame(&mut out, &Frame::End { total }, chain);
+    encode_frame(&mut out, &Frame::End { total: end }, chain);
     stream.write_all(&out)?;
     stream.flush()?;
     Ok(true)
@@ -1366,7 +1334,6 @@ pub fn serve_feed<F: FeedEvents + ?Sized>(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
 
     fn ident() -> RunIdentity {
         RunIdentity { world_seed: 7, num_blocks: 3, rounds: 40, start_time: 1_000 }
@@ -1476,9 +1443,8 @@ mod tests {
     fn write_feed_is_hello_then_owned_chunks_then_end() {
         let events = sample_events(9_000);
         for frame_events in [1, 7, 256, 4096] {
-            let hello = encode_hello(&ident(), events.len() as u64);
-            let chain = header_crc_of(&hello);
-            let mut want = hello.to_vec();
+            let chain = session_chain(&ident());
+            let mut want = encode_hello(&ident()).to_vec();
             let mut seq = 0;
             for chunk in events.chunks(frame_events) {
                 encode_frame(&mut want, &Frame::Events { seq, events: chunk.to_vec() }, chain);
@@ -1503,11 +1469,10 @@ mod tests {
 
     #[test]
     fn handshake_refuses_foreign_identity() {
-        let hello = encode_hello(&ident(), 10);
         let mut other = ident();
         other.world_seed ^= 1;
-        let err = decode_handshake(&hello, &other, MODE_HELLO).unwrap_err();
-        assert!(matches!(err, DecodeError::IdentityMismatch { .. }), "{err:?}");
+        let err = read_handshake(&mut &encode_hello(&ident())[..], &other, MODE_HELLO).unwrap_err();
+        assert!(matches!(err, TransportError::Handshake(DecodeError::IdentityMismatch { .. })));
     }
 
     #[test]
@@ -1579,10 +1544,9 @@ mod tests {
         // A checksummed frame larger than the buffer (of no known kind, as
         // the encoder never makes one this big): the buffer grows to hold
         // it, the reader skips it, and the frames after it still decode.
-        let hello = encode_hello(&ident(), events.len() as u64);
-        let chain = header_crc_of(&hello);
+        let chain = session_chain(&ident());
         let (head, tail) = events.split_at(1_000);
-        let mut bytes = hello.to_vec();
+        let mut bytes = encode_hello(&ident()).to_vec();
         encode_frame(&mut bytes, &Frame::Events { seq: 0, events: head.to_vec() }, chain);
         let mut body = vec![0xAB; 3 * RECV_BUF_LEN];
         body[0] = 9;
@@ -1608,9 +1572,8 @@ mod tests {
     #[test]
     fn a_sequence_word_near_the_top_of_the_range_is_data_not_a_panic() {
         let events = sample_events(2);
-        let hello = encode_hello(&ident(), events.len() as u64);
-        let chain = header_crc_of(&hello);
-        let mut bytes = hello.to_vec();
+        let chain = session_chain(&ident());
+        let mut bytes = encode_hello(&ident()).to_vec();
         encode_frame(
             &mut bytes,
             &Frame::Events { seq: u64::MAX - 1, events: events.clone() },
@@ -1666,9 +1629,8 @@ mod tests {
     #[test]
     fn file_source_skips_or_refuses_a_round_past_u32() {
         let events = three_events();
-        let hello = encode_hello(&ident(), 3);
-        let chain = header_crc_of(&hello);
-        let mut bytes = hello.to_vec();
+        let chain = session_chain(&ident());
+        let mut bytes = encode_hello(&ident()).to_vec();
         encode_frame(&mut bytes, &Frame::Events { seq: 0, events: vec![events[0]] }, chain);
         bytes.extend_from_slice(&frame_with_round(1, u64::from(u32::MAX) + 1, chain));
         encode_frame(&mut bytes, &Frame::Events { seq: 2, events: vec![events[2]] }, chain);
@@ -1696,7 +1658,7 @@ mod tests {
     #[test]
     fn tcp_source_treats_a_round_past_u32_as_a_poisoned_connection() {
         let events = three_events();
-        let chain = tcp_chain(&ident());
+        let chain = session_chain(&ident());
         for strict in [false, true] {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
@@ -1706,7 +1668,7 @@ mod tests {
                     // The first session sends one good frame, then the bad
                     // one; a lenient receiver comes back for the rest.
                     let (mut s, _) = listener.accept().unwrap();
-                    s.write_all(&encode_hello(&ident(), 3)).unwrap();
+                    s.write_all(&encode_hello(&ident())).unwrap();
                     s.read_exact(&mut [0u8; PRELUDE_LEN]).unwrap();
                     let mut out = Vec::new();
                     encode_frame(
@@ -1761,34 +1723,35 @@ mod tests {
         assert!((0..8).any(|a| b.delay_ms(a) != other.delay_ms(a)), "jitter ignores seed");
     }
 
+    /// Runs `client` while `serve_feed` serves `events` on `listener`, then
+    /// stops the server, however `client` returns. A foreign receiver ends
+    /// the server early, so its result is not asserted.
+    fn serving<T>(listener: TcpListener, events: &[RoundEvent], client: impl FnOnce() -> T) -> T {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (accept, cfg) = (Endpoint::Accept(listener), FeedConfig::new(ident()));
+                serve_feed(&accept, events, &cfg, &BackoffConfig::default(), &stop)
+            });
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(client));
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
     #[test]
     fn tcp_roundtrip_with_resume_after_server_restart() {
         let events = sample_events(2_000);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let server = {
-            let stop = Arc::clone(&stop);
-            let events = events.clone();
-            std::thread::spawn(move || {
-                serve_feed(
-                    &Endpoint::Accept(listener),
-                    &events,
-                    &FeedConfig::new(ident()),
-                    &BackoffConfig::default(),
-                    &stop,
-                )
-            })
-        };
         let mut cfg = TcpConfig::new(ident());
         cfg.read_timeout = Duration::from_millis(200);
-        let mut client = TcpEventSource::dial(addr.to_string(), cfg);
+        let mut client = TcpEventSource::dial(listener.local_addr().unwrap().to_string(), cfg);
         let mut got = Vec::new();
-        while let Some(ev) = client.next_event().unwrap() {
-            got.push(ev);
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        server.join().unwrap().unwrap();
+        serving(listener, &events, || {
+            while let Some(ev) = client.next_event().unwrap() {
+                got.push(ev);
+            }
+        });
         assert_eq!(got, events);
         assert!(client.stats().clean_end);
         assert_eq!(client.stats().events, events.len() as u64);
@@ -1796,35 +1759,58 @@ mod tests {
 
     #[test]
     fn tcp_refuses_foreign_feed_with_typed_error() {
-        let events = sample_events(50);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let server = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let _ = serve_feed(
-                    &Endpoint::Accept(listener),
-                    &events,
-                    &FeedConfig::new(ident()),
-                    &BackoffConfig::default(),
-                    &stop,
-                );
-            })
-        };
         let mut foreign = ident();
         foreign.num_blocks += 1;
         let mut cfg = TcpConfig::new(foreign);
         cfg.read_timeout = Duration::from_millis(200);
-        let mut client = TcpEventSource::dial(addr.to_string(), cfg);
-        let err = match client.next_event() {
+        let mut client = TcpEventSource::dial(listener.local_addr().unwrap().to_string(), cfg);
+        let err = serving(listener, &sample_events(50), || match client.next_event() {
             Ok(Some(_)) => panic!("foreign feed delivered events"),
             Ok(None) => panic!("foreign feed ended cleanly"),
             Err(e) => e,
-        };
+        });
         assert!(err.is_foreign_feed(), "{err}");
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        server.join().unwrap();
+    }
+
+    /// A version-1 hello is refused on the first connection, with no
+    /// backoff slept; so is a version-1 resume answer, which a sender
+    /// dialing out does not retry either.
+    #[test]
+    fn a_peer_on_another_version_is_refused_at_once() {
+        let v1 = |prelude: [u8; PRELUDE_LEN]| {
+            Prelude { version: 1, ..Prelude::decode(&prelude).unwrap() }.encode()
+        };
+        let refused = |e: &TransportError| {
+            let want = DecodeError::UnsupportedVersion { found: 1, supported: 2 };
+            matches!(e, TransportError::Handshake(found) if *found == want)
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut s, _) = listener.accept().unwrap();
+                s.write_all(&v1(encode_hello(&ident()))).unwrap();
+                // Held open until the receiver hangs up.
+                let _ = s.read(&mut [0u8; 1]);
+            });
+            let mut client = TcpEventSource::dial(addr.clone(), TcpConfig::new(ident()));
+            let got = client.next_event();
+            assert!(matches!(&got, Err(e) if refused(e)), "{got:?}");
+            assert_eq!(client.stats().backoff_ms, 0);
+        });
+
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut s, _) = listener.accept().unwrap();
+                s.read_exact(&mut [0u8; PRELUDE_LEN]).unwrap();
+                s.write_all(&v1(encode_resume(&ident(), 0))).unwrap();
+            });
+            let (dial, cfg) = (Endpoint::Dial(addr), FeedConfig::new(ident()));
+            let stop = AtomicBool::new(false);
+            let sent = serve_feed(&dial, &sample_events(5), &cfg, &BackoffConfig::default(), &stop);
+            assert!(matches!(&sent, Err(e) if refused(e)), "{sent:?}");
+        });
     }
 
     #[test]

@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use sleepwatch_framing::{RunIdentity, PRELUDE_LEN};
 use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_probing::transport::{
-    decode_frame, encode_frame, write_feed, EventSource, FileSource, Frame, FrameDecode,
-    TransportError, TransportStats,
+    decode_frame, encode_frame, encode_hello, session_chain, write_feed, EventSource, FileSource,
+    Frame, FrameDecode, TransportError, TransportStats,
 };
 
 fn ident() -> RunIdentity {
@@ -217,17 +217,11 @@ proptest! {
     ) {
         let events = mk_events(n, base);
         let id = ident();
-        let hello = {
-            let mut bytes = feed_bytes(&[], frame_events);
-            bytes.truncate(PRELUDE_LEN);
-            bytes
-        };
-        let arr: &[u8; PRELUDE_LEN] = hello.as_slice().try_into().expect("prelude length");
-        let chain = sleepwatch_probing::transport::header_crc_of(arr);
+        let chain = session_chain(&id);
         let chunks: Vec<&[RoundEvent]> = events.chunks(frame_events).collect();
         prop_assert!(chunks.len() >= 2);
         let skip_at = (pick as usize) % chunks.len();
-        let mut bytes = hello;
+        let mut bytes = encode_hello(&id).to_vec();
         let mut seq = 0u64;
         for (i, chunk) in chunks.iter().enumerate() {
             if i != skip_at {

@@ -1,19 +1,22 @@
 //! Pinned `SLPWFEED` bytes: what `sleepwatch feed` writes to a file, and
 //! what a feed server sends a receiver that resumes mid-stream.
 //!
-//! Each pin is the length and FNV-1a digest of the bytes, recorded from the
-//! encoder as it stood before the feed could be generated lazily. A pass
-//! means the wire is unchanged for these worlds, not that the encoder
-//! agrees with itself. The worlds cover the fault-free run and every named
-//! fault preset on one chunk of blocks, and a world of two chunks whose
-//! resume points land in either chunk.
+//! Each pin is the length and FNV-1a digest of the bytes. They were
+//! recorded once more when the wire went to version 2, whose hello
+//! announces no event count and whose file and TCP frames chain alike on
+//! that hello; the events they carry did not change, and every pinned file
+//! decodes to exactly the collected feed. A pass means the wire is
+//! unchanged for these worlds, not that the encoder agrees with itself. The
+//! worlds cover the fault-free run and every named fault preset on one
+//! chunk of blocks, and a world of two chunks whose resume points land in
+//! either chunk.
 //!
 //! Every pin holds at 1 and 4 probing workers: a feed's bytes never depend
 //! on how many threads probed it.
 //!
 //! `sleepwatch feed` does not hold the feed these pins collect: it sends a
-//! counted `WorldFeed`, regenerated a chunk at a time. The last test holds
-//! its bytes, on a file and from every resume point around each chunk
+//! `WorldFeed`, regenerated a chunk at a time. The last test holds its
+//! bytes, on a file and from every resume point around each chunk
 //! boundary, to the collected feed's, at 1, 2 and 8 workers.
 
 use std::io::{Read, Write};
@@ -24,7 +27,7 @@ use sleepwatch_core::{
     feed_identity, world_feed, AnalysisConfig, IngestConfig, Quarantine, RunIdentity, WorldFeed,
 };
 use sleepwatch_probing::transport::{
-    encode_resume, serve_connection, write_feed, FeedConfig, FeedEvents,
+    encode_resume, serve_connection, write_feed, EventSource, FeedConfig, FeedEvents, FileSource,
 };
 use sleepwatch_probing::{FaultPlan, RoundEvent};
 use sleepwatch_simnet::{WorldConfig, WorldSource};
@@ -88,11 +91,20 @@ fn collected(
     with_feed_workers(threads, || world_feed(source, cfg, &IngestConfig::default()))
 }
 
-/// `(length, digest)` of the file `sleepwatch feed --to-file` writes.
+/// `(length, digest)` of the file `sleepwatch feed --to-file` writes,
+/// once a strict reader has decoded it to exactly the collected events.
 fn file_bytes(source: &WorldSource, cfg: &AnalysisConfig, threads: usize) -> (usize, u64) {
     let (events, quarantined) = collected(source, cfg, threads);
     assert!(quarantined.is_empty());
-    let bytes = written(&events, feed_identity(source, cfg));
+    let identity = feed_identity(source, cfg);
+    let bytes = written(&events, identity);
+    let mut file = FileSource::new(&bytes[..], &identity, true).expect("the file's own hello");
+    let mut read = Vec::with_capacity(events.len());
+    while let Some(ev) = file.next_event().expect("a strict read of the file") {
+        read.push(ev);
+    }
+    assert!(read == events, "the file decodes to other events");
+    assert!(file.stats().clean_end, "the file has no end marker");
     (bytes.len(), fnv1a(&bytes))
 }
 
@@ -116,22 +128,22 @@ fn resumed_bytes(
 fn feed_file_bytes_are_pinned_under_every_preset() {
     #[rustfmt::skip]
     let pins: [(&str, f64, usize, u64); 16] = [
-        ("none",          3.0,    632_304,  6_974_521_029_517_368_574),
-        ("loss-light",    3.0,    632_304,    817_166_563_399_500_452),
-        ("loss-heavy",    3.0,    632_304,  5_272_018_993_060_829_635),
-        ("blackout",      3.0,    527_968, 17_628_779_217_465_491_799),
-        ("restart-storm", 3.0,    614_266, 13_232_762_253_787_049_152),
-        ("truncated",     3.0,    632_304,  6_974_521_029_517_368_574),
-        ("dup-reorder",   3.0,    664_159,  8_372_619_362_644_230_741),
-        ("churn",         3.0,    632_304,  6_974_521_029_517_368_574),
-        ("none",          11.0, 2_313_006,  1_776_891_155_768_250_672),
-        ("loss-light",    11.0, 2_313_006, 10_101_089_891_205_415_470),
-        ("loss-heavy",    11.0, 2_313_006, 14_070_624_672_720_472_823),
-        ("blackout",      11.0, 2_208_649,  8_916_812_501_694_532_735),
-        ("restart-storm", 11.0, 2_245_125, 11_086_756_965_267_358_755),
-        ("truncated",     11.0, 2_104_313,  4_781_631_842_265_999_358),
-        ("dup-reorder",   11.0, 2_428_859,  8_451_883_079_244_556_718),
-        ("churn",         11.0, 2_313_006, 14_668_219_070_354_150_559),
+        ("none",          3.0,    632_304, 13_097_496_900_637_509_728),
+        ("loss-light",    3.0,    632_304,  9_042_487_242_336_012_602),
+        ("loss-heavy",    3.0,    632_304,  6_018_811_965_594_365_405),
+        ("blackout",      3.0,    527_968,  4_353_440_255_322_874_639),
+        ("restart-storm", 3.0,    614_266, 12_054_508_618_493_962_660),
+        ("truncated",     3.0,    632_304, 13_097_496_900_637_509_728),
+        ("dup-reorder",   3.0,    664_159,     61_143_625_465_524_020),
+        ("churn",         3.0,    632_304, 13_097_496_900_637_509_728),
+        ("none",          11.0, 2_313_006, 17_168_690_307_169_151_116),
+        ("loss-light",    11.0, 2_313_006, 10_814_896_472_665_638_442),
+        ("loss-heavy",    11.0, 2_313_006, 12_338_823_035_720_759_131),
+        ("blackout",      11.0, 2_208_649, 10_776_125_131_885_827_906),
+        ("restart-storm", 11.0, 2_245_125, 12_272_956_586_767_481_434),
+        ("truncated",     11.0, 2_104_313,  7_398_589_951_060_115_881),
+        ("dup-reorder",   11.0, 2_428_859, 15_329_886_141_258_857_269),
+        ("churn",         11.0, 2_313_006, 16_345_408_889_599_303_451),
     ];
     let mut regimes = vec![("none", FaultPlan::none())];
     regimes.extend(FaultPlan::presets(5));
@@ -153,7 +165,7 @@ fn resumed_session_bytes_are_pinned() {
     let (source, cfg) = world(64, 3.0, FaultPlan::none());
     for threads in PIN_THREADS {
         let got = resumed_bytes(&source, &cfg, 37, threads);
-        assert_eq!(got, (631_430, 11_586_121_595_741_388_153), "{threads} threads");
+        assert_eq!(got, (631_430, 2_505_915_392_005_319_239), "{threads} threads");
     }
 }
 
@@ -165,14 +177,14 @@ fn two_chunk_feed_bytes_are_pinned_from_any_resume_point() {
     let (source, cfg) = world(300, 2.0, FaultPlan::loss_light(5));
     #[rustfmt::skip]
     let pins: [(u64, usize, u64); 4] = [
-        (0,         1_978_023, 17_253_717_541_669_531_091),
-        (37,        1_977_098, 15_360_037_596_974_464_173),
-        (70_001,      223_132,  9_663_233_497_465_235_668),
-        (u64::MAX,         81,  2_307_784_271_765_712_086),
+        (0,         1_978_023, 10_163_582_543_228_244_606),
+        (37,        1_977_098, 15_926_915_262_016_162_170),
+        (70_001,      223_132,    979_075_579_530_741_135),
+        (u64::MAX,         81, 18_133_987_994_617_869_705),
     ];
     for threads in PIN_THREADS {
         let file = file_bytes(&source, &cfg, threads);
-        assert_eq!(file, (1_977_870, 11_320_392_576_513_133_499), "file, {threads} threads");
+        assert_eq!(file, (1_977_870, 5_719_201_777_525_964_147), "file, {threads} threads");
         let got: Vec<(u64, usize, u64)> = pins
             .iter()
             .map(|&(from, ..)| {
@@ -184,14 +196,16 @@ fn two_chunk_feed_bytes_are_pinned_from_any_resume_point() {
     }
 }
 
-/// A counted `WorldFeed` sends the collected feed's bytes: the same hello
-/// total, the same frame boundaries, from any resume point — the first
-/// event of every chunk, the one before it, and the end — and it reports
-/// the same quarantines. Three chunks, the last a partial one, under a
-/// fault-free run, a record-mangling preset and planted probing panics,
-/// each probed by 1, 2 and 8 workers against a feed collected by one.
+/// A `WorldFeed` sends the collected feed's bytes: the same frame
+/// boundaries and end marker from any resume point — the first event of
+/// every chunk, the one before it, and the end — whether it is fresh and
+/// has learned nothing, or has been sent once and knows where its chunks
+/// start; once sent, however often, it reports the same quarantines.
+/// Three chunks, the last a partial one, under a fault-free run, a
+/// record-mangling preset and planted probing panics, each probed by 1, 2
+/// and 8 workers against a feed collected by one.
 #[test]
-fn a_counted_world_feed_sends_the_collected_feed_bytes() {
+fn a_world_feed_sends_the_collected_feed_bytes() {
     let poisoned = FaultPlan { poison_blocks: &[3, 300, 599], ..FaultPlan::loss_light(5) };
     for (name, faults) in [
         ("none", FaultPlan::none()),
@@ -207,20 +221,26 @@ fn a_counted_world_feed_sends_the_collected_feed_bytes() {
         let total = events.len() as u64;
         let mut resumes = vec![0, 1, total - 1, total, u64::MAX];
         resumes.extend(chunk_starts.iter().flat_map(|&s| [s - 1, s]));
+        let held: Vec<Vec<u8>> =
+            resumes.iter().map(|&from| served(&events, identity, from)).collect();
         for threads in [1, 2, 8] {
             let tag = format!("{name}, {threads} threads");
             let by_threads = collected(&source, &cfg, threads);
             assert!(by_threads == (events.clone(), quarantined.clone()), "{tag}: collected feed");
-            let feed = with_feed_workers(threads, || {
-                WorldFeed::new(&source, &cfg, &IngestConfig::default())
-            });
-            assert_eq!(format!("{:?}", feed.quarantined()), format!("{quarantined:?}"), "{tag}");
-            assert_eq!(feed.total(), total, "{tag}");
-            assert!(written(&feed, identity) == written(&events, identity), "{tag}: file bytes");
-            for &from in &resumes {
-                let (lazy, held) = (served(&feed, identity, from), served(&events, identity, from));
-                assert!(lazy == held, "{tag}: RESUME({from}) bytes");
+            let fresh = || {
+                with_feed_workers(threads, || {
+                    WorldFeed::new(&source, &cfg, &IngestConfig::default())
+                })
+            };
+            for (&from, held) in resumes.iter().zip(&held) {
+                assert!(served(&fresh(), identity, from) == *held, "{tag}: fresh RESUME({from})");
             }
+            let feed = fresh();
+            assert!(written(&feed, identity) == written(&events, identity), "{tag}: file bytes");
+            for (&from, held) in resumes.iter().zip(&held) {
+                assert!(served(&feed, identity, from) == *held, "{tag}: sent, RESUME({from})");
+            }
+            assert_eq!(format!("{:?}", feed.quarantined()), format!("{quarantined:?}"), "{tag}");
         }
     }
 }

@@ -566,10 +566,10 @@ fn lane_gauges_match_the_feed_and_hold_eight_bytes_per_round() {
 }
 
 /// A self-generated feed probes each chunk of 256 blocks once per pass
-/// over it: `world_feed` once; a counted `WorldFeed` written to a file
-/// twice, once to count it and once to send it; and a `RESUME(s)` — the
-/// runs a feed server sends from `s` — only the chunk holding `s` and the
-/// chunks after it.
+/// over it: `world_feed` once; a `WorldFeed` written to a file once; and a
+/// `RESUME(s)` — the runs a feed server sends from `s` — every chunk on a
+/// fresh feed, which does not know where its chunks start, but only the
+/// chunk holding `s` and the chunks after it on a feed sent once.
 #[test]
 fn feed_chunks_count_each_pass_over_the_world() {
     let _g = lock();
@@ -582,34 +582,36 @@ fn feed_chunks_count_each_pass_over_the_world() {
 
         let ((events, _), d) = measure(|| world_feed(&source, &cfg, &icfg));
         assert_eq!(d.counter("ingest.feed_chunks"), chunks);
+        let total = events.len() as u64;
 
         let identity = feed_identity(&source, &cfg);
-        let (feed, d) = measure(|| {
-            let feed = WorldFeed::new(&source, &cfg, &icfg);
-            write_feed(&mut std::io::sink(), &feed, &identity, 256).expect("write into a sink");
-            feed
+        let sent_once = WorldFeed::new(&source, &cfg, &icfg);
+        let ((), d) = measure(|| {
+            write_feed(&mut std::io::sink(), &sent_once, &identity, 256).expect("write into a sink")
         });
-        assert_eq!(d.counter("ingest.feed_chunks"), 2 * chunks);
-        assert_eq!(d.counter("simnet.blocks_generated"), 2 * blocks);
+        assert_eq!(d.counter("ingest.feed_chunks"), chunks);
+        assert_eq!(d.counter("simnet.blocks_generated"), blocks);
 
         for chunk in 0..chunks {
             let first_block = 256 * chunk;
             let from = events.iter().filter(|ev| ev.block_id() < first_block).count() as u64 + 1;
-            let (sent, d) = measure(|| {
-                let mut sent = 0;
-                let runs = feed.runs_from(from, 256, |run| {
-                    sent += run.len() as u64;
-                    Ok::<(), ()>(())
+            let fresh = WorldFeed::new(&source, &cfg, &icfg);
+            let probed =
+                [(&fresh, chunks, blocks), (&sent_once, chunks - chunk, blocks - first_block)];
+            for (feed, want_chunks, want_blocks) in probed {
+                let tag = format!("RESUME({from}) on a feed probing {want_chunks} chunks");
+                let (sent, d) = measure(|| {
+                    let mut sent = 0;
+                    let runs = feed.runs_from(from, 256, |run| {
+                        sent += run.len() as u64;
+                        Ok::<(), ()>(())
+                    });
+                    runs.map(|end| (sent, end))
                 });
-                runs.map(|()| sent)
-            });
-            assert_eq!(sent, Ok(feed.total() - from), "RESUME({from})");
-            assert_eq!(d.counter("ingest.feed_chunks"), chunks - chunk, "RESUME({from})");
-            assert_eq!(
-                d.counter("simnet.blocks_generated"),
-                blocks - first_block,
-                "RESUME({from})"
-            );
+                assert_eq!(sent, Ok((total - from, total)), "{tag}");
+                assert_eq!(d.counter("ingest.feed_chunks"), want_chunks, "{tag}");
+                assert_eq!(d.counter("simnet.blocks_generated"), want_blocks, "{tag}");
+            }
         }
     });
 }
@@ -617,7 +619,7 @@ fn feed_chunks_count_each_pass_over_the_world() {
 /// A feed's workers time the blocks they probe, and the block that
 /// completes a chunk records the chunk's total: one `stage.ingest.feed_probe`
 /// sample per `ingest.feed_chunks` count on every kind of pass — collected,
-/// counted and written, resumed, cut short by a failed send, ingested — at
+/// written, resumed, cut short by a failed send, ingested — at
 /// one worker and at three. The feed is the same with metrics off.
 #[test]
 fn feed_probe_samples_once_per_probed_chunk() {
@@ -638,13 +640,12 @@ fn feed_probe_samples_once_per_probed_chunk() {
                 let ((events, _), d) = measure(|| world_feed(&source, &cfg, &icfg));
                 samples_match(&format!("world_feed, {threads} threads"), &d);
 
-                let (feed, d) = measure(|| {
-                    let feed = WorldFeed::new(&source, &cfg, &icfg);
+                let feed = WorldFeed::new(&source, &cfg, &icfg);
+                let ((), d) = measure(|| {
                     write_feed(&mut std::io::sink(), &feed, &identity, 256)
-                        .expect("write into a sink");
-                    feed
+                        .expect("write into a sink")
                 });
-                samples_match(&format!("counted and written, {threads} threads"), &d);
+                samples_match(&format!("written, {threads} threads"), &d);
 
                 let from = events.iter().filter(|ev| ev.block_id() < 300).count() as u64;
                 let (_, d) = measure(|| feed.runs_from(from, 256, |_| Ok::<(), ()>(())));

@@ -8,12 +8,16 @@
 //! reconnect storms — the ingested world must reproduce the batch
 //! analysis *exactly*, at 1, 4 and 8 shards. Reconnect-and-resume makes
 //! every harmful preset lossless; the oracle proves it verdict by
-//! verdict.
+//! verdict, and counts that every harmful preset reconnected and that a
+//! preset which neither harms nor duplicates did neither. The two sever
+//! presets serve the lazy `WorldFeed` `sleepwatch feed` sends, so their
+//! resumes land on a feed that learned its chunk ends while it sent.
 //!
 //! Alongside the sweep: kill-and-resume on both ends of the wire (a
 //! half-served feed finalizes its complete blocks, journals them, and a
-//! second session heals; a killed-and-restarted server is resumed
-//! mid-stream), foreign-feed refusal, checkpoint interchangeability with
+//! second session heals; a killed-and-restarted server, a fresh
+//! `WorldFeed` that has learned nothing, is resumed mid-stream),
+//! foreign-feed refusal, checkpoint interchangeability with
 //! the batch pipeline across the transport, and the lossy file path's
 //! graceful truncation handling.
 //!
@@ -30,12 +34,12 @@ use std::thread;
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
     analyze_world, analyze_world_resumable, feed_identity, ingest_source, ingest_source_resumable,
-    world_feed, AnalysisConfig, IngestConfig, TransportOutcome, WorldAnalysis,
+    world_feed, AnalysisConfig, IngestConfig, TransportOutcome, WorldAnalysis, WorldFeed,
 };
 use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_probing::transport::{
-    encode_frame, encode_hello, encode_resume, header_crc_of, serve_feed, write_feed,
-    BackoffConfig, Endpoint, FeedConfig, FileSource, Frame, TcpConfig, TcpEventSource,
+    encode_frame, encode_hello, serve_feed, session_chain, write_feed, BackoffConfig, Endpoint,
+    FeedConfig, FeedEvents, FileSource, Frame, TcpConfig, TcpEventSource,
 };
 use sleepwatch_probing::FaultPlan;
 use sleepwatch_simnet::{World, WorldConfig, WorldSource};
@@ -99,42 +103,35 @@ fn chaos_feed_cfg(identity: sleepwatch_core::framing::RunIdentity) -> FeedConfig
     cfg
 }
 
-/// Serves `events` over a chaos proxy and ingests them; returns the
-/// outcome and the proxy's accounting (connections, harms injected).
-fn ingest_through_chaos(
+/// Serves `feed` over a chaos proxy and ingests it; returns the outcome
+/// and the proxy's accounting (connections, harms injected).
+fn ingest_through_chaos<F: FeedEvents + Sync + ?Sized>(
     source: &WorldSource,
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
-    events: &[RoundEvent],
+    feed: &F,
     plan: ChaosPlan,
 ) -> (TransportOutcome, u64, u64) {
     let identity = feed_identity(source, cfg);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind feed server");
     let addr = listener.local_addr().expect("feed addr").to_string();
-    let stop = Arc::new(AtomicBool::new(false));
-    let server = {
-        let stop = stop.clone();
-        let events = events.to_vec();
-        let fcfg = chaos_feed_cfg(identity);
-        thread::spawn(move || {
-            serve_feed(
-                &Endpoint::Accept(listener),
-                &events,
-                &fcfg,
-                &BackoffConfig::default(),
-                &stop,
-            )
-        })
-    };
-    let proxy = ChaosProxy::spawn(&addr, plan).expect("spawn chaos proxy");
-    let mut es = TcpEventSource::dial(proxy.addr().to_string(), chaos_tcp_cfg(identity));
-    let out = ingest_source(source, cfg, icfg, &mut es);
-    stop.store(true, Ordering::SeqCst);
-    let connections = proxy.connections();
-    let harms = proxy.harms();
-    proxy.shutdown();
-    server.join().expect("feed server thread").expect("feed server");
-    (out, connections, harms)
+    let stop = AtomicBool::new(false);
+    let fcfg = chaos_feed_cfg(identity);
+    thread::scope(|s| {
+        let server = s.spawn(|| {
+            let accept = Endpoint::Accept(listener);
+            serve_feed(&accept, feed, &fcfg, &BackoffConfig::default(), &stop)
+        });
+        let proxy = ChaosProxy::spawn(&addr, plan).expect("spawn chaos proxy");
+        let mut es = TcpEventSource::dial(proxy.addr().to_string(), chaos_tcp_cfg(identity));
+        let out = ingest_source(source, cfg, icfg, &mut es);
+        stop.store(true, Ordering::SeqCst);
+        let connections = proxy.connections();
+        let harms = proxy.harms();
+        proxy.shutdown();
+        server.join().expect("feed server thread").expect("feed server");
+        (out, connections, harms)
+    })
 }
 
 fn assert_matches_batch(tag: &str, out: &TransportOutcome, batch: &WorldAnalysis) {
@@ -177,10 +174,17 @@ fn chaos_differential(name: &str) {
             interleave_seed: 0x7A45_12DE ^ ((i as u64) << 8),
             ..Default::default()
         };
-        let (events, quarantined) = world_feed(&source, &cfg, &icfg);
-        assert!(quarantined.is_empty(), "{name}@{shards}: feed quarantines");
-        let (out, connections, harms) = ingest_through_chaos(&source, &cfg, &icfg, &events, plan);
         let tag = format!("{name}@{shards}");
+        let (out, connections, harms) = if matches!(name, "sever-midframe" | "reconnect-storm") {
+            let feed = WorldFeed::new(&source, &cfg, &icfg);
+            let run = ingest_through_chaos(&source, &cfg, &icfg, &feed, plan);
+            assert!(feed.quarantined().is_empty(), "{tag}: feed quarantines");
+            run
+        } else {
+            let (events, quarantined) = world_feed(&source, &cfg, &icfg);
+            assert!(quarantined.is_empty(), "{tag}: feed quarantines");
+            ingest_through_chaos(&source, &cfg, &icfg, &events, plan)
+        };
         assert_matches_batch(&tag, &out, &batch);
         assert_eq!(out.outcome.stats.blocks, batch.reports.len(), "{tag}: stats.blocks");
         if plan.harm.is_some() {
@@ -193,6 +197,10 @@ fn chaos_differential(name: &str) {
             );
         } else {
             assert_eq!(harms, 0, "{tag}: benign preset injected harm");
+        }
+        if plan.harm.is_none() && plan.dup_every.is_none() {
+            let t = &out.transport;
+            assert_eq!((t.reconnects, t.duplicates), (0, 0), "{tag}: benign preset");
         }
         if plan.dup_every.is_some() {
             assert!(out.transport.duplicates > 0, "{tag}: no duplicates observed");
@@ -258,7 +266,7 @@ fn round_major_feed_through_severs_matches_batch() {
     let events = sleepwatch_testkit::fixtures::round_major(&events);
     for shards in SHARDS {
         let icfg = IngestConfig { shards, ..Default::default() };
-        let (out, _, harms) = ingest_through_chaos(&source, &cfg, &icfg, &events, plan);
+        let (out, _, harms) = ingest_through_chaos(&source, &cfg, &icfg, &events[..], plan);
         let tag = format!("round-major {plan_name}@{shards}");
         assert!(harms > 0, "{tag}: no sever injected");
         assert_matches_batch(&tag, &out, &batch);
@@ -356,8 +364,9 @@ fn half_served_feed_degrades_then_resumes_losslessly() {
 }
 
 /// Server-side kill-and-restart: the first server dies mid-stream after
-/// K frames; the restarted server honors the resume handshake and the
-/// client heals to the full verdict set with exactly one reconnect.
+/// K frames; the restarted server, a fresh `WorldFeed` that has learned
+/// nothing of its chunks, honors the resume handshake and the client heals
+/// to the full verdict set with exactly one reconnect.
 #[test]
 fn killed_server_is_resumed_mid_stream() {
     let source = oracle_source();
@@ -372,14 +381,12 @@ fn killed_server_is_resumed_mid_stream() {
     // replaying feed.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind client");
     let addr = listener.local_addr().expect("client addr").to_string();
-    let stop = Arc::new(AtomicBool::new(false));
-    let servers = {
-        let events = events.clone();
-        let stop = stop.clone();
-        thread::spawn(move || {
-            let chain = header_crc_of(&encode_resume(&identity, 0));
+    let stop = AtomicBool::new(false);
+    let out = thread::scope(|scope| {
+        scope.spawn(|| {
+            let chain = session_chain(&identity);
             let mut s = TcpStream::connect(&addr).expect("server 1 dial");
-            s.write_all(&encode_hello(&identity, events.len() as u64)).expect("hello");
+            s.write_all(&encode_hello(&identity)).expect("hello");
             let mut resume = [0u8; sleepwatch_core::framing::PRELUDE_LEN];
             s.read_exact(&mut resume).expect("resume answer");
             let mut out = Vec::new();
@@ -390,21 +397,21 @@ fn killed_server_is_resumed_mid_stream() {
                 s.write_all(&out).expect("partial frames");
             }
             drop(s); // killed mid-stream
-            let fcfg = chaos_feed_cfg(identity);
+            let restarted = WorldFeed::new(&source, &cfg, &icfg);
             serve_feed(
                 &Endpoint::Dial(addr),
-                &events,
-                &fcfg,
+                &restarted,
+                &chaos_feed_cfg(identity),
                 &BackoffConfig { base_ms: 5, max_ms: 100, attempts: 20, seed: 1 },
                 &stop,
             )
             .expect("restarted server");
-        })
-    };
-    let mut es = TcpEventSource::accept(listener, chaos_tcp_cfg(identity));
-    let out = ingest_source(&source, &cfg, &icfg, &mut es);
-    stop.store(true, Ordering::SeqCst);
-    servers.join().expect("server thread");
+        });
+        let mut es = TcpEventSource::accept(listener, chaos_tcp_cfg(identity));
+        let out = ingest_source(&source, &cfg, &icfg, &mut es);
+        stop.store(true, Ordering::SeqCst);
+        out
+    });
     assert!(out.transport.reconnects >= 1, "no reconnect recorded");
     assert_matches_batch("server-restart", &out, &batch);
 }

@@ -59,6 +59,7 @@ use sleepwatch::simnet::{
     BlockProfile, BlockSpec, World, WorldConfig, WorldSource, A12W_START, ROUND_SECONDS,
 };
 use sleepwatch::spectral::MAX_PLAN_LEN;
+use std::convert::Infallible;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -672,9 +673,9 @@ fn print_ingest_summary(a: &Args, out: &sleepwatch::core::IngestOutcome, secs: f
 
 /// `sleepwatch feed`: serves a world's interleaved round stream over the
 /// `SLPWFEED` wire — to a file, to a dialing consumer (`--listen`), or by
-/// dialing a listening consumer (`--connect`). The world is probed once to
-/// count its events, then again as it is sent, on every core, so memory
-/// stays at two chunks whatever the world's size.
+/// dialing a listening consumer (`--connect`). The world is probed as it is
+/// sent, on every core, so memory stays at two chunks whatever the world's
+/// size; its event count and quarantines are known once it has been sent.
 fn cmd_feed(a: &Args) -> ExitCode {
     let source = WorldSource::new(a.world_config());
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, a.days);
@@ -688,18 +689,24 @@ fn cmd_feed(a: &Args) -> ExitCode {
         eprintln!("sleepwatch: feed needs exactly one of --listen, --connect or --to-file");
         return ExitCode::FAILURE;
     }
-    eprintln!("counting feed: {} blocks over {} days…", a.blocks, a.days);
     let feed = WorldFeed::new(&source, &cfg, &icfg);
-    if !feed.quarantined().is_empty() {
-        eprintln!("note: {} blocks quarantined at probe time", feed.quarantined().len());
-    }
+    // After a whole send, a resume past the end probes nothing and
+    // returns the feed's event count.
+    let sent = || {
+        let quarantined = feed.quarantined().len();
+        if quarantined > 0 {
+            eprintln!("note: {quarantined} blocks quarantined at probe time");
+        }
+        let end = feed.runs_from(u64::MAX, 1, |_| Ok::<(), Infallible>(()));
+        end.unwrap_or_else(|never| match never {})
+    };
     let fcfg = FeedConfig::new(identity);
     if let Some(path) = &a.to_file {
         let write = std::fs::File::create(path)
             .and_then(|mut f| write_feed(&mut f, &feed, &identity, fcfg.frame_events));
         return match write {
             Ok(()) => {
-                outln!("{} events written to {path}", feed.total());
+                outln!("{} events written to {path}", sent());
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -725,7 +732,7 @@ fn cmd_feed(a: &Args) -> ExitCode {
     let stop = std::sync::atomic::AtomicBool::new(false);
     match serve_feed(&endpoint, &feed, &fcfg, &a.backoff(), &stop) {
         Ok(served) => {
-            outln!("feed delivered over {served} connection(s)");
+            outln!("{} events delivered over {served} connection(s)", sent());
             ExitCode::SUCCESS
         }
         Err(e @ TransportError::Exhausted { .. }) => {

@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use sleepwatch::core::framing::{Prelude, PRELUDE_LEN};
+
 /// Locates a workspace binary next to the test executable, or `None` when
 /// it hasn't been built (e.g. a narrow `cargo test -p` invocation that
 /// doesn't cover the sibling package) — callers skip in that case.
@@ -181,12 +183,25 @@ fn sleepwatch_feed_file_round_trips_into_ingest() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("different run"), "{err}");
 
+    // The same feed under a version-1 hello is refused, naming both
+    // versions.
+    let hello = Prelude::decode(&bytes).expect("the feed's hello");
+    let old = [&Prelude { version: 1, ..hello }.encode()[..], &bytes[PRELUDE_LEN..]].concat();
+    let old_path = dir.join("v1.feed");
+    std::fs::write(&old_path, old).expect("write the v1 feed");
+    let Some(mut cmd) = bin("sleepwatch") else { return };
+    let out =
+        cmd.args(["ingest", "--from-file"]).arg(&old_path).args(world).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unsupported format version 1 (this build reads 2)"), "{err}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `feed --to-file` writes the bytes it wrote when it held the whole feed
-/// in memory, pinned as length and FNV-1a digest: one chunk of blocks, and
-/// two.
+/// `feed --to-file` writes pinned bytes, as length and FNV-1a digest of a
+/// version-2 feed (no announced length, one chain): one chunk of blocks,
+/// and two.
 #[test]
 fn sleepwatch_feed_file_bytes_match_the_pinned_digest() {
     let dir = std::env::temp_dir().join(format!("swtest-cli-feed-pin-{}", std::process::id()));
@@ -197,8 +212,8 @@ fn sleepwatch_feed_file_bytes_match_the_pinned_digest() {
         })
     };
     for (blocks, days, pin) in [
-        ("64", "3", (632_304, 11_931_760_646_491_472_136)),
-        ("300", "2", (1_977_870, 12_294_719_132_169_214_719)),
+        ("64", "3", (632_304, 1_016_436_185_967_101_870)),
+        ("300", "2", (1_977_870, 8_686_966_004_642_931_967)),
     ] {
         let path = dir.join(format!("{blocks}.feed"));
         let Some(mut cmd) = bin("sleepwatch") else { return };
