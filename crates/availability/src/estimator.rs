@@ -19,27 +19,21 @@
 //! d̂l = αl·|Âl − p/t| + (1−αl)·d̂l        Âo = max(Âl − d̂l/2, 0.1)
 //! ```
 //!
+//! The paper fixes all three, and so does this module: `ALPHA_SHORT`
+//! (αs = 0.1), `ALPHA_LONG` (αl = 0.01) and `MIN_OPERATIONAL` (0.1) are
+//! private constants, not options.
+//!
 //! [`DirectEwmaEstimator`] implements the variation the paper's `A12w`
 //! dataset used (EWMA directly on `p/t`), which consistently over-estimates
 //! — kept for the ablation experiment.
 
-/// Gains and floors; defaults are the paper's.
-#[derive(Debug, Clone, Copy)]
-pub struct EwmaConfig {
-    /// Short-term gain `αs` (paper: 0.1).
-    pub alpha_short: f64,
-    /// Long-term gain `αl` (paper: 0.01).
-    pub alpha_long: f64,
-    /// Floor on the operational estimate (paper: 0.1 — smaller values make
-    /// Trinocular probe excessively).
-    pub min_operational: f64,
-}
-
-impl Default for EwmaConfig {
-    fn default() -> Self {
-        EwmaConfig { alpha_short: 0.1, alpha_long: 0.01, min_operational: 0.1 }
-    }
-}
+/// Short-term gain `αs` (paper: 0.1).
+const ALPHA_SHORT: f64 = 0.1;
+/// Long-term gain `αl` (paper: 0.01).
+const ALPHA_LONG: f64 = 0.01;
+/// Floor on the operational estimate (paper: 0.1 — smaller values make
+/// Trinocular probe excessively).
+const MIN_OPERATIONAL: f64 = 0.1;
 
 /// The three estimates after a round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +49,6 @@ pub struct Estimates {
 /// Paper-faithful availability estimator for one block.
 #[derive(Debug, Clone)]
 pub struct AvailabilityEstimator {
-    cfg: EwmaConfig,
     p_short: f64,
     t_short: f64,
     p_long: f64,
@@ -67,11 +60,10 @@ pub struct AvailabilityEstimator {
 impl AvailabilityEstimator {
     /// Starts from a historical availability estimate (`initial_a`), which
     /// may be significantly stale (§2.1.1); the estimator must converge
-    /// away from it.
-    pub fn new(initial_a: f64, cfg: EwmaConfig) -> Self {
+    /// away from it. The gains and floor are the paper's, fixed.
+    pub fn with_default_config(initial_a: f64) -> Self {
         let a0 = initial_a.clamp(0.0, 1.0);
         AvailabilityEstimator {
-            cfg,
             p_short: a0,
             t_short: 1.0,
             p_long: a0,
@@ -79,11 +71,6 @@ impl AvailabilityEstimator {
             deviation: 0.0,
             rounds: 0,
         }
-    }
-
-    /// [`AvailabilityEstimator::new`] with the paper's gains.
-    pub fn with_default_config(initial_a: f64) -> Self {
-        Self::new(initial_a, EwmaConfig::default())
     }
 
     /// Ingests one round of `positives` of `total` probes and returns the
@@ -95,7 +82,7 @@ impl AvailabilityEstimator {
         }
         let p = positives as f64;
         let t = total as f64;
-        let (als, all) = (self.cfg.alpha_short, self.cfg.alpha_long);
+        let (als, all) = (ALPHA_SHORT, ALPHA_LONG);
 
         self.p_short = als * p + (1.0 - als) * self.p_short;
         self.t_short = als * t + (1.0 - als) * self.t_short;
@@ -114,7 +101,7 @@ impl AvailabilityEstimator {
         Estimates {
             a_short: self.p_short / self.t_short,
             a_long,
-            a_operational: (a_long - self.deviation / 2.0).max(self.cfg.min_operational),
+            a_operational: (a_long - self.deviation / 2.0).max(MIN_OPERATIONAL),
         }
     }
 
@@ -340,13 +327,15 @@ mod tests {
     }
 
     #[test]
-    fn custom_gains_change_dynamics() {
-        let fast = EwmaConfig { alpha_short: 0.5, ..Default::default() };
-        let mut a = AvailabilityEstimator::new(0.0, fast);
-        let mut b = AvailabilityEstimator::with_default_config(0.0);
-        a.observe(1, 1);
-        b.observe(1, 1);
-        assert!(a.a_short() > b.a_short());
+    fn one_observe_is_exactly_the_paper_gain_update() {
+        // Pins αs = 0.1 and αl = 0.01 by value: from A = 0.5 (p̂ = 0.5,
+        // t̂ = 1), one round of 3/5 moves each pair by exactly its gain.
+        let mut est = AvailabilityEstimator::with_default_config(0.5);
+        let e = est.observe(3, 5);
+        let a_short = (0.1 * 3.0 + (1.0 - 0.1) * 0.5) / (0.1 * 5.0 + (1.0 - 0.1) * 1.0);
+        let a_long = (0.01 * 3.0 + (1.0 - 0.01) * 0.5) / (0.01 * 5.0 + (1.0 - 0.01) * 1.0);
+        assert_eq!(e.a_short, a_short);
+        assert_eq!(e.a_long, a_long);
     }
 }
 

@@ -30,6 +30,4 @@ pub mod estimator;
 pub use cleaning::{
     bucket_rounds, clean_series, clean_series_into, fill_gaps, midnight_trim, CleanScratch,
 };
-pub use estimator::{
-    AvailabilityEstimator, DirectEwmaEstimator, Estimates, EwmaConfig, HoltEstimator,
-};
+pub use estimator::{AvailabilityEstimator, DirectEwmaEstimator, Estimates, HoltEstimator};

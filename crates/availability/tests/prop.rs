@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sleepwatch_availability::{
     cleaning::{bucket_rounds, clean_series, fill_gaps, midnight_trim},
-    AvailabilityEstimator, EwmaConfig,
+    AvailabilityEstimator,
 };
 
 proptest! {
@@ -14,7 +14,7 @@ proptest! {
         initial in 0.0f64..1.0,
         rounds in prop::collection::vec((0u32..=15, 0u32..=15), 1..300),
     ) {
-        let mut est = AvailabilityEstimator::new(initial, EwmaConfig::default());
+        let mut est = AvailabilityEstimator::with_default_config(initial);
         for (a, b) in rounds {
             let (p, t) = if a <= b { (a, b) } else { (b, a) };
             let e = est.observe(p, t);
@@ -30,7 +30,7 @@ proptest! {
         initial in 0.0f64..0.5,
         n in 50usize..300,
     ) {
-        let mut est = AvailabilityEstimator::new(initial, EwmaConfig::default());
+        let mut est = AvailabilityEstimator::with_default_config(initial);
         for _ in 0..n {
             est.observe(1, 1);
         }
@@ -42,7 +42,7 @@ proptest! {
         initial in 0.5f64..1.0,
         n in 100usize..400,
     ) {
-        let mut est = AvailabilityEstimator::new(initial, EwmaConfig::default());
+        let mut est = AvailabilityEstimator::with_default_config(initial);
         for _ in 0..n {
             est.observe(0, 5);
         }

@@ -9,11 +9,12 @@
 //!    points (a 1-day span) and 4 451 (what a 35-day world run
 //!    transforms after the midnight trim).
 //! 4. **Bounded memory** — one lazy `WorldSource` run of 50 000 blocks ×
-//!    35 days: per-worker arena under its ceiling, every FFT batched,
-//!    nothing quarantined.
+//!    35 days: per-worker arena under its ceiling, nothing quarantined.
+//!    That every analyzed block's FFT is batched is asserted on a small
+//!    world by `testkit/tests/metrics.rs`.
 //! 5. **Compact format** — that run's rows as TSV and as a seed-joined
-//!    `SLPWBIN1` container: size ratio, decode-to-stats speed, equal
-//!    aggregates.
+//!    `SLPWBIN1` container: size ratio and decode-to-stats speed. That
+//!    decoded rows equal the TSV bytes is `binfmt_oracle`'s to assert.
 //! 6. **Sever recovery** — one mid-stream cut through a `ChaosProxy`:
 //!    the extra wall time stays within one backoff budget. That the cut
 //!    reconnects and moves no verdict is asserted by the chaos oracle
@@ -207,8 +208,6 @@ fn world_gates(report: &mut Report, threads: usize) {
     let raised = peak.saturating_sub(before.counter("world.peak_block_bytes"));
     report.gate("world.peak_block_bytes", peak as f64, AtMost, MAX_ARENA_BYTES);
     report.gate("world.peak_block_bytes_raised", raised as f64, AtLeast, 1.0);
-    let batched = d.counter("spectral.batched_series") as f64;
-    report.gate("world.batched_series", batched, Equal, WORLD_BLOCKS as f64);
     report.gate("world.quarantined", analysis.quarantined.len() as f64, Equal, 0.0);
 
     let rows = dataset_rows(&analysis);
@@ -221,27 +220,24 @@ fn world_gates(report: &mut Report, threads: usize) {
     report.gate("format.size_ratio", tsv.len() as f64 / bin.len() as f64, AtLeast, MIN_SIZE_RATIO);
 
     // Decode-to-analysis: serialized bytes to a DatasetStats aggregate.
-    let (mut tsv_stats, mut bin_stats) = (None, None);
     let (tsv_s, bin_s) = interleaved(
         BEST_OF,
         || {
             secs(|| {
                 let parsed = read_dataset(&tsv[..]).expect("parse TSV");
-                tsv_stats = Some(DatasetStats::from_rows(&parsed));
+                std::hint::black_box(DatasetStats::from_rows(&parsed));
             })
         },
         || {
             secs(|| {
                 let ds = BinDataset::parse(&bin, Some(source.cfg())).expect("parse bin");
-                bin_stats = Some(DatasetStats::from_bin(&ds));
+                std::hint::black_box(DatasetStats::from_bin(&ds));
             })
         },
     );
     report.measure("format.tsv_decode_to_stats_s", best(&tsv_s));
     report.measure("format.bin_decode_to_stats_s", best(&bin_s));
     report.gate("format.decode_speedup", best(&tsv_s) / best(&bin_s), AtLeast, MIN_DECODE_SPEEDUP);
-    let equal = tsv_stats == bin_stats && tsv_stats.is_some_and(|s| s.rows == WORLD_BLOCKS as u64);
-    report.gate("format.aggregates_equal", f64::from(equal), Equal, 1.0);
 }
 
 /// Serves `events` from a background thread (behind a chaos proxy when

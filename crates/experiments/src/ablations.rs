@@ -5,7 +5,7 @@
 
 use crate::common::{f, render_table, to_csv, Context, ExperimentOutput};
 use sleepwatch_availability::cleaning::clean_series;
-use sleepwatch_availability::{AvailabilityEstimator, DirectEwmaEstimator, EwmaConfig};
+use sleepwatch_availability::{AvailabilityEstimator, DirectEwmaEstimator};
 use sleepwatch_core::analyze_series;
 use sleepwatch_probing::{TrinocularConfig, TrinocularProber};
 use sleepwatch_simnet::{BlockProfile, BlockSpec, ROUND_SECONDS};
@@ -25,7 +25,7 @@ pub fn ablate_ewma(ctx: &Context) -> ExperimentOutput {
         );
         let truth = block.true_availability(0);
         let mut prober = TrinocularProber::new(&block, TrinocularConfig::default());
-        let mut paper = AvailabilityEstimator::new(truth, EwmaConfig::default());
+        let mut paper = AvailabilityEstimator::with_default_config(truth);
         let mut direct = DirectEwmaEstimator::new(truth, 0.1);
         let mut sum_paper = 0.0;
         let mut sum_direct = 0.0;

@@ -43,7 +43,7 @@ pub fn usc(ctx: &Context) -> ExperimentOutput {
         a.total += 1;
         let census = run_census(block, start, &census_cfg);
         let Some(mut prober) =
-            TrinocularProber::from_census(block, &census, &census_cfg, TrinocularConfig::a12w())
+            TrinocularProber::from_census(block, &census, TrinocularConfig::a12w())
         else {
             a.excluded += 1;
             continue;

@@ -622,16 +622,6 @@ pub fn rice_best_k(values: impl Iterator<Item = u64> + Clone) -> (u32, u64) {
     best
 }
 
-/// Maps a signed value onto the unsigned zigzag spiral (0, -1, 1, -2, …).
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(u: u64) -> i64 {
-    ((u >> 1) as i64) ^ -((u & 1) as i64)
-}
-
 // ---------------------------------------------------------------------------
 // String tables
 // ---------------------------------------------------------------------------
@@ -798,16 +788,6 @@ mod tests {
             let c: u64 = values.iter().map(|&v| rice_cost(v, other)).sum();
             assert!(cost <= c, "k={k} beaten by k={other}");
         }
-    }
-
-    #[test]
-    fn zigzag_roundtrips() {
-        for v in [0i64, 1, -1, 2, -2, i64::MAX, i64::MIN, 123_456, -987_654] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
     }
 
     #[test]

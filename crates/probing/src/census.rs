@@ -22,12 +22,6 @@ use sleepwatch_simnet::BlockSpec;
 pub struct CensusConfig {
     /// Number of full passes over the block.
     pub passes: u32,
-    /// Historical window the passes are spread over, in days, ending at
-    /// the census's `end_time`.
-    pub window_days: f64,
-    /// Trinocular's analyzability policy: blocks with fewer discovered
-    /// ever-active addresses than this are not probed (paper: 15).
-    pub min_ever_active: usize,
     /// Minimum responses across the census for an address to count as
     /// ever-active. 1 = literally ever responded; higher values model the
     /// recent-activity screen that excludes one-off responders (needed to
@@ -38,9 +32,13 @@ pub struct CensusConfig {
 impl Default for CensusConfig {
     fn default() -> Self {
         // A couple of years of quarterly censuses, like the real archive.
-        CensusConfig { passes: 8, window_days: 730.0, min_ever_active: 15, min_responses: 1 }
+        CensusConfig { passes: 8, min_responses: 1 }
     }
 }
+
+/// Trinocular's analyzability policy: blocks with fewer discovered
+/// ever-active addresses than this are not probed (paper: 15).
+const MIN_EVER_ACTIVE: usize = 15;
 
 /// What the census learned about one block.
 #[derive(Debug, Clone)]
@@ -64,15 +62,19 @@ impl CensusRecord {
     }
 
     /// Whether the block meets the probing policy.
-    pub fn analyzable(&self, cfg: &CensusConfig) -> bool {
-        self.discovered() >= cfg.min_ever_active
+    pub fn analyzable(&self) -> bool {
+        self.discovered() >= MIN_EVER_ACTIVE
     }
 }
+
+/// Historical window the passes are spread over, in days, ending at the
+/// census's `end_time`.
+const WINDOW_DAYS: f64 = 730.0;
 
 /// Runs a census of `block`: `cfg.passes` full sweeps spread uniformly over
 /// the window ending at `end_time`.
 pub fn run_census(block: &BlockSpec, end_time: u64, cfg: &CensusConfig) -> CensusRecord {
-    let window = (cfg.window_days * 86_400.0) as u64;
+    let window = (WINDOW_DAYS * 86_400.0) as u64;
     let start = end_time.saturating_sub(window);
     let step = if cfg.passes > 1 { window / (cfg.passes as u64 - 1).max(1) } else { 0 };
 
@@ -126,7 +128,7 @@ mod tests {
         let c = run_census(&b, 1_000_000_000, &CensusConfig::default());
         assert_eq!(c.discovered(), 100);
         assert!((c.hist_avail - 1.0).abs() < 1e-9);
-        assert!(c.analyzable(&CensusConfig::default()));
+        assert!(c.analyzable());
     }
 
     #[test]
@@ -142,9 +144,8 @@ mod tests {
     #[test]
     fn sparse_blocks_fail_the_policy() {
         let b = block(8, 0.9);
-        let cfg = CensusConfig::default();
-        let c = run_census(&b, 1_000_000_000, &cfg);
-        assert!(!c.analyzable(&cfg), "8 < 15 must be excluded");
+        let c = run_census(&b, 1_000_000_000, &CensusConfig::default());
+        assert!(!c.analyzable(), "8 < 15 must be excluded");
     }
 
     #[test]

@@ -1206,32 +1206,28 @@ pub struct FeedConfig {
     pub frame_events: usize,
     /// A heartbeat every this many event frames.
     pub heartbeat_every: u64,
-    /// Read timeout while waiting for the receiver's resume answer.
-    pub resume_timeout: Duration,
 }
 
 impl FeedConfig {
     /// Defaults around an identity.
     pub fn new(identity: RunIdentity) -> Self {
-        FeedConfig {
-            identity,
-            frame_events: 256,
-            heartbeat_every: 32,
-            resume_timeout: Duration::from_millis(2_000),
-        }
+        FeedConfig { identity, frame_events: 256, heartbeat_every: 32 }
     }
 }
 
+/// Read timeout while waiting for the receiver's resume answer.
+const RESUME_TIMEOUT: Duration = Duration::from_millis(2_000);
+
 /// Serves one connection: hello out, resume answer in (foreign receivers
 /// refused), then frames from the requested sequence, heartbeats
-/// interleaved, end marker last. `Ok(true)` means the full stream
+/// interleaved, end marker last. `Ok(())` means the full stream
 /// including the end marker was written and flushed.
 pub fn serve_connection<F: FeedEvents + ?Sized>(
     stream: &mut TcpStream,
     events: &F,
     cfg: &FeedConfig,
-) -> Result<bool, TransportError> {
-    stream.set_read_timeout(Some(cfg.resume_timeout))?;
+) -> Result<(), TransportError> {
+    stream.set_read_timeout(Some(RESUME_TIMEOUT))?;
     stream.set_nodelay(true)?;
     stream.write_all(&encode_hello(&cfg.identity))?;
     stream.flush()?;
@@ -1255,7 +1251,7 @@ pub fn serve_connection<F: FeedEvents + ?Sized>(
     encode_frame(&mut out, &Frame::End { total: end }, chain);
     stream.write_all(&out)?;
     stream.flush()?;
-    Ok(true)
+    Ok(())
 }
 
 /// Runs a replaying feed server until `stop` is raised (accept mode) or
@@ -1296,11 +1292,11 @@ pub fn serve_feed<F: FeedEvents + ?Sized>(
         }
         match endpoint.open(Duration::from_millis(200)) {
             Ok(mut stream) => match serve_connection(&mut stream, events, cfg) {
-                Ok(complete) => {
+                Ok(()) => {
                     served += 1;
                     failures = 0;
                     waited = 0;
-                    if complete && matches!(endpoint, Endpoint::Dial(_)) {
+                    if matches!(endpoint, Endpoint::Dial(_)) {
                         return Ok(served);
                     }
                 }

@@ -15,10 +15,17 @@
 //!   positive responses, the bias §2.1.2's separate (p, t) tracking
 //!   corrects;
 //! * beliefs are capped below 1 so the prober can always change its mind.
+//!
+//! The model's constants are fixed, as in the paper, not options:
+//! `BELIEF_THRESHOLD` (0.9), `BELIEF_CAP` (0.99), `P_RESPONSE_DOWN` (ε =
+//! 0.01), `P_UNREACH_UP` (0.005) and `P_UNREACH_DOWN` (0.5); the
+//! estimator's gains live in `sleepwatch_availability::estimator`.
+//! [`TrinocularConfig`] keeps only what experiments vary: the probe
+//! budget, the `A12w` restart artifact and the transit loss rate.
 
 use crate::faults::{BurstWindow, FaultPlan};
 use crate::record::{BlockRun, RoundRecord};
-use sleepwatch_availability::{AvailabilityEstimator, EwmaConfig};
+use sleepwatch_availability::AvailabilityEstimator;
 use sleepwatch_geoecon::rng::KeyedRng;
 use sleepwatch_simnet::{BlockSpec, ProbeMemo, ProbeOutcome, ROUND_SECONDS};
 
@@ -38,14 +45,6 @@ pub enum BlockState {
 pub struct TrinocularConfig {
     /// Maximum probes per block per round (paper: 15).
     pub max_probes_per_round: u32,
-    /// Belief threshold to conclude up/down (paper: 0.9).
-    pub belief_threshold: f64,
-    /// Beliefs are clamped to `[1 − cap, cap]` (paper: 0.99).
-    pub belief_cap: f64,
-    /// `P(response⁺ | block down)`: stray responses (small, non-zero).
-    pub p_response_down: f64,
-    /// Estimator gains.
-    pub ewma: EwmaConfig,
     /// Prober restarts every this many rounds (`None` = never). The paper's
     /// `A12w` prober restarted every 5.5 hours = 30 rounds, producing the
     /// 4.3-cycles/day artifact of Fig. 10.
@@ -63,29 +62,16 @@ pub struct TrinocularConfig {
     /// a small multiplicative bias on measured availability, exactly as in
     /// live measurement.
     pub transit_loss_rate: f64,
-    /// `P(ICMP unreachable | block up)`: stray router errors on a healthy
-    /// path (small).
-    pub p_unreach_up: f64,
-    /// `P(ICMP unreachable | block down)`: a routed outage usually draws
-    /// explicit errors from upstream routers, making one unreachable far
-    /// stronger down-evidence than a timeout.
-    pub p_unreach_down: f64,
 }
 
 impl Default for TrinocularConfig {
     fn default() -> Self {
         TrinocularConfig {
             max_probes_per_round: 15,
-            belief_threshold: 0.9,
-            belief_cap: 0.99,
-            p_response_down: 0.01,
-            ewma: EwmaConfig::default(),
             restart_interval_rounds: None,
             restart_loss_chance: 0.25,
             restart_negative_chance: 0.7,
             transit_loss_rate: 0.01,
-            p_unreach_up: 0.005,
-            p_unreach_down: 0.5,
         }
     }
 }
@@ -173,6 +159,20 @@ const STREAM_WALK: u64 = 0x77_616c6b; // "walk"
 const STREAM_RESTART: u64 = 0x72_7374; // "rst"
 const STREAM_TRANSIT: u64 = 0x74_726e; // "trn"
 
+/// Belief threshold to conclude up/down (paper: 0.9).
+const BELIEF_THRESHOLD: f64 = 0.9;
+/// Beliefs are clamped to `[1 − cap, cap]` (paper: 0.99).
+const BELIEF_CAP: f64 = 0.99;
+/// `P(response⁺ | block down)`: stray responses (small, non-zero).
+const P_RESPONSE_DOWN: f64 = 0.01;
+/// `P(ICMP unreachable | block up)`: stray router errors on a healthy
+/// path (small).
+const P_UNREACH_UP: f64 = 0.005;
+/// `P(ICMP unreachable | block down)`: a routed outage usually draws
+/// explicit errors from upstream routers, making one unreachable far
+/// stronger down-evidence than a timeout.
+const P_UNREACH_DOWN: f64 = 0.5;
+
 impl TrinocularProber {
     /// Creates a prober. The initial availability belief comes from the
     /// block's (possibly stale) historical estimate, exactly as the real
@@ -216,15 +216,14 @@ impl TrinocularProber {
     /// system's path: the walk covers only addresses the census
     /// *discovered*, and the initial availability belief is the census's
     /// historical estimate. Returns `None` when the block fails the
-    /// analyzability policy (fewer than `census_cfg.min_ever_active`
-    /// discovered addresses — §3.2.4's "policy constraint").
+    /// analyzability policy (fewer than 15 discovered addresses —
+    /// §3.2.4's "policy constraint").
     pub fn from_census(
         block: &BlockSpec,
         census: &crate::census::CensusRecord,
-        census_cfg: &crate::census::CensusConfig,
         cfg: TrinocularConfig,
     ) -> Option<Self> {
-        if !census.analyzable(census_cfg) {
+        if !census.analyzable() {
             return None;
         }
         Some(Self::with_targets(block, census.ever_active.clone(), census.hist_avail, cfg))
@@ -258,7 +257,7 @@ impl TrinocularProber {
         sleepwatch_obs::global().probing.eb_refreshes.incr();
         TrinocularProber {
             cfg,
-            estimator: AvailabilityEstimator::new(hist_avail, cfg.ewma),
+            estimator: AvailabilityEstimator::with_default_config(hist_avail),
             belief_up: 0.9, // blocks start presumed up, as in Trinocular
             state: BlockState::Up,
             walk,
@@ -299,18 +298,18 @@ impl TrinocularProber {
     /// explicit unreachable errors strongly favour down.
     fn update_belief(&mut self, outcome: ProbeOutcome) {
         let a = self.estimator.a_operational();
-        let (uu, ud) = (self.cfg.p_unreach_up, self.cfg.p_unreach_down);
-        let eps = self.cfg.p_response_down;
         let (l_up, l_down) = match outcome {
-            ProbeOutcome::Reply => (a, eps),
-            ProbeOutcome::Timeout => (((1.0 - a - uu).max(0.001)), ((1.0 - eps - ud).max(0.001))),
-            ProbeOutcome::Unreachable => (uu, ud),
+            ProbeOutcome::Reply => (a, P_RESPONSE_DOWN),
+            ProbeOutcome::Timeout => (
+                (1.0 - a - P_UNREACH_UP).max(0.001),
+                (1.0 - P_RESPONSE_DOWN - P_UNREACH_DOWN).max(0.001),
+            ),
+            ProbeOutcome::Unreachable => (P_UNREACH_UP, P_UNREACH_DOWN),
         };
         let num = l_up * self.belief_up;
         let den = num + l_down * (1.0 - self.belief_up);
         self.belief_up = if den > 0.0 { num / den } else { 0.5 };
-        let cap = self.cfg.belief_cap;
-        self.belief_up = self.belief_up.clamp(1.0 - cap, cap);
+        self.belief_up = self.belief_up.clamp(1.0 - BELIEF_CAP, BELIEF_CAP);
     }
 
     /// Runs one 11-minute round against `block` at absolute `time`,
@@ -339,7 +338,6 @@ impl TrinocularProber {
         }
         let mut positives = 0u32;
         let mut probes = 0u32;
-        let thr = self.cfg.belief_threshold;
         if restart_dropped_probe {
             // The round's opening probe batch was in flight while the
             // prober bounced: the responses are lost and book as timeouts.
@@ -386,14 +384,14 @@ impl TrinocularProber {
             }
             // Negatives are weak evidence individually; keep probing until
             // the belief becomes conclusively down or the budget runs out.
-            if self.belief_up <= 1.0 - thr {
+            if self.belief_up <= 1.0 - BELIEF_THRESHOLD {
                 break;
             }
         }
 
-        let new_state = if self.belief_up >= thr {
+        let new_state = if self.belief_up >= BELIEF_THRESHOLD {
             BlockState::Up
-        } else if self.belief_up <= 1.0 - thr {
+        } else if self.belief_up <= 1.0 - BELIEF_THRESHOLD {
             BlockState::Down
         } else {
             BlockState::Unknown

@@ -52,14 +52,6 @@ impl CampusUse {
 pub struct CampusConfig {
     /// Seed for the campus's behaviour streams.
     pub seed: u64,
-    /// Overprovisioned wireless blocks (USC: 142).
-    pub wireless: usize,
-    /// Dynamic pools (USC DNS labels 32 blocks dynamic).
-    pub dynamic: usize,
-    /// General-use blocks without pockets.
-    pub general: usize,
-    /// General-use blocks with a 16-address dynamic pocket.
-    pub general_with_pocket: usize,
     /// Server blocks.
     pub server: usize,
     /// Campus timezone (USC: UTC−8 ≈ −7.9 h from longitude).
@@ -70,15 +62,20 @@ impl Default for CampusConfig {
     fn default() -> Self {
         CampusConfig {
             seed: 0x0055_5343, // "USC"
-            wireless: 142,
-            dynamic: 32,
-            general: 240,
-            general_with_pocket: 40,
             server: 60,
             utc_offset_hours: -8.0,
         }
     }
 }
+
+/// Overprovisioned wireless blocks (USC: 142).
+const WIRELESS_BLOCKS: usize = 142;
+/// Dynamic pools (USC DNS labels 32 blocks dynamic).
+const DYNAMIC_BLOCKS: usize = 32;
+/// General-use blocks without pockets.
+const GENERAL_BLOCKS: usize = 240;
+/// General-use blocks with a 16-address dynamic pocket.
+const GENERAL_WITH_POCKET_BLOCKS: usize = 40;
 
 /// Builds the campus: `(block, role)` pairs with sequential ids.
 pub fn generate_campus(cfg: &CampusConfig) -> Vec<(BlockSpec, CampusUse)> {
@@ -175,10 +172,10 @@ pub fn generate_campus(cfg: &CampusConfig) -> Vec<(BlockSpec, CampusUse)> {
             id += 1;
         }
     };
-    push(CampusUse::Wireless, cfg.wireless, &mut out);
-    push(CampusUse::Dynamic, cfg.dynamic, &mut out);
-    push(CampusUse::GeneralUse, cfg.general, &mut out);
-    push(CampusUse::GeneralWithPocket, cfg.general_with_pocket, &mut out);
+    push(CampusUse::Wireless, WIRELESS_BLOCKS, &mut out);
+    push(CampusUse::Dynamic, DYNAMIC_BLOCKS, &mut out);
+    push(CampusUse::GeneralUse, GENERAL_BLOCKS, &mut out);
+    push(CampusUse::GeneralWithPocket, GENERAL_WITH_POCKET_BLOCKS, &mut out);
     push(CampusUse::Server, cfg.server, &mut out);
     out
 }

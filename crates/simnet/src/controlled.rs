@@ -17,8 +17,6 @@ pub struct ControlledConfig {
     pub n_stable: u16,
     /// Number of diurnal addresses `n_d` (paper default: 100).
     pub n_diurnal: u16,
-    /// Up-time per day, hours (paper: 8).
-    pub up_hours: f64,
     /// Maximum phase `Φ`: per-address onsets are uniform in `[0, Φ]` hours.
     pub phi_hours: f64,
     /// Per-day start-time noise `σ_s`, hours.
@@ -32,13 +30,15 @@ impl Default for ControlledConfig {
         ControlledConfig {
             n_stable: 50,
             n_diurnal: 100,
-            up_hours: 8.0,
             phi_hours: 0.0,
             sigma_start: 0.0,
             sigma_duration: 0.0,
         }
     }
 }
+
+/// Up-time per day of a diurnal address, hours (paper: 8).
+const UP_HOURS: f64 = 8.0;
 
 impl ControlledConfig {
     /// Builds the controlled block. `seed` drives the once-per-experiment
@@ -56,7 +56,7 @@ impl ControlledConfig {
             diurnal_avail: 1.0,
             onset_hours: 0.0,
             onset_spread: self.phi_hours,
-            duration_hours: self.up_hours,
+            duration_hours: UP_HOURS,
             duration_spread: 0.0,
             sigma_start: self.sigma_start,
             sigma_duration: self.sigma_duration,
@@ -79,7 +79,7 @@ mod tests {
         let c = ControlledConfig::default();
         assert_eq!(c.n_stable, 50);
         assert_eq!(c.n_diurnal, 100);
-        assert_eq!(c.up_hours, 8.0);
+        assert_eq!(c.build(1, 0).profile.duration_hours, 8.0);
     }
 
     #[test]

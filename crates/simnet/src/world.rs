@@ -39,8 +39,6 @@ pub struct WorldConfig {
     pub propensity_scale: f64,
     /// Restrict generation to these country codes (`None` = whole world).
     pub country_filter: Option<Vec<&'static str>>,
-    /// Fraction of blocks suffering one injected outage during the span.
-    pub outage_fraction: f64,
 }
 
 impl Default for WorldConfig {
@@ -52,7 +50,6 @@ impl Default for WorldConfig {
             span_days: 35.0,
             propensity_scale: 1.0,
             country_filter: None,
-            outage_fraction: 0.04,
         }
     }
 }
@@ -76,6 +73,9 @@ pub struct World {
 const STREAM_BLOCK: u64 = 0x626c_6f6b; // "blok"
 const STREAM_OUTAGE: u64 = 0x6f75_7467; // "outg"
 const STREAM_SHARD: u64 = 0x7368_7264; // "shrd"
+
+/// Fraction of blocks suffering one injected outage during the span.
+const OUTAGE_FRACTION: f64 = 0.04;
 
 /// Routes a block id to one of `shards` ingest shards.
 ///
@@ -403,7 +403,7 @@ impl WorldSource {
 
         // 9. Outage injection.
         let mut og = KeyedRng::from_parts(&[cfg.seed, STREAM_OUTAGE, id]);
-        let outage = if og.chance(cfg.outage_fraction) && self.span_seconds > 0 {
+        let outage = if og.chance(OUTAGE_FRACTION) && self.span_seconds > 0 {
             let dur = (3_600.0 * og.range(1.0, 24.0)) as u64;
             let start = cfg.start_time + og.below(self.span_seconds.saturating_sub(dur).max(1));
             Some((start, start + dur))

@@ -103,8 +103,6 @@ pub struct AcfReport {
 /// Configuration of the ACF detector.
 #[derive(Debug, Clone, Copy)]
 pub struct AcfConfig {
-    /// Minimum `r` at the daily lag (default 0.3).
-    pub min_r_day: f64,
     /// Required dominance of the daily lag over the best competitor
     /// (default 1.5×).
     pub dominance: f64,
@@ -114,9 +112,12 @@ pub struct AcfConfig {
 
 impl Default for AcfConfig {
     fn default() -> Self {
-        AcfConfig { min_r_day: 0.3, dominance: 1.5, sample_period: crate::ROUND_SECONDS }
+        AcfConfig { dominance: 1.5, sample_period: crate::ROUND_SECONDS }
     }
 }
+
+/// Minimum `r` at the daily lag.
+const MIN_R_DAY: f64 = 0.3;
 
 /// Runs the ACF daily test.
 ///
@@ -143,7 +144,7 @@ pub fn acf_diurnal(series: &[f64], cfg: &AcfConfig) -> AcfReport {
             competitor_lag = lag;
         }
     }
-    let diurnal = r_day >= cfg.min_r_day && r_day >= cfg.dominance * r_competitor.max(0.0);
+    let diurnal = r_day >= MIN_R_DAY && r_day >= cfg.dominance * r_competitor.max(0.0);
     AcfReport { r_day, r_competitor, competitor_lag, diurnal }
 }
 

@@ -57,4 +57,4 @@ pub use goertzel::{diurnal_energy_ratio, goertzel, goertzel_amplitude};
 pub use lombscargle::LombScargle;
 pub use periodogram::{Spectrum, SpectrumScratch, DAY_SECONDS, ROUND_SECONDS};
 pub use plan::{plan_for, prewarm, BatchRealScratch, FftPlan, MAX_BATCH_LANES, MAX_PLAN_LEN};
-pub use stationarity::{linear_fit, trend, trend_default, TrendConfig, TrendReport};
+pub use stationarity::{linear_fit, trend_default, TrendReport};

@@ -5,6 +5,11 @@
 //! The paper verifies stationarity with a linear fit of `A` over the
 //! observation, calling a block stationary when the slope is equivalent to
 //! less than one address change per day (out of the 256 addresses of a /24).
+//!
+//! Those figures are the paper's and fixed here too: series are sampled
+//! once per 11-minute round (`ROUND_SECONDS`), a slope unit is
+//! `BLOCK_SIZE` (256) addresses, and a block is stationary below
+//! `MAX_ADDRESSES_PER_DAY` (1.0) addresses/day of drift.
 
 use crate::periodogram::{DAY_SECONDS, ROUND_SECONDS};
 
@@ -20,24 +25,6 @@ pub struct TrendReport {
     pub addresses_per_day: f64,
     /// `|addresses_per_day| < threshold` (paper threshold: 1.0).
     pub stationary: bool,
-}
-
-/// Configuration for the stationarity test.
-#[derive(Debug, Clone, Copy)]
-pub struct TrendConfig {
-    /// Sampling period in seconds (default: one 11-minute round).
-    pub sample_period: f64,
-    /// Number of addresses a slope unit corresponds to (default: 256).
-    pub block_size: f64,
-    /// Maximum absolute drift, in addresses/day, that still counts as
-    /// stationary (default: 1.0).
-    pub max_addresses_per_day: f64,
-}
-
-impl Default for TrendConfig {
-    fn default() -> Self {
-        TrendConfig { sample_period: ROUND_SECONDS, block_size: 256.0, max_addresses_per_day: 1.0 }
-    }
 }
 
 /// Ordinary least-squares fit of `series[i] ~ intercept + slope·i`.
@@ -63,22 +50,24 @@ pub fn linear_fit(series: &[f64]) -> (f64, f64) {
     (slope, mean_y - slope * mean_x)
 }
 
-/// Runs the paper's stationarity screen on an availability series.
-pub fn trend(series: &[f64], cfg: &TrendConfig) -> TrendReport {
+/// Number of addresses a slope unit corresponds to (paper: a /24, 256).
+const BLOCK_SIZE: f64 = 256.0;
+/// Maximum absolute drift, in addresses/day, that still counts as
+/// stationary (paper: 1.0).
+const MAX_ADDRESSES_PER_DAY: f64 = 1.0;
+
+/// Runs the paper's stationarity screen on an availability series sampled
+/// once per round.
+pub fn trend_default(series: &[f64]) -> TrendReport {
     let (slope, intercept) = linear_fit(series);
-    let samples_per_day = DAY_SECONDS / cfg.sample_period;
-    let addresses_per_day = slope * samples_per_day * cfg.block_size;
+    let samples_per_day = DAY_SECONDS / ROUND_SECONDS;
+    let addresses_per_day = slope * samples_per_day * BLOCK_SIZE;
     TrendReport {
         slope_per_sample: slope,
         intercept,
         addresses_per_day,
-        stationary: addresses_per_day.abs() < cfg.max_addresses_per_day,
+        stationary: addresses_per_day.abs() < MAX_ADDRESSES_PER_DAY,
     }
-}
-
-/// [`trend`] with default (paper) configuration.
-pub fn trend_default(series: &[f64]) -> TrendReport {
-    trend(series, &TrendConfig::default())
 }
 
 #[cfg(test)]
@@ -140,24 +129,17 @@ mod tests {
 
     #[test]
     fn threshold_boundary() {
-        // Exactly 0.5 addr/day passes; 2.0 addr/day fails.
+        // Pins the 11-minute sample period, the /24 and the 1.0 cut by
+        // value: up to 0.99 addr/day passes; from 1.01 addr/day it fails.
         let n = (14.0 * RPD) as usize;
         let mk = |apd: f64| -> Vec<f64> {
             let per_sample = apd / 256.0 / RPD;
             (0..n).map(|i| 0.4 + per_sample * i as f64).collect()
         };
-        assert!(trend_default(&mk(0.5)).stationary);
-        assert!(!trend_default(&mk(2.0)).stationary);
-    }
-
-    #[test]
-    fn custom_config_changes_units() {
-        let cfg =
-            TrendConfig { sample_period: 3600.0, block_size: 100.0, max_addresses_per_day: 10.0 };
-        // slope 0.01/sample, 24 samples/day, 100 addrs → 24 addrs/day: fails.
-        let series: Vec<f64> = (0..200).map(|i| 0.01 * i as f64).collect();
-        let r = trend(&series, &cfg);
-        assert!((r.addresses_per_day - 24.0).abs() < 1e-9);
-        assert!(!r.stationary);
+        for (apd, stationary) in [(0.5, true), (0.99, true), (1.01, false), (2.0, false)] {
+            let r = trend_default(&mk(apd));
+            assert!((r.addresses_per_day - apd).abs() < 1e-9, "{apd}: {}", r.addresses_per_day);
+            assert_eq!(r.stationary, stationary, "{apd} addresses/day");
+        }
     }
 }

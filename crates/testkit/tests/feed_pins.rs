@@ -74,7 +74,7 @@ fn served<F: FeedEvents + Sync + ?Sized>(events: &F, identity: RunIdentity, from
         stream.read_exact(&mut bytes).expect("hello");
         stream.write_all(&encode_resume(&identity, from)).expect("resume answer");
         stream.read_to_end(&mut bytes).expect("frames");
-        assert!(server.join().expect("server thread"), "the stream did not complete");
+        server.join().expect("server thread");
         bytes
     })
 }

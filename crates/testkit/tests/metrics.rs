@@ -171,6 +171,9 @@ fn world_run_counters_match_ground_truth() {
             "hits + misses must equal FFT transforms"
         );
         assert_eq!(d.counter("plan_cache.prewarms"), 1, "analyze_world prewarms once");
+        // A world run transforms every analyzed block through the 8-lane
+        // batch kernel, never one series at a time.
+        assert_eq!(d.counter("spectral.batched_series"), n, "every block's FFT is batched");
 
         // Every block was geolocated (hit or miss) and link-classified.
         assert_eq!(d.counter("geo.locate_hits") + d.counter("geo.locate_misses"), n);

@@ -29,9 +29,8 @@ fn main() {
         census.hist_avail
     );
 
-    let mut prober =
-        TrinocularProber::from_census(&block, &census, &census_cfg, TrinocularConfig::default())
-            .expect("block is analyzable");
+    let mut prober = TrinocularProber::from_census(&block, &census, TrinocularConfig::default())
+        .expect("block is analyzable");
     let run = prober.run(&block, 0, 7 * 131);
 
     println!(
@@ -64,13 +63,9 @@ fn main() {
         },
     );
     let census2 = run_census(&night_block, 0, &census_cfg);
-    let mut prober2 = TrinocularProber::from_census(
-        &night_block,
-        &census2,
-        &census_cfg,
-        TrinocularConfig::default(),
-    )
-    .expect("analyzable");
+    let mut prober2 =
+        TrinocularProber::from_census(&night_block, &census2, TrinocularConfig::default())
+            .expect("analyzable");
     let run2 = prober2.run(&night_block, 0, 7 * 131);
 
     println!(

@@ -128,12 +128,16 @@ struct Args {
 
 impl Default for Args {
     fn default() -> Self {
+        let backoff = BackoffConfig::default();
         Args {
             blocks: 2_000,
             days: 14.0,
             seed: 1,
+            // The thread count (all cores) and `read_timeout_ms` (500 ms)
+            // are the CLI's own values: `serve` does not take
+            // `ServeConfig::default()`'s 4 threads and 5 s.
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            shards: 4,
+            shards: IngestConfig::default().shards,
             dataset: None,
             journal: None,
             format: None,
@@ -145,8 +149,8 @@ impl Default for Args {
             strict: false,
             lru_capacity: sleepwatch::core::serve::DEFAULT_LRU_CAPACITY,
             read_timeout_ms: 500,
-            reconnect_attempts: 8,
-            backoff_ms: 25,
+            reconnect_attempts: backoff.attempts,
+            backoff_ms: backoff.base_ms,
             positional: Vec::new(),
         }
     }
