@@ -149,6 +149,11 @@ impl BlockScratch {
         self.spectrum.poison(seed);
     }
 
+    /// The records of the block [`probe_into`] last probed.
+    pub(crate) fn records(&self) -> &[RoundRecord] {
+        &self.records
+    }
+
     /// Length of the cleaned series currently in the arena (the grouping
     /// key of the batched world FFT).
     pub(crate) fn series_len(&self) -> usize {
@@ -215,6 +220,37 @@ pub(crate) struct ProbedBlock {
     pub fill_fraction: f64,
 }
 
+/// Stage Probe: one Trinocular run of `block` into `scratch`'s records,
+/// on the arena's reused prober buffers. Returns the outage count and the
+/// probe total. Every block the pipeline probes — the world run's and the
+/// feed's — is probed here.
+pub(crate) fn probe_into(
+    block: &BlockSpec,
+    cfg: &AnalysisConfig,
+    scratch: &mut BlockScratch,
+) -> (u32, u64) {
+    let _t = StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::Probe));
+    let mut prober = TrinocularProber::new_reusing(block, cfg.trinocular, &mut scratch.prober);
+    prober.run_into_with_faults(
+        block,
+        cfg.start_time,
+        cfg.rounds,
+        &cfg.faults,
+        &mut scratch.records,
+    );
+    let counts = (prober.outages().len() as u32, prober.total_probes());
+    prober.recycle(&mut scratch.prober);
+    counts
+}
+
+/// Stage Estimate: the `(round, Âs)` pairs into the arena's observation
+/// buffer.
+fn estimate_into(observations: &mut Vec<(u64, f64)>, pairs: impl Iterator<Item = (u64, f64)>) {
+    let _t = StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::Estimate));
+    observations.clear();
+    observations.extend(pairs);
+}
+
 /// Stages Probe → Estimate → Clean into `scratch`, leaving the cleaned
 /// series in the arena for the FFT phase. First half of the pipeline body;
 /// the batched world path runs it per block, then FFTs same-length groups
@@ -224,26 +260,8 @@ pub(crate) fn probe_clean_into(
     cfg: &AnalysisConfig,
     scratch: &mut BlockScratch,
 ) -> ProbedBlock {
-    let obs = sleepwatch_obs::global();
-    let (outages, total_probes) = {
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Probe));
-        let mut prober = TrinocularProber::new_reusing(block, cfg.trinocular, &mut scratch.prober);
-        prober.run_into_with_faults(
-            block,
-            cfg.start_time,
-            cfg.rounds,
-            &cfg.faults,
-            &mut scratch.records,
-        );
-        let counts = (prober.outages().len() as u32, prober.total_probes());
-        prober.recycle(&mut scratch.prober);
-        counts
-    };
-    {
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Estimate));
-        scratch.observations.clear();
-        scratch.observations.extend(scratch.records.iter().map(|r| (r.round, r.a_short)));
-    }
+    let (outages, total_probes) = probe_into(block, cfg, scratch);
+    estimate_into(&mut scratch.observations, scratch.records.iter().map(|r| (r.round, r.a_short)));
     ProbedBlock { outages, total_probes, fill_fraction: scratch.clean_stage(cfg) }
 }
 
@@ -259,12 +277,7 @@ pub(crate) fn clean_observations_into(
     cfg: &AnalysisConfig,
     scratch: &mut BlockScratch,
 ) -> f64 {
-    let obs = sleepwatch_obs::global();
-    {
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Estimate));
-        scratch.observations.clear();
-        scratch.observations.extend(observations);
-    }
+    estimate_into(&mut scratch.observations, observations);
     scratch.clean_stage(cfg)
 }
 
@@ -357,20 +370,16 @@ pub fn analyze_block(block: &BlockSpec, cfg: &AnalysisConfig) -> BlockAnalysis {
     let mut scratch = BlockScratch::new();
     let (summary, diurnal, trend, fill_fraction) = analyze_block_into(block, cfg, &mut scratch);
     let BlockScratch { prober: mut prober_scratch, records, series, .. } = scratch;
-    let outages = prober_scratch.take_outages();
-    let run = if cfg.faults.mangles_order() {
-        // Mirrors `run_with_faults`: duplicated/reordered streams
-        // legitimately violate the strict-ascending invariant
-        // `BlockRun::new` asserts.
-        BlockRun {
-            block_id: block.id,
-            rounds: cfg.rounds,
-            records,
-            outages,
-            total_probes: summary.total_probes,
-        }
-    } else {
-        BlockRun::new(block.id, cfg.rounds, records, outages, summary.total_probes)
+    // `run_with_faults`'s run, checked as it checks it.
+    debug_assert!(
+        cfg.faults.mangles_order() || records.windows(2).all(|w| w[0].round < w[1].round)
+    );
+    let run = BlockRun {
+        block_id: block.id,
+        rounds: cfg.rounds,
+        records,
+        outages: prober_scratch.take_outages(),
+        total_probes: summary.total_probes,
     };
     BlockAnalysis {
         block_id: block.id,

@@ -19,15 +19,6 @@
 //!   through a pool so the feeder rewrites the same cache-hot lines. The
 //!   feeder owns the senders: however it leaves — done or unwinding — the
 //!   channels close, and the shards drain them and retire.
-//! * **Self-generated feeds.** A [`WorldFeed`] probes 256-block chunks
-//!   one `std::thread::scope` at a time: one worker per core claims chunk
-//!   `c`'s blocks while the calling thread interleaves chunk `c − 1`, then
-//!   claims blocks beside them. The scope's join is the only wait. Each
-//!   block is held as its lane would hold it (8 B per round), so a feed
-//!   holds two chunks at any core count, never the world, and no event
-//!   depends on the worker count. It sends any suffix a resume asks for
-//!   by regenerating from the chunk that holds it, once a pass has
-//!   learned where that chunk starts: what `sleepwatch feed` serves.
 //! * **Lanes.** Each in-flight block ("lane") keeps its `Âs` values in
 //!   arrival order plus a run list that is one entry unless rounds broke
 //!   sequence (a `RoundSeries`, 8 B per round). Its [`OnlineDetector`] —
@@ -56,12 +47,9 @@
 //!   unfinished ones (up to seven finished but not yet flushed per
 //!   shard among them), healing to the same verdict set.
 
-use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::ops::Range;
-use std::panic::resume_unwind;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -69,20 +57,17 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use sleepwatch_obs::Stage;
-use sleepwatch_probing::stream::{record_rounds, Interleave, RoundEvent};
-use sleepwatch_probing::transport::FeedEvents;
-use sleepwatch_probing::TrinocularProber;
+use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_simnet::{shard_of, BlockSpec, WorldSource};
 use sleepwatch_spectral::{Complex, SpectrumScratch, MAX_BATCH_LANES};
 
-use crate::framing::RunIdentity;
-
 use crate::analyze::{clean_observations_into, AnalysisConfig, ProbedBlock};
+use crate::feed::WorldFeed;
 use crate::journal::JournalError;
 use crate::streaming::{OnlineConfig, OnlineDetector};
 use crate::worldrun::{
-    is_replayed, plan_per_member, quarantine_on_panic, run_batch, BatchArena, Outcome, Quarantine,
-    Resume, WorldBlockReport, CHUNK,
+    is_replayed, plan_per_member, run_batch, BatchArena, Outcome, Quarantine, Resume,
+    WorldBlockReport,
 };
 
 /// Engine shape: shard count, queue bounds, feed batching.
@@ -172,22 +157,22 @@ pub struct IngestOutcome {
 ///
 /// A pool never holds more than was in flight at once (a buffer is either
 /// in use or in the pool), so it is bounded by backpressure.
-struct Pool<T> {
+pub(crate) struct Pool<T> {
     stack: Mutex<Vec<T>>,
 }
 
 impl<T> Pool<T> {
-    fn new() -> Pool<T> {
+    pub(crate) fn new() -> Pool<T> {
         Pool { stack: Mutex::new(Vec::new()) }
     }
 
     /// A spent buffer, if one is waiting.
-    fn take(&self) -> Option<T> {
+    pub(crate) fn take(&self) -> Option<T> {
         self.stack.lock().unwrap_or_else(PoisonError::into_inner).pop()
     }
 
     /// Hands back a spent buffer, cleared by the caller.
-    fn give(&self, spent: T) {
+    pub(crate) fn give(&self, spent: T) {
         self.stack.lock().unwrap_or_else(PoisonError::into_inner).push(spent);
     }
 }
@@ -263,8 +248,8 @@ impl Router<'_> {
 /// a round is not its predecessor + 1 (a restart gap, a blackout, a
 /// duplicate, a swap), so a series costs 8 B per round plus 16 B per break.
 #[derive(Debug, Default)]
-struct RoundSeries {
-    values: Vec<f64>,
+pub(crate) struct RoundSeries {
+    pub(crate) values: Vec<f64>,
     runs: Vec<(usize, u64)>,
 }
 
@@ -276,7 +261,7 @@ impl RoundSeries {
     }
 
     /// Appends one round's value.
-    fn push(&mut self, round: u32, value: f64) {
+    pub(crate) fn push(&mut self, round: u32, value: f64) {
         let round = u64::from(round);
         let next =
             self.runs.last().map(|&(start, first)| first + (self.values.len() - start) as u64);
@@ -286,7 +271,7 @@ impl RoundSeries {
         self.values.push(value);
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.values.clear();
         self.runs.clear();
     }
@@ -294,7 +279,7 @@ impl RoundSeries {
     /// The round of value `at`. `run` is the index of a run at or before
     /// the one holding `at`, and is moved to that run, so a walk in order
     /// reads each run once.
-    fn round_at(&self, at: usize, run: &mut usize) -> u64 {
+    pub(crate) fn round_at(&self, at: usize, run: &mut usize) -> u64 {
         while self.runs.get(*run + 1).is_some_and(|&(start, _)| start <= at) {
             *run += 1;
         }
@@ -672,361 +657,6 @@ fn run_engine(
     out
 }
 
-/// A world's event feed, generated a chunk at a time: what
-/// [`ingest_world`] routes, what [`world_feed`] collects and what
-/// `sleepwatch feed` sends.
-///
-/// Blocks are interleaved 256 at a time — the batch path's chunk — keyed
-/// by `interleave_seed + c` for chunk `c`, so a chunk's events are a pure
-/// function of the source, the config, the seed and `c`. One worker per
-/// core probes the blocks of the chunk after the one being read, each
-/// held as its lane would hold it (8 B per round), while the calling
-/// thread interleaves the chunks in order and then probes beside them. A
-/// pass holds two chunks of series at a time at any core count, never the
-/// world, and no event depends on which worker probed which block.
-///
-/// A feed does not know its length until a pass reaches its end. Each pass
-/// records, the first time it assembles a chunk, the chunk's cumulative
-/// event count and its quarantines. A resume at sequence `s`
-/// ([`FeedEvents`]) starts at the chunk that holds `s` if a pass has
-/// recorded it, and otherwise at the first chunk none has, skipping the
-/// events before `s`. So the probing and quarantine counters,
-/// `ingest.feed_chunks` and `stage.ingest.feed_probe` count a chunk once
-/// per pass over it. A send whose callback fails stops the workers at
-/// their next block: the chunk they were probing ahead of the failed one
-/// is cut short and neither counted nor recorded, though the blocks they
-/// probed count in the probing counters.
-pub struct WorldFeed<'a> {
-    source: &'a WorldSource,
-    cfg: &'a AnalysisConfig,
-    interleave_seed: u64,
-    workers: usize,
-    /// Journal-replayed blocks, left out of the feed (by block id).
-    skip: &'a [bool],
-    /// What the passes so far have recorded.
-    seen: Mutex<Seen>,
-}
-
-/// The chunks some pass over a [`WorldFeed`] has assembled, from the first.
-#[derive(Default)]
-struct Seen {
-    /// `ends[c]`: events in chunks `0..=c`.
-    ends: Vec<u64>,
-    /// Blocks of those chunks quarantined by a probing panic.
-    quarantined: Vec<Quarantine>,
-}
-
-thread_local! {
-    /// Probing workers of the feeds built on this thread; `None`: one per
-    /// core.
-    static FEED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with the feeds it builds on this thread probing on `workers`
-/// threads instead of one per core. No feed byte depends on the count;
-/// this exists so tests can show that.
-#[doc(hidden)]
-pub fn with_feed_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
-    let outer = FEED_WORKERS.replace(Some(workers.max(1)));
-    let out = f();
-    FEED_WORKERS.set(outer);
-    out
-}
-
-/// One probed block: its stream, or its quarantine.
-type Probed = Result<BlockStream, Quarantine>;
-
-/// One probed block of a chunk: its series and its `Finish` totals.
-struct BlockStream {
-    block_id: u64,
-    series: RoundSeries,
-    outages: u32,
-    total_probes: u64,
-}
-
-/// A [`BlockStream`]'s events in emission order: one `Round` per value,
-/// then the `Finish`. Dropped — once its last event is taken — it gives its
-/// series back to the pass's workers.
-struct BlockEvents<'p> {
-    block: BlockStream,
-    /// The next value to send; `values.len()` sends the `Finish`.
-    at: usize,
-    /// The run holding `at`.
-    run: usize,
-    spare: &'p Pool<RoundSeries>,
-}
-
-impl BlockStream {
-    fn events(self, spare: &Pool<RoundSeries>) -> BlockEvents<'_> {
-        BlockEvents { block: self, at: 0, run: 0, spare }
-    }
-}
-
-impl Drop for BlockEvents<'_> {
-    fn drop(&mut self) {
-        let mut series = std::mem::take(&mut self.block.series);
-        series.clear();
-        self.spare.give(series);
-    }
-}
-
-impl Iterator for BlockEvents<'_> {
-    type Item = RoundEvent;
-
-    fn next(&mut self) -> Option<RoundEvent> {
-        let BlockStream { block_id, ref series, outages, total_probes } = self.block;
-        let at = self.at;
-        if at > series.values.len() {
-            return None;
-        }
-        self.at += 1;
-        let Some(&a_short) = series.values.get(at) else {
-            return Some(RoundEvent::Finish { block_id, outages, total_probes });
-        };
-        // Every round was pushed as a `u32`, and a run holds consecutive
-        // pushed rounds, so this narrowing is exact.
-        let round = series.round_at(at, &mut self.run) as u32;
-        Some(RoundEvent::Round { block_id, round, a_short })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.block.series.values.len() + 1).saturating_sub(self.at);
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for BlockEvents<'_> {}
-
-impl<'a> WorldFeed<'a> {
-    /// The feed of every block of `source`. Nothing is probed until it is
-    /// sent.
-    pub fn new(source: &'a WorldSource, cfg: &'a AnalysisConfig, icfg: &IngestConfig) -> Self {
-        WorldFeed::skipping(source, cfg, icfg, &[])
-    }
-
-    /// The feed of every block `skip` does not mark: for reading from the
-    /// start only.
-    fn skipping(
-        source: &'a WorldSource,
-        cfg: &'a AnalysisConfig,
-        icfg: &IngestConfig,
-        skip: &'a [bool],
-    ) -> Self {
-        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
-        WorldFeed {
-            source,
-            cfg,
-            interleave_seed: icfg.interleave_seed,
-            workers: FEED_WORKERS.get().unwrap_or_else(cores),
-            skip,
-            seen: Mutex::default(),
-        }
-    }
-
-    fn seen(&self) -> std::sync::MutexGuard<'_, Seen> {
-        self.seen.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Blocks quarantined by a probing panic in the chunks a pass has
-    /// assembled so far: they send no events.
-    pub fn quarantined(&self) -> Vec<Quarantine> {
-        self.seen().quarantined.clone()
-    }
-
-    /// Probes the chunks from `first` on, on the feed's workers, and hands
-    /// each chunk's streams, in block order, to `read` on the calling
-    /// thread, in chunk order; stops at the first error `read` returns and
-    /// returns it once every worker has joined. `spare` is the pool its
-    /// reader gives spent series back to.
-    ///
-    /// Chunk `c` is the `c`-th run of 256 blocks `skip` does not mark, so
-    /// its blocks are known before any probing. It is probed in a scope of
-    /// its own: the workers claim its blocks from one counter while the
-    /// calling thread reads chunk `c − 1`, then claims blocks beside them.
-    /// The join is the only wait, so a pass holds two chunks, and a panic
-    /// re-raises there. A failed read moves the counter past the chunk's
-    /// end, so the workers stop at their next claim and the chunk is
-    /// dropped uncounted and unrecorded.
-    fn each_chunk<E>(
-        &self,
-        first: usize,
-        spare: &Pool<RoundSeries>,
-        mut read: impl FnMut(u64, Vec<BlockStream>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let ids = |from: u64| {
-            (from..self.source.len() as u64).filter(|&id| !is_replayed(self.skip, id as usize))
-        };
-        let starts: Vec<u64> = ids(0).step_by(CHUNK).collect();
-        let hist = sleepwatch_obs::global().pipeline.stage(Stage::IngestFeedProbe);
-        // The chunk before `c`, probed and waiting to be read.
-        let mut ready = None;
-        for (c, &at) in starts.iter().enumerate().skip(first) {
-            let chunk: Vec<u64> = ids(at).take(CHUNK).collect();
-            let next = AtomicUsize::new(0);
-            // Probes blocks of `chunk` until none is left to claim; returns
-            // them with the µs spent probing.
-            let claim = || {
-                let (mut probed, mut us) = (Vec::new(), 0.0);
-                // Relaxed: the index publishes nothing; blocks come back
-                // through the join.
-                while let Some(&id) = chunk.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let start = hist.enabled().then(Instant::now);
-                    probed.push((id, self.probe_block(id, spare)));
-                    us += start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
-                }
-                (probed, us)
-            };
-            let lists = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..self.workers).map(|_| s.spawn(claim)).collect();
-                let done = ready.take().map_or(Ok(()), |before| read(c as u64 - 1, before));
-                if done.is_err() {
-                    next.store(chunk.len(), Ordering::Relaxed);
-                }
-                let mut lists = vec![claim()];
-                for worker in workers {
-                    lists.push(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
-                }
-                done.map(|()| lists)
-            })?;
-            sleepwatch_obs::global().ingest.feed_chunks.incr();
-            hist.record(lists.iter().map(|(_, us)| us).sum());
-            ready = Some(self.assemble(c, lists.into_iter().flat_map(|(probed, _)| probed)));
-        }
-        ready.map_or(Ok(()), |last| read(starts.len() as u64 - 1, last))
-    }
-
-    /// Chunk `c`'s streams in block order, from its probed blocks in any
-    /// order. The first pass to assemble `c` records its event count and
-    /// quarantines; every chunk before it has been recorded already, since
-    /// a pass starts at a recorded chunk or the first unrecorded one.
-    fn assemble(&self, c: usize, blocks: impl Iterator<Item = (u64, Probed)>) -> Vec<BlockStream> {
-        let mut blocks: Vec<_> = blocks.collect();
-        blocks.sort_unstable_by_key(|&(id, _)| id);
-        let mut seen = self.seen();
-        let record = c == seen.ends.len();
-        debug_assert!(c <= seen.ends.len(), "chunk {c} assembled before the chunks ahead of it");
-        let mut end = seen.ends.last().copied().unwrap_or(0);
-        let mut streams = Vec::with_capacity(blocks.len());
-        for (_, probed) in blocks {
-            match probed {
-                Ok(stream) => {
-                    end += stream.series.values.len() as u64 + 1;
-                    streams.push(stream);
-                }
-                Err(q) if record => seen.quarantined.push(q),
-                Err(_) => {}
-            }
-        }
-        if record {
-            seen.ends.push(end);
-        }
-        streams
-    }
-
-    /// Probes block `id` into a series from `spare`; quarantines it if its
-    /// probing panics.
-    fn probe_block(&self, id: u64, spare: &Pool<RoundSeries>) -> Probed {
-        let (cfg, block) = (self.cfg, self.source.generate_block(id));
-        quarantine_on_panic(cfg, id, || {
-            let mut prober = TrinocularProber::new(&block, cfg.trinocular);
-            let run = prober.run_with_faults(&block, cfg.start_time, cfg.rounds, &cfg.faults);
-            let mut series = spare.take().unwrap_or_default();
-            series.values.reserve_exact(run.records.len());
-            for (round, a_short) in record_rounds(&run.records) {
-                series.push(round, a_short);
-            }
-            let (outages, total_probes) = (run.outages.len() as u32, run.total_probes);
-            BlockStream { block_id: id, series, outages, total_probes }
-        })
-    }
-
-    /// Hands `each` the feed's events from the start of chunk `first` on,
-    /// in feed order; stops at the first error `each` returns. Only a feed
-    /// of every block has its chunks at fixed block ids, so only it may
-    /// start past chunk 0.
-    fn each_event<E>(
-        &self,
-        first: usize,
-        mut each: impl FnMut(RoundEvent) -> Result<(), E>,
-    ) -> Result<(), E> {
-        debug_assert!(first == 0 || self.skip.is_empty(), "chunks move with the skip mask");
-        let spare = Pool::new();
-        self.each_chunk(first, &spare, |c, streams| {
-            // A per-chunk keyed interleave: reproducible for a given seed,
-            // different across chunks, adversarial to any order assumption.
-            let seed = self.interleave_seed.wrapping_add(c);
-            let streams = streams.into_iter().map(|block| block.events(&spare));
-            Interleave::new(streams, seed).try_for_each(&mut each)
-        })
-    }
-
-    /// Every event of the feed, in feed order, to `each`.
-    fn for_each(&self, mut each: impl FnMut(RoundEvent)) {
-        let all = self.each_event(0, |ev| {
-            each(ev);
-            Ok::<(), Infallible>(())
-        });
-        all.unwrap_or_else(|never| match never {})
-    }
-}
-
-impl FeedEvents for WorldFeed<'_> {
-    fn runs_from<E>(
-        &self,
-        from: u64,
-        len: usize,
-        mut run: impl FnMut(&[RoundEvent]) -> Result<(), E>,
-    ) -> Result<u64, E> {
-        // The recorded chunk holding event `from`, or the first unrecorded
-        // one, and how many events of the pass come before `from`.
-        let (chunk, mut into) = {
-            let ends = &self.seen().ends;
-            let chunk = ends.partition_point(|&end| end <= from);
-            (chunk, from - chunk.checked_sub(1).map_or(0, |c| ends[c]))
-        };
-        let mut batch = Vec::with_capacity(len);
-        self.each_event(chunk, |ev| {
-            if into > 0 {
-                into -= 1;
-                return Ok(());
-            }
-            batch.push(ev);
-            if batch.len() == len {
-                run(&batch)?;
-                batch.clear();
-            }
-            Ok(())
-        })?;
-        if !batch.is_empty() {
-            run(&batch)?;
-        }
-        // The pass reached the end, so every chunk is recorded.
-        Ok(self.seen().ends.last().copied().unwrap_or(0))
-    }
-}
-
-/// Materializes the event feed [`ingest_world`] would route — probes
-/// every block and chunk-interleaves the streams with
-/// `icfg.interleave_seed` — for replay over a transport (the chaos
-/// oracle, the throughput bench). Returns the feed and any blocks
-/// quarantined by probing panics. This is [`WorldFeed`] collected.
-pub fn world_feed(
-    source: &WorldSource,
-    cfg: &AnalysisConfig,
-    icfg: &IngestConfig,
-) -> (Vec<RoundEvent>, Vec<Quarantine>) {
-    let feed = WorldFeed::new(source, cfg, icfg);
-    let mut all = Vec::new();
-    feed.for_each(|ev| all.push(ev));
-    (all, feed.quarantined())
-}
-
-/// The run identity a transport session carries for this source and
-/// config — what both feed ends must agree on before events move.
-pub fn feed_identity(source: &WorldSource, cfg: &AnalysisConfig) -> RunIdentity {
-    crate::worldrun::run_identity(source.cfg().seed, source.len(), cfg)
-}
-
 /// Streams a whole world through the engine: probes every block (faults
 /// from `cfg.faults` included), interleaves the streams chunk by chunk,
 /// and ingests them across `icfg.shards` workers. The reports are
@@ -1197,10 +827,11 @@ pub fn ingest_source_resumable(
 mod tests {
     use super::*;
     use crate::analyze::analyze_block;
+    use crate::feed::world_feed;
     use crate::worldrun::analyze_world;
     use sleepwatch_probing::stream::{interleave, replay_run};
     use sleepwatch_probing::transport::IterSource;
-    use sleepwatch_probing::FaultPlan;
+    use sleepwatch_probing::{FaultPlan, TrinocularProber};
     use sleepwatch_simnet::WorldConfig;
 
     fn tiny_source(blocks: usize) -> WorldSource {
@@ -1286,30 +917,6 @@ mod tests {
         assert_eq!(out.quarantined[0].block_id, 7);
         assert_eq!(out.reports.len(), 11);
         assert!(out.reports.iter().all(|r| r.summary.block_id != 7));
-    }
-
-    /// A send whose callback panics re-raises the panic once the workers
-    /// have joined — including the ones waiting for room — instead of
-    /// leaving them, and itself, waiting forever.
-    #[test]
-    fn a_panicking_send_panics_instead_of_hanging() {
-        let (done, finished) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let source = tiny_source(2_000);
-            let cfg = cfg_for(&source, 1.25, FaultPlan::none());
-            let feed =
-                with_feed_workers(4, || WorldFeed::new(&source, &cfg, &IngestConfig::default()));
-            let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                feed.runs_from(0, 256, |_| -> Result<(), ()> {
-                    // Room for the workers to fill the window and wait.
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                    panic!("the reader died")
-                })
-            }));
-            done.send(sent.is_err()).expect("the test is waiting");
-        });
-        let panicked = finished.recv_timeout(std::time::Duration::from_secs(60));
-        assert_eq!(panicked, Ok(true), "the send hung or returned instead of panicking");
     }
 
     /// A feed that panics half-way — an event iterator, or a transport

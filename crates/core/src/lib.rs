@@ -33,6 +33,7 @@ pub mod analyze;
 pub mod applications;
 pub mod binfmt;
 pub mod export;
+pub mod feed;
 pub mod framing {
     //! Shared binary-framing primitives (re-export of
     //! [`sleepwatch_framing`]).
@@ -65,11 +66,11 @@ pub use export::{
     dataset_rows, read_dataset, write_dataset, write_dataset_bin_file, write_dataset_file,
     write_dataset_rows, DatasetRow, ExportError, ParseError,
 };
+pub use feed::{feed_identity, world_feed, WorldFeed};
 pub use framing::{DecodeError, IdentityField, RunIdentity};
 pub use ingest::{
-    feed_identity, ingest_direct, ingest_events, ingest_source, ingest_source_resumable,
-    ingest_world, ingest_world_resumable, world_feed, IngestConfig, IngestOutcome, IngestStats,
-    TransportOutcome, WorldFeed,
+    ingest_direct, ingest_events, ingest_source, ingest_source_resumable, ingest_world,
+    ingest_world_resumable, IngestConfig, IngestOutcome, IngestStats, TransportOutcome,
 };
 pub use journal::{JournalError, JournalHeader, ReplayStats};
 pub use serve::{

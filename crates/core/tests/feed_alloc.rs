@@ -6,17 +6,19 @@
 //!   one being probed. `world_feed` holds the feed it returns plus those
 //!   chunks. That is less than the one chunk of 24 B events a feed held
 //!   when it probed on one thread.
-//! - `write_feed` over a counted `WorldFeed` holds a fixed number of chunks
+//! - `write_feed` over a `WorldFeed` holds a fixed number of chunks
 //!   whatever the world's size: 2 048 blocks peak within one chunk of 256,
 //!   whose one chunk is all a pass over it can hold.
+//! - A feed allocates per chunk, not per block: each worker probes a chunk
+//!   through one scratch, so an extra block costs its spec and little else.
 //!
-//! Both hold at 2 workers and at 4: only `SLACK` grows with the workers.
+//! All hold at 2 workers and at 4: only `SLACK` grows with the workers.
 //!
-//! Live bytes are process-wide, so this binary holds one test and measures
-//! with nothing else running.
+//! Live bytes and allocations are process-wide, so this binary holds one
+//! test and measures with nothing else running.
 
-use counting_alloc::{live_bytes, peak_live_bytes, reset_peak_live_bytes};
-use sleepwatch_core::ingest::with_feed_workers;
+use counting_alloc::{allocations, live_bytes, peak_live_bytes, reset_peak_live_bytes};
+use sleepwatch_core::feed::with_feed_workers;
 use sleepwatch_core::{feed_identity, world_feed, AnalysisConfig, IngestConfig, WorldFeed};
 use sleepwatch_probing::transport::{write_feed, FeedConfig};
 use sleepwatch_probing::RoundEvent;
@@ -30,8 +32,11 @@ const CHUNK: usize = 256;
 /// Chunks of series a pass holds at once.
 const WINDOW: usize = 2;
 /// What a pass holds beside its chunks' series: each worker's block spec
-/// and prober run, and the chunks' stream lists.
+/// and scratch, and the chunks' stream lists.
 const SLACK: usize = 1 << 20;
+/// Most heap allocations a feed may make per block it probes: a fresh
+/// prober and run per block made about 4.6, a worker's scratch under 2.
+const ALLOCS_PER_BLOCK: f64 = 3.0;
 
 fn world(blocks: usize) -> (WorldSource, AnalysisConfig) {
     let wcfg =
@@ -75,6 +80,15 @@ fn written_peak(blocks: usize, threads: usize) -> usize {
     peak
 }
 
+/// Allocations `world_feed` makes over a `blocks`-block world, probed by
+/// `threads` workers.
+fn feed_allocations(blocks: usize, threads: usize) -> usize {
+    let (source, cfg) = world(blocks);
+    let before = allocations();
+    with_feed_workers(threads, || world_feed(&source, &cfg, &IngestConfig::default()));
+    allocations() - before
+}
+
 #[test]
 fn a_feed_holds_two_chunks_of_series_at_any_worker_count() {
     // Six full chunks: enough for four workers to run out of room while
@@ -109,6 +123,15 @@ fn a_feed_holds_two_chunks_of_series_at_any_worker_count() {
             large <= small + chunk_bytes(&cfg) + SLACK,
             "at {threads} threads a 2 048-block feed peaked at {large} B, over one chunk above \
              {small} B at 256 blocks"
+        );
+
+        let extra = feed_allocations(2_048, threads) - feed_allocations(512, threads);
+        let per_block = extra as f64 / (2_048 - 512) as f64;
+        eprintln!("world_feed at {threads} threads: {per_block:.2} allocations per extra block");
+        assert!(
+            per_block <= ALLOCS_PER_BLOCK,
+            "at {threads} threads a feed made {per_block:.2} allocations per extra block, over \
+             {ALLOCS_PER_BLOCK}"
         );
     }
 }

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use sleepwatch_core::ingest::with_feed_workers;
+use sleepwatch_core::feed::with_feed_workers;
 use sleepwatch_core::{AnalysisConfig, IngestConfig, WorldFeed};
 use sleepwatch_probing::transport::FeedEvents;
 use sleepwatch_simnet::{WorldConfig, WorldSource};

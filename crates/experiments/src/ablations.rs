@@ -9,7 +9,7 @@ use sleepwatch_availability::{AvailabilityEstimator, DirectEwmaEstimator};
 use sleepwatch_core::analyze_series;
 use sleepwatch_probing::{TrinocularConfig, TrinocularProber};
 use sleepwatch_simnet::{BlockProfile, BlockSpec, ROUND_SECONDS};
-use sleepwatch_spectral::{acf_diurnal, AcfConfig, DiurnalConfig, LombScargle};
+use sleepwatch_spectral::{acf_diurnal, DiurnalConfig, LombScargle};
 
 /// Ablation: paper estimator vs direct-ratio EWMA under adaptive probing
 /// bias, across true availability levels.
@@ -187,7 +187,6 @@ pub fn ablate_acf(ctx: &Context) -> ExperimentOutput {
 
     let per = ctx.opts.scaled(30, 10) as u64;
     let cfg = AnalysisConfig::over_days(0, 14.0);
-    let acf_cfg = AcfConfig::default();
 
     // Scenario builders: (name, make block, is truly diurnal).
     type Maker = Box<dyn Fn(u64) -> BlockSpec>;
@@ -281,7 +280,7 @@ pub fn ablate_acf(ctx: &Context) -> ExperimentOutput {
             if analysis.diurnal.class.is_strict() {
                 fft += 1;
             }
-            if acf_diurnal(&analysis.series, &acf_cfg).diurnal {
+            if acf_diurnal(&analysis.series).diurnal {
                 acf += 1;
             }
         }

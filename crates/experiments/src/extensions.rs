@@ -10,15 +10,14 @@ use sleepwatch_core::{
 };
 use sleepwatch_geoecon::AsOrgMapper;
 use sleepwatch_probing::{run_census, CensusConfig, TrinocularConfig, TrinocularProber};
-use sleepwatch_simnet::{generate_campus, CampusConfig, ROUND_SECONDS};
+use sleepwatch_simnet::{generate_campus, ROUND_SECONDS};
 use sleepwatch_spectral::{DiurnalClass, DiurnalConfig};
 use std::collections::BTreeMap;
 
 /// §3.2.4: the USC-style campus study — census bootstrap, policy
 /// exclusions, and per-role detection outcomes.
 pub fn usc(ctx: &Context) -> ExperimentOutput {
-    let campus_cfg = CampusConfig { seed: ctx.opts.seed ^ 0x0055_5343, ..Default::default() };
-    let campus = generate_campus(&campus_cfg);
+    let campus = generate_campus(ctx.opts.seed ^ 0x0055_5343);
     // Recent-activity screen: an address must answer at least twice across
     // the census to count toward E(b).
     let census_cfg = CensusConfig { min_responses: 2, ..Default::default() };

@@ -47,7 +47,7 @@ macro_rules! stages {
 }
 
 stages! {
-    /// Adaptive probing of one block (`TrinocularProber::run_with_faults`).
+    /// Adaptive probing of one block, world run or feed (`core::analyze::probe_into`).
     Probe => "probe",
     /// A(b) estimation from raw outage records.
     Estimate => "estimate",
@@ -71,8 +71,8 @@ stages! {
     /// had to wait for its batch.
     IngestQueueWait => "ingest.queue_wait",
     /// A self-generated feed's workers probing one chunk (generate, probe,
-    /// hold its streams or count them): one sample per chunk, the summed
-    /// time of its blocks, whichever workers probed them.
+    /// hold its streams): one sample per chunk, the summed time of its
+    /// blocks, whichever workers probed them.
     IngestFeedProbe => "ingest.feed_probe",
 }
 

@@ -450,20 +450,11 @@ impl TrinocularProber {
     ) -> BlockRun {
         let mut records = Vec::new();
         self.run_into_with_faults(block, start_time, rounds, plan, &mut records);
-        if plan.mangles_order() {
-            // Duplicated/reordered streams legitimately violate the
-            // strict-ascending invariant `BlockRun::new` asserts; build
-            // the run directly and let downstream cleaning cope.
-            BlockRun {
-                block_id: block.id,
-                rounds,
-                records,
-                outages: self.outages.clone(),
-                total_probes: self.total_probes,
-            }
-        } else {
-            BlockRun::new(block.id, rounds, records, self.outages.clone(), self.total_probes)
-        }
+        // `BlockRun::new`'s check, which duplicated or reordered streams
+        // legitimately fail; downstream cleaning copes.
+        debug_assert!(plan.mangles_order() || records.windows(2).all(|w| w[0].round < w[1].round));
+        let outages = self.outages.clone();
+        BlockRun { block_id: block.id, rounds, records, outages, total_probes: self.total_probes }
     }
 
     /// [`run_with_faults`](Self::run_with_faults), writing the round

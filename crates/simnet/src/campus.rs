@@ -47,27 +47,6 @@ impl CampusUse {
     }
 }
 
-/// Campus composition; defaults mirror the USC numbers in §3.2.4.
-#[derive(Debug, Clone, Copy)]
-pub struct CampusConfig {
-    /// Seed for the campus's behaviour streams.
-    pub seed: u64,
-    /// Server blocks.
-    pub server: usize,
-    /// Campus timezone (USC: UTC−8 ≈ −7.9 h from longitude).
-    pub utc_offset_hours: f64,
-}
-
-impl Default for CampusConfig {
-    fn default() -> Self {
-        CampusConfig {
-            seed: 0x0055_5343, // "USC"
-            server: 60,
-            utc_offset_hours: -8.0,
-        }
-    }
-}
-
 /// Overprovisioned wireless blocks (USC: 142).
 const WIRELESS_BLOCKS: usize = 142;
 /// Dynamic pools (USC DNS labels 32 blocks dynamic).
@@ -76,14 +55,19 @@ const DYNAMIC_BLOCKS: usize = 32;
 const GENERAL_BLOCKS: usize = 240;
 /// General-use blocks with a 16-address dynamic pocket.
 const GENERAL_WITH_POCKET_BLOCKS: usize = 40;
+/// Server blocks.
+const SERVER_BLOCKS: usize = 60;
+/// Campus timezone (USC: UTC−8 ≈ −7.9 h from longitude).
+const UTC_OFFSET_HOURS: f64 = -8.0;
 
-/// Builds the campus: `(block, role)` pairs with sequential ids.
-pub fn generate_campus(cfg: &CampusConfig) -> Vec<(BlockSpec, CampusUse)> {
+/// Builds the campus, its behaviour streams keyed by `seed`: `(block,
+/// role)` pairs with sequential ids, in the USC composition of §3.2.4.
+pub fn generate_campus(seed: u64) -> Vec<(BlockSpec, CampusUse)> {
     let mut out = Vec::new();
     let mut id = 0u64;
     let mut push = |role: CampusUse, n: usize, out: &mut Vec<(BlockSpec, CampusUse)>| {
         for _ in 0..n {
-            let mut rng = KeyedRng::from_parts(&[cfg.seed, 0x6361_6d70, id]);
+            let mut rng = KeyedRng::from_parts(&[seed, 0x6361_6d70, id]);
             let profile = match role {
                 CampusUse::Wireless => BlockProfile {
                     // Hundreds of addresses used over months, each up for
@@ -99,7 +83,7 @@ pub fn generate_campus(cfg: &CampusConfig) -> Vec<(BlockSpec, CampusUse)> {
                     duration_spread: 0.5,
                     sigma_start: 1.0,
                     sigma_duration: 0.4,
-                    utc_offset_hours: cfg.utc_offset_hours,
+                    utc_offset_hours: UTC_OFFSET_HOURS,
                 },
                 CampusUse::Dynamic => BlockProfile {
                     n_stable: 5 + rng.below(10) as u16,
@@ -112,20 +96,14 @@ pub fn generate_campus(cfg: &CampusConfig) -> Vec<(BlockSpec, CampusUse)> {
                     duration_spread: 2.0,
                     sigma_start: 0.7,
                     sigma_duration: 0.8,
-                    utc_offset_hours: cfg.utc_offset_hours,
+                    utc_offset_hours: UTC_OFFSET_HOURS,
                 },
                 CampusUse::GeneralUse => BlockProfile {
-                    n_stable: 60 + rng.below(120) as u16,
-                    n_diurnal: 0,
-                    stable_avail: 0.55 + rng.next_f64() * 0.4,
-                    diurnal_avail: 0.0,
-                    onset_hours: 0.0,
-                    onset_spread: 0.0,
-                    duration_hours: 0.0,
-                    duration_spread: 0.0,
-                    sigma_start: 0.0,
-                    sigma_duration: 0.0,
-                    utc_offset_hours: cfg.utc_offset_hours,
+                    utc_offset_hours: UTC_OFFSET_HOURS,
+                    ..BlockProfile::always_on(
+                        60 + rng.below(120) as u16,
+                        0.55 + rng.next_f64() * 0.4,
+                    )
                 },
                 CampusUse::GeneralWithPocket => BlockProfile {
                     // The §3.2.4 surprise: a 16-address dynamic range inside
@@ -140,23 +118,17 @@ pub fn generate_campus(cfg: &CampusConfig) -> Vec<(BlockSpec, CampusUse)> {
                     duration_spread: 1.0,
                     sigma_start: 0.5,
                     sigma_duration: 0.5,
-                    utc_offset_hours: cfg.utc_offset_hours,
+                    utc_offset_hours: UTC_OFFSET_HOURS,
                 },
                 CampusUse::Server => BlockProfile {
-                    n_stable: 40 + rng.below(160) as u16,
-                    n_diurnal: 0,
-                    stable_avail: 0.9 + rng.next_f64() * 0.09,
-                    diurnal_avail: 0.0,
-                    onset_hours: 0.0,
-                    onset_spread: 0.0,
-                    duration_hours: 0.0,
-                    duration_spread: 0.0,
-                    sigma_start: 0.0,
-                    sigma_duration: 0.0,
-                    utc_offset_hours: cfg.utc_offset_hours,
+                    utc_offset_hours: UTC_OFFSET_HOURS,
+                    ..BlockProfile::always_on(
+                        40 + rng.below(160) as u16,
+                        0.9 + rng.next_f64() * 0.09,
+                    )
                 },
             };
-            let mut b = BlockSpec::bare(id, cfg.seed, profile);
+            let mut b = BlockSpec::bare(id, seed, profile);
             // Pocket blocks are predominantly always-on, so the planted
             // ground-truth label follows the operator's expectation.
             b.planted_diurnal = role.expected_diurnal();
@@ -176,7 +148,7 @@ pub fn generate_campus(cfg: &CampusConfig) -> Vec<(BlockSpec, CampusUse)> {
     push(CampusUse::Dynamic, DYNAMIC_BLOCKS, &mut out);
     push(CampusUse::GeneralUse, GENERAL_BLOCKS, &mut out);
     push(CampusUse::GeneralWithPocket, GENERAL_WITH_POCKET_BLOCKS, &mut out);
-    push(CampusUse::Server, cfg.server, &mut out);
+    push(CampusUse::Server, SERVER_BLOCKS, &mut out);
     out
 }
 
@@ -184,10 +156,12 @@ pub fn generate_campus(cfg: &CampusConfig) -> Vec<(BlockSpec, CampusUse)> {
 mod tests {
     use super::*;
 
+    /// "USC".
+    const SEED: u64 = 0x0055_5343;
+
     #[test]
     fn composition_matches_config() {
-        let cfg = CampusConfig::default();
-        let campus = generate_campus(&cfg);
+        let campus = generate_campus(SEED);
         let count = |role: CampusUse| campus.iter().filter(|(_, r)| *r == role).count();
         assert_eq!(count(CampusUse::Wireless), 142);
         assert_eq!(count(CampusUse::Dynamic), 32);
@@ -199,8 +173,7 @@ mod tests {
 
     #[test]
     fn wireless_blocks_are_sparse_at_any_instant() {
-        let cfg = CampusConfig::default();
-        let campus = generate_campus(&cfg);
+        let campus = generate_campus(SEED);
         let (b, _) = campus.iter().find(|(_, r)| *r == CampusUse::Wireless).unwrap();
         // Count live addresses at several times of day.
         let mut total = 0usize;
@@ -218,8 +191,7 @@ mod tests {
 
     #[test]
     fn dynamic_blocks_swing_daily() {
-        let cfg = CampusConfig::default();
-        let campus = generate_campus(&cfg);
+        let campus = generate_campus(SEED);
         let (b, _) = campus.iter().find(|(_, r)| *r == CampusUse::Dynamic).unwrap();
         let mut lo = f64::INFINITY;
         let mut hi = 0.0f64;
@@ -233,8 +205,7 @@ mod tests {
 
     #[test]
     fn server_blocks_are_flat_and_dense() {
-        let cfg = CampusConfig::default();
-        let campus = generate_campus(&cfg);
+        let campus = generate_campus(SEED);
         let (b, _) = campus.iter().find(|(_, r)| *r == CampusUse::Server).unwrap();
         let a0 = b.true_availability(3 * 3_600);
         let a12 = b.true_availability(15 * 3_600);
@@ -253,9 +224,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = CampusConfig::default();
-        let a = generate_campus(&cfg);
-        let b = generate_campus(&cfg);
+        let a = generate_campus(SEED);
+        let b = generate_campus(SEED);
         for ((ba, ra), (bb, rb)) in a.iter().zip(&b) {
             assert_eq!(ra, rb);
             assert_eq!(ba.profile.n_diurnal, bb.profile.n_diurnal);

@@ -47,7 +47,7 @@ pub use behavior::{AddrKey, AddressBehavior};
 pub use block::{
     is_weekend, BlockProfile, BlockSpec, LeaseParams, LinkClass, ProbeMemo, ProbeOutcome,
 };
-pub use campus::{generate_campus, CampusConfig, CampusUse};
+pub use campus::{generate_campus, CampusUse};
 pub use controlled::ControlledConfig;
 pub use rdns::{ptr_name, PtrTemplate};
 pub use world::{shard_of, World, WorldConfig, WorldSource, A12W_START, ROUND_SECONDS, S51W_START};

@@ -100,21 +100,11 @@ pub struct AcfReport {
     pub diurnal: bool,
 }
 
-/// Configuration of the ACF detector.
-#[derive(Debug, Clone, Copy)]
-pub struct AcfConfig {
-    /// Required dominance of the daily lag over the best competitor
-    /// (default 1.5×).
-    pub dominance: f64,
-    /// Sampling period, seconds (default: one 11-minute round).
-    pub sample_period: f64,
-}
+/// Required dominance of the daily lag over the best competitor.
+const DOMINANCE: f64 = 1.5;
 
-impl Default for AcfConfig {
-    fn default() -> Self {
-        AcfConfig { dominance: 1.5, sample_period: crate::ROUND_SECONDS }
-    }
-}
+/// Sampling period, seconds: one 11-minute round.
+const SAMPLE_PERIOD: f64 = crate::ROUND_SECONDS;
 
 /// Minimum `r` at the daily lag.
 const MIN_R_DAY: f64 = 0.3;
@@ -123,8 +113,8 @@ const MIN_R_DAY: f64 = 0.3;
 ///
 /// All scanned lags come from one [`autocorrelation_all`] pass (FFT-based,
 /// plan-cached) rather than a direct `O(n)` evaluation per lag.
-pub fn acf_diurnal(series: &[f64], cfg: &AcfConfig) -> AcfReport {
-    let lag_day = (86_400.0 / cfg.sample_period).round() as usize;
+pub fn acf_diurnal(series: &[f64]) -> AcfReport {
+    let lag_day = (86_400.0 / SAMPLE_PERIOD).round() as usize;
     let all = autocorrelation_all(series);
     let at = |lag: usize| all.get(lag).copied().unwrap_or(0.0);
     let r_day = at(lag_day);
@@ -144,7 +134,7 @@ pub fn acf_diurnal(series: &[f64], cfg: &AcfConfig) -> AcfReport {
             competitor_lag = lag;
         }
     }
-    let diurnal = r_day >= MIN_R_DAY && r_day >= cfg.dominance * r_competitor.max(0.0);
+    let diurnal = r_day >= MIN_R_DAY && r_day >= DOMINANCE * r_competitor.max(0.0);
     AcfReport { r_day, r_competitor, competitor_lag, diurnal }
 }
 
@@ -218,12 +208,11 @@ mod tests {
 
     #[test]
     fn detector_accepts_diurnal_rejects_flat_and_noise() {
-        let cfg = AcfConfig::default();
-        assert!(acf_diurnal(&daily(14, 0.4, 0.1), &cfg).diurnal);
-        assert!(!acf_diurnal(&vec![0.6; 1_833], &cfg).diurnal);
+        assert!(acf_diurnal(&daily(14, 0.4, 0.1)).diurnal);
+        assert!(!acf_diurnal(&vec![0.6; 1_833]).diurnal);
         let noise: Vec<f64> =
             (0..1_833).map(|i| ((i as f64 * 78.233).sin() * 43_758.545_3).fract()).collect();
-        assert!(!acf_diurnal(&noise, &cfg).diurnal);
+        assert!(!acf_diurnal(&noise).diurnal);
     }
 
     #[test]
@@ -238,7 +227,7 @@ mod tests {
                 0.5 + 0.3 * (2.0 * std::f64::consts::PI * t / 9.0).sin()
             })
             .collect();
-        let rep = acf_diurnal(&xs, &AcfConfig::default());
+        let rep = acf_diurnal(&xs);
         assert!(!rep.diurnal, "9h cycle misread as daily: {rep:?}");
     }
 
@@ -255,7 +244,7 @@ mod tests {
                 0.5 + if frac < 0.4 { amp } else { -amp }
             })
             .collect();
-        let rep = acf_diurnal(&xs, &AcfConfig::default());
+        let rep = acf_diurnal(&xs);
         assert!(rep.r_day > 0.5, "r_day {}", rep.r_day);
         assert!(rep.diurnal);
     }

@@ -49,7 +49,7 @@ pub mod periodogram;
 pub mod plan;
 pub mod stationarity;
 
-pub use acf::{acf_diurnal, autocorrelation, autocorrelation_all, AcfConfig, AcfReport};
+pub use acf::{acf_diurnal, autocorrelation, autocorrelation_all, AcfReport};
 pub use complex::Complex;
 pub use diurnal::{classify, classify_series, DiurnalClass, DiurnalConfig, DiurnalReport};
 pub use fft::{dft_naive, fft, fft_real, ifft};

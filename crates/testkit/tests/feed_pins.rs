@@ -22,7 +22,7 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-use sleepwatch_core::ingest::with_feed_workers;
+use sleepwatch_core::feed::with_feed_workers;
 use sleepwatch_core::{
     feed_identity, world_feed, AnalysisConfig, IngestConfig, Quarantine, RunIdentity, WorldFeed,
 };

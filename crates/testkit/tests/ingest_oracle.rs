@@ -15,7 +15,7 @@
 //! default keeps debug tier-1 runs tractable while release runs cover
 //! the full world.
 
-use sleepwatch_core::ingest::with_feed_workers;
+use sleepwatch_core::feed::with_feed_workers;
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
     analyze_block, analyze_world, analyze_world_resumable, ingest_world, ingest_world_resumable,

@@ -7,7 +7,7 @@
 //! process-wide; activity is isolated with snapshot deltas around the
 //! measured call.
 
-use sleepwatch_core::ingest::with_feed_workers;
+use sleepwatch_core::feed::with_feed_workers;
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::serve::index::Filter;
 use sleepwatch_core::serve::{serve_streams, LruOutcome};
@@ -623,7 +623,9 @@ fn feed_chunks_count_each_pass_over_the_world() {
 /// completes a chunk records the chunk's total: one `stage.ingest.feed_probe`
 /// sample per `ingest.feed_chunks` count on every kind of pass — collected,
 /// written, resumed, cut short by a failed send, ingested — at
-/// one worker and at three. The feed is the same with metrics off.
+/// one worker and at three. Each block a feed generates is one `stage.probe`
+/// sample; an ingest's finalization generates them again but does not
+/// probe. The feed is the same with metrics off.
 #[test]
 fn feed_probe_samples_once_per_probed_chunk() {
     let _g = lock();
@@ -632,33 +634,37 @@ fn feed_probe_samples_once_per_probed_chunk() {
         let cfg = AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days);
         let source = WorldSource::new(wcfg);
         let identity = feed_identity(&source, &cfg);
-        let samples_match = |tag: &str, d: &Snapshot| {
+        let samples_match = |tag: &str, d: &Snapshot, probed: u64| {
             let samples = d.histogram("stage.ingest.feed_probe").map_or(0, |h| h.count);
             assert!(samples > 0, "{tag}: no chunk probed");
             assert_eq!(samples, d.counter("ingest.feed_chunks"), "{tag}");
+            let probes = d.histogram("stage.probe").map_or(0, |h| h.count);
+            assert_eq!(probes, probed, "{tag}: stage.probe samples");
         };
+        let generated = |d: &Snapshot| d.counter("simnet.blocks_generated");
         let icfg = IngestConfig { shards: 2, ..Default::default() };
         for threads in [1, 3] {
             with_feed_workers(threads, || {
                 let ((events, _), d) = measure(|| world_feed(&source, &cfg, &icfg));
-                samples_match(&format!("world_feed, {threads} threads"), &d);
+                samples_match(&format!("world_feed, {threads} threads"), &d, generated(&d));
 
                 let feed = WorldFeed::new(&source, &cfg, &icfg);
                 let ((), d) = measure(|| {
                     write_feed(&mut std::io::sink(), &feed, &identity, 256)
                         .expect("write into a sink")
                 });
-                samples_match(&format!("written, {threads} threads"), &d);
+                samples_match(&format!("written, {threads} threads"), &d, generated(&d));
 
                 let from = events.iter().filter(|ev| ev.block_id() < 300).count() as u64;
                 let (_, d) = measure(|| feed.runs_from(from, 256, |_| Ok::<(), ()>(())));
-                samples_match(&format!("RESUME({from}), {threads} threads"), &d);
+                samples_match(&format!("RESUME({from}), {threads} threads"), &d, generated(&d));
                 let (sent, d) = measure(|| feed.runs_from(0, 256, |_| Err(())));
                 assert_eq!(sent, Err(()));
-                samples_match(&format!("failed send, {threads} threads"), &d);
+                samples_match(&format!("failed send, {threads} threads"), &d, generated(&d));
 
                 let (_, d) = measure(|| ingest_world(&source, &cfg, &icfg));
-                samples_match(&format!("ingest_world, {threads} threads"), &d);
+                let tag = format!("ingest_world, {threads} threads");
+                samples_match(&tag, &d, source.len() as u64);
 
                 sleepwatch_obs::set_global_enabled(false);
                 let (unmetered, _) = world_feed(&source, &cfg, &icfg);
