@@ -11,13 +11,17 @@
 //!   block's stream always lands on one worker, in order. Cross-block
 //!   arrival order is irrelevant by construction — the equivalence
 //!   proptests feed adversarial interleavings to prove it.
-//! * **Backpressure.** Each shard consumes event batches from a bounded
-//!   `std::sync::mpsc::sync_channel` of `max(1, capacity / batch_events)`
-//!   batches; a feeder outrunning the workers blocks in `send` instead of
-//!   buffering unboundedly, so a shard's queue holds at most
-//!   `max(capacity, batch_events) × 24 B`. Spent batch buffers recycle
-//!   through a pool so the feeder rewrites the same cache-hot lines. The
-//!   feeder owns the senders: however it leaves — done or unwinding — the
+//! * **Backpressure.** Each shard consumes event batches (4 096 events by
+//!   default) from a bounded `std::sync::mpsc::sync_channel` of
+//!   `max(1, capacity / batch_events)` batches (8 by default); a feeder
+//!   outrunning the workers blocks in `send` instead of buffering
+//!   unboundedly, so a shard's queue holds at most
+//!   `max(capacity, batch_events) × 24 B` (768 KiB by default). Batches
+//!   this large spare a shard a sleep on an empty channel between small
+//!   ones, at the price that a trickling feed's partial batch waits for a
+//!   full one or the stream's end. Spent batch buffers recycle through a
+//!   pool so the feeder rewrites the same cache-hot lines. The feeder
+//!   owns the senders: however it leaves — done or unwinding — the
 //!   channels close, and the shards drain them and retire.
 //! * **Lanes.** Each in-flight block ("lane") keeps its `Âs` values in
 //!   arrival order plus a run list that is one entry unless rounds broke
@@ -92,8 +96,8 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             shards: 4,
-            queue_capacity: 8_192,
-            batch_events: 512,
+            queue_capacity: 32_768,
+            batch_events: 4_096,
             interleave_seed: 0x57A7_F00D,
         }
     }
@@ -188,6 +192,7 @@ struct Router<'a> {
     buffers: Vec<Vec<RoundEvent>>,
     batch_events: usize,
     rounds_routed: u64,
+    batches_sent: u64,
     stalls: u64,
 }
 
@@ -225,18 +230,19 @@ impl Router<'_> {
         if accepted {
             // Relaxed: only the high-water statistic reads it (see the shard).
             self.sent[shard].fetch_add(len, Ordering::Relaxed);
+            self.batches_sent += 1;
         }
     }
 
     /// Sends every partial batch and closes the channels; returns the
-    /// rounds routed and the stalls.
-    fn finish(mut self) -> (u64, u64) {
+    /// rounds routed, the batches sent and the stalls.
+    fn finish(mut self) -> (u64, u64, u64) {
         for (shard, buf) in std::mem::take(&mut self.buffers).into_iter().enumerate() {
             if !buf.is_empty() {
                 self.send(shard, buf);
             }
         }
-        (self.rounds_routed, self.stalls)
+        (self.rounds_routed, self.batches_sent, self.stalls)
     }
 }
 
@@ -568,7 +574,7 @@ fn run_engine(
 
     let mut quarantined_at_feed = Vec::new();
     let pool = Pool::new();
-    let (rounds_routed, stalls) = std::thread::scope(|s| {
+    let (rounds_routed, batches_sent, stalls) = std::thread::scope(|s| {
         for (queue, sent) in receivers.into_iter().zip(&sent) {
             let (lock, pool) = (&lock, &pool);
             s.spawn(move || {
@@ -631,6 +637,7 @@ fn run_engine(
             pool: &pool,
             batch_events,
             rounds_routed: 0,
+            batches_sent: 0,
             stalls: 0,
         };
         feed(&mut router, &skip, &mut quarantined_at_feed);
@@ -648,6 +655,7 @@ fn run_engine(
     let out = out.assemble();
     let obs = &sleepwatch_obs::global().ingest;
     obs.rounds_routed.add(out.stats.rounds_routed);
+    obs.batches_sent.add(batches_sent);
     obs.backpressure_stalls.add(out.stats.backpressure_stalls);
     obs.queue_high_water.raise(out.stats.queue_high_water as u64);
     obs.open_lanes.raise(out.stats.open_lanes as u64);

@@ -309,6 +309,8 @@ metrics! {
         rounds_routed: counter,
         /// Feeder pushes that blocked on a full shard queue.
         backpressure_stalls: counter,
+        /// Event batches the router handed to shard queues.
+        batches_sent: counter,
         /// Highest queued-event count observed on any shard queue.
         queue_high_water: gauge,
         /// Most blocks open at once on any one shard.

@@ -1290,7 +1290,9 @@ pub fn serve_feed<F: FeedEvents + ?Sized>(
             std::thread::sleep(Duration::from_millis(delay));
             waited += delay;
         }
-        match endpoint.open(Duration::from_millis(200)) {
+        // A one-nap accept window (Dial ignores it), so an accepting
+        // server reads `stop` at every nap.
+        match endpoint.open(Duration::from_millis(2)) {
             Ok(mut stream) => match serve_connection(&mut stream, events, cfg) {
                 Ok(()) => {
                     served += 1;
@@ -1329,7 +1331,7 @@ pub fn serve_feed<F: FeedEvents + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn ident() -> RunIdentity {
         RunIdentity { world_seed: 7, num_blocks: 3, rounds: 40, start_time: 1_000 }
@@ -1733,6 +1735,30 @@ mod tests {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         })
+    }
+
+    /// An accepting server with no client returns within a nap or so of
+    /// `stop` being raised.
+    #[test]
+    fn an_accepting_server_stops_within_one_nap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                let (accept, cfg) = (Endpoint::Accept(listener), FeedConfig::new(ident()));
+                let served =
+                    serve_feed(&accept, &sample_events(5), &cfg, &BackoffConfig::default(), &stop);
+                (served, Instant::now())
+            });
+            // Long after the server's first nap.
+            std::thread::sleep(Duration::from_millis(30));
+            let raised = Instant::now();
+            stop.store(true, Ordering::Relaxed);
+            let (served, returned) = server.join().unwrap();
+            assert_eq!(served.unwrap(), 0);
+            let late = returned.duration_since(raised);
+            assert!(late < Duration::from_millis(50), "returned {late:?} after stop");
+        });
     }
 
     #[test]

@@ -464,6 +464,7 @@ fn ingest_counters_match_ingest_stats() {
             per_shard[sleepwatch_simnet::shard_of(ev.block_id(), icfg.shards)] += 1;
         }
         let batches: usize = per_shard.iter().map(|n| n.div_ceil(icfg.batch_events)).sum();
+        assert_eq!(d.counter("ingest.batches_sent"), batches as u64);
         let waits = d.histogram("stage.ingest.queue_wait").map_or(0, |h| h.count);
         assert!(waits <= batches as u64, "{waits} waiting pops for {batches} batches");
     });
