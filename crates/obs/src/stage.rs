@@ -74,6 +74,10 @@ stages! {
     /// hold its streams): one sample per chunk, the summed time of its
     /// blocks, whichever workers probed them.
     IngestFeedProbe => "ingest.feed_probe",
+    /// A TCP feed source reconnecting: one sample from the poison that
+    /// dropped a connection to the next completed handshake, one per
+    /// `transport.reconnects`.
+    TransportReconnect => "transport.reconnect",
 }
 
 /// Measures the wall time of a scope and records it (in microseconds)

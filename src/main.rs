@@ -540,7 +540,7 @@ fn wire_source(
     }
     if let Some(path) = &a.from_file {
         let f = std::fs::File::open(path).map_err(|e| format!("could not open {path}: {e}"))?;
-        let fs = FileSource::new(std::io::BufReader::new(f), &identity, a.strict)
+        let fs = FileSource::new(f, &identity, a.strict)
             .map_err(|e| format!("could not read feed {path}: {e}"))?;
         return Ok(Some(Box::new(fs)));
     }
