@@ -10,7 +10,10 @@
 //!   `hash(block) → shard` ([`sleepwatch_simnet::shard_of`]) so one
 //!   block's stream always lands on one worker, in order. Cross-block
 //!   arrival order is irrelevant by construction — the equivalence
-//!   proptests feed adversarial interleavings to prove it.
+//!   proptests feed adversarial interleavings to prove it. A wire-fed
+//!   ingest ([`ingest_source`]) pulls its source a frame at a time
+//!   (`EventSource::next_run`) and routes the frame's events from the
+//!   borrowed slice: one call per frame, not per event.
 //! * **Backpressure.** Each shard consumes event batches (4 096 events by
 //!   default) from a bounded `std::sync::mpsc::sync_channel` of
 //!   `max(1, capacity / batch_events)` batches (8 by default); a feeder
@@ -30,7 +33,10 @@
 //!   its window in place as the tail of those values and defers a verdict
 //!   that falls due until the next one, or the lane's finish. Finished
 //!   lanes' buffers go back to the shard's free list, so the steady state
-//!   opens lanes without allocating.
+//!   opens lanes without allocating. A shard finds a block's lane in a map
+//!   hashed by a splitmix64 finalizer under a secret per-shard key, not
+//!   SipHash: one lookup per event, and ids from the wire still cannot be
+//!   aimed at one bucket group.
 //! * **Grouped, exact finalization.** A finished block waits in its
 //!   shard's group, which flushes when it holds [`MAX_BATCH_LANES`]
 //!   blocks, when the shard's queue is empty (rather than sleep on it),
@@ -51,8 +57,9 @@
 //!   unfinished ones (up to seven finished but not yet flushed per
 //!   shard among them), healing to the same verdict set.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -340,13 +347,62 @@ struct Finished {
     total_probes: u64,
 }
 
+/// The lane map's hasher: the splitmix64 finalizer of `block id ^ key`,
+/// two multiply-xorshift rounds per lookup in place of SipHash.
+/// Block ids come off the wire, so the key is secret, drawn per shard
+/// from the standard library's randomly seeded [`RandomState`]: without
+/// it a peer cannot pick ids that share a bucket group. Nothing reads the
+/// map's order (open lanes are sorted before they are reported).
+#[derive(Clone, Copy)]
+struct LaneKey(u64);
+
+impl LaneKey {
+    fn new() -> Self {
+        LaneKey(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for LaneKey {
+    type Hasher = LaneHasher;
+
+    fn build_hasher(&self) -> LaneHasher {
+        LaneHasher(self.0)
+    }
+}
+
+/// The running state of one [`LaneKey`] hash.
+struct LaneHasher(u64);
+
+impl Hasher for LaneHasher {
+    /// Folds any bytes in, eight at a time; the map hashes `u64` ids
+    /// through [`write_u64`](Hasher::write_u64) alone.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let mut z = self.0 ^ id;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Per-shard processing state, shared by the threaded worker and the
 /// queue-less direct path so both run byte-identical per-event logic.
 struct ShardState<'a> {
     source: &'a WorldSource,
     cfg: &'a AnalysisConfig,
     live_cfg: OnlineConfig,
-    lanes: HashMap<u64, Lane>,
+    lanes: HashMap<u64, Lane, LaneKey>,
     /// Finished blocks not yet flushed, in finish order.
     finished: Vec<Finished>,
     /// The flushing group's specs, aligned with `finished`.
@@ -368,7 +424,7 @@ impl<'a> ShardState<'a> {
             source,
             cfg,
             live_cfg,
-            lanes: HashMap::new(),
+            lanes: HashMap::with_hasher(LaneKey::new()),
             finished: Vec::with_capacity(MAX_BATCH_LANES),
             specs: Vec::with_capacity(MAX_BATCH_LANES),
             spare: Vec::new(),
@@ -789,9 +845,12 @@ pub fn ingest_source(
     ingest_pulled(source, cfg, icfg, events, Resume::default())
 }
 
-/// The pull loop both `ingest_source*` entry points share: routes every
-/// event of a block `resume` has not already replayed until the stream
-/// ends or fails.
+/// The pull loop both `ingest_source*` entry points share: takes the
+/// stream a frame at a time ([`next_run`]) and routes every event of a
+/// block `resume` has not already replayed, until the stream ends or
+/// fails.
+///
+/// [`next_run`]: sleepwatch_probing::transport::EventSource::next_run
 fn ingest_pulled(
     source: &WorldSource,
     cfg: &AnalysisConfig,
@@ -801,10 +860,15 @@ fn ingest_pulled(
 ) -> TransportOutcome {
     let mut error = None;
     let outcome = run_engine(source, cfg, icfg, resume, |router, skip, _| loop {
-        match events.next_event() {
-            Ok(Some(ev)) if is_replayed(skip, ev.block_id() as usize) => {}
-            Ok(Some(ev)) => router.route(ev),
-            Ok(None) => break,
+        match events.next_run() {
+            Ok([]) => break,
+            Ok(run) => {
+                for &ev in run {
+                    if !is_replayed(skip, ev.block_id() as usize) {
+                        router.route(ev);
+                    }
+                }
+            }
             Err(e) => {
                 error = Some(e);
                 break;
@@ -1011,6 +1075,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A lane key hashes a block id as the splitmix64 finalizer of
+    /// `id ^ key`, keys differ between shards, and bytes of any length
+    /// fold in eight at a time.
+    #[test]
+    fn lane_keys_hash_ids_through_a_keyed_finalizer() {
+        let splitmix = |mut z: u64| {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (a, b) = (LaneKey::new(), LaneKey::new());
+        assert_ne!(a.0, b.0, "two shards drew one key");
+        for id in [0u64, 1, 7, 1 << 40, u64::MAX] {
+            assert_eq!(a.hash_one(id), splitmix(id ^ a.0), "id {id}");
+        }
+        let mut h = a.build_hasher();
+        h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let mut want = a.build_hasher();
+        want.write_u64(u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]));
+        want.write_u64(9);
+        assert_eq!(h.finish(), want.finish());
     }
 
     /// Tiny queues force backpressure; the outcome is unchanged and the

@@ -8,9 +8,10 @@
 //!
 //! * the CRC32 (IEEE 802.3) used to close every frame, incremental so a
 //!   frame checksum can be chained to the file it belongs to, and sliced
-//!   eight bytes per step (eight compile-time tables, safe Rust) because
-//!   every wire, journal and dataset byte passes through it on both the
-//!   writing and the reading side;
+//!   eight bytes per step (eight compile-time tables, safe Rust), on four
+//!   independent chains for inputs of 512 B or more, because every wire,
+//!   journal and dataset byte passes through it on both the writing and
+//!   the reading side;
 //! * a 64-byte little-endian *prelude* (magic, version, endianness tag,
 //!   kind/mode, run identity, record count, header CRC) shared by every
 //!   versioned header, so one validator produces one consistent
@@ -41,6 +42,19 @@ use std::fmt;
 // classic byte-at-a-time table; `CRC_TABLES[k][i]` is the CRC state
 // after byte `i` followed by `k` zero bytes, so eight look-ups that do
 // not depend on each other advance the state by eight bytes.
+//
+// One chain is latency-bound: each step's look-ups wait on the state the
+// previous step produced. An input of 512 B or more is therefore cut into
+// four quarters of `q` bytes (a multiple of eight) and a tail of fewer
+// than 32, and the quarters run as four chains in one loop, the first
+// from the current state and the other three from zero. The CRC is linear
+// over GF(2), so appending `q` bytes to a state multiplies it by
+// `x^(8q) mod P` and adds the CRC of those bytes from zero; the four
+// states fold as `((a·X ⊕ b)·X ⊕ c)·X ⊕ d` with `X = x^(8q) mod P` (the
+// identity behind zlib's `crc32_combine`), and the tail finishes on one
+// chain. Below 512 B the fold's fixed cost outweighs the overlap.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
 static CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -48,7 +62,7 @@ static CRC_TABLES: [[u32; 256]; 8] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         tables[0][i] = c;
@@ -66,6 +80,78 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     }
     tables
 };
+
+/// Smallest quarter, in bytes, worth four chains and a fold: inputs of
+/// 512 B or more.
+const FOUR_CHAIN_MIN_QUARTER: usize = 128;
+
+/// `a·b mod P` over GF(2), both in the reflected representation (bit 31
+/// is `x^0`).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let (mut a, mut product) = (a, 0u32);
+    while a != 0 {
+        product ^= b & ((a as i32) >> 31) as u32;
+        a <<= 1;
+        b = (b >> 1) ^ (CRC_POLY & (b & 1).wrapping_neg());
+    }
+    product
+}
+
+/// `X2N[k] = x^(2^k) mod P`, reflected. 64 entries cover any `x^(8n)` a
+/// slice length can ask for.
+static X2N: [u32; 64] = {
+    let mut table = [0u32; 64];
+    table[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 64 {
+        table[k] = mul_mod_p(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+/// `x^(8n) mod P`, reflected: the operator that appends `n` zero bytes to
+/// a CRC state.
+fn x8n(n: usize) -> u32 {
+    let (mut n, mut k, mut x) = (n, 3, 1u32 << 31);
+    while n != 0 {
+        if n & 1 != 0 {
+            x = mul_mod_p(X2N[k], x);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    x
+}
+
+/// Advances `state` over the eight bytes of `w`.
+#[inline(always)]
+fn crc_step8(state: u32, w: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][(lo >> 8 & 0xFF) as usize]
+        ^ t[5][(lo >> 16 & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][(hi >> 8 & 0xFF) as usize]
+        ^ t[1][(hi >> 16 & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// Advances `state` over `bytes` on one chain: eight bytes per step, then
+/// a byte at a time.
+fn crc_one_chain(mut state: u32, bytes: &[u8]) -> u32 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        state = crc_step8(state, w);
+    }
+    for &b in words.remainder() {
+        state = (state >> 8) ^ CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize];
+    }
+    state
+}
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -94,27 +180,29 @@ impl Crc32 {
         Crc32 { state: !0 }
     }
 
-    /// Feeds `bytes` into the checksum.
+    /// Feeds `bytes` into the checksum: on four chains folded into one
+    /// when `bytes` holds 512 B or more, on one chain otherwise.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut state = self.state;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            state = t[7][(lo & 0xFF) as usize]
-                ^ t[6][(lo >> 8 & 0xFF) as usize]
-                ^ t[5][(lo >> 16 & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][(hi >> 8 & 0xFF) as usize]
-                ^ t[1][(hi >> 16 & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
+        let q = (bytes.len() / 4) & !7;
+        if q < FOUR_CHAIN_MIN_QUARTER {
+            self.state = crc_one_chain(self.state, bytes);
+            return;
         }
-        for &b in words.remainder() {
-            state = (state >> 8) ^ t[0][((state ^ b as u32) & 0xFF) as usize];
+        let (a, rest) = bytes.split_at(q);
+        let (b, rest) = rest.split_at(q);
+        let (c, rest) = rest.split_at(q);
+        let (d, tail) = rest.split_at(q);
+        let (mut sa, mut sb, mut sc, mut sd) = (self.state, 0, 0, 0);
+        let quarters = a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8));
+        for (((wa, wb), wc), wd) in quarters.zip(d.chunks_exact(8)) {
+            sa = crc_step8(sa, wa);
+            sb = crc_step8(sb, wb);
+            sc = crc_step8(sc, wc);
+            sd = crc_step8(sd, wd);
         }
-        self.state = state;
+        let x = x8n(q);
+        let folded = mul_mod_p(x, mul_mod_p(x, mul_mod_p(x, sa) ^ sb) ^ sc) ^ sd;
+        self.state = crc_one_chain(folded, tail);
     }
 
     /// The checksum over everything fed so far.
@@ -717,6 +805,37 @@ mod tests {
                 let want = crc32_bitwise(bytes);
                 assert_eq!(crc32(bytes), want, "one-shot, start {start} len {len}");
                 for cut in 0..=len {
+                    let mut inc = Crc32::new();
+                    inc.update(&bytes[..cut]);
+                    inc.update(&bytes[cut..]);
+                    assert_eq!(inc.finish(), want, "start {start} len {len} split at {cut}");
+                }
+            }
+        }
+    }
+
+    /// Lengths on both sides of the four-chain threshold (512 B) and far
+    /// past it, at every alignment, one-shot and split so that one half of
+    /// an `update` pair straddles the threshold: a wrong fold shows here,
+    /// not only in byte goldens.
+    #[test]
+    fn crc_four_chain_fold_matches_the_bitwise_definition() {
+        let mut x = 0x2545_F491u32;
+        let data: Vec<u8> = (0..65_537 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 7) as u8
+            })
+            .collect();
+        let lengths = (500..=530).chain([4_095, 4_096, 4_097, 6_433, 65_537]);
+        for len in lengths {
+            for start in 0..=8 {
+                let bytes = &data[start..start + len];
+                let want = crc32_bitwise(bytes);
+                assert_eq!(crc32(bytes), want, "one-shot, start {start} len {len}");
+                for cut in [0, 1, len / 3, len - 1, len] {
                     let mut inc = Crc32::new();
                     inc.update(&bytes[..cut]);
                     inc.update(&bytes[cut..]);

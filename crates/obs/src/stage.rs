@@ -78,6 +78,9 @@ stages! {
     /// dropped a connection to the next completed handshake, one per
     /// `transport.reconnects`.
     TransportReconnect => "transport.reconnect",
+    /// A feed source decoding one frame: length checks, chained CRC and
+    /// event parse, one sample per `transport.frames`.
+    TransportDecode => "transport.decode",
 }
 
 /// Measures the wall time of a scope and records it (in microseconds)

@@ -44,7 +44,10 @@
 //! Both sources implement [`EventSource`], the one trait the ingest
 //! feeder needs, over that one reader and one sequence cursor; each keeps
 //! only its policy for damage, gaps and the stream's end (a file skips
-//! and counts, a socket reconnects and resumes). The chaos oracle in
+//! and counts, a socket reconnects and resumes) in one `pull` that reads
+//! frames until events are pending. The consumer takes them one at a time
+//! ([`EventSource::next_event`]) or, as ingest does, the rest of the frame
+//! as one borrowed slice ([`EventSource::next_run`]). The chaos oracle in
 //! `sleepwatch-testkit` proves that verdicts ingested through this wire
 //! under severs, flips, stalls, duplicated and reordered frames are
 //! Debug-identical to batch analysis.
@@ -403,6 +406,11 @@ impl Batch {
         Some(ev)
     }
 
+    /// True while events remain to be handed out.
+    fn has_rest(&self) -> bool {
+        self.next < self.events.len()
+    }
+
     /// Marks the first `n` events as already taken (resume duplicates).
     fn skip(&mut self, n: usize) {
         self.next = n.min(self.events.len());
@@ -516,28 +524,42 @@ pub fn decode_frame(buf: &[u8], chain: u32) -> FrameDecode {
 
 /// A blocking, pull-based source of [`RoundEvent`]s — the one interface
 /// the ingest feeder consumes. Pull-based is the backpressure story:
-/// while the consumer is not calling [`EventSource::next_event`], a
-/// socket-backed source is not reading, and TCP flow control pushes back
-/// on the sender with no unbounded buffering anywhere.
+/// while the consumer is not pulling, a socket-backed source is not
+/// reading, and TCP flow control pushes back on the sender with no
+/// unbounded buffering anywhere.
+///
+/// Two pulls deliver the same events, frames and accounting, and may be
+/// mixed: ingest takes a frame at a time with
+/// [`next_run`](EventSource::next_run), so it pays one call per frame
+/// rather than per event; [`next_event`](EventSource::next_event) is for
+/// consumers that want one event at a time.
 pub trait EventSource {
     /// The next event, blocking as needed. `Ok(None)` is end of stream.
     fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError>;
+
+    /// The events of the current frame not yet taken, all now taken,
+    /// pulling frames exactly as [`next_event`](EventSource::next_event)
+    /// does when none are left. An empty run is end of stream.
+    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError>;
 
     /// Transport accounting so far.
     fn stats(&self) -> TransportStats;
 }
 
 /// Adapts an in-memory iterator to [`EventSource`] — the zero-transport
-/// baseline benches compare the wire against.
+/// baseline benches compare the wire against. Its runs are up to
+/// [`MAX_FRAME_EVENTS`] events, collected into one reused buffer.
 pub struct IterSource<I> {
     iter: I,
+    run: Vec<RoundEvent>,
     stats: TransportStats,
 }
 
 impl<I: Iterator<Item = RoundEvent>> IterSource<I> {
     /// Wraps an iterator.
     pub fn new(iter: I) -> Self {
-        IterSource { iter, stats: TransportStats { clean_end: true, ..Default::default() } }
+        let stats = TransportStats { clean_end: true, ..Default::default() };
+        IterSource { iter, run: Vec::new(), stats }
     }
 }
 
@@ -548,6 +570,13 @@ impl<I: Iterator<Item = RoundEvent>> EventSource for IterSource<I> {
             self.stats.events += 1;
         }
         Ok(ev)
+    }
+
+    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError> {
+        self.run.clear();
+        self.run.extend(self.iter.by_ref().take(MAX_FRAME_EVENTS));
+        self.stats.events += self.run.len() as u64;
+        Ok(&self.run)
     }
 
     fn stats(&self) -> TransportStats {
@@ -572,6 +601,14 @@ struct Cursor {
 }
 
 impl Cursor {
+    /// The rest of the pending frame, taken and counted as delivered.
+    fn take_run(&mut self) -> &[RoundEvent] {
+        let from = std::mem::replace(&mut self.pending.next, self.pending.events.len());
+        let run = &self.pending.events[from..];
+        self.stats.events += run.len() as u64;
+        run
+    }
+
     /// Applies the events frame at `seq`, now in `pending`: drops the
     /// already-seen prefix (resume duplicates) and advances past the rest.
     /// A frame that starts past the cursor is dropped whole, and the
@@ -662,9 +699,11 @@ impl<R: Read> FrameReader<R> {
 
     /// Reads until a frame decodes, consumes and counts it, and returns
     /// it; an events frame's events are left in `cur.pending`, not yet
-    /// applied.
+    /// applied. The decode of each frame is one `transport.decode` sample.
     fn next(&mut self, cur: &mut Cursor) -> Result<Frame, Stop> {
+        let hist = sleepwatch_obs::global().pipeline.stage(sleepwatch_obs::Stage::TransportDecode);
         loop {
+            let start = hist.enabled().then(Instant::now);
             match decode_frame_into(self.rx.unread(), self.chain, &mut cur.pending) {
                 FrameDecode::NeedMore { need } => match self.rx.fill(&mut self.r, need) {
                     Ok(0) => return Err(Stop::End { torn: !self.rx.unread().is_empty() }),
@@ -675,6 +714,9 @@ impl<R: Read> FrameReader<R> {
                     return Err(Stop::Damaged { skip, detail })
                 }
                 FrameDecode::Frame { frame, consumed } => {
+                    if let Some(t0) = start {
+                        hist.record(t0.elapsed().as_secs_f64() * 1e6);
+                    }
                     self.rx.consume(consumed);
                     cur.stats.frames += 1;
                     obs().frames.incr();
@@ -823,20 +865,13 @@ impl<R: Read> FileSource<R> {
         self.cur.done = true;
         TransportError::Corrupt { frame: self.cur.stats.frames, detail }
     }
-}
 
-impl<R: Read> EventSource for FileSource<R> {
-    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError> {
-        loop {
-            // Written out, not a `Cursor` method: re-wrapping the popped
-            // `Option` cost 5 ns per event (a split copy the caller's loads
-            // cannot forward from).
-            if let Some(ev) = self.cur.pending.pop() {
-                self.cur.stats.events += 1;
-                return Ok(Some(ev));
-            }
+    /// Pulls frames until events are pending, applying this source's
+    /// policy to each; `Ok(false)` once the feed has ended.
+    fn pull(&mut self) -> Result<bool, TransportError> {
+        while !self.cur.pending.has_rest() {
             if self.cur.done {
-                return Ok(None);
+                return Ok(false);
             }
             match self.reader.next(&mut self.cur) {
                 Ok(Frame::Events { seq, .. }) => {
@@ -884,6 +919,31 @@ impl<R: Read> EventSource for FileSource<R> {
                 Err(Stop::Io(e)) => return Err(e.into()),
             }
         }
+        Ok(true)
+    }
+}
+
+impl<R: Read> EventSource for FileSource<R> {
+    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError> {
+        loop {
+            // Written out, not a `Cursor` method: re-wrapping the popped
+            // `Option` cost 5 ns per event (a split copy the caller's loads
+            // cannot forward from).
+            if let Some(ev) = self.cur.pending.pop() {
+                self.cur.stats.events += 1;
+                return Ok(Some(ev));
+            }
+            if !self.pull()? {
+                return Ok(None);
+            }
+        }
+    }
+
+    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError> {
+        if !self.cur.pending.has_rest() && !self.pull()? {
+            return Ok(&[]);
+        }
+        Ok(self.cur.take_run())
     }
 
     fn stats(&self) -> TransportStats {
@@ -1136,25 +1196,13 @@ impl TcpEventSource {
         }
         Ok(())
     }
-}
 
-/// The time from a dropped connection to the next completed handshake.
-fn reconnect_hist() -> &'static sleepwatch_obs::Histogram {
-    sleepwatch_obs::global().pipeline.stage(sleepwatch_obs::Stage::TransportReconnect)
-}
-
-impl EventSource for TcpEventSource {
-    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError> {
-        loop {
-            // Written out, not a `Cursor` method: re-wrapping the popped
-            // `Option` cost 5 ns per event (a split copy the caller's loads
-            // cannot forward from).
-            if let Some(ev) = self.cur.pending.pop() {
-                self.cur.stats.events += 1;
-                return Ok(Some(ev));
-            }
+    /// Pulls frames until events are pending, reconnecting and resuming
+    /// as this source's policy says; `Ok(false)` once the feed has ended.
+    fn pull(&mut self) -> Result<bool, TransportError> {
+        while !self.cur.pending.has_rest() {
             if self.cur.done {
-                return Ok(None);
+                return Ok(false);
             }
             self.ensure_conn()?;
             let reader = self.reader.as_mut().expect("ensure_conn connected");
@@ -1197,6 +1245,36 @@ impl EventSource for TcpEventSource {
                 Err(Stop::Io(e)) => self.poison(e.to_string()),
             }
         }
+        Ok(true)
+    }
+}
+
+/// The time from a dropped connection to the next completed handshake.
+fn reconnect_hist() -> &'static sleepwatch_obs::Histogram {
+    sleepwatch_obs::global().pipeline.stage(sleepwatch_obs::Stage::TransportReconnect)
+}
+
+impl EventSource for TcpEventSource {
+    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError> {
+        loop {
+            // Written out, not a `Cursor` method: re-wrapping the popped
+            // `Option` cost 5 ns per event (a split copy the caller's loads
+            // cannot forward from).
+            if let Some(ev) = self.cur.pending.pop() {
+                self.cur.stats.events += 1;
+                return Ok(Some(ev));
+            }
+            if !self.pull()? {
+                return Ok(None);
+            }
+        }
+    }
+
+    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError> {
+        if !self.cur.pending.has_rest() && !self.pull()? {
+            return Ok(&[]);
+        }
+        Ok(self.cur.take_run())
     }
 
     fn stats(&self) -> TransportStats {
@@ -1648,6 +1726,36 @@ mod tests {
         }
     }
 
+    /// How a second session is served: handed the accepted stream.
+    type Session<'a> = &'a (dyn Fn(&mut TcpStream) + Sync);
+
+    /// Runs `client` against a server whose first session sends `first`
+    /// after the handshake and hangs up, and whose second session, if
+    /// any, `second` serves.
+    fn scripted_sessions<T>(
+        first: &[u8],
+        second: Option<Session<'_>>,
+        cfg: TcpConfig,
+        client: impl FnOnce(&mut TcpEventSource) -> T,
+    ) -> T {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut source = TcpEventSource::dial(addr.to_string(), cfg);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let (mut s, _) = listener.accept().unwrap();
+                s.write_all(&encode_hello(&ident())).unwrap();
+                s.read_exact(&mut [0u8; PRELUDE_LEN]).unwrap();
+                s.write_all(first).unwrap();
+                drop(s);
+                if let Some(serve) = second {
+                    serve(&mut listener.accept().unwrap().0);
+                }
+            });
+            client(&mut source)
+        })
+    }
+
     /// Runs `client` against a server whose first session sends one good
     /// frame and then `damage`, and whose second session (when `resumed`)
     /// serves the whole feed. Returns the events taken, how the client
@@ -1658,25 +1766,14 @@ mod tests {
         cfg: TcpConfig,
     ) -> (Vec<RoundEvent>, Result<Option<RoundEvent>, TransportError>, TransportStats) {
         let events = three_events();
+        let mut first = Vec::new();
         let chain = session_chain(&ident());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpEventSource::dial(addr.to_string(), cfg);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let (mut s, _) = listener.accept().unwrap();
-                s.write_all(&encode_hello(&ident())).unwrap();
-                s.read_exact(&mut [0u8; PRELUDE_LEN]).unwrap();
-                let mut out = Vec::new();
-                encode_frame(&mut out, &Frame::Events { seq: 0, events: vec![events[0]] }, chain);
-                out.extend_from_slice(damage);
-                s.write_all(&out).unwrap();
-                drop(s);
-                if resumed {
-                    let (mut s, _) = listener.accept().unwrap();
-                    serve_connection(&mut s, &events, &FeedConfig::new(ident())).unwrap();
-                }
-            });
+        encode_frame(&mut first, &Frame::Events { seq: 0, events: vec![events[0]] }, chain);
+        first.extend_from_slice(damage);
+        let serve = |s: &mut TcpStream| {
+            serve_connection(s, &events, &FeedConfig::new(ident())).unwrap();
+        };
+        scripted_sessions(&first, resumed.then_some(&serve), cfg, |client| {
             let mut got = Vec::new();
             let end = loop {
                 match client.next_event() {
@@ -1688,12 +1785,13 @@ mod tests {
         })
     }
 
-    /// Every kind of damage a first session can carry poisons the
-    /// connection once: lenient mode resumes past it and delivers the
-    /// whole feed, strict mode refuses it with the frame count and detail.
-    /// A session closed mid-frame is no damage: both modes resume.
-    #[test]
-    fn tcp_source_poisons_a_damaged_session_and_resumes_or_refuses() {
+    /// What a strict TCP receiver reports for a damaged session: frames
+    /// accepted and detail (`None`: no damage, both modes resume).
+    type Refusal = Option<(u64, &'static str)>;
+
+    /// The damage a first session can carry after one good frame of
+    /// [`three_events`], and its [`Refusal`].
+    fn first_session_damage() -> Vec<(&'static str, Vec<u8>, Refusal)> {
         let events = three_events();
         let chain = session_chain(&ident());
         let frame = |f: Frame| {
@@ -1704,8 +1802,7 @@ mod tests {
         let second = frame(Frame::Events { seq: 1, events: vec![events[1]] });
         let mut flipped = second.clone();
         *flipped.last_mut().unwrap() ^= 0x40;
-        // (damage, what a strict receiver reports: frames accepted, detail)
-        let cases = [
+        vec![
             (
                 "round past u32",
                 frame_with_round(1, u64::from(u32::MAX) + 1, chain),
@@ -1724,8 +1821,17 @@ mod tests {
             ),
             ("end ahead", frame(Frame::End { total: 3 }), Some((2, "end marker ahead of cursor"))),
             ("closed mid-frame", second[..second.len() / 2].to_vec(), None),
-        ];
-        for (name, damage, refusal) in &cases {
+        ]
+    }
+
+    /// Every kind of damage a first session can carry poisons the
+    /// connection once: lenient mode resumes past it and delivers the
+    /// whole feed, strict mode refuses it with the frame count and detail.
+    /// A session closed mid-frame is no damage: both modes resume.
+    #[test]
+    fn tcp_source_poisons_a_damaged_session_and_resumes_or_refuses() {
+        let events = three_events();
+        for (name, damage, refusal) in &first_session_damage() {
             for strict in [false, true] {
                 let mut cfg = TcpConfig::new(ident());
                 cfg.read_timeout = Duration::from_millis(200);
@@ -1797,6 +1903,148 @@ mod tests {
         let stats = client.stats();
         assert!(stats.heartbeats_missed >= 4, "{stats:?}");
         assert_eq!((stats.reconnects, stats.clean_end), (0, true), "{stats:?}");
+    }
+
+    /// How a test drains a source: an event at a time, a frame at a time,
+    /// or the two pulls taking turns.
+    #[derive(Clone, Copy, Debug)]
+    enum Pull {
+        Events,
+        Runs,
+        Alternating,
+    }
+
+    /// What a drain saw: the events, the terminal error (its variant and
+    /// detail, rendered), and the stats.
+    type Drained = (Vec<RoundEvent>, Option<String>, TransportStats);
+
+    /// Drains `src` with `pull` to the end of the stream or its first
+    /// error.
+    fn drain_by(src: &mut impl EventSource, pull: Pull) -> Drained {
+        let mut got = Vec::new();
+        let mut by_run = matches!(pull, Pull::Runs);
+        let end = loop {
+            let more = if by_run {
+                src.next_run().map(|run| {
+                    got.extend_from_slice(run);
+                    !run.is_empty()
+                })
+            } else {
+                src.next_event().map(|ev| {
+                    got.extend(ev);
+                    ev.is_some()
+                })
+            };
+            match more {
+                Ok(true) => by_run ^= matches!(pull, Pull::Alternating),
+                Ok(false) => break None,
+                Err(e) => break Some(format!("{e:?}")),
+            }
+        };
+        (got, end, src.stats())
+    }
+
+    /// `drain` run with runs, and with the pulls alternating, sees what it
+    /// sees an event at a time. Returns that.
+    fn pulls_agree(case: &str, mut drain: impl FnMut(Pull) -> Drained) -> Drained {
+        let want = drain(Pull::Events);
+        for pull in [Pull::Runs, Pull::Alternating] {
+            assert_eq!(drain(pull), want, "{case}, {pull:?}");
+        }
+        want
+    }
+
+    #[test]
+    fn file_source_runs_deliver_what_events_deliver() {
+        let chain = session_chain(&ident());
+        let many = sample_events(2_000);
+        let mut feeds = Vec::new();
+        for frame_events in [1, 64, MAX_FRAME_EVENTS] {
+            let mut bytes = Vec::new();
+            write_feed(&mut bytes, &many, &ident(), frame_events).unwrap();
+            feeds.push((format!("clean, {frame_events} per frame"), bytes, many.len()));
+        }
+        // The TCP table's damage after one good frame, at the end of the
+        // file or followed by the rest of the feed.
+        let events = three_events();
+        for (name, damage, _) in first_session_damage() {
+            for rest in [false, true] {
+                let mut bytes = encode_hello(&ident()).to_vec();
+                encode_frame(&mut bytes, &Frame::Events { seq: 0, events: vec![events[0]] }, chain);
+                bytes.extend_from_slice(&damage);
+                if rest {
+                    send_frames(&mut bytes, &events, 1, 2, 1, chain).unwrap();
+                }
+                feeds.push((format!("{name}, rest {rest}"), bytes, 0));
+            }
+        }
+        for (case, bytes, clean_len) in &feeds {
+            for strict in [false, true] {
+                let case = format!("{case}, strict {strict}");
+                let (got, end, stats) = pulls_agree(&case, |pull| {
+                    drain_by(&mut FileSource::new(&bytes[..], &ident(), strict).unwrap(), pull)
+                });
+                if *clean_len > 0 {
+                    assert_eq!(
+                        (got.len(), end, stats.clean_end),
+                        (*clean_len, None, true),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tcp_source_runs_deliver_what_events_deliver() {
+        let mut cfg = TcpConfig::new(ident());
+        // Long enough that no scheduling stall counts a missed heartbeat.
+        cfg.read_timeout = Duration::from_secs(2);
+        let events = sample_events(2_000);
+        let drained = pulls_agree("clean", |pull| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let mut client = TcpEventSource::dial(addr, cfg.clone());
+            serving(listener, &events, || drain_by(&mut client, pull))
+        });
+        assert_eq!((drained.0.len(), drained.1, drained.2.clean_end), (events.len(), None, true));
+
+        let three = three_events();
+        let resume = |s: &mut TcpStream| {
+            serve_connection(s, &three, &FeedConfig::new(ident())).unwrap();
+        };
+        for (name, damage, refusal) in &first_session_damage() {
+            for strict in [false, true] {
+                let mut first = Vec::new();
+                let chain = session_chain(&ident());
+                encode_frame(&mut first, &Frame::Events { seq: 0, events: vec![three[0]] }, chain);
+                first.extend_from_slice(damage);
+                let second = (!strict || refusal.is_none()).then_some(&resume);
+                let cfg = TcpConfig { strict, ..cfg.clone() };
+                pulls_agree(&format!("{name}, strict {strict}"), |pull| {
+                    scripted_sessions(&first, second.map(|s| s as Session), cfg.clone(), |c| {
+                        drain_by(c, pull)
+                    })
+                });
+            }
+        }
+
+        // A second session that ignores the resume answer and re-sends the
+        // feed from its start: the first 600 events arrive twice.
+        let chain = session_chain(&ident());
+        let mut first = Vec::new();
+        send_frames(&mut first, &events[..600], 0, 64, 0, chain).unwrap();
+        first.truncate(first.len() - 17); // the end marker
+        let from_zero = |s: &mut TcpStream| {
+            s.write_all(&encode_hello(&ident())).unwrap();
+            s.read_exact(&mut [0u8; PRELUDE_LEN]).unwrap();
+            send_frames(s, &events, 0, 64, 4, chain).unwrap();
+        };
+        let (got, end, stats) = pulls_agree("resent from zero", |pull| {
+            scripted_sessions(&first, Some(&from_zero), cfg.clone(), |c| drain_by(c, pull))
+        });
+        assert_eq!((got, end), (events.clone(), None));
+        assert_eq!((stats.duplicates, stats.reconnects, stats.clean_end), (600, 1, true));
     }
 
     #[test]

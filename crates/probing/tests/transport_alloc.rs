@@ -4,7 +4,7 @@
 //! A counting global allocator wraps `System`; each scenario warms up on
 //! one frame (buffer growth, lazy statics), then asserts the allocation
 //! counter does not move while 64 further 256-event frames are encoded or
-//! drained. The counter is *thread-local* so the test harness's own
+//! drained (an event at a time, or a frame at a time). The counter is *thread-local* so the test harness's own
 //! threads cannot perturb the counted window.
 
 use counting_alloc::thread_allocations as allocations;
@@ -88,4 +88,28 @@ fn steady_state_draining_does_not_allocate() {
     assert_eq!(drained, events.len());
     assert!(source.stats().clean_end);
     assert_eq!(grew, 0, "draining {} frames allocated {grew} times", FRAMES - 1);
+}
+
+#[test]
+fn steady_state_draining_by_frame_does_not_allocate() {
+    let events = events();
+    let mut wire = Vec::new();
+    write_feed(&mut wire, &events, &ident(), FRAME_EVENTS).expect("write into memory");
+    let mut source = FileSource::new(&wire[..], &ident(), true).expect("own hello");
+    let warm_up = source.next_run().expect("a clean feed").len();
+    assert_eq!(warm_up, FRAME_EVENTS);
+    let before = allocations();
+    let mut drained = FRAME_EVENTS;
+    loop {
+        let run = source.next_run().expect("a clean feed");
+        if run.is_empty() {
+            break;
+        }
+        assert_eq!(run, &events[drained..drained + run.len()]);
+        drained += run.len();
+    }
+    let grew = allocations() - before;
+    assert_eq!(drained, events.len());
+    assert!(source.stats().clean_end);
+    assert_eq!(grew, 0, "draining {} frames by run allocated {grew} times", FRAMES - 1);
 }

@@ -726,6 +726,8 @@ fn transport_counters_match_transport_stats_across_a_sever() {
         assert_eq!(d.counter("transport.backoff_ms"), t.backoff_ms);
         assert_eq!(d.counter("transport.heartbeats_missed"), t.heartbeats_missed);
         assert_eq!(d.histogram("stage.transport.reconnect").map_or(0, |h| h.count), t.reconnects);
+        let decoded = d.histogram("stage.transport.decode").map_or(0, |h| h.count);
+        assert_eq!(decoded, d.counter("transport.frames"), "one decode sample per frame");
         assert_ingest_counters(&d, &out.outcome.stats);
     });
 }
