@@ -81,6 +81,10 @@ stages! {
     /// A feed source decoding one frame: length checks, chained CRC and
     /// event parse, one sample per `transport.frames`.
     TransportDecode => "transport.decode",
+    /// Appending one finished block to a checkpoint journal (encode,
+    /// write, and the periodic sync), one sample per record appended:
+    /// per `resilience.journal_records_written`.
+    Checkpoint => "checkpoint",
 }
 
 /// Measures the wall time of a scope and records it (in microseconds)

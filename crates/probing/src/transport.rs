@@ -1138,8 +1138,10 @@ impl TcpEventSource {
                     cause: std::mem::take(&mut self.last_error),
                 });
             }
-            if self.failures > 0 || self.connected_once {
-                let delay = self.cfg.backoff.delay_ms(self.failures);
+            // Retry `n` (0-based) follows `n + 1` failures; a dropped
+            // connection is one, as `poison` counts it.
+            if self.failures > 0 {
+                let delay = self.cfg.backoff.delay_ms(self.failures - 1);
                 std::thread::sleep(Duration::from_millis(delay));
                 self.cur.stats.backoff_ms += delay;
                 self.waited_ms += delay;
@@ -2189,5 +2191,28 @@ mod tests {
             Err(TransportError::Exhausted { attempts, .. }) => assert_eq!(attempts, 3),
             other => panic!("expected exhaustion, got {other:?}"),
         }
+    }
+
+    /// The first retry waits `delay_ms(0)`, the step `base_ms` names, as
+    /// `serve_feed`'s does: three failed dials sleep retries 0 and 1.
+    #[test]
+    fn the_first_retry_waits_the_first_step() {
+        let dead = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let backoff = BackoffConfig { base_ms: 4, max_ms: 64, attempts: 3, seed: 9 };
+        let mut cfg = TcpConfig::new(ident());
+        cfg.backoff = backoff;
+        let mut client = TcpEventSource::dial(dead.to_string(), cfg);
+        match client.next_event() {
+            Err(TransportError::Exhausted { attempts, waited_ms, .. }) => {
+                assert_eq!(attempts, 3);
+                assert_eq!(waited_ms, backoff.delay_ms(0) + backoff.delay_ms(1));
+                assert!(waited_ms <= backoff.budget_ms(), "{waited_ms} ms over the budget");
+            }
+            other => panic!("expected exhaustion, got {other:?}"),
+        }
+        assert_eq!(client.stats().backoff_ms, backoff.delay_ms(0) + backoff.delay_ms(1));
     }
 }

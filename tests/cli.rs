@@ -23,6 +23,15 @@ fn bin(name: &str) -> Option<Command> {
     Some(Command::new(path))
 }
 
+/// Asserts that `out` exited with `code` and that its last stderr line —
+/// the failure, after any progress lines — starts `sleepwatch: `.
+fn assert_exit(out: &std::process::Output, code: i32) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{err}");
+    let last = err.lines().last().unwrap_or_default();
+    assert!(last.starts_with("sleepwatch: "), "{err}");
+}
+
 #[test]
 fn sleepwatch_info_runs() {
     let Some(mut cmd) = bin("sleepwatch") else { return };
@@ -138,6 +147,7 @@ fn sleepwatch_convert_refuses_a_country_outside_the_table() {
     assert!(!out.status.success(), "convert accepted country ZZ");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 3, column country") && stderr.contains("\"ZZ\""), "{stderr}");
+    assert_exit(&out, 1);
     assert!(!output.exists(), "a refused convert wrote its output");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -182,6 +192,7 @@ fn sleepwatch_feed_file_round_trips_into_ingest() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("different run"), "{err}");
+    assert_exit(&out, 1);
 
     // The same feed under a version-1 hello is refused, naming both
     // versions.
@@ -195,6 +206,7 @@ fn sleepwatch_feed_file_round_trips_into_ingest() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unsupported format version 1 (this build reads 2)"), "{err}");
+    assert_exit(&out, 1);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -337,6 +349,7 @@ fn sleepwatch_transport_flags_reject_malformed_values() {
         &["--reconnect-attempts", "-3"],
         &["--reconnect-attempts", "0"],
         &["--backoff-ms", "1.5"],
+        &["--backoff-ms", "0"],
         &["--blocks", "many"],
         &["--days", "a-week"],
         &["--seed", "-1"],
@@ -359,6 +372,39 @@ fn sleepwatch_transport_flags_reject_malformed_values() {
         .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
+    assert_exit(&out, 2);
+}
+
+/// What a usage row writes beyond its flags is enforced: flags joined by
+/// `|` admit at most one inside `[...]` and exactly one inside `(...)`.
+/// Each refusal exits 2 with one `sleepwatch: …` line.
+#[test]
+fn sleepwatch_usage_rows_are_the_grammar() {
+    for (args, says) in [
+        (&["feed"][..], "feed needs exactly one of --listen, --connect or --to-file"),
+        (&["feed", "--to-file", "f", "--connect", "127.0.0.1:1"], "exactly one of"),
+        (&["block", "--diurnal", "--flat"], "--diurnal and --flat are mutually exclusive"),
+    ] {
+        let Some(mut cmd) = bin("sleepwatch") else { return };
+        let out = cmd.args(args).output().expect("spawn");
+        assert_exit(&out, 2);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(says), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+}
+
+/// A convert input that cannot be read fails the run: exit 1, one
+/// `sleepwatch: …` line naming the input.
+#[test]
+fn sleepwatch_convert_reports_an_unreadable_input() {
+    let missing = std::env::temp_dir().join(format!("swtest-cli-no-input-{}", std::process::id()));
+    let Some(mut cmd) = bin("sleepwatch") else { return };
+    let out = cmd.arg("convert").arg(&missing).arg("out.tsv").output().expect("spawn convert");
+    assert_exit(&out, 1);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("could not read") && err.contains(&*missing.to_string_lossy()), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
 }
 
 /// A dead upstream drains the reconnect budget: nonzero exit with a
@@ -377,6 +423,7 @@ fn sleepwatch_ingest_reports_budget_exhaustion() {
     assert!(err.contains("connection budget exhausted"), "{err}");
     assert!(err.contains("2 attempts"), "{err}");
     assert!(!err.contains("panic"), "{err}");
+    assert_exit(&out, 1);
 }
 
 /// `serve` end to end: analyze a world into a binary dataset, serve it
@@ -472,12 +519,14 @@ fn sleepwatch_serve_flags_reject_malformed_values() {
     let out = cmd.args(["serve", "--dataset", "x.bin"]).output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--listen"));
+    assert_exit(&out, 2);
 
     // Zero or two sources.
     let Some(mut cmd) = bin("sleepwatch") else { return };
     let out = cmd.args(["serve", "--listen", "127.0.0.1:0"]).output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("exactly one of --dataset or --journal"));
+    assert_exit(&out, 2);
     let Some(mut cmd) = bin("sleepwatch") else { return };
     let out = cmd
         .args(["serve", "--listen", "127.0.0.1:0", "--dataset", "a", "--journal", "b"])
@@ -485,6 +534,7 @@ fn sleepwatch_serve_flags_reject_malformed_values() {
         .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("exactly one of --dataset or --journal"));
+    assert_exit(&out, 2);
 }
 
 /// A seed-joined dataset produced by one world refuses to be served as
