@@ -1,23 +1,20 @@
 //! Self-generated feeds: a world's probe rounds as the event stream
 //! [`crate::ingest`] consumes and `sleepwatch feed` serves.
 //!
-//! A [`WorldFeed`] probes 256-block chunks, the batch path's, one
-//! `std::thread::scope` at a time: one worker per core claims chunk `c`'s
-//! blocks while the calling thread interleaves chunk `c − 1` (keyed
-//! `interleave_seed + c`), then claims blocks beside them; the join is the
-//! only wait. Workers probe through the world run's `probe_into` on one
-//! [`BlockScratch`] per chunk and hold each block as its lane would (8 B
-//! per round), so a feed holds two chunks at any core count, never the
-//! world, and no event depends on the worker count. A resume regenerates
-//! from the chunk that holds its sequence number, once a pass has learned
-//! where that chunk starts.
+//! A [`WorldFeed`] probes 256-block chunks through the world run's chunk
+//! pool (`worldrun::each_chunk`): one worker per core and the calling
+//! thread claim chunk `c`'s blocks eight at a time, while the calling
+//! thread first interleaves chunk `c − 1` (keyed `interleave_seed + c`);
+//! the join is the only wait. Workers probe through the world run's
+//! `probe_into`, each on one [`BlockScratch`] for the whole pass, and hold
+//! each block as its lane would (8 B per round), so a feed holds two chunks
+//! at any core count, never the world, and no event depends on the worker
+//! count. A resume regenerates from the chunk that holds its sequence
+//! number, once a pass has learned where that chunk starts.
 
 use std::cell::Cell;
 use std::convert::Infallible;
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 use sleepwatch_obs::Stage;
 use sleepwatch_probing::stream::{record_rounds, Interleave, RoundEvent};
@@ -27,7 +24,7 @@ use sleepwatch_simnet::WorldSource;
 use crate::analyze::{probe_into, AnalysisConfig, BlockScratch};
 use crate::framing::RunIdentity;
 use crate::ingest::{IngestConfig, Pool, RoundSeries};
-use crate::worldrun::{is_replayed, quarantine_on_panic, Quarantine, CHUNK};
+use crate::worldrun::{each_chunk, quarantine_on_panic, Quarantine};
 
 /// A world's event feed, generated a chunk at a time: what
 /// [`crate::ingest_world`] routes, what [`world_feed`] collects and what
@@ -42,9 +39,9 @@ use crate::worldrun::{is_replayed, quarantine_on_panic, Quarantine, CHUNK};
 /// events before `s`. So the probing and quarantine counters,
 /// `ingest.feed_chunks` and `stage.ingest.feed_probe` count a chunk once
 /// per pass over it. A send whose callback fails stops the workers at
-/// their next block: the chunk they were probing ahead of the failed one
-/// is cut short and neither counted nor recorded, though the blocks they
-/// probed count in the probing counters.
+/// their next group of blocks: the chunk they were probing ahead of the
+/// failed one is cut short and neither counted nor recorded, though the
+/// blocks they probed count in the probing counters.
 pub struct WorldFeed<'a> {
     source: &'a WorldSource,
     cfg: &'a AnalysisConfig,
@@ -176,72 +173,13 @@ impl<'a> WorldFeed<'a> {
         self.seen().quarantined.clone()
     }
 
-    /// Probes the chunks from `first` on, on the feed's workers, and hands
-    /// each chunk's streams, in block order, to `read` on the calling
-    /// thread, in chunk order; stops at the first error `read` returns and
-    /// returns it once every worker has joined. `spare` is the pool its
-    /// reader gives spent series back to.
-    ///
-    /// Chunk `c` is the `c`-th run of 256 blocks `skip` does not mark, so
-    /// its blocks are known before any probing. A panic re-raises at the
-    /// chunk's join. A failed read moves the counter past the chunk's end,
-    /// so the workers stop at their next claim and the chunk is dropped
-    /// uncounted and unrecorded.
-    fn each_chunk<E>(
-        &self,
-        first: usize,
-        spare: &Pool<RoundSeries>,
-        mut read: impl FnMut(u64, Vec<BlockStream>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let ids = |from: u64| {
-            (from..self.source.len() as u64).filter(|&id| !is_replayed(self.skip, id as usize))
-        };
-        let starts: Vec<u64> = ids(0).step_by(CHUNK).collect();
-        let hist = sleepwatch_obs::global().pipeline.stage(Stage::IngestFeedProbe);
-        // The chunk before `c`, probed and waiting to be read.
-        let mut ready = None;
-        for (c, &at) in starts.iter().enumerate().skip(first) {
-            let chunk: Vec<u64> = ids(at).take(CHUNK).collect();
-            let next = AtomicUsize::new(0);
-            // Probes blocks of `chunk` until none is left to claim; returns
-            // them with the µs spent probing.
-            let claim = || {
-                let (mut probed, mut us, mut scratch) = (Vec::new(), 0.0, BlockScratch::new());
-                // Relaxed: the index publishes nothing; blocks come back
-                // through the join.
-                while let Some(&id) = chunk.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let start = hist.enabled().then(Instant::now);
-                    probed.push((id, self.probe_block(id, &mut scratch, spare)));
-                    us += start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
-                }
-                (probed, us)
-            };
-            let lists = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..self.workers).map(|_| s.spawn(claim)).collect();
-                let done = ready.take().map_or(Ok(()), |before| read(c as u64 - 1, before));
-                if done.is_err() {
-                    next.store(chunk.len(), Ordering::Relaxed);
-                }
-                let mut lists = vec![claim()];
-                for worker in workers {
-                    lists.push(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
-                }
-                done.map(|()| lists)
-            })?;
-            sleepwatch_obs::global().ingest.feed_chunks.incr();
-            hist.record(lists.iter().map(|(_, us)| us).sum());
-            ready = Some(self.assemble(c, lists.into_iter().flat_map(|(probed, _)| probed)));
-        }
-        ready.map_or(Ok(()), |last| read(starts.len() as u64 - 1, last))
-    }
-
-    /// Chunk `c`'s streams in block order, from its probed blocks in any
-    /// order. The first pass to assemble `c` records its event count and
-    /// quarantines; every chunk before it has been recorded already, since
-    /// a pass starts at a recorded chunk or the first unrecorded one.
-    fn assemble(&self, c: usize, blocks: impl Iterator<Item = (u64, Probed)>) -> Vec<BlockStream> {
-        let mut blocks: Vec<_> = blocks.collect();
-        blocks.sort_unstable_by_key(|&(id, _)| id);
+    /// Chunk `c`'s streams in block order, from its probed blocks in block
+    /// order, counted in `ingest.feed_chunks`. The first pass to assemble
+    /// `c` records its event count and quarantines; every chunk before it
+    /// has been recorded already, since a pass starts at a recorded chunk or
+    /// the first unrecorded one.
+    fn assemble(&self, c: usize, blocks: Vec<(u64, Probed)>) -> Vec<BlockStream> {
+        sleepwatch_obs::global().ingest.feed_chunks.incr();
         let mut seen = self.seen();
         let record = c == seen.ends.len();
         debug_assert!(c <= seen.ends.len(), "chunk {c} assembled before the chunks ahead of it");
@@ -284,9 +222,11 @@ impl<'a> WorldFeed<'a> {
     }
 
     /// Hands `each` the feed's events from the start of chunk `first` on,
-    /// in feed order; stops at the first error `each` returns. Only a feed
-    /// of every block has its chunks at fixed block ids, so only it may
-    /// start past chunk 0.
+    /// in feed order; stops at the first error `each` returns. Chunk `c` is
+    /// the `c`-th run of 256 blocks `skip` does not mark, probed by
+    /// [`each_chunk`] on the feed's workers, each through its own scratch,
+    /// and interleaved on the calling thread. Only a feed of every block has
+    /// its chunks at fixed block ids, so only it may start past chunk 0.
     fn each_event<E>(
         &self,
         first: usize,
@@ -294,15 +234,27 @@ impl<'a> WorldFeed<'a> {
     ) -> Result<(), E> {
         debug_assert!(first == 0 || self.skip.is_empty(), "chunks move with the skip mask");
         let spare = Pool::new();
-        self.each_chunk(first, &spare, |c, streams| {
-            // A per-chunk keyed interleave: reproducible for a given seed,
-            // different across chunks, adversarial to any order assumption.
-            let seed = self.interleave_seed.wrapping_add(c);
-            let spare = &spare;
-            let streams =
-                streams.into_iter().map(|block| BlockEvents { block, at: 0, run: 0, spare });
-            Interleave::new(streams, seed).try_for_each(&mut each)
-        })
+        let mut scratches: Vec<_> = (0..=self.workers).map(|_| BlockScratch::new()).collect();
+        each_chunk(
+            self.source.len(),
+            self.skip,
+            first,
+            &mut scratches,
+            Some(sleepwatch_obs::global().pipeline.stage(Stage::IngestFeedProbe)),
+            |scratch, group, probed| {
+                probed.extend(group.iter().map(|&id| (id, self.probe_block(id, scratch, &spare))));
+            },
+            |c, probed| {
+                // A per-chunk keyed interleave: reproducible for a given
+                // seed, different across chunks, adversarial to any order
+                // assumption.
+                let seed = self.interleave_seed.wrapping_add(c as u64);
+                let spare = &spare;
+                let streams = self.assemble(c, probed).into_iter();
+                let streams = streams.map(|block| BlockEvents { block, at: 0, run: 0, spare });
+                Interleave::new(streams, seed).try_for_each(&mut each)
+            },
+        )
     }
 
     /// Every event of the feed, in feed order, to `each`.

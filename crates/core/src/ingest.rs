@@ -208,10 +208,7 @@ impl Router<'_> {
         if matches!(ev, RoundEvent::Round { .. }) {
             self.rounds_routed += 1;
         }
-        // With one shard every block routes to it; skipping the hash
-        // keeps the single-shard feeder off the per-event hot path.
-        let shard =
-            if self.shards.len() == 1 { 0 } else { shard_of(ev.block_id(), self.shards.len()) };
+        let shard = shard_of(ev.block_id(), self.shards.len());
         let buf = &mut self.buffers[shard];
         buf.push(ev);
         if buf.len() >= self.batch_events {

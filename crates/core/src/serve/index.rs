@@ -25,7 +25,7 @@ use std::hash::Hash;
 
 use super::lru::{LruOutcome, ShardedLru};
 use crate::export::DatasetRow;
-use sleepwatch_obs::push_json_str;
+use sleepwatch_obs::{push_json_str, Stage, StageTimer};
 use sleepwatch_spectral::DiurnalClass;
 
 /// Counts behind one aggregation key (a country, an AS, a link type, or
@@ -457,6 +457,7 @@ impl ServeState {
     /// times the /24 blocks IPv4 has.
     pub fn build(mut rows: Vec<DatasetRow>, lru_capacity: usize) -> ServeState {
         assert!(u32::try_from(rows.len()).is_ok(), "posting lists index rows with 32 bits");
+        let _t = StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::ServeIndexBuild));
         rows.sort_by_key(|r| r.block_id);
         let mut countries: Rollup<&'static str> = BTreeMap::new();
         let mut ases: Rollup<u32> = BTreeMap::new();
@@ -566,7 +567,11 @@ impl ServeState {
         body: &mut String,
     ) -> LruOutcome {
         filter.cache_key_into(key);
-        self.lru.get_or_insert_into(key, body, |out| filter.write_body(out, &self.fold(filter)))
+        self.lru.get_or_insert_into(key, body, |out| {
+            let _t =
+                StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::ServeQueryMiss));
+            filter.write_body(out, &self.fold(filter));
+        })
     }
 
     /// Counts the rows `filter` matches without visiting the others: the

@@ -2,12 +2,13 @@
 //! synthetic world in parallel, and join results with geolocation, reverse
 //! DNS link classification, allocation dates, and country economics.
 //!
-//! Paper scale: blocks are claimed in fixed id-range chunks, and a chunk
-//! can be fed either from a materialized [`World`] or pulled lazily from a
-//! [`WorldSource`] — the 3.7M-block survey never holds more than
-//! O(workers × chunk) specs in memory. Within a chunk, workers probe and
-//! clean up to [`MAX_BATCH_LANES`] blocks into grow-only arenas, then push
-//! the same-length cleaned series through one batched real FFT
+//! Paper scale: one chunk pool (`each_chunk`, shared with the
+//! self-generated feed) runs the blocks in 256-block chunks, in order,
+//! and its threads claim [`MAX_BATCH_LANES`]-block groups, read from a
+//! materialized [`World`] or generated lazily from a [`WorldSource`] — the
+//! 3.7M-block survey never holds more than O(threads × chunk) outcomes in
+//! memory. A group's blocks are probed and cleaned into grow-only arenas,
+//! then their same-length cleaned series go through one batched real FFT
 //! ([`sleepwatch_spectral::FftPlan::real_batch_with_scratch`]) — bit-identical to
 //! the per-series kernel, so every golden and differential suite holds
 //! byte-for-byte. Aggregation can likewise stream into a compact
@@ -32,20 +33,21 @@ use sleepwatch_geoecon::country::{by_code, COUNTRIES};
 use sleepwatch_geoecon::geolocate::{GeoDatabase, Location};
 use sleepwatch_geoecon::region::Region;
 use sleepwatch_linktype::{BlockLabel, LinkSet};
-use sleepwatch_obs::{Stage, StageTimer};
+use sleepwatch_obs::{Histogram, Stage, StageTimer};
 use sleepwatch_simnet::{BlockSpec, PtrTemplate, World, WorldSource};
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, FftPlan, MAX_BATCH_LANES};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::convert::Infallible;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+use std::time::Instant;
 
-/// Blocks per claimed chunk. Chunk composition is a pure function of the
-/// block index, so which worker claims a chunk never changes what is in
-/// it — quarantine order, batching, and (for lazy sources) generation all
-/// stay deterministic across thread counts. Also the worker batch
-/// capacity: one flush per chunk bounds local memory and keeps
-/// `world.batch_grows` at zero.
+/// Ids per chunk of [`each_chunk`]. Chunk composition is a pure function
+/// of the ids left to run, so which thread claims a group never changes
+/// what a chunk holds or the order its outputs are read in. Also each
+/// thread's per-chunk output capacity, which keeps `world.batch_grows` at
+/// zero.
 pub(crate) const CHUNK: usize = 256;
 
 /// One block's measurement, joined with every external data source the
@@ -188,7 +190,8 @@ fn fire_poison(cfg: &AnalysisConfig, block_id: u64) {
 }
 
 /// Where a run's blocks come from: a materialized world, or a lazy
-/// seed-keyed source that synthesizes each claimed chunk on demand.
+/// seed-keyed source that synthesizes each claimed group on demand.
+#[derive(Clone, Copy)]
 enum Feed<'a> {
     World(&'a World),
     Source(&'a WorldSource),
@@ -210,71 +213,44 @@ impl<'a> Feed<'a> {
     }
 }
 
-/// One claimed chunk's blocks: either a window into the materialized
-/// world (indexed through the chunk's work list) or a freshly generated
-/// dense buffer aligned with that list.
-enum ChunkView<'a> {
-    World(&'a [BlockSpec], &'a [usize]),
-    Generated(&'a [BlockSpec]),
-}
-
-impl<'a> ChunkView<'a> {
-    /// The block behind work item `j` of the chunk.
-    fn get(&self, j: usize) -> &'a BlockSpec {
-        match self {
-            ChunkView::World(blocks, work) => &blocks[work[j]],
-            ChunkView::Generated(buf) => &buf[j],
-        }
-    }
-}
-
-/// Where outcomes go: per-block collection ([`Collect`], order restored by
-/// slot index) or a streaming fold into [`WorldRunStats`].
-trait Sink: Send {
-    type Output;
+/// Where outcomes go, in block order from the calling thread: per-block
+/// collection into a [`WorldAnalysis`] or a streaming fold into
+/// [`WorldRunStats`].
+trait Sink {
     /// An empty sink for a world of `n` blocks.
     fn empty(n: usize) -> Self;
-    /// Takes the outcome of the block at index `idx`.
-    fn put(&mut self, idx: usize, outcome: Outcome);
-    /// Assembles the output once every worker has joined.
-    fn finish(self) -> Self::Output;
+    /// Takes one block's outcome.
+    fn put(&mut self, outcome: Outcome);
+    /// Sorts what came in by block id once every block is in.
+    fn finish(self) -> Self;
 }
 
-/// The collecting sink behind [`WorldAnalysis`].
-struct Collect(Vec<Option<Outcome>>);
-
-impl Sink for Collect {
-    type Output = WorldAnalysis;
-
+impl Sink for WorldAnalysis {
     fn empty(n: usize) -> Self {
-        Collect(std::iter::repeat_with(|| None).take(n).collect())
+        WorldAnalysis { reports: Vec::with_capacity(n), quarantined: Vec::new() }
     }
 
-    fn put(&mut self, idx: usize, outcome: Outcome) {
-        self.0[idx] = Some(outcome);
-    }
-
-    fn finish(self) -> WorldAnalysis {
-        let mut reports = Vec::with_capacity(self.0.len());
-        let mut quarantined = Vec::new();
-        for slot in self.0 {
-            match slot.expect("every block analyzed") {
-                Ok(r) => reports.push(r),
-                Err(q) => quarantined.push(q),
-            }
+    fn put(&mut self, outcome: Outcome) {
+        match outcome {
+            Ok(r) => self.reports.push(r),
+            Err(q) => self.quarantined.push(q),
         }
-        WorldAnalysis { reports, quarantined }
+    }
+
+    fn finish(mut self) -> WorldAnalysis {
+        // Replayed reports come first, then the run's in block order.
+        self.reports.sort_unstable_by_key(|r| r.summary.block_id);
+        self.quarantined.sort_unstable_by_key(|q| q.block_id);
+        self
     }
 }
 
 impl Sink for WorldRunStats {
-    type Output = WorldRunStats;
-
     fn empty(_n: usize) -> Self {
         WorldRunStats::default()
     }
 
-    fn put(&mut self, _idx: usize, outcome: Outcome) {
+    fn put(&mut self, outcome: Outcome) {
         match outcome {
             Ok(r) => self.absorb_report(&r),
             Err(q) => self.quarantined.push(q),
@@ -282,8 +258,6 @@ impl Sink for WorldRunStats {
     }
 
     fn finish(mut self) -> WorldRunStats {
-        // Workers fold in claim order; counters commute but the
-        // quarantine list must come out deterministic.
         self.quarantined.sort_by_key(|q| q.block_id);
         self
     }
@@ -379,50 +353,104 @@ pub(crate) fn quarantine_on_panic<T>(
     })
 }
 
-/// Flushes a worker's local batch: checkpoints completed reports, then
-/// publishes outcomes into the shared sink. A poisoned lock is taken as
-/// is: each guards whole records and puts, so its data stays valid.
-fn flush_batch<S: Sink>(
-    local: &mut Vec<(usize, Outcome)>,
-    sink: &Mutex<S>,
-    checkpoint: &Mutex<Checkpoint>,
-) {
-    {
-        let mut checkpoint = checkpoint.lock().unwrap_or_else(PoisonError::into_inner);
-        for report in local.iter().filter_map(|(_, outcome)| outcome.as_ref().ok()) {
-            checkpoint.record(report);
+/// The one schedule behind the world run and the self-generated feed.
+///
+/// The ids of `0..n` that `skip` does not mark go in chunks of [`CHUNK`],
+/// in order, from chunk `first` on. Each chunk is one
+/// `std::thread::scope`: one spawned thread per state after the first, and
+/// the calling thread on the first, claim [`MAX_BATCH_LANES`]-id groups
+/// from a chunk-local counter and `work` each group on their own state,
+/// which lives across chunks, pushing `(id, output)` pairs. Inside chunk
+/// `c`'s scope the calling thread first hands chunk `c − 1`'s outputs,
+/// sorted by id, to `read`, then claims groups beside the workers. So at
+/// most two chunks of outputs are held at once, and what `read` sees does
+/// not depend on the thread count. Each chunk that runs to its end records
+/// the summed time of its groups in `timer`, when one is given.
+///
+/// A failed `read` moves the counter past the chunk's end, so every thread
+/// stops at its next claim; the cut chunk is dropped and the error returned
+/// once all have joined. A panic re-raises at the chunk's join. `states`
+/// must not be empty.
+pub(crate) fn each_chunk<S: Send, T: Send, E>(
+    n: usize,
+    skip: &[bool],
+    first: usize,
+    states: &mut [S],
+    timer: Option<&Histogram>,
+    work: impl Fn(&mut S, &[u64], &mut Vec<(u64, T)>) + Sync,
+    mut read: impl FnMut(usize, Vec<(u64, T)>) -> Result<(), E>,
+) -> Result<(), E> {
+    let timed = timer.is_some_and(Histogram::enabled);
+    let (mine, theirs) = states.split_at_mut(1);
+    let mut ids = (0..n as u64).filter(|&id| !is_replayed(skip, id as usize)).skip(first * CHUNK);
+    // The chunk before `c`, run and waiting to be read.
+    let mut ready = None;
+    for c in first.. {
+        let chunk: Vec<u64> = ids.by_ref().take(CHUNK).collect();
+        if chunk.is_empty() {
+            break;
         }
+        let next = AtomicUsize::new(0);
+        let claim = &|state: &mut S| {
+            let (mut out, mut us) = (Vec::with_capacity(CHUNK), 0.0);
+            // Relaxed: the index publishes nothing; outputs come back
+            // through the join.
+            while let Some(group) =
+                chunk.chunks(MAX_BATCH_LANES).nth(next.fetch_add(1, Ordering::Relaxed))
+            {
+                let start = timed.then(Instant::now);
+                work(state, group, &mut out);
+                us += start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
+            }
+            (out, us)
+        };
+        let (mut outs, us) = std::thread::scope(|s| {
+            let workers: Vec<_> =
+                theirs.iter_mut().map(|state| s.spawn(move || claim(state))).collect();
+            let done = ready.take().map_or(Ok(()), |(c, outs)| read(c, outs));
+            if done.is_err() {
+                next.store(chunk.len(), Ordering::Relaxed);
+            }
+            let (mut outs, mut us) = claim(&mut mine[0]);
+            for worker in workers {
+                let (theirs, their_us) = worker.join().unwrap_or_else(|panic| resume_unwind(panic));
+                outs.extend(theirs);
+                us += their_us;
+            }
+            done.map(|()| (outs, us))
+        })?;
+        outs.sort_unstable_by_key(|&(id, _)| id);
+        if let Some(timer) = timer {
+            timer.record(us);
+        }
+        ready = Some((c, outs));
     }
-    let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
-    for (idx, outcome) in local.drain(..) {
-        sink.put(idx, outcome);
-    }
+    ready.map_or(Ok(()), |(c, outs)| read(c, outs))
 }
 
 /// Shared driver behind every `analyze_world*` entry point: feed × sink ×
-/// where the run resumes from. Workers never touch the blocks `resume`
-/// replayed (for lazy sources a fully replayed chunk is not even
-/// generated). Output depends only on the blocks and config — not on feed
-/// kind, sink kind, thread count, schedule, journal presence, or how much
-/// was replayed.
+/// where the run resumes from. [`each_chunk`] runs the blocks `resume`
+/// did not replay (for lazy sources it generates nothing else) on
+/// `threads` threads, the calling one included, and the calling thread
+/// journals and sinks each chunk's outcomes in block order. Output depends
+/// only on the blocks and config — not on feed kind, sink kind, thread
+/// count, schedule, journal presence, or how much was replayed.
 fn run_world<S: Sink>(
     feed: Feed<'_>,
     cfg: &AnalysisConfig,
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
     resume: Resume,
-) -> S::Output {
+) -> S {
     let obs = sleepwatch_obs::global();
     let _total_timer = StageTimer::start(obs.pipeline.stage(Stage::Total));
     let n = feed.len();
-    let Resume { checkpoint, skip, replayed } = resume;
+    let Resume { mut checkpoint, skip, replayed } = resume;
     let base = replayed.len();
     let mut sink = S::empty(n);
     for report in replayed {
-        sink.put(report.summary.block_id as usize, Ok(report));
+        sink.put(Ok(report));
     }
-    let (sink, checkpoint) = (Mutex::new(sink), Mutex::new(checkpoint));
-    let threads = threads.max(1);
     obs.world.runs.incr();
     obs.world.blocks_total.add(n as u64);
     obs.world.max_world_blocks.raise(n as u64);
@@ -433,90 +461,67 @@ fn run_world<S: Sink>(
     // warmup is not a caller-visible lookup and must not skew the
     // hit/miss-vs-transform accounting.)
     sleepwatch_spectral::prewarm(cfg.rounds as usize);
-    if let Some(cb) = progress {
-        // Surface replayed work immediately: a resumed run starts its
-        // progress at `base` instead of the first worker report jumping
-        // from nothing. Strictly intermediate — a fully replayed run goes
-        // straight to the final (n, n) below.
-        if base > 0 && base < n {
-            cb(base, n);
+    // Progress is strictly intermediate until the final (n, n) below, so a
+    // fully replayed run goes straight to it.
+    let report_progress = |done: usize| {
+        if let Some(cb) = progress.filter(|_| 0 < done && done < n) {
+            cb(done, n);
         }
-    }
-    let nchunks = n.div_ceil(CHUNK);
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let started = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for worker in 0..threads {
-            // Rebind as shared references so `move` captures copies,
-            // not the owned atomics/mutexes themselves.
-            let (next, done, sink, checkpoint, skip, feed) =
-                (&next, &done, &sink, &checkpoint, &skip, &feed);
-            s.spawn(move || {
-                // Worker arenas: the batch arena and (for lazy feeds) the
-                // chunk's spec buffer. All grow-only — after warm-up a
-                // chunk runs without allocating.
-                let mut local: Vec<(usize, Outcome)> = Vec::with_capacity(CHUNK);
-                let mut arena = BatchArena::new();
-                let mut gen_buf: Vec<BlockSpec> = Vec::new();
-                let mut work: Vec<usize> = Vec::with_capacity(CHUNK);
-                let mut blocks_done = 0u64;
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= nchunks {
-                        break;
-                    }
-                    let lo = c * CHUNK;
-                    let hi = ((c + 1) * CHUNK).min(n);
-                    work.clear();
-                    work.extend((lo..hi).filter(|&i| !is_replayed(skip, i)));
-                    if work.is_empty() {
-                        // Fully replayed from the journal: resumed
-                        // sources skip generation outright.
-                        continue;
-                    }
-                    let view = match feed {
-                        Feed::World(w) => ChunkView::World(&w.blocks, &work),
-                        Feed::Source(src) => {
-                            src.generate_into(work.iter().map(|&i| i as u64), &mut gen_buf);
-                            obs.world.source_chunks.incr();
-                            ChunkView::Generated(&gen_buf)
-                        }
-                    };
-                    run_chunk_batched(
-                        &view,
-                        &work,
-                        feed.geodb(),
-                        cfg,
-                        &mut arena,
-                        // Each outcome joins the worker's batch and
-                        // advances the shared done counter.
-                        &mut |i, outcome| {
-                            if local.len() == local.capacity() {
-                                obs.world.batch_grows.incr();
-                            }
-                            local.push((i, outcome));
-                            blocks_done += 1;
-                            let d = done.fetch_add(1, Ordering::Relaxed) + 1 + base;
-                            // Final (n, n) is reported by the calling
-                            // thread after the join; workers only emit
-                            // strictly intermediate counts.
-                            if d % 500 == 0 && d < n {
-                                if let Some(cb) = progress {
-                                    cb(d, n);
-                                }
-                            }
-                        },
-                    );
-                    flush_batch(&mut local, sink, checkpoint);
+    };
+    // A resumed run starts its progress at what it replayed.
+    report_progress(base);
+    let geodb = feed.geodb();
+    // Per thread: its batch arena, its group's generated specs (lazy feeds
+    // only) and its block count. All grow-only — after warm-up a group
+    // runs without allocating.
+    let mut workers: Vec<_> =
+        (0..threads.max(1)).map(|_| (BatchArena::new(), Vec::new(), 0u64)).collect();
+    let mut done = base;
+    let started = Instant::now();
+    let run = each_chunk(
+        n,
+        &skip,
+        0,
+        &mut workers,
+        None,
+        |(arena, specs, blocks), group, out| {
+            if let Feed::Source(src) = feed {
+                src.generate_into(group.iter().copied(), specs);
+            }
+            let block = |l: usize| match feed {
+                Feed::World(w) => &w.blocks[group[l] as usize],
+                Feed::Source(_) => &specs[l],
+            };
+            let fill = |l, scratch: &mut BlockScratch| probe_clean_into(block(l), cfg, scratch);
+            run_batch(group.len(), block, fill, geodb, cfg, arena, &mut |l, outcome| {
+                if out.len() == out.capacity() {
+                    obs.world.batch_grows.incr();
                 }
-                obs.world.worker_blocks.add(worker, blocks_done);
-                let arena =
-                    arena.footprint_bytes() + gen_buf.capacity() * std::mem::size_of::<BlockSpec>();
-                obs.world.peak_block_bytes.raise(arena as u64);
+                out.push((group[l], outcome));
             });
-        }
-    });
+            *blocks += group.len() as u64;
+        },
+        |_, outcomes| {
+            if let Feed::Source(_) = feed {
+                obs.world.source_chunks.incr();
+            }
+            done += outcomes.len();
+            for (_, outcome) in outcomes {
+                if let Ok(report) = &outcome {
+                    checkpoint.record(report);
+                }
+                sink.put(outcome);
+            }
+            report_progress(done);
+            Ok::<(), Infallible>(())
+        },
+    );
+    run.unwrap_or_else(|never| match never {});
+    for (worker, (arena, specs, blocks)) in workers.iter().enumerate() {
+        obs.world.worker_blocks.add(worker, *blocks);
+        let held = arena.footprint_bytes() + specs.capacity() * std::mem::size_of::<BlockSpec>();
+        obs.world.peak_block_bytes.raise(held as u64);
+    }
 
     let analyzed = n - base;
     let secs = started.elapsed().as_secs_f64();
@@ -525,38 +530,13 @@ fn run_world<S: Sink>(
     }
     let out = {
         let _t = StageTimer::start(obs.pipeline.stage(Stage::Join));
-        sink.into_inner().unwrap_or_else(PoisonError::into_inner).finish()
+        sink.finish()
     };
-    checkpoint.into_inner().unwrap_or_else(PoisonError::into_inner).finish();
+    checkpoint.finish();
     if let Some(cb) = progress {
         cb(n, n);
     }
     out
-}
-
-/// Chunk execution: the chunk's blocks through [`run_batch`],
-/// [`MAX_BATCH_LANES`] at a time, each lane filled by probing its block.
-fn run_chunk_batched(
-    view: &ChunkView<'_>,
-    work: &[usize],
-    geodb: &GeoDatabase,
-    cfg: &AnalysisConfig,
-    arena: &mut BatchArena,
-    emit: &mut dyn FnMut(usize, Outcome),
-) {
-    let m = work.len();
-    for mb in (0..m).step_by(MAX_BATCH_LANES) {
-        let lanes = (m - mb).min(MAX_BATCH_LANES);
-        run_batch(
-            lanes,
-            |l| view.get(mb + l),
-            |l, scratch| probe_clean_into(view.get(mb + l), cfg, scratch),
-            geodb,
-            cfg,
-            arena,
-            &mut |l, outcome| emit(work[mb + l], outcome),
-        );
-    }
 }
 
 /// The arena a batch runs in: one [`BlockScratch`] per lane plus the
@@ -729,25 +709,21 @@ pub(crate) fn plan_per_member(len: usize, members: usize) -> Arc<FftPlan> {
 /// threads (1 = sequential). An optional `progress` callback receives the
 /// number of completed blocks at coarse intervals.
 ///
-/// Progress contract: workers report coarse intermediate progress
-/// (`done < n` at multiples of 500), and after every worker has joined the
-/// callback receives exactly one final `(n, n)` invocation — guaranteed to
-/// be the last call, even for empty worlds and regardless of worker
-/// scheduling. (Workers reporting the final count themselves would race: a
-/// preempted worker could deliver a stale intermediate count *after*
-/// another worker's `(n, n)`.)
+/// Progress contract: the calling thread reports `done < n` after each
+/// 256-block chunk, and after the last one exactly one final `(n, n)` —
+/// guaranteed to be the last call, even for empty worlds.
 pub fn analyze_world(
     world: &World,
     cfg: &AnalysisConfig,
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> WorldAnalysis {
-    run_world::<Collect>(Feed::World(world), cfg, threads, progress, Resume::default())
+    run_world::<WorldAnalysis>(Feed::World(world), cfg, threads, progress, Resume::default())
 }
 
 /// [`analyze_world`] over a lazy [`WorldSource`]: blocks are synthesized
-/// chunk-by-chunk as workers claim them, so peak memory is
-/// O(threads × chunk) specs instead of the whole world. Byte-identical
+/// eight at a time as threads claim them, so the run never holds the
+/// whole world's specs. Byte-identical
 /// to materializing the source and calling [`analyze_world`] (the source
 /// is seed-keyed per block), at any thread count.
 pub fn analyze_world_source(
@@ -756,7 +732,7 @@ pub fn analyze_world_source(
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> WorldAnalysis {
-    run_world::<Collect>(Feed::Source(source), cfg, threads, progress, Resume::default())
+    run_world::<WorldAnalysis>(Feed::Source(source), cfg, threads, progress, Resume::default())
 }
 
 /// Paper-scale entry point: lazy generation ([`WorldSource`]) and a
@@ -853,7 +829,7 @@ pub fn analyze_world_resumable(
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> Result<WorldAnalysis, JournalError> {
     let resume = Resume::open(journal_path, world.cfg.seed, world.blocks.len(), cfg)?;
-    Ok(run_world::<Collect>(Feed::World(world), cfg, threads, progress, resume))
+    Ok(run_world::<WorldAnalysis>(Feed::World(world), cfg, threads, progress, resume))
 }
 
 /// [`analyze_world_stats`] with the checkpoint journal: replayed blocks
@@ -920,6 +896,7 @@ impl WorldAnalysis {
 mod tests {
     use super::*;
     use sleepwatch_simnet::WorldConfig;
+    use std::sync::Mutex;
 
     fn tiny_analysis() -> WorldAnalysis {
         let world = World::generate(WorldConfig {

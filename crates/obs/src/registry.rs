@@ -235,12 +235,12 @@ metrics! {
         /// Largest per-worker `BlockScratch` arena footprint seen, in bytes
         /// (the experiments harness prints it to stderr).
         peak_block_bytes: gauge,
-        /// Times a worker's local result batch had to grow its capacity.
-        /// Pinned to 0: batches are pre-sized to one chunk (256) and
-        /// flushed per chunk.
+        /// Times a thread's per-chunk outcome list had to grow its
+        /// capacity. Pinned to 0: each list is pre-sized to one chunk (256).
+        /// The lists go back to the calling thread at the chunk's join.
         batch_grows: counter,
-        /// Chunks claimed from a lazy `WorldSource` that generated at least
-        /// one block (fully-journaled chunks skip generation entirely).
+        /// Chunks a world run over a lazy `WorldSource` generated and read
+        /// (journaled blocks are in no chunk, so a full replay reads none).
         source_chunks: counter,
         /// End-to-end throughput of the fastest completed world run, in
         /// blocks per second (freshly analysed blocks / wall-clock, so no

@@ -85,6 +85,12 @@ stages! {
     /// write, and the periodic sync), one sample per record appended:
     /// per `resilience.journal_records_written`.
     Checkpoint => "checkpoint",
+    /// Building a query service's indexes from its rows
+    /// (`ServeState::build`), one sample per build.
+    ServeIndexBuild => "serve.index_build",
+    /// Folding an ad-hoc `/v1/query` answer the LRU did not hold, one
+    /// sample per `serve.lru_misses`. Block reads and LRU hits run no timer.
+    ServeQueryMiss => "serve.query_miss",
 }
 
 /// Measures the wall time of a scope and records it (in microseconds)

@@ -735,7 +735,8 @@ fn transport_counters_match_transport_stats_across_a_sever() {
 /// One scripted connection — reads, a 404, ad-hoc queries past the LRU's
 /// capacity, then a malformed request: `serve.*` equals the connection's
 /// `ConnStats`, and the LRU counters equal the outcomes a twin state
-/// reports for the same filters.
+/// reports for the same filters. Each build and each LRU miss records one
+/// stopwatch sample; block reads and hits record none.
 #[test]
 fn serve_counters_match_conn_stats_and_lru_outcomes() {
     let _g = lock();
@@ -743,7 +744,10 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
         let world = fixtures::small_world();
         let analysis = analyze_world(&world, &fixtures::small_world_cfg(&world), 2, None);
         let rows = dataset_rows(&analysis);
-        let (state, twin) = (ServeState::build(rows.clone(), 8), ServeState::build(rows, 8));
+        let ((state, twin), d) =
+            measure(|| (ServeState::build(rows.clone(), 8), ServeState::build(rows, 8)));
+        let built = d.histogram("stage.serve.index_build").map_or(0, |h| h.count);
+        assert_eq!(built, 2, "one index-build sample per ServeState::build");
 
         // Twenty distinct filters into eight slots, then the first again.
         let asns: Vec<u32> = (1..=20).chain([1]).collect();
@@ -782,6 +786,19 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
         assert_eq!(d.counter("serve.lru_misses"), misses);
         assert_eq!(d.counter("serve.lru_evictions"), evictions);
         assert_eq!(d.counter("serve.connections"), 0, "counted per accepted socket only");
+        // Only a miss folds an answer, so only a miss runs a stopwatch.
+        let folded = d.histogram("stage.serve.query_miss").map_or(0, |h| h.count);
+        assert_eq!(folded, misses, "one query-miss sample per serve.lru_misses");
+        assert_eq!(d.histogram("stage.serve.index_build").map_or(0, |h| h.count), 0);
+
+        // A block read and an LRU hit (as=20 is among the eight cached).
+        let id = state.rows()[0].block_id;
+        let script =
+            format!("GET /v1/block/{id} HTTP/1.1\r\n\r\nGET /v1/query?as=20 HTTP/1.1\r\n\r\n");
+        let (conn, d) = measure(|| serve_streams(script.as_bytes(), &mut Vec::new(), &state));
+        assert_eq!((conn.requests, d.counter("serve.responses_ok")), (2, 2));
+        assert_eq!(d.counter("serve.lru_hits"), 1);
+        assert_eq!(d.histogram("stage.serve.query_miss").map_or(0, |h| h.count), 0);
     });
 }
 
