@@ -81,6 +81,6 @@ pub use streaming::{OnlineConfig, OnlineDetector};
 pub use timeofday::{activity_pattern, peak_local_hour, peak_utc_hour, ActivityPattern};
 pub use worldrun::{
     analyze_world, analyze_world_resumable, analyze_world_source, analyze_world_stats,
-    analyze_world_stats_resumable, run_identity, Quarantine, WorldAnalysis, WorldBlockReport,
-    WorldRunStats,
+    analyze_world_stats_resumable, block_label, run_identity, Quarantine, WorldAnalysis,
+    WorldBlockReport, WorldRunStats,
 };

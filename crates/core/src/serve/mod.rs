@@ -34,7 +34,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::export::{dataset_rows, DatasetRow};
 use crate::framing::DecodeError;
@@ -42,6 +42,7 @@ use crate::journal::{replay_bytes_v2, sniff_journal, JournalHeader, ReplayOutcom
 use crate::worldrun::WorldAnalysis;
 use http::{is_timeout, push_error_body, RequestError};
 use index::{write_block_body, FilterRef, BODY_ROOM};
+use sleepwatch_obs::Stage;
 use sleepwatch_simnet::WorldConfig;
 
 pub use index::ServeState;
@@ -143,17 +144,24 @@ pub fn rows_from_journal_bytes(
 
 /// Loads servable rows from `path`, sniffing the format by magic: an
 /// `SLPWBIN1` dataset (seed-joined files need `world`) or an `SLPWJNL2`
-/// journal (checked against `expect`).
+/// journal (checked against `expect`). Each successful load is one
+/// `stage.serve.load` sample; a refused one records none.
 pub fn load_rows(
     path: &Path,
     world: Option<&WorldConfig>,
     expect: &JournalHeader,
 ) -> Result<Vec<DatasetRow>, LoadError> {
+    let hist = sleepwatch_obs::global().pipeline.stage(Stage::ServeLoad);
+    let start = hist.enabled().then(Instant::now);
     let bytes = std::fs::read(path)?;
-    match bytes.get(0..8) {
+    let rows = match bytes.get(0..8) {
         Some(b) if *b == *b"SLPWBIN1" => rows_from_dataset_bytes(&bytes, world),
         _ => rows_from_journal_bytes(&bytes, expect),
+    }?;
+    if let Some(t0) = start {
+        hist.record(t0.elapsed().as_secs_f64() * 1e6);
     }
+    Ok(rows)
 }
 
 /// Parses `/v1/query`'s query string into a filter borrowing from it.

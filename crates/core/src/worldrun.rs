@@ -32,7 +32,7 @@ use sleepwatch_geoecon::allocation::YearMonth;
 use sleepwatch_geoecon::country::{by_code, COUNTRIES};
 use sleepwatch_geoecon::geolocate::{GeoDatabase, Location};
 use sleepwatch_geoecon::region::Region;
-use sleepwatch_linktype::{BlockLabel, LinkSet};
+use sleepwatch_linktype::{feature_mask, BlockLabel, LinkSet};
 use sleepwatch_obs::{Histogram, Stage, StageTimer};
 use sleepwatch_simnet::{BlockSpec, PtrTemplate, World, WorldSource};
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, FftPlan, MAX_BATCH_LANES};
@@ -263,11 +263,26 @@ impl Sink for WorldRunStats {
     }
 }
 
+/// The reverse-DNS link label of one block (§2.3.3), from its
+/// [`PtrTemplate`] instead of its 256 rendered names. Every name of a
+/// block is the template's head, the octet's digits and its tail, and no
+/// keyword holds a digit, so every name has the one mask of head and
+/// tail, counted once per named address. Equal to
+/// [`sleepwatch_linktype::classify_block`] over the block's
+/// [`ptr_name`](sleepwatch_simnet::ptr_name)s, which the tests hold it to.
+pub fn block_label(block: &BlockSpec) -> BlockLabel {
+    let mut label = BlockLabel::default();
+    if let Some(template) = PtrTemplate::of(block) {
+        let mask = feature_mask(template.head()) | feature_mask(template.tail());
+        label.add_names(template.named_addresses(), mask);
+    }
+    label.finish()
+}
+
 /// Geo/reverse-DNS/registry join for one completed summary — the
 /// world-independent second half of the per-block pipeline, timed as
-/// [`Stage::Label`]. Each address's PTR name is rendered into one reused
-/// buffer and counted straight into the block's label: a named block
-/// allocates that buffer and nothing else.
+/// [`Stage::Label`]. The link label is [`block_label`]: constant work per
+/// block and no allocation.
 pub(crate) fn join_block(
     geodb: &GeoDatabase,
     block: &BlockSpec,
@@ -285,23 +300,12 @@ pub(crate) fn join_block(
             None
         }
     });
-    let mut label = BlockLabel::default();
-    if let Some(template) = PtrTemplate::of(block) {
-        let mut name = String::with_capacity(64);
-        for addr in 0..=255u8 {
-            name.clear();
-            if template.write_name(addr, &mut name) {
-                label.add_name(&name);
-            }
-        }
-    }
-    let label = label.finish();
     WorldBlockReport {
         summary,
         location,
         region,
         alloc_date: block.alloc_date,
-        link_features: label.features.kept(),
+        link_features: block_label(block).features.kept(),
         asn: block.asn,
         planted_diurnal: block.planted_diurnal,
     }

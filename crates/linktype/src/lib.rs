@@ -12,7 +12,8 @@
 //! 5. labels the block with every remaining non-zero feature.
 //!
 //! A name is matched in one pass ([`feature_mask`]) and counted into a
-//! [`BlockLabel`] with [`BlockLabel::add_name`]; [`BlockLabel::finish`]
+//! [`BlockLabel`] with [`BlockLabel::add_name`], or `n` names that share
+//! one mask with [`BlockLabel::add_names`]; [`BlockLabel::finish`]
 //! applies step 4. [`classify_block`] is those two over an iterator.
 //!
 //! Seven of the 16 keywords (`rtr`, `gw`, `ded`, `client`, `sql`,
@@ -222,6 +223,24 @@ impl std::fmt::Display for LinkFeature {
     }
 }
 
+/// Every keyword is non-empty and lower-case ASCII letters only. The
+/// matcher's tables rely on it, and so does labelling a block from the
+/// text around its names' octet: no keyword holds a digit, so no match
+/// spans the octet's digits.
+const _: () = {
+    let mut i = 0;
+    while i < LinkFeature::ALL.len() {
+        let kw = LinkFeature::ALL[i].keyword().as_bytes();
+        assert!(!kw.is_empty(), "empty keyword");
+        let mut j = 0;
+        while j < kw.len() {
+            assert!(kw[j].is_ascii_lowercase(), "keyword byte not a lower-case ASCII letter");
+            j += 1;
+        }
+        i += 1;
+    }
+};
+
 /// `FIRST[b]`: the [`feature_mask`] bits of the keywords whose first byte is
 /// `b` (keywords are lower-case ASCII, so only lower-case bytes are set).
 const FIRST: [u16; 256] = {
@@ -319,10 +338,16 @@ impl BlockLabel {
     /// Counts one address's reverse name (addresses without a PTR record
     /// are simply not added).
     pub fn add_name(&mut self, name: &str) {
-        self.named_addresses += 1;
-        let mut mask = feature_mask(name);
+        self.add_names(1, feature_mask(name));
+    }
+
+    /// Counts `n` named addresses whose names all have the [`feature_mask`]
+    /// `mask` — what `n` calls of [`add_name`](Self::add_name) with such
+    /// names count.
+    pub fn add_names(&mut self, n: u32, mut mask: u16) {
+        self.named_addresses += n;
         while mask != 0 {
-            self.counts[mask.trailing_zeros() as usize] += 1;
+            self.counts[mask.trailing_zeros() as usize] += n;
             mask &= mask - 1;
         }
     }
@@ -473,6 +498,19 @@ mod tests {
             label.features.contains(LinkFeature::Dhcp)
                 && label.features.contains(LinkFeature::Dial)
         );
+    }
+
+    #[test]
+    fn add_names_counts_what_as_many_add_name_calls_count() {
+        let name = "dhcp-dial-007.example.com";
+        let mut one_by_one = BlockLabel::default();
+        for _ in 0..37 {
+            one_by_one.add_name(name);
+        }
+        let mut at_once = BlockLabel::default();
+        at_once.add_names(37, feature_mask(name));
+        assert_eq!(at_once, one_by_one);
+        assert_eq!(at_once.finish(), one_by_one.finish());
     }
 
     #[test]

@@ -85,6 +85,10 @@ stages! {
     /// write, and the periodic sync), one sample per record appended:
     /// per `resilience.journal_records_written`.
     Checkpoint => "checkpoint",
+    /// Loading a query service's rows from a dataset or journal file
+    /// (`serve::load_rows`: read, sniff, decode or replay), one sample per
+    /// successful load; a refused load records none.
+    ServeLoad => "serve.load",
     /// Building a query service's indexes from its rows
     /// (`ServeState::build`), one sample per build.
     ServeIndexBuild => "serve.index_build",

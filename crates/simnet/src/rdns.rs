@@ -25,7 +25,9 @@ const NO_PTR_ADDR_FRACTION: f64 = 0.15;
 /// A block's reverse-DNS template: the per-block draws (no-PTR coin, name
 /// style, one or both link keywords) made once, and everything of the name
 /// but the address octet rendered once — so each address's name is one
-/// keyed coin and three appends.
+/// keyed coin and three appends, and every name of the block shares the
+/// [`head`](PtrTemplate::head) and [`tail`](PtrTemplate::tail) around its
+/// octet.
 #[derive(Debug, Clone, Copy)]
 pub struct PtrTemplate {
     seed: u64,
@@ -101,17 +103,41 @@ impl PtrTemplate {
         self.len += bytes.len();
     }
 
+    /// The fixed text every name of the block starts with, up to the
+    /// address octet.
+    pub fn head(&self) -> &str {
+        text(&self.text[..self.head])
+    }
+
+    /// The fixed text every name of the block ends with, after the
+    /// address octet. A name is [`head`](Self::head), the octet in one to
+    /// three decimal digits, then this.
+    pub fn tail(&self) -> &str {
+        text(&self.text[self.head..self.len])
+    }
+
+    /// Whether address `addr` has a PTR record: its keyed no-PTR coin.
+    fn is_named(&self, addr: u8) -> bool {
+        !KeyedRng::from_parts(&[self.seed, STREAM_RDNS, self.id, addr as u64])
+            .chance(NO_PTR_ADDR_FRACTION)
+    }
+
+    /// How many of the block's 256 addresses have a PTR record — those
+    /// [`write_name`](Self::write_name) writes a name for.
+    pub fn named_addresses(&self) -> u32 {
+        (0..=255u8).map(|addr| u32::from(self.is_named(addr))).sum()
+    }
+
     /// Appends the PTR name of address `addr` to `out` and returns `true`,
     /// or returns `false` with `out` untouched where that address has no
     /// record. Deterministic in `(block, addr)`.
     pub fn write_name(&self, addr: u8, out: &mut String) -> bool {
-        let mut ar = KeyedRng::from_parts(&[self.seed, STREAM_RDNS, self.id, addr as u64]);
-        if ar.chance(NO_PTR_ADDR_FRACTION) {
+        if !self.is_named(addr) {
             return false;
         }
-        out.push_str(text(&self.text[..self.head]));
+        out.push_str(self.head());
         out.push_str(text(decimal(addr as u64, self.width, &mut [0; 20])));
-        out.push_str(text(&self.text[self.head..self.len]));
+        out.push_str(self.tail());
         true
     }
 }
@@ -222,6 +248,37 @@ mod tests {
             }
         }
         assert!(saw_both, "expected some dhcp-dial names like the paper's example");
+    }
+
+    /// The fact a block's label is computed from: every name of a block
+    /// is its template's head, the octet in at least one digit, then its
+    /// tail — in every style — and the template counts the named ones.
+    #[test]
+    fn every_name_is_the_head_then_digits_then_the_tail() {
+        let mut styles = [0; 3];
+        for id in 0..120 {
+            let b = block_with_links(id, vec![LinkClass::Dhcp, LinkClass::Dialup]);
+            let Some(t) = PtrTemplate::of(&b) else { continue };
+            let style = match (t.head(), t.width) {
+                ("host", _) => 2,
+                (_, 3) => 0,
+                _ => 1,
+            };
+            styles[style] += 1;
+            let mut named = 0;
+            for addr in 0..=255u8 {
+                let Some(name) = ptr_name(&b, addr) else { continue };
+                named += 1;
+                let octet = name
+                    .strip_prefix(t.head())
+                    .and_then(|rest| rest.strip_suffix(t.tail()))
+                    .unwrap_or_else(|| panic!("{name:?} is not {:?} … {:?}", t.head(), t.tail()));
+                assert!(!octet.is_empty() && octet.bytes().all(|c| c.is_ascii_digit()), "{name}");
+                assert_eq!(octet.parse::<u8>(), Ok(addr), "{name}");
+            }
+            assert_eq!(t.named_addresses(), named, "block {id}");
+        }
+        assert!(styles.iter().all(|&n| n > 0), "styles seen: {styles:?}");
     }
 
     #[test]

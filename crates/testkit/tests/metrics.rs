@@ -10,11 +10,11 @@
 use sleepwatch_core::feed::with_feed_workers;
 use sleepwatch_core::journal::{open_resume, record_boundaries, JournalHeader};
 use sleepwatch_core::serve::index::Filter;
-use sleepwatch_core::serve::{serve_streams, LruOutcome};
+use sleepwatch_core::serve::{load_rows, serve_streams, LruOutcome};
 use sleepwatch_core::{
     analyze_block, analyze_world, analyze_world_resumable, dataset_rows, decode_dataset,
-    encode_dataset, feed_identity, ingest_source, ingest_world, ingest_world_resumable, world_feed,
-    AnalysisConfig, DatasetMode, IngestConfig, ServeState, WorldFeed,
+    encode_dataset, feed_identity, ingest_source, ingest_world, ingest_world_resumable,
+    run_identity, world_feed, AnalysisConfig, DatasetMode, IngestConfig, ServeState, WorldFeed,
 };
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::transport::{
@@ -799,6 +799,42 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
         assert_eq!((conn.requests, d.counter("serve.responses_ok")), (2, 2));
         assert_eq!(d.counter("serve.lru_hits"), 1);
         assert_eq!(d.histogram("stage.serve.query_miss").map_or(0, |h| h.count), 0);
+    });
+}
+
+/// Each successful `load_rows` — of a dataset and of a journal — is one
+/// `stage.serve.load` sample; a refused load (a foreign journal, a
+/// missing file) records none.
+#[test]
+fn serve_load_samples_once_per_successful_load() {
+    let _g = lock();
+    with_metrics(|| {
+        let world = fixtures::small_world();
+        let cfg = fixtures::small_world_cfg(&world);
+        let journal = scratch_path("metrics-serve-load");
+        let analysis = analyze_world_resumable(&world, &cfg, 2, &journal, None).unwrap();
+        let dataset = scratch_path("metrics-serve-load-bin");
+        let bytes = encode_dataset(&dataset_rows(&analysis), DatasetMode::SelfContained).unwrap();
+        std::fs::write(&dataset, bytes).expect("write dataset");
+        let expect =
+            JournalHeader::from_identity(&run_identity(world.cfg.seed, world.blocks.len(), &cfg));
+        let samples = |d: &Snapshot| d.histogram("stage.serve.load").map_or(0, |h| h.count);
+
+        let (loaded, d) =
+            measure(|| [load_rows(&dataset, None, &expect), load_rows(&journal, None, &expect)]);
+        for rows in loaded {
+            assert_eq!(rows.expect("loads").len(), world.blocks.len());
+        }
+        assert_eq!(samples(&d), 2, "one sample per successful load");
+
+        let foreign = JournalHeader { world_seed: expect.world_seed + 1, ..expect };
+        let missing = scratch_path("metrics-serve-load-missing");
+        let (refused, d) =
+            measure(|| [load_rows(&journal, None, &foreign), load_rows(&missing, None, &expect)]);
+        assert!(refused.iter().all(Result::is_err), "{refused:?}");
+        assert_eq!(samples(&d), 0, "a refused load records none");
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&dataset);
     });
 }
 
