@@ -4,7 +4,8 @@
 //! [`DatasetRow`]s and then only read: the per-key group bodies, the
 //! list bodies, the summary and the outage histogram are fully rendered
 //! strings; `/v1/block/{id}` is a binary search over a sorted id column
-//! and one [`write_block_body`] into the caller's buffer; an ad-hoc
+//! and one [`write_block_body`] — a single pass of appends into a stack
+//! buffer, handed to the caller's `String` whole; an ad-hoc
 //! `/v1/query` that misses the [`ShardedLru`] folds over the shortest
 //! posting list (row indices per country, AS and link keyword) its
 //! filter names instead of over the table. Worker threads share the
@@ -14,7 +15,8 @@
 //! Number formatting mirrors the canonical TSV dataset (6 decimals, 4
 //! for `strongest_cpd`), so every served float is exactly the dataset's
 //! rendering of the same value: [`push_fixed`] is `format!`'s `{:.N}`
-//! by exact arithmetic, without the formatter. The batch-differential
+//! by exact arithmetic, without the formatter, for every value a dataset
+//! holds but exact ties (negative phases included). The batch-differential
 //! oracle (`testkit/tests/serve_oracle.rs`) re-renders all of these
 //! bodies from an index-free fold and compares byte-for-byte.
 
@@ -58,70 +60,129 @@ impl GroupCounts {
     }
 }
 
-/// Appends `n` in decimal with a point before its last `decimals`
-/// digits (none for zero), zero-padded so that a digit precedes the
-/// point: `(1234, 2)` is `12.34`, `(5, 2)` is `0.05`, `(5, 0)` is `5`.
-fn push_scaled(out: &mut String, mut n: u64, decimals: usize) {
-    let mut buf = [0u8; 32];
-    let mut i = buf.len();
-    for _ in 0..decimals {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
+/// Scratch for one rendered number, which ends at [`DIGITS_END`]: the
+/// second half is slack, so that a fixed 32-byte copy from the number's
+/// first byte stays in bounds.
+type Digits = [u8; 64];
+
+/// Where a number in [`Digits`] ends.
+const DIGITS_END: usize = 32;
+
+/// Powers of ten up to the largest scale [`fixed_digits`] answers.
+const POW10: [u64; 10] =
+    [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000];
+
+/// `00` to `99`, two bytes each.
+const PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    if decimals > 0 {
-        i -= 1;
-        buf[i] = b'.';
+    t
+};
+
+/// Writes `n` in decimal so that it ends before `end`, two digits a step
+/// and zero-padded to at least `width` digits; returns where it starts.
+fn pad_digits(buf: &mut Digits, mut end: usize, mut n: u64, width: usize) -> usize {
+    let stop = end - width;
+    while n >= 100 {
+        let p = (n % 100) as usize * 2;
+        n /= 100;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&PAIRS[p..p + 2]);
     }
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+    if n >= 10 {
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&PAIRS[n as usize * 2..n as usize * 2 + 2]);
+    } else {
+        end -= 1;
+        buf[end] = b'0' + n as u8;
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+    while end > stop {
+        end -= 1;
+        buf[end] = b'0';
+    }
+    end
+}
+
+/// Writes `n` in decimal with a point before its last `decimals` digits
+/// (none for zero, at most 9), zero-padded so that a digit precedes the
+/// point — `(1234, 2)` is `12.34`, `(5, 2)` is `0.05`, `(5, 0)` is `5` —
+/// ending at [`DIGITS_END`], and returns where the text starts. Every
+/// number a body carries is written here.
+fn scaled_digits(buf: &mut Digits, n: u64, decimals: usize) -> usize {
+    if decimals == 0 {
+        return pad_digits(buf, DIGITS_END, n, 1);
+    }
+    let scale = POW10[decimals];
+    let point = pad_digits(buf, DIGITS_END, n % scale, decimals) - 1;
+    buf[point] = b'.';
+    pad_digits(buf, point, n / scale, 1)
 }
 
 /// Appends `n` in decimal, as `{n}` renders it.
 pub(crate) fn push_u64(out: &mut String, n: u64) {
-    push_scaled(out, n, 0);
+    let mut buf = [0; 64];
+    let i = scaled_digits(&mut buf, n, 0);
+    out.push_str(std::str::from_utf8(&buf[i..DIGITS_END]).expect("ascii digits"));
+}
+
+/// Writes `v` rounded to `decimals` places into `buf`, as `{:.N}`
+/// renders it, and returns where the text starts — or `None`
+/// where only the standard formatter decides: an exact tie, NaN, an
+/// infinity, |v| from 1e9, more than 9 decimals.
+///
+/// A magnitude below 1e9 is `m / 2^shift` exactly, so `|v| * 10^decimals`
+/// is the u128 `m * 10^decimals` shifted right, and the bits shifted out
+/// say on which side of one half the remainder lies; above and below one
+/// half the digits are forced. `{:.N}` prints the sign and then rounds
+/// the magnitude, so a negative value is its magnitude's digits behind
+/// `-` — `-0.0` and values that round to zero included.
+fn fixed_digits(buf: &mut Digits, v: f64, decimals: usize) -> Option<usize> {
+    let magnitude = v.abs();
+    if magnitude.is_nan() || magnitude >= 1e9 || decimals >= POW10.len() {
+        return None;
+    }
+    let bits = magnitude.to_bits();
+    let exp = (bits >> 52) as u32;
+    let frac = bits & ((1 << 52) - 1);
+    let (m, shift) = if exp == 0 { (frac, 1074) } else { (frac | 1 << 52, 1075 - exp) };
+    // m < 2^53 and the scale < 2^30; |v| < 2^30 puts shift at 23 or more.
+    let p = u128::from(m) * u128::from(POW10[decimals]);
+    let (q, side) = if shift >= 100 {
+        (0, Ordering::Less)
+    } else {
+        (p >> shift, (p & ((1 << shift) - 1)).cmp(&(1 << (shift - 1))))
+    };
+    if side == Ordering::Equal {
+        return None;
+    }
+    // At most 9 + 1 + 9 digits and the point, and the sign: 20 of 32.
+    let mut i = scaled_digits(buf, q as u64 + u64::from(side == Ordering::Greater), decimals);
+    if v.is_sign_negative() {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    Some(i)
 }
 
 /// Appends `v` with `decimals` digits after the point: byte for byte
-/// `format!("{v:.decimals$}")`, without the formatter (three of these
-/// were most of a block body's cost).
-///
-/// A non-negative double below 1e9 is `m / 2^shift` exactly, so
-/// `v * 10^decimals` is the u128 `m * 10^decimals` shifted right, and
-/// the bits shifted out say on which side of one half the remainder
-/// lies. Above and below one half the digits are forced; an exact tie
-/// is left to the standard formatter, as are negatives (`-0.0`
-/// included), NaN, infinities, values from 1e9 and more than 9
-/// decimals, so no rounding rule is spelled twice.
+/// `format!("{v:.decimals$}")`. Every finite value below 1e9 in
+/// magnitude, negative or not, is written by `fixed_digits` without
+/// the formatter (three of these were most of a block body's cost); only
+/// exact ties, NaN, infinities, |v| from 1e9 and more than 9 decimals
+/// reach `core::fmt`, so no rounding rule is spelled twice.
 pub fn push_fixed(out: &mut String, v: f64, decimals: usize) {
-    const POW10: [u64; 10] =
-        [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000];
-    let bits = v.to_bits();
-    // A set sign bit makes `bits >> 52` exceed 0x7ff; NaN fails `v < 1e9`.
-    let exp = (bits >> 52) as u32;
-    if exp <= 0x7ff && v < 1e9 && decimals < POW10.len() {
-        let frac = bits & ((1 << 52) - 1);
-        let (m, shift) = if exp == 0 { (frac, 1074) } else { (frac | 1 << 52, 1075 - exp) };
-        // m < 2^53 and the scale < 2^30; v < 2^30 puts shift at 23 or more.
-        let p = u128::from(m) * u128::from(POW10[decimals]);
-        let (q, side) = if shift >= 100 {
-            (0, Ordering::Less)
-        } else {
-            (p >> shift, (p & ((1 << shift) - 1)).cmp(&(1 << (shift - 1))))
-        };
-        if side != Ordering::Equal {
-            push_scaled(out, q as u64 + u64::from(side == Ordering::Greater), decimals);
-            return;
+    let mut buf = [0; 64];
+    match fixed_digits(&mut buf, v, decimals) {
+        Some(i) => out.push_str(std::str::from_utf8(&buf[i..DIGITS_END]).expect("ascii digits")),
+        None => {
+            let _ = write!(out, "{v:.decimals$}");
         }
     }
-    let _ = write!(out, "{v:.decimals$}");
 }
 
 /// Appends `label` (punctuation included) and the count after it.
@@ -185,39 +246,124 @@ pub fn link_body(keyword: &str, c: &GroupCounts) -> String {
 /// tight because callers of [`block_body`] hold on to what it returns.
 pub(crate) const BODY_ROOM: usize = 256;
 
-/// Appends the `/v1/block/{id}` body for one row.
+/// Stack room for one block body: about 240 bytes of keys and numbers
+/// at their widest, plus the country and the link keywords.
+const BLOCK_ROOM: usize = 512;
+
+/// A block body assembled in a stack buffer and handed to its `String`
+/// whole, so that a body costs one UTF-8 check instead of one per
+/// number. Only ASCII is staged; anything else, and anything that does
+/// not fit, is appended to the `String` after a flush.
+struct Staged<'a> {
+    out: &'a mut String,
+    buf: [u8; BLOCK_ROOM],
+    len: usize,
+}
+
+// The appends are forced inline, so that each literal's copy has a
+// constant length: left as calls, the staged writer measured slower than
+// appending each field to the `String`.
+impl Staged<'_> {
+    /// Moves what is staged to the `String`, which is returned for a
+    /// fallback writer to append to.
+    fn flush(&mut self) -> &mut String {
+        self.out.push_str(std::str::from_utf8(&self.buf[..self.len]).expect("staged ascii"));
+        self.len = 0;
+        self.out
+    }
+
+    /// Stages the ASCII bytes `b`.
+    #[inline(always)]
+    fn bytes(&mut self, b: &[u8]) {
+        if b.len() > BLOCK_ROOM - self.len {
+            self.flush().push_str(std::str::from_utf8(b).expect("ascii"));
+            return;
+        }
+        self.buf[self.len..self.len + b.len()].copy_from_slice(b);
+        self.len += b.len();
+    }
+
+    /// Stages the number that starts at `digits[i]`, by a copy of fixed
+    /// length: the bytes after it are overwritten by what comes next.
+    #[inline(always)]
+    fn number(&mut self, digits: &Digits, i: usize) {
+        if DIGITS_END > BLOCK_ROOM - self.len {
+            self.flush();
+        }
+        self.buf[self.len..self.len + DIGITS_END].copy_from_slice(&digits[i..i + DIGITS_END]);
+        self.len += DIGITS_END - i;
+    }
+
+    #[inline(always)]
+    fn u64(&mut self, n: u64) {
+        let mut digits = [0; 64];
+        let i = scaled_digits(&mut digits, n, 0);
+        self.number(&digits, i);
+    }
+
+    /// [`push_fixed`], staged where [`fixed_digits`] decides it.
+    #[inline(always)]
+    fn fixed(&mut self, v: f64, decimals: usize) {
+        let mut digits = [0; 64];
+        match fixed_digits(&mut digits, v, decimals) {
+            Some(i) => self.number(&digits, i),
+            None => push_fixed(self.flush(), v, decimals),
+        }
+    }
+
+    /// A JSON string: staged as it is when it is ASCII letters and
+    /// digits (country codes, link keywords), escaped otherwise.
+    fn json_str(&mut self, s: &str) {
+        if s.bytes().all(|b| b.is_ascii_alphanumeric()) {
+            self.bytes(b"\"");
+            self.bytes(s.as_bytes());
+            self.bytes(b"\"");
+        } else {
+            push_json_str(self.flush(), s);
+        }
+    }
+}
+
+/// Appends the `/v1/block/{id}` body for one row, in one pass over a
+/// stack buffer.
 pub fn write_block_body(out: &mut String, r: &DatasetRow) {
-    push_count(out, "{\"block\":", r.block_id);
-    out.push_str(match r.class {
-        DiurnalClass::Strict => ",\"class\":\"d\",\"phase\":",
-        DiurnalClass::Relaxed => ",\"class\":\"r\",\"phase\":",
-        DiurnalClass::NonDiurnal => ",\"class\":\"n\",\"phase\":",
+    let mut s = Staged { out, buf: [0; BLOCK_ROOM], len: 0 };
+    s.bytes(b"{\"block\":");
+    s.u64(r.block_id);
+    s.bytes(match r.class {
+        DiurnalClass::Strict => b",\"class\":\"d\",\"phase\":",
+        DiurnalClass::Relaxed => b",\"class\":\"r\",\"phase\":",
+        DiurnalClass::NonDiurnal => b",\"class\":\"n\",\"phase\":",
     });
     match r.phase {
-        Some(p) => push_fixed(out, p, 6),
-        None => out.push_str("null"),
+        Some(p) => s.fixed(p, 6),
+        None => s.bytes(b"null"),
     }
-    out.push_str(",\"mean_a\":");
-    push_fixed(out, r.mean_a, 6);
-    out.push_str(",\"strongest_cpd\":");
-    push_fixed(out, r.strongest_cpd, 4);
-    out.push_str(if r.stationary { ",\"stationary\":true" } else { ",\"stationary\":false" });
-    push_count(out, ",\"outages\":", r.outages.into());
-    push_count(out, ",\"probes\":", r.probes);
-    out.push_str(",\"country\":");
+    s.bytes(b",\"mean_a\":");
+    s.fixed(r.mean_a, 6);
+    s.bytes(b",\"strongest_cpd\":");
+    s.fixed(r.strongest_cpd, 4);
+    s.bytes(if r.stationary { b",\"stationary\":true" } else { b",\"stationary\":false" });
+    s.bytes(b",\"outages\":");
+    s.u64(r.outages.into());
+    s.bytes(b",\"probes\":");
+    s.u64(r.probes);
+    s.bytes(b",\"country\":");
     match r.country {
-        Some(c) => push_json_str(out, c),
-        None => out.push_str("null"),
+        Some(c) => s.json_str(c),
+        None => s.bytes(b"null"),
     }
-    push_count(out, ",\"asn\":", r.asn.into());
-    out.push_str(",\"links\":[");
+    s.bytes(b",\"asn\":");
+    s.u64(r.asn.into());
+    s.bytes(b",\"links\":[");
     for (i, l) in r.links.into_iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            s.bytes(b",");
         }
-        push_json_str(out, l);
+        s.json_str(l);
     }
-    out.push_str("]}");
+    s.bytes(b"]}");
+    s.flush();
 }
 
 /// The `/v1/block/{id}` body for one row.

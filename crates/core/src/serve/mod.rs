@@ -271,10 +271,12 @@ fn answer(
         let id = id.parse::<u64>().map_err(|_| bad_request("malformed block id"))?;
         let row = state.row(id).ok_or_else(|| not_found("unknown block"))?;
         write_block_body(body, row);
+        obs.serve.block_reads.incr();
         return Ok(());
     }
     let rendered = match path {
         "/metrics" => {
+            obs.serve.metrics_reads.incr();
             body.push_str(&sleepwatch_obs::Snapshot::capture(obs).to_json());
             return Ok(());
         }
@@ -309,6 +311,7 @@ fn answer(
             }
         }
     };
+    obs.serve.group_reads.incr();
     body.push_str(rendered);
     Ok(())
 }

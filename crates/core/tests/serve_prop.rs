@@ -425,12 +425,15 @@ fn assert_fixed_is_format(v: f64) {
 
 /// The seeded hard cases of `push_fixed`: exact ties and their
 /// neighbours, carries into the integer part, the edges of the range it
-/// answers itself, and the values the dataset decoder emits.
+/// answers itself, and the values the dataset decoder emits — each at
+/// `-v` as well as at `v`, since `{:.N}` rounds the magnitude behind the
+/// sign.
 #[test]
 fn push_fixed_hard_cases() {
     let with_neighbours = |v: f64| {
         for bits in [v.to_bits().wrapping_sub(1), v.to_bits(), v.to_bits() + 1] {
             assert_fixed_is_format(f64::from_bits(bits));
+            assert_fixed_is_format(-f64::from_bits(bits));
         }
     };
     // Odd multiples of 1/128 and 1/32 are exact ties at 6 and 4 decimals.
@@ -469,6 +472,7 @@ fn push_fixed_hard_cases() {
     // range, then strides out to a million and into the negatives.
     for q in (0..100_000i64).chain((0..100_000).map(|k| k * 9_999_973)) {
         assert_fixed_is_format(q as f64 / 1e6);
+        assert_fixed_is_format(-q as f64 / 1e6);
     }
     for q in (1..2_000i64).map(|k| k * -104_729) {
         assert_fixed_is_format(q as f64 / 1e6);
@@ -492,6 +496,21 @@ proptest! {
     /// whatever the row holds.
     #[test]
     fn block_writer_is_the_format_rendition(row in any_row()) {
+        let mut got = String::from("kept");
+        write_block_body(&mut got, &row);
+        prop_assert_eq!(got, format!("kept{}", reference_block_body(&row)));
+    }
+
+    /// So does it for a country no table holds: one the JSON escaper must
+    /// rewrite, or one longer than the stack buffer the body is staged in.
+    #[test]
+    fn block_writer_falls_back_for_strings_it_cannot_stage(
+        row in any_row(),
+        country in tricky_string(),
+        repeat in 1usize..100,
+    ) {
+        let country: &'static str = Box::leak(country.repeat(repeat).into_boxed_str());
+        let row = DatasetRow { country: Some(country), ..row };
         let mut got = String::from("kept");
         write_block_body(&mut got, &row);
         prop_assert_eq!(got, format!("kept{}", reference_block_body(&row)));

@@ -360,6 +360,13 @@ metrics! {
         read_timeouts: counter,
         /// Connections lost while writing a response.
         write_errors: counter,
+        /// `/v1/block/{id}` bodies answered.
+        block_reads: counter,
+        /// Pre-rendered bodies answered: the summary, the country, AS and
+        /// link bodies and lists, and the outage histogram.
+        group_reads: counter,
+        /// `/metrics` bodies answered.
+        metrics_reads: counter,
         /// Ad-hoc query answers served from the LRU.
         lru_hits: counter,
         /// Ad-hoc queries folded over the rows (and cached).

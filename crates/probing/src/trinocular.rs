@@ -724,6 +724,30 @@ mod tests {
         assert_eq!(pd.state(), BlockState::Down);
     }
 
+    /// The likelihood table by value: from a known belief, one
+    /// unreachable and one timeout land on Bayes' posterior with ε = 0.01,
+    /// `P(unreachable | up)` = 0.005 and `P(unreachable | down)` = 0.5
+    /// written out here, not read from the constants.
+    #[test]
+    fn unreachable_and_timeout_posteriors_are_the_closed_form() {
+        let b = block_with_avail(11, 100, 0.8);
+        let mut p = TrinocularProber::new(&b, TrinocularConfig::default());
+        let a = p.estimator().a_operational();
+        assert!(a > 0.0 && a < 0.99, "A = {a}");
+        let prior = 0.6;
+        let posterior = |up: f64, down: f64| up * prior / (up * prior + down * (1.0 - prior));
+
+        p.belief_up = prior;
+        p.update_belief(ProbeOutcome::Unreachable);
+        let want = posterior(0.005, 0.5);
+        assert!((p.belief_up() - want).abs() < 1e-12, "unreachable: {} vs {want}", p.belief_up());
+
+        p.belief_up = prior;
+        p.update_belief(ProbeOutcome::Timeout);
+        let want = posterior(1.0 - a - 0.005, 1.0 - 0.01 - 0.5);
+        assert!((p.belief_up() - want).abs() < 1e-12, "timeout: {} vs {want}", p.belief_up());
+    }
+
     #[test]
     fn empty_block_yields_no_record() {
         let b = block_with_avail(7, 0, 0.5);

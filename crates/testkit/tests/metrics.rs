@@ -802,6 +802,75 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
     });
 }
 
+/// Every 2xx answer is counted by exactly one route: block reads, group
+/// reads (the pre-rendered bodies), `/metrics` reads, LRU hits and LRU
+/// misses sum to `serve.responses_ok` over a script that uses every
+/// route, and refusals on each route count under none of them.
+#[test]
+fn route_counters_partition_the_ok_responses() {
+    let _g = lock();
+    with_metrics(|| {
+        let world = fixtures::small_world();
+        let analysis = analyze_world(&world, &fixtures::small_world_cfg(&world), 2, None);
+        let state = ServeState::build(dataset_rows(&analysis), 8);
+        let rows = state.rows();
+        let code = rows.iter().find_map(|r| r.country).expect("a located row");
+        let keyword = rows.iter().find_map(|r| r.links.into_iter().next()).expect("a keyword");
+        let (first, last) = (rows[0].block_id, rows[rows.len() - 1].block_id);
+        let blocks = [format!("/v1/block/{first}"), format!("/v1/block/{last}")];
+        let groups = [
+            "/v1/summary".to_string(),
+            "/v1/country".into(),
+            "/v1/as".into(),
+            "/v1/link".into(),
+            "/v1/outages".into(),
+            format!("/v1/country/{code}"),
+            format!("/v1/as/{}", rows[0].asn),
+            format!("/v1/link/{keyword}"),
+        ];
+        let queries = [format!("/v1/query?as={}", rows[0].asn), "/v1/query?stationary=true".into()];
+        let refused = [
+            format!("/v1/block/{}", last + 1),
+            "/v1/block/x".into(),
+            "/v1/country/ZZ".into(),
+            "/v1/as/x".into(),
+            "/v1/summary?x=1".into(),
+            "/v1/query?bogus=1".into(),
+            "/metrics?x=1".into(),
+            "/v1/nope".into(),
+        ];
+        // Each ok target twice (the second ad-hoc query is an LRU hit),
+        // the refusals in between.
+        let mut script = String::new();
+        for target in blocks.iter().chain(&groups).chain(&queries).chain(["/metrics".into()].iter())
+        {
+            script += &format!("GET {target} HTTP/1.1\r\n\r\nGET {target} HTTP/1.1\r\n\r\n");
+        }
+        for target in &refused {
+            script += &format!("GET {target} HTTP/1.1\r\n\r\n");
+        }
+        script += "BOGUS\r\n\r\n";
+
+        let (conn, d) = measure(|| serve_streams(script.as_bytes(), &mut Vec::new(), &state));
+        let routed = |k: &str| d.counter(k);
+        assert_eq!(routed("serve.block_reads"), 2 * blocks.len() as u64);
+        assert_eq!(routed("serve.group_reads"), 2 * groups.len() as u64);
+        assert_eq!(routed("serve.metrics_reads"), 2);
+        assert_eq!(routed("serve.lru_misses"), queries.len() as u64);
+        assert_eq!(routed("serve.lru_hits"), queries.len() as u64);
+        assert_eq!(
+            routed("serve.block_reads")
+                + routed("serve.group_reads")
+                + routed("serve.metrics_reads")
+                + routed("serve.lru_hits")
+                + routed("serve.lru_misses"),
+            routed("serve.responses_ok"),
+        );
+        assert_eq!(routed("serve.responses_err"), refused.len() as u64 + 1, "and the 400");
+        assert_eq!(conn.responses, routed("serve.responses_ok") + routed("serve.responses_err"));
+    });
+}
+
 /// Each successful `load_rows` — of a dataset and of a journal — is one
 /// `stage.serve.load` sample; a refused load (a foreign journal, a
 /// missing file) records none.

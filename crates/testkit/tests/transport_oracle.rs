@@ -413,6 +413,10 @@ fn killed_server_is_resumed_mid_stream() {
         out
     });
     assert!(out.transport.reconnects >= 1, "no reconnect recorded");
+    // The restarted feed resumes exactly where server 1 stopped: no
+    // event arrives twice, and every event arrives once.
+    assert_eq!(out.transport.duplicates, 0, "the resume re-sent events");
+    assert_eq!(out.transport.events, events.len() as u64, "events delivered");
     assert_matches_batch("server-restart", &out, &batch);
 }
 
