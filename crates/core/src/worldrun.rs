@@ -369,7 +369,9 @@ pub(crate) fn quarantine_on_panic<T>(
 /// sorted by id, to `read`, then claims groups beside the workers. So at
 /// most two chunks of outputs are held at once, and what `read` sees does
 /// not depend on the thread count. Each chunk that runs to its end records
-/// the summed time of its groups in `timer`, when one is given.
+/// the summed time of its groups in `timer`, when one is given, and its
+/// tail in [`Stage::ChunkTail`]: for each thread, how long before the last
+/// of them it found no group left to claim, summed.
 ///
 /// A failed `read` moves the counter past the chunk's end, so every thread
 /// stops at its next claim; the cut chunk is dropped and the error returned
@@ -385,6 +387,8 @@ pub(crate) fn each_chunk<S: Send, T: Send, E>(
     mut read: impl FnMut(usize, Vec<(u64, T)>) -> Result<(), E>,
 ) -> Result<(), E> {
     let timed = timer.is_some_and(Histogram::enabled);
+    let tail = sleepwatch_obs::global().pipeline.stage(Stage::ChunkTail);
+    let states_len = states.len();
     let (mine, theirs) = states.split_at_mut(1);
     let mut ids = (0..n as u64).filter(|&id| !is_replayed(skip, id as usize)).skip(first * CHUNK);
     // The chunk before `c`, run and waiting to be read.
@@ -395,6 +399,9 @@ pub(crate) fn each_chunk<S: Send, T: Send, E>(
             break;
         }
         let next = AtomicUsize::new(0);
+        let opened = tail.enabled().then(Instant::now);
+        // µs from the chunk's start to when a thread found no group left.
+        let idle_from = || opened.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
         let claim = &|state: &mut S| {
             let (mut out, mut us) = (Vec::with_capacity(CHUNK), 0.0);
             // Relaxed: the index publishes nothing; outputs come back
@@ -406,26 +413,35 @@ pub(crate) fn each_chunk<S: Send, T: Send, E>(
                 work(state, group, &mut out);
                 us += start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
             }
-            (out, us)
+            (out, us, idle_from())
         };
-        let (mut outs, us) = std::thread::scope(|s| {
+        let (mut outs, us, idle) = std::thread::scope(|s| {
             let workers: Vec<_> =
                 theirs.iter_mut().map(|state| s.spawn(move || claim(state))).collect();
             let done = ready.take().map_or(Ok(()), |(c, outs)| read(c, outs));
             if done.is_err() {
                 next.store(chunk.len(), Ordering::Relaxed);
             }
-            let (mut outs, mut us) = claim(&mut mine[0]);
+            let (mut outs, mut us, idle_at) = claim(&mut mine[0]);
+            // Σ (last − idle_at) over threads = threads · last − Σ idle_at.
+            let (mut last, mut idle_sum) = (idle_at, idle_at);
             for worker in workers {
-                let (theirs, their_us) = worker.join().unwrap_or_else(|panic| resume_unwind(panic));
+                let (theirs, their_us, idle_at) =
+                    worker.join().unwrap_or_else(|panic| resume_unwind(panic));
                 outs.extend(theirs);
                 us += their_us;
+                last = last.max(idle_at);
+                idle_sum += idle_at;
             }
-            done.map(|()| (outs, us))
+            let idle = (states_len as f64 * last - idle_sum).max(0.0);
+            done.map(|()| (outs, us, idle))
         })?;
         outs.sort_unstable_by_key(|&(id, _)| id);
         if let Some(timer) = timer {
             timer.record(us);
+        }
+        if opened.is_some() {
+            tail.record(idle);
         }
         ready = Some((c, outs));
     }

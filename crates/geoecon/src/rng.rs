@@ -20,18 +20,79 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The state of [`hash_parts`] after a key's leading parts.
+///
+/// A caller that draws many keys sharing a head — a block's probes, keyed
+/// `(seed, stream, block, addr, time)` — stores the head's prefix once and
+/// hashes only the rest per draw. `KeyPrefix::new(head).hash(rest)` equals
+/// `hash_parts` of the whole key bit for bit: `hash_parts` is written over
+/// this type, so the mixing rule exists once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyPrefix {
+    state: u64,
+    acc: u64,
+}
+
+impl KeyPrefix {
+    /// The prefix of the empty key.
+    // π fractional bits: fixed salt.
+    pub const EMPTY: KeyPrefix = KeyPrefix { state: 0x243F_6A88_85A3_08D3, acc: 0 };
+
+    /// The prefix of a key whose leading parts are `head`.
+    #[inline]
+    pub fn new(head: &[u64]) -> Self {
+        Self::EMPTY.then(head)
+    }
+
+    /// This prefix extended by `parts`.
+    #[inline]
+    fn then(mut self, parts: &[u64]) -> Self {
+        for &p in parts {
+            self.state ^= p;
+            self.acc = splitmix64(&mut self.state) ^ self.acc.rotate_left(17);
+        }
+        self
+    }
+
+    /// The hash of the key this prefix starts, ending in `rest`.
+    #[inline]
+    pub fn hash(self, rest: &[u64]) -> u64 {
+        let KeyPrefix { mut state, acc } = self.then(rest);
+        // One extra scramble so short keys are well mixed too.
+        state ^= acc;
+        splitmix64(&mut state)
+    }
+
+    /// One uniform `[0, 1)` draw from the key ending in `rest`.
+    #[inline]
+    pub fn uniform(self, rest: &[u64]) -> f64 {
+        unit_f64(self.hash(rest))
+    }
+
+    /// One Bernoulli draw with probability `p` from the key ending in `rest`.
+    #[inline]
+    pub fn chance(self, p: f64, rest: &[u64]) -> bool {
+        self.uniform(rest) < p
+    }
+}
+
+impl Default for KeyPrefix {
+    /// [`KeyPrefix::EMPTY`].
+    fn default() -> Self {
+        Self::EMPTY
+    }
+}
+
 /// Mixes a list of key parts into a single well-distributed 64-bit value.
 #[inline]
 pub fn hash_parts(parts: &[u64]) -> u64 {
-    let mut state = 0x243F_6A88_85A3_08D3; // π fractional bits: fixed salt
-    let mut acc = 0u64;
-    for &p in parts {
-        state ^= p;
-        acc = splitmix64(&mut state) ^ acc.rotate_left(17);
-    }
-    // One extra scramble so short keys are well mixed too.
-    state ^= acc;
-    splitmix64(&mut state)
+    KeyPrefix::EMPTY.hash(parts)
+}
+
+/// The 53 high bits of `h` as a uniform `f64` in `[0, 1)`.
+#[inline]
+fn unit_f64(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A small deterministic generator seeded from semantic key parts.
@@ -42,27 +103,31 @@ pub struct KeyedRng {
 
 impl KeyedRng {
     /// Creates a generator keyed by the given parts.
+    #[inline]
     pub fn from_parts(parts: &[u64]) -> Self {
         KeyedRng { state: hash_parts(parts) }
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         splitmix64(&mut self.state)
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        // 53 high-quality mantissa bits.
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        unit_f64(self.next_u64())
     }
 
     /// Uniform in `[lo, hi)`.
+    #[inline]
     pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
     }
 
     /// Uniform integer in `[0, n)`. Returns 0 when `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             return 0;
@@ -73,6 +138,7 @@ impl KeyedRng {
     }
 
     /// Bernoulli draw with probability `p`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
@@ -91,13 +157,15 @@ impl KeyedRng {
 }
 
 /// Convenience: one uniform `[0, 1)` draw from key parts.
+#[inline]
 pub fn uniform_at(parts: &[u64]) -> f64 {
-    (hash_parts(parts) >> 11) as f64 / (1u64 << 53) as f64
+    KeyPrefix::EMPTY.uniform(parts)
 }
 
 /// Convenience: one Bernoulli draw from key parts.
+#[inline]
 pub fn chance_at(p: f64, parts: &[u64]) -> bool {
-    uniform_at(parts) < p
+    KeyPrefix::EMPTY.chance(p, parts)
 }
 
 #[cfg(test)]

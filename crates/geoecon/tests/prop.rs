@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sleepwatch_geoecon::allocation::{AllocationRegistry, Rir, YearMonth};
 use sleepwatch_geoecon::country::COUNTRIES;
 use sleepwatch_geoecon::geolocate::{GeoConfig, GeoDatabase};
-use sleepwatch_geoecon::rng::{hash_parts, KeyedRng};
+use sleepwatch_geoecon::rng::{chance_at, hash_parts, uniform_at, KeyPrefix, KeyedRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -44,6 +44,18 @@ proptest! {
         prop_assert_eq!(hash_parts(&parts), hash_parts(&parts));
     }
 
+    /// A key hashed from any stored prefix is the key hashed whole: the
+    /// prober's per-block prefixes change no draw.
+    #[test]
+    fn prefix_then_rest_is_the_whole_key(parts in prop::collection::vec(any::<u64>(), 0..9)) {
+        for k in 0..=parts.len() {
+            let (head, rest) = parts.split_at(k);
+            let prefix = KeyPrefix::new(head);
+            prop_assert_eq!(prefix.hash(rest), hash_parts(&parts), "split {}", k);
+            prop_assert_eq!(prefix.uniform(rest).to_bits(), uniform_at(&parts).to_bits());
+        }
+    }
+
     #[test]
     fn geolocation_outputs_valid_coordinates(
         seed in any::<u64>(),
@@ -71,5 +83,58 @@ proptest! {
             let p = reg.pick_prefix(rir, YearMonth::from_months_since_epoch(m), key);
             prop_assert_eq!(reg.get(p).expect("allocated").rir, rir);
         }
+    }
+}
+
+/// (key, `hash_parts`, `uniform_at` bits, `chance_at(0.5)`, `next_u64`,
+/// `normal` bits).
+type KnownAnswer = (&'static [u64], u64, u64, bool, u64, u64);
+
+/// The keyed hash by value, recorded before the hash was written over
+/// [`KeyPrefix`]: every stream in the workspace (worlds, probes, faults)
+/// depends on these bits, so a change to the mixing rule must fail here
+/// rather than as a golden diff.
+#[test]
+fn keyed_hash_known_answers() {
+    let cases: [KnownAnswer; 4] = [
+        (
+            &[],
+            0x2cb0_f69f_4abe_a221,
+            0x3fc6_587b_4fa5_5f50,
+            true,
+            0x93a9_bdb5_1e5d_5285,
+            0xbff0_8f6a_66a0_69ba,
+        ),
+        (
+            &[7],
+            0x17f2_a255_ee62_4158,
+            0x3fb7_f2a2_55ee_6240,
+            true,
+            0x782f_27c0_0f12_d643,
+            0xbff2_a973_cc1e_1fbd,
+        ),
+        (
+            &[1, 2, 3, 4],
+            0xd437_8315_a077_6644,
+            0x3fea_86f0_62b4_0eec,
+            false,
+            0x8392_4103_234e_26aa,
+            0x3fcc_382f_8162_fd76,
+        ),
+        (
+            &[42, 0x7072_6f62, 9, 17, 123_456],
+            0x9f9c_202e_6d68_d5e1,
+            0x3fe3_f384_05cd_ad1a,
+            false,
+            0x0933_e3fd_7812_8e66,
+            0x4004_60b1_3b37_c9e6,
+        ),
+    ];
+    for (key, hash, uniform, coin, next, normal) in cases {
+        assert_eq!(hash_parts(key), hash, "hash_parts({key:?})");
+        assert_eq!(uniform_at(key).to_bits(), uniform, "uniform_at({key:?})");
+        assert_eq!(chance_at(0.5, key), coin, "chance_at(0.5, {key:?})");
+        assert_eq!(KeyedRng::from_parts(key).next_u64(), next, "next_u64 of {key:?}");
+        assert_eq!(KeyedRng::from_parts(key).normal().to_bits(), normal, "normal of {key:?}");
     }
 }

@@ -61,6 +61,11 @@ stages! {
     Label => "label",
     /// Worker-result collection and report assembly in `analyze_world`.
     Join => "join",
+    /// Idle time at the tail of one `worldrun::each_chunk` chunk (world
+    /// run or self-generated feed): over the chunk's threads, the sum of
+    /// how long each found the chunk's groups all claimed before the last
+    /// one did. One sample per chunk run to its end.
+    ChunkTail => "chunk_tail",
     /// Whole `analyze_world` call, end to end.
     Total => "total",
     /// An ingest shard finalizing a group of finished blocks (live

@@ -20,7 +20,7 @@
 //!   are identical across thread counts and evaluation orders.
 
 use crate::record::RoundRecord;
-use sleepwatch_geoecon::rng::{chance_at, hash_parts};
+use sleepwatch_geoecon::rng::{chance_at, hash_parts, KeyPrefix};
 
 /// Stream tags separating fault draws from all other keyed randomness.
 const STREAM_BURST: u64 = 0x6662_7573; // "fbus"
@@ -28,9 +28,8 @@ const STREAM_STORM: u64 = 0x6673_746d; // "fstm"
 const STREAM_CHURN: u64 = 0x6663_6872; // "fchr"
 const STREAM_DUP: u64 = 0x6664_7570; // "fdup"
 const STREAM_REORDER: u64 = 0x6672_6f72; // "fror"
-/// Tag for per-probe burst-loss draws; `pub(crate)` so the prober and the
-/// survey share one stream definition.
-pub(crate) const STREAM_LOSS: u64 = 0x666c_6f73; // "flos"
+/// Tag for per-probe burst-loss draws (see [`FaultPlan::loss_key`]).
+const STREAM_LOSS: u64 = 0x666c_6f73; // "flos"
 
 /// Correlated loss bursts: within each `epoch_rounds`-long epoch a block
 /// may (keyed coin) suffer one burst window during which genuinely
@@ -304,6 +303,12 @@ impl FaultPlan {
         BurstWindow { start, len, loss: b.loss, ..no_burst }
     }
 
+    /// The `(plan seed, STREAM_LOSS, block)` head of `block_id`'s per-probe
+    /// burst-loss keys, for [`burst_loses_response`]; a run draws it once.
+    pub(crate) fn loss_key(&self, block_id: u64) -> KeyPrefix {
+        KeyPrefix::new(&[self.seed, STREAM_LOSS, block_id])
+    }
+
     /// The epoch `round` falls in (0 when the plan has no epochs).
     fn burst_epoch(&self, round: u64) -> u64 {
         match self.loss_burst {
@@ -427,15 +432,10 @@ impl Default for FaultPlan {
 
 /// Per-probe burst-loss decision shared by the adaptive prober and the
 /// survey path: drops a genuinely positive response with probability
-/// `rate`, keyed on `(plan seed, block, addr, time)`.
-pub(crate) fn burst_loses_response(
-    plan_seed: u64,
-    rate: f64,
-    block_id: u64,
-    addr: u8,
-    time: u64,
-) -> bool {
-    rate > 0.0 && chance_at(rate, &[plan_seed, STREAM_LOSS, block_id, addr as u64, time])
+/// `rate`, keyed on `(plan seed, block, addr, time)` — `loss_key` is the
+/// block's [`FaultPlan::loss_key`].
+pub(crate) fn burst_loses_response(loss_key: KeyPrefix, rate: f64, addr: u8, time: u64) -> bool {
+    rate > 0.0 && loss_key.chance(rate, &[addr as u64, time])
 }
 
 #[cfg(test)]

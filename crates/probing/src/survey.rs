@@ -78,6 +78,7 @@ pub fn survey_block_with_faults(
     let mut memo = ProbeMemo::new(block);
     let mut surveyed = 0u64;
     let mut bursts = BurstWindow::UNDRAWN;
+    let loss_key = plan.loss_key(block.id);
     for r in 0..rounds {
         if plan.truncates_at(r) {
             break;
@@ -93,9 +94,7 @@ pub fn survey_block_with_faults(
         let loss = bursts.advance(plan, block.id, r);
         let mut count = 0u32;
         for &addr in &active {
-            if memo.probe(block, addr, time)
-                && !burst_loses_response(plan.seed, loss, block.id, addr, time)
-            {
+            if memo.probe(block, addr, time) && !burst_loses_response(loss_key, loss, addr, time) {
                 count += 1;
                 ever[addr as usize] = true;
             }

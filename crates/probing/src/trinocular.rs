@@ -26,7 +26,7 @@
 use crate::faults::{BurstWindow, FaultPlan};
 use crate::record::{BlockRun, RoundRecord};
 use sleepwatch_availability::AvailabilityEstimator;
-use sleepwatch_geoecon::rng::KeyedRng;
+use sleepwatch_geoecon::rng::{KeyPrefix, KeyedRng};
 use sleepwatch_simnet::{BlockSpec, ProbeMemo, ProbeOutcome, ROUND_SECONDS};
 
 /// Reachability verdict for one round.
@@ -104,6 +104,9 @@ pub struct TrinocularProber {
     outages: Vec<OutageEvent>,
     /// The block's address schedules, drawn once (see [`ProbeMemo`]).
     memo: ProbeMemo,
+    /// The `(seed, STREAM_TRANSIT, id)` head of the block's transit-loss
+    /// keys.
+    transit_key: KeyPrefix,
     total_probes: u64,
 }
 
@@ -264,6 +267,7 @@ impl TrinocularProber {
             cursor: 0,
             outages,
             memo,
+            transit_key: KeyPrefix::new(&[block.seed, STREAM_TRANSIT, block.id]),
             total_probes: 0,
         }
     }
@@ -295,9 +299,10 @@ impl TrinocularProber {
 
     /// Bayes update of `B(U)` for one probe outcome, using the three-way
     /// likelihood model: replies favour up, timeouts weakly favour down,
-    /// explicit unreachable errors strongly favour down.
-    fn update_belief(&mut self, outcome: ProbeOutcome) {
-        let a = self.estimator.a_operational();
+    /// explicit unreachable errors strongly favour down. `a` is the
+    /// round's `Â_o`: the estimator moves only after the round's probes,
+    /// so [`round_inner`](Self::round_inner) reads it once per round.
+    fn update_belief(&mut self, a: f64, outcome: ProbeOutcome) {
         let (l_up, l_down) = match outcome {
             ProbeOutcome::Reply => (a, P_RESPONSE_DOWN),
             ProbeOutcome::Timeout => (
@@ -325,10 +330,10 @@ impl TrinocularProber {
         round: u64,
         time: u64,
         restart_dropped_probe: bool,
-        // Injected correlated loss: `(plan seed, loss rate)` when a fault
-        // burst covers this round. `None` draws nothing — the fault-free
-        // path is bit-identical to the pre-fault-layer code.
-        burst_loss: Option<(u64, f64)>,
+        // Injected correlated loss: `(the block's loss key, loss rate)`
+        // when a fault burst covers this round. `None` draws nothing — the
+        // fault-free path is bit-identical to the pre-fault-layer code.
+        burst_loss: Option<(KeyPrefix, f64)>,
         // Accumulates responses suppressed by the burst, for the metrics
         // flush at the end of the run.
         burst_lost: &mut u64,
@@ -336,6 +341,7 @@ impl TrinocularProber {
         if self.walk.is_empty() {
             return None;
         }
+        let a = self.estimator.a_operational();
         let mut positives = 0u32;
         let mut probes = 0u32;
         if restart_dropped_probe {
@@ -344,7 +350,7 @@ impl TrinocularProber {
             for _ in 0..2 {
                 probes += 1;
                 self.total_probes += 1;
-                self.update_belief(ProbeOutcome::Timeout);
+                self.update_belief(a, ProbeOutcome::Timeout);
             }
         }
         while probes < self.cfg.max_probes_per_round.min(self.walk.len() as u32) {
@@ -354,17 +360,13 @@ impl TrinocularProber {
             if outcome == ProbeOutcome::Reply && self.cfg.transit_loss_rate > 0.0 {
                 // The reply can die on the path; keyed per (block, addr,
                 // time) so replays stay exact.
-                let lost = sleepwatch_geoecon::rng::chance_at(
-                    self.cfg.transit_loss_rate,
-                    &[block.seed, STREAM_TRANSIT, block.id, addr as u64, time],
-                );
-                if lost {
+                if self.transit_key.chance(self.cfg.transit_loss_rate, &[addr as u64, time]) {
                     outcome = ProbeOutcome::Timeout;
                 }
             }
             if outcome == ProbeOutcome::Reply {
-                if let Some((plan_seed, rate)) = burst_loss {
-                    if crate::faults::burst_loses_response(plan_seed, rate, block.id, addr, time) {
+                if let Some((loss_key, rate)) = burst_loss {
+                    if crate::faults::burst_loses_response(loss_key, rate, addr, time) {
                         outcome = ProbeOutcome::Timeout;
                         *burst_lost += 1;
                     }
@@ -373,7 +375,7 @@ impl TrinocularProber {
             let positive = outcome.is_positive();
             probes += 1;
             self.total_probes += 1;
-            self.update_belief(outcome);
+            self.update_belief(a, outcome);
             if positive {
                 // "A few or even one positive response is usually sufficient
                 // to terminate probing" (§2.1.1): a positive is near-decisive
@@ -479,6 +481,7 @@ impl TrinocularProber {
         let mut in_blackout = false;
         let mut in_burst = false;
         let mut bursts = BurstWindow::UNDRAWN;
+        let loss_key = plan.loss_key(block.id);
         records.clear();
         records.reserve(rounds as usize);
         for r in 0..rounds {
@@ -539,7 +542,7 @@ impl TrinocularProber {
                 }
                 dropped_probe |= dropped;
             }
-            let burst = if burst_rate > 0.0 { Some((plan.seed, burst_rate)) } else { None };
+            let burst = if burst_rate > 0.0 { Some((loss_key, burst_rate)) } else { None };
             if let Some(rec) =
                 self.round_inner(block, r, time, dropped_probe, burst, &mut fc.lost_probes)
             {
@@ -738,14 +741,49 @@ mod tests {
         let posterior = |up: f64, down: f64| up * prior / (up * prior + down * (1.0 - prior));
 
         p.belief_up = prior;
-        p.update_belief(ProbeOutcome::Unreachable);
+        p.update_belief(a, ProbeOutcome::Unreachable);
         let want = posterior(0.005, 0.5);
         assert!((p.belief_up() - want).abs() < 1e-12, "unreachable: {} vs {want}", p.belief_up());
 
         p.belief_up = prior;
-        p.update_belief(ProbeOutcome::Timeout);
+        p.update_belief(a, ProbeOutcome::Timeout);
         let want = posterior(1.0 - a - 0.005, 1.0 - 0.01 - 0.5);
         assert!((p.belief_up() - want).abs() < 1e-12, "timeout: {} vs {want}", p.belief_up());
+    }
+
+    /// Two consecutive rounds of timeouts land on the closed form, each
+    /// with the `Â_o` of its own round: 15 timeouts against the estimate
+    /// the census seeded, then 15 against the estimate round 1 left.
+    #[test]
+    fn each_round_updates_with_its_own_operational_estimate() {
+        // Every octet of this block is inactive, so every probe times out.
+        let b = BlockSpec::bare(14, 1234, BlockProfile::always_on(0, 0.5));
+        let census = crate::census::CensusRecord {
+            block_id: 14,
+            ever_active: (0..20).collect(),
+            response_counts: vec![1; 20],
+            hist_avail: 0.6,
+            passes: 1,
+        };
+        let mut p =
+            TrinocularProber::from_census(&b, &census, TrinocularConfig::default()).unwrap();
+        let timeouts = |mut belief: f64, a: f64| {
+            for _ in 0..15 {
+                let (up, down) = (1.0 - a - 0.005, 1.0 - 0.01 - 0.5);
+                belief = (up * belief / (up * belief + down * (1.0 - belief))).clamp(0.01, 0.99);
+            }
+            belief
+        };
+        let mut belief = 0.9;
+        for round in 0..2 {
+            let a = p.estimator().a_operational();
+            let rec = p.round(&b, round, round * 660).unwrap();
+            assert_eq!((rec.probes, rec.positives), (15, 0), "round {round}");
+            belief = timeouts(belief, a);
+            let got = p.belief_up();
+            assert!((got - belief).abs() < 1e-12, "round {round}: {got} vs {belief}");
+        }
+        assert!(p.estimator().a_operational() < 0.5, "round 1 must move Â_o");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! (`σ_s`, `σ_d`). Noise draws are keyed by `(…, day)`, so a day's schedule
 //! is stable however often it is probed.
 
-use sleepwatch_geoecon::rng::{hash_parts, KeyedRng};
+use sleepwatch_geoecon::rng::{uniform_at, KeyedRng};
 
 /// Seconds per day.
 pub const DAY_SECONDS: u64 = 86_400;
@@ -168,6 +168,7 @@ impl AddressBehavior {
 
     /// [`response_probability`](Self::response_probability) over a
     /// caller-supplied window source (see [`is_up_given`](Self::is_up_given)).
+    #[inline]
     pub(crate) fn response_probability_given(
         &self,
         time: u64,
@@ -198,8 +199,7 @@ impl AddressBehavior {
         if p >= 1.0 {
             return true;
         }
-        let h = hash_parts(&key.parts(STREAM_RESPONSE, time));
-        ((h >> 11) as f64 / (1u64 << 53) as f64) < p
+        uniform_at(&key.parts(STREAM_RESPONSE, time)) < p
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::behavior::{AddrKey, AddressBehavior};
 use crate::world::A12W_START;
 use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::rng::KeyedRng;
+use sleepwatch_geoecon::rng::{KeyPrefix, KeyedRng};
 
 /// Link technology classes a block can carry (the generator's side of
 /// §2.3.3; the measurement side infers these back from reverse DNS).
@@ -376,6 +376,11 @@ impl BlockSpec {
         self.probe_via(&mut Derived, addr, time)
     }
 
+    /// The prefix every probe draw of this block shares.
+    fn probe_key(&self) -> KeyPrefix {
+        KeyPrefix::new(&[self.seed, STREAM_PROBE, self.id])
+    }
+
     fn probe_via(&self, source: &mut impl Schedules, addr: u8, time: u64) -> bool {
         let p = self.response_probability_via(source, addr, time);
         if p <= 0.0 {
@@ -383,13 +388,7 @@ impl BlockSpec {
         } else if p >= 1.0 {
             true
         } else {
-            sleepwatch_geoecon::rng::uniform_at(&[
-                self.seed,
-                STREAM_PROBE,
-                self.id,
-                addr as u64,
-                time,
-            ]) < p
+            source.probe_key(self).uniform(&[addr as u64, time]) < p
         }
     }
 
@@ -460,6 +459,8 @@ impl BlockSpec {
 trait Schedules {
     fn behavior(&mut self, block: &BlockSpec, addr: u8) -> AddressBehavior;
     fn window(&mut self, behavior: &AddressBehavior, key: AddrKey, day: i64) -> (f64, f64);
+    /// The `(seed, STREAM_PROBE, id)` head of every probe draw's key.
+    fn probe_key(&self, block: &BlockSpec) -> KeyPrefix;
 }
 
 /// Derives everything afresh on every call (the public `BlockSpec` API).
@@ -472,6 +473,10 @@ impl Schedules for Derived {
 
     fn window(&mut self, behavior: &AddressBehavior, key: AddrKey, day: i64) -> (f64, f64) {
         behavior.daily_window(key, day)
+    }
+
+    fn probe_key(&self, block: &BlockSpec) -> KeyPrefix {
+        block.probe_key()
     }
 }
 
@@ -503,7 +508,8 @@ impl AddrMemo {
 }
 
 /// Per-block memo of what a probe re-derives but `time` does not change:
-/// each address's behaviour and its two most recent daily windows.
+/// each address's behaviour and its two most recent daily windows, and
+/// the block's probe-key prefix.
 ///
 /// [`probe`](Self::probe) and [`probe_outcome`](Self::probe_outcome)
 /// return exactly what the [`BlockSpec`] methods of the same name do —
@@ -515,6 +521,7 @@ impl AddrMemo {
 pub struct ProbeMemo {
     seed: u64,
     id: u64,
+    probe_key: KeyPrefix,
     addrs: Vec<AddrMemo>,
 }
 
@@ -532,6 +539,7 @@ impl ProbeMemo {
     pub fn reset(&mut self, block: &BlockSpec) {
         self.seed = block.seed;
         self.id = block.id;
+        self.probe_key = block.probe_key();
         self.addrs.clear();
         self.addrs.resize(256, AddrMemo::EMPTY);
     }
@@ -542,12 +550,14 @@ impl ProbeMemo {
     }
 
     /// [`BlockSpec::probe`] through the memo.
+    #[inline]
     pub fn probe(&mut self, block: &BlockSpec, addr: u8, time: u64) -> bool {
         self.debug_check(block);
         block.probe_via(self, addr, time)
     }
 
     /// [`BlockSpec::probe_outcome`] through the memo.
+    #[inline]
     pub fn probe_outcome(&mut self, block: &BlockSpec, addr: u8, time: u64) -> ProbeOutcome {
         self.debug_check(block);
         block.probe_outcome_via(self, addr, time)
@@ -600,6 +610,10 @@ impl Schedules for ProbeMemo {
             *w = DayWindow { day, start, dur };
         }
         (w.start, w.dur)
+    }
+
+    fn probe_key(&self, _block: &BlockSpec) -> KeyPrefix {
+        self.probe_key
     }
 }
 

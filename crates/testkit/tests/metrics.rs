@@ -12,9 +12,10 @@ use sleepwatch_core::journal::{open_resume, record_boundaries, JournalHeader};
 use sleepwatch_core::serve::index::Filter;
 use sleepwatch_core::serve::{load_rows, serve_streams, LruOutcome};
 use sleepwatch_core::{
-    analyze_block, analyze_world, analyze_world_resumable, dataset_rows, decode_dataset,
-    encode_dataset, feed_identity, ingest_source, ingest_world, ingest_world_resumable,
-    run_identity, world_feed, AnalysisConfig, DatasetMode, IngestConfig, ServeState, WorldFeed,
+    analyze_block, analyze_world, analyze_world_resumable, analyze_world_source, dataset_rows,
+    decode_dataset, encode_dataset, feed_identity, ingest_source, ingest_world,
+    ingest_world_resumable, run_identity, world_feed, AnalysisConfig, DatasetMode, IngestConfig,
+    ServeState, WorldFeed,
 };
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::transport::{
@@ -671,6 +672,44 @@ fn feed_probe_samples_once_per_probed_chunk() {
                 let (unmetered, _) = world_feed(&source, &cfg, &icfg);
                 sleepwatch_obs::set_global_enabled(true);
                 assert!(unmetered == events, "metrics state leaked into the feed");
+            });
+        }
+    });
+}
+
+/// Each chunk the one chunk pool runs records one `stage.chunk_tail`
+/// sample: one per `world.source_chunks` in a lazy-source world run and
+/// one per `ingest.feed_chunks` in a feed, at one thread and at three. A
+/// one-thread world run has no other thread to wait for, so its tail is
+/// exactly zero (a feed's calling thread works beside its workers).
+#[test]
+fn chunk_tail_samples_once_per_chunk() {
+    let _g = lock();
+    with_metrics(|| {
+        let wcfg = WorldConfig { num_blocks: 600, seed: 21, span_days: 3.0, ..Default::default() };
+        let cfg = AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days);
+        let source = WorldSource::new(wcfg);
+        let chunks = source.len().div_ceil(256) as u64;
+        let tails = |tag: &str, d: &Snapshot, counter: &str, alone: bool| {
+            let h = d.histogram("stage.chunk_tail").expect("chunk tail histogram");
+            assert_eq!(d.counter(counter), chunks, "{tag}: {counter}");
+            assert_eq!(h.count, d.counter(counter), "{tag}: samples");
+            if alone {
+                assert_eq!(h.sum_micros, 0, "{tag}: one thread waits for no other");
+            }
+        };
+        let icfg = IngestConfig::default();
+        for threads in [1, 3] {
+            let (_, d) = measure(|| analyze_world_source(&source, &cfg, threads, None));
+            tails(
+                &format!("world run, {threads} threads"),
+                &d,
+                "world.source_chunks",
+                threads == 1,
+            );
+            with_feed_workers(threads, || {
+                let (_, d) = measure(|| world_feed(&source, &cfg, &icfg));
+                tails(&format!("feed, {threads} workers"), &d, "ingest.feed_chunks", false);
             });
         }
     });
