@@ -129,6 +129,12 @@ impl CleanScratch {
 /// trimmed series; the return value is the fill fraction. Output is
 /// byte-identical to [`clean_series`] regardless of prior scratch/`out`
 /// contents.
+///
+/// Observations that are exactly rounds `0..n_rounds` in order — every
+/// fault-free run, every ingest lane that streamed in order — take a
+/// dense path: nothing to bucket and nothing to fill, so the series is
+/// the trimmed slice of the values and the workspace is not touched. The
+/// sparse path would give the same bits: every slot `Some`, none filled.
 pub fn clean_series_into(
     obs: &[(u64, f64)],
     n_rounds: usize,
@@ -137,7 +143,54 @@ pub fn clean_series_into(
     scratch: &mut CleanScratch,
     out: &mut Vec<f64>,
 ) -> f64 {
-    let sparse = &mut scratch.sparse;
+    let gapless =
+        obs.len() == n_rounds && obs.iter().zip(0u64..).all(|(&(round, _), i)| round == i);
+    clean_with(obs, n_rounds, start_time, sample_seconds, gapless, scratch, out)
+}
+
+/// [`clean_series_into`] with the path chosen by the caller: `gapless`
+/// takes the dense path, which is only right for observations that are
+/// exactly rounds `0..n_rounds` in order.
+fn clean_with(
+    obs: &[(u64, f64)],
+    n_rounds: usize,
+    start_time: u64,
+    sample_seconds: u64,
+    gapless: bool,
+    scratch: &mut CleanScratch,
+    out: &mut Vec<f64>,
+) -> f64 {
+    let range = midnight_trim(start_time, n_rounds, sample_seconds);
+    out.clear();
+    out.reserve(range.len());
+    let filled = if gapless {
+        out.extend(obs[range].iter().map(|&(_, value)| value));
+        0
+    } else {
+        bucket_fill_trim(obs, n_rounds, range, &mut scratch.sparse, out)
+    };
+    let fill_frac = if n_rounds > 0 { filled as f64 / n_rounds as f64 } else { 0.0 };
+    let obs_reg = sleepwatch_obs::global();
+    if obs_reg.cleaning.series_cleaned.enabled() {
+        obs_reg.cleaning.series_cleaned.incr();
+        obs_reg.cleaning.samples_out.add(out.len() as u64);
+        obs_reg.cleaning.samples_filled.add(filled as u64);
+        obs_reg.cleaning.fill_fraction.record(fill_frac);
+    }
+    fill_frac
+}
+
+/// The sparse path of [`clean_series_into`]: buckets `obs` into `sparse`
+/// (the latest observation of a round wins), then fills gaps and trims to
+/// `range` into `out` in one walk. Returns the number of filled rounds,
+/// counted over *all* rounds, exactly like `fill_gaps`.
+fn bucket_fill_trim(
+    obs: &[(u64, f64)],
+    n_rounds: usize,
+    range: std::ops::Range<usize>,
+    sparse: &mut Vec<Option<f64>>,
+    out: &mut Vec<f64>,
+) -> usize {
     sparse.clear();
     sparse.resize(n_rounds, None);
     for &(round, value) in obs {
@@ -145,12 +198,6 @@ pub fn clean_series_into(
             sparse[round as usize] = Some(value);
         }
     }
-    let range = midnight_trim(start_time, n_rounds, sample_seconds);
-    out.clear();
-    out.reserve(range.len());
-    // Fused gap-fill + trim: one walk over the full series (the fill
-    // fraction counts *all* rounds, exactly like `fill_gaps`), pushing
-    // only the samples inside the midnight-trimmed range.
     let first = sparse.iter().flatten().copied().next().unwrap_or(0.0);
     let mut filled = 0usize;
     let mut last = first;
@@ -169,20 +216,88 @@ pub fn clean_series_into(
             out.push(dense);
         }
     }
-    let fill_frac = if n_rounds > 0 { filled as f64 / n_rounds as f64 } else { 0.0 };
-    let obs_reg = sleepwatch_obs::global();
-    if obs_reg.cleaning.series_cleaned.enabled() {
-        obs_reg.cleaning.series_cleaned.incr();
-        obs_reg.cleaning.samples_out.add(out.len() as u64);
-        obs_reg.cleaning.samples_filled.add(filled as u64);
-        obs_reg.cleaning.fill_fraction.record(fill_frac);
-    }
-    fill_frac
+    filled
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sleepwatch_obs::Snapshot;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that clean, so each one's `cleaning.*` delta
+    /// is its own.
+    fn lock() -> MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// What one clean produced and recorded: the series' bits, the fill
+    /// fraction's bits and the four `cleaning.*` deltas.
+    type Cleaned = (Vec<u64>, u64, [u64; 3], Option<sleepwatch_obs::HistogramSnapshot>);
+
+    fn cleaned(clean: impl FnOnce(&mut Vec<f64>) -> f64) -> Cleaned {
+        let before = Snapshot::capture(sleepwatch_obs::global());
+        let mut out = vec![f64::NAN; 3];
+        let frac = clean(&mut out);
+        let d = Snapshot::capture(sleepwatch_obs::global()).delta(&before);
+        let counts = ["series_cleaned", "samples_out", "samples_filled"]
+            .map(|k| d.counter(&format!("cleaning.{k}")));
+        let hist = d.histogram("cleaning.fill_fraction").copied();
+        (out.iter().map(|v| v.to_bits()).collect(), frac.to_bits(), counts, hist)
+    }
+
+    /// An observation list: rounds `0..n` in order with keyed values, then
+    /// `mangle` applied — 0 keeps it gapless, 1 drops a round, 2
+    /// duplicates one, 3 swaps an adjacent pair.
+    fn observations(n: usize, mangle: u8, at: usize, salt: u64) -> Vec<(u64, f64)> {
+        let mut obs: Vec<(u64, f64)> = (0..n as u64)
+            .map(|r| (r, ((r ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / 2e15))
+            .collect();
+        if n > 1 {
+            let at = at % (n - 1);
+            match mangle {
+                1 => {
+                    obs.remove(at);
+                }
+                2 => obs.insert(at + 1, (obs[at].0, -1.0 - obs[at].1)),
+                3 => obs.swap(at, at + 1),
+                _ => {}
+            }
+        }
+        obs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense path is the sparse path on gapless in-order input,
+        /// and any other input gets the sparse path's result: same series
+        /// bits, same fill fraction, same `cleaning.*` deltas.
+        #[test]
+        fn dense_clean_matches_sparse_clean(
+            n in 0usize..700,
+            short in any::<bool>(),
+            mangle in 0u8..4,
+            at in 0usize..700,
+            salt in any::<u64>(),
+            start in 0u64..200_000,
+            a12w in any::<bool>(),
+        ) {
+            // One case in two of length 0–2, so the empty list comes up.
+            let n = if short { n % 3 } else { n };
+            let start = if a12w { 1_366_823_880 + start } else { start };
+            let _g = lock();
+            let obs = observations(n, mangle, at, salt);
+            let mut scratch = CleanScratch::new();
+            scratch.poison(salt);
+            let sparse = cleaned(|out| clean_with(&obs, n, start, 660, false, &mut scratch, out));
+            let got = cleaned(|out| clean_series_into(&obs, n, start, 660, &mut scratch, out));
+            prop_assert_eq!(&got, &sparse);
+            prop_assert_eq!(got.2[0], u64::from(sleepwatch_obs::global_enabled()));
+        }
+    }
 
     #[test]
     fn bucketing_places_and_drops() {
@@ -268,6 +383,7 @@ mod tests {
 
     #[test]
     fn clean_series_end_to_end() {
+        let _g = lock();
         let start = 0u64; // midnight
         let n = 131 * 2 + 10; // just over 2 days
                               // Observe every round except a few, with one duplicate.
@@ -286,6 +402,7 @@ mod tests {
 
     #[test]
     fn clean_series_into_matches_allocating_path() {
+        let _g = lock();
         let start = 1_366_823_880u64;
         let n = 131 * 5;
         let obs: Vec<(u64, f64)> =
@@ -306,6 +423,7 @@ mod tests {
 
     #[test]
     fn clean_series_five_percent_gaps_like_paper() {
+        let _g = lock();
         let start = 0u64;
         let n = 131 * 14;
         let obs: Vec<(u64, f64)> =

@@ -98,55 +98,34 @@ pub fn analyze_series(series: &[f64], cfg: &DiurnalConfig) -> (DiurnalReport, Tr
     (classify(&spectrum, cfg), trend_default(series))
 }
 
-/// Worker-local arena holding every buffer one block analysis needs:
-/// probe walk and records, `(round, Âs)` observations, cleaning
-/// workspace, the cleaned series and the spectral output/scratch.
-///
-/// Grow-only: buffers are cleared between blocks but never shrunk, so
-/// after one warm-up block a steady stream of same-length analyses runs
-/// with **zero heap allocations** (asserted by `tests/scratch_alloc.rs`).
-/// Every field is overwritten before use — outputs are independent of
-/// prior contents (property-tested in `tests/scratch_poison.rs`).
+/// The probe workspace: the buffers one block needs only while it is
+/// probed, estimated and cleaned — prober walk and memo, round records,
+/// `(round, Âs)` observations and the cleaning workspace. A batch arena
+/// holds one and probes its lanes through it one after another; a feed
+/// worker, which only probes, holds nothing else.
 #[derive(Debug, Default)]
-pub struct BlockScratch {
+pub(crate) struct ProbeWorkspace {
     prober: ProberScratch,
     records: Vec<RoundRecord>,
     observations: Vec<(u64, f64)>,
     clean: CleanScratch,
-    series: Vec<f64>,
-    spectrum: SpectrumScratch,
 }
 
-impl BlockScratch {
-    /// An empty arena; the first block sizes it.
-    pub fn new() -> Self {
-        BlockScratch::default()
-    }
-
-    /// Bytes currently reserved across all buffers (capacity, not
-    /// length). Feeds the `world.peak_block_bytes` gauge and the
-    /// grow-vs-reuse counters.
-    pub fn footprint_bytes(&self) -> usize {
+impl ProbeWorkspace {
+    /// Bytes reserved across the workspace's buffers, capacity not length.
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.prober.footprint_bytes()
             + self.records.capacity() * std::mem::size_of::<RoundRecord>()
             + self.observations.capacity() * std::mem::size_of::<(u64, f64)>()
             + self.clean.footprint_bytes()
-            + self.series.capacity() * std::mem::size_of::<f64>()
-            + self.spectrum.footprint_bytes()
     }
 
-    /// Test-only: fill every buffer with NaN/garbage that a correct
-    /// pipeline must fully overwrite or ignore.
-    #[doc(hidden)]
-    pub fn poison(&mut self, seed: u64) {
+    fn poison(&mut self, seed: u64) {
         self.prober.poison(seed);
         self.records.clear();
         self.observations.clear();
         self.observations.extend((0..89u64).map(|i| (seed.wrapping_add(i), f64::NAN)));
         self.clean.poison(seed);
-        self.series.clear();
-        self.series.extend((0..71u64).map(|i| f64::NAN + (seed ^ i) as f64));
-        self.spectrum.poison(seed);
     }
 
     /// The records of the block [`probe_into`] last probed.
@@ -154,8 +133,45 @@ impl BlockScratch {
         &self.records
     }
 
-    /// Length of the cleaned series currently in the arena (the grouping
-    /// key of the batched world FFT).
+    /// Stage Clean: buckets, fills and midnight-trims `self.observations`
+    /// into `lane`'s series. Returns the fraction of samples interpolated.
+    fn clean_into(&mut self, cfg: &AnalysisConfig, lane: &mut BatchLane) -> f64 {
+        let obs = sleepwatch_obs::global();
+        let _t = StageTimer::start(obs.pipeline.stage(Stage::Clean));
+        clean_series_into(
+            &self.observations,
+            cfg.rounds as usize,
+            cfg.start_time,
+            ROUND_SECONDS,
+            &mut self.clean,
+            &mut lane.series,
+        )
+    }
+}
+
+/// One lane of a batch: what has to survive from a block's clean until
+/// its classify — the cleaned series (the batched FFT's input) and the
+/// spectrum workspace (its output).
+#[derive(Debug, Default)]
+pub(crate) struct BatchLane {
+    series: Vec<f64>,
+    spectrum: SpectrumScratch,
+}
+
+impl BatchLane {
+    /// Bytes reserved across the lane's buffers, capacity not length.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        self.series.capacity() * std::mem::size_of::<f64>() + self.spectrum.footprint_bytes()
+    }
+
+    fn poison(&mut self, seed: u64) {
+        self.series.clear();
+        self.series.extend((0..71u64).map(|i| f64::NAN + (seed ^ i) as f64));
+        self.spectrum.poison(seed);
+    }
+
+    /// Length of the cleaned series in the lane (the grouping key of the
+    /// batched world FFT).
     pub(crate) fn series_len(&self) -> usize {
         self.series.len()
     }
@@ -167,36 +183,9 @@ impl BlockScratch {
     }
 
     /// The spectrum workspace alone: a shard borrows it for its live
-    /// detectors' transforms while the arena holds no block.
+    /// detectors' transforms while the lane holds no block.
     pub(crate) fn spectrum_mut(&mut self) -> &mut SpectrumScratch {
         &mut self.spectrum
-    }
-
-    /// Counts one classified block as a reuse or a growth of this arena:
-    /// the whole block (probe buffers, series, spectrum) either fit what
-    /// was reserved at `footprint_before` or grew it.
-    pub(crate) fn count_reuse(&self, footprint_before: usize) {
-        let obs = sleepwatch_obs::global();
-        if self.footprint_bytes() > footprint_before {
-            obs.pipeline.scratch_grows.incr();
-        } else {
-            obs.pipeline.scratch_reuses.incr();
-        }
-    }
-
-    /// Stage Clean: buckets, fills and midnight-trims `self.observations`
-    /// into `self.series`. Returns the fraction of samples interpolated.
-    fn clean_stage(&mut self, cfg: &AnalysisConfig) -> f64 {
-        let obs = sleepwatch_obs::global();
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Clean));
-        clean_series_into(
-            &self.observations,
-            cfg.rounds as usize,
-            cfg.start_time,
-            ROUND_SECONDS,
-            &mut self.clean,
-            &mut self.series,
-        )
     }
 
     /// Stage Fft, one series at a time: the spectrum of `self.series` into
@@ -211,6 +200,53 @@ impl BlockScratch {
     }
 }
 
+/// Counts one classified block as a reuse of its arena, or as a growth
+/// when its lane or the probe workspace had to grow for it.
+pub(crate) fn count_reuse(grew: bool) {
+    let obs = sleepwatch_obs::global();
+    if grew {
+        obs.pipeline.scratch_grows.incr();
+    } else {
+        obs.pipeline.scratch_reuses.incr();
+    }
+}
+
+/// Worker-local arena holding every buffer one block analysis needs: a
+/// probe workspace (walk, records, `(round, Âs)` observations, cleaning
+/// workspace) and one lane (cleaned series, spectral output/scratch).
+///
+/// Grow-only: buffers are cleared between blocks but never shrunk, so
+/// after one warm-up block a steady stream of same-length analyses runs
+/// with **zero heap allocations** (asserted by `tests/scratch_alloc.rs`).
+/// Every field is overwritten before use — outputs are independent of
+/// prior contents (property-tested in `tests/scratch_poison.rs`).
+#[derive(Debug, Default)]
+pub struct BlockScratch {
+    work: ProbeWorkspace,
+    lane: BatchLane,
+}
+
+impl BlockScratch {
+    /// An empty arena; the first block sizes it.
+    pub fn new() -> Self {
+        BlockScratch::default()
+    }
+
+    /// Bytes currently reserved across all buffers (capacity, not
+    /// length): the probe workspace and the lane together.
+    pub fn footprint_bytes(&self) -> usize {
+        self.work.footprint_bytes() + self.lane.footprint_bytes()
+    }
+
+    /// Test-only: fill every buffer with NaN/garbage that a correct
+    /// pipeline must fully overwrite or ignore.
+    #[doc(hidden)]
+    pub fn poison(&mut self, seed: u64) {
+        self.work.poison(seed);
+        self.lane.poison(seed);
+    }
+}
+
 /// Probe → estimate → clean results carried between the split phases of
 /// the batched world path.
 #[derive(Debug, Clone, Copy)]
@@ -220,79 +256,75 @@ pub(crate) struct ProbedBlock {
     pub fill_fraction: f64,
 }
 
-/// Stage Probe: one Trinocular run of `block` into `scratch`'s records,
-/// on the arena's reused prober buffers. Returns the outage count and the
-/// probe total. Every block the pipeline probes — the world run's and the
-/// feed's — is probed here.
+/// Stage Probe: one Trinocular run of `block` into `work`'s records, on
+/// the workspace's reused prober buffers. Returns the outage count and
+/// the probe total. Every block the pipeline probes — the world run's and
+/// the feed's — is probed here.
 pub(crate) fn probe_into(
     block: &BlockSpec,
     cfg: &AnalysisConfig,
-    scratch: &mut BlockScratch,
+    work: &mut ProbeWorkspace,
 ) -> (u32, u64) {
     let _t = StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::Probe));
-    let mut prober = TrinocularProber::new_reusing(block, cfg.trinocular, &mut scratch.prober);
-    prober.run_into_with_faults(
-        block,
-        cfg.start_time,
-        cfg.rounds,
-        &cfg.faults,
-        &mut scratch.records,
-    );
+    let mut prober = TrinocularProber::new_reusing(block, cfg.trinocular, &mut work.prober);
+    prober.run_into_with_faults(block, cfg.start_time, cfg.rounds, &cfg.faults, &mut work.records);
     let counts = (prober.outages().len() as u32, prober.total_probes());
-    prober.recycle(&mut scratch.prober);
+    prober.recycle(&mut work.prober);
     counts
 }
 
-/// Stage Estimate: the `(round, Âs)` pairs into the arena's observation
-/// buffer.
+/// Stage Estimate: the `(round, Âs)` pairs into the workspace's
+/// observation buffer.
 fn estimate_into(observations: &mut Vec<(u64, f64)>, pairs: impl Iterator<Item = (u64, f64)>) {
     let _t = StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::Estimate));
     observations.clear();
     observations.extend(pairs);
 }
 
-/// Stages Probe → Estimate → Clean into `scratch`, leaving the cleaned
-/// series in the arena for the FFT phase. First half of the pipeline body;
+/// Stages Probe → Estimate → Clean through `work`, leaving the cleaned
+/// series in `lane` for the FFT phase. First half of the pipeline body;
 /// the batched world path runs it per block, then FFTs same-length groups
 /// together before finishing each block with [`classify_probed`].
 pub(crate) fn probe_clean_into(
     block: &BlockSpec,
     cfg: &AnalysisConfig,
-    scratch: &mut BlockScratch,
+    work: &mut ProbeWorkspace,
+    lane: &mut BatchLane,
 ) -> ProbedBlock {
-    let (outages, total_probes) = probe_into(block, cfg, scratch);
-    estimate_into(&mut scratch.observations, scratch.records.iter().map(|r| (r.round, r.a_short)));
-    ProbedBlock { outages, total_probes, fill_fraction: scratch.clean_stage(cfg) }
+    let (outages, total_probes) = probe_into(block, cfg, work);
+    estimate_into(&mut work.observations, work.records.iter().map(|r| (r.round, r.a_short)));
+    ProbedBlock { outages, total_probes, fill_fraction: work.clean_into(cfg, lane) }
 }
 
 /// Stages Estimate → Clean for observations collected elsewhere — the
 /// streaming ingest path's first phase. Byte-for-byte the tail of
 /// [`probe_clean_into`], so a shard finalizing a block's event stream
-/// lands in exactly the scratch state the batch pipeline reaches before
-/// its FFT phase. The `(round, Âs)` pairs are written straight into the
-/// arena's observation buffer. Returns the fraction of samples
+/// lands in exactly the lane state the batch pipeline reaches before its
+/// FFT phase. The `(round, Âs)` pairs are written straight into the
+/// workspace's observation buffer. Returns the fraction of samples
 /// interpolated.
 pub(crate) fn clean_observations_into(
     observations: impl Iterator<Item = (u64, f64)>,
     cfg: &AnalysisConfig,
-    scratch: &mut BlockScratch,
+    work: &mut ProbeWorkspace,
+    lane: &mut BatchLane,
 ) -> f64 {
-    estimate_into(&mut scratch.observations, observations);
-    scratch.clean_stage(cfg)
+    estimate_into(&mut work.observations, observations);
+    work.clean_into(cfg, lane)
 }
 
-/// Stage Classify plus summary assembly. Expects `scratch.spectrum` to
-/// hold the spectrum of `scratch.series` — either from the scalar FFT
-/// phase in [`analyze_block_into`] or a lane of the batched world kernel
+/// Stage Classify plus summary assembly. Expects `lane.spectrum` to hold
+/// the spectrum of `lane.series` — either from the scalar FFT phase in
+/// [`analyze_block_into`] or a lane of the batched world kernel
 /// (bit-identical by construction).
 pub(crate) fn classify_probed(
     block: &BlockSpec,
     cfg: &AnalysisConfig,
-    scratch: &BlockScratch,
+    lane: &BatchLane,
     probed: ProbedBlock,
 ) -> (BlockSummary, DiurnalReport, TrendReport) {
     let obs = sleepwatch_obs::global();
-    let spectrum = scratch.spectrum.spectrum();
+    let spectrum = lane.spectrum.spectrum();
     let (diurnal, trend, strongest_cpd) = {
         let _t = StageTimer::start(obs.pipeline.stage(Stage::Classify));
         let mut diurnal = classify(spectrum, &cfg.diurnal);
@@ -304,12 +336,12 @@ pub(crate) fn classify_probed(
         }
         let strongest_cpd =
             spectrum.strongest_bin().map(|k| spectrum.cycles_per_day(k)).unwrap_or(0.0);
-        (diurnal, trend_default(&scratch.series), strongest_cpd)
+        (diurnal, trend_default(&lane.series), strongest_cpd)
     };
-    let mean_a_short = if scratch.series.is_empty() {
+    let mean_a_short = if lane.series.is_empty() {
         0.0
     } else {
-        scratch.series.iter().sum::<f64>() / scratch.series.len() as f64
+        lane.series.iter().sum::<f64>() / lane.series.len() as f64
     };
     obs.pipeline.blocks_analyzed.incr();
     let summary = BlockSummary {
@@ -336,11 +368,12 @@ fn analyze_block_into(
     let obs = sleepwatch_obs::global();
     let track = obs.pipeline.scratch_reuses.enabled();
     let footprint_before = if track { scratch.footprint_bytes() } else { 0 };
-    let probed = probe_clean_into(block, cfg, scratch);
-    scratch.fft_stage();
-    let (summary, diurnal, trend) = classify_probed(block, cfg, scratch, probed);
+    let BlockScratch { work, lane } = scratch;
+    let probed = probe_clean_into(block, cfg, work, lane);
+    lane.fft_stage();
+    let (summary, diurnal, trend) = classify_probed(block, cfg, lane, probed);
     if track {
-        scratch.count_reuse(footprint_before);
+        count_reuse(scratch.footprint_bytes() > footprint_before);
     }
     (summary, diurnal, trend, probed.fill_fraction)
 }
@@ -369,7 +402,7 @@ pub fn analyze_block_with_scratch(
 pub fn analyze_block(block: &BlockSpec, cfg: &AnalysisConfig) -> BlockAnalysis {
     let mut scratch = BlockScratch::new();
     let (summary, diurnal, trend, fill_fraction) = analyze_block_into(block, cfg, &mut scratch);
-    let BlockScratch { prober: mut prober_scratch, records, series, .. } = scratch;
+    let BlockScratch { work: ProbeWorkspace { mut prober, records, .. }, lane } = scratch;
     // `run_with_faults`'s run, checked as it checks it.
     debug_assert!(
         cfg.faults.mangles_order() || records.windows(2).all(|w| w[0].round < w[1].round)
@@ -378,13 +411,13 @@ pub fn analyze_block(block: &BlockSpec, cfg: &AnalysisConfig) -> BlockAnalysis {
         block_id: block.id,
         rounds: cfg.rounds,
         records,
-        outages: prober_scratch.take_outages(),
+        outages: prober.take_outages(),
         total_probes: summary.total_probes,
     };
     BlockAnalysis {
         block_id: block.id,
         run,
-        series,
+        series: lane.series,
         fill_fraction,
         diurnal,
         trend,

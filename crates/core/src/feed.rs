@@ -6,7 +6,7 @@
 //! thread claim chunk `c`'s blocks eight at a time, while the calling
 //! thread first interleaves chunk `c − 1` (keyed `interleave_seed + c`);
 //! the join is the only wait. Workers probe through the world run's
-//! `probe_into`, each on one [`BlockScratch`] for the whole pass, and hold
+//! `probe_into`, each on one probe workspace for the whole pass, and hold
 //! each block as its lane would (8 B per round), so a feed holds two chunks
 //! at any core count, never the world, and no event depends on the worker
 //! count. A resume regenerates from the chunk that holds its sequence
@@ -21,7 +21,7 @@ use sleepwatch_probing::stream::{record_rounds, Interleave, RoundEvent};
 use sleepwatch_probing::transport::FeedEvents;
 use sleepwatch_simnet::WorldSource;
 
-use crate::analyze::{probe_into, AnalysisConfig, BlockScratch};
+use crate::analyze::{probe_into, AnalysisConfig, ProbeWorkspace};
 use crate::framing::RunIdentity;
 use crate::ingest::{IngestConfig, Pool, RoundSeries};
 use crate::worldrun::{each_chunk, quarantine_on_panic, Quarantine};
@@ -201,20 +201,15 @@ impl<'a> WorldFeed<'a> {
         streams
     }
 
-    /// Probes block `id` through `scratch` into a series from `spare`;
+    /// Probes block `id` through `work` into a series from `spare`;
     /// quarantines it if its probing panics.
-    fn probe_block(
-        &self,
-        id: u64,
-        scratch: &mut BlockScratch,
-        spare: &Pool<RoundSeries>,
-    ) -> Probed {
+    fn probe_block(&self, id: u64, work: &mut ProbeWorkspace, spare: &Pool<RoundSeries>) -> Probed {
         let (cfg, block) = (self.cfg, self.source.generate_block(id));
         quarantine_on_panic(cfg, id, || {
-            let (outages, total_probes) = probe_into(&block, cfg, scratch);
+            let (outages, total_probes) = probe_into(&block, cfg, work);
             let mut series = spare.take().unwrap_or_default();
-            series.values.reserve_exact(scratch.records().len());
-            for (round, a_short) in record_rounds(scratch.records()) {
+            series.values.reserve_exact(work.records().len());
+            for (round, a_short) in record_rounds(work.records()) {
                 series.push(round, a_short);
             }
             BlockStream { block_id: id, series, outages, total_probes }
@@ -224,7 +219,7 @@ impl<'a> WorldFeed<'a> {
     /// Hands `each` the feed's events from the start of chunk `first` on,
     /// in feed order; stops at the first error `each` returns. Chunk `c` is
     /// the `c`-th run of 256 blocks `skip` does not mark, probed by
-    /// [`each_chunk`] on the feed's workers, each through its own scratch,
+    /// [`each_chunk`] on the feed's workers, each through its own workspace,
     /// and interleaved on the calling thread. Only a feed of every block has
     /// its chunks at fixed block ids, so only it may start past chunk 0.
     fn each_event<E>(
@@ -234,15 +229,15 @@ impl<'a> WorldFeed<'a> {
     ) -> Result<(), E> {
         debug_assert!(first == 0 || self.skip.is_empty(), "chunks move with the skip mask");
         let spare = Pool::new();
-        let mut scratches: Vec<_> = (0..=self.workers).map(|_| BlockScratch::new()).collect();
+        let mut works: Vec<_> = (0..=self.workers).map(|_| ProbeWorkspace::default()).collect();
         each_chunk(
             self.source.len(),
             self.skip,
             first,
-            &mut scratches,
+            &mut works,
             Some(sleepwatch_obs::global().pipeline.stage(Stage::IngestFeedProbe)),
-            |scratch, group, probed| {
-                probed.extend(group.iter().map(|&id| (id, self.probe_block(id, scratch, &spare))));
+            |work, group, probed| {
+                probed.extend(group.iter().map(|&id| (id, self.probe_block(id, work, &spare))));
             },
             |c, probed| {
                 // A per-chunk keyed interleave: reproducible for a given

@@ -496,10 +496,10 @@ impl<'a> ShardState<'a> {
         run_batch(
             lanes,
             |l| &specs[l],
-            |l, scratch| {
+            |l, work, batch_lane| {
                 let f = &finished[l];
                 let observations = f.lane.iter().flat_map(|lane| lane.series.observations());
-                let fill_fraction = clean_observations_into(observations, cfg, scratch);
+                let fill_fraction = clean_observations_into(observations, cfg, work, batch_lane);
                 ProbedBlock { outages: f.outages, total_probes: f.total_probes, fill_fraction }
             },
             source.geodb(),
@@ -631,7 +631,9 @@ fn run_engine(
         for (queue, sent) in receivers.into_iter().zip(&sent) {
             let (lock, pool) = (&lock, &pool);
             s.spawn(move || {
-                let wait = sleepwatch_obs::global().pipeline.stage(Stage::IngestQueueWait);
+                let pipeline = &sleepwatch_obs::global().pipeline;
+                let (wait, apply) =
+                    (pipeline.stage(Stage::IngestQueueWait), pipeline.stage(Stage::IngestApply));
                 let mut state = ShardState::new(source, cfg, live_cfg);
                 let mut done: Vec<Outcome> = Vec::new();
                 let publish = |done: &mut Vec<Outcome>| {
@@ -671,8 +673,12 @@ fn run_engine(
                     };
                     high_water = high_water.max(queued.max(batch.len()));
                     taken += batch.len();
+                    let start = apply.enabled().then(Instant::now);
                     for &ev in &batch {
                         state.apply(ev, &mut |outcome| done.push(outcome));
+                    }
+                    if let Some(t0) = start {
+                        apply.record(t0.elapsed().as_secs_f64() * 1e6);
                     }
                     batch.clear();
                     pool.give(batch);

@@ -25,7 +25,8 @@
 //! (`run_batch`), the same boundary and the same checkpoint policy.
 
 use crate::analyze::{
-    classify_probed, probe_clean_into, AnalysisConfig, BlockScratch, BlockSummary, ProbedBlock,
+    classify_probed, count_reuse, probe_clean_into, AnalysisConfig, BatchLane, BlockSummary,
+    ProbeWorkspace, ProbedBlock,
 };
 use crate::journal::{self, Checkpoint, JournalError, JournalHeader};
 use sleepwatch_geoecon::allocation::YearMonth;
@@ -312,16 +313,16 @@ pub(crate) fn join_block(
 }
 
 /// The finishing tail of a batch lane whose cleaned series and spectrum
-/// sit in `scratch`: classify (with the fill-fraction veto), summarize,
-/// and join with the external data sources.
+/// sit in `lane`: classify (with the fill-fraction veto), summarize, and
+/// join with the external data sources.
 fn finish_block(
     geodb: &GeoDatabase,
     block: &BlockSpec,
     cfg: &AnalysisConfig,
-    scratch: &BlockScratch,
+    lane: &BatchLane,
     probed: ProbedBlock,
 ) -> WorldBlockReport {
-    let (summary, _diurnal, _trend) = classify_probed(block, cfg, scratch, probed);
+    let (summary, _diurnal, _trend) = classify_probed(block, cfg, lane, probed);
     join_block(geodb, block, summary)
 }
 
@@ -512,7 +513,7 @@ fn run_world<S: Sink>(
                 Feed::World(w) => &w.blocks[group[l] as usize],
                 Feed::Source(_) => &specs[l],
             };
-            let fill = |l, scratch: &mut BlockScratch| probe_clean_into(block(l), cfg, scratch);
+            let fill = |l, work: &mut _, lane: &mut _| probe_clean_into(block(l), cfg, work, lane);
             run_batch(group.len(), block, fill, geodb, cfg, arena, &mut |l, outcome| {
                 if out.len() == out.capacity() {
                     obs.world.batch_grows.incr();
@@ -559,25 +560,31 @@ fn run_world<S: Sink>(
     out
 }
 
-/// The arena a batch runs in: one [`BlockScratch`] per lane plus the
-/// lane-interleaved FFT workspace. Grow-only; after warm-up a batch runs
-/// without allocating. A world worker and an ingest shard each own one.
+/// The arena a batch runs in: one probe workspace, [`MAX_BATCH_LANES`]
+/// lanes and the lane-interleaved FFT workspace. The lanes are filled one
+/// after another, so one workspace probes and cleans them all; a lane
+/// keeps only what crosses the batched FFT, its cleaned series and its
+/// spectrum. Grow-only; after warm-up a batch runs without allocating. A
+/// world worker and an ingest shard each own one.
 pub(crate) struct BatchArena {
-    pub(crate) lanes: Vec<BlockScratch>,
+    pub(crate) work: ProbeWorkspace,
+    pub(crate) lanes: [BatchLane; MAX_BATCH_LANES],
     pub(crate) fft: BatchRealScratch,
 }
 
 impl BatchArena {
     pub(crate) fn new() -> BatchArena {
         BatchArena {
-            lanes: (0..MAX_BATCH_LANES).map(|_| BlockScratch::new()).collect(),
+            work: ProbeWorkspace::default(),
+            lanes: Default::default(),
             fft: BatchRealScratch::new(),
         }
     }
 
     /// Bytes reserved across every buffer, capacity not length.
     fn footprint_bytes(&self) -> usize {
-        self.lanes.iter().map(BlockScratch::footprint_bytes).sum::<usize>()
+        self.work.footprint_bytes()
+            + self.lanes.iter().map(BatchLane::footprint_bytes).sum::<usize>()
             + self.fft.footprint_bytes()
     }
 }
@@ -585,9 +592,9 @@ impl BatchArena {
 /// Finishes up to [`MAX_BATCH_LANES`] blocks together, the one way both
 /// engines turn blocks into reports:
 ///
-/// 1. `fill` leaves lane `l`'s cleaned series in its scratch — the world
-///    run probes `block_of(l)`, an ingest shard writes the observations it
-///    streamed for it;
+/// 1. `fill` leaves lane `l`'s cleaned series in the lane, working in the
+///    arena's one probe workspace — the world run probes `block_of(l)`, an
+///    ingest shard writes the observations it streamed for it;
 /// 2. surviving lanes are grouped by cleaned length and each group takes
 ///    one batched real FFT (bit-identical to the scalar kernel);
 /// 3. each lane is classified and joined, and `emit` receives it in lane
@@ -599,7 +606,7 @@ impl BatchArena {
 pub(crate) fn run_batch<'b>(
     lanes: usize,
     block_of: impl Fn(usize) -> &'b BlockSpec,
-    mut fill: impl FnMut(usize, &mut BlockScratch) -> ProbedBlock,
+    mut fill: impl FnMut(usize, &mut ProbeWorkspace, &mut BatchLane) -> ProbedBlock,
     geodb: &GeoDatabase,
     cfg: &AnalysisConfig,
     arena: &mut BatchArena,
@@ -607,21 +614,26 @@ pub(crate) fn run_batch<'b>(
 ) {
     let obs = sleepwatch_obs::global();
     let track = obs.pipeline.scratch_reuses.enabled();
-    let scratches = &mut arena.lanes;
+    let BatchArena { work, lanes: scratches, fft } = arena;
     let mut probed: [Option<ProbedBlock>; MAX_BATCH_LANES] = [None; MAX_BATCH_LANES];
     let mut quarantined: [Option<Quarantine>; MAX_BATCH_LANES] = Default::default();
+    // Per lane: its footprint before its block, and whether the workspace
+    // grew while it filled the lane.
     let mut fp_before = [0usize; MAX_BATCH_LANES];
+    let mut work_grew = [false; MAX_BATCH_LANES];
 
     // Phase 1: fill each lane with its block's cleaned series.
     for l in 0..lanes {
+        let work_before = track.then(|| work.footprint_bytes());
         if track {
             fp_before[l] = scratches[l].footprint_bytes();
         }
         let scr = &mut scratches[l];
-        match quarantine_on_panic(cfg, block_of(l).id, || fill(l, scr)) {
+        match quarantine_on_panic(cfg, block_of(l).id, || fill(l, work, scr)) {
             Ok(p) => probed[l] = Some(p),
             Err(q) => quarantined[l] = Some(q),
         }
+        work_grew[l] = work_before.is_some_and(|before| work.footprint_bytes() > before);
     }
 
     // Phase 2: group surviving lanes by cleaned-series length (fixed stack
@@ -666,7 +678,7 @@ pub(crate) fn run_batch<'b>(
                 outs[k] = spec.prepare_coeffs(len, sleepwatch_spectral::ROUND_SECONDS);
             }
             let k = members.len();
-            plan.real_batch_with_scratch(&ins[..k], &mut outs[..k], &mut arena.fft);
+            plan.real_batch_with_scratch(&ins[..k], &mut outs[..k], fft);
         }))
         .is_ok();
         if !batch_ok {
@@ -708,7 +720,7 @@ pub(crate) fn run_batch<'b>(
             finish_block(geodb, block, cfg, &scratches[l], p)
         });
         if track && outcome.is_ok() {
-            scratches[l].count_reuse(fp_before[l]);
+            count_reuse(work_grew[l] || scratches[l].footprint_bytes() > fp_before[l]);
         }
         emit(l, outcome);
     }

@@ -7,11 +7,17 @@
 //! the series length increases (longer observation span), after which the
 //! steady state must be allocation-free again at the new size.
 //!
+//! The steady state holds under every fault preset as well as the
+//! fault-free plan: gaps, duplicates and reorders send cleaning down its
+//! sparse path and duplicates through the prober's spare record buffer,
+//! and both are grow-only like the rest of the arena.
+//!
 //! The counter is thread-local so the harness's own threads cannot
 //! perturb the counted window.
 
 use counting_alloc::thread_allocations as allocations;
 use sleepwatch_core::{analyze_block_with_scratch, AnalysisConfig, BlockScratch};
+use sleepwatch_probing::FaultPlan;
 use sleepwatch_simnet::{BlockProfile, BlockSpec};
 
 #[global_allocator]
@@ -99,4 +105,27 @@ fn growth_is_bounded_to_series_length_increases() {
     analyze_block_with_scratch(&block, &short, &mut scratch);
     let allocated = allocations() - before_back;
     assert_eq!(allocated, 0, "shorter span on a grown arena allocated {allocated} times");
+}
+
+#[test]
+fn steady_state_is_allocation_free_under_every_fault_preset() {
+    // Alternating blocks on one arena, as a world worker runs them: after
+    // two passes over both, eight more calls allocate nothing, whatever
+    // the plan injects.
+    let plans = std::iter::once(("none", FaultPlan::none())).chain(FaultPlan::presets(13));
+    let blocks = [diurnal_block(5), flat_block(6)];
+    for (name, plan) in plans {
+        let mut cfg = AnalysisConfig::over_days(0, 3.0);
+        cfg.faults = plan;
+        let mut scratch = BlockScratch::new();
+        for i in 0..4 {
+            analyze_block_with_scratch(&blocks[i % 2], &cfg, &mut scratch);
+        }
+        let before = allocations();
+        for i in 0..8 {
+            analyze_block_with_scratch(&blocks[i % 2], &cfg, &mut scratch);
+        }
+        let allocated = allocations() - before;
+        assert_eq!(allocated, 0, "{name}: steady state allocated {allocated} times");
+    }
 }

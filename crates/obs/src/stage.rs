@@ -75,6 +75,10 @@ stages! {
     /// An ingest shard waiting on its empty queue, one sample per pop that
     /// had to wait for its batch.
     IngestQueueWait => "ingest.queue_wait",
+    /// An ingest shard applying one event batch from its queue (lane
+    /// lookup, series push, live verdicts, and the finalization of any
+    /// group the batch fills): one sample per `ingest.batches_sent`.
+    IngestApply => "ingest.apply",
     /// A self-generated feed's workers probing one chunk (generate, probe,
     /// hold its streams): one sample per chunk, the summed time of its
     /// blocks, whichever workers probed them.

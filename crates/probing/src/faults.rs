@@ -376,15 +376,31 @@ impl FaultPlan {
     /// metrics layer) can account for the injected corruption without
     /// re-deriving the keyed draws.
     pub fn mangle_records(&self, block_id: u64, records: &mut Vec<RoundRecord>) -> (u64, u64) {
+        self.mangle_records_into(block_id, records, &mut Vec::new())
+    }
+
+    /// [`mangle_records`](Self::mangle_records) reusing `spare`'s capacity:
+    /// a duplicating plan builds the new stream in `spare` and swaps it in,
+    /// so `spare` ends up holding the old stream's buffer. Grow-only across
+    /// blocks: once both buffers have held a block's stream, a run of
+    /// same-length blocks mangles without allocating. Same draws, in the
+    /// same order, same records.
+    pub fn mangle_records_into(
+        &self,
+        block_id: u64,
+        records: &mut Vec<RoundRecord>,
+        spare: &mut Vec<RoundRecord>,
+    ) -> (u64, u64) {
         if self.duplicate_rate <= 0.0 && self.reorder_rate <= 0.0 {
             return (0, 0);
         }
         let mut dups = 0u64;
         let mut swaps = 0u64;
         if self.duplicate_rate > 0.0 {
-            let mut out = Vec::with_capacity(records.len() + records.len() / 8);
+            spare.clear();
+            spare.reserve(records.len() + records.len() / 8);
             for i in 0..records.len() {
-                out.push(records[i]);
+                spare.push(records[i]);
                 if i > 0
                     && chance_at(
                         self.duplicate_rate,
@@ -393,11 +409,11 @@ impl FaultPlan {
                 {
                     let mut stale = records[i - 1];
                     stale.round = records[i].round;
-                    out.push(stale);
+                    spare.push(stale);
                     dups += 1;
                 }
             }
-            *records = out;
+            std::mem::swap(records, spare);
         }
         if self.reorder_rate > 0.0 {
             let mut i = 0;

@@ -104,6 +104,9 @@ pub struct TrinocularProber {
     outages: Vec<OutageEvent>,
     /// The block's address schedules, drawn once (see [`ProbeMemo`]).
     memo: ProbeMemo,
+    /// The buffer a duplicating fault plan builds the next record stream
+    /// in (see [`FaultPlan::mangle_records_into`]); empty otherwise.
+    spare_records: Vec<RoundRecord>,
     /// The `(seed, STREAM_TRANSIT, id)` head of the block's transit-loss
     /// keys.
     transit_key: KeyPrefix,
@@ -124,6 +127,7 @@ pub struct ProberScratch {
     walk: Vec<u8>,
     outages: Vec<OutageEvent>,
     memo: ProbeMemo,
+    spare_records: Vec<RoundRecord>,
 }
 
 impl ProberScratch {
@@ -137,6 +141,7 @@ impl ProberScratch {
         self.walk.capacity() * std::mem::size_of::<u8>()
             + self.outages.capacity() * std::mem::size_of::<OutageEvent>()
             + self.memo.footprint_bytes()
+            + self.spare_records.capacity() * std::mem::size_of::<RoundRecord>()
     }
 
     /// Outages recorded by the most recently recycled prober. Wrappers
@@ -154,6 +159,16 @@ impl ProberScratch {
         self.outages.clear();
         self.outages.push(OutageEvent { start_round: seed, end_round: None });
         self.memo.poison(seed);
+        self.spare_records.clear();
+        self.spare_records.extend((0..5u64).map(|i| RoundRecord {
+            round: seed ^ i,
+            probes: 99,
+            positives: 100,
+            a_short: f64::NAN,
+            a_long: f64::NAN,
+            a_operational: f64::NAN,
+            state: BlockState::Unknown,
+        }));
     }
 }
 
@@ -202,7 +217,11 @@ impl TrinocularProber {
         outages.clear();
         let mut memo = std::mem::take(&mut scratch.memo);
         memo.reset(block);
-        Self::with_buffers(block, walk, outages, memo, block.hist_avail, cfg)
+        let spare_records = std::mem::take(&mut scratch.spare_records);
+        TrinocularProber {
+            spare_records,
+            ..Self::with_buffers(block, walk, outages, memo, block.hist_avail, cfg)
+        }
     }
 
     /// Returns the prober's buffers to `scratch` for the next block,
@@ -213,6 +232,7 @@ impl TrinocularProber {
         scratch.walk = self.walk;
         scratch.outages = self.outages;
         scratch.memo = self.memo;
+        scratch.spare_records = self.spare_records;
     }
 
     /// Creates a prober bootstrapped from a census record — the real
@@ -267,6 +287,7 @@ impl TrinocularProber {
             cursor: 0,
             outages,
             memo,
+            spare_records: Vec::new(),
             transit_key: KeyPrefix::new(&[block.seed, STREAM_TRANSIT, block.id]),
             total_probes: 0,
         }
@@ -549,7 +570,7 @@ impl TrinocularProber {
                 records.push(rec);
             }
         }
-        let (dups, swaps) = plan.mangle_records(block.id, records);
+        let (dups, swaps) = plan.mangle_records_into(block.id, records, &mut self.spare_records);
         fc.duplicates = dups;
         fc.reorders = swaps;
         self.flush_run_metrics(self.total_probes - probes_before, &fc);

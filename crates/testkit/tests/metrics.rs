@@ -332,6 +332,27 @@ fn scratch_counters_match_run_shape() {
     });
 }
 
+/// The batch arena's size at the paper's span: a one-thread 64-block ×
+/// 35-day world run holds one probe workspace and eight lanes, so
+/// `world.peak_block_bytes` stays under 2.5 MB (eight lanes each with
+/// its own workspace read 5 054 532 B). The gauge is the process's high
+/// water; every other world here spans at most four days, so it reads
+/// this run. It is at least the eight lanes' cleaned series.
+#[test]
+fn batch_arena_holds_one_probe_workspace() {
+    let _g = lock();
+    with_metrics(|| {
+        let wcfg = WorldConfig { num_blocks: 64, seed: 21, span_days: 35.0, ..Default::default() };
+        let cfg = AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days);
+        let source = WorldSource::new(wcfg);
+        let (_, d) = measure(|| analyze_world_source(&source, &cfg, 1, None));
+        let peak = d.counter("world.peak_block_bytes");
+        assert!(peak <= 2_500_000, "one worker's arena peaked at {peak} B");
+        let series = 8 * 4_451 * std::mem::size_of::<f64>() as u64;
+        assert!(peak >= series, "peak {peak} B is less than eight cleaned series");
+    });
+}
+
 /// Quarantine accounting: every panicking block bumps
 /// `resilience.blocks_quarantined` exactly once per run, and the
 /// survivors are still all counted as analyzed.
@@ -468,6 +489,24 @@ fn ingest_counters_match_ingest_stats() {
         assert_eq!(d.counter("ingest.batches_sent"), batches as u64);
         let waits = d.histogram("stage.ingest.queue_wait").map_or(0, |h| h.count);
         assert!(waits <= batches as u64, "{waits} waiting pops for {batches} batches");
+    });
+}
+
+/// One `stage.ingest.apply` sample per event batch a shard applies, so
+/// per `ingest.batches_sent`, at one shard and at two.
+#[test]
+fn apply_samples_once_per_batch_sent() {
+    let _g = lock();
+    with_metrics(|| {
+        let (source, cfg) = stream_world();
+        for shards in [1, 2] {
+            let icfg =
+                IngestConfig { shards, queue_capacity: 64, batch_events: 16, ..Default::default() };
+            let (_, d) = measure(|| ingest_world(&source, &cfg, &icfg));
+            let samples = d.histogram("stage.ingest.apply").map_or(0, |h| h.count);
+            assert!(samples > 0, "{shards} shards: no batch applied");
+            assert_eq!(samples, d.counter("ingest.batches_sent"), "{shards} shards");
+        }
     });
 }
 
