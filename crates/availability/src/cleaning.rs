@@ -10,6 +10,8 @@
 //! * trims the series to start and end near midnight UTC, tying phase to
 //!   physical time and reducing FFT noise at diurnal frequencies.
 
+use std::borrow::Borrow;
+
 /// Seconds per day.
 const DAY_SECONDS: u64 = 86_400;
 
@@ -90,12 +92,13 @@ pub fn clean_series(
     (out, fill_frac)
 }
 
-/// Reusable workspace for [`clean_series_into`]. Grow-only: buffers are
-/// cleared between blocks but keep their capacity, so a steady stream of
-/// same-sized blocks cleans without touching the allocator.
+/// Reusable workspace for [`clean_series_into`]: a bitmap of the rounds
+/// observed. Grow-only: cleared between blocks but keeps its capacity, so
+/// a steady stream of same-sized blocks cleans without touching the
+/// allocator.
 #[derive(Debug, Default)]
 pub struct CleanScratch {
-    sparse: Vec<Option<f64>>,
+    present: Vec<u64>,
 }
 
 impl CleanScratch {
@@ -106,69 +109,77 @@ impl CleanScratch {
 
     /// Bytes currently reserved, capacity not length.
     pub fn footprint_bytes(&self) -> usize {
-        self.sparse.capacity() * std::mem::size_of::<Option<f64>>()
+        self.present.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Test-only: fill the workspace with garbage that a correct
     /// [`clean_series_into`] must fully overwrite or ignore.
     #[doc(hidden)]
     pub fn poison(&mut self, seed: u64) {
-        self.sparse.clear();
-        self.sparse.extend((0..113u64).map(|i| {
-            if i % 3 == 0 {
-                None
-            } else {
-                Some(f64::NAN + seed as f64)
-            }
-        }));
+        self.present.clear();
+        self.present.extend((0..7u64).map(|i| (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
     }
 }
 
-/// [`clean_series`] writing into caller-provided buffers — the
-/// zero-allocation steady-state path. `out` is cleared and receives the
-/// trimmed series; the return value is the fill fraction. Output is
-/// byte-identical to [`clean_series`] regardless of prior scratch/`out`
-/// contents.
-///
-/// Observations that are exactly rounds `0..n_rounds` in order — every
-/// fault-free run, every ingest lane that streamed in order — take a
-/// dense path: nothing to bucket and nothing to fill, so the series is
-/// the trimmed slice of the values and the workspace is not touched. The
-/// sparse path would give the same bits: every slot `Some`, none filled.
-pub fn clean_series_into(
-    obs: &[(u64, f64)],
+/// [`clean_series`] into caller-provided buffers — the zero-allocation
+/// steady-state path, one pass for any input. `obs` is any sequence of
+/// `(round, value)` pairs. In `out`, each pair lands in its round's slot
+/// (the later one wins) and is marked in the workspace's bitmap, the
+/// unmarked rounds take the previous value, and the midnight-trim range
+/// moves to the front. A mark is a bit, not a sentinel, so any `f64` is an
+/// observation. Returns the fill fraction; the result does not depend on
+/// what `scratch` or `out` held before.
+pub fn clean_series_into<I>(
+    obs: I,
     n_rounds: usize,
     start_time: u64,
     sample_seconds: u64,
     scratch: &mut CleanScratch,
     out: &mut Vec<f64>,
-) -> f64 {
-    let gapless =
-        obs.len() == n_rounds && obs.iter().zip(0u64..).all(|(&(round, _), i)| round == i);
-    clean_with(obs, n_rounds, start_time, sample_seconds, gapless, scratch, out)
-}
-
-/// [`clean_series_into`] with the path chosen by the caller: `gapless`
-/// takes the dense path, which is only right for observations that are
-/// exactly rounds `0..n_rounds` in order.
-fn clean_with(
-    obs: &[(u64, f64)],
-    n_rounds: usize,
-    start_time: u64,
-    sample_seconds: u64,
-    gapless: bool,
-    scratch: &mut CleanScratch,
-    out: &mut Vec<f64>,
-) -> f64 {
+) -> f64
+where
+    I: IntoIterator,
+    I::Item: Borrow<(u64, f64)>,
+{
     let range = midnight_trim(start_time, n_rounds, sample_seconds);
-    out.clear();
-    out.reserve(range.len());
-    let filled = if gapless {
-        out.extend(obs[range].iter().map(|&(_, value)| value));
-        0
-    } else {
-        bucket_fill_trim(obs, n_rounds, range, &mut scratch.sparse, out)
-    };
+    let present = &mut scratch.present;
+    present.clear();
+    present.resize(n_rounds.div_ceil(64), 0);
+    out.resize(n_rounds, 0.0);
+    // The marks of one bitmap word gather in a register and are stored
+    // when a pair leaves that word: in-order input stores once per word.
+    let (mut word, mut marks) = (0, 0u64);
+    for pair in obs {
+        let &(round, value) = pair.borrow();
+        let round = round as usize;
+        if round < n_rounds {
+            out[round] = value;
+            if round / 64 != word {
+                present[word] |= marks;
+                (word, marks) = (round / 64, 0);
+            }
+            marks |= 1 << (round % 64);
+        }
+    }
+    if let Some(w) = present.get_mut(word) {
+        *w |= marks;
+    }
+    let observed: usize = present.iter().map(|w| w.count_ones() as usize).sum();
+    let filled = n_rounds - observed;
+    if filled > 0 {
+        let is_set = |i: usize| present[i / 64] >> (i % 64) & 1 == 1;
+        let mut last = (0..n_rounds).find(|&i| is_set(i)).map_or(0.0, |i| out[i]);
+        for (i, v) in out.iter_mut().enumerate() {
+            if is_set(i) {
+                last = *v;
+            } else {
+                *v = last;
+            }
+        }
+    }
+    let kept = range.len();
+    out.copy_within(range, 0);
+    out.truncate(kept);
     let fill_frac = if n_rounds > 0 { filled as f64 / n_rounds as f64 } else { 0.0 };
     let obs_reg = sleepwatch_obs::global();
     if obs_reg.cleaning.series_cleaned.enabled() {
@@ -180,50 +191,11 @@ fn clean_with(
     fill_frac
 }
 
-/// The sparse path of [`clean_series_into`]: buckets `obs` into `sparse`
-/// (the latest observation of a round wins), then fills gaps and trims to
-/// `range` into `out` in one walk. Returns the number of filled rounds,
-/// counted over *all* rounds, exactly like `fill_gaps`.
-fn bucket_fill_trim(
-    obs: &[(u64, f64)],
-    n_rounds: usize,
-    range: std::ops::Range<usize>,
-    sparse: &mut Vec<Option<f64>>,
-    out: &mut Vec<f64>,
-) -> usize {
-    sparse.clear();
-    sparse.resize(n_rounds, None);
-    for &(round, value) in obs {
-        if (round as usize) < n_rounds {
-            sparse[round as usize] = Some(value);
-        }
-    }
-    let first = sparse.iter().flatten().copied().next().unwrap_or(0.0);
-    let mut filled = 0usize;
-    let mut last = first;
-    for (i, v) in sparse.iter().enumerate() {
-        let dense = match v {
-            Some(x) => {
-                last = *x;
-                *x
-            }
-            None => {
-                filled += 1;
-                last
-            }
-        };
-        if range.contains(&i) {
-            out.push(dense);
-        }
-    }
-    filled
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sleepwatch_obs::Snapshot;
+    use sleepwatch_obs::{Buckets, Histogram, HistogramSnapshot, Snapshot};
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// Serializes the tests that clean, so each one's `cleaning.*` delta
@@ -235,12 +207,18 @@ mod tests {
 
     /// What one clean produced and recorded: the series' bits, the fill
     /// fraction's bits and the four `cleaning.*` deltas.
-    type Cleaned = (Vec<u64>, u64, [u64; 3], Option<sleepwatch_obs::HistogramSnapshot>);
+    type Cleaned = (Vec<u64>, u64, [u64; 3], Option<HistogramSnapshot>);
 
-    fn cleaned(clean: impl FnOnce(&mut Vec<f64>) -> f64) -> Cleaned {
+    /// One [`clean_series_into`] of `obs` through `scratch` into `out`.
+    fn cleaned(
+        obs: &[(u64, f64)],
+        n: usize,
+        start: u64,
+        scratch: &mut CleanScratch,
+        out: &mut Vec<f64>,
+    ) -> Cleaned {
         let before = Snapshot::capture(sleepwatch_obs::global());
-        let mut out = vec![f64::NAN; 3];
-        let frac = clean(&mut out);
+        let frac = clean_series_into(obs, n, start, 660, scratch, out);
         let d = Snapshot::capture(sleepwatch_obs::global()).delta(&before);
         let counts = ["series_cleaned", "samples_out", "samples_filled"]
             .map(|k| d.counter(&format!("cleaning.{k}")));
@@ -248,23 +226,63 @@ mod tests {
         (out.iter().map(|v| v.to_bits()).collect(), frac.to_bits(), counts, hist)
     }
 
-    /// An observation list: rounds `0..n` in order with keyed values, then
-    /// `mangle` applied — 0 keeps it gapless, 1 drops a round, 2
-    /// duplicates one, 3 swaps an adjacent pair.
-    fn observations(n: usize, mangle: u8, at: usize, salt: u64) -> Vec<(u64, f64)> {
+    /// What the paper's three steps give — `bucket_rounds`, then
+    /// `fill_gaps`, then `midnight_trim` — and what one clean records.
+    fn reference(obs: &[(u64, f64)], n: usize, start: u64) -> Cleaned {
+        let (dense, filled) = fill_gaps(&bucket_rounds(obs, n));
+        let series = &dense[midnight_trim(start, n, 660)];
+        let frac = if n > 0 { filled as f64 / n as f64 } else { 0.0 };
+        let on = sleepwatch_obs::global_enabled();
+        let hist = Histogram::new(on, Buckets::Linear { lo: 0.0, hi: 1.0 });
+        hist.record(frac);
+        let counts = [1, series.len() as u64, filled as u64].map(|c| c * u64::from(on));
+        (
+            series.iter().map(|v| v.to_bits()).collect(),
+            frac.to_bits(),
+            counts,
+            Some(hist.snapshot()),
+        )
+    }
+
+    /// An observation list: rounds `0..n` in order with keyed values, one
+    /// in `nan_every` of them a NaN with a keyed payload, then `mangle`
+    /// applied at `at` — 0 keeps it gapless, 1 drops `k` rounds, 2
+    /// duplicates one, 3 swaps an adjacent pair, 4 adds a round at or past
+    /// `n`, 5 drops them all.
+    fn observations(
+        n: usize,
+        mangle: u8,
+        at: usize,
+        k: usize,
+        salt: u64,
+        nan_every: u64,
+    ) -> Vec<(u64, f64)> {
         let mut obs: Vec<(u64, f64)> = (0..n as u64)
-            .map(|r| (r, ((r ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / 2e15))
+            .map(|r| {
+                let key = (r ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let value = if r % nan_every == 0 {
+                    f64::from_bits(0x7FF0_0000_0000_0001 | key >> 12 | (key & 1) << 63)
+                } else {
+                    (key >> 11) as f64 / 2e15
+                };
+                (r, value)
+            })
             .collect();
-        if n > 1 {
-            let at = at % (n - 1);
-            match mangle {
-                1 => {
-                    obs.remove(at);
+        match mangle {
+            4 => obs.insert(at % (n + 1), (n as u64 + k as u64, -2.0)),
+            5 => obs.clear(),
+            _ if n > 1 => {
+                let at = at % (n - 1);
+                match mangle {
+                    1 => {
+                        obs.drain(at..(at + k).min(n));
+                    }
+                    2 => obs.insert(at + 1, (obs[at].0, -1.0 - obs[at].1)),
+                    3 => obs.swap(at, at + 1),
+                    _ => {}
                 }
-                2 => obs.insert(at + 1, (obs[at].0, -1.0 - obs[at].1)),
-                3 => obs.swap(at, at + 1),
-                _ => {}
             }
+            _ => {}
         }
         obs
     }
@@ -272,16 +290,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The dense path is the sparse path on gapless in-order input,
-        /// and any other input gets the sparse path's result: same series
-        /// bits, same fill fraction, same `cleaning.*` deltas.
+        /// `clean_series_into` is `bucket_rounds` → `fill_gaps` →
+        /// `midnight_trim`: same series bits, same fill fraction, same
+        /// `cleaning.*` deltas, on gapless, gappy, duplicated, swapped and
+        /// out-of-range input with NaN payloads among the values, through
+        /// one poisoned workspace and output reused at a second length.
         #[test]
-        fn dense_clean_matches_sparse_clean(
+        fn clean_matches_bucket_fill_trim(
             n in 0usize..700,
+            n2 in 0usize..700,
             short in any::<bool>(),
-            mangle in 0u8..4,
+            mangle in 0u8..6,
             at in 0usize..700,
+            k in 1usize..150,
             salt in any::<u64>(),
+            nan_every in 1u64..40,
             start in 0u64..200_000,
             a12w in any::<bool>(),
         ) {
@@ -289,13 +312,14 @@ mod tests {
             let n = if short { n % 3 } else { n };
             let start = if a12w { 1_366_823_880 + start } else { start };
             let _g = lock();
-            let obs = observations(n, mangle, at, salt);
             let mut scratch = CleanScratch::new();
             scratch.poison(salt);
-            let sparse = cleaned(|out| clean_with(&obs, n, start, 660, false, &mut scratch, out));
-            let got = cleaned(|out| clean_series_into(&obs, n, start, 660, &mut scratch, out));
-            prop_assert_eq!(&got, &sparse);
-            prop_assert_eq!(got.2[0], u64::from(sleepwatch_obs::global_enabled()));
+            let mut out = vec![f64::NAN; 3];
+            for (n, mangle) in [(n, mangle), (n2, (mangle + 1) % 6)] {
+                let obs = observations(n, mangle, at, k, salt, nan_every);
+                let got = cleaned(&obs, n, start, &mut scratch, &mut out);
+                prop_assert_eq!(got, reference(&obs, n, start), "n={} mangle={}", n, mangle);
+            }
         }
     }
 
@@ -398,27 +422,6 @@ mod tests {
         // Trimmed to whole days: ends right before day-2 midnight.
         let expect_len = (2 * DAY_SECONDS - 1) / 660 + 1;
         assert_eq!(series.len(), expect_len as usize);
-    }
-
-    #[test]
-    fn clean_series_into_matches_allocating_path() {
-        let _g = lock();
-        let start = 1_366_823_880u64;
-        let n = 131 * 5;
-        let obs: Vec<(u64, f64)> =
-            (0..n as u64).filter(|r| r % 17 != 4).map(|r| (r, (r as f64).sin())).collect();
-        let (want, want_frac) = clean_series(&obs, n, start, 660);
-        let mut scratch = CleanScratch::new();
-        scratch.poison(99);
-        let mut out = vec![f64::NAN; 7];
-        let frac = clean_series_into(&obs, n, start, 660, &mut scratch, &mut out);
-        assert_eq!(out, want);
-        assert_eq!(frac.to_bits(), want_frac.to_bits());
-        // Reuse on a different series also matches.
-        let obs2: Vec<(u64, f64)> = (0..n as u64 / 2).map(|r| (r, 0.25)).collect();
-        let (want2, _) = clean_series(&obs2, n / 2, start, 660);
-        clean_series_into(&obs2, n / 2, start, 660, &mut scratch, &mut out);
-        assert_eq!(out, want2);
     }
 
     #[test]

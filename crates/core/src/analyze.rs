@@ -1,4 +1,4 @@
-//! Per-block analysis: probe → estimate → clean → FFT → classify.
+//! Per-block analysis: probe → clean → FFT → classify.
 //!
 //! This is the paper's measurement pipeline for one /24: run Trinocular
 //! over the observation window, track `Âs` (§2.1), clean the timeseries and
@@ -99,15 +99,14 @@ pub fn analyze_series(series: &[f64], cfg: &DiurnalConfig) -> (DiurnalReport, Tr
 }
 
 /// The probe workspace: the buffers one block needs only while it is
-/// probed, estimated and cleaned — prober walk and memo, round records,
-/// `(round, Âs)` observations and the cleaning workspace. A batch arena
-/// holds one and probes its lanes through it one after another; a feed
-/// worker, which only probes, holds nothing else.
+/// probed and cleaned — prober walk and memo, round records and the
+/// cleaning workspace. A batch arena holds one and probes its lanes
+/// through it one after another; a feed worker, which only probes, holds
+/// nothing else.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeWorkspace {
     prober: ProberScratch,
     records: Vec<RoundRecord>,
-    observations: Vec<(u64, f64)>,
     clean: CleanScratch,
 }
 
@@ -116,15 +115,12 @@ impl ProbeWorkspace {
     pub(crate) fn footprint_bytes(&self) -> usize {
         self.prober.footprint_bytes()
             + self.records.capacity() * std::mem::size_of::<RoundRecord>()
-            + self.observations.capacity() * std::mem::size_of::<(u64, f64)>()
             + self.clean.footprint_bytes()
     }
 
     fn poison(&mut self, seed: u64) {
         self.prober.poison(seed);
         self.records.clear();
-        self.observations.clear();
-        self.observations.extend((0..89u64).map(|i| (seed.wrapping_add(i), f64::NAN)));
         self.clean.poison(seed);
     }
 
@@ -133,19 +129,16 @@ impl ProbeWorkspace {
         &self.records
     }
 
-    /// Stage Clean: buckets, fills and midnight-trims `self.observations`
-    /// into `lane`'s series. Returns the fraction of samples interpolated.
-    fn clean_into(&mut self, cfg: &AnalysisConfig, lane: &mut BatchLane) -> f64 {
-        let obs = sleepwatch_obs::global();
-        let _t = StageTimer::start(obs.pipeline.stage(Stage::Clean));
-        clean_series_into(
-            &self.observations,
-            cfg.rounds as usize,
-            cfg.start_time,
-            ROUND_SECONDS,
-            &mut self.clean,
-            &mut lane.series,
-        )
+    /// Stage Clean for `(round, Âs)` pairs collected elsewhere — an
+    /// ingest lane's streamed series: [`clean_stage`] through this
+    /// workspace, as [`probe_clean_into`] cleans its own records.
+    pub(crate) fn clean_into(
+        &mut self,
+        pairs: impl IntoIterator<Item = (u64, f64)>,
+        cfg: &AnalysisConfig,
+        lane: &mut BatchLane,
+    ) -> f64 {
+        clean_stage(pairs, cfg, &mut self.clean, lane)
     }
 }
 
@@ -212,8 +205,8 @@ pub(crate) fn count_reuse(grew: bool) {
 }
 
 /// Worker-local arena holding every buffer one block analysis needs: a
-/// probe workspace (walk, records, `(round, Âs)` observations, cleaning
-/// workspace) and one lane (cleaned series, spectral output/scratch).
+/// probe workspace (walk, records, cleaning workspace) and one lane
+/// (cleaned series, spectral output/scratch).
 ///
 /// Grow-only: buffers are cleared between blocks but never shrunk, so
 /// after one warm-up block a steady stream of same-length analyses runs
@@ -247,8 +240,8 @@ impl BlockScratch {
     }
 }
 
-/// Probe → estimate → clean results carried between the split phases of
-/// the batched world path.
+/// Probe → clean results carried between the split phases of the batched
+/// world path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ProbedBlock {
     pub outages: u32,
@@ -273,18 +266,25 @@ pub(crate) fn probe_into(
     counts
 }
 
-/// Stage Estimate: the `(round, Âs)` pairs into the workspace's
-/// observation buffer.
-fn estimate_into(observations: &mut Vec<(u64, f64)>, pairs: impl Iterator<Item = (u64, f64)>) {
-    let _t = StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::Estimate));
-    observations.clear();
-    observations.extend(pairs);
+/// Stage Clean: the `(round, Âs)` pairs scattered by round, gap-filled
+/// and midnight-trimmed in `lane`'s series. Returns the fraction
+/// of samples interpolated.
+fn clean_stage(
+    pairs: impl IntoIterator<Item = (u64, f64)>,
+    cfg: &AnalysisConfig,
+    clean: &mut CleanScratch,
+    lane: &mut BatchLane,
+) -> f64 {
+    let _t = StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::Clean));
+    let (n_rounds, start) = (cfg.rounds as usize, cfg.start_time);
+    clean_series_into(pairs, n_rounds, start, ROUND_SECONDS, clean, &mut lane.series)
 }
 
-/// Stages Probe → Estimate → Clean through `work`, leaving the cleaned
-/// series in `lane` for the FFT phase. First half of the pipeline body;
-/// the batched world path runs it per block, then FFTs same-length groups
-/// together before finishing each block with [`classify_probed`].
+/// Stages Probe → Clean through `work`, leaving the cleaned series in
+/// `lane` for the FFT phase. First half of the pipeline body; the batched
+/// world path runs it per block, then FFTs same-length groups together
+/// before finishing each block with [`classify_probed`]. An ingest shard
+/// reaches the same lane state through [`ProbeWorkspace::clean_into`].
 pub(crate) fn probe_clean_into(
     block: &BlockSpec,
     cfg: &AnalysisConfig,
@@ -292,25 +292,9 @@ pub(crate) fn probe_clean_into(
     lane: &mut BatchLane,
 ) -> ProbedBlock {
     let (outages, total_probes) = probe_into(block, cfg, work);
-    estimate_into(&mut work.observations, work.records.iter().map(|r| (r.round, r.a_short)));
-    ProbedBlock { outages, total_probes, fill_fraction: work.clean_into(cfg, lane) }
-}
-
-/// Stages Estimate → Clean for observations collected elsewhere — the
-/// streaming ingest path's first phase. Byte-for-byte the tail of
-/// [`probe_clean_into`], so a shard finalizing a block's event stream
-/// lands in exactly the lane state the batch pipeline reaches before its
-/// FFT phase. The `(round, Âs)` pairs are written straight into the
-/// workspace's observation buffer. Returns the fraction of samples
-/// interpolated.
-pub(crate) fn clean_observations_into(
-    observations: impl Iterator<Item = (u64, f64)>,
-    cfg: &AnalysisConfig,
-    work: &mut ProbeWorkspace,
-    lane: &mut BatchLane,
-) -> f64 {
-    estimate_into(&mut work.observations, observations);
-    work.clean_into(cfg, lane)
+    let pairs = work.records.iter().map(|r| (r.round, r.a_short));
+    let fill_fraction = clean_stage(pairs, cfg, &mut work.clean, lane);
+    ProbedBlock { outages, total_probes, fill_fraction }
 }
 
 /// Stage Classify plus summary assembly. Expects `lane.spectrum` to hold

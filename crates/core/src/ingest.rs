@@ -72,7 +72,7 @@ use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_simnet::{shard_of, BlockSpec, WorldSource};
 use sleepwatch_spectral::{Complex, SpectrumScratch, MAX_BATCH_LANES};
 
-use crate::analyze::{clean_observations_into, AnalysisConfig, ProbedBlock};
+use crate::analyze::{AnalysisConfig, ProbedBlock};
 use crate::feed::WorldFeed;
 use crate::journal::JournalError;
 use crate::streaming::{OnlineConfig, OnlineDetector};
@@ -298,7 +298,7 @@ impl RoundSeries {
     }
 
     /// The `(round, Âs)` pairs in arrival order: what the batch pipeline
-    /// collects from the same run.
+    /// reads from the same run's records.
     fn observations(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         let mut run = 0;
         self.values.iter().enumerate().map(move |(at, &value)| (self.round_at(at, &mut run), value))
@@ -498,8 +498,8 @@ impl<'a> ShardState<'a> {
             |l| &specs[l],
             |l, work, batch_lane| {
                 let f = &finished[l];
-                let observations = f.lane.iter().flat_map(|lane| lane.series.observations());
-                let fill_fraction = clean_observations_into(observations, cfg, work, batch_lane);
+                let pairs = f.lane.iter().flat_map(|lane| lane.series.observations());
+                let fill_fraction = work.clean_into(pairs, cfg, batch_lane);
                 ProbedBlock { outages: f.outages, total_probes: f.total_probes, fill_fraction }
             },
             source.geodb(),

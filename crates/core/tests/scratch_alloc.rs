@@ -8,9 +8,9 @@
 //! steady state must be allocation-free again at the new size.
 //!
 //! The steady state holds under every fault preset as well as the
-//! fault-free plan: gaps, duplicates and reorders send cleaning down its
-//! sparse path and duplicates through the prober's spare record buffer,
-//! and both are grow-only like the rest of the arena.
+//! fault-free plan: gaps, duplicates and reorders are cleaned in the
+//! lane's own series, and duplicates pass through the prober's spare
+//! record buffer, which is grow-only like the rest of the arena.
 //!
 //! The counter is thread-local so the harness's own threads cannot
 //! perturb the counted window.

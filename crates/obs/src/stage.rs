@@ -49,9 +49,11 @@ macro_rules! stages {
 stages! {
     /// Adaptive probing of one block, world run or feed (`core::analyze::probe_into`).
     Probe => "probe",
-    /// A(b) estimation from raw outage records.
+    /// Recorded by nothing: `Âs` is estimated inside the prober, under
+    /// `Probe`. Kept only because the benchmark harness names it; ROADMAP
+    /// item 1 removes it with the harness's staged replay.
     Estimate => "estimate",
-    /// Availability series cleaning (bucketing, gap fill, midnight trim).
+    /// Availability series cleaning (scatter by round, gap fill, midnight trim).
     Clean => "clean",
     /// Spectral transform and periodogram summarisation.
     Fft => "fft",
