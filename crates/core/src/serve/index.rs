@@ -6,11 +6,13 @@
 //! strings; `/v1/block/{id}` is a binary search over a sorted id column
 //! and one [`write_block_body`] — a single pass of appends into a stack
 //! buffer, handed to the caller's `String` whole; an ad-hoc
-//! `/v1/query` that misses the [`ShardedLru`] folds over the shortest
-//! posting list (row indices per country, AS and link keyword) its
-//! filter names instead of over the table. Worker threads share the
-//! state behind an `Arc` and never take a lock on these paths — the only
-//! mutable structure is the LRU.
+//! `/v1/query` naming at most one of country, AS and link is answered
+//! from that key's counts split by stationarity, kept at build time, and
+//! only a filter naming two or more goes through the [`ShardedLru`],
+//! whose misses fold over the shortest posting list (row indices per
+//! country, AS and link keyword) the filter names instead of over the
+//! table. Worker threads share the state behind an `Arc` and never take
+//! a lock on these paths — the only mutable structure is the LRU.
 //!
 //! Number formatting mirrors the canonical TSV dataset (6 decimals, 4
 //! for `strongest_cpd`), so every served float is exactly the dataset's
@@ -58,7 +60,21 @@ impl GroupCounts {
             self.stationary += 1;
         }
     }
+
+    /// The counts of two disjoint row sets together.
+    fn plus(self, other: GroupCounts) -> GroupCounts {
+        GroupCounts {
+            blocks: self.blocks + other.blocks,
+            strict: self.strict + other.strict,
+            diurnal: self.diurnal + other.diurnal,
+            stationary: self.stationary + other.stationary,
+        }
+    }
 }
+
+/// Counts of a row set's non-stationary and stationary rows, in that
+/// order: indexed by a `stationary` value.
+type Split = [GroupCounts; 2];
 
 /// Scratch for one rendered number, which ends at [`DIGITS_END`]: the
 /// second half is slack, so that a fixed 32-byte copy from the number's
@@ -534,23 +550,25 @@ pub fn query_body(rows: &[DatasetRow], filter: &Filter) -> String {
     out
 }
 
-/// One key of one dimension: its rendered body and its posting list —
-/// the indices into the sorted rows that carry the key, ascending, each
-/// row once.
+/// One key of one dimension: its rendered body, its counts split by
+/// stationarity (the answer to every `/v1/query` that names this key
+/// alone), and its posting list — the indices into the sorted rows that
+/// carry the key, ascending, each row once.
 #[derive(Debug)]
 struct Group {
     body: String,
+    split: Split,
     rows: Vec<u32>,
 }
 
 /// A dimension while it is being rolled up, its keys kept in the order
 /// the list body wants.
-type Rollup<K> = BTreeMap<K, (GroupCounts, Vec<u32>)>;
+type Rollup<K> = BTreeMap<K, (Split, Vec<u32>)>;
 
 /// Counts `r` under one key and posts its index `i` there (a row holds
 /// each key at most once).
-fn roll(group: &mut (GroupCounts, Vec<u32>), r: &DatasetRow, i: u32) {
-    group.0.absorb(r);
+fn roll(group: &mut (Split, Vec<u32>), r: &DatasetRow, i: u32) {
+    group.0[usize::from(r.stationary)].absorb(r);
     group.1.push(i);
 }
 
@@ -564,10 +582,10 @@ fn render<K: Copy + Hash + Eq>(
     let mut list = format!("{{\"{name}\":[");
     let open = list.len();
     let mut map = HashMap::with_capacity(rollup.len());
-    for (key, (counts, rows)) in rollup {
-        let body = body(key, &counts);
+    for (key, (split @ [moving, still], rows)) in rollup {
+        let body = body(key, &moving.plus(still));
         push_term(&mut list, open, ',', &body);
-        map.insert(key, Group { body, rows });
+        map.insert(key, Group { body, split, rows });
     }
     list.push_str("]}");
     (list, map)
@@ -575,7 +593,8 @@ fn render<K: Copy + Hash + Eq>(
 
 /// The immutable serving state: id-sorted rows and their id column,
 /// fully rendered list and summary bodies, per-key group bodies with
-/// their posting lists, and the `/v1/query` LRU.
+/// their stationarity splits and posting lists, and the LRU of the
+/// `/v1/query` filters that cross dimensions.
 #[derive(Debug)]
 pub struct ServeState {
     rows: Vec<DatasetRow>,
@@ -590,13 +609,14 @@ pub struct ServeState {
     by_link: HashMap<&'static str, Group>,
     /// Counts of the non-stationary and of the stationary rows: the
     /// answers to the three filters that name no keyed dimension.
-    by_stationary: [GroupCounts; 2],
+    by_stationary: Split,
     lru: ShardedLru,
 }
 
 impl ServeState {
     /// Builds every index from `rows` (sorted by block id internally).
-    /// `lru_capacity` bounds the ad-hoc query cache; zero disables it.
+    /// `lru_capacity` bounds the cache of ad-hoc queries that cross
+    /// dimensions; zero disables it.
     ///
     /// # Panics
     /// Past `u32::MAX` rows, the width of a posting-list entry — 256
@@ -608,7 +628,7 @@ impl ServeState {
         let mut countries: Rollup<&'static str> = BTreeMap::new();
         let mut ases: Rollup<u32> = BTreeMap::new();
         let mut links: Rollup<&'static str> = BTreeMap::new();
-        let mut by_stationary = [GroupCounts::default(); 2];
+        let mut by_stationary = Split::default();
         for (i, r) in rows.iter().enumerate() {
             let i = i as u32;
             by_stationary[usize::from(r.stationary)].absorb(r);
@@ -696,65 +716,76 @@ impl ServeState {
         self.row(id).map(block_body)
     }
 
-    /// The `/v1/query` body for `filter`, served from the LRU when
-    /// cached, folded from the posting lists otherwise.
-    pub fn query(&self, filter: &Filter) -> (String, LruOutcome) {
+    /// The `/v1/query` body for `filter`, and what the LRU did: `None`
+    /// for a filter naming at most one keyed dimension, which is looked
+    /// up, not cached; a hit or a fold from the posting lists otherwise.
+    pub fn query(&self, filter: &Filter) -> (String, Option<LruOutcome>) {
         let (mut key, mut body) = (String::new(), String::new());
         let outcome = self.query_into(&filter.as_ref(), &mut key, &mut body);
         (body, outcome)
     }
 
     /// [`query`](Self::query) appending to `body`; `key` is scratch for
-    /// the cache key.
+    /// the cache key, which only a filter that crosses dimensions needs.
     pub(crate) fn query_into(
         &self,
         filter: &FilterRef<'_>,
         key: &mut String,
         body: &mut String,
-    ) -> LruOutcome {
+    ) -> Option<LruOutcome> {
+        if let Some(c) = self.lookup(filter) {
+            filter.write_body(body, &c);
+            return None;
+        }
         filter.cache_key_into(key);
-        self.lru.get_or_insert_into(key, body, |out| {
+        Some(self.lru.get_or_insert_into(key, body, |out| {
             let _t =
                 StageTimer::start(sleepwatch_obs::global().pipeline.stage(Stage::ServeQueryMiss));
             filter.write_body(out, &self.fold(filter));
+        }))
+    }
+
+    /// The counts behind a filter that names at most one of country, AS
+    /// and link: that key's stationarity split (the whole row set's for
+    /// none, zeros for a key the world lacks), one half of it or both.
+    /// `None` for a filter naming two or more, whose rows must be folded.
+    fn lookup(&self, filter: &FilterRef<'_>) -> Option<GroupCounts> {
+        let split = |group: Option<&Group>| group.map_or(Split::default(), |g| g.split);
+        let [moving, still] = match (filter.country, filter.asn, filter.link) {
+            (None, None, None) => self.by_stationary,
+            (Some(c), None, None) => split(self.by_country.get(c)),
+            (None, Some(a), None) => split(self.by_asn.get(&a)),
+            (None, None, Some(l)) => split(self.by_link.get(l)),
+            _ => return None,
+        };
+        Some(match filter.stationary {
+            Some(true) => still,
+            Some(false) => moving,
+            None => moving.plus(still),
         })
     }
 
-    /// Counts the rows `filter` matches without visiting the others: the
-    /// shortest posting list among the keyed dimensions it names holds
-    /// every candidate (a key the world lacks matches nothing), and a
-    /// filter that names none is answered from the stationarity counts.
+    /// Counts the rows a filter naming two or more keyed dimensions
+    /// matches without visiting the others: the shortest of their posting
+    /// lists holds every candidate, and a key the world lacks matches
+    /// nothing.
     fn fold(&self, filter: &FilterRef<'_>) -> GroupCounts {
         let named = [
             filter.country.map(|c| self.by_country.get(c)),
             filter.asn.map(|a| self.by_asn.get(&a)),
             filter.link.map(|l| self.by_link.get(l)),
         ];
-        let mut shortest: Option<&[u32]> = None;
-        for group in named.into_iter().flatten() {
+        let mut shortest: &[u32] = &[];
+        for (n, group) in named.into_iter().flatten().enumerate() {
             let Some(group) = group else { return GroupCounts::default() };
-            if shortest.map_or(true, |s| group.rows.len() < s.len()) {
-                shortest = Some(&group.rows);
+            if n == 0 || group.rows.len() < shortest.len() {
+                shortest = &group.rows;
             }
         }
         let mut c = GroupCounts::default();
-        match (shortest, filter.stationary) {
-            (Some(candidates), _) => {
-                for r in candidates.iter().map(|&i| &self.rows[i as usize]) {
-                    if filter.matches(r) {
-                        c.absorb(r);
-                    }
-                }
-            }
-            (None, Some(s)) => c = self.by_stationary[usize::from(s)],
-            (None, None) => {
-                let [moving, still] = self.by_stationary;
-                c = GroupCounts {
-                    blocks: moving.blocks + still.blocks,
-                    strict: moving.strict + still.strict,
-                    diurnal: moving.diurnal + still.diurnal,
-                    stationary: still.stationary,
-                };
+        for r in shortest.iter().map(|&i| &self.rows[i as usize]) {
+            if filter.matches(r) {
+                c.absorb(r);
             }
         }
         c
@@ -840,12 +871,24 @@ pub(super) mod tests {
         let f =
             Filter { country: Some("US".into()), link: Some("dsl".into()), ..Filter::default() };
         let (body, out) = s.query(&f);
-        assert_eq!(out, LruOutcome::Miss { evicted: false });
+        assert_eq!(out, Some(LruOutcome::Miss { evicted: false }));
         assert!(body.contains("\"blocks\":2"), "{body}");
         let (again, out) = s.query(&f);
-        assert_eq!(out, LruOutcome::Hit);
+        assert_eq!(out, Some(LruOutcome::Hit));
         assert_eq!(body, again);
         assert_eq!(body, query_body(s.rows(), &f));
+        // One key, or none, is a lookup: answered and never cached.
+        for f in [
+            Filter::default(),
+            Filter { country: Some("US".into()), ..Filter::default() },
+            Filter { asn: Some(9), stationary: Some(true), ..Filter::default() },
+            Filter { link: Some("fiber".into()), ..Filter::default() },
+        ] {
+            let (body, out) = s.query(&f);
+            assert_eq!(out, None, "{f:?}");
+            assert_eq!(body, query_body(s.rows(), &f));
+        }
+        assert_eq!(s.lru.len(), 1);
     }
 
     #[test]

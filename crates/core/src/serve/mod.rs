@@ -6,14 +6,17 @@
 //! indexes ([`ServeState`]), and served read-only from every worker
 //! thread: the paper's headline aggregates (diurnal fraction by country,
 //! AS and link type), per-block verdict+phase lookups, the outage-window
-//! series, and ad-hoc cross-dimension filters behind a Mutex-sharded
-//! LRU. The obs registry is exposed at `GET /metrics`.
+//! series, and ad-hoc filters: one key's are looked up, and those that
+//! cross dimensions sit behind a Mutex-sharded LRU. The obs registry is
+//! exposed at `GET /metrics`.
 //!
 //! The HTTP front end is hand-rolled over `std::net`, same discipline as
 //! `probing::transport`: blocking sockets with read timeouts, bounded
 //! request parsing ([`http`]), keep-alive and pipelining, no
 //! dependencies. Workers share one nonblocking listener and poll a stop
-//! flag, so a [`QueryServer`] shuts down cleanly mid-accept.
+//! flag, so a [`QueryServer`] shuts down cleanly mid-accept, and stopping
+//! shuts the read half of every open connection, so an idle keep-alive
+//! client does not hold the stop for its read timeout.
 //!
 //! Correctness is pinned by a batch-differential oracle
 //! (`testkit/tests/serve_oracle.rs`): every served body is recomputed by
@@ -29,10 +32,10 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -233,9 +236,10 @@ pub fn route(state: &ServeState, target: &str) -> (u16, &'static str, String) {
 }
 
 /// [`route`] into a connection's scratch: the body is appended to
-/// `body`, handed over empty, and `key` holds an ad-hoc query's cache
-/// key. Once the two have grown to fit, only `/metrics`, an LRU miss
-/// and a refused query parameter's message allocate.
+/// `body`, handed over empty, and `key` holds the cache key of an
+/// ad-hoc query that crosses dimensions. Once the two have grown to fit,
+/// only `/metrics`, an LRU miss and a refused query parameter's message
+/// allocate.
 fn route_into(
     state: &ServeState,
     target: &str,
@@ -283,8 +287,9 @@ fn answer(
         "/v1/query" => {
             let filter = parse_filter(query.unwrap_or("")).map_err(bad_request)?;
             match state.query_into(&filter, key, body) {
-                LruOutcome::Hit => obs.serve.lru_hits.incr(),
-                LruOutcome::Miss { evicted } => {
+                None => obs.serve.query_direct.incr(),
+                Some(LruOutcome::Hit) => obs.serve.lru_hits.incr(),
+                Some(LruOutcome::Miss { evicted }) => {
                     obs.serve.lru_misses.incr();
                     if evicted {
                         obs.serve.lru_evictions.incr();
@@ -521,7 +526,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Default `/v1/query` LRU capacity (see [`ServeState::build`]).
+/// Default capacity of the LRU of `/v1/query` filters that cross
+/// dimensions (see [`ServeState::build`]).
 pub const DEFAULT_LRU_CAPACITY: usize = 1024;
 
 /// A running query service: `threads` workers sharing one nonblocking
@@ -530,8 +536,23 @@ pub const DEFAULT_LRU_CAPACITY: usize = 1024;
 #[derive(Debug)]
 pub struct QueryServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    control: Arc<Control>,
     workers: Vec<JoinHandle<()>>,
+}
+
+/// What the workers share with the handle that stops them.
+#[derive(Debug)]
+struct Control {
+    stop: AtomicBool,
+    /// A handle on each worker's open connection, by worker, through
+    /// which a stop ends a read that would otherwise wait for the peer.
+    open: Vec<Mutex<Option<TcpStream>>>,
+}
+
+/// A worker's connection slot, even after a holder panicked: a slot only
+/// ever holds a whole handle or none.
+fn slot(open: &Mutex<Option<TcpStream>>) -> MutexGuard<'_, Option<TcpStream>> {
+    open.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl QueryServer {
@@ -544,17 +565,21 @@ impl QueryServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let listener = Arc::new(listener);
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers = (0..cfg.threads.max(1))
-            .map(|_| {
+        let threads = cfg.threads.max(1);
+        let control = Arc::new(Control {
+            stop: AtomicBool::new(false),
+            open: (0..threads).map(|_| Mutex::new(None)).collect(),
+        });
+        let workers = (0..threads)
+            .map(|i| {
                 let listener = Arc::clone(&listener);
                 let state = Arc::clone(&state);
-                let stop = Arc::clone(&stop);
+                let control = Arc::clone(&control);
                 let timeout = cfg.read_timeout;
-                thread::spawn(move || worker(&listener, &state, &stop, timeout))
+                thread::spawn(move || worker(&listener, &state, &control, i, timeout))
             })
             .collect();
-        Ok(QueryServer { addr, stop, workers })
+        Ok(QueryServer { addr, control, workers })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -562,10 +587,17 @@ impl QueryServer {
         self.addr
     }
 
-    /// Signals every worker to stop and joins them. Connections being
-    /// served finish their current request stream first.
+    /// Signals every worker to stop, shuts the read half of each open
+    /// connection and joins the workers. A connection answers the
+    /// requests it has already received and closes, so an idle
+    /// keep-alive client does not hold the stop for the read timeout.
     pub fn stop(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.control.stop.store(true, Ordering::SeqCst);
+        for open in &self.control.open {
+            if let Some(stream) = slot(open).as_ref() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
         for h in self.workers {
             let _ = h.join();
         }
@@ -575,11 +607,24 @@ impl QueryServer {
 /// One worker's accept loop: poll the shared nonblocking listener,
 /// serve each accepted connection to completion, nap on `WouldBlock` so
 /// the stop flag is observed promptly.
-fn worker(listener: &TcpListener, state: &ServeState, stop: &AtomicBool, timeout: Duration) {
-    while !stop.load(Ordering::SeqCst) {
+fn worker(
+    listener: &TcpListener,
+    state: &ServeState,
+    control: &Control,
+    i: usize,
+    timeout: Duration,
+) {
+    while !control.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // The handle is posted before the flag is read again: either
+                // `stop` finds it in the slot, or this read sees the flag.
+                *slot(&control.open[i]) = stream.try_clone().ok();
+                if control.stop.load(Ordering::SeqCst) {
+                    let _ = stream.shutdown(Shutdown::Read);
+                }
                 let _ = serve_connection(stream, state, timeout);
+                *slot(&control.open[i]) = None;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_micros(500));

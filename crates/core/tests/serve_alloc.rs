@@ -4,9 +4,11 @@
 //! streams, its requests fed in phases: a warm-up that sizes the
 //! connection's buffers and fills the LRU, then the same mix again —
 //! block reads, group bodies by key, list bodies, the summary, the outage
-//! histogram and LRU hits — which must perform **zero** heap allocations
-//! however many requests it holds. An LRU miss may allocate the key and
-//! the body it inserts and nothing else; a refusal nothing beyond its
+//! histogram, single-key queries and LRU hits — which must perform
+//! **zero** heap allocations however many requests it holds. So must
+//! ad-hoc queries naming one key each, asked for the first time: they are
+//! looked up, never folded or cached. An LRU miss may allocate the key
+//! and the body it inserts and nothing else; a refusal nothing beyond its
 //! message.
 //!
 //! The counter is thread-local (the pattern of `scratch_alloc.rs`), and
@@ -99,12 +101,24 @@ fn steady_state_requests_do_not_allocate() {
     let hot = [
         "",
         "?stationary=true",
-        "?country=US",
-        "?as=1002&stationary=0",
+        "?country=US&stationary=true",
+        "?link=cable&stationary=0",
+        "?as=1002&link=dsl",
         "?link=dsl&country=DE&stationary=true&as=1001",
         "?country=FR",
     ];
     mix.extend(hot.iter().map(|q| format!("/v1/query{q}")));
+
+    // Every AS with `stationary` absent, true and false, every country
+    // and keyword, and keys the world lacks: none of them asked before.
+    let mut single: Vec<String> = (1000..1005)
+        .flat_map(|asn| {
+            ["", "&stationary=true", "&stationary=false"].map(|s| format!("as={asn}{s}"))
+        })
+        .collect();
+    single.extend(["country=US", "country=DE", "link=dsl", "link=cable"].map(String::from));
+    single.extend(["as=77", "country=ZZ&stationary=false", "link=wifi"].map(String::from));
+    let single: Vec<String> = single.iter().map(|q| format!("/v1/query?{q}")).collect();
 
     let cold: Vec<String> =
         (0..40).map(|i| format!("/v1/query?as={}&link=dsl", 2000 + i)).collect();
@@ -117,12 +131,13 @@ fn steady_state_requests_do_not_allocate() {
     let phases = vec![
         requests(&mix, 1),
         requests(&mix, 12),
+        requests(&single, 1),
         requests(&cold, 1),
         requests(&absent, 4),
         requests(&malformed, 4),
         requests(&refused, 4),
     ];
-    let answered: usize = [mix.len() * 13, cold.len(), 12, 12, 8].iter().sum();
+    let answered: usize = [mix.len() * 13, single.len(), cold.len(), 12, 12, 8].iter().sum();
     let mut reader = PhasedReader { phases, phase: 0, offset: 0, marks: Vec::with_capacity(8) };
     let stats = serve_streams(&mut reader, std::io::sink(), &state);
     assert_eq!(stats.requests as usize, answered);
@@ -130,10 +145,16 @@ fn steady_state_requests_do_not_allocate() {
     assert_eq!((stats.bad_requests, stats.write_errors), (0, 0));
 
     let spent: Vec<usize> = reader.marks.windows(2).map(|w| w[1] - w[0]).collect();
-    let [steady, misses, not_found, bad_request, bad_parameter] = spent[..] else {
+    let [steady, looked_up, misses, not_found, bad_request, bad_parameter] = spent[..] else {
         panic!("one mark per phase: {:?}", reader.marks);
     };
     assert_eq!(steady, 0, "{} steady-state requests allocated {steady} times", mix.len() * 12);
+    assert_eq!(
+        looked_up,
+        0,
+        "{} first single-key queries allocated {looked_up} times",
+        single.len()
+    );
     assert!(misses <= 2 * cold.len(), "{} LRU misses allocated {misses} times", cold.len());
     assert_eq!(not_found, 0, "404s allocated {not_found} times");
     assert_eq!(bad_request, 0, "400s with fixed messages allocated {bad_request} times");

@@ -367,6 +367,9 @@ metrics! {
         group_reads: counter,
         /// `/metrics` bodies answered.
         metrics_reads: counter,
+        /// Ad-hoc queries naming at most one of country, AS and link,
+        /// answered from that key's counts without the LRU.
+        query_direct: counter,
         /// Ad-hoc query answers served from the LRU.
         lru_hits: counter,
         /// Ad-hoc queries folded over the rows (and cached).

@@ -790,11 +790,12 @@ fn transport_counters_match_transport_stats_across_a_sever() {
     });
 }
 
-/// One scripted connection — reads, a 404, ad-hoc queries past the LRU's
-/// capacity, then a malformed request: `serve.*` equals the connection's
-/// `ConnStats`, and the LRU counters equal the outcomes a twin state
-/// reports for the same filters. Each build and each LRU miss records one
-/// stopwatch sample; block reads and hits record none.
+/// One scripted connection — reads, a 404, a single-key query, ad-hoc
+/// queries across two dimensions past the LRU's capacity, then a
+/// malformed request: `serve.*` equals the connection's `ConnStats`, and
+/// the LRU counters equal the outcomes a twin state reports for the same
+/// filters. Each build and each LRU miss records one stopwatch sample;
+/// block reads, direct answers and hits record none.
 #[test]
 fn serve_counters_match_conn_stats_and_lru_outcomes() {
     let _g = lock();
@@ -810,16 +811,20 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
         // Twenty distinct filters into eight slots, then the first again.
         let asns: Vec<u32> = (1..=20).chain([1]).collect();
         let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
-        let mut script =
-            String::from("GET /v1/summary HTTP/1.1\r\n\r\nGET /v1/nope HTTP/1.1\r\n\r\n");
+        let mut script = String::from(
+            "GET /v1/summary HTTP/1.1\r\n\r\nGET /v1/nope HTTP/1.1\r\n\r\n\
+             GET /v1/query?as=1 HTTP/1.1\r\n\r\n",
+        );
         for asn in asns {
-            script += &format!("GET /v1/query?as={asn} HTTP/1.1\r\n\r\n");
-            match twin.query(&Filter { asn: Some(asn), ..Filter::default() }).1 {
-                LruOutcome::Hit => hits += 1,
-                LruOutcome::Miss { evicted } => {
+            script += &format!("GET /v1/query?as={asn}&link=dsl HTTP/1.1\r\n\r\n");
+            let filter = Filter { asn: Some(asn), link: Some("dsl".into()), ..Filter::default() };
+            match twin.query(&filter).1 {
+                Some(LruOutcome::Hit) => hits += 1,
+                Some(LruOutcome::Miss { evicted }) => {
                     misses += 1;
                     evictions += u64::from(evicted);
                 }
+                None => panic!("a filter across two dimensions went past the LRU"),
             }
         }
         script += "BOGUS\r\n\r\n";
@@ -827,7 +832,7 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
 
         let mut wire = Vec::new();
         let (conn, d) = measure(|| serve_streams(script.as_bytes(), &mut wire, &state));
-        assert_eq!(conn.requests, 23);
+        assert_eq!(conn.requests, 24);
         assert_eq!(conn.bad_requests, 1);
         assert_eq!(d.counter("serve.requests"), conn.requests);
         assert_eq!(
@@ -840,6 +845,7 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
         assert_eq!(d.counter("serve.write_errors"), conn.write_errors);
         assert_eq!(d.counter("serve.bytes_out"), conn.bytes_out);
         assert_eq!(conn.bytes_out, wire.len() as u64);
+        assert_eq!(d.counter("serve.query_direct"), 1);
         assert_eq!(d.counter("serve.lru_hits"), hits);
         assert_eq!(d.counter("serve.lru_misses"), misses);
         assert_eq!(d.counter("serve.lru_evictions"), evictions);
@@ -851,8 +857,9 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
 
         // A block read and an LRU hit (as=20 is among the eight cached).
         let id = state.rows()[0].block_id;
-        let script =
-            format!("GET /v1/block/{id} HTTP/1.1\r\n\r\nGET /v1/query?as=20 HTTP/1.1\r\n\r\n");
+        let script = format!(
+            "GET /v1/block/{id} HTTP/1.1\r\n\r\nGET /v1/query?link=dsl&as=20 HTTP/1.1\r\n\r\n"
+        );
         let (conn, d) = measure(|| serve_streams(script.as_bytes(), &mut Vec::new(), &state));
         assert_eq!((conn.requests, d.counter("serve.responses_ok")), (2, 2));
         assert_eq!(d.counter("serve.lru_hits"), 1);
@@ -861,9 +868,10 @@ fn serve_counters_match_conn_stats_and_lru_outcomes() {
 }
 
 /// Every 2xx answer is counted by exactly one route: block reads, group
-/// reads (the pre-rendered bodies), `/metrics` reads, LRU hits and LRU
-/// misses sum to `serve.responses_ok` over a script that uses every
-/// route, and refusals on each route count under none of them.
+/// reads (the pre-rendered bodies), `/metrics` reads, direct query
+/// answers, LRU hits and LRU misses sum to `serve.responses_ok` over a
+/// script that uses every route, and refusals on each route count under
+/// none of them.
 #[test]
 fn route_counters_partition_the_ok_responses() {
     let _g = lock();
@@ -886,7 +894,8 @@ fn route_counters_partition_the_ok_responses() {
             format!("/v1/as/{}", rows[0].asn),
             format!("/v1/link/{keyword}"),
         ];
-        let queries = [format!("/v1/query?as={}", rows[0].asn), "/v1/query?stationary=true".into()];
+        let direct = [format!("/v1/query?as={}", rows[0].asn), "/v1/query?stationary=true".into()];
+        let folded = [format!("/v1/query?as={}&link={keyword}", rows[0].asn)];
         let refused = [
             format!("/v1/block/{}", last + 1),
             "/v1/block/x".into(),
@@ -897,11 +906,11 @@ fn route_counters_partition_the_ok_responses() {
             "/metrics?x=1".into(),
             "/v1/nope".into(),
         ];
-        // Each ok target twice (the second ad-hoc query is an LRU hit),
-        // the refusals in between.
+        // Each ok target twice (the second folded query is an LRU hit),
+        // the refusals after.
         let mut script = String::new();
-        for target in blocks.iter().chain(&groups).chain(&queries).chain(["/metrics".into()].iter())
-        {
+        let ok = blocks.iter().chain(&groups).chain(&direct).chain(&folded);
+        for target in ok.chain(["/metrics".into()].iter()) {
             script += &format!("GET {target} HTTP/1.1\r\n\r\nGET {target} HTTP/1.1\r\n\r\n");
         }
         for target in &refused {
@@ -914,12 +923,14 @@ fn route_counters_partition_the_ok_responses() {
         assert_eq!(routed("serve.block_reads"), 2 * blocks.len() as u64);
         assert_eq!(routed("serve.group_reads"), 2 * groups.len() as u64);
         assert_eq!(routed("serve.metrics_reads"), 2);
-        assert_eq!(routed("serve.lru_misses"), queries.len() as u64);
-        assert_eq!(routed("serve.lru_hits"), queries.len() as u64);
+        assert_eq!(routed("serve.query_direct"), 2 * direct.len() as u64);
+        assert_eq!(routed("serve.lru_misses"), folded.len() as u64);
+        assert_eq!(routed("serve.lru_hits"), folded.len() as u64);
         assert_eq!(
             routed("serve.block_reads")
                 + routed("serve.group_reads")
                 + routed("serve.metrics_reads")
+                + routed("serve.query_direct")
                 + routed("serve.lru_hits")
                 + routed("serve.lru_misses"),
             routed("serve.responses_ok"),

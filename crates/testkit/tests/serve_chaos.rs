@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sleepwatch_core::serve::serve_streams;
 use sleepwatch_core::{DatasetRow, QueryServer, ServeConfig, ServeState};
@@ -330,6 +330,35 @@ fn stalled_socket_gets_408_and_the_connection_is_closed() {
     let delta = Snapshot::capture(sleepwatch_obs::global()).delta(&before);
     assert_eq!(delta.counters["serve.read_timeouts"], 1);
     assert_eq!(delta.counters["serve.connections"], 2);
+}
+
+/// `stop` returns while keep-alive clients sit idle on open connections,
+/// one per worker: each worker blocked reading its client is woken by the
+/// stop, not by its 30 s read timeout, counts no timeout, and closes the
+/// connection.
+#[test]
+fn stop_is_bounded_with_idle_clients_attached() {
+    let _g = lock();
+    let st = state();
+    let server = spawn_server(st.clone(), 2, 30_000);
+    let mut conns: Vec<HttpConnection> =
+        (0..2).map(|_| HttpConnection::connect(server.addr())).collect();
+    // One answered request each: both connections are held by workers.
+    for conn in &mut conns {
+        assert_eq!(conn.get("/v1/summary").body, summary_body(&st));
+    }
+    let before = Snapshot::capture(sleepwatch_obs::global());
+    let start = Instant::now();
+    server.stop();
+    let took = start.elapsed();
+    let delta = Snapshot::capture(sleepwatch_obs::global()).delta(&before);
+    assert!(took < Duration::from_secs(2), "stop took {took:?} with idle clients attached");
+    assert_eq!(delta.counters["serve.read_timeouts"], 0);
+    for conn in &mut conns {
+        let mut rest = Vec::new();
+        let n = conn.reader().read_to_end(&mut rest).expect("read to EOF");
+        assert_eq!(n, 0, "a stopped server closes its idle connections");
+    }
 }
 
 #[test]
