@@ -54,7 +54,6 @@ pub struct AvailabilityEstimator {
     p_long: f64,
     t_long: f64,
     deviation: f64,
-    rounds: u64,
 }
 
 impl AvailabilityEstimator {
@@ -63,14 +62,7 @@ impl AvailabilityEstimator {
     /// away from it. The gains and floor are the paper's, fixed.
     pub fn with_default_config(initial_a: f64) -> Self {
         let a0 = initial_a.clamp(0.0, 1.0);
-        AvailabilityEstimator {
-            p_short: a0,
-            t_short: 1.0,
-            p_long: a0,
-            t_long: 1.0,
-            deviation: 0.0,
-            rounds: 0,
-        }
+        AvailabilityEstimator { p_short: a0, t_short: 1.0, p_long: a0, t_long: 1.0, deviation: 0.0 }
     }
 
     /// Ingests one round of `positives` of `total` probes and returns the
@@ -91,12 +83,11 @@ impl AvailabilityEstimator {
 
         let a_long = self.p_long / self.t_long;
         self.deviation = all * (a_long - p / t).abs() + (1.0 - all) * self.deviation;
-        self.rounds += 1;
         self.estimates()
     }
 
     /// The current estimates without observing anything.
-    pub fn estimates(&self) -> Estimates {
+    pub(crate) fn estimates(&self) -> Estimates {
         let a_long = self.p_long / self.t_long;
         Estimates {
             a_short: self.p_short / self.t_short,
@@ -118,11 +109,6 @@ impl AvailabilityEstimator {
     /// Operational `Âo`.
     pub fn a_operational(&self) -> f64 {
         self.estimates().a_operational
-    }
-
-    /// Rounds ingested so far.
-    pub fn rounds_observed(&self) -> u64 {
-        self.rounds
     }
 }
 
@@ -279,7 +265,6 @@ mod tests {
         let before = est.estimates();
         let after = est.observe(0, 0);
         assert_eq!(before, after);
-        assert_eq!(est.rounds_observed(), 0);
     }
 
     #[test]
@@ -336,132 +321,5 @@ mod tests {
         let a_long = (0.01 * 3.0 + (1.0 - 0.01) * 0.5) / (0.01 * 5.0 + (1.0 - 0.01) * 1.0);
         assert_eq!(e.a_short, a_short);
         assert_eq!(e.a_long, a_long);
-    }
-}
-
-/// Holt's double-exponential (level + trend) estimator — a trend-aware
-/// alternative to the paper's plain EWMA, included for comparison on
-/// drifting blocks. Tracks the per-round availability ratio with an
-/// explicit slope term, so slow renumbering drifts don't lag the level.
-#[derive(Debug, Clone)]
-pub struct HoltEstimator {
-    alpha: f64,
-    beta: f64,
-    level: f64,
-    trend: f64,
-    primed: bool,
-}
-
-impl HoltEstimator {
-    /// Creates the estimator with smoothing gains `alpha` (level) and
-    /// `beta` (trend).
-    pub fn new(initial_a: f64, alpha: f64, beta: f64) -> Self {
-        HoltEstimator { alpha, beta, level: initial_a.clamp(0.0, 1.0), trend: 0.0, primed: false }
-    }
-
-    /// Ingests one round; returns the updated level estimate.
-    pub fn observe(&mut self, positives: u32, total: u32) -> f64 {
-        if total == 0 {
-            return self.a();
-        }
-        let x = positives as f64 / total as f64;
-        if !self.primed {
-            // First real observation replaces the (possibly stale) prior.
-            self.level = x;
-            self.primed = true;
-            return self.a();
-        }
-        let prev_level = self.level;
-        self.level = self.alpha * x + (1.0 - self.alpha) * (self.level + self.trend);
-        self.trend = self.beta * (self.level - prev_level) + (1.0 - self.beta) * self.trend;
-        self.a()
-    }
-
-    /// Current level, clamped to a probability.
-    pub fn a(&self) -> f64 {
-        self.level.clamp(0.0, 1.0)
-    }
-
-    /// Current per-round trend estimate.
-    pub fn trend(&self) -> f64 {
-        self.trend
-    }
-
-    /// Forecast `k` rounds ahead.
-    pub fn forecast(&self, k: u32) -> f64 {
-        (self.level + self.trend * k as f64).clamp(0.0, 1.0)
-    }
-}
-
-#[cfg(test)]
-mod holt_tests {
-    use super::*;
-
-    #[test]
-    fn tracks_linear_drift_without_lag() {
-        // Availability ramps 0.2 → 0.8 over 500 rounds (a fast renumbering
-        // drift); the plain EWMA lags by slope·(1−α)/α ≈ 0.011 while
-        // Holt's trend term cancels the lag.
-        let mut holt = HoltEstimator::new(0.2, 0.1, 0.05);
-        let mut plain = DirectEwmaEstimator::new(0.2, 0.1);
-        let rounds = 500u32;
-        let mut holt_err = 0.0;
-        let mut plain_err = 0.0;
-        let mut n = 0.0;
-        for r in 0..rounds {
-            let truth = 0.2 + 0.6 * r as f64 / rounds as f64;
-            // Fine-grained observation: 100 probes per round.
-            let p = (truth * 100.0).round() as u32;
-            let h = holt.observe(p, 100);
-            let d = plain.observe(p, 100);
-            if r > 100 {
-                holt_err += (h - truth).abs();
-                plain_err += (d - truth).abs();
-                n += 1.0;
-            }
-        }
-        let (he, pe) = (holt_err / n, plain_err / n);
-        assert!(he < pe * 0.5, "holt {he} vs plain {pe}");
-    }
-
-    #[test]
-    fn first_observation_overrides_stale_prior() {
-        let mut h = HoltEstimator::new(0.9, 0.1, 0.05);
-        h.observe(1, 10);
-        assert!((h.a() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn level_is_clamped() {
-        let mut h = HoltEstimator::new(0.5, 0.5, 0.5);
-        for _ in 0..100 {
-            h.observe(10, 10);
-        }
-        assert!(h.a() <= 1.0);
-        assert!(h.forecast(1_000) <= 1.0);
-        for _ in 0..200 {
-            h.observe(0, 10);
-        }
-        assert!(h.a() >= 0.0);
-        assert!(h.forecast(1_000) >= 0.0);
-    }
-
-    #[test]
-    fn flat_series_has_no_trend() {
-        let mut h = HoltEstimator::new(0.5, 0.1, 0.05);
-        for _ in 0..500 {
-            h.observe(6, 10);
-        }
-        assert!(h.trend().abs() < 1e-3, "trend {}", h.trend());
-        assert!((h.a() - 0.6).abs() < 0.02);
-    }
-
-    #[test]
-    fn zero_probe_rounds_ignored() {
-        let mut h = HoltEstimator::new(0.4, 0.1, 0.05);
-        h.observe(5, 10);
-        let before = h.a();
-        h.observe(0, 0);
-        assert_eq!(h.a(), before);
     }
 }

@@ -23,11 +23,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cleaning;
-pub mod estimator;
+mod cleaning;
+mod estimator;
 
 pub use cleaning::{
     bucket_rounds, clean_series, clean_series_into, fill_gaps, midnight_trim, CleanScratch,
 };
-pub use estimator::{AvailabilityEstimator, DirectEwmaEstimator, Estimates, HoltEstimator};
+pub use estimator::{AvailabilityEstimator, DirectEwmaEstimator, Estimates};

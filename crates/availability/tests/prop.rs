@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use sleepwatch_availability::{
-    cleaning::{bucket_rounds, clean_series, fill_gaps, midnight_trim},
-    AvailabilityEstimator,
+    bucket_rounds, clean_series, fill_gaps, midnight_trim, AvailabilityEstimator,
 };
 
 proptest! {

@@ -38,11 +38,10 @@ use sleepwatch_core::{
     AnalysisConfig, BinDataset, BlockScratch, DatasetMode, DatasetStats, IngestConfig,
 };
 use sleepwatch_obs::Snapshot;
-use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_probing::transport::{
     serve_feed, BackoffConfig, Endpoint, FeedConfig, TcpConfig, TcpEventSource,
 };
-use sleepwatch_probing::TrinocularConfig;
+use sleepwatch_probing::{RoundEvent, TrinocularConfig};
 use sleepwatch_simnet::{World, WorldConfig, WorldSource};
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex};
 use sleepwatch_testkit::chaos::{ChaosPlan, ChaosProxy, Harm};

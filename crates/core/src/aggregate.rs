@@ -9,13 +9,9 @@
 
 use crate::analyze::unroll_phase;
 use crate::worldrun::WorldAnalysis;
-use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::{by_code, Country};
-use sleepwatch_geoecon::region::Region;
+use sleepwatch_geoecon::{by_code, Country, Region, YearMonth};
 use sleepwatch_linktype::LinkFeature;
-use sleepwatch_stats::anova::{anova_pair, anova_single, Term};
-use sleepwatch_stats::histogram::DensityGrid;
-use sleepwatch_stats::{anova, pearson};
+use sleepwatch_stats::{anova_pair, anova_single, pearson, AnovaError, DensityGrid};
 use std::collections::BTreeMap;
 
 /// Per-country aggregation (one row of Table 3 plus the ANOVA covariates).
@@ -46,7 +42,7 @@ pub struct CountryStat {
 }
 
 /// Reference date for allocation ages (the paper's measurement year).
-pub const AGE_REFERENCE: YearMonth = YearMonth { year: 2013, month: 5 };
+pub(crate) const AGE_REFERENCE: YearMonth = YearMonth { year: 2013, month: 5 };
 
 impl WorldAnalysis {
     /// Country statistics over geolocated blocks, countries with at least
@@ -314,25 +310,18 @@ pub struct AnovaFactors {
 
 impl AnovaFactors {
     /// Single-factor p-value (diagonal of Table 5).
-    pub fn single_p(&self, i: usize) -> Result<f64, anova::AnovaError> {
+    pub fn single_p(&self, i: usize) -> Result<f64, AnovaError> {
         anova_single(&self.y, self.factors[i].0, &self.factors[i].1).map(|row| row.p)
     }
 
     /// Pairwise-combination p-value (off-diagonal of Table 5): the
     /// sequential p of the interaction term in `y ~ a * b`, matching R's
     /// `aov` output the paper used.
-    pub fn pair_p(&self, i: usize, j: usize) -> Result<f64, anova::AnovaError> {
+    pub fn pair_p(&self, i: usize, j: usize) -> Result<f64, AnovaError> {
         let (na, a) = &self.factors[i];
         let (nb, b) = &self.factors[j];
         let table = anova_pair(&self.y, na, a, nb, b)?;
         Ok(table.row(&format!("{na}:{nb}")).map(|r| r.p).unwrap_or(f64::NAN))
-    }
-
-    /// Full sequential table for an arbitrary subset of factors, in order.
-    pub fn model(&self, idx: &[usize]) -> Result<anova::AnovaTable, anova::AnovaError> {
-        let terms: Vec<Term> =
-            idx.iter().map(|&i| Term::continuous(self.factors[i].0, &self.factors[i].1)).collect();
-        anova::anova(&self.y, &terms)
     }
 }
 

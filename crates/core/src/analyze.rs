@@ -5,7 +5,7 @@
 //! trim it to midnight UTC (§2.2), then classify diurnality and extract
 //! phase from the spectrum (§2.2), with the stationarity screen alongside.
 
-use sleepwatch_availability::cleaning::{clean_series_into, CleanScratch};
+use sleepwatch_availability::{clean_series_into, CleanScratch};
 use sleepwatch_obs::{Stage, StageTimer};
 use sleepwatch_probing::{
     BlockRun, FaultPlan, ProberScratch, RoundRecord, TrinocularConfig, TrinocularProber,
@@ -227,7 +227,7 @@ impl BlockScratch {
 
     /// Bytes currently reserved across all buffers (capacity, not
     /// length): the probe workspace and the lane together.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.work.footprint_bytes() + self.lane.footprint_bytes()
     }
 
@@ -431,7 +431,7 @@ impl BlockAnalysis {
 /// Unrolls a phase (radians) into the window `[−π + L, π + L]` centred on a
 /// longitude `lon_deg` (§5.2's trick for comparing two circular
 /// quantities).
-pub fn unroll_phase(phase: f64, lon_deg: f64) -> f64 {
+pub(crate) fn unroll_phase(phase: f64, lon_deg: f64) -> f64 {
     use std::f64::consts::TAU;
     let l = lon_deg.to_radians();
     let k = ((l - phase) / TAU).round();

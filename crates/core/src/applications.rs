@@ -82,34 +82,10 @@ pub fn estimate_size(analysis: &WorldAnalysis) -> SizeEstimate {
     }
 }
 
-/// Corrects one snapshot observation of a block for time-of-day: given the
-/// block's diurnal phase, the snapshot's time, and the observed
-/// availability, returns the estimated *daily mean* availability.
-///
-/// Snapshot near the peak → observation revised downward; near the trough
-/// → upward; non-diurnal blocks pass through unchanged.
-pub fn correct_snapshot(
-    observed_a: f64,
-    class: DiurnalClass,
-    phase: Option<f64>,
-    snapshot_utc_hour: f64,
-) -> f64 {
-    let (Some(phase), true) = (phase, class.is_diurnal()) else {
-        return observed_a;
-    };
-    let swing = if class.is_strict() { STRICT_SWING } else { RELAXED_SWING };
-    let peak_hour = crate::timeofday::peak_utc_hour(phase);
-    // Cosine model: A(t) = mean · (1 + swing·cos(2π(t − peak)/24)).
-    let ang = (snapshot_utc_hour - peak_hour) / 24.0 * std::f64::consts::TAU;
-    let factor = 1.0 + swing * ang.cos();
-    (observed_a / factor.max(0.1)).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze::AnalysisConfig;
-    use crate::timeofday::phase_for_peak_utc_hour;
     use crate::worldrun::analyze_world;
     use sleepwatch_simnet::{World, WorldConfig};
 
@@ -159,39 +135,5 @@ mod tests {
             cn.relative_uncertainty(),
             us.relative_uncertainty()
         );
-    }
-
-    #[test]
-    fn snapshot_correction_direction() {
-        let phase = phase_for_peak_utc_hour(12.0);
-        // Observed at the peak: mean is lower than observed.
-        let at_peak = correct_snapshot(0.6, DiurnalClass::Strict, Some(phase), 12.0);
-        assert!(at_peak < 0.6, "peak observation corrected down: {at_peak}");
-        // Observed at the trough: mean is higher.
-        let at_trough = correct_snapshot(0.6, DiurnalClass::Strict, Some(phase), 0.0);
-        assert!(at_trough > 0.6, "trough observation corrected up: {at_trough}");
-        // Non-diurnal passes through.
-        assert_eq!(correct_snapshot(0.6, DiurnalClass::NonDiurnal, None, 5.0), 0.6);
-    }
-
-    #[test]
-    fn correction_is_bounded() {
-        for h in 0..24 {
-            let v = correct_snapshot(
-                0.9,
-                DiurnalClass::Strict,
-                Some(phase_for_peak_utc_hour(7.0)),
-                h as f64,
-            );
-            assert!((0.0..=1.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn relaxed_swing_smaller_than_strict() {
-        let phase = phase_for_peak_utc_hour(12.0);
-        let strict = correct_snapshot(0.5, DiurnalClass::Strict, Some(phase), 12.0);
-        let relaxed = correct_snapshot(0.5, DiurnalClass::Relaxed, Some(phase), 12.0);
-        assert!(strict < relaxed, "strict correction is stronger");
     }
 }

@@ -32,7 +32,7 @@
 //!   every elided value before committing to this mode.
 //!
 //! Integrity reuses the journal's framing discipline via
-//! [`crate::framing`]: the shared 64-byte prelude (magic, version,
+//! [`sleepwatch_framing`]: the shared 64-byte prelude (magic, version,
 //! endianness tag, run identity, record count, header CRC), a
 //! CRC-guarded dictionary section, and a CRC32 per frame chained over
 //! the header CRC, the dictionary CRC *and the frame index*, so a frame
@@ -43,12 +43,11 @@
 //! [`DecodeError`], never a panic and never silently wrong rows.
 
 use crate::export::DatasetRow;
-use crate::framing::{
+use sleepwatch_framing::{
     check_identity, crc32, put_string_table, read_string_table, rice_best_k, rice_get, rice_put,
     BitReader, BitWriter, Crc32, DecodeError, Prelude, RunIdentity, RICE_MAX,
 };
-use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::{by_code, COUNTRIES};
+use sleepwatch_geoecon::{by_code, YearMonth, COUNTRIES};
 use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_simnet::{WorldConfig, WorldSource};
 use sleepwatch_spectral::DiurnalClass;
@@ -65,15 +64,15 @@ pub const DATASET_VERSION: u16 = 1;
 /// Prelude `kind` byte for dataset containers.
 pub const KIND_DATASET: u8 = 0;
 /// Mode byte: every column stored in the file.
-pub const MODE_SELF: u8 = 0;
+pub(crate) const MODE_SELF: u8 = 0;
 /// Mode byte: seed-derivable columns elided and regenerated at decode.
-pub const MODE_SEED_JOINED: u8 = 1;
+pub(crate) const MODE_SEED_JOINED: u8 = 1;
 /// Frame magic: `BFRM` as a little-endian u32.
-pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"BFRM");
+pub(crate) const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"BFRM");
 /// Rows per frame (the last frame may hold fewer).
-pub const MAX_FRAME_ROWS: usize = 4096;
+pub(crate) const MAX_FRAME_ROWS: usize = 4096;
 /// Frame header length: magic u32 | count u32 | payload_len u32 | first_id u64.
-pub const FRAME_HEADER_LEN: usize = 20;
+pub(crate) const FRAME_HEADER_LEN: usize = 20;
 
 /// Quantization scale for 6-decimal TSV columns (phase, mean_a, lon, lat).
 const SCALE6: f64 = 1e6;
@@ -642,8 +641,8 @@ fn parse_shell(bytes: &[u8], world: Option<&WorldConfig>) -> Result<Shell, Decod
             Ok(())
         }
     };
-    need(crate::framing::PRELUDE_LEN + 8)?;
-    let mut pos = crate::framing::PRELUDE_LEN;
+    need(sleepwatch_framing::PRELUDE_LEN + 8)?;
+    let mut pos = sleepwatch_framing::PRELUDE_LEN;
     let le_u32 = |pos: usize| {
         u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
     };
@@ -877,24 +876,14 @@ impl<'a> BinDataset<'a> {
     }
 
     /// Rows the file declares (and parse verified).
-    pub fn record_count(&self) -> u64 {
+    pub(crate) fn record_count(&self) -> u64 {
         self.shell.prelude.record_count
-    }
-
-    /// The run identity the file carries.
-    pub fn identity(&self) -> RunIdentity {
-        self.shell.prelude.identity
-    }
-
-    /// The container mode byte ([`MODE_SELF`] or [`MODE_SEED_JOINED`]).
-    pub fn mode(&self) -> u8 {
-        self.shell.prelude.mode
     }
 
     /// Decodes every row, in block-id order, reusing one frame of scratch
     /// for the whole pass. Structural errors cannot occur after
     /// [`parse`](BinDataset::parse), but the signature keeps them typed.
-    pub fn to_rows(&self) -> Result<Vec<DatasetRow>, DecodeError> {
+    pub(crate) fn to_rows(&self) -> Result<Vec<DatasetRow>, DecodeError> {
         let mut rows = Vec::with_capacity(self.record_count() as usize);
         let shell = &self.shell;
         walk_frames(self.bytes, shell, |frame| {
@@ -1047,7 +1036,7 @@ mod tests {
         let rows = dataset_rows(&a);
         let bin = encode_dataset(&rows, DatasetMode::SelfContained).unwrap();
         let ds = BinDataset::parse(&bin, None).unwrap();
-        assert_eq!(ds.mode(), MODE_SELF);
+        assert_eq!(ds.shell.prelude.mode, MODE_SELF);
         assert_eq!(ds.record_count(), rows.len() as u64);
         let back = ds.to_rows().unwrap();
         assert_eq!(back, rows);
@@ -1068,8 +1057,8 @@ mod tests {
         let seed_bin = encode_dataset(&rows, DatasetMode::SeedJoined(&cfg)).unwrap();
         assert!(seed_bin.len() < self_bin.len());
         let ds = BinDataset::parse(&seed_bin, Some(&cfg)).unwrap();
-        assert_eq!(ds.mode(), MODE_SEED_JOINED);
-        assert_eq!(ds.identity(), dataset_identity(&cfg));
+        assert_eq!(ds.shell.prelude.mode, MODE_SEED_JOINED);
+        assert_eq!(ds.shell.prelude.identity, dataset_identity(&cfg));
         let mut via_bin = Vec::new();
         write_dataset_rows(&mut via_bin, &ds.to_rows().unwrap()).unwrap();
         assert_eq!(via_bin, tsv_of(&a));
@@ -1090,7 +1079,7 @@ mod tests {
         assert!(matches!(
             BinDataset::parse(&bin, Some(&wrong)),
             Err(DecodeError::IdentityMismatch {
-                field: crate::framing::IdentityField::WorldSeed,
+                field: sleepwatch_framing::IdentityField::WorldSeed,
                 ..
             })
         ));
@@ -1209,9 +1198,11 @@ mod tests {
     /// Byte offset where the frame area starts.
     fn shell_end(bytes: &[u8]) -> usize {
         let dict_len = u32::from_le_bytes(
-            bytes[crate::framing::PRELUDE_LEN..crate::framing::PRELUDE_LEN + 4].try_into().unwrap(),
+            bytes[sleepwatch_framing::PRELUDE_LEN..sleepwatch_framing::PRELUDE_LEN + 4]
+                .try_into()
+                .unwrap(),
         ) as usize;
-        crate::framing::PRELUDE_LEN + 8 + dict_len
+        sleepwatch_framing::PRELUDE_LEN + 8 + dict_len
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! tab-separated rows. Missing values are the literal `-`.
 //!
 //! A [`DatasetRow`] holds no text: its country is a
-//! [`COUNTRIES`](sleepwatch_geoecon::country::COUNTRIES) entry, its
+//! [`COUNTRIES`](sleepwatch_geoecon::COUNTRIES) entry, its
 //! allocation date a [`YearMonth`], its links a [`LinkSet`]. So
 //! [`read_dataset`] accepts exactly what [`write_dataset_rows`] prints and
 //! refuses anything else with a [`ParseError::BadField`] naming the line
@@ -26,8 +26,7 @@
 //! * the other columns: numbers, `-` for an absent phase or location.
 
 use crate::worldrun::WorldAnalysis;
-use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::by_code;
+use sleepwatch_geoecon::{by_code, YearMonth};
 use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_spectral::DiurnalClass;
 use std::io::{self, BufRead, Write};

@@ -1,5 +1,5 @@
 //! Self-generated feeds: a world's probe rounds as the event stream
-//! [`crate::ingest`] consumes and `sleepwatch feed` serves.
+//! [`crate::ingest_source`] consumes and `sleepwatch feed` serves.
 //!
 //! A [`WorldFeed`] probes 256-block chunks through the world run's chunk
 //! pool (`worldrun::each_chunk`): one worker per core and the calling
@@ -17,14 +17,14 @@ use std::convert::Infallible;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sleepwatch_obs::Stage;
-use sleepwatch_probing::stream::{record_rounds, Interleave, RoundEvent};
 use sleepwatch_probing::transport::FeedEvents;
+use sleepwatch_probing::{record_rounds, Interleave, RoundEvent};
 use sleepwatch_simnet::WorldSource;
 
 use crate::analyze::{probe_into, AnalysisConfig, ProbeWorkspace};
-use crate::framing::RunIdentity;
 use crate::ingest::{IngestConfig, Pool, RoundSeries};
 use crate::worldrun::{each_chunk, quarantine_on_panic, Quarantine};
+use sleepwatch_framing::RunIdentity;
 
 /// A world's event feed, generated a chunk at a time: what
 /// [`crate::ingest_world`] routes, what [`world_feed`] collects and what

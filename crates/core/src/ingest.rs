@@ -68,7 +68,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use sleepwatch_obs::Stage;
-use sleepwatch_probing::stream::RoundEvent;
+use sleepwatch_probing::RoundEvent;
 use sleepwatch_simnet::{shard_of, BlockSpec, WorldSource};
 use sleepwatch_spectral::{Complex, SpectrumScratch, MAX_BATCH_LANES};
 
@@ -904,9 +904,8 @@ mod tests {
     use crate::analyze::analyze_block;
     use crate::feed::world_feed;
     use crate::worldrun::analyze_world;
-    use sleepwatch_probing::stream::{interleave, replay_run};
     use sleepwatch_probing::transport::IterSource;
-    use sleepwatch_probing::{FaultPlan, TrinocularProber};
+    use sleepwatch_probing::{interleave, replay_run, FaultPlan, TrinocularProber};
     use sleepwatch_simnet::WorldConfig;
 
     fn tiny_source(blocks: usize) -> WorldSource {

@@ -10,7 +10,7 @@
 //! # Format
 //!
 //! One codec, `SLPWJNL2` (all little-endian, every frame closed by a CRC32
-//! over its body): the shared 64-byte [`crate::framing::Prelude`] plus an
+//! over its body): the shared 64-byte [`sleepwatch_framing::Prelude`] plus an
 //! embedded dictionary section (country codes and link-class keywords, the
 //! same tables [`crate::binfmt`] uses), followed by variable-width records
 //! that drop absent fields (phase, location) instead of zero-filling them.
@@ -28,22 +28,19 @@
 //! exactly. Decoding is *total*: any input — truncated, bit-flipped,
 //! garbage — yields `None` rather than a panic, and replay keeps only the
 //! longest valid prefix, discarding the damaged suffix. Header validation
-//! is shared with [`crate::binfmt`] through [`crate::framing`]: foreign
+//! is shared with [`crate::binfmt`] through [`sleepwatch_framing`]: foreign
 //! identities, byte-swapped files and other versions each surface as one
 //! consistent [`DecodeError`] kind. Any other member of the `SLPWJNL`
 //! magic family (an `SLPWJNL1` or `SLPWJNL3` file, say) is refused with
 //! [`DecodeError::UnsupportedVersion`] and left untouched on disk
-//! ([`sniff_journal`]). Appends are batched to the OS and `fsync`'d every
-//! [`SYNC_EVERY`] records and on [`JournalWriter::sync`], bounding how
+//! (`sniff_journal`). Appends are batched to the OS and `fsync`'d every
+//! `SYNC_EVERY` records and on [`JournalWriter::sync`], bounding how
 //! much work a crash can lose.
 
 use crate::binfmt::{class_code, class_from_code};
-use crate::framing::{check_identity, sniff_magic, DecodeError, Prelude, RunIdentity};
 use crate::worldrun::WorldBlockReport;
-use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::COUNTRIES;
-use sleepwatch_geoecon::geolocate::Location;
-use sleepwatch_geoecon::region::Region;
+use sleepwatch_framing::{check_identity, crc32, sniff_magic, DecodeError, Prelude, RunIdentity};
+use sleepwatch_geoecon::{Location, Region, YearMonth, COUNTRIES};
 use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_obs::Stage;
 use std::fs::{File, OpenOptions};
@@ -51,11 +48,9 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::Instant;
 
-pub use crate::framing::crc32;
-
 /// Records between `fsync` calls (a crash loses at most this many
 /// appended-but-unsynced records; replay re-analyzes them).
-pub const SYNC_EVERY: u32 = 64;
+pub(crate) const SYNC_EVERY: u32 = 64;
 /// The one journal format version this build reads and writes.
 pub const JOURNAL_VERSION: u16 = 2;
 
@@ -95,7 +90,7 @@ pub struct JournalHeader {
 
 impl JournalHeader {
     /// The shared-framing view of this header.
-    pub fn identity(&self) -> RunIdentity {
+    pub(crate) fn identity(&self) -> RunIdentity {
         RunIdentity {
             world_seed: self.world_seed,
             num_blocks: self.num_blocks,
@@ -171,8 +166,11 @@ fn le_u64(b: &[u8]) -> u64 {
 /// the same tables.
 fn static_dict_payload() -> Vec<u8> {
     let mut payload = Vec::new();
-    crate::framing::put_string_table(&mut payload, COUNTRIES.iter().map(|c| c.code));
-    crate::framing::put_string_table(&mut payload, LinkFeature::ALL.iter().map(|f| f.keyword()));
+    sleepwatch_framing::put_string_table(&mut payload, COUNTRIES.iter().map(|c| c.code));
+    sleepwatch_framing::put_string_table(
+        &mut payload,
+        LinkFeature::ALL.iter().map(|f| f.keyword()),
+    );
     payload
 }
 
@@ -205,7 +203,7 @@ pub fn decode_header_v2(bytes: &[u8]) -> Result<(JournalHeader, usize), DecodeEr
     if prelude.mode != 0 {
         return Err(DecodeError::BadMode { found: prelude.mode });
     }
-    let rest = &bytes[crate::framing::PRELUDE_LEN..];
+    let rest = &bytes[sleepwatch_framing::PRELUDE_LEN..];
     if rest.len() < 4 {
         return Err(DecodeError::DictCorrupt { detail: "dictionary length missing" });
     }
@@ -222,7 +220,7 @@ pub fn decode_header_v2(bytes: &[u8]) -> Result<(JournalHeader, usize), DecodeEr
     if payload != static_dict_payload().as_slice() {
         return Err(DecodeError::DictMismatch { table: "journal" });
     }
-    let header_len = crate::framing::PRELUDE_LEN + 4 + len + 4;
+    let header_len = sleepwatch_framing::PRELUDE_LEN + 4 + len + 4;
     Ok((JournalHeader::from_identity(&prelude.identity), header_len))
 }
 
@@ -453,7 +451,7 @@ pub fn replay_bytes_v2(bytes: &[u8], expect: &JournalHeader) -> Result<ReplayOut
 /// empty). `Err`: a member of the journal magic family that must be
 /// refused untouched — byte-swapped ([`DecodeError::EndianMismatch`]) or
 /// carrying any other version digit ([`DecodeError::UnsupportedVersion`]).
-pub fn sniff_journal(bytes: &[u8]) -> Result<bool, DecodeError> {
+pub(crate) fn sniff_journal(bytes: &[u8]) -> Result<bool, DecodeError> {
     const FAMILY: u64 = FILE_MAGIC & MAGIC_FAMILY_MASK;
     match sniff_magic(bytes) {
         Some(FILE_MAGIC) => Ok(true),
@@ -505,7 +503,7 @@ impl RecordSink for File {
 }
 
 /// Append handle for a journal file positioned at the end of its valid
-/// prefix. Records are `fsync`'d every [`SYNC_EVERY`] appends and on
+/// prefix. Records are `fsync`'d every `SYNC_EVERY` appends and on
 /// [`sync`](Self::sync).
 #[derive(Debug)]
 pub struct JournalWriter {
@@ -665,7 +663,7 @@ pub fn open_resume(
 mod tests {
     use super::*;
     use crate::analyze::BlockSummary;
-    use sleepwatch_geoecon::country::by_code;
+    use sleepwatch_geoecon::by_code;
     use sleepwatch_spectral::DiurnalClass;
 
     fn sample_report(id: u64) -> WorldBlockReport {

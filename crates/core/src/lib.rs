@@ -1,13 +1,13 @@
 //! End-to-end diurnal-network analysis: the pipeline of *"When the Internet
 //! Sleeps"* (IMC 2014).
 //!
-//! * [`analyze`]: per-block pipeline — adaptive probing, §2.1 availability
+//! * [`analyze_block`]: per-block pipeline — adaptive probing, §2.1 availability
 //!   estimation, §2.2 cleaning + FFT classification + phase, the
 //!   stationarity screen, and phase unrolling for the longitude comparison;
-//! * [`worldrun`]: the same pipeline over an entire synthetic world, in
+//! * [`analyze_world`]: the same pipeline over an entire synthetic world, in
 //!   parallel, joined with geolocation, reverse-DNS link classes,
 //!   allocation dates and country economics;
-//! * [`aggregate`]: the paper's evaluation views — country league table,
+//! * [`WorldAnalysis`]: the paper's evaluation views — country league table,
 //!   region table, link-technology fractions, allocation histogram,
 //!   phase/longitude analysis, world grids, and the Table 5 ANOVA factors.
 //!
@@ -27,56 +27,44 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod aggregate;
-pub mod analyze;
-pub mod applications;
+mod aggregate;
+mod analyze;
+mod applications;
 pub mod binfmt;
 pub mod export;
 pub mod feed;
-pub mod framing {
-    //! Shared binary-framing primitives (re-export of
-    //! [`sleepwatch_framing`]).
-    //!
-    //! The toolbox historically lived here; it moved to its own
-    //! bottom-of-stack crate so the probing-layer wire transport can
-    //! share the same prelude and [`DecodeError`] taxonomy without a
-    //! dependency cycle. Every pre-existing `sleepwatch_core::framing`
-    //! path keeps working through this re-export.
-    pub use sleepwatch_framing::*;
-}
-pub mod ingest;
+mod ingest;
 pub mod journal;
 pub mod serve;
-pub mod streaming;
-pub mod timeofday;
-pub mod worldrun;
+mod streaming;
+mod timeofday;
+mod worldrun;
 
-pub use aggregate::{AnovaFactors, CountryStat, OrgStat, AGE_REFERENCE};
+pub use aggregate::{AnovaFactors, CountryStat, OrgStat};
 pub use analyze::{
-    analyze_block, analyze_block_with_scratch, analyze_series, unroll_phase, AnalysisConfig,
-    BlockAnalysis, BlockScratch, BlockSummary,
+    analyze_block, analyze_block_with_scratch, analyze_series, AnalysisConfig, BlockAnalysis,
+    BlockScratch, BlockSummary,
 };
-pub use applications::{correct_snapshot, estimate_size, SizeEstimate};
+pub use applications::{estimate_size, SizeEstimate};
 pub use binfmt::{
     decode_dataset, decode_prefix, encode_dataset, BinDataset, DatasetMode, DatasetStats,
-    EncodeError,
 };
 pub use export::{
     dataset_rows, read_dataset, write_dataset, write_dataset_bin_file, write_dataset_file,
-    write_dataset_rows, DatasetRow, ExportError, ParseError,
+    write_dataset_rows, DatasetRow, ExportError,
 };
 pub use feed::{feed_identity, world_feed, WorldFeed};
-pub use framing::{DecodeError, IdentityField, RunIdentity};
 pub use ingest::{
     ingest_direct, ingest_events, ingest_source, ingest_source_resumable, ingest_world,
     ingest_world_resumable, IngestConfig, IngestOutcome, IngestStats, TransportOutcome,
 };
-pub use journal::{JournalError, JournalHeader, ReplayStats};
+pub use journal::{JournalError, JournalHeader};
 pub use serve::{
-    load_rows, rows_from_dataset_bytes, rows_from_journal_bytes, ConnStats, LoadError, QueryServer,
-    ServeConfig, ServeState,
+    load_rows, rows_from_journal_bytes, ConnStats, LoadError, QueryServer, ServeConfig, ServeState,
 };
+pub use sleepwatch_framing::{DecodeError, IdentityField, RunIdentity};
 pub use streaming::{OnlineConfig, OnlineDetector};
 pub use timeofday::{activity_pattern, peak_local_hour, peak_utc_hour, ActivityPattern};
 pub use worldrun::{

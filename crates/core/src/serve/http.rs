@@ -9,7 +9,7 @@
 //! by `core/tests/serve_prop.rs`).
 //!
 //! Hard limits bound what one connection can make the server hold:
-//! [`MAX_REQUEST_LINE`] bytes of request line, [`MAX_HEADER_BYTES`] of
+//! [`MAX_REQUEST_LINE`] bytes of request line, `MAX_HEADER_BYTES` of
 //! header block across at most [`MAX_HEADERS`] headers, zero body bytes.
 
 use super::index::push_u64;
@@ -20,7 +20,7 @@ use std::io::{self, BufRead, Write};
 /// Longest accepted request line (method + target + version + CRLF).
 pub const MAX_REQUEST_LINE: usize = 1024;
 /// Total header-block budget in bytes (all header lines together).
-pub const MAX_HEADER_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Maximum number of header lines in one request.
 pub const MAX_HEADERS: usize = 64;
 
@@ -36,7 +36,7 @@ pub struct Request {
 }
 
 /// Everything that can go wrong reading one request. Each variant maps
-/// to either a 4xx/5xx response ([`status_for`]) or a silent close.
+/// to either a 4xx/5xx response (`status_for`) or a silent close.
 #[derive(Debug)]
 pub enum RequestError {
     /// Clean EOF before the first request byte — the client is done.
@@ -53,7 +53,7 @@ pub enum RequestError {
     BadMethod,
     /// Any version other than `HTTP/1.0` / `HTTP/1.1`.
     BadVersion,
-    /// Header block exceeded [`MAX_HEADER_BYTES`] or [`MAX_HEADERS`].
+    /// Header block exceeded `MAX_HEADER_BYTES` or [`MAX_HEADERS`].
     HeadersTooLarge,
     /// A header line without a colon, or an unparseable
     /// `Content-Length`.
@@ -81,14 +81,14 @@ impl fmt::Display for RequestError {
 }
 
 /// True when `e` is a read-timeout surfaced by a blocking socket.
-pub fn is_timeout(e: &io::Error) -> bool {
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
 /// The response owed for a request-read failure: `Some((status, reason,
 /// message))` when the client deserves an answer, `None` when the only
 /// correct move is to close the connection.
-pub fn status_for(e: &RequestError) -> Option<(u16, &'static str, &'static str)> {
+pub(crate) fn status_for(e: &RequestError) -> Option<(u16, &'static str, &'static str)> {
     match e {
         RequestError::Closed | RequestError::Truncated => None,
         RequestError::Io(e) if is_timeout(e) => {

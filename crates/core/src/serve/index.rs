@@ -458,7 +458,7 @@ impl Filter {
     }
 
     /// True when the row passes every present dimension.
-    pub fn matches(&self, r: &DatasetRow) -> bool {
+    pub(crate) fn matches(&self, r: &DatasetRow) -> bool {
         self.as_ref().matches(r)
     }
 }
@@ -817,7 +817,7 @@ pub(super) mod tests {
             lat: country.map(|_| 20.0),
             country,
             centroid: false,
-            alloc: sleepwatch_geoecon::allocation::YearMonth::new(1994, 5),
+            alloc: sleepwatch_geoecon::YearMonth::new(1994, 5),
             asn,
             links: links.iter().copied().collect(),
         }

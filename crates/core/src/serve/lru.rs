@@ -17,7 +17,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of independently-locked shards.
-pub const SHARDS: usize = 8;
+pub(super) const SHARDS: usize = 8;
 
 /// What one [`ShardedLru::get_or_insert_with`] call did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,7 +56,7 @@ impl LruShard {
     }
 
     /// The shard's capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
@@ -117,7 +117,7 @@ impl LruShard {
     }
 }
 
-/// The sharded cache: [`SHARDS`] locks, total capacity distributed
+/// The sharded cache: `SHARDS` locks, total capacity distributed
 /// exactly (shard `i` gets `cap/SHARDS` plus one of the remainder).
 #[derive(Debug)]
 pub struct ShardedLru {

@@ -26,7 +26,7 @@
 
 pub mod http;
 pub mod index;
-pub mod lru;
+mod lru;
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -40,11 +40,11 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::export::{dataset_rows, DatasetRow};
-use crate::framing::DecodeError;
 use crate::journal::{replay_bytes_v2, sniff_journal, JournalHeader, ReplayOutcome};
 use crate::worldrun::WorldAnalysis;
 use http::{is_timeout, push_error_body, RequestError};
 use index::{write_block_body, FilterRef, BODY_ROOM};
+use sleepwatch_framing::DecodeError;
 use sleepwatch_obs::Stage;
 use sleepwatch_simnet::WorldConfig;
 
@@ -118,7 +118,7 @@ pub fn rows_from_dataset_bytes(
 }
 
 /// Replays journal bytes into servable rows, refusing a journal from
-/// any run but `expect`'s and — with [`sniff_journal`]'s typed version
+/// any run but `expect`'s and — with `sniff_journal`'s typed version
 /// or endianness error — any journal-family file this build does not
 /// read. Replay tolerates a damaged tail like crash recovery does;
 /// duplicate block records keep the first occurrence (the crash-resume
@@ -408,7 +408,7 @@ impl<R: Read, W: Write> BufRead for Conn<R, W> {
 
 /// Serves one connection's request stream until it closes, errors or
 /// times out. Generic over the transport so chaos tests can drive it
-/// with hand-built readers and writers; [`serve_connection`] adapts a
+/// with hand-built readers and writers; `serve_connection` adapts a
 /// `TcpStream`.
 ///
 /// Keep-alive and pipelining are supported. Every buffer a request needs
@@ -497,7 +497,7 @@ pub fn serve_streams<R: Read, W: Write>(reader: R, writer: W, state: &ServeState
 /// Adapts one accepted `TcpStream` for [`serve_streams`]: blocking mode
 /// with `read_timeout`, Nagle off (responses are small and latency is
 /// gated), and a cloned handle for the write side.
-pub fn serve_connection(
+pub(crate) fn serve_connection(
     stream: TcpStream,
     state: &ServeState,
     read_timeout: Duration,
@@ -705,7 +705,7 @@ mod tests {
     fn dataset_and_journal_magics_are_distinguished() {
         let err = rows_from_journal_bytes(
             b"not a journal at all",
-            &JournalHeader::from_identity(&crate::framing::RunIdentity {
+            &JournalHeader::from_identity(&sleepwatch_framing::RunIdentity {
                 world_seed: 1,
                 num_blocks: 1,
                 rounds: 1,

@@ -193,7 +193,8 @@ impl OnlineDetector {
     }
 
     /// `true` once a full window of rounds has been pushed.
-    pub fn warmed_up(&self) -> bool {
+    #[cfg(test)]
+    fn warmed_up(&self) -> bool {
         self.rounds_seen >= self.cfg.window_rounds as u64
     }
 

@@ -26,9 +26,9 @@ pub fn peak_local_hour(phase: f64, lon_deg: f64) -> f64 {
 }
 
 /// Inverse of [`peak_utc_hour`]: the phase a block peaking at `utc_hour`
-/// will show. Useful for constructing expectations in tests and for
-/// seeding phase-based geolocation.
-pub fn phase_for_peak_utc_hour(utc_hour: f64) -> f64 {
+/// will show. The tests build their expectations with it.
+#[cfg(test)]
+fn phase_for_peak_utc_hour(utc_hour: f64) -> f64 {
     let mut phase = -(utc_hour / 24.0) * TAU;
     while phase <= -std::f64::consts::PI {
         phase += TAU;

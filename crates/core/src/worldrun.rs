@@ -29,10 +29,7 @@ use crate::analyze::{
     ProbeWorkspace, ProbedBlock,
 };
 use crate::journal::{self, Checkpoint, JournalError, JournalHeader};
-use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::{by_code, COUNTRIES};
-use sleepwatch_geoecon::geolocate::{GeoDatabase, Location};
-use sleepwatch_geoecon::region::Region;
+use sleepwatch_geoecon::{by_code, GeoDatabase, Location, Region, YearMonth, COUNTRIES};
 use sleepwatch_linktype::{feature_mask, BlockLabel, LinkSet};
 use sleepwatch_obs::{Histogram, Stage, StageTimer};
 use sleepwatch_simnet::{BlockSpec, PtrTemplate, World, WorldSource};
@@ -101,7 +98,7 @@ pub struct WorldAnalysis {
 /// Streaming aggregate of a world run — everything the paper-scale survey
 /// reports, in O(1) memory per run instead of O(blocks).
 ///
-/// Produced by [`analyze_world_stats`]; [`WorldAnalysis::stats`] computes
+/// Produced by [`analyze_world_stats`]; `WorldAnalysis::stats` computes
 /// the identical value from collected reports (the equivalence is a unit
 /// test), so summary-level results never depend on which sink ran.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -134,7 +131,7 @@ pub struct WorldRunStats {
 
 impl WorldRunStats {
     /// Folds one completed block report into the aggregate.
-    pub fn absorb_report(&mut self, r: &WorldBlockReport) {
+    pub(crate) fn absorb_report(&mut self, r: &WorldBlockReport) {
         self.blocks += 1;
         if r.summary.class.is_strict() {
             self.strict += 1;
@@ -164,18 +161,18 @@ impl WorldRunStats {
     }
 
     /// Count and fraction of strict-or-relaxed diurnal blocks.
-    pub fn diurnal_fraction(&self) -> (usize, f64) {
+    pub(crate) fn diurnal_fraction(&self) -> (usize, f64) {
         (self.diurnal, self.diurnal as f64 / self.blocks.max(1) as f64)
     }
 
     /// Fraction of blocks passing the stationarity screen.
-    pub fn stationary_fraction(&self) -> f64 {
+    pub(crate) fn stationary_fraction(&self) -> f64 {
         self.stationary as f64 / self.blocks.max(1) as f64
     }
 
     /// Detection quality against the planted labels:
     /// `(true_pos, false_pos, false_neg, true_neg)` using the strict class.
-    pub fn confusion_vs_planted(&self) -> (usize, usize, usize, usize) {
+    pub(crate) fn confusion_vs_planted(&self) -> (usize, usize, usize, usize) {
         (self.true_pos, self.false_pos, self.false_neg, self.true_neg)
     }
 }
@@ -769,7 +766,7 @@ pub fn analyze_world_source(
 
 /// Paper-scale entry point: lazy generation ([`WorldSource`]) and a
 /// streaming [`WorldRunStats`] sink — O(1) memory in the number of blocks.
-/// The aggregate equals [`WorldAnalysis::stats`] of the collected run
+/// The aggregate equals `WorldAnalysis::stats` of the collected run
 /// exactly.
 pub fn analyze_world_stats(
     source: &WorldSource,
@@ -788,8 +785,8 @@ pub fn run_identity(
     seed: u64,
     num_blocks: usize,
     cfg: &AnalysisConfig,
-) -> crate::framing::RunIdentity {
-    crate::framing::RunIdentity {
+) -> sleepwatch_framing::RunIdentity {
+    sleepwatch_framing::RunIdentity {
         world_seed: seed,
         num_blocks: num_blocks as u64,
         rounds: cfg.rounds,
@@ -844,7 +841,7 @@ pub(crate) fn is_replayed(skip: &[bool], idx: usize) -> bool {
 
 /// [`analyze_world`] with a crash-safe checkpoint journal at
 /// `journal_path`: every completed block is appended to the journal
-/// (fsync'd every [`journal::SYNC_EVERY`] records), and if the file
+/// (fsync'd every `journal::SYNC_EVERY` records), and if the file
 /// already holds a valid prefix for this exact run — same world seed,
 /// block count, rounds and start time — those blocks are replayed instead
 /// of recomputed. A truncated or bit-flipped tail costs only the damaged
@@ -892,7 +889,7 @@ impl WorldAnalysis {
 
     /// The streaming aggregate of this analysis — identical to what
     /// [`analyze_world_stats`] would have produced for the same run.
-    pub fn stats(&self) -> WorldRunStats {
+    pub(crate) fn stats(&self) -> WorldRunStats {
         let mut stats = WorldRunStats::default();
         for r in &self.reports {
             stats.absorb_report(r);
@@ -1172,5 +1169,28 @@ mod tests {
         let replayed = analyze_world_stats_resumable(&source, &cfg, 2, &path, None).unwrap();
         assert_eq!(fresh, replayed);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A failed `read` stores the claim counter past the chunk's end, so
+    /// the chunk running beside it stops. With one state the calling
+    /// thread works every group itself, after `read` returns, so the
+    /// count does not depend on timing: chunk 0 is worked, chunk 1 is cut
+    /// before its first group, and chunk 2 never starts.
+    #[test]
+    fn a_failed_read_stops_the_chunk_beside_it() {
+        let worked = AtomicUsize::new(0);
+        let result = each_chunk(
+            3 * CHUNK,
+            &[],
+            0,
+            &mut [()],
+            None,
+            |_, group, _: &mut Vec<(u64, ())>| {
+                worked.fetch_add(group.len(), Ordering::Relaxed);
+            },
+            |c, _| if c == 0 { Err(c) } else { Ok(()) },
+        );
+        assert_eq!(result, Err(0));
+        assert_eq!(worked.load(Ordering::Relaxed), CHUNK);
     }
 }

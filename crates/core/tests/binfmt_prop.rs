@@ -7,13 +7,12 @@
 //! that is not canonical `YYYY-MM` is refused behind a valid checksum.
 
 use proptest::prelude::*;
-use sleepwatch_core::framing::{crc32, PRELUDE_LEN};
 use sleepwatch_core::{
     analyze_world, dataset_rows, decode_dataset, decode_prefix, encode_dataset, AnalysisConfig,
     BinDataset, DatasetMode, DatasetRow, DecodeError,
 };
-use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::by_code;
+use sleepwatch_framing::{crc32, PRELUDE_LEN};
+use sleepwatch_geoecon::{by_code, YearMonth};
 use sleepwatch_simnet::{World, WorldConfig};
 use std::sync::OnceLock;
 

@@ -6,12 +6,12 @@
 //! the same `Display` text.
 
 use sleepwatch_core::binfmt::{dataset_identity, DATASET_MAGIC, DATASET_VERSION, KIND_DATASET};
-use sleepwatch_core::framing::{crc32, Prelude, PRELUDE_LEN};
 use sleepwatch_core::journal::{decode_header_v2, encode_header_v2, open_resume, JOURNAL_VERSION};
 use sleepwatch_core::{
     analyze_world, dataset_rows, decode_dataset, encode_dataset, load_rows, AnalysisConfig,
     BinDataset, DatasetMode, DecodeError, IdentityField, JournalError, JournalHeader, LoadError,
 };
+use sleepwatch_framing::{crc32, Prelude, PRELUDE_LEN};
 use sleepwatch_simnet::{World, WorldConfig};
 
 // The journal magics read the ASCII big-endian (unlike the dataset

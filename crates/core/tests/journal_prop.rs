@@ -5,10 +5,11 @@
 
 use proptest::prelude::*;
 use sleepwatch_core::journal::{
-    crc32, decode_header_v2, decode_record_v2, encode_header_v2, encode_record_v2, replay_bytes_v2,
+    decode_header_v2, decode_record_v2, encode_header_v2, encode_record_v2, replay_bytes_v2,
     JournalHeader, ReplayOutcome,
 };
 use sleepwatch_core::{analyze_world, AnalysisConfig, WorldBlockReport};
+use sleepwatch_framing::crc32;
 use sleepwatch_simnet::{World, WorldConfig};
 use std::sync::OnceLock;
 

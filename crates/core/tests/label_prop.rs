@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sleepwatch_core::{analyze_world, block_label, AnalysisConfig};
-use sleepwatch_geoecon::country::COUNTRIES;
+use sleepwatch_geoecon::COUNTRIES;
 use sleepwatch_linktype::{classify_block, BlockLabel};
 use sleepwatch_simnet::{ptr_name, BlockProfile, BlockSpec, LinkClass, World, WorldConfig};
 

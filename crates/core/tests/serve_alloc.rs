@@ -18,7 +18,7 @@
 use counting_alloc::thread_allocations as allocations;
 use sleepwatch_core::serve::serve_streams;
 use sleepwatch_core::{DatasetRow, ServeState};
-use sleepwatch_geoecon::allocation::YearMonth;
+use sleepwatch_geoecon::YearMonth;
 use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_spectral::DiurnalClass;
 use std::io::Read;

@@ -17,8 +17,8 @@ use sleepwatch_core::serve::http::{
 use sleepwatch_core::serve::index::{push_fixed, query_body, write_block_body, Filter};
 use sleepwatch_core::serve::{route, LruOutcome, LruShard, ShardedLru};
 use sleepwatch_core::{analyze_world, dataset_rows, AnalysisConfig, DatasetRow, ServeState};
-use sleepwatch_geoecon::allocation::YearMonth;
-use sleepwatch_geoecon::country::COUNTRIES as TABLE;
+use sleepwatch_geoecon::YearMonth;
+use sleepwatch_geoecon::COUNTRIES as TABLE;
 use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_simnet::{World, WorldConfig};
 use sleepwatch_spectral::DiurnalClass;

@@ -4,8 +4,7 @@
 //! trade-off).
 
 use crate::common::{f, render_table, to_csv, Context, ExperimentOutput};
-use sleepwatch_availability::cleaning::clean_series;
-use sleepwatch_availability::{AvailabilityEstimator, DirectEwmaEstimator};
+use sleepwatch_availability::{clean_series, AvailabilityEstimator, DirectEwmaEstimator};
 use sleepwatch_core::analyze_series;
 use sleepwatch_probing::{TrinocularConfig, TrinocularProber};
 use sleepwatch_simnet::{BlockProfile, BlockSpec, ROUND_SECONDS};
@@ -310,7 +309,7 @@ pub fn ablate_acf(ctx: &Context) -> ExperimentOutput {
 /// analysis of diurnal frequencies". Quantify it: classify identical runs
 /// with and without the midnight trim, across measurement start offsets.
 pub fn ablate_trim(ctx: &Context) -> ExperimentOutput {
-    use sleepwatch_availability::cleaning::{bucket_rounds, fill_gaps, midnight_trim};
+    use sleepwatch_availability::{bucket_rounds, fill_gaps, midnight_trim};
     use sleepwatch_core::analyze_series;
 
     let per = ctx.opts.scaled(25, 8) as u64;

@@ -3,10 +3,10 @@
 //! §5.2 phase→time-of-day, §5.6 applications, outage scoring).
 
 use crate::common::{f, render_table, to_csv, Context, ExperimentOutput};
-use sleepwatch_availability::cleaning::clean_series;
+use sleepwatch_availability::clean_series;
 use sleepwatch_core::{
-    analyze_series, estimate_size, peak_local_hour, timeofday::activity_pattern,
-    timeofday::ActivityPattern, write_dataset,
+    activity_pattern, analyze_series, estimate_size, peak_local_hour, write_dataset,
+    ActivityPattern,
 };
 use sleepwatch_geoecon::AsOrgMapper;
 use sleepwatch_probing::{run_census, CensusConfig, TrinocularConfig, TrinocularProber};

@@ -41,85 +41,50 @@ pub mod worldexp;
 
 pub use common::{Context, DatasetFormat, ExperimentOutput, Options};
 
-/// All experiment ids, in run order.
-pub const ALL_IDS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "usc",
-    "ext-orgs",
-    "ext-size",
-    "ext-timeofday",
-    "ext-outages",
-    "ext-dataset",
-    "ext-weekend",
-    "ext-lease",
-    "ablate-ewma",
-    "ablate-strict",
-    "ablate-probes",
-    "ablate-gaps",
-    "ablate-acf",
-    "ablate-trim",
+/// An experiment: one table or figure from the shared context.
+pub type Experiment = fn(&Context) -> ExperimentOutput;
+
+/// Every experiment, in run order: its id and the function that runs it.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", samples::fig1),
+    ("fig2", samples::fig2),
+    ("fig3", samples::fig3),
+    ("fig4", validation::fig4),
+    ("fig5", validation::fig5),
+    ("fig6", samples::fig6),
+    ("fig7", controlled::fig7),
+    ("fig8", controlled::fig8),
+    ("fig9", controlled::fig9),
+    ("fig10", worldexp::fig10),
+    ("fig11", worldexp::fig11),
+    ("fig12", worldexp::fig12),
+    ("fig13", worldexp::fig13),
+    ("fig14", worldexp::fig14),
+    ("fig15", worldexp::fig15),
+    ("fig16", worldexp::fig16),
+    ("fig17", worldexp::fig17),
+    ("table1", validation::table1),
+    ("table2", worldexp::table2),
+    ("table3", worldexp::table3),
+    ("table4", worldexp::table4),
+    ("table5", worldexp::table5),
+    ("usc", extensions::usc),
+    ("ext-orgs", extensions::ext_orgs),
+    ("ext-size", extensions::ext_size),
+    ("ext-timeofday", extensions::ext_timeofday),
+    ("ext-outages", extensions::ext_outages),
+    ("ext-dataset", extensions::ext_dataset),
+    ("ext-weekend", extensions::ext_weekend),
+    ("ext-lease", extensions::ext_lease),
+    ("ablate-ewma", ablations::ablate_ewma),
+    ("ablate-strict", controlled::ablate_strict),
+    ("ablate-probes", ablations::ablate_probes),
+    ("ablate-gaps", ablations::ablate_gaps),
+    ("ablate-acf", ablations::ablate_acf),
+    ("ablate-trim", ablations::ablate_trim),
 ];
 
 /// Runs one experiment by id.
 pub fn run(id: &str, ctx: &Context) -> Option<ExperimentOutput> {
-    Some(match id {
-        "fig1" => samples::fig1(ctx),
-        "fig2" => samples::fig2(ctx),
-        "fig3" => samples::fig3(ctx),
-        "fig4" => validation::fig4(ctx),
-        "fig5" => validation::fig5(ctx),
-        "fig6" => samples::fig6(ctx),
-        "fig7" => controlled::fig7(ctx),
-        "fig8" => controlled::fig8(ctx),
-        "fig9" => controlled::fig9(ctx),
-        "fig10" => worldexp::fig10(ctx),
-        "fig11" => worldexp::fig11(ctx),
-        "fig12" => worldexp::fig12(ctx),
-        "fig13" => worldexp::fig13(ctx),
-        "fig14" => worldexp::fig14(ctx),
-        "fig15" => worldexp::fig15(ctx),
-        "fig16" => worldexp::fig16(ctx),
-        "fig17" => worldexp::fig17(ctx),
-        "table1" => validation::table1(ctx),
-        "table2" => worldexp::table2(ctx),
-        "table3" => worldexp::table3(ctx),
-        "table4" => worldexp::table4(ctx),
-        "table5" => worldexp::table5(ctx),
-        "usc" => extensions::usc(ctx),
-        "ext-orgs" => extensions::ext_orgs(ctx),
-        "ext-size" => extensions::ext_size(ctx),
-        "ext-timeofday" => extensions::ext_timeofday(ctx),
-        "ext-outages" => extensions::ext_outages(ctx),
-        "ext-dataset" => extensions::ext_dataset(ctx),
-        "ext-weekend" => extensions::ext_weekend(ctx),
-        "ext-lease" => extensions::ext_lease(ctx),
-        "ablate-ewma" => ablations::ablate_ewma(ctx),
-        "ablate-strict" => controlled::ablate_strict(ctx),
-        "ablate-probes" => ablations::ablate_probes(ctx),
-        "ablate-gaps" => ablations::ablate_gaps(ctx),
-        "ablate-acf" => ablations::ablate_acf(ctx),
-        "ablate-trim" => ablations::ablate_trim(ctx),
-        _ => return None,
-    })
+    EXPERIMENTS.iter().find(|(name, _)| *name == id).map(|(_, experiment)| experiment(ctx))
 }

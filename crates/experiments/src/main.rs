@@ -17,7 +17,7 @@
 //! ```
 
 use sleepwatch_experiments::extensions::write_dataset_bin;
-use sleepwatch_experiments::{run, Context, DatasetFormat, Options, ALL_IDS};
+use sleepwatch_experiments::{run, Context, DatasetFormat, Options, EXPERIMENTS};
 use sleepwatch_obs::{RunReport, Snapshot};
 use std::process::ExitCode;
 
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
                 }
             }
             "--list" => {
-                for id in ALL_IDS {
+                for (id, _) in EXPERIMENTS {
                     println!("{id}");
                 }
                 return ExitCode::SUCCESS;
@@ -91,7 +91,7 @@ fn main() -> ExitCode {
         usage();
     }
     if ids.iter().any(|i| i == "all") {
-        ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
+        ids = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     }
 
     let ctx = Context::new(opts);

@@ -8,7 +8,7 @@
 //! spectrum.
 
 use crate::common::{f, render_table, to_csv, Context, ExperimentOutput};
-use sleepwatch_availability::cleaning::clean_series;
+use sleepwatch_availability::clean_series;
 use sleepwatch_core::analyze_series;
 use sleepwatch_probing::{survey_block, TrinocularConfig, TrinocularProber};
 use sleepwatch_simnet::{BlockProfile, BlockSpec, ROUND_SECONDS, S51W_START};

@@ -12,12 +12,12 @@
 //!   truth) vs diurnal-from-`Âs` (paper: precision 82.5 %, accuracy 91 %).
 
 use crate::common::{f, render_table, to_csv, Context, ExperimentOutput};
-use sleepwatch_availability::cleaning::clean_series;
+use sleepwatch_availability::clean_series;
 use sleepwatch_core::analyze_series;
 use sleepwatch_probing::{survey_block, TrinocularConfig, TrinocularProber};
 use sleepwatch_simnet::{World, WorldConfig, ROUND_SECONDS, S51W_START};
 use sleepwatch_spectral::DiurnalConfig;
-use sleepwatch_stats::histogram::{binned_quartiles, BinnedQuartiles, DensityGrid};
+use sleepwatch_stats::{binned_quartiles, BinnedQuartiles, DensityGrid};
 
 /// Streaming Pearson accumulator.
 #[derive(Debug, Default, Clone)]

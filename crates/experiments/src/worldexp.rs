@@ -4,7 +4,7 @@
 
 use crate::common::{f, render_table, to_csv, Context, ExperimentOutput};
 use sleepwatch_core::{analyze_world, AnalysisConfig, WorldAnalysis};
-use sleepwatch_geoecon::country::by_code;
+use sleepwatch_geoecon::by_code;
 use sleepwatch_probing::TrinocularConfig;
 use sleepwatch_simnet::evolution::{propensity_scale_at, survey_calendar};
 use sleepwatch_simnet::{World, WorldConfig};

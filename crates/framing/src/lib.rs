@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::fmt;
 
@@ -405,7 +406,7 @@ pub fn check_identity(expected: &RunIdentity, found: &RunIdentity) -> Result<(),
 /// Explicit little-endian tag written into every prelude. A big-endian
 /// writer would store these two bytes swapped, which decodes as
 /// [`DecodeError::EndianMismatch`].
-pub const ENDIAN_TAG: u16 = 0xFEFF;
+pub(crate) const ENDIAN_TAG: u16 = 0xFEFF;
 
 /// Byte length of the shared prelude.
 pub const PRELUDE_LEN: usize = 64;
@@ -583,7 +584,7 @@ impl BitWriter {
     }
 
     /// Pads with zero bits to the next byte boundary.
-    pub fn align(&mut self) {
+    pub(crate) fn align(&mut self) {
         self.fill = 0;
     }
 
@@ -646,15 +647,15 @@ impl<'a> BitReader<'a> {
 /// Quotient at which Rice coding escapes to a fixed-width raw value,
 /// bounding how many unary bits a (possibly corrupt) stream can make the
 /// decoder consume.
-pub const RICE_ESC_Q: u64 = 16;
+pub(crate) const RICE_ESC_Q: u64 = 16;
 /// Width of the escaped raw value. Every Rice-coded quantity in our
 /// formats (dictionary indices, outage counts) fits 40 bits.
-pub const RICE_RAW_BITS: u32 = 40;
+pub(crate) const RICE_RAW_BITS: u32 = 40;
 /// Largest value Rice coding accepts.
 pub const RICE_MAX: u64 = (1 << RICE_RAW_BITS) - 1;
 
 /// Bits `rice_put` would spend on `v` with parameter `k`.
-pub fn rice_cost(v: u64, k: u32) -> u64 {
+pub(crate) fn rice_cost(v: u64, k: u32) -> u64 {
     let q = v >> k;
     if q < RICE_ESC_Q {
         q + 1 + k as u64

@@ -46,11 +46,6 @@ impl YearMonth {
     pub fn months_between(self, other: YearMonth) -> i64 {
         self.months_since_epoch() - other.months_since_epoch()
     }
-
-    /// Age in years at a reference date.
-    pub fn age_years_at(self, reference: YearMonth) -> f64 {
-        reference.months_between(self) as f64 / 12.0
-    }
 }
 
 impl std::fmt::Display for YearMonth {
@@ -208,13 +203,6 @@ impl AllocationRegistry {
         self.get(prefix).map(|e| e.date)
     }
 
-    /// Prefixes belonging to a registry, sorted by allocation date.
-    pub fn prefixes_for(&self, rir: Rir) -> Vec<u8> {
-        let mut v: Vec<&Slash8> = self.entries.iter().filter(|e| e.rir == rir).collect();
-        v.sort_by_key(|e| (e.date, e.prefix));
-        v.into_iter().map(|e| e.prefix).collect()
-    }
-
     /// Picks a /8 for a block in `rir`, no earlier than `earliest`,
     /// deterministically from `key`. Falls back to the registry's latest
     /// prefix when nothing matches.
@@ -250,7 +238,6 @@ mod tests {
         assert_eq!(b.months_since_epoch(), 14);
         assert_eq!(b.months_between(a), 14);
         assert_eq!(YearMonth::from_months_since_epoch(14), b);
-        assert!((b.age_years_at(YearMonth::new(2013, 3)) - 29.0).abs() < 1e-12);
         assert_eq!(format!("{}", YearMonth::new(2011, 2)), "2011-02");
     }
 
@@ -299,22 +286,17 @@ mod tests {
     fn arin_allocations_precede_lacnic_on_average() {
         let reg = AllocationRegistry::synthesize(3);
         let mean_month = |rir: Rir| {
-            let ps = reg.prefixes_for(rir);
-            ps.iter().map(|&p| reg.date_of(p).unwrap().months_since_epoch()).sum::<i64>() as f64
-                / ps.len() as f64
+            let months: Vec<i64> = reg
+                .entries()
+                .iter()
+                .filter(|e| e.rir == rir)
+                .map(|e| e.date.months_since_epoch())
+                .collect();
+            months.iter().sum::<i64>() as f64 / months.len() as f64
         };
         assert!(mean_month(Rir::Arin) < mean_month(Rir::RipeNcc));
         assert!(mean_month(Rir::RipeNcc) < mean_month(Rir::Lacnic));
         assert!(mean_month(Rir::Arin) < mean_month(Rir::Afrinic));
-    }
-
-    #[test]
-    fn prefixes_for_sorted_by_date() {
-        let reg = AllocationRegistry::synthesize(4);
-        let ps = reg.prefixes_for(Rir::Apnic);
-        assert!(!ps.is_empty());
-        let dates: Vec<YearMonth> = ps.iter().map(|&p| reg.date_of(p).unwrap()).collect();
-        assert!(dates.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper maps each /24 to an AS (Team Cymru data) and ASes to
 //! organizations via WHOIS-derived string clustering \[4\]; to study an ISP
 //! `P` it keyword-matches clusters, collects the cluster's ASes, and joins
-//! back to blocks. This module implements that algorithm over synthetic
+//! back to blocks. This module implements the clustering over synthetic
 //! WHOIS-style records; the block→AS assignment itself lives in the world
 //! model.
 
@@ -115,29 +115,6 @@ impl AsOrgMapper {
         AsOrgMapper { clusters }
     }
 
-    /// All clusters.
-    pub fn clusters(&self) -> &[OrgCluster] {
-        &self.clusters
-    }
-
-    /// §2.3.2's query: keyword-match clusters (case-insensitive substring
-    /// over keys and member names) and return every AS in the matching
-    /// clusters, ascending and deduplicated.
-    pub fn asns_for_keyword(&self, keyword: &str) -> Vec<u32> {
-        let kw = keyword.to_ascii_lowercase();
-        let mut out: Vec<u32> = self
-            .clusters
-            .iter()
-            .filter(|c| {
-                c.key.contains(&kw) || c.names.iter().any(|n| n.to_ascii_lowercase().contains(&kw))
-            })
-            .flat_map(|c| c.asns.iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// The cluster containing an AS, if any.
     pub fn cluster_of(&self, asn: u32) -> Option<&OrgCluster> {
         self.clusters.iter().find(|c| c.asns.binary_search(&asn).is_ok())
@@ -186,21 +163,11 @@ mod tests {
     }
 
     #[test]
-    fn keyword_query_finds_org() {
-        let m = AsOrgMapper::cluster(&records());
-        // The paper's example: "Time Warner" → all Time Warner Cable ASes.
-        assert_eq!(m.asns_for_keyword("Time Warner"), vec![7843, 11351, 20001]);
-        assert_eq!(m.asns_for_keyword("warner"), vec![7843, 11351, 20001]);
-        assert_eq!(m.asns_for_keyword("deutsche"), vec![3320]);
-        assert!(m.asns_for_keyword("nonexistent-isp").is_empty());
-    }
-
-    #[test]
     fn empty_name_clusters_alone() {
         let recs =
             vec![AsRecord { asn: 1, name: "12345".into() }, AsRecord { asn: 2, name: "".into() }];
         let m = AsOrgMapper::cluster(&recs);
-        assert_eq!(m.clusters().len(), 2);
+        assert_eq!(m.clusters.len(), 2);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl GeoDatabase {
         GeoDatabase { seed, cfg }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &GeoConfig {
-        &self.cfg
-    }
-
     /// Looks up block `block_id`, whose true position is
     /// `(true_lon, true_lat)` in `country`.
     ///

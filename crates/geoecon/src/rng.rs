@@ -12,7 +12,7 @@
 
 /// One splitmix64 step: advances the state and returns the next value.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -36,7 +36,7 @@ pub struct KeyPrefix {
 impl KeyPrefix {
     /// The prefix of the empty key.
     // π fractional bits: fixed salt.
-    pub const EMPTY: KeyPrefix = KeyPrefix { state: 0x243F_6A88_85A3_08D3, acc: 0 };
+    pub(crate) const EMPTY: KeyPrefix = KeyPrefix { state: 0x243F_6A88_85A3_08D3, acc: 0 };
 
     /// The prefix of a key whose leading parts are `head`.
     #[inline]
@@ -77,7 +77,7 @@ impl KeyPrefix {
 }
 
 impl Default for KeyPrefix {
-    /// [`KeyPrefix::EMPTY`].
+    /// `KeyPrefix::EMPTY`.
     fn default() -> Self {
         Self::EMPTY
     }
@@ -148,11 +148,6 @@ impl KeyedRng {
         let u1 = self.next_f64().max(f64::MIN_POSITIVE); // avoid ln(0)
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Normal with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.normal()
     }
 }
 
@@ -236,15 +231,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn normal_with_scales() {
-        let mut rng = KeyedRng::from_parts(&[555]);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal_with(10.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Property-based tests for geography/registry substrates.
 
 use proptest::prelude::*;
-use sleepwatch_geoecon::allocation::{AllocationRegistry, Rir, YearMonth};
-use sleepwatch_geoecon::country::COUNTRIES;
-use sleepwatch_geoecon::geolocate::{GeoConfig, GeoDatabase};
 use sleepwatch_geoecon::rng::{chance_at, hash_parts, uniform_at, KeyPrefix, KeyedRng};
+use sleepwatch_geoecon::{AllocationRegistry, GeoConfig, GeoDatabase, Rir, YearMonth, COUNTRIES};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]

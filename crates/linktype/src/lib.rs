@@ -12,9 +12,9 @@
 //! 5. labels the block with every remaining non-zero feature.
 //!
 //! A name is matched in one pass ([`feature_mask`]) and counted into a
-//! [`BlockLabel`] with [`BlockLabel::add_name`], or `n` names that share
-//! one mask with [`BlockLabel::add_names`]; [`BlockLabel::finish`]
-//! applies step 4. [`classify_block`] is those two over an iterator.
+//! [`BlockLabel`], `n` names that share one mask at once with
+//! [`BlockLabel::add_names`]; [`BlockLabel::finish`] applies step 4.
+//! [`classify_block`] is those two over an iterator of names.
 //!
 //! Seven of the 16 keywords (`rtr`, `gw`, `ded`, `client`, `sql`,
 //! `wireless`, `wifi`) are dominant in fewer than 1000 blocks of the
@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 /// The 16 link-type keywords of §2.3.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -337,12 +338,12 @@ pub struct BlockLabel {
 impl BlockLabel {
     /// Counts one address's reverse name (addresses without a PTR record
     /// are simply not added).
-    pub fn add_name(&mut self, name: &str) {
+    pub(crate) fn add_name(&mut self, name: &str) {
         self.add_names(1, feature_mask(name));
     }
 
     /// Counts `n` named addresses whose names all have the [`feature_mask`]
-    /// `mask` — what `n` calls of [`add_name`](Self::add_name) with such
+    /// `mask` — what `n` calls of `add_name` with such
     /// names count.
     pub fn add_names(&mut self, n: u32, mut mask: u16) {
         self.named_addresses += n;

@@ -59,15 +59,21 @@
 //! for rendering.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod metrics;
-pub mod registry;
-pub mod report;
-pub mod snapshot;
-pub mod stage;
+mod metrics;
+mod registry;
+mod report;
+mod snapshot;
+mod stage;
 
 pub use metrics::{Buckets, Counter, Gauge, Histogram, HistogramSnapshot, LengthCounts};
-pub use registry::{Registry, ServeMetrics, TransportMetrics};
+pub use registry::{
+    CleaningMetrics, FaultMetrics, FftMetrics, FormatMetrics, GeoMetrics, IngestMetrics,
+    LinktypeMetrics, PipelineMetrics, PlanCacheMetrics, ProbingMetrics, Registry,
+    ResilienceMetrics, ServeMetrics, SimnetMetrics, SpectralMetrics, TransportMetrics,
+    WorldMetrics,
+};
 pub use report::{json_str, push_json_str, Reporter, RunReport};
 pub use snapshot::Snapshot;
 pub use stage::{Stage, StageTimer};

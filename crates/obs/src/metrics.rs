@@ -15,10 +15,10 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Number of buckets in every [`Histogram`].
-pub const BUCKETS: usize = 32;
+pub(crate) const BUCKETS: usize = 32;
 
 /// Number of slots in a [`LengthCounts`] table.
-pub const LENGTH_SLOTS: usize = 32;
+pub(crate) const LENGTH_SLOTS: usize = 32;
 
 // A `const` (not `static`) on purpose: it is the `[ZERO; N]` array
 // initializer — each use site gets its own fresh atomic, never a shared
@@ -35,7 +35,7 @@ pub struct Counter {
 
 impl Counter {
     /// Creates a counter that records only when `on` is true.
-    pub const fn new(on: bool) -> Self {
+    pub(crate) const fn new(on: bool) -> Self {
         Counter { on, v: ZERO }
     }
 
@@ -74,7 +74,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// Creates a gauge that records only when `on` is true.
-    pub const fn new(on: bool) -> Self {
+    pub(crate) const fn new(on: bool) -> Self {
         Gauge { on, v: ZERO }
     }
 
@@ -87,7 +87,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.v.load(Relaxed)
     }
 }
@@ -127,7 +127,7 @@ impl Buckets {
     }
 
     /// Inclusive upper edge of bucket `i`, in the recorded unit.
-    pub fn upper_edge(self, i: usize) -> f64 {
+    pub(crate) fn upper_edge(self, i: usize) -> f64 {
         match self {
             Buckets::Linear { lo, hi } => lo + (hi - lo) * (i as f64 + 1.0) / BUCKETS as f64,
             Buckets::Log2Micros => {
@@ -180,11 +180,6 @@ impl Histogram {
         }
     }
 
-    /// The bucketing scheme this histogram was built with.
-    pub fn scheme(&self) -> Buckets {
-        self.scheme
-    }
-
     /// Copies the current state out as plain integers.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; BUCKETS];
@@ -215,7 +210,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean recorded value, or 0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -225,7 +220,7 @@ impl HistogramSnapshot {
 
     /// Estimated `q`-quantile (0 ≤ q ≤ 1): the upper edge of the bucket
     /// holding the q-th observation. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -241,7 +236,7 @@ impl HistogramSnapshot {
     }
 
     /// Bucket-wise difference `self - earlier` (saturating).
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let mut buckets = [0u64; BUCKETS];
         for (i, dst) in buckets.iter_mut().enumerate() {
             *dst = self.buckets[i].saturating_sub(earlier.buckets[i]);
@@ -258,7 +253,7 @@ impl HistogramSnapshot {
 /// A small lock-free table counting events per integer key (e.g. FFT calls
 /// per transform length, blocks analysed per worker thread).
 ///
-/// Open addressing over [`LENGTH_SLOTS`] slots with CAS claim; keys that
+/// Open addressing over `LENGTH_SLOTS` slots with CAS claim; keys that
 /// do not fit land in an overflow counter so no event is ever dropped.
 /// Key 0 is reserved internally (stored as `key + 1`).
 pub struct LengthCounts {
@@ -270,7 +265,7 @@ pub struct LengthCounts {
 
 impl LengthCounts {
     /// Creates a table that records only when `on` is true.
-    pub const fn new(on: bool) -> Self {
+    pub(crate) const fn new(on: bool) -> Self {
         LengthCounts {
             on,
             keys: [ZERO; LENGTH_SLOTS],

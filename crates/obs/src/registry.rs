@@ -78,7 +78,7 @@ macro_rules! metrics {
 
         impl Registry {
             /// Builds a registry whose metrics record only when `on` is true.
-            pub const fn with_state(on: bool) -> Self {
+            pub(crate) const fn with_state(on: bool) -> Self {
                 Registry {
                     $($group: $Group {
                         $($field: kind!(new on $kind $(($($arg)*))?),)*

@@ -26,7 +26,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Blocks analysed per wall-clock second, or 0 for instant runs.
-    pub fn blocks_per_second(&self) -> f64 {
+    pub(crate) fn blocks_per_second(&self) -> f64 {
         let blocks = self.snapshot.counter("pipeline.blocks_analyzed") as f64;
         if self.wall_seconds > 0.0 {
             blocks / self.wall_seconds
@@ -68,26 +68,13 @@ impl RunReport {
         }
         out
     }
-
-    /// Renders the report as a single JSON object: the run's context, then
-    /// the delta under `"snapshot"` as [`Snapshot::to_json`] writes it.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"label\":{},\"threads\":{},\"wall_seconds\":{:.6},\"blocks_per_second\":{:.3},\"snapshot\":{}}}",
-            json_str(&self.label),
-            self.threads,
-            self.wall_seconds,
-            self.blocks_per_second(),
-            self.snapshot.to_json()
-        )
-    }
 }
 
 impl Snapshot {
     /// Renders every metric as one JSON object: `"counters"` first, then
     /// `"histograms"` (stage timers included, in the recorded unit) and
     /// `"lengths"`, each sorted by key. The one JSON form of a snapshot:
-    /// `GET /metrics` serves it and [`crate::RunReport::to_json`] wraps it.
+    /// `GET /metrics` serves it.
     pub fn to_json(&self) -> String {
         let sep = |i: usize| if i > 0 { "," } else { "" };
         let mut out = String::from("{\"counters\":{");
@@ -163,23 +150,14 @@ pub fn json_str(s: &str) -> String {
 /// gate is a CAS, so racing reporters print once).
 ///
 /// All output funnels through a single mutex-guarded writer (stderr by
-/// default), so progress lines, [`Reporter::warn`] lines from transport
-/// reconnect storms, and the final summary never interleave mid-burst.
-/// Warnings are coalesced: the first in an interval prints, later ones
-/// are counted and accounted for in the next printed warning or the
-/// final line.
+/// default), so progress lines, notes and the final summary never
+/// interleave mid-line.
 pub struct Reporter {
     label: String,
     every_micros: u64,
     start: Instant,
     /// Micros-since-start of the last printed line, +1 (0 = never).
     last_print: AtomicU64,
-    /// Micros-since-start of the last printed warning, +1 (0 = never).
-    last_warn: AtomicU64,
-    /// Warnings swallowed by the interval gate since the last printed one.
-    warns_suppressed: AtomicU64,
-    /// Every warning ever offered, printed or not.
-    warns_total: AtomicU64,
     finished: AtomicBool,
     sink: std::sync::Mutex<Box<dyn std::io::Write + Send>>,
 }
@@ -191,13 +169,13 @@ impl Reporter {
     }
 
     /// Creates a reporter with a custom print interval.
-    pub fn with_interval(label: impl Into<String>, every: Duration) -> Self {
+    pub(crate) fn with_interval(label: impl Into<String>, every: Duration) -> Self {
         Reporter::with_sink(label, every, Box::new(std::io::stderr()))
     }
 
     /// Creates a reporter writing to an explicit sink instead of stderr —
-    /// tests pin line atomicity and warning coalescing through this.
-    pub fn with_sink(
+    /// tests pin line atomicity through this.
+    pub(crate) fn with_sink(
         label: impl Into<String>,
         every: Duration,
         sink: Box<dyn std::io::Write + Send>,
@@ -207,38 +185,27 @@ impl Reporter {
             every_micros: every.as_micros() as u64,
             start: Instant::now(),
             last_print: AtomicU64::new(0),
-            last_warn: AtomicU64::new(0),
-            warns_suppressed: AtomicU64::new(0),
-            warns_total: AtomicU64::new(0),
             finished: AtomicBool::new(false),
             sink: std::sync::Mutex::new(sink),
         }
     }
 
-    /// Writes whole lines under one lock acquisition, so a multi-line
-    /// burst cannot interleave with a concurrent reporter call.
-    fn emit(&self, lines: &[String]) {
+    /// Writes one whole line under the sink's lock, so it cannot
+    /// interleave with a concurrent reporter call.
+    fn emit(&self, line: String) {
         let mut w = self.sink.lock().expect("reporter sink poisoned");
-        for line in lines {
-            let _ = writeln!(w, "{line}");
-        }
+        let _ = writeln!(w, "{line}");
         let _ = w.flush();
     }
 
     /// Reports progress `done` out of `total`. Prints when the interval
     /// has elapsed since the last line, and always (exactly once) when
-    /// the run completes. The final line accounts for any warnings still
-    /// coalesced at that point.
+    /// the run completes.
     pub fn report(&self, done: usize, total: usize) {
         if done >= total {
             if !self.finished.swap(true, Relaxed) {
                 let secs = self.start.elapsed().as_secs_f64();
-                let mut lines = vec![format!("{}: {done}/{total} done in {secs:.1}s", self.label)];
-                let pending = self.warns_suppressed.swap(0, Relaxed);
-                if pending > 0 {
-                    lines.push(format!("{}: {pending} warnings coalesced", self.label));
-                }
-                self.emit(&lines);
+                self.emit(format!("{}: {done}/{total} done in {secs:.1}s", self.label));
             }
             return;
         }
@@ -249,48 +216,13 @@ impl Reporter {
         }
         if self.last_print.compare_exchange(last, now, Relaxed, Relaxed).is_ok() {
             let pct = if total > 0 { done as f64 * 100.0 / total as f64 } else { 0.0 };
-            self.emit(&[format!("{}: {done}/{total} ({pct:.1}%)", self.label)]);
+            self.emit(format!("{}: {done}/{total} ({pct:.1}%)", self.label));
         }
     }
 
     /// Prints a one-off annotation line immediately (not rate-limited).
     pub fn note(&self, msg: &str) {
-        self.emit(&[format!("{}: {msg}", self.label)]);
-    }
-
-    /// Reports a warning (e.g. a transport reconnect). The first warning
-    /// in an interval prints immediately; a storm of follow-ups inside
-    /// the interval is coalesced into a count carried by the next printed
-    /// warning (`… (+N coalesced)`) or the final progress line.
-    pub fn warn(&self, msg: &str) {
-        self.warns_total.fetch_add(1, Relaxed);
-        let now = self.start.elapsed().as_micros() as u64 + 1;
-        let last = self.last_warn.load(Relaxed);
-        if last != 0 && now.saturating_sub(last) < self.every_micros {
-            self.warns_suppressed.fetch_add(1, Relaxed);
-            return;
-        }
-        if self.last_warn.compare_exchange(last, now, Relaxed, Relaxed).is_ok() {
-            let pending = self.warns_suppressed.swap(0, Relaxed);
-            let line = if pending > 0 {
-                format!("{}: warning: {msg} (+{pending} coalesced)", self.label)
-            } else {
-                format!("{}: warning: {msg}", self.label)
-            };
-            self.emit(&[line]);
-        } else {
-            self.warns_suppressed.fetch_add(1, Relaxed);
-        }
-    }
-
-    /// Every warning offered so far, printed or coalesced.
-    pub fn warnings(&self) -> u64 {
-        self.warns_total.load(Relaxed)
-    }
-
-    /// True once the final `done == total` line has been printed.
-    pub fn finished(&self) -> bool {
-        self.finished.load(Relaxed)
+        self.emit(format!("{}: {msg}", self.label));
     }
 }
 
@@ -330,10 +262,8 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let r = sample_report();
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
-        assert!(j.contains("\"label\":\"fig1\""), "{j}");
-        assert!(j.contains("\"snapshot\":{\"counters\":{"), "{j}");
+        let j = r.snapshot.to_json();
+        assert!(j.starts_with("{\"counters\":{") && j.ends_with('}'), "{j}");
         // Everything `to_tsv` prints is here too: every histogram, stage or not.
         assert!(j.contains("\"stage.probe\":{\"count\":"), "{j}");
         assert!(j.contains("\"cleaning.fill_fraction\":{\"count\":0,"), "{j}");
@@ -354,18 +284,18 @@ mod tests {
     fn reporter_prints_final_exactly_once() {
         let r = Reporter::with_interval("test", Duration::from_secs(3600));
         r.report(1, 10); // suppressed: interval not elapsed... or first print
-        assert!(!r.finished());
+        assert!(!r.finished.load(Relaxed));
         r.report(10, 10);
-        assert!(r.finished());
+        assert!(r.finished.load(Relaxed));
         r.report(10, 10); // second final call must not re-print (swap gate)
-        assert!(r.finished());
+        assert!(r.finished.load(Relaxed));
     }
 
     #[test]
     fn reporter_handles_zero_total() {
         let r = Reporter::new("empty");
         r.report(0, 0);
-        assert!(r.finished());
+        assert!(r.finished.load(Relaxed));
     }
 
     /// Shared buffer sink that appends whatever the reporter writes.
@@ -382,13 +312,11 @@ mod tests {
         }
     }
 
-    /// Pins the reconnect-storm contract: under concurrent progress and
-    /// warning traffic every emitted line is whole (single writer, no
-    /// interleaving), the warning storm collapses to one printed line,
-    /// and every suppressed warning is accounted for by the time the
-    /// final line lands.
+    /// Under concurrent progress and note traffic every emitted line is
+    /// whole (single writer, no interleaving) and the final line prints
+    /// once.
     #[test]
-    fn reporter_storm_is_coalesced_behind_one_writer() {
+    fn reporter_lines_are_whole_behind_one_writer() {
         let sink = BufSink::default();
         let r = std::sync::Arc::new(Reporter::with_sink(
             "ingest",
@@ -401,7 +329,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..200 {
                         r.report(t * 200 + i, 1_000_000);
-                        r.warn("reconnect: backing off");
+                        r.note("reconnect: backing off");
                     }
                 })
             })
@@ -409,7 +337,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(r.warnings(), 800);
         r.report(1_000_000, 1_000_000);
 
         let bytes = sink.0.lock().unwrap().clone();
@@ -419,29 +346,11 @@ mod tests {
         for line in &lines {
             assert!(line.starts_with("ingest: "), "torn or foreign line: {line:?}");
         }
-        let warn_lines = lines.iter().filter(|l| l.contains("warning:")).count();
-        assert_eq!(warn_lines, 1, "storm was not coalesced:\n{text}");
+        assert_eq!(lines.iter().filter(|l| l.ends_with(": reconnect: backing off")).count(), 800);
         assert_eq!(
             lines.iter().filter(|l| l.contains("done in")).count(),
             1,
             "final line must print exactly once"
         );
-        // 800 warnings offered: 1 printed, every other one accounted for
-        // either on the printed warning ("+K coalesced") or the final
-        // accounting line — none lost.
-        let on_warn_line = lines
-            .iter()
-            .find_map(|l| {
-                let (_, tail) = l.split_once("(+")?;
-                tail.strip_suffix(" coalesced)")?.parse::<u64>().ok()
-            })
-            .unwrap_or(0);
-        let on_final = lines
-            .iter()
-            .find_map(|l| {
-                l.strip_prefix("ingest: ")?.strip_suffix(" warnings coalesced")?.parse::<u64>().ok()
-            })
-            .unwrap_or(0);
-        assert_eq!(1 + on_warn_line + on_final, 800, "lost warnings:\n{text}");
     }
 }

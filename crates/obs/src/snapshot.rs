@@ -14,7 +14,7 @@ use crate::stage::Stage;
 
 /// A [`crate::LengthCounts`] table flattened to sorted `(key, count)`
 /// pairs plus the overflow count.
-pub type LengthTable = (Vec<(usize, u64)>, u64);
+pub(crate) type LengthTable = (Vec<(usize, u64)>, u64);
 
 /// A plain-data copy of every metric in a [`Registry`].
 #[derive(Clone, Debug, Default)]

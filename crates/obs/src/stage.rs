@@ -22,18 +22,13 @@ macro_rules! stages {
 
         impl Stage {
             /// Number of stages (length of the per-stage histogram array).
-            pub const COUNT: usize = [$($name),*].len();
+            pub(crate) const COUNT: usize = [$($name),*].len();
 
             /// Every stage, in index order.
-            pub const ALL: [Stage; Stage::COUNT] = [$(Stage::$variant),*];
-
-            /// Stable lowercase name used in reports.
-            pub fn name(self) -> &'static str {
-                match self { $(Stage::$variant => $name,)* }
-            }
+            pub(crate) const ALL: [Stage; Stage::COUNT] = [$(Stage::$variant),*];
 
             /// Stable snapshot key of this stage's histogram, `stage.<name>`.
-            pub fn key(self) -> &'static str {
+            pub(crate) fn key(self) -> &'static str {
                 match self { $(Stage::$variant => concat!("stage.", $name),)* }
             }
 
@@ -141,13 +136,13 @@ mod tests {
 
     #[test]
     fn stage_names_are_unique() {
-        let mut names: Vec<_> = Stage::ALL.iter().map(|s| s.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), Stage::COUNT);
+        let mut keys: Vec<_> = Stage::ALL.iter().map(|s| s.key()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), Stage::COUNT);
         for (i, stage) in Stage::ALL.into_iter().enumerate() {
             assert_eq!(stage as usize, i);
-            assert_eq!(stage.key(), format!("stage.{}", stage.name()));
+            assert!(stage.key().strip_prefix("stage.").is_some_and(|n| !n.is_empty()));
         }
     }
 

@@ -62,7 +62,7 @@ impl CensusRecord {
     }
 
     /// Whether the block meets the probing policy.
-    pub fn analyzable(&self) -> bool {
+    pub(crate) fn analyzable(&self) -> bool {
         self.discovered() >= MIN_EVER_ACTIVE
     }
 }

@@ -385,7 +385,7 @@ impl FaultPlan {
     /// blocks: once both buffers have held a block's stream, a run of
     /// same-length blocks mangles without allocating. Same draws, in the
     /// same order, same records.
-    pub fn mangle_records_into(
+    pub(crate) fn mangle_records_into(
         &self,
         block_id: u64,
         records: &mut Vec<RoundRecord>,

@@ -2,17 +2,17 @@
 //!
 //! Two collection modes, mirroring the paper's two dataset families (§2.5):
 //!
-//! * [`trinocular`]: the outage-detection prober of Quan et al. (SIGCOMM
+//! * [`TrinocularProber`]: the outage-detection prober of Quan et al. (SIGCOMM
 //!   2013) — Bayesian belief per block, pseudorandom walk over the
 //!   ever-active addresses, at most 15 probes per 11-minute round, stop at
 //!   the first conclusive belief. Its `(positives, total)` counts feed the
 //!   §2.1 availability estimators; its 5.5-hour restart schedule reproduces
 //!   the Fig. 10 probing artifact.
-//! * [`survey`]: full enumeration of every address every round — the
+//! * [`survey_block`]: full enumeration of every address every round — the
 //!   ground-truth datasets the validation section compares against.
 //!
-//! [`record`] holds the observation types both produce, and [`faults`]
-//! injects deterministic measurement failures (loss bursts, blackouts,
+//! [`BlockRun`] and [`RoundRecord`] hold what both produce, and a
+//! [`FaultPlan`] injects deterministic measurement failures (loss bursts, blackouts,
 //! restart storms, truncation, record corruption, address churn) into
 //! either mode for stress testing.
 //!
@@ -31,20 +31,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod census;
-pub mod faults;
-pub mod multisite;
-pub mod record;
-pub mod stream;
-pub mod survey;
+mod census;
+mod faults;
+mod multisite;
+mod record;
+mod stream;
+mod survey;
 pub mod transport;
-pub mod trinocular;
+mod trinocular;
 
 pub use census::{run_census, CensusConfig, CensusRecord};
 pub use faults::{Blackout, BurstWindow, EChurn, FaultPlan, LossBurst, RestartStorm};
-pub use multisite::{agreement, merge_states, merged_outages, MergedOutage, MergedState};
+pub use multisite::{merge_states, merged_outages, MergedOutage, MergedState};
 pub use record::{BlockRun, RoundRecord};
-pub use stream::{interleave, record_events, replay_run, Interleave, RoundEvent};
+pub use stream::{interleave, record_rounds, replay_run, Interleave, RoundEvent};
 pub use survey::{survey_block, survey_block_with_faults, SurveyResult};
 pub use trinocular::{BlockState, OutageEvent, ProberScratch, TrinocularConfig, TrinocularProber};

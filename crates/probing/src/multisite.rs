@@ -110,7 +110,8 @@ pub fn merged_outages(states: &[MergedState]) -> Vec<MergedOutage> {
 
 /// Fraction of rounds on which two sites' verdicts agree (both reported,
 /// same state).
-pub fn agreement(a: &BlockRun, b: &BlockRun, rounds: u64) -> f64 {
+#[cfg(test)]
+fn agreement(a: &BlockRun, b: &BlockRun, rounds: u64) -> f64 {
     let sa = merge_states(&[a], rounds);
     let sb = merge_states(&[b], rounds);
     let mut same = 0usize;

@@ -52,7 +52,7 @@ impl BlockRun {
     }
 
     /// `(round, Âs)` observation pairs, ready for
-    /// `sleepwatch_availability::cleaning::clean_series`.
+    /// `sleepwatch_availability::clean_series`.
     pub fn a_short_observations(&self) -> Vec<(u64, f64)> {
         self.records.iter().map(|r| (r.round, r.a_short)).collect()
     }
@@ -78,15 +78,6 @@ impl BlockRun {
         }
         let hours = self.rounds as f64 * 660.0 / 3_600.0;
         self.total_probes as f64 / hours
-    }
-
-    /// Fraction of attempted rounds that produced an observation.
-    pub fn coverage(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.records.len() as f64 / self.rounds as f64
-        }
     }
 }
 
@@ -119,7 +110,6 @@ mod tests {
         assert!((run.mean_probes_per_round() - 3.0).abs() < 1e-12);
         let hours = 100.0 * 660.0 / 3_600.0;
         assert!((run.probes_per_hour() - 300.0 / hours).abs() < 1e-12);
-        assert!((run.coverage() - 0.02).abs() < 1e-12);
     }
 
     #[test]
@@ -127,6 +117,5 @@ mod tests {
         let run = BlockRun::new(1, 0, vec![], vec![], 0);
         assert_eq!(run.mean_probes_per_round(), 0.0);
         assert_eq!(run.probes_per_hour(), 0.0);
-        assert_eq!(run.coverage(), 0.0);
     }
 }

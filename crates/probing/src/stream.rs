@@ -65,7 +65,7 @@ impl RoundEvent {
 /// Flattens one block's records into its event stream: one
 /// [`RoundEvent::Round`] per record in emission order, then the terminal
 /// [`RoundEvent::Finish`].
-pub fn record_events(
+pub(crate) fn record_events(
     block_id: u64,
     records: &[RoundRecord],
     outages: u32,

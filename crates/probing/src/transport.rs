@@ -67,35 +67,35 @@ use crate::stream::RoundEvent;
 // ---------------------------------------------------------------------------
 
 /// Feed magic: `SLPWFEED` as a little-endian u64.
-pub const FEED_MAGIC: u64 = u64::from_le_bytes(*b"SLPWFEED");
+pub(crate) const FEED_MAGIC: u64 = u64::from_le_bytes(*b"SLPWFEED");
 /// Wire format version this build speaks.
-pub const FEED_VERSION: u16 = 2;
+pub(crate) const FEED_VERSION: u16 = 2;
 /// Prelude `kind` byte for transport handshakes.
-pub const FEED_KIND: u8 = b'T';
+pub(crate) const FEED_KIND: u8 = b'T';
 /// Prelude `mode`: sender's opening hello (`record_count` 0: a feed
 /// announces no length).
-pub const MODE_HELLO: u8 = 0;
+pub(crate) const MODE_HELLO: u8 = 0;
 /// Prelude `mode`: receiver's resume answer (`record_count` = resume-from
 /// sequence).
-pub const MODE_RESUME: u8 = 1;
+pub(crate) const MODE_RESUME: u8 = 1;
 
 /// Frame kind: a batch of sequence-numbered events.
-pub const FRAME_EVENTS: u8 = 1;
+pub(crate) const FRAME_EVENTS: u8 = 1;
 /// Frame kind: liveness heartbeat carrying the sender's next sequence.
-pub const FRAME_HEARTBEAT: u8 = 2;
+pub(crate) const FRAME_HEARTBEAT: u8 = 2;
 /// Frame kind: end of stream, carrying the sequence number after the last
 /// event (the feed's event count), whatever the receiver resumed from.
-pub const FRAME_END: u8 = 3;
+pub(crate) const FRAME_END: u8 = 3;
 
 /// Hard cap on a frame's declared body length: bounds in-flight memory
 /// and turns corrupt length fields into detected damage instead of an
 /// allocation.
-pub const MAX_FRAME_LEN: usize = 1 << 20;
+pub(crate) const MAX_FRAME_LEN: usize = 1 << 20;
 /// Smallest legal frame body: kind + sequence + CRC.
 const MIN_FRAME_LEN: usize = 1 + 8 + 4;
 /// Cap on events per encoded frame (keeps frames well under
 /// [`MAX_FRAME_LEN`]).
-pub const MAX_FRAME_EVENTS: usize = 4096;
+pub(crate) const MAX_FRAME_EVENTS: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Errors and stats
@@ -548,7 +548,7 @@ pub trait EventSource {
 
 /// Adapts an in-memory iterator to [`EventSource`] — the zero-transport
 /// baseline benches compare the wire against. Its runs are up to
-/// [`MAX_FRAME_EVENTS`] events, collected into one reused buffer.
+/// `MAX_FRAME_EVENTS` events, collected into one reused buffer.
 pub struct IterSource<I> {
     iter: I,
     run: Vec<RoundEvent>,
@@ -977,7 +977,7 @@ impl Default for BackoffConfig {
 impl BackoffConfig {
     /// The delay before retry `attempt` (0-based): exponential, capped,
     /// with deterministic jitter in the upper half of the window.
-    pub fn delay_ms(&self, attempt: u32) -> u64 {
+    pub(crate) fn delay_ms(&self, attempt: u32) -> u64 {
         let exp = self.base_ms.saturating_mul(1u64 << attempt.min(16)).min(self.max_ms.max(1));
         let jitter = hash_parts(&[self.seed, 0x6A17_7E12, u64::from(attempt)]);
         exp / 2 + jitter % (exp / 2 + 1)
@@ -989,6 +989,51 @@ impl BackoffConfig {
         (0..self.attempts)
             .map(|a| self.base_ms.saturating_mul(1u64 << a.min(16)).min(self.max_ms.max(1)))
             .sum()
+    }
+}
+
+/// A backoff budget being spent: failures since the last progress, the
+/// backoff slept over them, and the latest failure's cause. Both ends of
+/// the feed retry through it.
+#[derive(Debug, Default)]
+struct Retry {
+    failures: u32,
+    waited_ms: u64,
+    last_error: String,
+}
+
+impl Retry {
+    /// Counts one failure.
+    fn fail(&mut self, cause: String) {
+        self.failures += 1;
+        self.last_error = cause;
+    }
+
+    /// The step before each attempt: `Exhausted` once `backoff.attempts`
+    /// failures ran in a row, otherwise sleeps the delay they call for
+    /// and returns it (0 before a first attempt). Retry `n` (0-based)
+    /// follows `n + 1` failures.
+    fn pause(&mut self, backoff: &BackoffConfig) -> Result<u64, TransportError> {
+        if self.failures >= backoff.attempts {
+            return Err(TransportError::Exhausted {
+                attempts: self.failures,
+                waited_ms: self.waited_ms,
+                cause: std::mem::take(&mut self.last_error),
+            });
+        }
+        if self.failures == 0 {
+            return Ok(0);
+        }
+        let delay = backoff.delay_ms(self.failures - 1);
+        std::thread::sleep(Duration::from_millis(delay));
+        self.waited_ms += delay;
+        Ok(delay)
+    }
+
+    /// Progress refills the budget.
+    fn reset(&mut self) {
+        self.failures = 0;
+        self.waited_ms = 0;
     }
 }
 
@@ -1082,9 +1127,7 @@ pub struct TcpEventSource {
     reader: Option<FrameReader<TcpStream>>,
     cur: Cursor,
     connected_once: bool,
-    failures: u32,
-    waited_ms: u64,
-    last_error: String,
+    retry: Retry,
     /// When the last connection was dropped, while reconnects are timed.
     dropped_at: Option<Instant>,
 }
@@ -1107,9 +1150,7 @@ impl TcpEventSource {
             reader: None,
             cur: Cursor::default(),
             connected_once: false,
-            failures: 0,
-            waited_ms: 0,
-            last_error: String::new(),
+            retry: Retry::default(),
             dropped_at: None,
         }
     }
@@ -1131,22 +1172,10 @@ impl TcpEventSource {
     /// retried until the budget runs dry.
     fn ensure_conn(&mut self) -> Result<(), TransportError> {
         while self.reader.is_none() {
-            if self.failures >= self.cfg.backoff.attempts {
-                return Err(TransportError::Exhausted {
-                    attempts: self.failures,
-                    waited_ms: self.waited_ms,
-                    cause: std::mem::take(&mut self.last_error),
-                });
-            }
-            // Retry `n` (0-based) follows `n + 1` failures; a dropped
-            // connection is one, as `poison` counts it.
-            if self.failures > 0 {
-                let delay = self.cfg.backoff.delay_ms(self.failures - 1);
-                std::thread::sleep(Duration::from_millis(delay));
-                self.cur.stats.backoff_ms += delay;
-                self.waited_ms += delay;
-                obs().backoff_ms.add(delay);
-            }
+            // A dropped connection is a failure, as `poison` counts it.
+            let delay = self.retry.pause(&self.cfg.backoff)?;
+            self.cur.stats.backoff_ms += delay;
+            obs().backoff_ms.add(delay);
             match self.connect_once() {
                 Ok(reader) => {
                     if self.connected_once {
@@ -1160,10 +1189,7 @@ impl TcpEventSource {
                     self.reader = Some(reader);
                 }
                 Err(e) if e.is_foreign_feed() => return Err(e),
-                Err(e) => {
-                    self.failures += 1;
-                    self.last_error = e.to_string();
-                }
+                Err(e) => self.retry.fail(e.to_string()),
             }
         }
         Ok(())
@@ -1172,16 +1198,14 @@ impl TcpEventSource {
     /// Applied progress refills the attempt budget: a storm of severs
     /// that each let *some* frames through can run arbitrarily long.
     fn progress(&mut self) {
-        self.failures = 0;
-        self.waited_ms = 0;
+        self.retry.reset();
     }
 
     /// Drops the connection, charging the attempt budget; the next
     /// handshake resumes from the cursor.
     fn poison(&mut self, cause: String) {
         self.reader = None;
-        self.failures += 1;
-        self.last_error = cause;
+        self.retry.fail(cause);
         self.dropped_at = reconnect_hist().enabled().then(Instant::now);
     }
 
@@ -1346,33 +1370,19 @@ pub fn serve_feed<F: FeedEvents + ?Sized>(
 ) -> Result<u32, TransportError> {
     use std::sync::atomic::Ordering;
     let mut served = 0u32;
-    let mut failures = 0u32;
-    let mut waited = 0u64;
-    let mut last_error = String::new();
+    let mut retry = Retry::default();
     loop {
         if stop.load(Ordering::Relaxed) {
             return Ok(served);
         }
-        if failures >= backoff.attempts {
-            return Err(TransportError::Exhausted {
-                attempts: failures,
-                waited_ms: waited,
-                cause: last_error,
-            });
-        }
-        if failures > 0 {
-            let delay = backoff.delay_ms(failures - 1);
-            std::thread::sleep(Duration::from_millis(delay));
-            waited += delay;
-        }
+        retry.pause(backoff)?;
         // A one-nap accept window (Dial ignores it), so an accepting
         // server reads `stop` at every nap.
         match endpoint.open(Duration::from_millis(2)) {
             Ok(mut stream) => match serve_connection(&mut stream, events, cfg) {
                 Ok(()) => {
                     served += 1;
-                    failures = 0;
-                    waited = 0;
+                    retry.reset();
                     if matches!(endpoint, Endpoint::Dial(_)) {
                         return Ok(served);
                     }
@@ -1382,23 +1392,20 @@ pub fn serve_feed<F: FeedEvents + ?Sized>(
                     // The receiver will reconnect and resume; in accept
                     // mode this costs nothing but the connection.
                     if matches!(endpoint, Endpoint::Dial(_)) {
-                        failures += 1;
+                        retry.fail(e.to_string());
+                    } else {
+                        retry.last_error = e.to_string();
                     }
-                    last_error = e.to_string();
                 }
             },
             Err(e) if e.kind() == io::ErrorKind::TimedOut => {
                 // Accept window expired with no client: not a failure,
                 // just poll `stop` again.
                 if matches!(endpoint, Endpoint::Dial(_)) {
-                    failures += 1;
-                    last_error = e.to_string();
+                    retry.fail(e.to_string());
                 }
             }
-            Err(e) => {
-                failures += 1;
-                last_error = e.to_string();
-            }
+            Err(e) => retry.fail(e.to_string()),
         }
     }
 }

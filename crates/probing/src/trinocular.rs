@@ -293,16 +293,6 @@ impl TrinocularProber {
         }
     }
 
-    /// The current belief that the block is up.
-    pub fn belief_up(&self) -> f64 {
-        self.belief_up
-    }
-
-    /// The most recent state verdict.
-    pub fn state(&self) -> BlockState {
-        self.state
-    }
-
     /// Outages recorded so far.
     pub fn outages(&self) -> &[OutageEvent] {
         &self.outages
@@ -311,11 +301,6 @@ impl TrinocularProber {
     /// Total probes sent.
     pub fn total_probes(&self) -> u64 {
         self.total_probes
-    }
-
-    /// Immutable access to the availability estimator.
-    pub fn estimator(&self) -> &AvailabilityEstimator {
-        &self.estimator
     }
 
     /// Bayes update of `B(U)` for one probe outcome, using the three-way
@@ -736,7 +721,7 @@ mod tests {
         for r in 0..50 {
             p.round(&b, r, r * 660);
         }
-        assert!(p.belief_up() <= 0.99);
+        assert!(p.belief_up <= 0.99);
         // And a down block pins at the other cap.
         let mut dead = block_with_avail(6, 100, 0.9);
         dead.outage = Some((0, u64::MAX));
@@ -744,8 +729,8 @@ mod tests {
         for r in 0..50 {
             pd.round(&dead, r, r * 660);
         }
-        assert!(pd.belief_up() >= 0.01);
-        assert_eq!(pd.state(), BlockState::Down);
+        assert!(pd.belief_up >= 0.01);
+        assert_eq!(pd.state, BlockState::Down);
     }
 
     /// The likelihood table by value: from a known belief, one
@@ -756,7 +741,7 @@ mod tests {
     fn unreachable_and_timeout_posteriors_are_the_closed_form() {
         let b = block_with_avail(11, 100, 0.8);
         let mut p = TrinocularProber::new(&b, TrinocularConfig::default());
-        let a = p.estimator().a_operational();
+        let a = p.estimator.a_operational();
         assert!(a > 0.0 && a < 0.99, "A = {a}");
         let prior = 0.6;
         let posterior = |up: f64, down: f64| up * prior / (up * prior + down * (1.0 - prior));
@@ -764,12 +749,12 @@ mod tests {
         p.belief_up = prior;
         p.update_belief(a, ProbeOutcome::Unreachable);
         let want = posterior(0.005, 0.5);
-        assert!((p.belief_up() - want).abs() < 1e-12, "unreachable: {} vs {want}", p.belief_up());
+        assert!((p.belief_up - want).abs() < 1e-12, "unreachable: {} vs {want}", p.belief_up);
 
         p.belief_up = prior;
         p.update_belief(a, ProbeOutcome::Timeout);
         let want = posterior(1.0 - a - 0.005, 1.0 - 0.01 - 0.5);
-        assert!((p.belief_up() - want).abs() < 1e-12, "timeout: {} vs {want}", p.belief_up());
+        assert!((p.belief_up - want).abs() < 1e-12, "timeout: {} vs {want}", p.belief_up);
     }
 
     /// Two consecutive rounds of timeouts land on the closed form, each
@@ -797,14 +782,14 @@ mod tests {
         };
         let mut belief = 0.9;
         for round in 0..2 {
-            let a = p.estimator().a_operational();
+            let a = p.estimator.a_operational();
             let rec = p.round(&b, round, round * 660).unwrap();
             assert_eq!((rec.probes, rec.positives), (15, 0), "round {round}");
             belief = timeouts(belief, a);
-            let got = p.belief_up();
+            let got = p.belief_up;
             assert!((got - belief).abs() < 1e-12, "round {round}: {got} vs {belief}");
         }
-        assert!(p.estimator().a_operational() < 0.5, "round 1 must move Â_o");
+        assert!(p.estimator.a_operational() < 0.5, "round 1 must move Â_o");
     }
 
     #[test]
@@ -821,7 +806,7 @@ mod tests {
         for r in 0..4_000 {
             p.round(&b, r, r * 660);
         }
-        let a = p.estimator().a_short();
+        let a = p.estimator.a_short();
         // Per-address jitter shifts the block's true mean slightly off 0.4.
         let truth = b.true_availability(0);
         assert!((a - truth).abs() < 0.1, "Âs {a} vs truth {truth}");
@@ -871,7 +856,7 @@ mod tests {
         }
         let rec = p.round(&b, 100, 100 * 660).unwrap();
         assert!(rec.probes <= 6, "unreachables are decisive, used {}", rec.probes);
-        assert_eq!(p.state(), BlockState::Down);
+        assert_eq!(p.state, BlockState::Down);
         assert_eq!(p.outages().len(), 1);
     }
 

@@ -9,8 +9,8 @@
 
 use counting_alloc::thread_allocations as allocations;
 use sleepwatch_framing::RunIdentity;
-use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_probing::transport::{encode_frame, write_feed, EventSource, FileSource, Frame};
+use sleepwatch_probing::RoundEvent;
 
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;

@@ -10,11 +10,11 @@
 
 use proptest::prelude::*;
 use sleepwatch_framing::{RunIdentity, PRELUDE_LEN};
-use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_probing::transport::{
     decode_frame, encode_frame, encode_hello, session_chain, write_feed, EventSource, FileSource,
     Frame, FrameDecode, TransportError, TransportStats,
 };
+use sleepwatch_probing::RoundEvent;
 
 fn ident() -> RunIdentity {
     RunIdentity { world_seed: 0x5EED, num_blocks: 9, rounds: 64, start_time: 7_200 }

@@ -8,13 +8,12 @@
 //! (`σ_s`, `σ_d`). Noise draws are keyed by `(…, day)`, so a day's schedule
 //! is stable however often it is probed.
 
-use sleepwatch_geoecon::rng::{uniform_at, KeyedRng};
+use sleepwatch_geoecon::rng::KeyedRng;
 
 /// Seconds per day.
-pub const DAY_SECONDS: u64 = 86_400;
+pub(crate) const DAY_SECONDS: u64 = 86_400;
 
 /// Stream tags keeping the behaviour's independent random draws apart.
-const STREAM_RESPONSE: u64 = 0x7265_7370; // "resp"
 const STREAM_ONSET: u64 = 0x6f6e_7365; // "onse"
 const STREAM_DURATION: u64 = 0x6475_7261; // "dura"
 
@@ -82,13 +81,9 @@ pub enum AddressBehavior {
 
 impl AddressBehavior {
     /// Whether the address ever responds (membership in `E(b)`).
-    pub fn is_ever_active(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_ever_active(&self) -> bool {
         !matches!(self, AddressBehavior::Inactive)
-    }
-
-    /// Whether this is a diurnal address.
-    pub fn is_diurnal(&self) -> bool {
-        matches!(self, AddressBehavior::Diurnal { .. })
     }
 
     /// Whether the address is *up* (would answer with its `avail`
@@ -161,13 +156,9 @@ impl AddressBehavior {
     }
 
     /// Probability the address answers a probe at `time` (0, or its `avail`
-    /// while up). This is the ground-truth expectation the estimators chase.
-    pub fn response_probability(&self, key: AddrKey, time: u64) -> f64 {
-        self.response_probability_given(time, |day| self.daily_window(key, day))
-    }
-
-    /// [`response_probability`](Self::response_probability) over a
-    /// caller-supplied window source (see [`is_up_given`](Self::is_up_given)).
+    /// while up), over a caller-supplied window source (see
+    /// [`is_up_given`](Self::is_up_given)). This is the ground-truth
+    /// expectation the estimators chase.
     #[inline]
     pub(crate) fn response_probability_given(
         &self,
@@ -186,21 +177,6 @@ impl AddressBehavior {
             }
         }
     }
-
-    /// Samples one probe: does the address answer at `time`?
-    ///
-    /// Deterministic in `(key, time)` — re-evaluating the same probe gives
-    /// the same outcome, which keeps full runs replayable.
-    pub fn responds(&self, key: AddrKey, time: u64) -> bool {
-        let p = self.response_probability(key, time);
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        uniform_at(&key.parts(STREAM_RESPONSE, time)) < p
-    }
 }
 
 #[cfg(test)]
@@ -208,6 +184,10 @@ mod tests {
     use super::*;
 
     const KEY: AddrKey = AddrKey { seed: 99, block: 5, addr: 17 };
+
+    fn response_probability(b: &AddressBehavior, time: u64) -> f64 {
+        b.response_probability_given(time, |day| b.daily_window(KEY, day))
+    }
 
     #[test]
     fn periodic_behavior_cycles_at_its_period() {
@@ -255,34 +235,16 @@ mod tests {
     fn inactive_never_responds() {
         let b = AddressBehavior::Inactive;
         for t in (0..DAY_SECONDS).step_by(3_600) {
-            assert!(!b.responds(KEY, t));
+            assert_eq!(response_probability(&b, t), 0.0);
         }
         assert!(!b.is_ever_active());
-        assert_eq!(b.response_probability(KEY, 0), 0.0);
     }
 
     #[test]
     fn always_on_full_availability() {
         let b = AddressBehavior::On { avail: 1.0 };
         for t in (0..DAY_SECONDS).step_by(660) {
-            assert!(b.responds(KEY, t));
-        }
-    }
-
-    #[test]
-    fn always_on_partial_availability_matches_rate() {
-        let b = AddressBehavior::On { avail: 0.3 };
-        let n = 20_000;
-        let hits = (0..n).filter(|&i| b.responds(KEY, i * 660)).count();
-        let rate = hits as f64 / n as f64;
-        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
-    }
-
-    #[test]
-    fn probe_outcomes_are_replayable() {
-        let b = AddressBehavior::On { avail: 0.5 };
-        for t in (0..100_000).step_by(660) {
-            assert_eq!(b.responds(KEY, t), b.responds(KEY, t));
+            assert_eq!(response_probability(&b, t), 1.0);
         }
     }
 
@@ -377,7 +339,7 @@ mod tests {
     #[test]
     fn response_probability_matches_is_up() {
         let b = diurnal(8.0, 8.0, 0.0, 0.0, 0.0);
-        assert_eq!(b.response_probability(KEY, 9 * 3_600), 1.0);
-        assert_eq!(b.response_probability(KEY, 20 * 3_600), 0.0);
+        assert_eq!(response_probability(&b, 9 * 3_600), 1.0);
+        assert_eq!(response_probability(&b, 20 * 3_600), 0.0);
     }
 }

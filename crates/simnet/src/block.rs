@@ -19,8 +19,8 @@
 
 use crate::behavior::{AddrKey, AddressBehavior};
 use crate::world::A12W_START;
-use sleepwatch_geoecon::allocation::YearMonth;
 use sleepwatch_geoecon::rng::{KeyPrefix, KeyedRng};
+use sleepwatch_geoecon::YearMonth;
 
 /// Link technology classes a block can carry (the generator's side of
 /// §2.3.3; the measurement side infers these back from reverse DNS).
@@ -121,7 +121,7 @@ pub struct BlockProfile {
 
 impl BlockProfile {
     /// Number of ever-active addresses `|E(b)|`.
-    pub fn ever_active(&self) -> u16 {
+    pub(crate) fn ever_active(&self) -> u16 {
         self.n_stable + self.n_diurnal
     }
 
@@ -161,7 +161,7 @@ pub struct LeaseParams {
 }
 
 /// `true` on Saturdays and Sundays UTC (the unix epoch was a Thursday).
-pub fn is_weekend(time: u64) -> bool {
+pub(crate) fn is_weekend(time: u64) -> bool {
     let dow = (time / 86_400 + 4) % 7; // 0 = Sunday
     dow == 0 || dow == 6
 }
@@ -339,7 +339,7 @@ impl BlockSpec {
     }
 
     /// `true` while the block is inside its injected outage window.
-    pub fn in_outage(&self, time: u64) -> bool {
+    pub(crate) fn in_outage(&self, time: u64) -> bool {
         matches!(self.outage, Some((s, e)) if time >= s && time < e)
     }
 

@@ -31,7 +31,7 @@ pub enum CampusUse {
 impl CampusUse {
     /// Whether the role is *expected* to behave diurnally (the operator's
     /// prior — the paper found general-use blocks surprising them).
-    pub fn expected_diurnal(self) -> bool {
+    pub(crate) fn expected_diurnal(self) -> bool {
         matches!(self, CampusUse::Wireless | CampusUse::Dynamic)
     }
 

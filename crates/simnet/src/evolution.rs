@@ -7,7 +7,7 @@
 //! generator uses to reproduce that trajectory: multiply every country's
 //! propensity by [`propensity_scale_at`] for the survey's date.
 
-use sleepwatch_geoecon::allocation::YearMonth;
+use sleepwatch_geoecon::YearMonth;
 
 /// Scale on country diurnal propensities at a given date, relative to the
 /// paper's main 2013 dataset (`A12w`, scale 1.0).

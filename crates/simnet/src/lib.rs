@@ -3,20 +3,20 @@
 //! The IMC 2014 paper measures the live IPv4 edge; this crate replaces it
 //! with a reproducible world whose ground truth is known exactly:
 //!
-//! * [`behavior`]: per-address models — always-on, diurnal (onset,
+//! * [`AddressBehavior`]: per-address models — always-on, diurnal (onset,
 //!   duration, per-day `σ_s`/`σ_d` noise, §3.2.2), inactive — as pure
 //!   functions of `(seed, block, address, time)`;
-//! * [`block`]: compact /24 specs that derive any address's behaviour in
+//! * [`BlockSpec`]: compact /24 specs that derive any address's behaviour in
 //!   O(1), with injected outages and ground-truth availability, plus
 //!   [`ProbeMemo`], which lets a prober that revisits a block's addresses
 //!   for weeks draw each address's schedule once (same answers, byte for
 //!   byte);
-//! * [`world`]: a calibrated population of blocks across ~55 countries,
+//! * [`World`]: a calibrated population of blocks across ~55 countries,
 //!   planting the paper's country fractions, phase/longitude structure,
 //!   allocation-age gradient and link-technology correlations;
-//! * [`controlled`]: the §3.2.2 controlled blocks (50 stable + `n_d`
+//! * [`ControlledConfig`]: the §3.2.2 controlled blocks (50 stable + `n_d`
 //!   diurnal addresses) behind Figs. 7–9;
-//! * [`rdns`]: PTR-name synthesis feeding the link-type classifier;
+//! * [`ptr_name`]: PTR-name synthesis feeding the link-type classifier;
 //! * [`evolution`]: the Fig. 11 long-term propensity curve.
 //!
 //! # Example
@@ -34,19 +34,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod behavior;
-pub mod block;
-pub mod campus;
-pub mod controlled;
+mod behavior;
+mod block;
+mod campus;
+mod controlled;
 pub mod evolution;
-pub mod rdns;
-pub mod world;
+mod rdns;
+mod world;
 
 pub use behavior::{AddrKey, AddressBehavior};
-pub use block::{
-    is_weekend, BlockProfile, BlockSpec, LeaseParams, LinkClass, ProbeMemo, ProbeOutcome,
-};
+pub use block::{BlockProfile, BlockSpec, LeaseParams, LinkClass, ProbeMemo, ProbeOutcome};
 pub use campus::{generate_campus, CampusUse};
 pub use controlled::ControlledConfig;
 pub use rdns::{ptr_name, PtrTemplate};

@@ -8,8 +8,8 @@
 //! at all, and occasional multi-keyword names.
 
 use crate::block::BlockSpec;
-use sleepwatch_geoecon::country::COUNTRIES;
 use sleepwatch_geoecon::rng::KeyedRng;
+use sleepwatch_geoecon::COUNTRIES;
 
 /// Stream tag for name-synthesis draws.
 const STREAM_RDNS: u64 = 0x7264_6e73; // "rdns"

@@ -7,11 +7,10 @@
 //! the probing + spectral pipeline has to rediscover them.
 
 use crate::block::{BlockProfile, BlockSpec, LinkClass};
-use sleepwatch_geoecon::allocation::{AllocationRegistry, Rir, YearMonth};
-use sleepwatch_geoecon::asmap::AsRecord;
-use sleepwatch_geoecon::country::{Country, COUNTRIES};
-use sleepwatch_geoecon::geolocate::GeoDatabase;
 use sleepwatch_geoecon::rng::{hash_parts, KeyedRng};
+use sleepwatch_geoecon::{
+    AllocationRegistry, AsRecord, Country, GeoDatabase, Rir, YearMonth, COUNTRIES,
+};
 
 /// Start of the paper's `A12w` adaptive dataset: 2013-04-24 17:18 UTC.
 pub const A12W_START: u64 = 1_366_823_880;
@@ -245,16 +244,6 @@ impl WorldSource {
         &self.geodb
     }
 
-    /// The /8 allocation registry.
-    pub fn registry(&self) -> &AllocationRegistry {
-        &self.registry
-    }
-
-    /// WHOIS-style AS records for every AS in use.
-    pub fn as_records(&self) -> &[AsRecord] {
-        &self.as_records
-    }
-
     /// Synthesizes block `id`. Bit-identical to `World::generate`'s block
     /// at the same index regardless of which other blocks were generated.
     pub fn generate_block(&self, id: u64) -> BlockSpec {
@@ -480,7 +469,8 @@ impl World {
     }
 
     /// The country of a block.
-    pub fn country_of(&self, block: &BlockSpec) -> &'static Country {
+    #[cfg(test)]
+    fn country_of(&self, block: &BlockSpec) -> &'static Country {
         &COUNTRIES[block.country_idx]
     }
 
@@ -492,12 +482,6 @@ impl World {
     /// Number of rounds in `days`.
     pub fn rounds_in_days(days: f64) -> usize {
         (days * 86_400.0 / ROUND_SECONDS as f64).round() as usize
-    }
-
-    /// Ground-truth availability series for one block over `rounds` rounds.
-    pub fn true_availability_series(&self, block_idx: usize, rounds: usize) -> Vec<f64> {
-        let b = &self.blocks[block_idx];
-        (0..rounds as u64).map(|r| b.true_availability(self.round_time(r))).collect()
     }
 }
 
@@ -586,7 +570,7 @@ mod tests {
         let w = small_world();
         let diurnal = w.blocks.iter().filter(|b| b.planted_diurnal).count();
         let frac = diurnal as f64 / w.blocks.len() as f64;
-        let planted = sleepwatch_geoecon::country::planted_world_diurnal_fraction();
+        let planted = sleepwatch_geoecon::planted_world_diurnal_fraction();
         assert!((frac - planted).abs() < 0.03, "measured {frac}, planted {planted}");
     }
 
@@ -711,7 +695,8 @@ mod tests {
     fn true_series_reflects_diurnality() {
         let w = small_world();
         let idx = w.blocks.iter().position(|b| b.planted_diurnal).expect("some diurnal block");
-        let series = w.true_availability_series(idx, 131 * 3);
+        let series: Vec<f64> =
+            (0..131 * 3).map(|r| w.blocks[idx].true_availability(w.round_time(r))).collect();
         let hi = series.iter().cloned().fold(0.0, f64::max);
         let lo = series.iter().cloned().fold(1.0, f64::min);
         assert!(hi - lo > 0.2, "diurnal block should swing: {lo}..{hi}");

@@ -1,8 +1,8 @@
 //! The PTR-name writer against a `format!` rendition of the same rule.
 
 use proptest::prelude::*;
-use sleepwatch_geoecon::country::COUNTRIES;
 use sleepwatch_geoecon::rng::KeyedRng;
+use sleepwatch_geoecon::COUNTRIES;
 use sleepwatch_simnet::{ptr_name, BlockProfile, BlockSpec, LinkClass, PtrTemplate};
 
 /// `rdns`'s stream tag for name-synthesis draws.

@@ -50,7 +50,7 @@ pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
 /// power of two keeps both transforms on the cheap radix-2 path and reuses
 /// plans from the global cache. Degenerate inputs (constant series, fewer
 /// than 3 samples) return all-zero tails like the direct path.
-pub fn autocorrelation_all(series: &[f64]) -> Vec<f64> {
+pub(crate) fn autocorrelation_all(series: &[f64]) -> Vec<f64> {
     let n = series.len();
     if n == 0 {
         return Vec::new();
@@ -111,7 +111,7 @@ const MIN_R_DAY: f64 = 0.3;
 
 /// Runs the ACF daily test.
 ///
-/// All scanned lags come from one [`autocorrelation_all`] pass (FFT-based,
+/// All scanned lags come from one `autocorrelation_all` pass (FFT-based,
 /// plan-cached) rather than a direct `O(n)` evaluation per lag.
 pub fn acf_diurnal(series: &[f64]) -> AcfReport {
     let lag_day = (86_400.0 / SAMPLE_PERIOD).round() as usize;

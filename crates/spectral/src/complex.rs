@@ -20,8 +20,6 @@ impl Complex {
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// The multiplicative identity, `1 + 0i`.
     pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-    /// The imaginary unit, `0 + 1i`.
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from rectangular coordinates.
     #[inline]
@@ -60,7 +58,7 @@ impl Complex {
 
     /// Argument (phase angle) in `(-π, π]`.
     #[inline]
-    pub fn arg(self) -> f64 {
+    pub(crate) fn arg(self) -> f64 {
         self.im.atan2(self.re)
     }
 
@@ -74,12 +72,6 @@ impl Complex {
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         Complex { re: self.re * k, im: self.im * k }
-    }
-
-    /// `true` when either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
     }
 }
 
@@ -175,7 +167,6 @@ mod tests {
         assert_eq!(Complex::new(1.0, 2.0).im, 2.0);
         assert_eq!(Complex::ZERO, Complex::new(0.0, 0.0));
         assert_eq!(Complex::ONE, Complex::new(1.0, 0.0));
-        assert_eq!(Complex::I, Complex::new(0.0, 1.0));
         assert_eq!(Complex::from(3.5), Complex::from_re(3.5));
     }
 
@@ -197,7 +188,8 @@ mod tests {
 
     #[test]
     fn i_squared_is_minus_one() {
-        let sq = Complex::I * Complex::I;
+        let i = Complex::new(0.0, 1.0);
+        let sq = i * i;
         assert!(close(sq.re, -1.0) && close(sq.im, 0.0));
     }
 
@@ -248,12 +240,5 @@ mod tests {
         assert_eq!(z * 2.0, Complex::new(3.0, -5.0));
         assert_eq!(z / 2.0, Complex::new(0.75, -1.25));
         assert_eq!(z.scale(0.0), Complex::ZERO);
-    }
-
-    #[test]
-    fn nan_detection() {
-        assert!(Complex::new(f64::NAN, 0.0).is_nan());
-        assert!(Complex::new(0.0, f64::NAN).is_nan());
-        assert!(!Complex::new(1.0, 1.0).is_nan());
     }
 }

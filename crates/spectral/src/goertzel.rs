@@ -58,12 +58,6 @@ impl Goertzel {
     }
 }
 
-/// Amplitude `|α_k|` via Goertzel, without constructing the complex value's
-/// phase explicitly.
-pub fn goertzel_amplitude(series: &[f64], k: usize) -> f64 {
-    goertzel(series, k).abs()
-}
-
 /// Quick diurnal-energy screen: the ratio of the daily-bin amplitude
 /// (max over `k = N_d, N_d + 1`) to the series' RMS deviation. Blocks with
 /// a ratio below a threshold cannot be strictly diurnal, letting a caller
@@ -134,6 +128,11 @@ mod tests {
             let g = goertzel(&series, k);
             assert!((g - expected).abs() < 1e-7 * n as f64, "bin {k}");
         }
+    }
+
+    /// Amplitude `|α_k|` via Goertzel: the four-pass screen's bin measure.
+    fn goertzel_amplitude(series: &[f64], k: usize) -> f64 {
+        goertzel(series, k).abs()
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! * a from-scratch [FFT](mod@fft) (iterative radix-2 Cooley–Tukey, plus
 //!   Bluestein's algorithm so the awkward series lengths produced by
 //!   11-minute probing rounds transform exactly, not padded), backed by a
-//!   global cache of immutable [plans](mod@plan) so per-length setup work —
+//!   global cache of immutable [plans](FftPlan) so per-length setup work —
 //!   bit-reversal tables, twiddles, the pre-transformed Bluestein filter —
 //!   is paid once per process instead of once per transform;
-//! * [amplitude spectra](periodogram) with the paper's bin→frequency mapping
+//! * [amplitude spectra](Spectrum) with the paper's bin→frequency mapping
 //!   (`k / (R·n)` Hz for sampling period `R`);
-//! * the strict / relaxed [diurnal classifier](diurnal) and per-block
-//!   [phase](diurnal::DiurnalReport::phase) extraction;
-//! * the linear-trend [stationarity screen](stationarity).
+//! * the strict / relaxed [diurnal classifier](classify) and per-block
+//!   [phase](DiurnalReport::phase) extraction;
+//! * the linear-trend [stationarity screen](trend_default).
 //!
 //! # Example
 //!
@@ -38,23 +38,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod acf;
-pub mod complex;
-pub mod diurnal;
+mod acf;
+mod complex;
+mod diurnal;
 pub mod fft;
-pub mod goertzel;
-pub mod lombscargle;
-pub mod periodogram;
-pub mod plan;
-pub mod stationarity;
+mod goertzel;
+mod lombscargle;
+mod periodogram;
+mod plan;
+mod stationarity;
 
-pub use acf::{acf_diurnal, autocorrelation, autocorrelation_all, AcfReport};
+pub use acf::{acf_diurnal, autocorrelation, AcfReport};
 pub use complex::Complex;
 pub use diurnal::{classify, classify_series, DiurnalClass, DiurnalConfig, DiurnalReport};
 pub use fft::{dft_naive, fft, fft_real, ifft};
-pub use goertzel::{diurnal_energy_ratio, goertzel, goertzel_amplitude};
+pub use goertzel::{diurnal_energy_ratio, goertzel};
 pub use lombscargle::LombScargle;
-pub use periodogram::{Spectrum, SpectrumScratch, DAY_SECONDS, ROUND_SECONDS};
+pub use periodogram::{Spectrum, SpectrumScratch, ROUND_SECONDS};
 pub use plan::{plan_for, prewarm, BatchRealScratch, FftPlan, MAX_BATCH_LANES, MAX_PLAN_LEN};
 pub use stationarity::{linear_fit, trend_default, TrendReport};

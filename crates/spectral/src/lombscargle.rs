@@ -173,7 +173,7 @@ impl LombScargle {
     }
 
     /// The frequency (cycles/day) with maximal power, if any.
-    pub fn peak_cpd(&self) -> Option<f64> {
+    pub(crate) fn peak_cpd(&self) -> Option<f64> {
         let (i, _) = self
             .power
             .iter()
@@ -184,7 +184,7 @@ impl LombScargle {
 
     /// Power at the trial frequency nearest `cpd` (0 for an empty
     /// periodogram).
-    pub fn power_near(&self, cpd: f64) -> f64 {
+    pub(crate) fn power_near(&self, cpd: f64) -> f64 {
         self.freqs_cpd
             .iter()
             .enumerate()

@@ -14,7 +14,7 @@ use crate::plan::FftPlan;
 pub const ROUND_SECONDS: f64 = 660.0;
 
 /// Seconds per day, used to express bins in cycles/day.
-pub const DAY_SECONDS: f64 = 86_400.0;
+pub(crate) const DAY_SECONDS: f64 = 86_400.0;
 
 /// The amplitude spectrum of a real-valued, evenly sampled timeseries.
 #[derive(Debug, Clone)]
@@ -41,21 +41,20 @@ impl Spectrum {
         Self::compute(series, ROUND_SECONDS)
     }
 
-    /// Computes the spectrum through an explicit [`FftPlan`], for callers
-    /// that hold a plan across many same-length series (world runs). The
-    /// plain [`compute`](Self::compute) path already hits the global plan
-    /// cache; this variant merely skips the cache lookup.
+    /// Computes the spectrum through an explicit [`FftPlan`]: the
+    /// allocating reference the scratch path is pinned against.
     ///
     /// # Panics
     /// Panics if `plan.len() != series.len()` or `sample_period <= 0`.
-    pub fn compute_with_plan(series: &[f64], sample_period: f64, plan: &FftPlan) -> Self {
+    #[cfg(test)]
+    fn compute_with_plan(series: &[f64], sample_period: f64, plan: &FftPlan) -> Self {
         assert!(sample_period > 0.0, "sample period must be positive");
         assert_eq!(plan.len(), series.len(), "plan length mismatch");
         Spectrum { coeffs: plan.fft_real(series), sample_period }
     }
 
     /// Number of input samples `n`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.coeffs.len()
     }
 
@@ -64,24 +63,9 @@ impl Spectrum {
         self.coeffs.capacity() * std::mem::size_of::<Complex>()
     }
 
-    /// `true` when the input series was empty.
-    pub fn is_empty(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
-    /// Sampling period in seconds.
-    pub fn sample_period(&self) -> f64 {
-        self.sample_period
-    }
-
     /// Total observation span in days.
     pub fn span_days(&self) -> f64 {
         self.len() as f64 * self.sample_period / DAY_SECONDS
-    }
-
-    /// The raw complex coefficient at bin `k`.
-    pub fn coeff(&self, k: usize) -> Complex {
-        self.coeffs[k]
     }
 
     /// Amplitude `|α_k|` at bin `k`.
@@ -95,7 +79,7 @@ impl Spectrum {
     }
 
     /// Frequency of bin `k` in hertz: `k / (R·n)` (§2.2).
-    pub fn freq_hz(&self, k: usize) -> f64 {
+    pub(crate) fn freq_hz(&self, k: usize) -> f64 {
         k as f64 / (self.sample_period * self.len() as f64)
     }
 
@@ -194,8 +178,8 @@ impl SpectrumScratch {
         }
     }
 
-    /// [`Spectrum::compute_with_plan`] into the reused buffers. Returns a
-    /// borrow of the freshly computed spectrum, valid until the next call;
+    /// [`Spectrum::compute`] through an explicit [`FftPlan`], into the
+    /// reused buffers. Returns a borrow of the freshly computed spectrum, valid until the next call;
     /// coefficients are bit-identical to the allocating path.
     ///
     /// # Panics
@@ -302,8 +286,8 @@ mod tests {
         let got = scratch.compute_with_plan(&series, ROUND_SECONDS, &plan);
         assert_eq!(got.len(), want.len());
         for k in 0..n {
-            assert_eq!(got.coeff(k).re.to_bits(), want.coeff(k).re.to_bits(), "bin {k} re");
-            assert_eq!(got.coeff(k).im.to_bits(), want.coeff(k).im.to_bits(), "bin {k} im");
+            assert_eq!(got.coeffs[k].re.to_bits(), want.coeffs[k].re.to_bits(), "bin {k} re");
+            assert_eq!(got.coeffs[k].im.to_bits(), want.coeffs[k].im.to_bits(), "bin {k} im");
         }
         assert_eq!(scratch.spectrum().strongest_bin(), Some(14));
         assert!(scratch.footprint_bytes() > 0);
@@ -382,9 +366,9 @@ mod tests {
     fn strongest_bin_none_for_tiny_series() {
         let s = Spectrum::compute(&[1.0], 1.0);
         assert_eq!(s.strongest_bin(), None);
-        assert!(!s.is_empty());
+        assert!(!s.coeffs.is_empty());
         let e = Spectrum::compute(&[], 1.0);
-        assert!(e.is_empty());
+        assert!(e.coeffs.is_empty());
     }
 
     #[test]
@@ -439,7 +423,7 @@ mod tests {
         let a = Spectrum::compute_rounds(&series);
         let b = Spectrum::compute_with_plan(&series, ROUND_SECONDS, &plan);
         for k in 0..n {
-            assert!((a.coeff(k) - b.coeff(k)).abs() < 1e-12);
+            assert!((a.coeffs[k] - b.coeffs[k]).abs() < 1e-12);
         }
     }
 

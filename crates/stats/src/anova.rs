@@ -38,14 +38,17 @@ impl Term {
     ///
     /// # Panics
     /// Panics if the slices differ in length.
-    pub fn interaction(name: impl Into<String>, a: &[f64], b: &[f64]) -> Term {
+    pub(crate) fn interaction(name: impl Into<String>, a: &[f64], b: &[f64]) -> Term {
         assert_eq!(a.len(), b.len(), "interaction requires equal-length covariates");
         Term { name: name.into(), columns: vec![a.iter().zip(b).map(|(&x, &y)| x * y).collect()] }
     }
 
     /// A categorical factor, dummy-coded with the first-seen level as the
     /// reference (dropped) level, matching R's default treatment contrasts.
-    pub fn categorical<L: PartialEq + Clone>(name: impl Into<String>, labels: &[L]) -> Term {
+    /// The pipeline's factors are all continuous; the tests use this one
+    /// to check a term of more than one column.
+    #[cfg(test)]
+    fn categorical<L: PartialEq + Clone>(name: impl Into<String>, labels: &[L]) -> Term {
         let mut levels: Vec<L> = Vec::new();
         for l in labels {
             if !levels.contains(l) {
@@ -95,36 +98,6 @@ impl AnovaTable {
     /// Finds a row by term name.
     pub fn row(&self, name: &str) -> Option<&AnovaRow> {
         self.rows.iter().find(|r| r.name == name)
-    }
-
-    /// Residual mean square.
-    pub fn ms_residual(&self) -> f64 {
-        if self.df_residual > 0 {
-            self.ss_residual / self.df_residual as f64
-        } else {
-            f64::NAN
-        }
-    }
-
-    /// Renders the table in R's `summary(aov(...))` layout.
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "term                      df      sum_sq     mean_sq          F      p\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<24} {:>3} {:>11.5} {:>11.5} {:>10.4} {:>10.3e}\n",
-                r.name, r.df, r.sum_sq, r.mean_sq, r.f, r.p
-            ));
-        }
-        out.push_str(&format!(
-            "{:<24} {:>3} {:>11.5} {:>11.5}\n",
-            "residual",
-            self.df_residual,
-            self.ss_residual,
-            self.ms_residual()
-        ));
-        out
     }
 }
 
@@ -349,17 +322,6 @@ mod tests {
         let x = [0.0, 1.0];
         let r = anova(&y, &[Term::continuous("x", &x)]);
         assert!(matches!(r, Err(AnovaError::NoResidualDf)));
-    }
-
-    #[test]
-    fn render_contains_all_rows() {
-        let n = 30;
-        let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let y: Vec<f64> = (0..n).map(|i| x[i] + noise(i)).collect();
-        let t = anova(&y, &[Term::continuous("gdp", &x)]).unwrap();
-        let s = t.render();
-        assert!(s.contains("gdp"));
-        assert!(s.contains("residual"));
     }
 
     #[test]

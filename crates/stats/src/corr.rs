@@ -4,19 +4,6 @@
 //! 0.957; unrolled phase vs longitude: 0.835; diurnal fraction vs allocation
 //! month: 0.609; vs GDP: −0.526) and fits straight lines for Figs. 15–16.
 
-/// Sample covariance (divides by `n−1`). `None` unless both slices have the
-/// same length ≥ 2.
-pub fn covariance(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let s: f64 = xs.iter().zip(ys).map(|(&x, &y)| (x - mx) * (y - my)).sum();
-    Some(s / (n - 1.0))
-}
-
 /// Pearson correlation coefficient. `None` when undefined (mismatched or
 /// short input, or zero variance on either side).
 pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
@@ -157,16 +144,7 @@ mod tests {
         assert!(pearson(&[1.0], &[2.0]).is_none());
         assert!(pearson(&[1.0, 2.0], &[2.0]).is_none());
         assert!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]).is_none());
-        assert!(covariance(&[1.0], &[2.0]).is_none());
         assert!(linfit(&[2.0, 2.0], &[1.0, 5.0]).is_none());
-    }
-
-    #[test]
-    fn covariance_known_value() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        // cov = 2·var(x); var(x) of 1..4 = 5/3
-        assert!((covariance(&xs, &ys).unwrap() - 10.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

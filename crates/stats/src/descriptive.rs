@@ -20,11 +20,6 @@ pub fn variance(xs: &[f64]) -> Option<f64> {
     Some(ss / (xs.len() - 1) as f64)
 }
 
-/// Sample standard deviation.
-pub fn stddev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
 /// Quantile by linear interpolation between order statistics
 /// (R type-7, the same convention the paper's R tooling defaults to).
 ///
@@ -53,25 +48,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Median (the 0.5 quantile).
-pub fn median(xs: &[f64]) -> Option<f64> {
-    quantile(xs, 0.5)
-}
-
-/// The three quartiles `(q1, median, q3)` in one sort.
-pub fn quartiles(xs: &[f64]) -> Option<(f64, f64, f64)> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    Some((
-        quantile_sorted(&sorted, 0.25),
-        quantile_sorted(&sorted, 0.5),
-        quantile_sorted(&sorted, 0.75),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,18 +65,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(variance(&[1.0]), None);
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        assert_eq!(stddev(&[3.0, 3.0, 3.0]), Some(0.0));
-    }
-
-    #[test]
-    fn median_even_and_odd() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
-        assert_eq!(median(&[]), None);
     }
 
     #[test]
@@ -122,17 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn quartiles_agree_with_quantile() {
-        let xs: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        let (q1, q2, q3) = quartiles(&xs).unwrap();
-        assert_eq!(q1, 25.0);
-        assert_eq!(q2, 50.0);
-        assert_eq!(q3, 75.0);
-    }
-
-    #[test]
     fn quantile_unsorted_input() {
         let xs = [9.0, 1.0, 5.0, 3.0, 7.0];
-        assert_eq!(median(&xs), Some(5.0));
+        assert_eq!(quantile(&xs, 0.5), Some(5.0));
     }
 }

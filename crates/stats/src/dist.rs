@@ -10,7 +10,7 @@ use std::f64::consts::PI;
 ///
 /// Accurate to ~1e-13 over the positive reals; uses the reflection formula
 /// for `x < 0.5`.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
         676.520_368_121_885_1,
@@ -130,72 +130,6 @@ pub fn f_sf(x: f64, d1: f64, d2: f64) -> f64 {
     inc_beta(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x))
 }
 
-/// Regularized lower incomplete gamma `P(a, x)` (series for `x < a+1`,
-/// continued fraction otherwise).
-pub fn inc_gamma(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "inc_gamma requires a > 0");
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        // Series representation.
-        let mut ap = a;
-        let mut sum = 1.0 / a;
-        let mut del = sum;
-        for _ in 0..300 {
-            ap += 1.0;
-            del *= x / ap;
-            sum += del;
-            if del.abs() < sum.abs() * 3e-16 {
-                break;
-            }
-        }
-        sum * (-x + a * x.ln() - ln_gamma(a)).exp()
-    } else {
-        // Continued fraction for Q(a, x) = 1 − P(a, x).
-        const FPMIN: f64 = 1e-300;
-        let mut b = x + 1.0 - a;
-        let mut c = 1.0 / FPMIN;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..300 {
-            let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < FPMIN {
-                d = FPMIN;
-            }
-            c = b + an / c;
-            if c.abs() < FPMIN {
-                c = FPMIN;
-            }
-            d = 1.0 / d;
-            let del = d * c;
-            h *= del;
-            if (del - 1.0).abs() < 3e-16 {
-                break;
-            }
-        }
-        1.0 - (-x + a * x.ln() - ln_gamma(a)).exp() * h
-    }
-}
-
-/// Error function, via `erf(x) = P(1/2, x²)` for `x ≥ 0` and odd symmetry.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        0.0
-    } else if x > 0.0 {
-        inc_gamma(0.5, x * x)
-    } else {
-        -inc_gamma(0.5, x * x)
-    }
-}
-
-/// Standard normal CDF.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,40 +226,6 @@ mod tests {
         assert_eq!(f_cdf(0.0, 3.0, 3.0), 0.0);
         assert_eq!(f_cdf(-1.0, 3.0, 3.0), 0.0);
         assert_eq!(f_sf(0.0, 3.0, 3.0), 1.0);
-    }
-
-    #[test]
-    fn erf_reference_values() {
-        assert_eq!(erf(0.0), 0.0);
-        assert!(close(erf(1.0), 0.842_700_792_949_714_9, 1e-10));
-        assert!(close(erf(2.0), 0.995_322_265_018_952_7, 1e-10));
-        assert!(close(erf(-1.0), -0.842_700_792_949_714_9, 1e-10));
-        assert!(erf(6.0) > 0.999_999_999);
-    }
-
-    #[test]
-    fn normal_cdf_reference_values() {
-        assert!(close(normal_cdf(0.0), 0.5, 1e-14));
-        assert!(close(normal_cdf(1.96), 0.975_002_104_85, 1e-8));
-        assert!(close(normal_cdf(-1.0), 0.158_655_253_93, 1e-8));
-    }
-
-    #[test]
-    fn inc_gamma_matches_exponential_cdf() {
-        // P(1, x) = 1 − e^{−x}
-        for &x in &[0.1, 1.0, 3.0, 10.0] {
-            assert!(close(inc_gamma(1.0, x), 1.0 - (-x).exp(), 1e-12));
-        }
-    }
-
-    #[test]
-    fn inc_gamma_monotone_in_x() {
-        let mut prev = 0.0;
-        for i in 1..100 {
-            let v = inc_gamma(2.5, i as f64 * 0.1);
-            assert!(v >= prev);
-            prev = v;
-        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl Histogram {
     }
 
     /// Bin index a value would fall into, or `None` if out of range.
-    pub fn bin_of(&self, x: f64) -> Option<usize> {
+    pub(crate) fn bin_of(&self, x: f64) -> Option<usize> {
         if x < self.lo {
             return None;
         }
@@ -41,7 +41,7 @@ impl Histogram {
     }
 
     /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
+    pub(crate) fn add(&mut self, x: f64) {
         match self.bin_of(x) {
             Some(i) => self.counts[i] += 1,
             None if x < self.lo => self.underflow += 1,
@@ -56,25 +56,9 @@ impl Histogram {
         }
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Raw counts per bin.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Total in-range count.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Center x-value of bin `i`.
-    pub fn center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
     }
 
     /// Fraction of in-range observations in bin `i` (0 when empty).
@@ -130,7 +114,7 @@ impl DensityGrid {
     }
 
     /// Cell indices for a point, or `None` if outside the grid.
-    pub fn cell_of(&self, x: f64, y: f64) -> Option<(usize, usize)> {
+    pub(crate) fn cell_of(&self, x: f64, y: f64) -> Option<(usize, usize)> {
         if x < self.x_lo || y < self.y_lo {
             return None;
         }
@@ -257,9 +241,9 @@ mod tests {
     fn histogram_basic_binning() {
         let mut h = Histogram::new(0.0, 1.0, 10);
         h.extend([0.05, 0.15, 0.15, 0.95]);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 1);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[1], 2);
+        assert_eq!(h.counts[9], 1);
         assert_eq!(h.total(), 4);
     }
 
@@ -275,11 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_centers_and_fractions() {
+    fn histogram_fractions() {
         let mut h = Histogram::new(0.0, 10.0, 5);
         h.extend([1.0, 3.0, 3.5, 9.0]);
-        assert_eq!(h.center(0), 1.0);
-        assert_eq!(h.center(4), 9.0);
         assert!((h.fraction(1) - 0.5).abs() < 1e-12);
     }
 

@@ -2,20 +2,24 @@
 //!
 //! Implements, from scratch, everything the IMC 2014 paper's analysis needs:
 //!
-//! * [descriptive statistics](descriptive) (means, quantiles, quartiles);
-//! * [correlation and simple regression](corr) for the paper's reported
+//! * [descriptive statistics](descriptive) (means, variances, quantiles);
+//! * correlation ([`pearson`], [`spearman`]) and simple regression
+//!   ([`linfit`]) for the paper's reported
 //!   coefficients (Âs vs A, phase vs longitude, diurnal fraction vs GDP);
-//! * [probability distributions](dist): log-gamma, regularized incomplete
-//!   beta/gamma, the F distribution for ANOVA p-values, `erf`/normal CDF;
-//! * [multiple linear regression](ols) with alias detection;
-//! * [sequential (Type-I) ANOVA](mod@anova) matching R's `aov` (§2.4, Table 5);
-//! * [histograms, CDFs, density grids, and binned quartiles](histogram)
+//! * probability distributions: the regularized incomplete beta
+//!   ([`inc_beta`]) and the F distribution ([`f_sf`]) for ANOVA p-values,
+//!   and the Wilson score interval;
+//! * multiple linear regression with alias detection, the engine under
+//!   ANOVA;
+//! * [sequential (Type-I) ANOVA](anova()) matching R's `aov` (§2.4, Table 5);
+//! * histograms and CDFs ([`Histogram`]), [density grids](DensityGrid)
+//!   and [binned quartiles](binned_quartiles)
 //!   backing Figs. 4–5, 10, 12–14.
 //!
 //! # Example: Table-5-style factor screening
 //!
 //! ```
-//! use sleepwatch_stats::anova::{anova_pair, anova_single};
+//! use sleepwatch_stats::{anova_pair, anova_single};
 //!
 //! // Country-level observations: diurnal fraction vs two covariates.
 //! let diurnal = [0.63, 0.55, 0.50, 0.40, 0.34, 0.22, 0.18, 0.16, 0.01, 0.002];
@@ -31,17 +35,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod anova;
-pub mod corr;
+mod anova;
+mod corr;
 pub mod descriptive;
-pub mod dist;
-pub mod histogram;
-pub mod ols;
+mod dist;
+mod histogram;
+mod ols;
 
 pub use anova::{anova, anova_pair, anova_single, AnovaError, AnovaRow, AnovaTable, Term};
-pub use corr::{covariance, linfit, pearson, spearman, LinFit};
-pub use descriptive::{mean, median, quantile, quartiles, stddev, variance};
-pub use dist::{erf, f_cdf, f_sf, inc_beta, inc_gamma, ln_gamma, normal_cdf, wilson_interval};
+pub use corr::{linfit, pearson, spearman, LinFit};
+pub use descriptive::{mean, quantile, variance};
+pub use dist::{f_cdf, f_sf, inc_beta, wilson_interval};
 pub use histogram::{binned_quartiles, BinnedQuartiles, DensityGrid, Histogram};
-pub use ols::{fit, Fit, OlsError};
+pub use ols::OlsError;

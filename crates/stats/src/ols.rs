@@ -8,35 +8,24 @@
 //! fractions in `[0, 1]`) without changing any column space — so RSS and
 //! rank, the quantities ANOVA consumes, are exact.
 
-/// Result of a least-squares fit.
+/// Result of a least-squares fit: what ANOVA consumes, plus the solution
+/// itself for the tests that check it.
 #[derive(Debug, Clone)]
-pub struct Fit {
+pub(crate) struct Fit {
     /// Intercept in the original (unstandardized) coordinates.
-    pub intercept: f64,
+    #[cfg(test)]
+    intercept: f64,
     /// Coefficients per input column, original coordinates. Aliased
     /// (dropped) columns get 0.
-    pub coefficients: Vec<f64>,
+    #[cfg(test)]
+    coefficients: Vec<f64>,
     /// Residual sum of squares.
-    pub rss: f64,
+    pub(crate) rss: f64,
     /// Effective rank of the design matrix including the intercept.
-    pub rank: usize,
-    /// Number of observations.
-    pub n: usize,
+    pub(crate) rank: usize,
 }
 
-impl Fit {
-    /// Residual degrees of freedom `n − rank`.
-    pub fn df_residual(&self) -> usize {
-        self.n.saturating_sub(self.rank)
-    }
-
-    /// Predicted value for one observation's covariates.
-    pub fn predict(&self, xs: &[f64]) -> f64 {
-        self.intercept + self.coefficients.iter().zip(xs).map(|(&b, &x)| b * x).sum::<f64>()
-    }
-}
-
-/// Errors from [`fit`].
+/// Errors from the least-squares fit under [`anova`](crate::anova()).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OlsError {
     /// No observations were supplied.
@@ -76,7 +65,7 @@ const PIVOT_TOL: f64 = 1e-10;
 /// Aliased columns (constant, or linear combinations of earlier columns) are
 /// detected and dropped; their coefficients are reported as 0 and the rank
 /// reflects the reduction — exactly the bookkeeping sequential ANOVA needs.
-pub fn fit(y: &[f64], columns: &[&[f64]]) -> Result<Fit, OlsError> {
+pub(crate) fn fit(y: &[f64], columns: &[&[f64]]) -> Result<Fit, OlsError> {
     let n = y.len();
     if n == 0 {
         return Err(OlsError::Empty);
@@ -190,7 +179,14 @@ pub fn fit(y: &[f64], columns: &[&[f64]]) -> Result<Fit, OlsError> {
         rss += r * r;
     }
 
-    Ok(Fit { intercept, coefficients, rss, rank, n })
+    Ok(Fit {
+        #[cfg(test)]
+        intercept,
+        #[cfg(test)]
+        coefficients,
+        rss,
+        rank,
+    })
 }
 
 #[cfg(test)]
@@ -259,15 +255,6 @@ mod tests {
         let f = fit(&y, &[&x]).unwrap();
         assert_eq!(f.rank, 1);
         assert_eq!(f.coefficients[0], 0.0);
-    }
-
-    #[test]
-    fn prediction_roundtrip() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y = [2.0, 4.1, 5.9, 8.1, 9.9];
-        let f = fit(&y, &[&a]).unwrap();
-        let p = f.predict(&[3.0]);
-        assert!((p - 6.0).abs() < 0.1);
     }
 
     #[test]

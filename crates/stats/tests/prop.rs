@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use sleepwatch_stats::{
-    anova::{anova, Term},
-    f_cdf, f_sf, inc_beta, linfit, mean, pearson, quantile, variance,
+    anova, f_cdf, f_sf, inc_beta, linfit, mean, pearson, quantile, variance, Term,
 };
 
 proptest! {

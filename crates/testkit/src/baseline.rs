@@ -1,7 +1,7 @@
 //! The unplanned reference FFT kernels (the pre-plan implementation).
 //!
 //! These are the seed's transforms, kept verbatim as the reference oracle
-//! the planned path in [`sleepwatch_spectral::plan`] is property-tested
+//! the planned path in [`sleepwatch_spectral::FftPlan`] is property-tested
 //! against. Every call pays full setup: [`fft_bluestein`] rebuilds its chirp
 //! table and re-FFTs the convolution filter, and [`fft_radix2_in_place`]
 //! regenerates twiddles with the error-accumulating `w *= wlen` recurrence.

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use sleepwatch_core::framing::PRELUDE_LEN;
+use sleepwatch_framing::PRELUDE_LEN;
 use sleepwatch_geoecon::rng::KeyedRng;
 
 /// The harmful fault a plan injects once per connection, after its

@@ -3,7 +3,7 @@
 //! so suites can call them directly and under every fault preset.
 
 use crate::baseline;
-use sleepwatch_availability::cleaning::clean_series;
+use sleepwatch_availability::clean_series;
 use sleepwatch_core::{analyze_series, OnlineConfig, OnlineDetector};
 use sleepwatch_probing::{BlockRun, FaultPlan, TrinocularConfig, TrinocularProber};
 use sleepwatch_simnet::{BlockSpec, ROUND_SECONDS};

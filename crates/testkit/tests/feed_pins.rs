@@ -70,7 +70,7 @@ fn served<F: FeedEvents + Sync + ?Sized>(events: &F, identity: RunIdentity, from
             serve_connection(&mut stream, events, &FeedConfig::new(identity)).expect("serve")
         });
         let mut stream = TcpStream::connect(addr).expect("dial the server");
-        let mut bytes = vec![0u8; sleepwatch_core::framing::PRELUDE_LEN];
+        let mut bytes = vec![0u8; sleepwatch_framing::PRELUDE_LEN];
         stream.read_exact(&mut bytes).expect("hello");
         stream.write_all(&encode_resume(&identity, from)).expect("resume answer");
         stream.read_to_end(&mut bytes).expect("frames");

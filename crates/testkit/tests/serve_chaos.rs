@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use sleepwatch_core::serve::serve_streams;
 use sleepwatch_core::{DatasetRow, QueryServer, ServeConfig, ServeState};
-use sleepwatch_geoecon::allocation::YearMonth;
+use sleepwatch_geoecon::YearMonth;
 use sleepwatch_linktype::{LinkFeature, LinkSet};
 use sleepwatch_obs::Snapshot;
 use sleepwatch_spectral::DiurnalClass;

@@ -36,12 +36,11 @@ use sleepwatch_core::{
     analyze_world, analyze_world_resumable, feed_identity, ingest_source, ingest_source_resumable,
     world_feed, AnalysisConfig, IngestConfig, TransportOutcome, WorldAnalysis, WorldFeed,
 };
-use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_probing::transport::{
     encode_frame, encode_hello, serve_feed, session_chain, write_feed, BackoffConfig, Endpoint,
     FeedConfig, FeedEvents, FileSource, Frame, TcpConfig, TcpEventSource,
 };
-use sleepwatch_probing::FaultPlan;
+use sleepwatch_probing::{FaultPlan, RoundEvent};
 use sleepwatch_simnet::{World, WorldConfig, WorldSource};
 use sleepwatch_testkit::chaos::{ChaosPlan, ChaosProxy};
 use sleepwatch_testkit::resilience::scratch_path;
@@ -87,7 +86,7 @@ fn batch_reference(cfg: &AnalysisConfig) -> WorldAnalysis {
 /// Client tuning for loopback chaos: short reads so stalls trip the
 /// heartbeat budget quickly, fast backoff so storms stay cheap, and a
 /// generous attempt budget (progress refills it anyway).
-fn chaos_tcp_cfg(identity: sleepwatch_core::framing::RunIdentity) -> TcpConfig {
+fn chaos_tcp_cfg(identity: sleepwatch_framing::RunIdentity) -> TcpConfig {
     let mut cfg = TcpConfig::new(identity);
     cfg.read_timeout = std::time::Duration::from_millis(50);
     cfg.heartbeat_budget = 3;
@@ -96,7 +95,7 @@ fn chaos_tcp_cfg(identity: sleepwatch_core::framing::RunIdentity) -> TcpConfig {
 }
 
 /// Small frames so every preset's trigger lands well inside the stream.
-fn chaos_feed_cfg(identity: sleepwatch_core::framing::RunIdentity) -> FeedConfig {
+fn chaos_feed_cfg(identity: sleepwatch_framing::RunIdentity) -> FeedConfig {
     let mut cfg = FeedConfig::new(identity);
     cfg.frame_events = 64;
     cfg.heartbeat_every = 8;
@@ -331,7 +330,7 @@ fn half_served_feed_degrades_then_resumes_losslessly() {
     let cut = events
         .iter()
         .position(|e| {
-            if matches!(e, sleepwatch_probing::stream::RoundEvent::Finish { .. }) {
+            if matches!(e, sleepwatch_probing::RoundEvent::Finish { .. }) {
                 seen += 1;
             }
             seen >= want_finished
@@ -387,7 +386,7 @@ fn killed_server_is_resumed_mid_stream() {
             let chain = session_chain(&identity);
             let mut s = TcpStream::connect(&addr).expect("server 1 dial");
             s.write_all(&encode_hello(&identity)).expect("hello");
-            let mut resume = [0u8; sleepwatch_core::framing::PRELUDE_LEN];
+            let mut resume = [0u8; sleepwatch_framing::PRELUDE_LEN];
             s.read_exact(&mut resume).expect("resume answer");
             let mut out = Vec::new();
             for (i, chunk) in events.chunks(64).enumerate().take(5) {

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example survey_validation [blocks]`
 
-use sleepwatch::availability::cleaning::clean_series;
+use sleepwatch::availability::clean_series;
 use sleepwatch::core::analyze_series;
 use sleepwatch::probing::{survey_block, TrinocularConfig, TrinocularProber};
 use sleepwatch::simnet::{World, WorldConfig, ROUND_SECONDS, S51W_START};

@@ -11,8 +11,7 @@
 //! (ANOVA) and access-link technology.
 //!
 //! This crate is a facade: it re-exports the workspace's crates under one
-//! namespace. Use the individual crates directly for finer dependency
-//! control.
+//! namespace. Use the crates directly for finer dependency control.
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
@@ -25,6 +24,7 @@
 //! | [`probing`] | `sleepwatch-probing` | Trinocular adaptive probing and full surveys |
 //! | [`obs`] | `sleepwatch-obs` | zero-overhead-when-off metrics, stage timers, run reports |
 //! | [`core`] | `sleepwatch-core` | the end-to-end pipeline and aggregations |
+//! | [`framing`] | `sleepwatch-framing` | the shared binary prelude, CRC32, bit and Rice codecs |
 //!
 //! # Quickstart
 //!
@@ -57,6 +57,7 @@
 
 pub use sleepwatch_availability as availability;
 pub use sleepwatch_core as core;
+pub use sleepwatch_framing as framing;
 pub use sleepwatch_geoecon as geoecon;
 pub use sleepwatch_linktype as linktype;
 pub use sleepwatch_obs as obs;

@@ -37,14 +37,14 @@
 
 use sleepwatch::availability::midnight_trim;
 use sleepwatch::core::binfmt::DATASET_MAGIC;
-use sleepwatch::core::framing::sniff_magic;
 use sleepwatch::core::{
     analyze_block, analyze_world, decode_dataset, estimate_size, feed_identity, ingest_source,
     ingest_source_resumable, ingest_world, ingest_world_resumable, read_dataset,
     write_dataset_bin_file, write_dataset_file, write_dataset_rows, AnalysisConfig, IngestConfig,
     TransportOutcome, WorldFeed,
 };
-use sleepwatch::geoecon::country::COUNTRIES;
+use sleepwatch::framing::sniff_magic;
+use sleepwatch::geoecon::COUNTRIES;
 use sleepwatch::probing::transport::{
     serve_feed, write_feed, BackoffConfig, Endpoint, EventSource, FeedConfig, FeedEvents,
     FileSource, TcpConfig, TcpEventSource, TransportError,
@@ -530,7 +530,7 @@ fn transport_failure(e: &TransportError) -> String {
 /// (the usage row admits at most one).
 fn wire_source(
     a: &Args,
-    identity: sleepwatch::core::framing::RunIdentity,
+    identity: sleepwatch::framing::RunIdentity,
 ) -> Result<Option<Box<dyn EventSource>>, String> {
     let mut cfg = TcpConfig::new(identity);
     cfg.read_timeout = std::time::Duration::from_millis(a.read_timeout_ms);

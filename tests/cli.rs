@@ -2,7 +2,7 @@
 
 use std::process::Command;
 
-use sleepwatch::core::framing::{Prelude, PRELUDE_LEN};
+use sleepwatch::framing::{Prelude, PRELUDE_LEN};
 
 /// Locates a workspace binary next to the test executable, or `None` when
 /// it hasn't been built (e.g. a narrow `cargo test -p` invocation that

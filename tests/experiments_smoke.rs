@@ -1,7 +1,7 @@
 //! Smoke tests for the experiment harness: every table/figure generator
 //! runs at a tiny scale and produces sane headline metrics.
 
-use sleepwatch_experiments::{run, Context, Options, ALL_IDS};
+use sleepwatch_experiments::{run, Context, Options, EXPERIMENTS};
 
 fn tiny_ctx() -> Context {
     Context::new(Options {
@@ -18,7 +18,7 @@ fn tiny_ctx() -> Context {
 fn every_experiment_id_is_runnable() {
     // Shared context so the expensive world/survey runs happen once.
     let ctx = tiny_ctx();
-    for id in ALL_IDS {
+    for (id, _) in EXPERIMENTS {
         let out = run(id, &ctx).unwrap_or_else(|| panic!("unknown id {id}"));
         assert_eq!(&out.id, id);
         assert!(!out.report.is_empty(), "{id}: empty report");
