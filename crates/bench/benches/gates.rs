@@ -3,19 +3,17 @@
 //! by `benchmark/` and compared against the parent commit there).
 //!
 //! 1. **Observability overhead** — instrumented vs disabled world runs.
-//! 2. **Scratch arena** — `analyze_block_with_scratch` vs the allocating
-//!    `analyze_block(..).summary()` reference, one thread.
-//! 3. **Batched FFT** — the 8-lane kernel vs the per-series loop at 131
+//! 2. **Batched FFT** — the 8-lane kernel vs the per-series loop at 131
 //!    points (a 1-day span) and 4 451 (what a 35-day world run
 //!    transforms after the midnight trim).
-//! 4. **Bounded memory** — one lazy `WorldSource` run of 50 000 blocks ×
+//! 3. **Bounded memory** — one lazy `WorldSource` run of 50 000 blocks ×
 //!    35 days: per-worker arena under its ceiling, nothing quarantined.
 //!    That every analyzed block's FFT is batched is asserted on a small
 //!    world by `testkit/tests/metrics.rs`.
-//! 5. **Compact format** — that run's rows as TSV and as a seed-joined
+//! 4. **Compact format** — that run's rows as TSV and as a seed-joined
 //!    `SLPWBIN1` container: size ratio and decode-to-stats speed. That
 //!    decoded rows equal the TSV bytes is `binfmt_oracle`'s to assert.
-//! 6. **Sever recovery** — one mid-stream cut through a `ChaosProxy`:
+//! 5. **Sever recovery** — one mid-stream cut through a `ChaosProxy`:
 //!    the extra wall time stays within one backoff budget. That the cut
 //!    reconnects and moves no verdict is asserted by the chaos oracle
 //!    (`testkit/tests/transport_oracle.rs`).
@@ -33,9 +31,9 @@ use std::time::Instant;
 use sleepwatch_bench::Direction::{AtLeast, AtMost, Equal};
 use sleepwatch_bench::{best, interleaved, median, median_ratio, secs, Report};
 use sleepwatch_core::{
-    analyze_block, analyze_block_with_scratch, analyze_world, analyze_world_source, dataset_rows,
-    encode_dataset, feed_identity, ingest_source, read_dataset, world_feed, write_dataset_rows,
-    AnalysisConfig, BinDataset, BlockScratch, DatasetMode, DatasetStats, IngestConfig,
+    analyze_world, analyze_world_source, dataset_rows, encode_dataset, feed_identity,
+    ingest_source, read_dataset, world_feed, write_dataset_rows, AnalysisConfig, BinDataset,
+    DatasetMode, DatasetStats, IngestConfig,
 };
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::transport::{
@@ -55,17 +53,14 @@ const BEST_OF: usize = 7;
 
 /// Instrumented world runs may cost at most 3 % over disabled ones.
 const MAX_OBS_OVERHEAD: f64 = 1.03;
-/// The scratch path may be at most 2 % slower than the allocating
-/// reference (it should be faster; the slack absorbs machine noise).
-const MAX_SCRATCH_SLOWDOWN: f64 = 1.02;
 /// The 8-lane batched kernel must beat the one-at-a-time loop by at least
 /// this factor at every length in [`GATED_FFT_LENGTHS`].
 const BATCH_FFT_MIN_SPEEDUP: f64 = 1.5;
 const GATED_FFT_LENGTHS: [usize; 2] = [131, 4451];
 /// Scalar/batched pass pairs per length: about a second at either one.
 const FFT_PAIR_POINTS: usize = 2_000_000;
-/// Per-worker arena ceiling (scratches + batch workspace + chunk buffer):
-/// peak memory must not scale with the world.
+/// Per-worker arena ceiling (probe workspace, lanes, batch FFT planes and
+/// group specs): peak memory must not scale with the world.
 const MAX_ARENA_BYTES: f64 = (64 * 1024 * 1024) as f64;
 /// The TSV dataset must be at least this many times larger than the
 /// seed-joined binary container.
@@ -86,7 +81,7 @@ fn main() {
     sleepwatch_obs::set_global_enabled(true);
     // The ratio gates go first: after the big world run has churned the
     // heap, whichever side runs second in a pair reads up to 1.6x slower.
-    ratio_gates(&mut report);
+    obs_gate(&mut report);
     fft_gate(&mut report);
     world_gates(&mut report, threads);
     sever_gate(&mut report);
@@ -94,8 +89,8 @@ fn main() {
     std::process::exit(report.finish(Path::new(out)));
 }
 
-/// Gates 1 and 2: two median ratios over one small A12w world.
-fn ratio_gates(report: &mut Report) {
+/// Gate 1: one median ratio over one small A12w world.
+fn obs_gate(report: &mut Report) {
     report.size("ratio_blocks", RATIO_BLOCKS as f64);
     report.size("ratio_days", RATIO_DAYS);
     let world = World::generate(WorldConfig {
@@ -121,33 +116,9 @@ fn ratio_gates(report: &mut Report) {
     report.measure("obs.enabled_median_s", median(&on));
     report.measure("obs.disabled_median_s", median(&off));
     report.gate("obs.overhead_ratio", median_ratio(&on, &off), AtMost, MAX_OBS_OVERHEAD);
-
-    let mut arena = BlockScratch::new();
-    let mut scratch_pass = || {
-        secs(|| {
-            for block in &world.blocks {
-                std::hint::black_box(analyze_block_with_scratch(block, &cfg, &mut arena));
-            }
-        })
-    };
-    let fresh_pass = || {
-        secs(|| {
-            for block in &world.blocks {
-                std::hint::black_box(analyze_block(block, &cfg).summary());
-            }
-        })
-    };
-    // The warm pass sizes the arena to the world's full diversity.
-    scratch_pass();
-    fresh_pass();
-    let (scratch, fresh) = interleaved(RATIO_PAIRS, scratch_pass, fresh_pass);
-    report.measure("scratch.median_s", median(&scratch));
-    report.measure("scratch.reference_median_s", median(&fresh));
-    let slowdown = median_ratio(&scratch, &fresh);
-    report.gate("scratch.slowdown_ratio", slowdown, AtMost, MAX_SCRATCH_SLOWDOWN);
 }
 
-/// Gate 3: each pair times one scalar pass and one 8-lane pass over the
+/// Gate 2: each pair times one scalar pass and one 8-lane pass over the
 /// same eight series, back to back, so a frequency step hits both.
 fn fft_gate(report: &mut Report) {
     for n in GATED_FFT_LENGTHS {
@@ -185,7 +156,7 @@ fn fft_gate(report: &mut Report) {
     }
 }
 
-/// Gates 4 and 5: one lazy paper-shaped world run, then its rows both ways.
+/// Gates 3 and 4: one lazy paper-shaped world run, then its rows both ways.
 fn world_gates(report: &mut Report, threads: usize) {
     report.size("world_blocks", WORLD_BLOCKS as f64);
     report.size("world_days", WORLD_DAYS);
@@ -274,7 +245,7 @@ fn tcp_run(
     })
 }
 
-/// Gate 6: the same pre-probed feed over clean loopback TCP and through a
+/// Gate 5: the same pre-probed feed over clean loopback TCP and through a
 /// proxy that cuts the connection once mid-stream, timed.
 fn sever_gate(report: &mut Report) {
     report.size("sever_blocks", SEVER_BLOCKS as f64);

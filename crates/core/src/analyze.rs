@@ -118,7 +118,10 @@ impl ProbeWorkspace {
             + self.clean.footprint_bytes()
     }
 
-    fn poison(&mut self, seed: u64) {
+    /// Fills every buffer with garbage that a correct pipeline must
+    /// overwrite or ignore.
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self, seed: u64) {
         self.prober.poison(seed);
         self.records.clear();
         self.clean.poison(seed);
@@ -157,7 +160,10 @@ impl BatchLane {
         self.series.capacity() * std::mem::size_of::<f64>() + self.spectrum.footprint_bytes()
     }
 
-    fn poison(&mut self, seed: u64) {
+    /// Fills every buffer with NaN and garbage lengths that a correct
+    /// pipeline must overwrite or ignore.
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self, seed: u64) {
         self.series.clear();
         self.series.extend((0..71u64).map(|i| f64::NAN + (seed ^ i) as f64));
         self.spectrum.poison(seed);
@@ -201,42 +207,6 @@ pub(crate) fn count_reuse(grew: bool) {
         obs.pipeline.scratch_grows.incr();
     } else {
         obs.pipeline.scratch_reuses.incr();
-    }
-}
-
-/// Worker-local arena holding every buffer one block analysis needs: a
-/// probe workspace (walk, records, cleaning workspace) and one lane
-/// (cleaned series, spectral output/scratch).
-///
-/// Grow-only: buffers are cleared between blocks but never shrunk, so
-/// after one warm-up block a steady stream of same-length analyses runs
-/// with **zero heap allocations** (asserted by `tests/scratch_alloc.rs`).
-/// Every field is overwritten before use — outputs are independent of
-/// prior contents (property-tested in `tests/scratch_poison.rs`).
-#[derive(Debug, Default)]
-pub struct BlockScratch {
-    work: ProbeWorkspace,
-    lane: BatchLane,
-}
-
-impl BlockScratch {
-    /// An empty arena; the first block sizes it.
-    pub fn new() -> Self {
-        BlockScratch::default()
-    }
-
-    /// Bytes currently reserved across all buffers (capacity, not
-    /// length): the probe workspace and the lane together.
-    pub(crate) fn footprint_bytes(&self) -> usize {
-        self.work.footprint_bytes() + self.lane.footprint_bytes()
-    }
-
-    /// Test-only: fill every buffer with NaN/garbage that a correct
-    /// pipeline must fully overwrite or ignore.
-    #[doc(hidden)]
-    pub fn poison(&mut self, seed: u64) {
-        self.work.poison(seed);
-        self.lane.poison(seed);
     }
 }
 
@@ -299,7 +269,7 @@ pub(crate) fn probe_clean_into(
 
 /// Stage Classify plus summary assembly. Expects `lane.spectrum` to hold
 /// the spectrum of `lane.series` — either from the scalar FFT phase in
-/// [`analyze_block_into`] or a lane of the batched world kernel
+/// [`analyze_block`] or a lane of the batched world kernel
 /// (bit-identical by construction).
 pub(crate) fn classify_probed(
     block: &BlockSpec,
@@ -341,52 +311,21 @@ pub(crate) fn classify_probed(
     (summary, diurnal, trend)
 }
 
-/// The pipeline body shared by [`analyze_block`] and
-/// [`analyze_block_with_scratch`]: every stage reads from and writes into
-/// `scratch`, allocating only when a buffer must grow.
-fn analyze_block_into(
-    block: &BlockSpec,
-    cfg: &AnalysisConfig,
-    scratch: &mut BlockScratch,
-) -> (BlockSummary, DiurnalReport, TrendReport, f64) {
-    let obs = sleepwatch_obs::global();
-    let track = obs.pipeline.scratch_reuses.enabled();
-    let footprint_before = if track { scratch.footprint_bytes() } else { 0 };
-    let BlockScratch { work, lane } = scratch;
-    let probed = probe_clean_into(block, cfg, work, lane);
-    lane.fft_stage();
-    let (summary, diurnal, trend) = classify_probed(block, cfg, lane, probed);
-    if track {
-        count_reuse(scratch.footprint_bytes() > footprint_before);
-    }
-    (summary, diurnal, trend, probed.fill_fraction)
-}
-
-/// Runs the full pipeline over one block reusing `scratch` — the
-/// zero-allocation steady-state path. Returns only the compact
-/// [`BlockSummary`]; the cleaned series and raw run live in `scratch`
-/// until the next call. The summary is identical to
-/// `analyze_block(block, cfg).summary()`.
-pub fn analyze_block_with_scratch(
-    block: &BlockSpec,
-    cfg: &AnalysisConfig,
-    scratch: &mut BlockScratch,
-) -> BlockSummary {
-    analyze_block_into(block, cfg, scratch).0
-}
-
-/// Runs the full pipeline over one block.
+/// Runs the full pipeline over one block: the allocating per-block
+/// reference the batched world run is held to.
 ///
 /// Each stage reports wall time into the [`sleepwatch_obs`] stage
 /// histograms; on the disabled registry the timers never read the clock.
-/// Thin wrapper over the scratch path: a fresh [`BlockScratch`] feeds
-/// `analyze_block_into` and is then dismantled into the owned
-/// [`BlockAnalysis`] — same per-call allocations as ever, byte-identical
-/// output.
+/// The stages run on a fresh probe workspace and lane, which are then
+/// dismantled into the owned [`BlockAnalysis`].
 pub fn analyze_block(block: &BlockSpec, cfg: &AnalysisConfig) -> BlockAnalysis {
-    let mut scratch = BlockScratch::new();
-    let (summary, diurnal, trend, fill_fraction) = analyze_block_into(block, cfg, &mut scratch);
-    let BlockScratch { work: ProbeWorkspace { mut prober, records, .. }, lane } = scratch;
+    let (mut work, mut lane) = (ProbeWorkspace::default(), BatchLane::default());
+    let probed = probe_clean_into(block, cfg, &mut work, &mut lane);
+    lane.fft_stage();
+    let (summary, diurnal, trend) = classify_probed(block, cfg, &lane, probed);
+    // A fresh arena always grows.
+    count_reuse(true);
+    let ProbeWorkspace { mut prober, records, .. } = work;
     // `run_with_faults`'s run, checked as it checks it.
     debug_assert!(
         cfg.faults.mangles_order() || records.windows(2).all(|w| w[0].round < w[1].round)
@@ -402,7 +341,7 @@ pub fn analyze_block(block: &BlockSpec, cfg: &AnalysisConfig) -> BlockAnalysis {
         block_id: block.id,
         run,
         series: lane.series,
-        fill_fraction,
+        fill_fraction: probed.fill_fraction,
         diurnal,
         trend,
         mean_a_short: summary.mean_a,

@@ -994,7 +994,7 @@ mod tests {
     }
 
     /// A feed that panics half-way — an event iterator, or a transport
-    /// source whose `next_event` panics — closes the shards' channels as it
+    /// source whose pull panics — closes the shards' channels as it
     /// unwinds: the shards drain and retire, and the panic re-raises at the
     /// join instead of leaving them, and the ingest, waiting forever.
     #[test]

@@ -43,10 +43,7 @@ mod timeofday;
 mod worldrun;
 
 pub use aggregate::{AnovaFactors, CountryStat, OrgStat};
-pub use analyze::{
-    analyze_block, analyze_block_with_scratch, analyze_series, AnalysisConfig, BlockAnalysis,
-    BlockScratch, BlockSummary,
-};
+pub use analyze::{analyze_block, analyze_series, AnalysisConfig, BlockAnalysis, BlockSummary};
 pub use applications::{estimate_size, SizeEstimate};
 pub use binfmt::{
     decode_dataset, decode_prefix, encode_dataset, BinDataset, DatasetMode, DatasetStats,

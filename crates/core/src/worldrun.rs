@@ -584,6 +584,16 @@ impl BatchArena {
             + self.lanes.iter().map(BatchLane::footprint_bytes).sum::<usize>()
             + self.fft.footprint_bytes()
     }
+
+    /// Fills the probe workspace and every lane with garbage that a
+    /// correct batch must overwrite or ignore.
+    #[cfg(test)]
+    fn poison(&mut self, seed: u64) {
+        self.work.poison(seed);
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
+            lane.poison(seed ^ l as u64);
+        }
+    }
 }
 
 /// Finishes up to [`MAX_BATCH_LANES`] blocks together, the one way both
@@ -924,8 +934,107 @@ impl WorldAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sleepwatch_simnet::WorldConfig;
+    use proptest::prelude::*;
+    use sleepwatch_probing::FaultPlan;
+    use sleepwatch_simnet::{BlockProfile, WorldConfig, A12W_START};
     use std::sync::Mutex;
+
+    /// A parameterized block: diurnal mix and timezone vary per case.
+    fn mixed_block(id: u64, seed: u64, n_diurnal: u16, offset_h: f64) -> BlockSpec {
+        BlockSpec::bare(
+            id,
+            seed,
+            BlockProfile {
+                n_stable: 40,
+                n_diurnal,
+                stable_avail: 0.9,
+                diurnal_avail: 0.85,
+                onset_hours: 8.0,
+                onset_spread: 2.0,
+                duration_hours: 9.0,
+                duration_spread: 1.0,
+                sigma_start: 0.5,
+                sigma_duration: 0.5,
+                utc_offset_hours: offset_h,
+            },
+        )
+    }
+
+    /// `days` from `start` under fault plan `faults`: 0 none, 1
+    /// `loss_heavy` (lossy, but every round keeps a record), 2 `blackout`
+    /// (65 rounds with no record, which the clean fills in the lane).
+    fn span_cfg(start: u64, days: f64, faults: u8) -> AnalysisConfig {
+        let faults = match faults {
+            1 => FaultPlan::loss_heavy(0xBAD),
+            2 => FaultPlan::blackout(0xBAD),
+            _ => FaultPlan::none(),
+        };
+        AnalysisConfig { faults, ..AnalysisConfig::over_days(start, days) }
+    }
+
+    /// One `run_batch` over `blocks` on `arena`, each outcome rendered
+    /// through `Debug` so equality is bit-exact (`-0.0`, NaN payloads).
+    fn batch_outcomes(
+        blocks: &[BlockSpec],
+        cfg: &AnalysisConfig,
+        geodb: &GeoDatabase,
+        arena: &mut BatchArena,
+    ) -> Vec<String> {
+        let mut out = Vec::new();
+        let fill =
+            |l: usize, work: &mut _, lane: &mut _| probe_clean_into(&blocks[l], cfg, work, lane);
+        run_batch(blocks.len(), |l| &blocks[l], fill, geodb, cfg, arena, &mut |_, outcome| {
+            out.push(format!("{outcome:?}"))
+        });
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A batch's outcomes do not depend on what its arena held: a
+        /// fresh arena, a poisoned one and one left stale by a different
+        /// group (other profiles, other span ⇒ other buffer lengths, all
+        /// eight lanes used) give the same outcomes. Anything less would
+        /// make a worker's arena reuse order-dependent.
+        #[test]
+        fn batch_outcomes_are_independent_of_arena_contents(
+            seed in 1u64..500,
+            lanes in 1usize..=MAX_BATCH_LANES,
+            n_diurnal in 0u16..200,
+            offset_h in -11i32..12,
+            poison_seed in 0u64..u64::MAX,
+            faults in 0u8..3,
+            a12w in any::<bool>(),
+        ) {
+            let blocks: Vec<BlockSpec> = (0..lanes as u64)
+                .map(|i| {
+                    let mix = (n_diurnal + 57 * i as u16) % 201;
+                    let offset = (offset_h + 5 * i as i32 + 11).rem_euclid(24) - 11;
+                    mixed_block(i, seed.wrapping_add(i), mix, offset as f64)
+                })
+                .collect();
+            // The poisoned probe memo carries window tags for both epochs.
+            let start = if a12w { A12W_START } else { 0 };
+            let cfg = span_cfg(start, 3.0, faults);
+            let geodb = GeoDatabase::new(seed);
+
+            let want = batch_outcomes(&blocks, &cfg, &geodb, &mut BatchArena::new());
+
+            let mut poisoned = BatchArena::new();
+            poisoned.poison(poison_seed);
+            prop_assert_eq!(batch_outcomes(&blocks, &cfg, &geodb, &mut poisoned), want.clone());
+
+            let others: Vec<BlockSpec> = (0..MAX_BATCH_LANES as u64)
+                .map(|i| {
+                    mixed_block(i, seed.wrapping_add(17 + i), 200 - n_diurnal, -offset_h as f64)
+                })
+                .collect();
+            let mut stale = BatchArena::new();
+            batch_outcomes(&others, &span_cfg(start, 4.0, 0), &geodb, &mut stale);
+            prop_assert_eq!(batch_outcomes(&blocks, &cfg, &geodb, &mut stale), want);
+        }
+    }
 
     fn tiny_analysis() -> WorldAnalysis {
         let world = World::generate(WorldConfig {

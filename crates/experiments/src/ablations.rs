@@ -12,7 +12,7 @@ use sleepwatch_spectral::{acf_diurnal, DiurnalConfig, LombScargle};
 
 /// Ablation: paper estimator vs direct-ratio EWMA under adaptive probing
 /// bias, across true availability levels.
-pub fn ablate_ewma(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ablate_ewma(ctx: &Context) -> ExperimentOutput {
     let rounds = ctx.opts.scaled(4_000, 1_000) as u64;
     let mut rows = Vec::new();
     let mut headline = Vec::new();
@@ -57,7 +57,7 @@ pub fn ablate_ewma(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Ablation: probe budget per round vs estimator error and probing cost.
-pub fn ablate_probes(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ablate_probes(ctx: &Context) -> ExperimentOutput {
     let rounds = ctx.opts.scaled(3_000, 800) as u64;
     let mut rows = Vec::new();
     let mut headline = Vec::new();
@@ -108,7 +108,7 @@ pub fn ablate_probes(ctx: &Context) -> ExperimentOutput {
 /// Ablation: the paper's clean-then-FFT pipeline vs a Lomb–Scargle
 /// periodogram that consumes the gappy observations directly, as the
 /// missing-data fraction grows.
-pub fn ablate_gaps(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ablate_gaps(ctx: &Context) -> ExperimentOutput {
     let per = ctx.opts.scaled(25, 8) as u64;
     let rounds = 917u64; // one week: a weaker signal exposes the contrast
     let diurnal_profile = BlockProfile {
@@ -179,7 +179,7 @@ pub fn ablate_gaps(ctx: &Context) -> ExperimentOutput {
 
 /// Ablation: the paper's frequency-domain strict rule vs a time-domain
 /// autocorrelation detector, across signal quality and confounders.
-pub fn ablate_acf(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ablate_acf(ctx: &Context) -> ExperimentOutput {
     use sleepwatch_core::analyze_block;
     use sleepwatch_core::AnalysisConfig;
     use sleepwatch_simnet::LeaseParams;
@@ -308,7 +308,7 @@ pub fn ablate_acf(ctx: &Context) -> ExperimentOutput {
 /// Ablation: §2.2 trims series to whole days "to reduce noise in FFT
 /// analysis of diurnal frequencies". Quantify it: classify identical runs
 /// with and without the midnight trim, across measurement start offsets.
-pub fn ablate_trim(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ablate_trim(ctx: &Context) -> ExperimentOutput {
     use sleepwatch_availability::{bucket_rounds, fill_gaps, midnight_trim};
     use sleepwatch_core::analyze_series;
 

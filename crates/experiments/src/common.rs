@@ -191,7 +191,7 @@ impl Context {
 
 /// Renders an aligned text table: `header` row then `rows`, all columns
 /// left-padded to the widest cell.
-pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let ncol = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -222,7 +222,7 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
 
 /// Builds a CSV string from a header and rows (naive quoting: fields are
 /// numeric or simple identifiers throughout this harness).
-pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut s = header.join(",");
     s.push('\n');
     for row in rows {
@@ -233,7 +233,7 @@ pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats an f64 compactly for tables.
-pub fn f(x: f64) -> String {
+pub(crate) fn f(x: f64) -> String {
     if x == 0.0 {
         "0".into()
     } else if x.abs() >= 1000.0 {

@@ -76,7 +76,7 @@ fn sweep_output(
 }
 
 /// Fig. 7: accuracy vs the number of diurnal addresses `n_d`.
-pub fn fig7(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig7(ctx: &Context) -> ExperimentOutput {
     let analysis = AnalysisConfig::over_days(0, DAYS);
     let points = [1u16, 2, 3, 5, 8, 10, 15, 20, 30, 50, 75, 100]
         .into_iter()
@@ -91,7 +91,7 @@ pub fn fig7(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 8: accuracy vs maximum phase spread `Φ` (hours).
-pub fn fig8(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig8(ctx: &Context) -> ExperimentOutput {
     let analysis = AnalysisConfig::over_days(0, DAYS);
     let points = (0..=12)
         .map(|i| {
@@ -108,7 +108,7 @@ pub fn fig8(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 9: accuracy vs duration noise `σ_d` (hours).
-pub fn fig9(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig9(ctx: &Context) -> ExperimentOutput {
     let analysis = AnalysisConfig::over_days(0, DAYS);
     let points = (0..=12)
         .map(|i| {
@@ -126,7 +126,7 @@ pub fn fig9(ctx: &Context) -> ExperimentOutput {
 
 /// Ablation: how the strict 2× dominance requirement trades detection of
 /// noisy diurnal blocks against false positives on non-diurnal ones.
-pub fn ablate_strict(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ablate_strict(ctx: &Context) -> ExperimentOutput {
     let ratios = [1.25, 1.5, 2.0, 3.0, 4.0];
     let per = ctx.opts.scaled(60, 15) as u64;
     let diurnal_cfg = ControlledConfig {

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 /// §3.2.4: the USC-style campus study — census bootstrap, policy
 /// exclusions, and per-role detection outcomes.
-pub fn usc(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn usc(ctx: &Context) -> ExperimentOutput {
     let campus = generate_campus(ctx.opts.seed ^ 0x0055_5343);
     // Recent-activity screen: an address must answer at least twice across
     // the census to count toward E(b).
@@ -112,7 +112,7 @@ pub fn usc(ctx: &Context) -> ExperimentOutput {
 }
 
 /// §2.3.2 extension: the organization league table.
-pub fn ext_orgs(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ext_orgs(ctx: &Context) -> ExperimentOutput {
     let (world, analysis) = ctx.world_run();
     let mapper = AsOrgMapper::cluster(&world.as_records);
     let min_blocks = (analysis.len() / 500).max(5);
@@ -139,7 +139,7 @@ pub fn ext_orgs(ctx: &Context) -> ExperimentOutput {
 
 /// §5.6 extension: sizing the active Internet with diurnal-aware error
 /// bars.
-pub fn ext_size(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ext_size(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let e = estimate_size(analysis);
     let rows = vec![
@@ -165,7 +165,7 @@ pub fn ext_size(ctx: &Context) -> ExperimentOutput {
 }
 
 /// §5.2 extension: calibrating phase to local time of day.
-pub fn ext_timeofday(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ext_timeofday(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let mut buckets: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut hours = Vec::new();
@@ -215,7 +215,7 @@ pub fn ext_timeofday(ctx: &Context) -> ExperimentOutput {
 /// the two-site consensus (§3.3's extra vantage points put to work — a
 /// block down from one site but fine from another is a path problem, not
 /// an edge outage).
-pub fn ext_outages(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ext_outages(ctx: &Context) -> ExperimentOutput {
     use sleepwatch_probing::{merge_states, merged_outages};
     use sleepwatch_simnet::{World, WorldConfig};
 
@@ -302,7 +302,7 @@ pub fn ext_outages(ctx: &Context) -> ExperimentOutput {
 
 /// Publishes the world run as a TSV dataset, like the paper's public data
 /// releases (§2.5). The "CSV" output slot carries the dataset itself.
-pub fn ext_dataset(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ext_dataset(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let mut buf = Vec::new();
     write_dataset(&mut buf, analysis).expect("writing to memory cannot fail");
@@ -321,7 +321,7 @@ pub fn ext_dataset(ctx: &Context) -> ExperimentOutput {
     ExperimentOutput { id: "ext-dataset", report, headline, csv: tsv }
 }
 
-/// Writes the compact binary twin of [`ext_dataset`]'s TSV artifact:
+/// Writes the compact binary twin of the `ext-dataset` TSV artifact:
 /// `<dir>/ext-dataset.bin`, seed-joined against the shared world run so
 /// the seed-derivable columns cost nothing on disk. Returns the path
 /// written.
@@ -338,7 +338,7 @@ pub fn write_dataset_bin(
 /// Robustness extension: does the daily classifier survive weekly
 /// (weekend) periodicity? Real blocks carry a 7-day component the paper's
 /// strict test must not mistake for — or be masked by — the daily line.
-pub fn ext_weekend(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ext_weekend(ctx: &Context) -> ExperimentOutput {
     use sleepwatch_core::{analyze_block, AnalysisConfig};
     use sleepwatch_simnet::{BlockProfile, BlockSpec};
 
@@ -410,7 +410,7 @@ pub fn ext_weekend(ctx: &Context) -> ExperimentOutput {
 /// out of the strict class unless `p` is a day (and the 12-hour case lands
 /// in the relaxed class via the first harmonic, as the paper's definition
 /// allows).
-pub fn ext_lease(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn ext_lease(ctx: &Context) -> ExperimentOutput {
     use sleepwatch_core::{analyze_block, AnalysisConfig};
     use sleepwatch_simnet::{BlockProfile, BlockSpec, LeaseParams};
     use sleepwatch_spectral::Spectrum;

@@ -29,17 +29,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod ablations;
-pub mod common;
-pub mod controlled;
-pub mod extensions;
-pub mod plot;
-pub mod samples;
-pub mod validation;
-pub mod worldexp;
+mod ablations;
+mod common;
+mod controlled;
+mod extensions;
+mod plot;
+mod samples;
+mod validation;
+mod worldexp;
 
 pub use common::{Context, DatasetFormat, ExperimentOutput, Options};
+pub use extensions::write_dataset_bin;
 
 /// An experiment: one table or figure from the shared context.
 pub type Experiment = fn(&Context) -> ExperimentOutput;

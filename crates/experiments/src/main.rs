@@ -16,8 +16,9 @@
 //!   --list          print all experiment ids
 //! ```
 
-use sleepwatch_experiments::extensions::write_dataset_bin;
-use sleepwatch_experiments::{run, Context, DatasetFormat, Options, EXPERIMENTS};
+use sleepwatch_experiments::{
+    run, write_dataset_bin, Context, DatasetFormat, Options, EXPERIMENTS,
+};
 use sleepwatch_obs::{RunReport, Snapshot};
 use std::process::ExitCode;
 

@@ -6,7 +6,7 @@
 
 /// Renders `series` as a `width × height` ASCII line chart with a y-axis.
 /// Values are averaged into `width` columns; each column paints one cell.
-pub fn line_chart(series: &[f64], width: usize, height: usize) -> String {
+pub(crate) fn line_chart(series: &[f64], width: usize, height: usize) -> String {
     if series.is_empty() || width == 0 || height == 0 {
         return String::new();
     }
@@ -38,7 +38,7 @@ pub fn line_chart(series: &[f64], width: usize, height: usize) -> String {
 }
 
 /// One-line unicode sparkline (8 levels).
-pub fn sparkline(series: &[f64]) -> String {
+pub(crate) fn sparkline(series: &[f64]) -> String {
     const TICKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     if series.is_empty() {
         return String::new();
@@ -56,7 +56,7 @@ pub fn sparkline(series: &[f64]) -> String {
 }
 
 /// Averages `series` into at most `width` buckets.
-pub fn downsample(series: &[f64], width: usize) -> Vec<f64> {
+pub(crate) fn downsample(series: &[f64], width: usize) -> Vec<f64> {
     let n = series.len();
     if n <= width {
         return series.to_vec();

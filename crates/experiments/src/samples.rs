@@ -138,7 +138,7 @@ fn sample_figure(
 }
 
 /// Fig. 1: sparse, high-availability block with an outage.
-pub fn fig1(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig1(ctx: &Context) -> ExperimentOutput {
     let rounds = 1_833; // 14 days
     sample_figure(
         "fig1",
@@ -150,7 +150,7 @@ pub fn fig1(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 2: dense, low-availability block.
-pub fn fig2(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig2(ctx: &Context) -> ExperimentOutput {
     sample_figure(
         "fig2",
         "Fig. 2 — dense low-availability block (|E|=245, A≈0.191)",
@@ -161,7 +161,7 @@ pub fn fig2(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 3: diurnal block over the two-week survey.
-pub fn fig3(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig3(ctx: &Context) -> ExperimentOutput {
     sample_figure(
         "fig3",
         "Fig. 3 — diurnal block (|E|=256, A≈0.598, 14 daily bumps)",
@@ -173,7 +173,7 @@ pub fn fig3(ctx: &Context) -> ExperimentOutput {
 
 /// Fig. 6: the Fig. 3 block observed for 35 days in the adaptive dataset;
 /// the daily peak moves to k = N_d = 35 (≈34 after midnight trimming).
-pub fn fig6(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig6(ctx: &Context) -> ExperimentOutput {
     let block = diurnal_block(ctx.opts.seed);
     let start = sleepwatch_simnet::A12W_START;
     let rounds = 4_582u64; // 35 days

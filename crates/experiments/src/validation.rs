@@ -186,7 +186,7 @@ fn quartile_rows(q: &BinnedQuartiles) -> Vec<Vec<String>> {
 }
 
 /// Fig. 4: `Âs` vs true `A`.
-pub fn fig4(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig4(ctx: &Context) -> ExperimentOutput {
     let study = ctx.survey_study();
     let rows = quartile_rows(&study.quartiles_short);
     let mut report = render_table(
@@ -207,7 +207,7 @@ pub fn fig4(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 5: `Âo` vs true `A`.
-pub fn fig5(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig5(ctx: &Context) -> ExperimentOutput {
     let study = ctx.survey_study();
     let rows = quartile_rows(&study.quartiles_oper);
     let mut report = render_table(
@@ -228,7 +228,7 @@ pub fn fig5(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Table 1: diurnal detection from `Âs` vs ground truth from `A`.
-pub fn table1(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn table1(ctx: &Context) -> ExperimentOutput {
     let study = ctx.survey_study();
     let (tp, fp, fneg, tn) = study.confusion;
     let total = (tp + fp + fneg + tn).max(1);

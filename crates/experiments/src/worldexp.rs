@@ -11,7 +11,7 @@ use sleepwatch_simnet::{World, WorldConfig};
 use sleepwatch_stats::{linfit, spearman, wilson_interval, Histogram};
 
 /// Fig. 10: CDF of the strongest frequency per block.
-pub fn fig10(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig10(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let mut hist = Histogram::new(0.0, 12.0, 120);
     hist.extend(analysis.reports.iter().map(|r| r.summary.strongest_cpd));
@@ -66,7 +66,7 @@ fn ym_unix(ym: sleepwatch_geoecon::YearMonth) -> u64 {
 }
 
 /// Fig. 11: fraction of diurnal blocks across the long-term survey archive.
-pub fn fig11(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig11(ctx: &Context) -> ExperimentOutput {
     let n_blocks = ctx.opts.scaled(400, 50);
     let calendar = survey_calendar();
     let reporter = sleepwatch_obs::Reporter::new("[fig11]");
@@ -176,7 +176,7 @@ fn grid_csv(
 }
 
 /// Fig. 12: where the observable blocks are.
-pub fn fig12(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig12(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let (all, diurnal) = analysis.world_grids(2.0);
     let (coarse_all, _) = analysis.world_grids(4.0);
@@ -200,7 +200,7 @@ pub fn fig12(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 13: the percentage of blocks per cell that are diurnal.
-pub fn fig13(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig13(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let (all, diurnal) = analysis.world_grids(2.0);
     let (coarse_all, coarse_diurnal) = analysis.world_grids(4.0);
@@ -236,7 +236,7 @@ pub fn fig13(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 14: phase vs longitude.
-pub fn fig14(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig14(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let r_strict = analysis.phase_longitude_correlation(false).unwrap_or(0.0);
     let r_relaxed = analysis.phase_longitude_correlation(true).unwrap_or(0.0);
@@ -267,7 +267,7 @@ pub fn fig14(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 15: diurnal fraction vs /8 allocation month.
-pub fn fig15(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig15(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let hist = analysis.allocation_histogram();
     let min_blocks = (analysis.len() / 500).max(5);
@@ -301,7 +301,7 @@ pub fn fig15(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 16: country diurnal fraction vs per-capita GDP.
-pub fn fig16(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig16(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let min_blocks = (analysis.len() / 2_000).max(5);
     let stats = analysis.country_stats(min_blocks);
@@ -334,7 +334,7 @@ pub fn fig16(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Fig. 17: diurnal fraction per access-link keyword.
-pub fn fig17(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn fig17(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let stats = analysis.link_stats();
     let rows: Vec<Vec<String>> = stats
@@ -367,7 +367,7 @@ pub fn fig17(ctx: &Context) -> ExperimentOutput {
 /// Table 2: stability across measurement sites (a second vantage point
 /// observes the same world, offset by half a round — different packet
 /// timing, same Internet).
-pub fn table2(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn table2(ctx: &Context) -> ExperimentOutput {
     let (world, first) = ctx.world_run();
     let mut cfg = AnalysisConfig::over_days(world.cfg.start_time + 330, Context::WORLD_DAYS);
     cfg.trinocular = TrinocularConfig::a12w();
@@ -424,7 +424,7 @@ pub fn table2(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Table 3: top-20 countries by diurnal fraction, plus the United States.
-pub fn table3(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn table3(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let min_blocks = (analysis.len() / 2_000).max(5);
     let stats = analysis.country_stats(min_blocks);
@@ -462,7 +462,7 @@ pub fn table3(ctx: &Context) -> ExperimentOutput {
 }
 
 /// Table 4: diurnal fraction by region.
-pub fn table4(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn table4(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let stats = analysis.region_stats();
     let rows: Vec<Vec<String>> = stats
@@ -488,7 +488,7 @@ pub fn table4(ctx: &Context) -> ExperimentOutput {
 
 /// Table 5: ANOVA of diurnal fraction against five factors, single and
 /// pairwise.
-pub fn table5(ctx: &Context) -> ExperimentOutput {
+pub(crate) fn table5(ctx: &Context) -> ExperimentOutput {
     let (_, analysis) = ctx.world_run();
     let factors = analysis.anova_factors(5);
     let names: Vec<&str> = factors.factors.iter().map(|(n, _)| *n).collect();

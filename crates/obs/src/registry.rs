@@ -207,18 +207,19 @@ metrics! {
     }
     /// Per-block pipeline counters and stage wall-time histograms.
     pipeline: PipelineMetrics {
-        /// Blocks fully analysed by `analyze_block`.
+        /// Blocks classified: every block a world run or an ingest shard
+        /// finishes in its batch arena, and every `analyze_block`.
         blocks_analyzed: counter,
         /// Blocks rejected by the fill-fraction screen.
         blocks_rejected: counter,
-        /// Scratch-path blocks whose `BlockScratch` arena was reused
-        /// without growing (the steady state), judged by the arena's
-        /// capacity footprint before and after the block.
+        /// Blocks whose batch arena (the probe workspace and the block's
+        /// lane) was reused without growing (the steady state), judged by
+        /// their capacity footprint before and after the block.
         /// `scratch_reuses + scratch_grows == blocks_analyzed`.
         scratch_reuses: counter,
-        /// Scratch-path blocks that grew the arena: warm-up, a longer
-        /// series than any before, or every block of `analyze_block`,
-        /// whose arena starts empty.
+        /// Blocks that grew their batch arena: warm-up, a longer series
+        /// than any before, or every block of `analyze_block`, whose
+        /// workspace and lane start empty.
         scratch_grows: counter,
         /// Wall-time histograms in microseconds, one per [`Stage`], read
         /// through [`PipelineMetrics::stage`].
@@ -232,8 +233,9 @@ metrics! {
         blocks_total: counter,
         /// Largest single world analysed (blocks).
         max_world_blocks: gauge,
-        /// Largest per-worker `BlockScratch` arena footprint seen, in bytes
-        /// (the experiments harness prints it to stderr).
+        /// Largest batch arena footprint of a world-run worker seen, in
+        /// bytes, with the worker's group specs (the experiments harness
+        /// prints it to stderr).
         peak_block_bytes: gauge,
         /// Times a thread's per-chunk outcome list had to grow its
         /// capacity. Pinned to 0: each list is pre-sized to one chunk (256).

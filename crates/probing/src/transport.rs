@@ -45,9 +45,10 @@
 //! feeder needs, over that one reader and one sequence cursor; each keeps
 //! only its policy for damage, gaps and the stream's end (a file skips
 //! and counts, a socket reconnects and resumes) in one `pull` that reads
-//! frames until events are pending. The consumer takes them one at a time
-//! ([`EventSource::next_event`]) or, as ingest does, the rest of the frame
-//! as one borrowed slice ([`EventSource::next_run`]). The chaos oracle in
+//! frames until events are pending. The consumer takes up to a count of
+//! them as one borrowed slice ([`EventSource::next_run_up_to`]): the rest
+//! of the frame, as ingest takes it ([`EventSource::next_run`]), or one
+//! at a time ([`EventSource::next_event`]). The chaos oracle in
 //! `sleepwatch-testkit` proves that verdicts ingested through this wire
 //! under severs, flips, stalls, duplicated and reordered frames are
 //! Debug-identical to batch analysis.
@@ -399,13 +400,6 @@ struct Batch {
 }
 
 impl Batch {
-    /// The next event not yet handed out.
-    fn pop(&mut self) -> Option<RoundEvent> {
-        let ev = *self.events.get(self.next)?;
-        self.next += 1;
-        Some(ev)
-    }
-
     /// True while events remain to be handed out.
     fn has_rest(&self) -> bool {
         self.next < self.events.len()
@@ -528,22 +522,31 @@ pub fn decode_frame(buf: &[u8], chain: u32) -> FrameDecode {
 /// reading, and TCP flow control pushes back on the sender with no
 /// unbounded buffering anywhere.
 ///
-/// Two pulls deliver the same events, frames and accounting, and may be
-/// mixed: ingest takes a frame at a time with
+/// One pull, [`next_run_up_to`](EventSource::next_run_up_to), and two
+/// shapes of it that deliver the same events, frames and accounting and
+/// may be mixed: ingest takes a frame at a time with
 /// [`next_run`](EventSource::next_run), so it pays one call per frame
 /// rather than per event; [`next_event`](EventSource::next_event) is for
 /// consumers that want one event at a time.
 pub trait EventSource {
-    /// The next event, blocking as needed. `Ok(None)` is end of stream.
-    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError>;
-
-    /// The events of the current frame not yet taken, all now taken,
-    /// pulling frames exactly as [`next_event`](EventSource::next_event)
-    /// does when none are left. An empty run is end of stream.
-    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError>;
+    /// Up to `max` (≥ 1) of the current frame's events not yet taken, now
+    /// taken, blocking to pull frames as needed when none are left. An
+    /// empty run is end of stream.
+    fn next_run_up_to(&mut self, max: usize) -> Result<&[RoundEvent], TransportError>;
 
     /// Transport accounting so far.
     fn stats(&self) -> TransportStats;
+
+    /// The events of the current frame not yet taken, all now taken. An
+    /// empty run is end of stream.
+    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError> {
+        self.next_run_up_to(usize::MAX)
+    }
+
+    /// The next event, blocking as needed. `Ok(None)` is end of stream.
+    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError> {
+        Ok(self.next_run_up_to(1)?.first().copied())
+    }
 }
 
 /// Adapts an in-memory iterator to [`EventSource`] — the zero-transport
@@ -564,17 +567,9 @@ impl<I: Iterator<Item = RoundEvent>> IterSource<I> {
 }
 
 impl<I: Iterator<Item = RoundEvent>> EventSource for IterSource<I> {
-    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError> {
-        let ev = self.iter.next();
-        if ev.is_some() {
-            self.stats.events += 1;
-        }
-        Ok(ev)
-    }
-
-    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError> {
+    fn next_run_up_to(&mut self, max: usize) -> Result<&[RoundEvent], TransportError> {
         self.run.clear();
-        self.run.extend(self.iter.by_ref().take(MAX_FRAME_EVENTS));
+        self.run.extend(self.iter.by_ref().take(max.min(MAX_FRAME_EVENTS)));
         self.stats.events += self.run.len() as u64;
         Ok(&self.run)
     }
@@ -601,10 +596,12 @@ struct Cursor {
 }
 
 impl Cursor {
-    /// The rest of the pending frame, taken and counted as delivered.
-    fn take_run(&mut self) -> &[RoundEvent] {
-        let from = std::mem::replace(&mut self.pending.next, self.pending.events.len());
-        let run = &self.pending.events[from..];
+    /// Up to `max` of the pending frame's events, taken and counted as
+    /// delivered.
+    fn take_run(&mut self, max: usize) -> &[RoundEvent] {
+        let from = self.pending.next;
+        self.pending.next += max.min(self.pending.events.len() - from);
+        let run = &self.pending.events[from..self.pending.next];
         self.stats.events += run.len() as u64;
         run
     }
@@ -924,26 +921,11 @@ impl<R: Read> FileSource<R> {
 }
 
 impl<R: Read> EventSource for FileSource<R> {
-    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError> {
-        loop {
-            // Written out, not a `Cursor` method: re-wrapping the popped
-            // `Option` cost 5 ns per event (a split copy the caller's loads
-            // cannot forward from).
-            if let Some(ev) = self.cur.pending.pop() {
-                self.cur.stats.events += 1;
-                return Ok(Some(ev));
-            }
-            if !self.pull()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError> {
+    fn next_run_up_to(&mut self, max: usize) -> Result<&[RoundEvent], TransportError> {
         if !self.cur.pending.has_rest() && !self.pull()? {
             return Ok(&[]);
         }
-        Ok(self.cur.take_run())
+        Ok(self.cur.take_run(max))
     }
 
     fn stats(&self) -> TransportStats {
@@ -1281,26 +1263,11 @@ fn reconnect_hist() -> &'static sleepwatch_obs::Histogram {
 }
 
 impl EventSource for TcpEventSource {
-    fn next_event(&mut self) -> Result<Option<RoundEvent>, TransportError> {
-        loop {
-            // Written out, not a `Cursor` method: re-wrapping the popped
-            // `Option` cost 5 ns per event (a split copy the caller's loads
-            // cannot forward from).
-            if let Some(ev) = self.cur.pending.pop() {
-                self.cur.stats.events += 1;
-                return Ok(Some(ev));
-            }
-            if !self.pull()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn next_run(&mut self) -> Result<&[RoundEvent], TransportError> {
+    fn next_run_up_to(&mut self, max: usize) -> Result<&[RoundEvent], TransportError> {
         if !self.cur.pending.has_rest() && !self.pull()? {
             return Ok(&[]);
         }
-        Ok(self.cur.take_run())
+        Ok(self.cur.take_run(max))
     }
 
     fn stats(&self) -> TransportStats {

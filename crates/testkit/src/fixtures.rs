@@ -53,6 +53,23 @@ pub fn conformance_faults() -> FaultPlan {
     }
 }
 
+/// The seed every oracle suite draws the [`FaultPlan::presets`] with.
+pub const PRESET_SEED: u64 = 0xFA_17;
+
+/// The fault plan an oracle suite names: `"none"` for
+/// [`FaultPlan::none`], else the preset of that name drawn with
+/// [`PRESET_SEED`]. Panics on a name that is neither.
+pub fn preset(name: &str) -> FaultPlan {
+    if name == "none" {
+        return FaultPlan::none();
+    }
+    FaultPlan::presets(PRESET_SEED)
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no preset named {name}"))
+        .1
+}
+
 /// Like [`world_dataset_tsv`] but with [`conformance_faults`] injected.
 pub fn faulted_world_dataset_tsv(threads: usize) -> String {
     let world = small_world();

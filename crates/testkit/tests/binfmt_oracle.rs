@@ -22,20 +22,12 @@ use sleepwatch_core::{
     write_dataset_rows, DatasetMode,
 };
 use sleepwatch_probing::FaultPlan;
+use sleepwatch_testkit::fixtures::preset;
 use sleepwatch_testkit::resilience::{
     dataset_tsv, resilience_cfg, resilience_world, scratch_path, RESILIENCE_BLOCKS,
 };
 
-const PRESET_SEED: u64 = 0xFA_17;
 const THREADS: [usize; 3] = [1, 4, 8];
-
-fn preset(name: &str) -> FaultPlan {
-    FaultPlan::presets(PRESET_SEED)
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("no preset named {name}"))
-        .1
-}
 
 fn tsv_of(rows: &[sleepwatch_core::DatasetRow]) -> Vec<u8> {
     let mut out = Vec::new();

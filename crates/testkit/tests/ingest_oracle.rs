@@ -11,9 +11,8 @@
 //! mid-stream checkpoint journal must heal to the same verdict set, and
 //! the ingest journal is interchangeable with the batch one.
 //!
-//! Scale: `INGEST_ORACLE_BLOCKS` blocks when set (CI runs 5000); the
-//! default keeps debug tier-1 runs tractable while release runs cover
-//! the full world.
+//! Scale: [`ORACLE_BLOCKS`] blocks, fewer in a debug build so tier-1
+//! runs stay tractable while release runs cover the full world.
 
 use sleepwatch_core::feed::with_feed_workers;
 use sleepwatch_core::journal::record_boundaries;
@@ -23,10 +22,10 @@ use sleepwatch_core::{
 };
 use sleepwatch_probing::{FaultPlan, TrinocularProber};
 use sleepwatch_simnet::{World, WorldConfig, WorldSource};
+use sleepwatch_testkit::fixtures::{preset, PRESET_SEED};
 use sleepwatch_testkit::oracles::{assert_batch_online_agree, clean_checked};
 use sleepwatch_testkit::resilience::scratch_path;
 
-const PRESET_SEED: u64 = 0xFA_17;
 const SHARDS: [usize; 3] = [1, 4, 8];
 const ORACLE_SEED: u64 = 0x001A_6E57;
 /// Long enough (≈229 rounds) to cover every named fault preset,
@@ -34,24 +33,11 @@ const ORACLE_SEED: u64 = 0x001A_6E57;
 /// the resilience suite established.
 const ORACLE_DAYS: f64 = 1.75;
 
-fn oracle_blocks() -> usize {
-    std::env::var("INGEST_ORACLE_BLOCKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if cfg!(debug_assertions) { 400 } else { 5_000 })
-}
-
-fn preset(name: &str) -> FaultPlan {
-    FaultPlan::presets(PRESET_SEED)
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("no preset named {name}"))
-        .1
-}
+const ORACLE_BLOCKS: usize = if cfg!(debug_assertions) { 400 } else { 5_000 };
 
 fn oracle_world_cfg() -> WorldConfig {
     WorldConfig {
-        num_blocks: oracle_blocks(),
+        num_blocks: ORACLE_BLOCKS,
         seed: ORACLE_SEED,
         span_days: ORACLE_DAYS,
         ..Default::default()

@@ -13,20 +13,11 @@
 use sleepwatch_core::analyze_world_resumable;
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_probing::FaultPlan;
+use sleepwatch_testkit::fixtures::preset;
 use sleepwatch_testkit::resilience::{
     dataset_tsv, resilience_cfg, resilience_world, scratch_path, RESILIENCE_BLOCKS,
 };
 use std::path::Path;
-
-const PRESET_SEED: u64 = 0xFA_17;
-
-fn preset(name: &str) -> FaultPlan {
-    FaultPlan::presets(PRESET_SEED)
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("no preset named {name}"))
-        .1
-}
 
 /// Truncates a copy of `journal` to `len` bytes at a fresh scratch path.
 fn severed_copy(journal: &Path, tag: &str, len: usize) -> std::path::PathBuf {

@@ -3,16 +3,15 @@
 //! Every answer the server gives must equal, byte for byte, what
 //! straight-line batch code computes from the same decoded rows — no
 //! indexes, no cache, just folds written independently in this file.
-//! The matrix: every [`FaultPlan`] preset (plus the fault-free world) ×
+//! The matrix: every `FaultPlan` preset (plus the fault-free world) ×
 //! both `SLPWBIN1` dataset modes × 1/4/8 server threads, with the
 //! multi-threaded configurations queried by concurrent clients. A world
 //! loaded from a checkpoint journal (either record version, appended
 //! out of order, with duplicates) must produce the same rows — and the
 //! same served bytes — as the dataset-loaded one.
 //!
-//! Scale: `SERVE_ORACLE_BLOCKS` blocks when set (CI runs 5000); the
-//! default keeps debug tier-1 runs tractable while release runs cover
-//! the full world.
+//! Scale: [`ORACLE_BLOCKS`] blocks, fewer in a debug build so tier-1
+//! runs stay tractable while release runs cover the full world.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -26,50 +25,33 @@ use sleepwatch_core::{
     analyze_world, dataset_rows, encode_dataset, run_identity, AnalysisConfig, DatasetMode,
     DatasetRow, JournalHeader,
 };
-use sleepwatch_probing::FaultPlan;
 use sleepwatch_simnet::{World, WorldConfig};
 use sleepwatch_spectral::DiurnalClass;
+use sleepwatch_testkit::fixtures::preset;
 use sleepwatch_testkit::httpclient::HttpConnection;
 use sleepwatch_testkit::resilience::scratch_path;
 
 const ORACLE_SEED: u64 = 0x5E12_7E01;
-const PRESET_SEED: u64 = 0xFA_17;
 /// Covers every named fault preset, including the blackout window (the
 /// calibration the ingest oracle uses).
 const ORACLE_DAYS: f64 = 1.75;
 const THREADS: [usize; 3] = [1, 4, 8];
 
-fn oracle_blocks() -> usize {
-    std::env::var("SERVE_ORACLE_BLOCKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if cfg!(debug_assertions) { 120 } else { 5_000 })
-}
+const ORACLE_BLOCKS: usize = if cfg!(debug_assertions) { 120 } else { 5_000 };
 
 fn world_cfg() -> WorldConfig {
     WorldConfig {
-        num_blocks: oracle_blocks(),
+        num_blocks: ORACLE_BLOCKS,
         seed: ORACLE_SEED,
         span_days: ORACLE_DAYS,
         ..Default::default()
     }
 }
 
-fn plan_named(name: &str) -> FaultPlan {
-    if name == "none" {
-        return FaultPlan::none();
-    }
-    FaultPlan::presets(PRESET_SEED)
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("no preset named {name}"))
-        .1
-}
-
 fn oracle_cfg(name: &str) -> AnalysisConfig {
     let wcfg = world_cfg();
     AnalysisConfig {
-        faults: plan_named(name),
+        faults: preset(name),
         ..AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days)
     }
 }
@@ -469,7 +451,7 @@ fn journal_loaded_equals_dataset_loaded() {
     assert!(analysis.quarantined.is_empty(), "reference run quarantined blocks");
     let rows = dataset_rows(&analysis);
 
-    let header = JournalHeader::from_identity(&run_identity(ORACLE_SEED, oracle_blocks(), &cfg));
+    let header = JournalHeader::from_identity(&run_identity(ORACLE_SEED, ORACLE_BLOCKS, &cfg));
     let path = scratch_path("serve-oracle");
     {
         let (mut writer, replayed, _) = open_resume(&path, &header).expect("open journal");
@@ -508,7 +490,7 @@ fn journal_loaded_equals_dataset_loaded() {
 #[test]
 fn foreign_journal_is_refused() {
     let cfg = oracle_cfg("none");
-    let ours = JournalHeader::from_identity(&run_identity(ORACLE_SEED, oracle_blocks(), &cfg));
+    let ours = JournalHeader::from_identity(&run_identity(ORACLE_SEED, ORACLE_BLOCKS, &cfg));
     let theirs = JournalHeader::from_identity(&run_identity(ORACLE_SEED + 1, 7, &cfg));
     let path = scratch_path("serve-foreign");
     {

@@ -21,8 +21,8 @@
 //! the batch pipeline across the transport, and the lossy file path's
 //! graceful truncation handling.
 //!
-//! Scale: `TRANSPORT_ORACLE_BLOCKS` overrides the world size (debug
-//! default keeps tier-1 runs tractable).
+//! Scale: [`ORACLE_BLOCKS`] blocks, fewer in a debug build so tier-1
+//! runs stay tractable.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -50,16 +50,11 @@ const SHARDS: [usize; 3] = [1, 4, 8];
 const ORACLE_SEED: u64 = 0x7A45_1907;
 const ORACLE_DAYS: f64 = 1.25;
 
-fn oracle_blocks() -> usize {
-    std::env::var("TRANSPORT_ORACLE_BLOCKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if cfg!(debug_assertions) { 120 } else { 1_200 })
-}
+const ORACLE_BLOCKS: usize = if cfg!(debug_assertions) { 120 } else { 1_200 };
 
 fn oracle_world_cfg() -> WorldConfig {
     WorldConfig {
-        num_blocks: oracle_blocks(),
+        num_blocks: ORACLE_BLOCKS,
         seed: ORACLE_SEED,
         span_days: ORACLE_DAYS,
         ..Default::default()

@@ -38,8 +38,7 @@ fn unknown_id_is_rejected() {
 /// TSV — the differential oracle, end to end through the harness.
 #[test]
 fn ext_dataset_binary_twin_matches_the_tsv() {
-    use sleepwatch_experiments::extensions::write_dataset_bin;
-    use sleepwatch_experiments::DatasetFormat;
+    use sleepwatch_experiments::{write_dataset_bin, DatasetFormat};
 
     let dir = std::env::temp_dir().join(format!("swtest-extbin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
