@@ -57,7 +57,7 @@ fn template_label_equals_the_per_name_label_over_every_country_and_class() {
                 );
                 b.country_idx = country_idx;
                 b.asn = 100 + country_idx as u32;
-                b.links = links;
+                b.links = links.into_iter().collect();
                 assert_eq!(block_label(&b), per_name_label(&b), "{b:?}");
             }
         }

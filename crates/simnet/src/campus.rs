@@ -9,7 +9,7 @@
 //! such a campus with known per-block roles so experiments can score
 //! true/false positives and the policy-exclusion false negatives.
 
-use crate::block::{BlockProfile, BlockSpec, LinkClass};
+use crate::block::{BlockProfile, BlockSpec, LinkClass, Links};
 use sleepwatch_geoecon::rng::KeyedRng;
 
 /// Ground-truth role of a campus block.
@@ -135,10 +135,10 @@ pub fn generate_campus(seed: u64) -> Vec<(BlockSpec, CampusUse)> {
             b.perm_offset = rng.below(256) as u8;
             b.perm_step = (rng.below(128) as u8) * 2 + 1;
             b.links = match role {
-                CampusUse::Wireless => vec![LinkClass::Dhcp],
-                CampusUse::Dynamic => vec![LinkClass::Dynamic],
-                CampusUse::Server => vec![LinkClass::Server],
-                _ => vec![LinkClass::Static],
+                CampusUse::Wireless => Links::from([LinkClass::Dhcp]),
+                CampusUse::Dynamic => Links::from([LinkClass::Dynamic]),
+                CampusUse::Server => Links::from([LinkClass::Server]),
+                _ => Links::from([LinkClass::Static]),
             };
             out.push((b, role));
             id += 1;

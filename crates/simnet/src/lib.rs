@@ -45,7 +45,7 @@ mod rdns;
 mod world;
 
 pub use behavior::{AddrKey, AddressBehavior};
-pub use block::{BlockProfile, BlockSpec, LeaseParams, LinkClass, ProbeMemo, ProbeOutcome};
+pub use block::{BlockProfile, BlockSpec, LeaseParams, LinkClass, Links, ProbeMemo, ProbeOutcome};
 pub use campus::{generate_campus, CampusUse};
 pub use controlled::ControlledConfig;
 pub use rdns::{ptr_name, PtrTemplate};

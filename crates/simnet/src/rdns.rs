@@ -179,7 +179,7 @@ mod tests {
 
     fn block_with_links(id: u64, links: Vec<LinkClass>) -> BlockSpec {
         let mut b = BlockSpec::bare(id, 42, BlockProfile::always_on(100, 0.8));
-        b.links = links;
+        b.links = links.into_iter().collect();
         b.asn = 1234;
         b
     }

@@ -6,7 +6,7 @@
 //! diurnalness (§5.5) — and nothing downstream may read the planted labels;
 //! the probing + spectral pipeline has to rediscover them.
 
-use crate::block::{BlockProfile, BlockSpec, LinkClass};
+use crate::block::{BlockProfile, BlockSpec, LinkClass, Links};
 use sleepwatch_geoecon::rng::{hash_parts, KeyedRng};
 use sleepwatch_geoecon::{
     AllocationRegistry, AsRecord, Country, GeoDatabase, Rir, YearMonth, COUNTRIES,
@@ -320,7 +320,7 @@ impl WorldSource {
 
         // 6. Link classes: 1 primary, sometimes a secondary.
         let mix: &[(LinkClass, f64)] = if diurnal { &DIURNAL_LINK_MIX } else { &ALWAYSON_LINK_MIX };
-        let mut links = vec![weighted_pick(&mut rng, mix)];
+        let mut links = Links::from([weighted_pick(&mut rng, mix)]);
         if rng.chance(0.25) {
             let second = weighted_pick(&mut rng, mix);
             if second != links[0] {

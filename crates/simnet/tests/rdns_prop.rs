@@ -79,7 +79,7 @@ fn every_country_renders_in_lower_case() {
         for id in 0..8 {
             let mut b = BlockSpec::bare(id, 5, BlockProfile::always_on(100, 0.8));
             b.country_idx = idx;
-            b.links = vec![LinkClass::Dsl, LinkClass::Cable];
+            b.links = [LinkClass::Dsl, LinkClass::Cable].into();
             for addr in 0..=255u8 {
                 assert_eq!(ptr_name(&b, addr), reference_name(&b, addr), "country {idx}");
             }

@@ -192,10 +192,11 @@ impl SpectrumScratch {
     ) -> &Spectrum {
         assert!(sample_period > 0.0, "sample period must be positive");
         assert_eq!(plan.len(), series.len(), "plan length mismatch");
-        // `real_with_scratch` wants exact lengths, zero-initialized out —
-        // the same state `fft_real` allocates fresh, so outputs match
-        // bit-for-bit.
-        self.spectrum.coeffs.clear();
+        // `real_with_scratch` wants exact lengths and writes every one of
+        // the `n` coefficients (each sample at lengths 0 and 1; `k` and
+        // `k + n/2` for `k < n/2` at even ones; `0`, `k` and `n − k` for
+        // `k ≤ n/2` at odd ones), so the buffer is sized, not cleared:
+        // what a longer transform left in it is overwritten.
         self.spectrum.coeffs.resize(plan.len(), Complex::ZERO);
         self.fft_scratch.clear();
         self.fft_scratch.resize(plan.real_scratch_len(), Complex::ZERO);
@@ -205,17 +206,18 @@ impl SpectrumScratch {
     }
 
     /// Prepares the workspace for an externally computed transform of
-    /// length `n`: clears and zero-fills the coefficient buffer (the same
-    /// state [`compute_with_plan`](Self::compute_with_plan) hands the
-    /// scalar kernel), sets the sample period, and returns the buffer for
-    /// the caller to fill — the batched-FFT world path writes one lane of
-    /// [`FftPlan::real_batch_with_scratch`] straight into it.
+    /// length `n`: sizes the coefficient buffer to `n` without clearing
+    /// it (as [`compute_with_plan`](Self::compute_with_plan) hands it to
+    /// the scalar kernel), sets the sample period, and returns the buffer
+    /// for the caller to fill — every slot, since it may hold a longer
+    /// transform's coefficients. The batched-FFT world path writes one
+    /// lane of [`FftPlan::real_batch_with_scratch`], which writes all
+    /// `n`, straight into it.
     ///
     /// # Panics
     /// Panics if `sample_period <= 0`.
     pub fn prepare_coeffs(&mut self, n: usize, sample_period: f64) -> &mut [Complex] {
         assert!(sample_period > 0.0, "sample period must be positive");
-        self.spectrum.coeffs.clear();
         self.spectrum.coeffs.resize(n, Complex::ZERO);
         self.spectrum.sample_period = sample_period;
         &mut self.spectrum.coeffs
@@ -291,6 +293,44 @@ mod tests {
         }
         assert_eq!(scratch.spectrum().strongest_bin(), Some(14));
         assert!(scratch.footprint_bytes() > 0);
+    }
+
+    /// Sizing without clearing is safe: after a longer transform left NaN
+    /// in every coefficient, a shorter scalar or batched transform (tiny,
+    /// even and odd lengths) leaves none, and its spectrum is bit for bit
+    /// the one a fresh workspace computes.
+    #[test]
+    fn shorter_transforms_overwrite_stale_coefficients() {
+        let bits = |s: &Spectrum| -> Vec<(u64, u64)> {
+            s.coeffs.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        let stale = |scratch: &mut SpectrumScratch| {
+            scratch.poison(7);
+            assert!(scratch.spectrum().len() > 60);
+        };
+        let mut batch = crate::BatchRealScratch::new();
+        for n in [0, 1, 2, 3, 4, 5, 8, 9, 17, 24, 31, 32, 45, 60] {
+            let series = tone(n, 2.0, 0.3, 0.5);
+            let plan = crate::plan::plan_for(n);
+            let want =
+                bits(SpectrumScratch::new().compute_with_plan(&series, ROUND_SECONDS, &plan));
+
+            let mut scratch = SpectrumScratch::new();
+            stale(&mut scratch);
+            let got = scratch.compute_with_plan(&series, ROUND_SECONDS, &plan);
+            assert!(got.coeffs.iter().all(|c| !c.re.is_nan() && !c.im.is_nan()), "scalar n={n}");
+            assert_eq!(bits(got), want, "scalar n={n}");
+
+            if n == 0 {
+                continue;
+            }
+            stale(&mut scratch);
+            let out = scratch.prepare_coeffs(n, ROUND_SECONDS);
+            plan.real_batch_with_scratch(&[&series], &mut [out], &mut batch);
+            let got = scratch.spectrum();
+            assert!(got.coeffs.iter().all(|c| !c.re.is_nan() && !c.im.is_nan()), "batched n={n}");
+            assert_eq!(bits(got), want, "batched n={n}");
+        }
     }
 
     #[test]
