@@ -5,7 +5,9 @@
 
 use std::collections::BTreeMap;
 
-use sleepwatch_core::{analyze_world, AnalysisConfig};
+use sleepwatch_core::{
+    analyze_world, dataset_rows, write_dataset_rows, AnalysisConfig, DatasetRow, WorldAnalysis,
+};
 use sleepwatch_probing::{Blackout, EChurn, FaultPlan, LossBurst, RoundEvent, TrinocularConfig};
 use sleepwatch_simnet::{BlockProfile, BlockSpec, World, WorldConfig};
 
@@ -26,11 +28,19 @@ pub fn small_world_cfg(world: &World) -> AnalysisConfig {
 /// serializes the result as the canonical TSV dataset.
 pub fn world_dataset_tsv(threads: usize) -> String {
     let world = small_world();
-    let cfg = small_world_cfg(&world);
-    let analysis = analyze_world(&world, &cfg, threads, None);
+    dataset_tsv(&analyze_world(&world, &small_world_cfg(&world), threads, None))
+}
+
+/// `rows` as the canonical TSV dataset.
+pub fn rows_tsv(rows: &[DatasetRow]) -> String {
     let mut buf = Vec::new();
-    sleepwatch_core::write_dataset(&mut buf, &analysis).expect("in-memory write cannot fail");
+    write_dataset_rows(&mut buf, rows).expect("in-memory write cannot fail");
     String::from_utf8(buf).expect("dataset is ASCII")
+}
+
+/// An analysis as the canonical TSV dataset.
+pub fn dataset_tsv(analysis: &WorldAnalysis) -> String {
+    rows_tsv(&dataset_rows(analysis))
 }
 
 /// The conformance fault regime: several mechanisms at once (loss bursts,
@@ -53,32 +63,11 @@ pub fn conformance_faults() -> FaultPlan {
     }
 }
 
-/// The seed every oracle suite draws the [`FaultPlan::presets`] with.
-pub const PRESET_SEED: u64 = 0xFA_17;
-
-/// The fault plan an oracle suite names: `"none"` for
-/// [`FaultPlan::none`], else the preset of that name drawn with
-/// [`PRESET_SEED`]. Panics on a name that is neither.
-pub fn preset(name: &str) -> FaultPlan {
-    if name == "none" {
-        return FaultPlan::none();
-    }
-    FaultPlan::presets(PRESET_SEED)
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("no preset named {name}"))
-        .1
-}
-
 /// Like [`world_dataset_tsv`] but with [`conformance_faults`] injected.
 pub fn faulted_world_dataset_tsv(threads: usize) -> String {
     let world = small_world();
-    let mut cfg = small_world_cfg(&world);
-    cfg.faults = conformance_faults();
-    let analysis = analyze_world(&world, &cfg, threads, None);
-    let mut buf = Vec::new();
-    sleepwatch_core::write_dataset(&mut buf, &analysis).expect("in-memory write cannot fail");
-    String::from_utf8(buf).expect("dataset is ASCII")
+    let cfg = AnalysisConfig { faults: conformance_faults(), ..small_world_cfg(&world) };
+    dataset_tsv(&analyze_world(&world, &cfg, threads, None))
 }
 
 /// A strongly diurnal block: 30 stable + 170 diurnal addresses with an

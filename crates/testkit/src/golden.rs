@@ -28,15 +28,6 @@ pub fn updating() -> bool {
     std::env::var_os("UPDATE_GOLDENS").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Thread counts the golden suite must reproduce across. Defaults to
-/// `1,4,8`; override with `GOLDEN_THREADS=1,2` for constrained runners.
-pub fn golden_threads() -> Vec<usize> {
-    match std::env::var("GOLDEN_THREADS") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).filter(|&n| n > 0).collect(),
-        Err(_) => vec![1, 4, 8],
-    }
-}
-
 /// Compares `content` byte-for-byte against the golden file `name`.
 ///
 /// With `UPDATE_GOLDENS=1` the file is rewritten instead (and the test

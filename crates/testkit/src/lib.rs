@@ -5,6 +5,9 @@
 //! * [`golden`] — byte-for-byte conformance against recorded reports under
 //!   `tests/goldens/`, with an `UPDATE_GOLDENS=1` regeneration path;
 //! * [`fixtures`] — deterministic worlds and blocks shared by the suites;
+//! * [`matrix`] — the cells every differential suite runs: the fault and
+//!   chaos preset names, the thread counts, the suites' worlds and their
+//!   batch references, and the macros that expand one test per preset;
 //! * [`oracles`] — differential cross-checks of independent
 //!   implementations of the same quantity (batch vs streaming
 //!   classification, planned vs baseline FFT kernels, survey truth vs
@@ -30,8 +33,9 @@ pub mod chaos;
 pub mod fixtures;
 pub mod golden;
 pub mod httpclient;
+pub mod matrix;
 pub mod metamorphic;
 pub mod oracles;
 pub mod resilience;
 
-pub use golden::{assert_golden, golden_threads, goldens_dir};
+pub use golden::{assert_golden, goldens_dir};

@@ -5,38 +5,15 @@
 //! and scratch files carry the process id plus a global counter so
 //! concurrently running tests never collide.
 
-use sleepwatch_core::{AnalysisConfig, WorldAnalysis};
-use sleepwatch_probing::{FaultPlan, TrinocularConfig};
-use sleepwatch_simnet::{World, WorldConfig};
+use crate::matrix::OracleWorld;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Block count of [`resilience_world`] — the kill-and-resume acceptance
-/// floor (≥ 500 blocks).
-pub const RESILIENCE_BLOCKS: usize = 500;
-
-/// Observation span of [`resilience_world`], days. Short enough to keep
-/// the suite fast, long enough (≈ 229 rounds) to cover every named fault
-/// preset, including the blackout window ending at round 225.
-pub const RESILIENCE_DAYS: f64 = 1.75;
-
-/// The kill-and-resume world: 500 blocks, fixed seed, short span.
-pub fn resilience_world() -> World {
-    World::generate(WorldConfig {
-        num_blocks: RESILIENCE_BLOCKS,
-        seed: 0x00C0_FFEE,
-        span_days: RESILIENCE_DAYS,
-        ..Default::default()
-    })
-}
-
-/// Analysis configuration for [`resilience_world`] under `plan`.
-pub fn resilience_cfg(world: &World, plan: FaultPlan) -> AnalysisConfig {
-    let mut cfg = AnalysisConfig::over_days(world.cfg.start_time, world.cfg.span_days);
-    cfg.trinocular = TrinocularConfig::default();
-    cfg.faults = plan;
-    cfg
-}
+/// The kill-and-resume world: 500 blocks (the kill-and-resume acceptance
+/// floor), fixed seed, and a span short enough to keep the suite fast but
+/// long enough (≈ 229 rounds) to cover every named fault preset,
+/// including the blackout window ending at round 225.
+pub const RESILIENCE: OracleWorld = OracleWorld { seed: 0x00C0_FFEE, blocks: 500, days: 1.75 };
 
 /// A collision-free scratch file path for journal tests. The parent
 /// directory exists on return; the file itself does not.
@@ -50,22 +27,16 @@ pub fn scratch_path(tag: &str) -> PathBuf {
     path
 }
 
-/// Serializes an analysis as the canonical TSV dataset.
-pub fn dataset_tsv(analysis: &WorldAnalysis) -> String {
-    let mut buf = Vec::new();
-    sleepwatch_core::write_dataset(&mut buf, analysis).expect("in-memory write cannot fail");
-    String::from_utf8(buf).expect("dataset is ASCII")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sleepwatch_probing::FaultPlan;
 
     #[test]
     fn resilience_world_is_reproducible_and_big_enough() {
-        let a = resilience_world();
-        let b = resilience_world();
-        assert_eq!(a.blocks.len(), RESILIENCE_BLOCKS);
+        let a = RESILIENCE.world();
+        let b = RESILIENCE.world();
+        assert_eq!(a.blocks.len(), RESILIENCE.blocks);
         assert_eq!(a.blocks.len(), b.blocks.len());
         assert_eq!(a.cfg.seed, b.cfg.seed);
     }
@@ -79,9 +50,8 @@ mod tests {
 
     #[test]
     fn cfg_covers_the_blackout_preset() {
-        let world = resilience_world();
         let plan = FaultPlan::blackout(1);
-        let cfg = resilience_cfg(&world, plan);
+        let cfg = RESILIENCE.cfg(plan);
         let b = plan.blackout.expect("preset has a blackout");
         assert!(
             cfg.rounds > b.start_round + b.len_rounds,

@@ -1,7 +1,7 @@
 //! TSV differential oracle for the compact binary dataset container.
 //!
-//! For every named [`FaultPlan`] preset, the 500-block resilience world
-//! is analyzed at 1, 4 and 8 worker threads, and each analysis is
+//! Fault-free and under every named [`FaultPlan`] preset, the 500-block
+//! resilience world is analyzed at 1, 4 and 8 worker threads, and each analysis is
 //! serialized three ways: the canonical TSV, the seed-joined binary
 //! container and the self-contained one. The pin is byte-level and
 //! total:
@@ -19,34 +19,25 @@
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
     analyze_world, analyze_world_resumable, dataset_rows, decode_dataset, encode_dataset,
-    write_dataset_rows, DatasetMode,
+    DatasetMode,
 };
 use sleepwatch_probing::FaultPlan;
-use sleepwatch_testkit::fixtures::preset;
-use sleepwatch_testkit::resilience::{
-    dataset_tsv, resilience_cfg, resilience_world, scratch_path, RESILIENCE_BLOCKS,
-};
-
-const THREADS: [usize; 3] = [1, 4, 8];
-
-fn tsv_of(rows: &[sleepwatch_core::DatasetRow]) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_dataset_rows(&mut out, rows).expect("in-memory write cannot fail");
-    out
-}
+use sleepwatch_testkit::fixtures::{dataset_tsv, rows_tsv};
+use sleepwatch_testkit::matrix::{fault, THREADS};
+use sleepwatch_testkit::resilience::{scratch_path, RESILIENCE};
 
 /// The oracle body: at each thread count, both container modes must
 /// decode back to the byte-identical TSV, and all serializations must be
 /// independent of the thread count that produced them.
 fn tsv_differential(name: &str) {
-    let world = resilience_world();
-    let cfg = resilience_cfg(&world, preset(name));
+    let world = RESILIENCE.world();
+    let cfg = RESILIENCE.cfg(fault(name));
     let mut reference: Option<(String, Vec<u8>, Vec<u8>)> = None;
     for threads in THREADS {
         let analysis = analyze_world(&world, &cfg, threads, None);
         let tsv = dataset_tsv(&analysis);
         let rows = dataset_rows(&analysis);
-        assert_eq!(rows.len(), RESILIENCE_BLOCKS, "{name}@{threads}: rows missing");
+        assert_eq!(rows.len(), RESILIENCE.blocks, "{name}@{threads}: rows missing");
 
         let joined = encode_dataset(&rows, DatasetMode::SeedJoined(&world.cfg))
             .unwrap_or_else(|e| panic!("{name}@{threads}: seed-joined encode: {e}"));
@@ -58,8 +49,8 @@ fn tsv_differential(name: &str) {
             let decoded = decode_dataset(bytes, ctx)
                 .unwrap_or_else(|e| panic!("{name}@{threads}: {mode} decode: {e}"));
             assert_eq!(
-                tsv.as_bytes(),
-                tsv_of(&decoded),
+                tsv,
+                rows_tsv(&decoded),
                 "{name}@{threads}: {mode} container did not round-trip the TSV byte-identically"
             );
         }
@@ -78,40 +69,7 @@ fn tsv_differential(name: &str) {
     }
 }
 
-#[test]
-fn tsv_differential_loss_light() {
-    tsv_differential("loss-light");
-}
-
-#[test]
-fn tsv_differential_loss_heavy() {
-    tsv_differential("loss-heavy");
-}
-
-#[test]
-fn tsv_differential_blackout() {
-    tsv_differential("blackout");
-}
-
-#[test]
-fn tsv_differential_restart_storm() {
-    tsv_differential("restart-storm");
-}
-
-#[test]
-fn tsv_differential_truncated() {
-    tsv_differential("truncated");
-}
-
-#[test]
-fn tsv_differential_dup_reorder() {
-    tsv_differential("dup-reorder");
-}
-
-#[test]
-fn tsv_differential_churn() {
-    tsv_differential("churn");
-}
+sleepwatch_testkit::fault_tests!(tsv_differential);
 
 /// The file layer preserves the oracle: a dataset written with
 /// `write_dataset_bin_file` decodes back from the file's bytes into rows
@@ -119,8 +77,8 @@ fn tsv_differential_churn() {
 /// disk is smaller than the TSV it mirrors.
 #[test]
 fn file_layer_round_trips_and_shrinks() {
-    let world = resilience_world();
-    let cfg = resilience_cfg(&world, FaultPlan::none());
+    let world = RESILIENCE.world();
+    let cfg = RESILIENCE.cfg(FaultPlan::none());
     let analysis = analyze_world(&world, &cfg, 4, None);
     let want = dataset_tsv(&analysis);
 
@@ -136,7 +94,7 @@ fn file_layer_round_trips_and_shrinks() {
 
     let bytes = std::fs::read(&bin_path).expect("read binary file");
     let rows = decode_dataset(&bytes, Some(&world.cfg)).expect("decode binary file");
-    assert_eq!(want.as_bytes(), tsv_of(&rows), "file-layer round trip diverged");
+    assert_eq!(want, rows_tsv(&rows), "file-layer round trip diverged");
 
     let _ = std::fs::remove_file(&tsv_path);
     let _ = std::fs::remove_file(&bin_path);
@@ -147,8 +105,8 @@ fn file_layer_round_trips_and_shrinks() {
 /// the binary format composes with crash recovery.
 #[test]
 fn resumed_runs_emit_identical_container_bytes() {
-    let world = resilience_world();
-    let cfg = resilience_cfg(&world, preset("dup-reorder"));
+    let world = RESILIENCE.world();
+    let cfg = RESILIENCE.cfg(fault("dup-reorder"));
     let journal = scratch_path("binfmt-resume-ref");
     let reference =
         analyze_world_resumable(&world, &cfg, 8, &journal, None).expect("reference run");
@@ -159,7 +117,7 @@ fn resumed_runs_emit_identical_container_bytes() {
     // Kill mid-run: keep half the records, resume at a different thread
     // count, and demand bit-identical serializations.
     let bytes = std::fs::read(&journal).expect("read journal");
-    let cut = record_boundaries(&bytes)[RESILIENCE_BLOCKS / 2];
+    let cut = record_boundaries(&bytes)[RESILIENCE.blocks / 2];
     let severed = scratch_path("binfmt-resume-severed");
     std::fs::write(&severed, &bytes[..cut]).expect("write severed copy");
     let resumed = analyze_world_resumable(&world, &cfg, 4, &severed, None).expect("resumed run");
@@ -170,5 +128,5 @@ fn resumed_runs_emit_identical_container_bytes() {
     assert_eq!(want_bin, resumed_bin, "resumed container bytes diverged");
 
     let decoded = decode_dataset(&resumed_bin, Some(&world.cfg)).expect("decode resumed");
-    assert_eq!(want_tsv.as_bytes(), tsv_of(&decoded), "decoded resumed container diverged");
+    assert_eq!(want_tsv, rows_tsv(&decoded), "decoded resumed container diverged");
 }

@@ -31,6 +31,7 @@ use sleepwatch_probing::transport::{
 };
 use sleepwatch_probing::{FaultPlan, RoundEvent};
 use sleepwatch_simnet::{WorldConfig, WorldSource};
+use sleepwatch_testkit::matrix::fault_plans;
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -145,8 +146,7 @@ fn feed_file_bytes_are_pinned_under_every_preset() {
         ("dup-reorder",   11.0, 2_428_859, 15_329_886_141_258_857_269),
         ("churn",         11.0, 2_313_006, 16_345_408_889_599_303_451),
     ];
-    let mut regimes = vec![("none", FaultPlan::none())];
-    regimes.extend(FaultPlan::presets(5));
+    let regimes = fault_plans(5);
     for threads in PIN_THREADS {
         let mut got = Vec::new();
         for days in [3.0, 11.0] {

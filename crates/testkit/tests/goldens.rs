@@ -2,21 +2,25 @@
 //! byte-for-byte against the recorded golden, at every thread count.
 
 use sleepwatch_obs::{Registry, Snapshot};
-use sleepwatch_testkit::{assert_golden, fixtures, golden_threads};
+use sleepwatch_testkit::matrix::THREADS;
+use sleepwatch_testkit::{assert_golden, fixtures};
 use std::fmt::Write as _;
+
+/// `tsv` renders the same bytes at every count in [`THREADS`], and they
+/// are the golden `name`.
+fn assert_golden_at_every_thread_count(name: &str, tsv: fn(usize) -> String) {
+    let reference = tsv(THREADS[0]);
+    for t in &THREADS[1..] {
+        assert_eq!(reference, tsv(*t), "{name} differs between {} and {t} threads", THREADS[0]);
+    }
+    assert_golden(name, &reference);
+}
 
 /// The canonical world-run TSV is byte-identical to the recorded golden
 /// and identical across 1/4/8 worker threads.
 #[test]
 fn world_dataset_matches_golden_across_threads() {
-    let threads = golden_threads();
-    assert!(!threads.is_empty(), "GOLDEN_THREADS parsed to nothing");
-    let reference = fixtures::world_dataset_tsv(threads[0]);
-    for &t in &threads[1..] {
-        let tsv = fixtures::world_dataset_tsv(t);
-        assert_eq!(reference, tsv, "world dataset differs between {} and {t} threads", threads[0]);
-    }
-    assert_golden("world_small.tsv", &reference);
+    assert_golden_at_every_thread_count("world_small.tsv", fixtures::world_dataset_tsv);
 }
 
 /// The same world under the combined conformance fault regime: the fault
@@ -24,17 +28,10 @@ fn world_dataset_matches_golden_across_threads() {
 /// its output is pinned so fault-draw keying can never drift silently.
 #[test]
 fn faulted_world_dataset_matches_golden_across_threads() {
-    let threads = golden_threads();
-    let reference = fixtures::faulted_world_dataset_tsv(threads[0]);
-    for &t in &threads[1..] {
-        let tsv = fixtures::faulted_world_dataset_tsv(t);
-        assert_eq!(
-            reference, tsv,
-            "faulted world dataset differs between {} and {t} threads",
-            threads[0]
-        );
-    }
-    assert_golden("world_small_faulted.tsv", &reference);
+    assert_golden_at_every_thread_count(
+        "world_small_faulted.tsv",
+        fixtures::faulted_world_dataset_tsv,
+    );
 }
 
 /// Faults must actually change the output — otherwise the faulted golden

@@ -2,71 +2,47 @@
 //! engine.
 //!
 //! The single-block batch≡online exact-agreement test
-//! (`testkit/tests/oracles.rs`) scaled to a whole world: for every named
-//! [`FaultPlan`] preset the world is streamed through `core::ingest` at
-//! 1, 4 and 8 shards (each with a different event interleaving), and
-//! every per-block verdict — class, phase, the full joined report — must
-//! agree *exactly* with the batch pipeline (`analyze_block` /
-//! `analyze_world`) on the same rounds. Kill-and-resume from a severed
-//! mid-stream checkpoint journal must heal to the same verdict set, and
-//! the ingest journal is interchangeable with the batch one.
+//! (`testkit/tests/oracles.rs`) scaled to a whole world: fault-free and
+//! under every named `FaultPlan` preset the world is streamed through
+//! `core::ingest` at 1, 4 and 8 shards (each with a different event
+//! interleaving), and every per-block verdict — class, phase, the full
+//! joined report — must agree *exactly* with the batch pipeline
+//! (`analyze_block` / `analyze_world`) on the same rounds.
+//! Kill-and-resume from a severed mid-stream checkpoint journal must heal
+//! to the same verdict set, and the ingest journal is interchangeable
+//! with the batch one.
 //!
-//! Scale: [`ORACLE_BLOCKS`] blocks, fewer in a debug build so tier-1
-//! runs stay tractable while release runs cover the full world.
+//! Scale: [`WORLD`]'s blocks, fewer in a debug build so tier-1 runs
+//! stay tractable while release runs cover the full world.
 
 use sleepwatch_core::feed::with_feed_workers;
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
-    analyze_block, analyze_world, analyze_world_resumable, ingest_world, ingest_world_resumable,
-    AnalysisConfig, IngestConfig, WorldAnalysis,
+    analyze_block, analyze_world_resumable, ingest_world, ingest_world_resumable, IngestConfig,
 };
-use sleepwatch_probing::{FaultPlan, TrinocularProber};
-use sleepwatch_simnet::{World, WorldConfig, WorldSource};
-use sleepwatch_testkit::fixtures::{preset, PRESET_SEED};
+use sleepwatch_probing::TrinocularProber;
+use sleepwatch_testkit::matrix::{fault, fault_plans, OracleWorld, FAULTS, THREADS};
 use sleepwatch_testkit::oracles::{assert_batch_online_agree, clean_checked};
 use sleepwatch_testkit::resilience::scratch_path;
 
-const SHARDS: [usize; 3] = [1, 4, 8];
-const ORACLE_SEED: u64 = 0x001A_6E57;
-/// Long enough (≈229 rounds) to cover every named fault preset,
-/// including the blackout window ending at round 225 — the calibration
-/// the resilience suite established.
-const ORACLE_DAYS: f64 = 1.75;
-
-const ORACLE_BLOCKS: usize = if cfg!(debug_assertions) { 400 } else { 5_000 };
-
-fn oracle_world_cfg() -> WorldConfig {
-    WorldConfig {
-        num_blocks: ORACLE_BLOCKS,
-        seed: ORACLE_SEED,
-        span_days: ORACLE_DAYS,
-        ..Default::default()
-    }
-}
-
-fn oracle_source() -> WorldSource {
-    WorldSource::new(oracle_world_cfg())
-}
-
-fn oracle_cfg(plan: FaultPlan) -> AnalysisConfig {
-    let wcfg = oracle_world_cfg();
-    AnalysisConfig { faults: plan, ..AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days) }
-}
-
-fn batch_reference(cfg: &AnalysisConfig) -> WorldAnalysis {
-    let world = World::generate(oracle_world_cfg());
-    analyze_world(&world, cfg, 8, None)
-}
+/// The span is long enough (≈229 rounds) to cover every named fault
+/// preset, including the blackout window ending at round 225 — the
+/// calibration the resilience suite established.
+const WORLD: OracleWorld = OracleWorld {
+    seed: 0x001A_6E57,
+    blocks: if cfg!(debug_assertions) { 400 } else { 5_000 },
+    days: 1.75,
+};
 
 /// The oracle body: at every shard count (each with its own arrival
 /// order), the streamed world must reproduce the batch analysis
 /// element for element — verdicts, phases, and the whole joined report.
 fn world_differential(name: &str) {
-    let source = oracle_source();
-    let cfg = oracle_cfg(preset(name));
-    let batch = batch_reference(&cfg);
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault(name));
+    let batch = WORLD.batch(name);
     assert!(batch.quarantined.is_empty(), "{name}: reference run quarantined blocks");
-    for (i, shards) in SHARDS.into_iter().enumerate() {
+    for (i, shards) in THREADS.into_iter().enumerate() {
         let icfg = IngestConfig {
             shards,
             // A different seed per shard count: every configuration sees
@@ -122,40 +98,7 @@ fn world_differential(name: &str) {
     }
 }
 
-#[test]
-fn world_differential_loss_light() {
-    world_differential("loss-light");
-}
-
-#[test]
-fn world_differential_loss_heavy() {
-    world_differential("loss-heavy");
-}
-
-#[test]
-fn world_differential_blackout() {
-    world_differential("blackout");
-}
-
-#[test]
-fn world_differential_restart_storm() {
-    world_differential("restart-storm");
-}
-
-#[test]
-fn world_differential_truncated() {
-    world_differential("truncated");
-}
-
-#[test]
-fn world_differential_dup_reorder() {
-    world_differential("dup-reorder");
-}
-
-#[test]
-fn world_differential_churn() {
-    world_differential("churn");
-}
+sleepwatch_testkit::fault_tests!(world_differential);
 
 /// The original exact-agreement pin at world scale: for a sweep of
 /// blocks, the full-window `OnlineDetector` must agree with the batch
@@ -163,8 +106,8 @@ fn world_differential_churn() {
 /// series — the detector-level half of the streaming story.
 #[test]
 fn online_detector_agrees_with_batch_across_the_world() {
-    let source = oracle_source();
-    let cfg = oracle_cfg(preset("loss-light"));
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault("loss-light"));
     // Every 5th block keeps the sweep broad but the suite fast; the
     // engine-level oracle above already covers all blocks.
     for id in (0..source.len() as u64).step_by(5) {
@@ -183,23 +126,16 @@ fn online_detector_agrees_with_batch_across_the_world() {
 #[test]
 fn round_major_feed_matches_batch_under_every_preset() {
     let blocks = if cfg!(debug_assertions) { 128 } else { 512 };
-    let wcfg =
-        WorldConfig { num_blocks: blocks, seed: ORACLE_SEED, span_days: 5.0, ..Default::default() };
-    let source = WorldSource::new(wcfg.clone());
-    let world = World::generate(wcfg.clone());
-    let mut plans = vec![("none", FaultPlan::none())];
-    plans.extend(FaultPlan::presets(PRESET_SEED));
-    for (name, plan) in plans {
-        let cfg = AnalysisConfig {
-            faults: plan,
-            ..AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days)
-        };
-        let batch = analyze_world(&world, &cfg, 8, None);
+    let round_major = OracleWorld { blocks, days: 5.0, ..WORLD };
+    let source = round_major.source();
+    for name in FAULTS {
+        let cfg = round_major.cfg(fault(name));
+        let batch = round_major.batch(name);
         let (feed, quarantined) =
             sleepwatch_core::world_feed(&source, &cfg, &IngestConfig::default());
         assert!(quarantined.is_empty(), "{name}: feed quarantines");
         let feed = sleepwatch_testkit::fixtures::round_major(&feed);
-        for shards in SHARDS {
+        for shards in THREADS {
             let icfg = IngestConfig { shards, ..Default::default() };
             let streamed =
                 sleepwatch_core::ingest_events(&source, &cfg, &icfg, feed.iter().copied());
@@ -234,16 +170,13 @@ fn live_detector_totals_are_pinned_on_a_twenty_day_world() {
         ("dup-reorder", 18, 3587, 703_626),
         ("churn", 36, 3123, 670_208),
     ];
-    let wcfg = WorldConfig { num_blocks: 256, seed: 41, span_days: 20.0, ..Default::default() };
-    let source = WorldSource::new(wcfg.clone());
-    let mut plans = vec![("none", FaultPlan::none())];
-    plans.extend(FaultPlan::presets(5));
-    for ((name, plan), (pin_name, strict, classifications, rounds)) in plans.into_iter().zip(PINS) {
+    let world = OracleWorld { seed: 41, blocks: 256, days: 20.0 };
+    let source = world.source();
+    for ((name, plan), (pin_name, strict, classifications, rounds)) in
+        fault_plans(5).into_iter().zip(PINS)
+    {
         assert_eq!(name, pin_name);
-        let cfg = AnalysisConfig {
-            faults: plan,
-            ..AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days)
-        };
+        let cfg = world.cfg(plan);
         let out = ingest_world(&source, &cfg, &IngestConfig { shards: 2, ..Default::default() });
         let s = out.stats;
         assert_eq!(
@@ -260,8 +193,8 @@ fn live_detector_totals_are_pinned_on_a_twenty_day_world() {
 /// with each other and with batch analysis.
 #[test]
 fn killed_and_resumed_ingest_heals_to_the_same_verdicts() {
-    let source = oracle_source();
-    let cfg = oracle_cfg(preset("dup-reorder"));
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault("dup-reorder"));
     let icfg = |shards: usize| IngestConfig { shards, ..Default::default() };
 
     let journal = scratch_path("ingest-resume-ref");
@@ -302,10 +235,10 @@ fn killed_and_resumed_ingest_heals_to_the_same_verdicts() {
 /// report.
 #[test]
 fn ingest_world_matches_batch_at_one_and_four_feed_threads() {
-    let source = oracle_source();
-    let cfg = oracle_cfg(preset("restart-storm"));
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault("restart-storm"));
     let want: Vec<String> =
-        batch_reference(&cfg).reports.iter().map(|r| format!("{r:?}")).collect();
+        WORLD.batch("restart-storm").reports.iter().map(|r| format!("{r:?}")).collect();
     for threads in [1, 4] {
         let streamed =
             with_feed_workers(threads, || ingest_world(&source, &cfg, &IngestConfig::default()));
@@ -320,11 +253,11 @@ fn ingest_world_matches_batch_at_one_and_four_feed_threads() {
 /// and the verdicts heal to the uninterrupted run's and the batch run's.
 #[test]
 fn killed_and_resumed_ingest_heals_at_four_feed_threads() {
-    let source = oracle_source();
-    let cfg = oracle_cfg(preset("loss-heavy"));
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault("loss-heavy"));
     let icfg = IngestConfig { shards: 2, ..Default::default() };
     let want: Vec<String> =
-        batch_reference(&cfg).reports.iter().map(|r| format!("{r:?}")).collect();
+        WORLD.batch("loss-heavy").reports.iter().map(|r| format!("{r:?}")).collect();
 
     let journal = scratch_path("ingest-resume-feed-threads");
     let resumable =
@@ -349,10 +282,10 @@ fn killed_and_resumed_ingest_heals_at_four_feed_threads() {
 /// engine (and vice versa) with identical verdicts.
 #[test]
 fn batch_and_ingest_checkpoints_are_interchangeable() {
-    let source = oracle_source();
-    let cfg = oracle_cfg(preset("loss-light"));
-    let world = World::generate(oracle_world_cfg());
-    let batch = analyze_world(&world, &cfg, 8, None);
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault("loss-light"));
+    let world = WORLD.world();
+    let batch = WORLD.batch("loss-light");
 
     // Batch writes, ingest finishes.
     let journal = scratch_path("ingest-cross-batch");

@@ -26,6 +26,7 @@ use sleepwatch_probing::{FaultPlan, TrinocularProber};
 use sleepwatch_simnet::{World, WorldConfig, WorldSource};
 use sleepwatch_testkit::chaos::{ChaosPlan, ChaosProxy, Harm};
 use sleepwatch_testkit::fixtures;
+use sleepwatch_testkit::matrix::THREADS;
 use sleepwatch_testkit::resilience::scratch_path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -344,7 +345,7 @@ fn quarantine_counter_matches_quarantined_blocks() {
         let mut cfg = fixtures::small_world_cfg(&world);
         cfg.faults.poison_blocks = &[3, 17, 41];
         let n = world.blocks.len() as u64;
-        for threads in [1, 4, 8] {
+        for threads in THREADS {
             let (analysis, d) = measure(|| analyze_world(&world, &cfg, threads, None));
             assert_eq!(analysis.quarantined.len(), 3);
             assert_eq!(d.counter("resilience.blocks_quarantined"), 3, "{threads} threads");

@@ -9,7 +9,9 @@
 
 use sleepwatch_core::{analyze_world, analyze_world_resumable, AnalysisConfig};
 use sleepwatch_simnet::World;
-use sleepwatch_testkit::resilience::{dataset_tsv, scratch_path};
+use sleepwatch_testkit::fixtures::dataset_tsv;
+use sleepwatch_testkit::matrix::THREADS;
+use sleepwatch_testkit::resilience::scratch_path;
 use sleepwatch_testkit::{fixtures, goldens_dir};
 
 /// The small conformance world and its config, with `blocks` poisoned.
@@ -40,7 +42,7 @@ fn planted_panic_is_quarantined_identically_at_every_thread_count() {
     let (world, cfg) = poisoned_world(&[17]);
 
     let mut outputs = Vec::new();
-    for threads in [1, 4, 8] {
+    for threads in THREADS {
         let analysis = analyze_world(&world, &cfg, threads, None);
         assert_eq!(
             analysis.quarantined.len(),

@@ -1,8 +1,8 @@
 //! Kill-and-resume differential oracle for the world-run checkpoint
 //! journal.
 //!
-//! For every named [`FaultPlan`] preset we run the 500-block resilience
-//! world once to completion through `analyze_world_resumable`, which
+//! Fault-free and under every named [`FaultPlan`] preset we run the
+//! 500-block resilience world once to completion through `analyze_world_resumable`, which
 //! doubles as the reference output *and* produces a complete journal.
 //! We then simulate two kinds of crash by truncating a copy of that
 //! journal — at an exact record boundary, and mid-record (a torn write) —
@@ -13,10 +13,9 @@
 use sleepwatch_core::analyze_world_resumable;
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_probing::FaultPlan;
-use sleepwatch_testkit::fixtures::preset;
-use sleepwatch_testkit::resilience::{
-    dataset_tsv, resilience_cfg, resilience_world, scratch_path, RESILIENCE_BLOCKS,
-};
+use sleepwatch_testkit::fixtures::dataset_tsv;
+use sleepwatch_testkit::matrix::fault;
+use sleepwatch_testkit::resilience::{scratch_path, RESILIENCE};
 use std::path::Path;
 
 /// Truncates a copy of `journal` to `len` bytes at a fresh scratch path.
@@ -31,8 +30,8 @@ fn severed_copy(journal: &Path, tag: &str, len: usize) -> std::path::PathBuf {
 /// The oracle body: reference run at 8 threads, then resume from a
 /// record-boundary sever at 1 thread and a mid-record sever at 8 threads.
 fn kill_and_resume(name: &str) {
-    let world = resilience_world();
-    let cfg = resilience_cfg(&world, preset(name));
+    let world = RESILIENCE.world();
+    let cfg = RESILIENCE.cfg(fault(name));
     let journal = scratch_path(&format!("{name}-ref"));
 
     let reference =
@@ -44,13 +43,13 @@ fn kill_and_resume(name: &str) {
     let bounds = record_boundaries(&bytes);
     assert_eq!(
         bounds.len() - 1,
-        RESILIENCE_BLOCKS,
+        RESILIENCE.blocks,
         "{name}: journal should hold one record per block"
     );
     assert_eq!(*bounds.last().unwrap(), bytes.len(), "{name}: trailing bytes in the journal");
 
     // Crash after a clean fsync: the tail ends exactly on a record boundary.
-    let boundary = bounds[RESILIENCE_BLOCKS / 2];
+    let boundary = bounds[RESILIENCE.blocks / 2];
     let at_boundary = severed_copy(&journal, &format!("{name}-boundary"), boundary);
     let resumed =
         analyze_world_resumable(&world, &cfg, 1, &at_boundary, None).expect("boundary resume");
@@ -62,7 +61,7 @@ fn kill_and_resume(name: &str) {
     );
 
     // Torn write: the crash landed mid-record and left a damaged suffix.
-    let mid_record = boundary + (bounds[RESILIENCE_BLOCKS / 2 + 1] - boundary) / 2;
+    let mid_record = boundary + (bounds[RESILIENCE.blocks / 2 + 1] - boundary) / 2;
     let torn = severed_copy(&journal, &format!("{name}-torn"), mid_record);
     let resumed = analyze_world_resumable(&world, &cfg, 8, &torn, None).expect("torn resume");
     assert!(resumed.quarantined.is_empty());
@@ -73,48 +72,15 @@ fn kill_and_resume(name: &str) {
     );
 }
 
-#[test]
-fn kill_and_resume_loss_light() {
-    kill_and_resume("loss-light");
-}
-
-#[test]
-fn kill_and_resume_loss_heavy() {
-    kill_and_resume("loss-heavy");
-}
-
-#[test]
-fn kill_and_resume_blackout() {
-    kill_and_resume("blackout");
-}
-
-#[test]
-fn kill_and_resume_restart_storm() {
-    kill_and_resume("restart-storm");
-}
-
-#[test]
-fn kill_and_resume_truncated() {
-    kill_and_resume("truncated");
-}
-
-#[test]
-fn kill_and_resume_dup_reorder() {
-    kill_and_resume("dup-reorder");
-}
-
-#[test]
-fn kill_and_resume_churn() {
-    kill_and_resume("churn");
-}
+sleepwatch_testkit::fault_tests!(kill_and_resume);
 
 /// A bit flip in the journal body (not just truncation) must also resume
 /// to a byte-identical result: replay keeps the valid prefix and recomputes
 /// everything from the first damaged record onward.
 #[test]
 fn bit_flipped_tail_resumes_identically() {
-    let world = resilience_world();
-    let cfg = resilience_cfg(&world, FaultPlan::none());
+    let world = RESILIENCE.world();
+    let cfg = RESILIENCE.cfg(FaultPlan::none());
     let journal = scratch_path("flip-ref");
     let reference =
         analyze_world_resumable(&world, &cfg, 8, &journal, None).expect("reference run");
@@ -136,8 +102,8 @@ fn bit_flipped_tail_resumes_identically() {
 /// the plain `analyze_world` path byte for byte.
 #[test]
 fn resumable_matches_plain_run() {
-    let world = resilience_world();
-    let cfg = resilience_cfg(&world, preset("blackout"));
+    let world = RESILIENCE.world();
+    let cfg = RESILIENCE.cfg(fault("blackout"));
     let plain = sleepwatch_core::analyze_world(&world, &cfg, 8, None);
     let journal = scratch_path("plain-vs-resumable");
     let resumable = analyze_world_resumable(&world, &cfg, 8, &journal, None).expect("run");

@@ -12,17 +12,15 @@
 use sleepwatch_core::{analyze_block, analyze_world, analyze_world_resumable, AnalysisConfig};
 use sleepwatch_probing::FaultPlan;
 use sleepwatch_simnet::World;
-use sleepwatch_testkit::fixtures::{conformance_faults, small_world, small_world_cfg};
-use sleepwatch_testkit::resilience::dataset_tsv;
-
-const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
+use sleepwatch_testkit::fixtures::{conformance_faults, dataset_tsv, small_world, small_world_cfg};
+use sleepwatch_testkit::matrix::{fault_plans, THREADS};
+use sleepwatch_testkit::resilience::scratch_path;
 
 /// Fault regimes under differential coverage: the fault-free default,
 /// every named preset, and the combined conformance regime.
-fn fault_regimes() -> Vec<(String, FaultPlan)> {
-    let mut regimes = vec![("none".to_string(), FaultPlan::none())];
-    regimes.extend(FaultPlan::presets(0xD1FF).into_iter().map(|(n, p)| (n.to_string(), p)));
-    regimes.push(("conformance".to_string(), conformance_faults()));
+fn fault_regimes() -> Vec<(&'static str, FaultPlan)> {
+    let mut regimes = fault_plans(0xD1FF);
+    regimes.push(("conformance", conformance_faults()));
     regimes
 }
 
@@ -57,7 +55,7 @@ fn world_run_matches_analyze_block_under_every_fault_regime() {
         let mut cfg = small_world_cfg(&world);
         cfg.faults = plan;
         let reference = reference_summaries(&world, &cfg);
-        for threads in THREAD_COUNTS {
+        for threads in THREADS {
             let analysis = analyze_world(&world, &cfg, threads, None);
             assert_matches_reference(
                 &analysis,
@@ -71,8 +69,6 @@ fn world_run_matches_analyze_block_under_every_fault_regime() {
 #[test]
 fn resumable_journal_path_matches_analyze_block() {
     let world = small_world();
-    let dir = std::env::temp_dir().join(format!("sw-scratch-equiv-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     for (name, plan) in fault_regimes() {
         let mut cfg = small_world_cfg(&world);
         cfg.faults = plan;
@@ -81,9 +77,8 @@ fn resumable_journal_path_matches_analyze_block() {
         // per-block reference; the journal round trip must at least
         // reproduce the unjournaled run's dataset byte for byte.
         let plain = dataset_tsv(&analyze_world(&world, &cfg, 2, None));
-        for threads in THREAD_COUNTS {
-            let path = dir.join(format!("{name}-{threads}.journal"));
-            let _ = std::fs::remove_file(&path);
+        for threads in THREADS {
+            let path = scratch_path(&format!("scratch-equiv-{name}-{threads}"));
             // First pass writes the journal from scratch…
             let first = analyze_world_resumable(&world, &cfg, threads, &path, None).unwrap();
             let context = format!("journaled run (regime {name}, {threads}t)");
@@ -97,5 +92,4 @@ fn resumable_journal_path_matches_analyze_block() {
             let _ = std::fs::remove_file(&path);
         }
     }
-    let _ = std::fs::remove_dir(&dir);
 }

@@ -10,8 +10,8 @@
 //! out of order, with duplicates) must produce the same rows — and the
 //! same served bytes — as the dataset-loaded one.
 //!
-//! Scale: [`ORACLE_BLOCKS`] blocks, fewer in a debug build so tier-1
-//! runs stay tractable while release runs cover the full world.
+//! Scale: [`WORLD`]'s blocks, fewer in a debug build so tier-1 runs
+//! stay tractable while release runs cover the full world.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -22,46 +22,26 @@ use sleepwatch_core::serve::{
     rows_from_dataset_bytes, rows_from_journal_bytes, QueryServer, ServeConfig, ServeState,
 };
 use sleepwatch_core::{
-    analyze_world, dataset_rows, encode_dataset, run_identity, AnalysisConfig, DatasetMode,
-    DatasetRow, JournalHeader,
+    dataset_rows, encode_dataset, run_identity, DatasetMode, DatasetRow, JournalHeader,
 };
-use sleepwatch_simnet::{World, WorldConfig};
 use sleepwatch_spectral::DiurnalClass;
-use sleepwatch_testkit::fixtures::preset;
 use sleepwatch_testkit::httpclient::HttpConnection;
+use sleepwatch_testkit::matrix::{fault, OracleWorld, THREADS};
 use sleepwatch_testkit::resilience::scratch_path;
 
-const ORACLE_SEED: u64 = 0x5E12_7E01;
-/// Covers every named fault preset, including the blackout window (the
-/// calibration the ingest oracle uses).
-const ORACLE_DAYS: f64 = 1.75;
-const THREADS: [usize; 3] = [1, 4, 8];
-
-const ORACLE_BLOCKS: usize = if cfg!(debug_assertions) { 120 } else { 5_000 };
-
-fn world_cfg() -> WorldConfig {
-    WorldConfig {
-        num_blocks: ORACLE_BLOCKS,
-        seed: ORACLE_SEED,
-        span_days: ORACLE_DAYS,
-        ..Default::default()
-    }
-}
-
-fn oracle_cfg(name: &str) -> AnalysisConfig {
-    let wcfg = world_cfg();
-    AnalysisConfig {
-        faults: preset(name),
-        ..AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days)
-    }
-}
+/// The span covers every named fault preset, including the blackout
+/// window (the calibration the ingest oracle uses).
+const WORLD: OracleWorld = OracleWorld {
+    seed: 0x5E12_7E01,
+    blocks: if cfg!(debug_assertions) { 120 } else { 5_000 },
+    days: 1.75,
+};
 
 /// The canonical rows for one preset, straight from the batch pipeline.
 fn reference_rows(name: &str) -> Vec<DatasetRow> {
-    let world = World::generate(world_cfg());
-    let analysis = analyze_world(&world, &oracle_cfg(name), 8, None);
+    let analysis = WORLD.batch(name);
     assert!(analysis.quarantined.is_empty(), "{name}: reference run quarantined blocks");
-    dataset_rows(&analysis)
+    dataset_rows(analysis)
 }
 
 // ---------------------------------------------------------------------
@@ -383,7 +363,7 @@ fn check_serving(rows: &[DatasetRow], plan: &[(String, u16, String)], tag: &str)
 fn serve_differential(name: &str) {
     let rows = reference_rows(name);
     let plan = query_plan(&rows);
-    let wcfg = world_cfg();
+    let wcfg = WORLD.world_cfg();
     for (mode_name, mode) in [
         ("self-contained", DatasetMode::SelfContained),
         ("seed-joined", DatasetMode::SeedJoined(&wcfg)),
@@ -398,45 +378,7 @@ fn serve_differential(name: &str) {
     }
 }
 
-#[test]
-fn serves_batch_answers_without_faults() {
-    serve_differential("none");
-}
-
-#[test]
-fn serves_batch_answers_under_loss_light() {
-    serve_differential("loss-light");
-}
-
-#[test]
-fn serves_batch_answers_under_loss_heavy() {
-    serve_differential("loss-heavy");
-}
-
-#[test]
-fn serves_batch_answers_under_blackout() {
-    serve_differential("blackout");
-}
-
-#[test]
-fn serves_batch_answers_under_restart_storm() {
-    serve_differential("restart-storm");
-}
-
-#[test]
-fn serves_batch_answers_under_truncated() {
-    serve_differential("truncated");
-}
-
-#[test]
-fn serves_batch_answers_under_dup_reorder() {
-    serve_differential("dup-reorder");
-}
-
-#[test]
-fn serves_batch_answers_under_churn() {
-    serve_differential("churn");
-}
+sleepwatch_testkit::fault_tests!(serve_differential);
 
 /// A journal-loaded world must serve exactly the bytes a dataset-loaded
 /// one does: the journal is appended in reverse block order with
@@ -445,13 +387,12 @@ fn serves_batch_answers_under_churn() {
 #[test]
 fn journal_loaded_equals_dataset_loaded() {
     let name = "loss-light";
-    let world = World::generate(world_cfg());
-    let cfg = oracle_cfg(name);
-    let analysis = analyze_world(&world, &cfg, 8, None);
+    let cfg = WORLD.cfg(fault(name));
+    let analysis = WORLD.batch(name);
     assert!(analysis.quarantined.is_empty(), "reference run quarantined blocks");
-    let rows = dataset_rows(&analysis);
+    let rows = dataset_rows(analysis);
 
-    let header = JournalHeader::from_identity(&run_identity(ORACLE_SEED, ORACLE_BLOCKS, &cfg));
+    let header = JournalHeader::from_identity(&run_identity(WORLD.seed, WORLD.blocks, &cfg));
     let path = scratch_path("serve-oracle");
     {
         let (mut writer, replayed, _) = open_resume(&path, &header).expect("open journal");
@@ -489,9 +430,9 @@ fn journal_loaded_equals_dataset_loaded() {
 /// A journal from a different run is refused, not served.
 #[test]
 fn foreign_journal_is_refused() {
-    let cfg = oracle_cfg("none");
-    let ours = JournalHeader::from_identity(&run_identity(ORACLE_SEED, ORACLE_BLOCKS, &cfg));
-    let theirs = JournalHeader::from_identity(&run_identity(ORACLE_SEED + 1, 7, &cfg));
+    let cfg = WORLD.cfg(fault("none"));
+    let ours = JournalHeader::from_identity(&run_identity(WORLD.seed, WORLD.blocks, &cfg));
+    let theirs = JournalHeader::from_identity(&run_identity(WORLD.seed + 1, 7, &cfg));
     let path = scratch_path("serve-foreign");
     {
         let (mut w, _, _) = open_resume(&path, &theirs).expect("open journal");

@@ -21,8 +21,8 @@
 //! the batch pipeline across the transport, and the lossy file path's
 //! graceful truncation handling.
 //!
-//! Scale: [`ORACLE_BLOCKS`] blocks, fewer in a debug build so tier-1
-//! runs stay tractable.
+//! Scale: [`WORLD`]'s blocks, fewer in a debug build so tier-1 runs stay
+//! tractable.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -33,50 +33,27 @@ use std::thread;
 
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
-    analyze_world, analyze_world_resumable, feed_identity, ingest_source, ingest_source_resumable,
-    world_feed, AnalysisConfig, IngestConfig, TransportOutcome, WorldAnalysis, WorldFeed,
+    analyze_world_resumable, feed_identity, ingest_source, ingest_source_resumable, world_feed,
+    AnalysisConfig, IngestConfig, TransportOutcome, WorldAnalysis, WorldFeed,
 };
 use sleepwatch_probing::transport::{
     encode_frame, encode_hello, serve_feed, session_chain, write_feed, BackoffConfig, Endpoint,
     FeedConfig, FeedEvents, FileSource, Frame, TcpConfig, TcpEventSource,
 };
-use sleepwatch_probing::{FaultPlan, RoundEvent};
-use sleepwatch_simnet::{World, WorldConfig, WorldSource};
+use sleepwatch_probing::RoundEvent;
+use sleepwatch_simnet::WorldSource;
 use sleepwatch_testkit::chaos::{ChaosPlan, ChaosProxy};
+use sleepwatch_testkit::matrix::{chaos, fault, OracleWorld, CHAOS_SEED, THREADS};
 use sleepwatch_testkit::resilience::scratch_path;
 
-const CHAOS_SEED: u64 = 0xC4A05;
-const SHARDS: [usize; 3] = [1, 4, 8];
-const ORACLE_SEED: u64 = 0x7A45_1907;
-const ORACLE_DAYS: f64 = 1.25;
+const WORLD: OracleWorld = OracleWorld {
+    seed: 0x7A45_1907,
+    blocks: if cfg!(debug_assertions) { 120 } else { 1_200 },
+    days: 1.25,
+};
 
-const ORACLE_BLOCKS: usize = if cfg!(debug_assertions) { 120 } else { 1_200 };
-
-fn oracle_world_cfg() -> WorldConfig {
-    WorldConfig {
-        num_blocks: ORACLE_BLOCKS,
-        seed: ORACLE_SEED,
-        span_days: ORACLE_DAYS,
-        ..Default::default()
-    }
-}
-
-fn oracle_source() -> WorldSource {
-    WorldSource::new(oracle_world_cfg())
-}
-
-fn oracle_cfg() -> AnalysisConfig {
-    let wcfg = oracle_world_cfg();
-    AnalysisConfig {
-        faults: FaultPlan::loss_light(0xFA_17),
-        ..AnalysisConfig::over_days(wcfg.start_time, wcfg.span_days)
-    }
-}
-
-fn batch_reference(cfg: &AnalysisConfig) -> WorldAnalysis {
-    let world = World::generate(oracle_world_cfg());
-    analyze_world(&world, cfg, 8, None)
-}
+/// The fault preset every world here is probed under.
+const FAULT: &str = "loss-light";
 
 /// Client tuning for loopback chaos: short reads so stalls trip the
 /// heartbeat budget quickly, fast backoff so storms stay cheap, and a
@@ -153,16 +130,12 @@ fn assert_matches_batch(tag: &str, out: &TransportOutcome, batch: &WorldAnalysis
 /// with its own interleaving), the TCP-ingested world must reproduce the
 /// batch analysis element for element.
 fn chaos_differential(name: &str) {
-    let source = oracle_source();
-    let cfg = oracle_cfg();
-    let batch = batch_reference(&cfg);
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault(FAULT));
+    let batch = WORLD.batch(FAULT);
     assert!(batch.quarantined.is_empty(), "{name}: reference run quarantined blocks");
-    let plan = ChaosPlan::presets(CHAOS_SEED)
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("no chaos preset named {name}"))
-        .1;
-    for (i, shards) in SHARDS.into_iter().enumerate() {
+    let plan = chaos(name);
+    for (i, shards) in THREADS.into_iter().enumerate() {
         let icfg = IngestConfig {
             shards,
             interleave_seed: 0x7A45_12DE ^ ((i as u64) << 8),
@@ -179,7 +152,7 @@ fn chaos_differential(name: &str) {
             assert!(quarantined.is_empty(), "{tag}: feed quarantines");
             ingest_through_chaos(&source, &cfg, &icfg, &events, plan)
         };
-        assert_matches_batch(&tag, &out, &batch);
+        assert_matches_batch(&tag, &out, batch);
         assert_eq!(out.outcome.stats.blocks, batch.reports.len(), "{tag}: stats.blocks");
         if plan.harm.is_some() {
             assert!(harms > 0, "{tag}: harmful preset injected nothing");
@@ -202,45 +175,7 @@ fn chaos_differential(name: &str) {
     }
 }
 
-#[test]
-fn chaos_differential_none() {
-    chaos_differential("none");
-}
-
-#[test]
-fn chaos_differential_sever_midframe() {
-    chaos_differential("sever-midframe");
-}
-
-#[test]
-fn chaos_differential_byte_flip() {
-    chaos_differential("byte-flip");
-}
-
-#[test]
-fn chaos_differential_stall() {
-    chaos_differential("stall");
-}
-
-#[test]
-fn chaos_differential_short_write() {
-    chaos_differential("short-write");
-}
-
-#[test]
-fn chaos_differential_dup_frame() {
-    chaos_differential("dup-frame");
-}
-
-#[test]
-fn chaos_differential_reorder_frame() {
-    chaos_differential("reorder-frame");
-}
-
-#[test]
-fn chaos_differential_reconnect_storm() {
-    chaos_differential("reconnect-storm");
-}
+sleepwatch_testkit::chaos_tests!(chaos_differential);
 
 /// The order a deployment feeds — every block, every round, so every lane
 /// is open for the whole run — over loopback through mid-frame severs:
@@ -248,22 +183,20 @@ fn chaos_differential_reconnect_storm() {
 /// shards.
 #[test]
 fn round_major_feed_through_severs_matches_batch() {
-    let source = oracle_source();
-    let cfg = oracle_cfg();
-    let batch = batch_reference(&cfg);
-    let (plan_name, plan) = ChaosPlan::presets(CHAOS_SEED)
-        .into_iter()
-        .find(|(n, _)| *n == "sever-midframe")
-        .expect("the sever-midframe chaos preset");
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault(FAULT));
+    let batch = WORLD.batch(FAULT);
+    let plan_name = "sever-midframe";
+    let plan = chaos(plan_name);
     let (events, quarantined) = world_feed(&source, &cfg, &IngestConfig::default());
     assert!(quarantined.is_empty(), "feed quarantines");
     let events = sleepwatch_testkit::fixtures::round_major(&events);
-    for shards in SHARDS {
+    for shards in THREADS {
         let icfg = IngestConfig { shards, ..Default::default() };
         let (out, _, harms) = ingest_through_chaos(&source, &cfg, &icfg, &events[..], plan);
         let tag = format!("round-major {plan_name}@{shards}");
         assert!(harms > 0, "{tag}: no sever injected");
-        assert_matches_batch(&tag, &out, &batch);
+        assert_matches_batch(&tag, &out, batch);
     }
 }
 
@@ -309,10 +242,10 @@ fn ingest_over_tcp_resumable(
 /// without reprocessing.
 #[test]
 fn half_served_feed_degrades_then_resumes_losslessly() {
-    let source = oracle_source();
-    let cfg = oracle_cfg();
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault(FAULT));
     let icfg = IngestConfig::default();
-    let batch = batch_reference(&cfg);
+    let batch = WORLD.batch(FAULT);
     let (events, _) = world_feed(&source, &cfg, &icfg);
     let journal = scratch_path("transport-resume");
 
@@ -353,7 +286,7 @@ fn half_served_feed_degrades_then_resumes_losslessly() {
 
     let second = ingest_over_tcp_resumable(&source, &cfg, &icfg, &events, &journal);
     assert!(second.outcome.stats.replayed > 0, "resume replayed nothing from the journal");
-    assert_matches_batch("resumed", &second, &batch);
+    assert_matches_batch("resumed", &second, batch);
     let _ = std::fs::remove_file(&journal);
 }
 
@@ -363,10 +296,10 @@ fn half_served_feed_degrades_then_resumes_losslessly() {
 /// to the full verdict set with exactly one reconnect.
 #[test]
 fn killed_server_is_resumed_mid_stream() {
-    let source = oracle_source();
-    let cfg = oracle_cfg();
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault(FAULT));
     let icfg = IngestConfig::default();
-    let batch = batch_reference(&cfg);
+    let batch = WORLD.batch(FAULT);
     let (events, _) = world_feed(&source, &cfg, &icfg);
     let identity = feed_identity(&source, &cfg);
 
@@ -411,15 +344,15 @@ fn killed_server_is_resumed_mid_stream() {
     // event arrives twice, and every event arrives once.
     assert_eq!(out.transport.duplicates, 0, "the resume re-sent events");
     assert_eq!(out.transport.events, events.len() as u64, "events delivered");
-    assert_matches_batch("server-restart", &out, &batch);
+    assert_matches_batch("server-restart", &out, batch);
 }
 
 /// A feed carrying a different run identity is refused with a typed
 /// error before any event crosses: the receiver's world stays empty.
 #[test]
 fn foreign_feed_is_refused_with_typed_error() {
-    let source = oracle_source();
-    let cfg = oracle_cfg();
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault(FAULT));
     let (events, _) = world_feed(&source, &cfg, &IngestConfig::default());
     let identity = feed_identity(&source, &cfg);
     let mut foreign = identity;
@@ -458,11 +391,11 @@ fn foreign_feed_is_refused_with_typed_error() {
 /// finished over the wire — identical verdicts both ways.
 #[test]
 fn transport_and_batch_checkpoints_are_interchangeable() {
-    let source = oracle_source();
-    let cfg = oracle_cfg();
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault(FAULT));
     let icfg = IngestConfig::default();
-    let world = World::generate(oracle_world_cfg());
-    let batch = analyze_world(&world, &cfg, 8, None);
+    let world = WORLD.world();
+    let batch = WORLD.batch(FAULT);
     let (events, _) = world_feed(&source, &cfg, &icfg);
 
     // Transport writes, batch finishes.
@@ -483,7 +416,7 @@ fn transport_and_batch_checkpoints_are_interchangeable() {
     std::fs::write(&journal, &bytes[..cut]).expect("sever again");
     let resumed = ingest_over_tcp_resumable(&source, &cfg, &icfg, &events, &journal);
     assert!(resumed.outcome.stats.replayed > 0, "transport resume replayed nothing");
-    assert_matches_batch("transport finish of batch journal", &resumed, &batch);
+    assert_matches_batch("transport finish of batch journal", &resumed, batch);
     let _ = std::fs::remove_file(&journal);
 }
 
@@ -493,10 +426,10 @@ fn transport_and_batch_checkpoints_are_interchangeable() {
 /// the rest are reported open.
 #[test]
 fn file_feed_matches_batch_and_torn_tail_degrades() {
-    let source = oracle_source();
-    let cfg = oracle_cfg();
+    let source = WORLD.source();
+    let cfg = WORLD.cfg(fault(FAULT));
     let icfg = IngestConfig::default();
-    let batch = batch_reference(&cfg);
+    let batch = WORLD.batch(FAULT);
     let (events, _) = world_feed(&source, &cfg, &icfg);
     let identity = feed_identity(&source, &cfg);
     let mut bytes = Vec::new();
@@ -504,7 +437,7 @@ fn file_feed_matches_batch_and_torn_tail_degrades() {
 
     let mut fs = FileSource::new(&bytes[..], &identity, false).expect("open file feed");
     let out = ingest_source(&source, &cfg, &icfg, &mut fs);
-    assert_matches_batch("file", &out, &batch);
+    assert_matches_batch("file", &out, batch);
 
     let torn = &bytes[..bytes.len() - bytes.len() / 3];
     let mut fs = FileSource::new(torn, &identity, false).expect("open torn feed");
